@@ -4,9 +4,10 @@ A :class:`MatrixStarAlgebra` is a unital *-subalgebra of M_n(C) described by
 a spanning set; a Hilbert-Schmidt-orthonormal basis is derived once and all
 membership questions are answered against it.  A
 :class:`ConditionalExpectation` is a linear idempotent map between nested
-algebras, stored as a callable on ambient matrices (its full matrix on
-ambient coordinates is materialized lazily), optionally carrying a
-quasi-basis, i.e. a finite family {l_i} with
+algebras, stored as a callable on ambient matrices together with one lazily
+built coordinate matrix in the two algebras' orthonormal bases (stacks of
+elements, the checks below and the full ambient matrix go through it),
+optionally carrying a quasi-basis, i.e. a finite family {l_i} with
 
     x = sum_i E(x l_i) l_i*  =  sum_i l_i E(l_i* x)        for all x,
 
@@ -57,28 +58,37 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128)
-    a.setflags(write=False)
-    return a
+def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """A validated (k, n, n) stack of a family of n x n matrices (k may be 0)."""
+    mats = [mx.as_matrix(m) for m in mats]
+    for m in mats:
+        if m.shape != (n, n):
+            raise ShapeMismatch(f"expected {n}x{n} matrices, got {m.shape}")
+    return np.array(mats, dtype=np.complex128).reshape(len(mats), n, n)
 
 
 class MatrixStarAlgebra:
-    """A unital *-subalgebra of M_n(C) given by a spanning set of matrices."""
+    """A unital *-subalgebra of M_n(C) given by a spanning set of matrices.
+
+    The orthonormal basis is stored once, as the read-only rows of ``_flat``
+    (shape d x n^2); ``basis`` holds n x n views into those rows, and
+    ``spanning_set`` shares the same storage when it is the basis.
+    """
 
     def __init__(self, spanning_set: Sequence[np.ndarray], basis: Sequence[np.ndarray]):
         if len(spanning_set) == 0:
             raise EmptyAlgebra("spanning set is empty")
-        self.spanning_set = tuple(_freeze(m) for m in spanning_set)
-        self.basis = tuple(_freeze(m) for m in basis)
-        n = self.spanning_set[0].shape[0]
-        for m in self.spanning_set + self.basis:
-            if m.shape != (n, n):
-                raise ShapeMismatch(f"algebra matrices must all be {n}x{n}")
+        n = np.shape(spanning_set[0])[0]
         self.ambient_dim = n
-        # flattened orthonormal basis (and its conjugate), for fast projections
-        self._flat = _freeze(np.stack([np.ravel(b) for b in self.basis]))
-        self._flat_conj = _freeze(np.conjugate(self._flat))
+        self._flat = _stack_of(basis, n).reshape(len(basis), n * n)
+        self._flat.setflags(write=False)
+        self.basis = tuple(self.basis_stack)
+        if spanning_set is basis:
+            self.spanning_set = self.basis
+        else:
+            stack = _stack_of(spanning_set, n)
+            stack.setflags(write=False)
+            self.spanning_set = tuple(stack)
 
     @classmethod
     def from_spanning(cls, mats: Sequence[np.ndarray], cutoff: float = mx.RANK_CUTOFF):
@@ -95,26 +105,45 @@ class MatrixStarAlgebra:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._flat.shape[0]
 
     @property
     def unit(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
+    @property
+    def basis_stack(self) -> np.ndarray:
+        """The orthonormal basis as one read-only (d, n, n) view of ``_flat``."""
+        n = self.ambient_dim
+        return self._flat.reshape(self.dim, n, n)
+
     def hs_coordinates(self, x) -> np.ndarray:
-        """Coordinates of the HS-orthogonal projection of ``x`` onto the span."""
-        return self._flat_conj @ np.ravel(mx.as_matrix(x))
+        """Coordinates of the HS-orthogonal projection of ``x`` onto the span.
+
+        ``x`` is one n x n matrix or a (k, n, n) stack (rows of coordinates).
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim != 3:
+            x = mx.as_matrix(x)
+        flat = x.reshape(x.shape[:-2] + (-1,))
+        return np.conjugate(np.conjugate(flat) @ self._flat.T)
 
     def project(self, x) -> np.ndarray:
-        return (self.hs_coordinates(x) @ self._flat).reshape(
-            self.ambient_dim, self.ambient_dim
-        )
+        return self.combine(self.hs_coordinates(x))
 
     def membership_residual(self, x) -> float:
         return mx.frobenius_norm(self.project(x) - mx.as_matrix(x))
 
     def contains(self, x, tol: float = mx.DEFAULT_TOL) -> bool:
         return self.membership_residual(x) <= tol * (1.0 + mx.frobenius_norm(x))
+
+    def contains_all(self, xs, tol: float = mx.DEFAULT_TOL) -> bool:
+        """:meth:`contains` for every matrix of a (k, n, n) stack at once."""
+        xs = mx.as_stack(xs)
+        flat = xs.reshape(len(xs), -1)
+        coords = self.hs_coordinates(xs)
+        residual = np.linalg.norm(coords @ self._flat - flat, axis=1)
+        return bool(np.all(residual <= tol * (1.0 + np.linalg.norm(flat, axis=1))))
 
     def coordinates(self, x, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         """Orthonormal-basis coordinates; raises NotInAlgebra off the span."""
@@ -123,9 +152,10 @@ class MatrixStarAlgebra:
         return self.hs_coordinates(x)
 
     def combine(self, coords: np.ndarray) -> np.ndarray:
-        return (np.asarray(coords) @ self._flat).reshape(
-            self.ambient_dim, self.ambient_dim
-        )
+        """The element(s) with the given coordinates; rows give a stack."""
+        coords = np.asarray(coords)
+        n = self.ambient_dim
+        return (coords @ self._flat).reshape(coords.shape[:-1] + (n, n))
 
     def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:
         """Equality as subspaces (bases are never canonical)."""
@@ -133,8 +163,8 @@ class MatrixStarAlgebra:
             return True
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        return all(self.contains(b, tol) for b in other.basis) and all(
-            other.contains(b, tol) for b in self.basis
+        return self.contains_all(other.basis_stack, tol) and other.contains_all(
+            self.basis_stack, tol
         )
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -200,7 +230,7 @@ def verify_star_algebra(
     n, flat = alg.ambient_dim, alg._flat
 
     def span_residual_rows(rows: np.ndarray) -> np.ndarray:
-        coeffs = np.conjugate(flat) @ rows.T
+        coeffs = np.conjugate(flat @ np.conjugate(rows).T)
         recon = coeffs.T @ flat
         return np.linalg.norm(recon - rows, axis=1)
 
@@ -236,6 +266,10 @@ class ConditionalExpectation:
     generic constructor :meth:`from_rule` extends any rule given on basis
     elements by HS-projection onto the source span.  ``quasi_basis`` is the
     family {l_i} witnessing finite index, when known.
+
+    Besides the callable, an expectation has one cached matrix in the
+    algebras' own orthonormal coordinates, :attr:`coordinate_matrix`; stacks
+    of shape (k, n, n), the checks and :attr:`map_matrix` go through it.
     """
 
     def __init__(
@@ -251,13 +285,26 @@ class ConditionalExpectation:
         self.source = source
         self.target = target
         self._apply = apply_fn
-        self.quasi_basis = (
-            None if quasi_basis is None else tuple(_freeze(m) for m in quasi_basis)
-        )
+        # one read-only (q, n, n) stack; quasi_basis holds views into it
+        self.quasi_stack = None
+        self.quasi_basis = None
+        if quasi_basis is not None:
+            self.quasi_stack = _stack_of(quasi_basis, source.ambient_dim)
+            self.quasi_stack.setflags(write=False)
+            self.quasi_basis = tuple(self.quasi_stack)
         self.name = name
         self._index_cache: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
+        """E(x) for one matrix; a (k, n, n) stack goes through the coordinates.
+
+        On a stack the map acts as :attr:`map_matrix` does: as E after
+        HS-projection onto the source span.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim == 3:
+            coords = self.source.hs_coordinates(mx.as_stack(x))
+            return self.target.combine(coords @ self.coordinate_matrix)
         return self._apply(mx.as_matrix(x))
 
     @property
@@ -283,6 +330,60 @@ class ConditionalExpectation:
 
         return cls(source, target, apply_fn, quasi_basis, name=name)
 
+    @classmethod
+    def from_coordinates(
+        cls,
+        source: MatrixStarAlgebra,
+        target: MatrixStarAlgebra,
+        coordinate_matrix: np.ndarray,
+        quasi_basis: Sequence[np.ndarray] | None = None,
+        name: str = "E",
+    ) -> "ConditionalExpectation":
+        """The map with the given :attr:`coordinate_matrix`, extended as :meth:`from_rule` is."""
+        t = np.array(coordinate_matrix, dtype=np.complex128)
+        if t.shape != (source.dim, target.dim):
+            raise ShapeMismatch(f"coordinate matrix must be {source.dim}x{target.dim}")
+        t.setflags(write=False)
+
+        def apply_fn(x: np.ndarray) -> np.ndarray:
+            return target.combine(source.hs_coordinates(x) @ t)
+
+        exp = cls(source, target, apply_fn, quasi_basis, name=name)
+        exp.coordinate_matrix = t  # fills the cache of the property below
+        return exp
+
+    @cached_property
+    def coordinate_matrix(self) -> np.ndarray:
+        """T, of shape d_src x d_tgt: row k holds the target coordinates of E(b_k).
+
+        Built with exactly one call of E per source basis element.  An image
+        off the target span by more than ``tol (1 + ||E(b_k)||_F)`` raises
+        :class:`NumericIntegrityError` instead of being projected silently.
+        On the source span, E(y) = sum_m phi_m(y) beta_m over the target
+        basis {beta_m}, with the linear functional
+        phi_m(y) = sum_p vec(y)[p] (conj(S)^T T)[p, m] for the source basis
+        rows S.
+        """
+        src, tgt = self.source, self.target
+        tol = mx.DEFAULT_TOL
+        blocks = []
+        for rows in mx.stack_slices(src.dim, src._flat[0].nbytes):
+            images = np.stack([self(b) for b in src.basis[rows]])
+            coords = tgt.hs_coordinates(images)
+            flat = images.reshape(len(images), -1)
+            off = np.linalg.norm(coords @ tgt._flat - flat, axis=1)
+            bound = tol * (1.0 + np.linalg.norm(flat, axis=1))
+            if np.any(off > bound):
+                k = rows.start + int(np.argmax(off - bound))
+                raise NumericIntegrityError(
+                    f"{self.name}: image of source basis element {k} lies off the "
+                    f"target span (residual {off.max():.2e})"
+                )
+            blocks.append(coords)
+        t = np.concatenate(blocks)
+        t.setflags(write=False)
+        return t
+
     @cached_property
     def map_matrix(self) -> np.ndarray:
         """The map on ambient coordinates, as an n^2 x n^2 matrix.
@@ -290,12 +391,8 @@ class ConditionalExpectation:
         Row-major ``vec`` convention: ``vec(E(x)) = map_matrix @ vec(x)``.
         Off the source span the map acts as E after HS-projection.
         """
-        n = self.ambient_dim
-        cols = np.zeros((n * n, n * n), dtype=np.complex128)
-        for b in self.source.basis:
-            img = np.ravel(self(b))
-            cols += np.outer(img, np.conjugate(np.ravel(b)))
-        return cols
+        s, b = self.source._flat, self.target._flat
+        return b.T @ (self.coordinate_matrix.T @ np.conjugate(s))
 
     def index_element(self, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         """Cached Watatani index; see :func:`watatani_index`."""
@@ -395,18 +492,43 @@ def verify_quasi_basis(
     lambdas: Sequence[np.ndarray],
     tol: float = mx.DEFAULT_TOL,
 ) -> bool:
-    """Check both reconstruction identities on every source basis element."""
-    lams = [mx.as_matrix(m) for m in lambdas]
+    """Check both reconstruction identities on every source basis element.
+
+    x = sum_i E(x l_i) l_i* and x = sum_i l_i E(l_i* x), each within
+    ``tol (1 + ||x||_F)``, for every source basis element x at once.  Since
+    x l_i and l_i* x lie in the source, E acts on them through the
+    functionals phi_m of :attr:`ConditionalExpectation.coordinate_matrix`.
+    Written as n x n matrices W_m, phi_m(y) = Tr(W_m^T y), so
+    phi_m(x l) = Tr((l W_m^T) x) and phi_m(l* x) = Tr((W_m^T l*) x): for
+    one l_i and all x this is one product against the source basis rows.
+    """
+    src, tgt = E.source, E.target
+    lams = _stack_of(lambdas, E.ambient_dim)
+    if not src.contains_all(lams, tol):
+        raise NotInAlgebra("quasi-basis element outside the source algebra")
+    flat = src._flat
+    d_t, n = tgt.dim, E.ambient_dim
+    # row m of W is phi_m as a vector, conj(S)^T T[:, m]
+    w = np.conjugate(np.conjugate(E.coordinate_matrix).T @ flat).reshape(d_t, n, n)
+    beta = tgt.basis_stack
+    left = np.zeros_like(flat)
+    right = np.zeros_like(flat)
     for lam in lams:
-        if not E.source.contains(lam, tol):
-            raise NotInAlgebra("quasi-basis element outside the source algebra")
-    for x in E.source.basis:
-        left = sum(E(x @ lam) @ mx.adjoint(lam) for lam in lams)
-        right = sum(lam @ E(mx.adjoint(lam) @ x) for lam in lams)
-        bound = tol * (1.0 + mx.frobenius_norm(x))
-        if mx.frobenius_norm(left - x) > bound or mx.frobenius_norm(right - x) > bound:
-            return False
-    return True
+        if not lam.any():
+            continue  # a zero element adds nothing to either sum
+        lam_star = mx.adjoint(lam)
+        # phi[k, m] = phi_m(b_k l), then sum_m phi_m(b_k l) beta_m l*
+        # (a contiguous l^T keeps the stacked product on BLAS)
+        phi = flat @ (w @ np.ascontiguousarray(lam.T)).reshape(d_t, -1).T
+        left += phi @ (beta @ lam_star).reshape(d_t, -1)
+        # phi[k, m] = phi_m(l* b_k), then sum_m l phi_m(l* b_k) beta_m
+        phi = flat @ (np.conjugate(lam) @ w).reshape(d_t, -1).T
+        right += phi @ (lam @ beta).reshape(d_t, -1)
+    bound = tol * (1.0 + np.linalg.norm(flat, axis=1))
+    return bool(
+        np.all(np.linalg.norm(left - flat, axis=1) <= bound)
+        and np.all(np.linalg.norm(right - flat, axis=1) <= bound)
+    )
 
 
 def watatani_index(
@@ -427,7 +549,11 @@ def watatani_index(
 
     if mx.operator_norm(ind - mx.adjoint(ind)) > tol:
         raise NumericIntegrityError("index element is not self-adjoint")
-    worst = mx.max_operator_norm(ind @ b - b @ ind for b in E.source.basis)
+    basis = E.source.basis_stack
+    worst = max(
+        mx.max_operator_norm(ind @ basis[rows] - basis[rows] @ ind)
+        for rows in mx.stack_slices(len(basis), basis[0].nbytes)
+    )
     if worst > tol * (1.0 + mx.operator_norm(ind)):
         raise NumericIntegrityError(f"index element not central (residual {worst:.2e})")
     smallest = float(np.linalg.eigvalsh((ind + mx.adjoint(ind)) / 2.0)[0])
@@ -446,20 +572,23 @@ def restrict_expectation(
 
     Requires target(E) <= C <= source(E) and F mapping source(E) onto C.
     """
-    for b in E.target.basis:
-        if not C.contains(b, tol):
-            raise NotIntermediate("target(E) is not contained in C")
-    for b in C.basis:
-        if not E.source.contains(b, tol):
-            raise NotIntermediate("C is not contained in source(E)")
+    if not C.contains_all(E.target.basis_stack, tol):
+        raise NotIntermediate("target(E) is not contained in C")
+    if not E.source.contains_all(C.basis_stack, tol):
+        raise NotIntermediate("C is not contained in source(E)")
     if not F.target.same_span(C, tol):
         raise NotIntermediate("F does not map onto C")
 
     quasi = None
     if E.quasi_basis is not None:
-        quasi = [F(lam) for lam in E.quasi_basis]
-    restricted = ConditionalExpectation.from_rule(
-        C, E.target, E, quasi_basis=quasi, name=f"{E.name}|C"
+        quasi = F(E.quasi_stack)
+    # E(c_j) = sum_k <b_k, c_j> E(b_k): the coordinate matrix restricts by rows
+    restricted = ConditionalExpectation.from_coordinates(
+        C,
+        E.target,
+        E.source.hs_coordinates(C.basis_stack) @ E.coordinate_matrix,
+        quasi_basis=quasi,
+        name=f"{E.name}|C",
     )
     if quasi is not None and not verify_quasi_basis(restricted, quasi, tol):
         raise NoQuasiBasis("derived quasi-basis {F(l_i)} failed verification")
@@ -469,16 +598,29 @@ def restrict_expectation(
 def compatibility_residual(
     E: ConditionalExpectation, F: ConditionalExpectation
 ) -> float:
-    """max over source basis of ||E(x) - E(F(x))||."""
-    if not E.source.same_span(F.source):
+    """max over source basis of ||E(x) - E(F(x))||.
+
+    Both terms come from the coordinate matrices, as target coordinates of
+    E for every source basis element at once; the norms go through one
+    Frobenius screen and one stacked SVD.
+    """
+    src = E.source
+    if not src.same_span(F.source):
         raise NotIntermediate("E and F must share their source algebra")
-    for b in E.target.basis:
-        if not F.target.contains(b):
-            raise NotIntermediate("target(E) is not contained in target(F)")
-    for b in F.target.basis:
-        if not E.source.contains(b):
-            raise NotIntermediate("target(F) is not contained in the source")
-    return mx.max_operator_norm(E(x) - E(F(x)) for x in E.source.basis)
+    if not F.target.contains_all(E.target.basis_stack):
+        raise NotIntermediate("target(E) is not contained in target(F)")
+    if not src.contains_all(F.target.basis_stack):
+        raise NotIntermediate("target(F) is not contained in the source")
+    t_e, t_f = E.coordinate_matrix, F.coordinate_matrix
+    if F.source is not src:
+        # F's coordinate rows belong to F's own source basis
+        t_f = F.source.hs_coordinates(src.basis_stack) @ t_f
+    # F(x) in source coordinates, then E of it in target coordinates
+    f_of_x = t_f @ src.hs_coordinates(F.target.basis_stack)
+    diff = t_e - f_of_x @ t_e
+    # the target basis is HS-orthonormal, so row norms are Frobenius norms
+    keep = mx.norm_screen(np.linalg.norm(diff, axis=1), E.ambient_dim)
+    return mx.max_operator_norm(E.target.combine(diff[keep]))
 
 
 def is_compatible(

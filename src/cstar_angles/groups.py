@@ -468,16 +468,19 @@ class RegularModule:
         self._cols = np.arange(group.order)
 
     def coords(self, y) -> np.ndarray:
+        """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
         y = np.asarray(y)
-        picked = y[self.group.cayley, self._cols[None, :]]
-        return picked.sum(axis=1) / self._sqrt
+        picked = y[..., self.group.cayley, self._cols[None, :]]
+        return picked.sum(axis=-1) / self._sqrt
 
     def from_coords(self, v) -> np.ndarray:
+        """Inverse of :meth:`coords`; rows of coordinates give a stack."""
+        v = np.asarray(v, dtype=np.complex128)
         n = self.dim
-        x = np.zeros((n, n), dtype=np.complex128)
+        x = np.zeros(v.shape[:-1] + (n, n), dtype=np.complex128)
         # permutation supports of distinct group elements are disjoint
-        x[self.group.cayley, np.broadcast_to(self._cols, (n, n))] = (
-            np.asarray(v, dtype=np.complex128)[:, None] / self._sqrt
+        x[..., self.group.cayley, np.broadcast_to(self._cols, (n, n))] = (
+            v[..., :, None] / self._sqrt
         )
         return x
 
@@ -485,12 +488,12 @@ class RegularModule:
         return np.array(x, dtype=np.complex128)
 
     def operator_matrix(self, fn) -> np.ndarray:
-        cols = []
-        for g in range(self.dim):
-            basis_vec = np.zeros(self.dim)
-            basis_vec[g] = 1.0
-            cols.append(self.coords(fn(self.from_coords(basis_vec))))
-        return np.stack(cols, axis=1)
+        """Matrix of a linear map on A; ``fn`` takes basis elements as stacks."""
+        eye = np.eye(self.dim)
+        rows = mx.stack_slices(self.dim, eye.nbytes * 2)
+        return np.concatenate(
+            [self.coords(fn(self.from_coords(eye[r]))) for r in rows]
+        ).T
 
 
 @dataclass

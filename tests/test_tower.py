@@ -331,3 +331,49 @@ def test_commuting_for_diagonal_conjugation(tower_level, inclusion):
     e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
     e_d = intermediate_projection(tower_level, f_u.target, f_u)
     np.testing.assert_allclose(e_delta, e_d, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# module calls on stacks
+
+
+def _module_cases(tower_level):
+    yield tower_level.module, tower_level.algebra
+    inc = z4_over_z2()
+    yield inc.module, inc.A
+
+
+def test_module_coords_accept_stacks(tower_level, rng):
+    for module, alg in _module_cases(tower_level):
+        xs = np.stack([alg.random_element(rng) for _ in range(3)])
+        coords = module.coords(xs)
+        assert coords.shape == (3, module.dim)
+        for x, c in zip(xs, coords):
+            np.testing.assert_allclose(c, module.coords(x), atol=1e-12)
+        back = module.from_coords(coords)
+        assert back.shape == xs.shape
+        for c, y in zip(coords, back):
+            np.testing.assert_allclose(y, module.from_coords(c), atol=1e-12)
+        np.testing.assert_allclose(back, xs, atol=1e-12)
+
+
+def test_operator_matrix_matches_per_element_columns(tower_level, rng):
+    for module, alg in _module_cases(tower_level):
+        basis = module.from_coords(np.eye(module.dim))
+        a = alg.random_element(rng)
+        for fn in (lambda x: x, lambda x: a @ x):
+            expected = np.stack([module.coords(fn(m)) for m in basis], axis=1)
+            np.testing.assert_allclose(
+                module.operator_matrix(fn), expected, atol=1e-12
+            )
+
+
+def test_dual_value_matches_per_element_sum(tower_level, rng):
+    lams = tower_level.expectation.quasi_basis
+    mod = tower_level.module
+    for _ in range(5):
+        t = mx.random_matrix(tower_level.module_dim, rng)
+        total = sum(mod.from_coords(t @ mod.coords(lam)) @ mx.adjoint(lam) for lam in lams)
+        np.testing.assert_allclose(
+            tower_level.dual_value(t), tower_level.index_inverse @ total, atol=1e-12
+        )

@@ -1,24 +1,21 @@
 """The named invariant suites behind the verify command.
 
-Every check passes except the documented one: the fourth-power closed form
-does not agree with the computation routes (its second-power correction
-does, and that check passes).
+Every check passes.  The fourth-power closed form is held to its exact
+factor over the computation routes, so its check passes too.
 """
 
 from cstar_angles.verify import SUITE_NAMES, run_suite
 
 
-def test_all_suites_have_single_known_failure():
-    failing = []
-    total = 0
-    for suite in SUITE_NAMES:
-        checks = run_suite(suite)
-        total += len(checks)
-        failing += [c for c in checks if not c.passed]
-    assert total > 40
-    assert [c.name for c in failing] == ["m2_printed_closed_form_agreement"]
-    # the discrepancy is structural, not roundoff
-    assert failing[0].residual > 0.05
+def test_all_suites_pass():
+    checks = [c for suite in SUITE_NAMES for c in run_suite(suite)]
+    names = [c.name for c in checks]
+    assert len(names) > 40
+    assert len(set(names)) == len(names)
+    assert [c.name for c in checks if not c.passed] == []
+    # the fourth-power form is pinned by its factor, to roundoff
+    printed = checks[names.index("m2_printed_closed_form_agreement")]
+    assert printed.residual < 1e-10
 
 
 def test_groups_suite_check_names():
