@@ -268,8 +268,9 @@ class ConditionalExpectation:
     family {l_i} witnessing finite index, when known.
 
     Besides the callable, an expectation has one cached matrix in the
-    algebras' own orthonormal coordinates, :attr:`coordinate_matrix`; stacks
-    of shape (k, n, n), the checks and :attr:`map_matrix` go through it.
+    algebras' own orthonormal coordinates, :meth:`coordinates`; stacks of
+    source elements (:meth:`on_source`), the checks and :attr:`map_matrix`
+    go through it.
     """
 
     def __init__(
@@ -294,18 +295,20 @@ class ConditionalExpectation:
             self.quasi_basis = tuple(self.quasi_stack)
         self.name = name
         self._index_cache: np.ndarray | None = None
+        # (T, worst relative off-target residual, its source basis index)
+        self._coords: tuple[np.ndarray, float, int] | None = None
 
     def __call__(self, x) -> np.ndarray:
-        """E(x) for one matrix; a (k, n, n) stack goes through the coordinates.
-
-        On a stack the map acts as :attr:`map_matrix` does: as E after
-        HS-projection onto the source span.
-        """
-        x = np.asarray(x, dtype=np.complex128)
-        if x.ndim == 3:
-            coords = self.source.hs_coordinates(mx.as_stack(x))
-            return self.target.combine(coords @ self.coordinate_matrix)
         return self._apply(mx.as_matrix(x))
+
+    def on_source(self, xs) -> np.ndarray:
+        """E on a (k, n, n) stack of source elements, through :meth:`coordinates`.
+
+        Off the source span this acts as :attr:`map_matrix` does, as E after
+        HS-projection onto the source, which may differ from E itself.
+        """
+        coords = self.source.hs_coordinates(mx.as_stack(xs))
+        return self.target.combine(coords @ self.coordinate_matrix)
 
     @property
     def ambient_dim(self) -> int:
@@ -349,40 +352,50 @@ class ConditionalExpectation:
             return target.combine(source.hs_coordinates(x) @ t)
 
         exp = cls(source, target, apply_fn, quasi_basis, name=name)
-        exp.coordinate_matrix = t  # fills the cache of the property below
+        exp._coords = (t, 0.0, 0)
         return exp
 
-    @cached_property
-    def coordinate_matrix(self) -> np.ndarray:
+    def coordinates(self, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         """T, of shape d_src x d_tgt: row k holds the target coordinates of E(b_k).
 
-        Built with exactly one call of E per source basis element.  An image
-        off the target span by more than ``tol (1 + ||E(b_k)||_F)`` raises
-        :class:`NumericIntegrityError` instead of being projected silently.
-        On the source span, E(y) = sum_m phi_m(y) beta_m over the target
-        basis {beta_m}, with the linear functional
+        Built once, with exactly one call of E per source basis element.  An
+        image off the target span by more than ``tol (1 + ||E(b_k)||_F)``
+        raises :class:`NumericIntegrityError` instead of being projected
+        silently.  On the source span, E(y) = sum_m phi_m(y) beta_m over the
+        target basis {beta_m}, with the linear functional
         phi_m(y) = sum_p vec(y)[p] (conj(S)^T T)[p, m] for the source basis
         rows S.
         """
+        if self._coords is None:
+            self._coords = self._build_coordinates()
+        t, worst, k = self._coords
+        if worst > tol:
+            raise NumericIntegrityError(
+                f"{self.name}: image of source basis element {k} lies off the "
+                f"target span (relative residual {worst:.2e} > {tol:.1e})"
+            )
+        return t
+
+    @property
+    def coordinate_matrix(self) -> np.ndarray:
+        """:meth:`coordinates` at the default tolerance."""
+        return self.coordinates()
+
+    def _build_coordinates(self) -> tuple[np.ndarray, float, int]:
         src, tgt = self.source, self.target
-        tol = mx.DEFAULT_TOL
-        blocks = []
+        blocks, ratios = [], []
         for rows in mx.stack_slices(src.dim, src._flat[0].nbytes):
             images = np.stack([self(b) for b in src.basis[rows]])
             coords = tgt.hs_coordinates(images)
             flat = images.reshape(len(images), -1)
             off = np.linalg.norm(coords @ tgt._flat - flat, axis=1)
-            bound = tol * (1.0 + np.linalg.norm(flat, axis=1))
-            if np.any(off > bound):
-                k = rows.start + int(np.argmax(off - bound))
-                raise NumericIntegrityError(
-                    f"{self.name}: image of source basis element {k} lies off the "
-                    f"target span (residual {off.max():.2e})"
-                )
+            ratios.append(off / (1.0 + np.linalg.norm(flat, axis=1)))
             blocks.append(coords)
         t = np.concatenate(blocks)
         t.setflags(write=False)
-        return t
+        ratios = np.concatenate(ratios)
+        k = int(np.argmax(ratios))
+        return t, float(ratios[k]), k
 
     @cached_property
     def map_matrix(self) -> np.ndarray:
@@ -501,15 +514,22 @@ def verify_quasi_basis(
     Written as n x n matrices W_m, phi_m(y) = Tr(W_m^T y), so
     phi_m(x l) = Tr((l W_m^T) x) and phi_m(l* x) = Tr((W_m^T l*) x): for
     one l_i and all x this is one product against the source basis rows.
+    An E whose images leave its target by more than ``tol`` (see
+    :meth:`ConditionalExpectation.coordinates`) is no expectation onto that
+    target, and fails the check.
     """
     src, tgt = E.source, E.target
     lams = _stack_of(lambdas, E.ambient_dim)
     if not src.contains_all(lams, tol):
         raise NotInAlgebra("quasi-basis element outside the source algebra")
+    try:
+        t = E.coordinates(tol)
+    except NumericIntegrityError:
+        return False
     flat = src._flat
     d_t, n = tgt.dim, E.ambient_dim
     # row m of W is phi_m as a vector, conj(S)^T T[:, m]
-    w = np.conjugate(np.conjugate(E.coordinate_matrix).T @ flat).reshape(d_t, n, n)
+    w = np.conjugate(np.conjugate(t).T @ flat).reshape(d_t, n, n)
     beta = tgt.basis_stack
     left = np.zeros_like(flat)
     right = np.zeros_like(flat)
@@ -581,12 +601,12 @@ def restrict_expectation(
 
     quasi = None
     if E.quasi_basis is not None:
-        quasi = F(E.quasi_stack)
+        quasi = F.on_source(E.quasi_stack)
     # E(c_j) = sum_k <b_k, c_j> E(b_k): the coordinate matrix restricts by rows
     restricted = ConditionalExpectation.from_coordinates(
         C,
         E.target,
-        E.source.hs_coordinates(C.basis_stack) @ E.coordinate_matrix,
+        E.source.hs_coordinates(C.basis_stack) @ E.coordinates(tol),
         quasi_basis=quasi,
         name=f"{E.name}|C",
     )

@@ -152,35 +152,35 @@ def as_stack(m) -> np.ndarray:
     return a
 
 
-def stack_slices(count: int, item_bytes: int, budget: int = STACK_BUDGET_BYTES):
-    """Slices cutting ``range(count)`` into runs of at most ``budget`` bytes."""
-    step = max(1, budget // max(1, item_bytes))
+def stack_slices(count: int, item_bytes: int):
+    """Slices cutting ``range(count)`` into runs of at most ``STACK_BUDGET_BYTES``."""
+    step = max(1, STACK_BUDGET_BYTES // max(1, item_bytes))
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def norm_screen(frobenius: np.ndarray, n: int, noise_floor: float = NOISE_FLOOR) -> np.ndarray:
+def norm_screen(frobenius: np.ndarray, n: int) -> np.ndarray:
     """Indices of the matrices that can attain the largest operator norm.
 
     ``frobenius`` holds the Frobenius norms of a family of matrices with at
     most ``n`` singular values.  Since ||m|| <= ||m||_F <= sqrt(n) ||m||, no
     matrix whose Frobenius norm is below max_F / sqrt(n) can win.  Below
-    ``noise_floor`` only the largest one is kept: its Frobenius norm is
+    ``NOISE_FLOOR`` only the largest one is kept: its Frobenius norm is
     accurate enough for any tolerance this package uses.
     """
     frobenius = np.asarray(frobenius)
     if frobenius.size == 0:
         return np.zeros(0, dtype=np.intp)
     top = float(frobenius.max())
-    if top < noise_floor:
+    if top < NOISE_FLOOR:
         return np.array([int(frobenius.argmax())])
     return np.flatnonzero(frobenius >= top / np.sqrt(n))
 
 
-def max_operator_norm(mats, noise_floor: float = NOISE_FLOOR) -> float:
+def max_operator_norm(mats) -> float:
     """Exact maximum of operator norms over a family or a (k, n, m) stack.
 
     The family goes through one Frobenius screen (:func:`norm_screen`) and
-    the survivors through one stacked SVD.  Below ``noise_floor`` the
+    the survivors through one stacked SVD.  Below ``NOISE_FLOOR`` the
     largest Frobenius norm itself is returned.
     """
     stack = mats if isinstance(mats, np.ndarray) else list(mats)
@@ -189,9 +189,9 @@ def max_operator_norm(mats, noise_floor: float = NOISE_FLOOR) -> float:
     stack = np.asarray(stack)
     frob = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     top = float(frob.max())
-    if top < noise_floor:
+    if top < NOISE_FLOOR:
         return top
-    keep = norm_screen(frob, min(stack.shape[1:]), noise_floor)
+    keep = norm_screen(frob, min(stack.shape[1:]))
     return float(np.linalg.svd(stack[keep], compute_uv=False)[:, 0].max())
 
 

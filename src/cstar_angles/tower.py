@@ -200,10 +200,11 @@ def _check_level(level: TowerLevel, tol: float):
     # e L_a e = L_{E(a)} e over the source basis of E, whose images E(b_k)
     # are the rows of its coordinate matrix
     E = level.expectation
-    basis, images = E.source.basis_stack, E.target.combine(E.coordinate_matrix)
+    basis, t = E.source.basis_stack, E.coordinates(tol)
     residuals["exchange_law"] = max(
         mx.max_operator_norm(
-            e @ level.embed(basis[rows]) @ e - level.embed(images[rows]) @ e
+            e @ level.embed(basis[rows]) @ e
+            - level.embed(E.target.combine(t[rows])) @ e
         )
         for rows in mx.stack_slices(len(basis), e.nbytes)
     )
@@ -261,7 +262,7 @@ def build_tower_level(
             raise NotIntermediate("B is not contained in A")
 
     mod = module if module is not None else GenericModule(A, E)
-    e_b = mod.operator_matrix(E)
+    e_b = mod.operator_matrix(E.on_source)
 
     ind = E.index_element(tol)
     level = TowerLevel(
@@ -349,7 +350,7 @@ def intermediate_data(
 
     residuals = {
         "matches_expectation_matrix": mx.operator_norm(
-            e_c - level.module.operator_matrix(F)
+            e_c - level.module.operator_matrix(F.on_source)
         ),
         "idempotent": mx.operator_norm(e_c @ e_c - e_c),
         "selfadjoint": mx.operator_norm(e_c - mx.adjoint(e_c)),

@@ -29,6 +29,7 @@ from cstar_angles.errors import (
     NotIntermediate,
     NotUnitary,
     NumericIntegrityError,
+    ShapeMismatch,
 )
 from cstar_angles.groups import (
     FiniteGroup,
@@ -419,8 +420,27 @@ def test_expectation_leaving_its_target_raises(inclusion):
     )
     with pytest.raises(NumericIntegrityError):
         bogus.coordinate_matrix
+    # no expectation onto the scalars, so no quasi-basis of one either
+    assert not _assert_same_outcome(bogus, bogus.quasi_basis)
+
+
+def _off_target(E, eps):
+    """E plus eps (x - E(x)): images leave the target by eps ||x - E(x)||."""
+    return ConditionalExpectation.from_rule(
+        E.source, E.target, lambda x: E(x) + eps * (x - E(x)), E.quasi_basis
+    )
+
+
+def test_off_target_check_uses_the_callers_tolerance(inclusion):
+    # off the scalars by 5e-9 relative; the identities hold within 1.5e-8
+    near = _off_target(inclusion.E, 5e-9)
     with pytest.raises(NumericIntegrityError):
-        verify_quasi_basis(bogus, bogus.quasi_basis)
+        near.coordinate_matrix
+    t = near.coordinates(1e-8)
+    np.testing.assert_allclose(t, inclusion.E.coordinate_matrix, atol=1e-8)
+    assert _assert_same_outcome(near, near.quasi_basis, 1e-8)
+    assert not _assert_same_outcome(near, near.quasi_basis)
+    assert not verify_quasi_basis(_off_target(inclusion.E, 1e-6), near.quasi_basis, 1e-8)
 
 
 def test_coordinate_matrix_rows_are_target_coordinates(inclusion):
@@ -432,12 +452,14 @@ def test_coordinate_matrix_rows_are_target_coordinates(inclusion):
             np.testing.assert_allclose(exp.target.combine(row), exp(b), atol=1e-13)
 
 
-def test_stack_call_matches_single_calls(inclusion, rng):
+def test_on_source_matches_single_calls(inclusion, rng):
     xs = np.stack([inclusion.A.random_element(rng) for _ in range(5)])
     for exp in (inclusion.E, inclusion.F):
-        got = exp(xs)
+        got = exp.on_source(xs)
         for x, y in zip(xs, got):
             np.testing.assert_allclose(y, exp(x), atol=1e-12)
+    with pytest.raises(ShapeMismatch):
+        inclusion.E(xs)
 
 
 # ---------------------------------------------------------------------------

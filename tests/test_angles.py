@@ -5,7 +5,7 @@ import pytest
 
 from cstar_angles import m2
 from cstar_angles import matrices as mx
-from cstar_angles.algebra import restrict_expectation
+from cstar_angles.algebra import ConditionalExpectation, restrict_expectation
 from cstar_angles.angles import (
     Route,
     exterior_angle,
@@ -66,6 +66,23 @@ def test_formula_rejects_corner_intermediate(inclusion):
     ).quasi_basis  # quasi-basis of E restricted to B itself: index 1
     with pytest.raises(DegenerateIntermediate):
         interior_angle_formula(inclusion.E, corner, diagonal_quasi_basis(inclusion))
+
+
+def test_formula_pre_check_tolerates_a_slightly_off_target_expectation(inclusion):
+    # E plus eps (x - E(x)) leaves the scalars by eps on the diagonal
+    mu = diagonal_quasi_basis(inclusion)
+    _, delta = conjugated_quasi_basis(inclusion, m2.rotation(math.pi / 8))
+    E = inclusion.E
+
+    def off_target(eps):
+        return ConditionalExpectation.from_rule(
+            E.source, E.target, lambda x: E(x) + eps * (x - E(x)), E.quasi_basis
+        )
+
+    res = interior_angle_formula(off_target(5e-9), mu, delta, C=inclusion.delta)
+    assert res.angle_rad == pytest.approx(math.pi / 4, abs=1e-7)
+    with pytest.raises(NoQuasiBasis):
+        interior_angle_formula(off_target(1e-6), mu, delta, C=inclusion.delta)
 
 
 def test_formula_verifies_quasi_basis_when_algebra_given(inclusion):
