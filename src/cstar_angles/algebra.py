@@ -71,8 +71,10 @@ class MatrixStarAlgebra:
     """A unital *-subalgebra of M_n(C) given by a spanning set of matrices.
 
     The orthonormal basis is stored once, as the read-only rows of ``_flat``
-    (shape d x n^2); ``basis`` holds n x n views into those rows, and
-    ``spanning_set`` shares the same storage when it is the basis.
+    (shape d x n^2); ``basis`` holds n x n views into those rows.  The
+    spanning set is one read-only (k, n, n) ``spanning_stack``, with
+    ``spanning_set`` its views; both share the basis storage when the
+    spanning set is the basis.
     """
 
     def __init__(self, spanning_set: Sequence[np.ndarray], basis: Sequence[np.ndarray]):
@@ -84,18 +86,18 @@ class MatrixStarAlgebra:
         self._flat.setflags(write=False)
         self.basis = tuple(self.basis_stack)
         if spanning_set is basis:
+            self.spanning_stack = self.basis_stack
             self.spanning_set = self.basis
         else:
-            stack = _stack_of(spanning_set, n)
-            stack.setflags(write=False)
-            self.spanning_set = tuple(stack)
+            self.spanning_stack = _stack_of(spanning_set, n)
+            self.spanning_stack.setflags(write=False)
+            self.spanning_set = tuple(self.spanning_stack)
 
     @classmethod
     def from_spanning(cls, mats: Sequence[np.ndarray], cutoff: float = mx.RANK_CUTOFF):
-        """Build from an arbitrary (possibly redundant) spanning set."""
+        """Build from an arbitrary (possibly redundant) family or (k, n, n) stack."""
         if len(mats) == 0:
             raise EmptyAlgebra("spanning set is empty")
-        mats = [mx.as_matrix(m) for m in mats]
         return cls(mats, mx.orthonormalize(mats, cutoff=cutoff))
 
     @classmethod

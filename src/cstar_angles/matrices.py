@@ -5,8 +5,10 @@ Everything downstream works with plain ``numpy`` arrays of dtype
 package relies on: adjoints, operator norms (largest singular value),
 positivity tests, Hilbert-Schmidt geometry, least-squares membership in a
 matrix span, batched norm screening over stacks of matrices, and
-orthonormalization of (possibly redundant) spanning sets
-with respect to an arbitrary inner product.
+orthonormalization of (possibly redundant) spanning sets under the
+inner product <a, b> = Tr((a M)* b) of a metric matrix M (the identity
+gives the Hilbert-Schmidt product; the tower module passes the matrix of
+its trace functional).
 
 All tolerances are absolute, scaled by ``1 + norm`` wherever a residual is
 compared, and every routine is pure.
@@ -15,7 +17,7 @@ compared, and every routine is pure.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,7 +53,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return np.conjugate(np.transpose(m))
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conjugate(np.swapaxes(m, -1, -2))
 
 
 def operator_norm(m) -> float:
@@ -64,11 +67,6 @@ def operator_norm(m) -> float:
 
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a* b), conjugate-linear in ``a``."""
-    return complex(np.vdot(a, b))
 
 
 def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
@@ -117,29 +115,47 @@ def coordinates_in_span(
 
 
 def orthonormalize(
-    mats: Sequence[np.ndarray],
-    inner: Callable[[np.ndarray, np.ndarray], complex] = hs_inner,
+    mats,
+    metric: np.ndarray | None = None,
     cutoff: float = RANK_CUTOFF,
-) -> list[np.ndarray]:
-    """Orthonormal basis of span(mats) with respect to ``inner``.
+) -> np.ndarray:
+    """Orthonormal basis of span(mats) under <a, b> = Tr((a metric)* b).
 
-    Modified Gram-Schmidt with one re-orthogonalization pass, processing the
-    inputs in order; candidates whose residual norm falls below
+    ``mats`` is a family or a (k, n, m) stack; ``metric`` is an m x m matrix
+    that makes the form positive definite on the span, and None stands for
+    the Hilbert-Schmidt product Tr(a* b).  Classical Gram-Schmidt with one
+    re-orthogonalization pass, taking the inputs in order: each pass
+    projects a candidate against the whole basis so far with one
+    matrix-vector product.  Candidates whose residual norm falls below
     ``cutoff * (1 + original norm)`` are dropped, which is how the rank of a
     redundant spanning set is decided.  Inputs that are already orthonormal
     are returned unchanged (so a caller-chosen basis ordering survives).
+    The result is an (r, n, m) stack.
     """
-    basis: list[np.ndarray] = []
-    for m in mats:
-        v = np.array(m, dtype=np.complex128)
-        scale = np.sqrt(abs(inner(v, v)))
+    stack = as_stack(mats)
+    shape = stack.shape[1:]
+    flat = stack.reshape(len(stack), -1)
+    basis = np.empty_like(flat)
+    # rows vec(q metric) of the basis so far: <q, v> = conj(vec(q metric)) . vec(v)
+    weighted = basis if metric is None else np.empty_like(flat)
+
+    def weigh(v):
+        return v if metric is None else (v.reshape(shape) @ metric).ravel()
+
+    rank = 0
+    for row in flat:
+        v = row.copy()
+        scale = np.sqrt(abs(np.vdot(weigh(v), v)))
         for _ in range(2):  # second pass for numerical stability
-            for b in basis:
-                v = v - inner(b, v) * b
-        nrm = np.sqrt(abs(inner(v, v)))
+            coeffs = np.conjugate(weighted[:rank] @ np.conjugate(v))
+            v -= coeffs @ basis[:rank]
+        nrm = np.sqrt(abs(np.vdot(weigh(v), v)))
         if nrm > cutoff * (1.0 + scale):
-            basis.append(v / nrm)
-    return basis
+            basis[rank] = v / nrm
+            if metric is not None:
+                weighted[rank] = weigh(basis[rank])
+            rank += 1
+    return basis[:rank].reshape((rank,) + shape)
 
 
 def as_stack(m) -> np.ndarray:

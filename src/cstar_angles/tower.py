@@ -14,7 +14,18 @@ L_x (d = dim A), the map a -> E(a) becomes the Jones projection e_B, and
     A_1 = span{ L_x e_B L_y : x, y in A }
 
 is the basic construction, faithfully represented on the module, so
-C*-norms of its elements are plain operator norms of d x d matrices.  The
+C*-norms of its elements are plain operator norms of d x d matrices.  A
+materialized level spans A_1 by d q products instead of d^2, with q the
+size of the quasi-basis {l_k} of E: every y in A is sum_k E(y l_k) l_k*,
+and e_B commutes with B, so
+
+    x e_B y = sum_k x E(y l_k) e_B l_k*   and   A_1 = span{ L_{b_i} e_B L_{l_k*} }
+
+over the basis {b_i} of A (Watatani, Index for C*-subalgebras, 1990).
+The same argument with e_C, which commutes with C >= B, spans C_1 by
+{L_{b_i} e_C L_{l_k*}}.  Materializing stops with :class:`TooLarge` before
+it builds a family whose estimated size, with its Gram matrix and
+pseudo-inverse, exceeds ``MATERIALIZE_BUDGET_BYTES``.  The
 dual expectation E_1 : A_1 -> A is pinned down by E_1(x e_B y) =
 Ind(E)^{-1} x y; on the whole of A_1 this is evaluated through the
 decomposition-free identity
@@ -56,6 +67,7 @@ from .errors import (
     NotCompatible,
     NotInAlgebra,
     NotIntermediate,
+    TooLarge,
 )
 
 __all__ = [
@@ -67,6 +79,21 @@ __all__ = [
     "iterate_tower",
     "intermediate_dual_expectation",
 ]
+
+# largest estimated size of a spanning family, its Gram matrix and its
+# pseudo-inverse (16 bytes per entry) that a tower level may materialize
+MATERIALIZE_BUDGET_BYTES = 1 << 30
+
+
+def _check_budget(count: int, n: int, what: str):
+    """Raise :class:`TooLarge` before ``count`` n x n spanning matrices are built."""
+    need = 16 * (count * n * n + 2 * count * count)
+    if need > MATERIALIZE_BUDGET_BYTES:
+        raise TooLarge(
+            f"{what}: {count} spanning matrices of size {n}x{n}, with their Gram "
+            f"matrix and its pseudo-inverse, need about {need / 2**20:.0f} MiB "
+            f"(budget {MATERIALIZE_BUDGET_BYTES / 2**20:.0f} MiB)"
+        )
 
 
 class GenericModule:
@@ -85,23 +112,19 @@ class GenericModule:
         w = np.conjugate(expectation.source._flat).T @ (
             expectation.coordinate_matrix @ traces
         )
-        w = w.reshape(n, n)
-
-        def ip(a, b):
-            return complex(np.sum((mx.adjoint(a) @ b) * w))
-
-        basis = mx.orthonormalize(algebra.basis, inner=ip)
-        if len(basis) != algebra.dim:
+        # Tr(E(a* b)) = sum (a* b) * w = Tr((a conj(w))* b): the metric conj(w)
+        metric = np.conjugate(w.reshape(n, n))
+        self._basis = mx.orthonormalize(algebra.basis_stack, metric=metric)  # (d, n, n)
+        if len(self._basis) != algebra.dim:
             raise ConstructionFailure(
                 "module inner product is degenerate (expectation not faithful?)"
             )
-        self.dim = len(basis)
-        self._basis = np.stack(basis)  # (d, n, n)
+        self.dim = len(self._basis)
 
         # The functional y -> Tr(E(m_k* y)) equals <D_k, y>_HS with
         # D_k = m_k conj(w); precomputing D_k turns every coordinate
         # extraction into one contraction.
-        self._duals = self._basis @ np.conjugate(w)
+        self._duals = self._basis @ metric
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
@@ -133,7 +156,9 @@ class TowerLevel:
     ``materialize=True``; the lazy form still supports Jones projections,
     intermediate projections and closed-form dual values, which is all the
     definition-route angle needs (and all that is tractable at module
-    dimension 225).
+    dimension 225).  The spanning family ``_span_mats`` is the spanning set
+    of A_1, the products L_{b_i} e_B L_{l_k*} for the index pairs (i, k) of
+    ``_span_pairs``.
     """
 
     algebra: MatrixStarAlgebra
@@ -148,9 +173,8 @@ class TowerLevel:
     basic_construction: MatrixStarAlgebra | None = None
     embedded_algebra: MatrixStarAlgebra | None = None
     dual_expectation: ConditionalExpectation | None = None
-    _span_mats: list | None = None
+    _span_mats: tuple | None = None
     _span_pairs: list | None = None
-    _span_gram_pinv: np.ndarray | None = None
 
     @property
     def module_dim(self) -> int:
@@ -163,6 +187,25 @@ class TowerLevel:
     def embed(self, x) -> np.ndarray:
         """Left-multiplication matrix L_x of an algebra element."""
         return self.module.left_mult(x)
+
+    @property
+    def _span_flat(self) -> np.ndarray:
+        """The spanning family of A_1 as rows of ambient coordinates."""
+        stack = self.basic_construction.spanning_stack
+        return stack.reshape(len(stack), -1)
+
+    @cached_property
+    def _span_gram_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the HS Gram matrix of the spanning family."""
+        flat = self._span_flat
+        gram = np.conjugate(flat) @ flat.T
+        return np.linalg.pinv(gram, rcond=mx.GRAM_CUTOFF, hermitian=True)
+
+    def _spanning_products(self, projection: np.ndarray) -> np.ndarray:
+        """L_{b_i} p L_{l_k*} over the pairs (i, k) of ``_span_pairs``, one stack."""
+        left = self.embed(self.algebra.basis_stack) @ projection
+        right = self.embed(mx.adjoint(self.expectation.quasi_stack))
+        return (left[:, None] @ right[None]).reshape((-1,) + projection.shape)
 
     @cached_property
     def quasi_coords(self) -> np.ndarray:
@@ -253,6 +296,9 @@ def build_tower_level(
     """
     if E.quasi_basis is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
+    if materialize:
+        # the module dimension is dim A
+        _check_budget(A.dim * len(E.quasi_basis), A.dim, "materializing A_1")
     if not E.source.same_span(A, tol):
         raise NotIntermediate("E.source must be A")
     if not E.target.same_span(B, tol):
@@ -285,24 +331,13 @@ def build_tower_level(
         _check_level(level, tol)
 
     if materialize:
-        lmats = [level.embed(b) for b in A.basis]
-        span_mats, span_pairs = [], []
-        for i, li in enumerate(lmats):
-            left = li @ e_b
-            for j, lj in enumerate(lmats):
-                span_mats.append(left @ lj)
-                span_pairs.append((i, j))
-        a1 = MatrixStarAlgebra.from_spanning(span_mats)
+        level._span_pairs = list(np.ndindex(A.dim, len(E.quasi_basis)))
+        a1 = MatrixStarAlgebra.from_spanning(level._spanning_products(e_b))
+        lmats = level.embed(A.basis_stack)
         embedded = MatrixStarAlgebra.from_spanning(lmats)
         level.basic_construction = a1
         level.embedded_algebra = embedded
-        level._span_mats = span_mats
-        level._span_pairs = span_pairs
-        flat = np.stack([np.ravel(m) for m in span_mats])
-        gram = np.conjugate(flat) @ flat.T
-        level._span_gram_pinv = np.linalg.pinv(
-            gram, rcond=mx.GRAM_CUTOFF, hermitian=True
-        )
+        level._span_mats = a1.spanning_set
         level.dual_expectation = ConditionalExpectation(
             a1,
             embedded,
@@ -310,10 +345,17 @@ def build_tower_level(
             quasi_basis=level.dual_quasi_basis,
             name="E1",
         )
-        if check and not all(a1.contains(lm, tol) for lm in lmats):
-            raise ConstructionFailure(
-                "basic construction does not contain the embedded algebra"
-            )
+        if check:
+            # a seeded sample of the products x e_B y the family replaces
+            i, j = mx.default_rng().integers(A.dim, size=(2, min(20, A.dim**2)))
+            if not a1.contains_all(lmats[i] @ e_b @ lmats[j], tol):
+                raise ConstructionFailure(
+                    "the family {x e_B l_k*} does not span the products x e_B y"
+                )
+            if not a1.contains_all(lmats, tol):
+                raise ConstructionFailure(
+                    "basic construction does not contain the embedded algebra"
+                )
     return level
 
 
@@ -371,7 +413,7 @@ def dual_expectation_value(
     """E_1(t) for t in the basic construction.
 
     On a materialized level, t is decomposed over the spanning family
-    {L_x e_B L_y} by least squares (membership enforced) and the rule
+    {L_{b_i} e_B L_{l_k*}} by least squares (membership enforced) and the rule
     x e_B y -> Ind(E)^{-1} x y is applied termwise; redundant decompositions
     give the same answer because E_1 is well defined.  On a lazy level the
     equivalent closed-form evaluation is used directly.
@@ -380,20 +422,16 @@ def dual_expectation_value(
     if not level.materialized:
         return level.dual_value(t)
 
-    flat = np.stack([np.ravel(m) for m in level._span_mats])
-    rhs = np.conjugate(flat) @ np.ravel(t)
-    coeffs = level._span_gram_pinv @ rhs
+    flat = level._span_flat
+    coeffs = level._span_gram_pinv @ np.conjugate(flat @ np.conjugate(np.ravel(t)))
     residual = float(np.linalg.norm(coeffs @ flat - np.ravel(t)))
     if residual > tol * (1.0 + float(np.linalg.norm(t))):
         raise NotInAlgebra("element is not in the basic construction")
 
-    basis = level.algebra.basis
-    n = level.algebra.ambient_dim
-    total = np.zeros((n, n), dtype=np.complex128)
-    for c, (i, j) in zip(coeffs, level._span_pairs):
-        if c != 0:
-            total += c * (basis[i] @ basis[j])
-    return level.index_inverse @ total
+    i, k = np.transpose(level._span_pairs)
+    lam_star = mx.adjoint(level.expectation.quasi_stack)
+    products = level.algebra.basis_stack[i] @ lam_star[k]
+    return level.index_inverse @ np.tensordot(coeffs, products, axes=1)
 
 
 def iterate_tower(
@@ -420,38 +458,36 @@ def intermediate_dual_expectation(
 ) -> ConditionalExpectation:
     """The compatible expectation G : A_1 -> C_1, x e_B y -> Ind(E|_C)^{-1} x e_C y.
 
-    C_1 = span{L_x e_C L_y : x, y in A} sits inside A_1; G carries the
-    quasi-basis {L_{l_i} e_B Ind(E|_C)^(1/2)} and satisfies E_1 = E_1|_{C_1} o G.
-    Requires the restricted index to be central.
+    C_1 = span{L_x e_C L_y : x, y in A} = span{L_{b_i} e_C L_{l_k*}} sits
+    inside A_1; G carries the quasi-basis {L_{l_i} e_B Ind(E|_C)^(1/2)} and
+    satisfies E_1 = E_1|_{C_1} o G.  Requires the restricted index to be
+    central.
     """
     if not level.materialized:
         raise ConstructionFailure("intermediate dual expectation needs materialization")
+    _check_budget(
+        len(level._span_pairs), level.module_dim, "the intermediate dual expectation"
+    )
     e_c, restricted = intermediate_data(level, C, F, tol)
     ind_c = watatani_index(restricted, tol)
-    worst = mx.max_operator_norm(
-        ind_c @ b - b @ ind_c for b in level.algebra.basis
-    )
+    basis = level.algebra.basis_stack
+    worst = mx.max_operator_norm(ind_c @ basis - basis @ ind_c)
     if worst > tol * (1.0 + mx.operator_norm(ind_c)):
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
-    ind_c_inv_l = level.embed(np.linalg.inv(ind_c))
 
-    lmats = [level.embed(b) for b in level.algebra.basis]
-    c1_mats = [li @ e_c @ lj for li in lmats for lj in lmats]
+    # the images x e_C l_k* of the spanning family x e_B l_k* span C_1
+    c1_mats = level._spanning_products(e_c)
     c1 = MatrixStarAlgebra.from_spanning(c1_mats)
-
-    flat = np.stack([np.ravel(m) for m in level._span_mats])
+    rule_values = level.embed(np.linalg.inv(ind_c)) @ c1_mats
+    flat = level._span_flat
     gram_pinv = level._span_gram_pinv
-    rule_values = np.stack(
-        [ind_c_inv_l @ (lmats[i] @ e_c @ lmats[j]) for i, j in level._span_pairs]
-    )
 
     def g_apply(t: np.ndarray) -> np.ndarray:
-        coeffs = gram_pinv @ (np.conjugate(flat) @ np.ravel(t))
+        coeffs = gram_pinv @ np.conjugate(flat @ np.conjugate(np.ravel(t)))
         return np.tensordot(coeffs, rule_values, axes=1)
 
-    quasi = tuple(
-        level.embed(lam) @ level.jones_projection @ level.embed(mx.psd_sqrt(ind_c))
-        for lam in level.expectation.quasi_basis
+    quasi = level.embed(level.expectation.quasi_stack) @ (
+        level.jones_projection @ level.embed(mx.psd_sqrt(ind_c))
     )
     g = ConditionalExpectation(
         level.basic_construction, c1, g_apply, quasi_basis=quasi, name="G"

@@ -1,7 +1,17 @@
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from cstar_angles import m2
 from cstar_angles import matrices as mx
+from cstar_angles.algebra import (
+    ConditionalExpectation,
+    MatrixStarAlgebra,
+    conjugate_expectation,
+)
+from cstar_angles.tower import build_tower_level
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +28,53 @@ def tower_level(inclusion):
 @pytest.fixture
 def rng():
     return mx.default_rng()
+
+
+@pytest.fixture(scope="session")
+def d2_family():
+    """The former spanning family {L_x e_B L_y} of a level's A_1, as one stack."""
+
+    def family(level):
+        lmats = level.embed(level.algebra.basis_stack)
+        d = len(lmats)
+        products = (lmats @ level.jones_projection)[:, None] @ lmats[None]
+        return products.reshape((d * d,) + lmats.shape[1:])
+
+    return family
+
+
+@pytest.fixture(scope="session")
+def c_plus_m2():
+    """C+M2 >= C+C in M3 with the blockwise normalized trace: Ind(E) = 1+4.
+
+    C is the diagonal, with the diagonal projection F (quasi-basis: the
+    in-block matrix units), and D is the diagonal conjugated by a seeded
+    block unitary 1+u, with F' = Ad(1+u) o F o Ad(1+u)*.
+    """
+
+    def unit(i, j):
+        m = np.zeros((3, 3), dtype=np.complex128)
+        m[i, j] = 1.0
+        return m
+
+    block = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    units = [unit(0, 0)] + [unit(i, j) for i, j in block]
+    A = MatrixStarAlgebra.from_orthonormal(units)
+    B = MatrixStarAlgebra.from_spanning([unit(0, 0), unit(1, 1) + unit(2, 2)])
+    C = MatrixStarAlgebra.from_orthonormal([unit(k, k) for k in range(3)])
+
+    def blockwise_trace(x):
+        return np.diag([x[0, 0], *[(x[1, 1] + x[2, 2]) / 2.0] * 2])
+
+    E = ConditionalExpectation.from_rule(
+        A, B, blockwise_trace,
+        quasi_basis=[units[0]] + [math.sqrt(2.0) * m for m in units[1:]],
+    )
+    F = ConditionalExpectation.from_rule(
+        A, C, lambda x: np.diag(np.diag(x)), quasi_basis=units, name="F"
+    )
+    w = np.eye(3, dtype=np.complex128)
+    w[1:, 1:] = mx.random_unitary(2, mx.default_rng(11))
+    F_prime = conjugate_expectation(F, w)
+    level = build_tower_level(A, B, E)
+    return SimpleNamespace(A=A, B=B, E=E, C=C, F=F, F_prime=F_prime, level=level)

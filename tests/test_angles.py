@@ -6,6 +6,7 @@ import pytest
 from cstar_angles import m2
 from cstar_angles import matrices as mx
 from cstar_angles.algebra import ConditionalExpectation, restrict_expectation
+from cstar_angles.tower import iterate_tower
 from cstar_angles.angles import (
     Route,
     exterior_angle,
@@ -220,3 +221,28 @@ def test_exterior_rejects_full_algebra(tower_level, inclusion):
 
     with pytest.raises(DegenerateIntermediate):
         exterior_angle(tower_level, identity_expectation(inclusion.A), inclusion.F)
+
+
+# ---------------------------------------------------------------------------
+# non-scalar index: C+M2 >= C+C in M3, Ind(E) = 1+4
+
+
+def test_non_scalar_index_routes_agree(c_plus_m2):
+    fx = c_plus_m2
+    ind = fx.level.index_matrix
+    np.testing.assert_allclose(ind, np.diag([1.0, 4.0, 4.0]), atol=1e-12)
+    mu = restrict_expectation(fx.E, fx.C, fx.F).quasi_basis
+    delta = restrict_expectation(fx.E, fx.F_prime.target, fx.F_prime).quasi_basis
+    formula = interior_angle_formula(fx.E, mu, delta)
+    assert "cos_general_form" not in formula.diagnostics.extra  # general branch
+    definition = interior_angle_definition(fx.level, fx.F, fx.F_prime)
+    assert abs(formula.cos_value - definition.cos_value) <= 1e-8
+    assert 1e-3 < formula.cos_value < 1.0 - 1e-3
+
+
+def test_exterior_non_scalar_index(c_plus_m2):
+    fx = c_plus_m2
+    res = exterior_angle(fx.level, fx.F, fx.F_prime)
+    assert abs(res.cos_value - res.diagnostics.extra["closed_cos"]) <= 1e-7
+    # level two is spanned by d q = 17 * 5 products instead of d^2 = 289
+    assert len(iterate_tower(fx.level)._span_mats) == 85

@@ -5,18 +5,22 @@ import pytest
 
 from cstar_angles import m2
 from cstar_angles import matrices as mx
+from cstar_angles import tower
 from cstar_angles.algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
+    conjugate_expectation,
     identity_expectation,
     verify_quasi_basis,
     watatani_index,
 )
 from cstar_angles.errors import (
+    ConstructionFailure,
     NoQuasiBasis,
     NotCompatible,
     NotInAlgebra,
     NotIntermediate,
+    TooLarge,
 )
 from cstar_angles.groups import (
     FiniteGroup,
@@ -25,6 +29,8 @@ from cstar_angles.groups import (
     trivial_subgroup,
 )
 from cstar_angles.tower import (
+    GenericModule,
+    TowerLevel,
     build_tower_level,
     dual_expectation_value,
     intermediate_dual_expectation,
@@ -357,6 +363,18 @@ def test_module_coords_accept_stacks(tower_level, rng):
         np.testing.assert_allclose(back, xs, atol=1e-12)
 
 
+def test_generic_module_basis_is_orthonormal(rng):
+    # a non-tracial state Tr(rho x) 1 on M_2 with complex rho
+    skewed = m2.skewed_scalar_expectation(0.3)
+    E = conjugate_expectation(skewed, mx.random_unitary(2, rng))
+    module = GenericModule(E.source, E)
+    basis = module.from_coords(np.eye(module.dim))
+    gram = np.array(
+        [[np.trace(E(mx.adjoint(a) @ b)) for b in basis] for a in basis]
+    )
+    np.testing.assert_allclose(gram, np.eye(module.dim), atol=1e-12)
+
+
 def test_operator_matrix_matches_per_element_columns(tower_level, rng):
     for module, alg in _module_cases(tower_level):
         basis = module.from_coords(np.eye(module.dim))
@@ -377,3 +395,75 @@ def test_dual_value_matches_per_element_sum(tower_level, rng):
         np.testing.assert_allclose(
             tower_level.dual_value(t), tower_level.index_inverse @ total, atol=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# the d q spanning family {x e_B l_k*} of A_1
+
+
+def test_dq_family_spans_the_d2_family(tower_level, c_plus_m2, d2_family):
+    G = FiniteGroup.direct_product([2, 2])
+    group_inc = group_algebra_inclusion(G, trivial_subgroup(G))
+    for level in (
+        tower_level,
+        iterate_tower(tower_level),
+        group_inc.tower(materialize=True),
+        c_plus_m2.level,
+        iterate_tower(c_plus_m2.level),
+    ):
+        d, q = level.algebra.dim, len(level.expectation.quasi_basis)
+        assert len(level._span_mats) == len(level._span_pairs) == d * q
+        assert level._span_mats is level.basic_construction.spanning_set
+        d2 = MatrixStarAlgebra.from_spanning(d2_family(level))
+        assert d2.same_span(level.basic_construction)
+
+
+def test_dual_expectation_value_on_dq_families(tower_level, c_plus_m2, rng):
+    # m2 level two, and the redundant C+M2 families (25 for dim 17, 85 for 65)
+    for level in (
+        iterate_tower(tower_level),
+        c_plus_m2.level,
+        iterate_tower(c_plus_m2.level),
+    ):
+        coeffs = rng.standard_normal(len(level._span_mats))
+        t = np.tensordot(coeffs, level.basic_construction.spanning_stack, axes=1)
+        np.testing.assert_allclose(
+            dual_expectation_value(level, t), level.dual_value(t), atol=1e-10
+        )
+        lmats = level.embed(level.algebra.basis_stack)
+        for i, j in rng.integers(len(lmats), size=(5, 2)):
+            t = lmats[i] @ level.jones_projection @ lmats[j]
+            np.testing.assert_allclose(
+                dual_expectation_value(level, t), level.dual_value(t), atol=1e-10
+            )
+
+
+def test_family_without_the_quasi_basis_fails_the_check(inclusion, monkeypatch):
+    # {L_x} and {x e_B} contain the embedded algebra but miss most of A_1
+    def short_family(self, p):
+        lmats = self.embed(self.algebra.basis_stack)
+        return np.concatenate([lmats, lmats @ p])
+
+    monkeypatch.setattr(TowerLevel, "_spanning_products", short_family)
+    with pytest.raises(ConstructionFailure, match="does not span"):
+        build_tower_level(inclusion.A, inclusion.B, inclusion.E)
+
+
+def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch):
+    # m2 level two: 64 matrices of 16 x 16, Gram matrix and pseudo-inverse
+    need = 16 * (64 * 16 * 16 + 2 * 64 * 64)
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
+
+    def no_module(*args, **kwargs):
+        raise AssertionError("module built before the budget check")
+
+    monkeypatch.setattr(tower, "GenericModule", no_module)
+    with pytest.raises(TooLarge):
+        iterate_tower(tower_level)
+    # level one (16 matrices of 4 x 4) fits; its intermediate G does not at 1 byte
+    assert build_tower_level(
+        inclusion.A, inclusion.B, inclusion.E, module=tower_level.module
+    ).materialized
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", 1)
+    with pytest.raises(TooLarge):
+        intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
