@@ -1,0 +1,72 @@
+"""Subgroup lattices: enumeration times and the criterion-07 sweeps.
+
+Times ``all_subgroups`` on S4, S5 and Z2xZ2xZ3xZ4 and
+``lattice_route_sweep`` on S3, Z12, Z2^3 and S4, and prints one JSON
+object with the counts, the wall times (best of ``--repeats``) and the
+worst route deviation of each sweep.  Exits with status 1 unless the
+subgroup counts are 30, 156 and 54 and the sweeps check 16, 21, 259 and
+1065 triples with every deviation within 1e-7.
+
+    PYTHONPATH=src python scripts/subgroup_lattice.py [--repeats N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+from cstar_angles.groups import FiniteGroup, all_subgroups
+from cstar_angles.verify import lattice_route_sweep
+
+LATTICES = (
+    ("S4", lambda: FiniteGroup.symmetric(4), 30),
+    ("S5", lambda: FiniteGroup.symmetric(5), 156),
+    ("Z2xZ2xZ3xZ4", lambda: FiniteGroup.direct_product([2, 2, 3, 4]), 54),
+)
+SWEEPS = (
+    ("S3", lambda: FiniteGroup.symmetric(3), 16),
+    ("Z12", lambda: FiniteGroup.cyclic(12), 21),
+    ("Z2xZ2xZ2", lambda: FiniteGroup.direct_product([2, 2, 2]), 259),
+    ("S4", lambda: FiniteGroup.symmetric(4), 1065),
+)
+ROUTE_TOL = 1e-7
+
+
+def best_of(repeats: int, fn):
+    """(result, best wall time in ms) over ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, round(best * 1e3, 1)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    ok = True
+    lattices = {}
+    for name, make, expected in LATTICES:
+        G = make()
+        subs, ms = best_of(args.repeats, lambda: all_subgroups(G))
+        lattices[name] = {"subgroups": len(subs), "expected": expected, "ms": ms}
+        ok &= len(subs) == expected
+    sweeps = {}
+    for name, make, expected in SWEEPS:
+        G = make()
+        (count, worst), ms = best_of(args.repeats, lambda: lattice_route_sweep(G))
+        sweeps[name] = {
+            "triples": count, "expected": expected, "worst_deviation": worst, "ms": ms,
+        }
+        ok &= count == expected and worst <= ROUTE_TOL
+    print(json.dumps({"all_subgroups": lattices, "sweeps": sweeps, "ok": ok}, indent=2))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

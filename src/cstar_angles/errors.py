@@ -72,7 +72,11 @@ class ClosedFormMismatch(CStarAnglesError):
 
 
 class NotSubgroup(CStarAnglesError):
-    """An element set is not closed under the group operations."""
+    """An element set is not a subgroup of the group at hand.
+
+    Raised for sets not closed under the group operations, for element
+    indices outside the group, and for subgroups of a different group.
+    """
 
 
 class InvalidGroup(CStarAnglesError):

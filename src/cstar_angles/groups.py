@@ -2,10 +2,19 @@
 the closed-form angle between intermediate group-algebra subalgebras.
 
 Groups are Cayley tables over element indices.  Constructors cover cyclic
-groups, direct products of cyclic groups, and symmetric groups up to S_5;
-subgroups are index sets validated for closure.  For nested subgroups
-H <= K, L <= G the interior angle between C[K] and C[L] inside
-C[H] <= C[G] has the exact value
+groups, direct products of cyclic groups, and symmetric groups up to S_5.
+A subgroup is a sorted tuple of element indices together with a boolean
+mask over the parent's elements, validated by one gather per property
+(identity, inverses, and the products cayley[ix_(e, e)]); subgroups of
+different parents never mix.  Subgroup generation closes a mask under
+products of its elements.  The lattice is found by cyclic extension (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 2005, sections
+2.3 and 10.1): start from the distinct cyclic subgroups, join each newly
+found subgroup with every cyclic subgroup it does not contain, and
+deduplicate by mask.
+
+For nested subgroups H <= K, L <= G the interior angle between C[K] and
+C[L] inside C[H] <= C[G] has the exact value
 
     cos a(C[K], C[L]) = ([K n L : H] - 1) / (sqrt([K:H] - 1) sqrt([L:H] - 1)),
 
@@ -230,48 +239,106 @@ def make_group(spec) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup, stored as a sorted tuple of element indices."""
+    """A validated subgroup: a sorted tuple of element indices and its mask."""
 
     parent: FiniteGroup
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(sorted(set(int(e) for e in self.elements)))
-        object.__setattr__(self, "elements", elems)
         G = self.parent
-        members = set(elems)
-        if G.identity not in members:
+        mask = _index_mask(G, self.elements, "element")
+        idx = np.flatnonzero(mask)
+        if not mask[G.identity]:
             raise NotSubgroup("subgroup must contain the identity")
-        for a in elems:
-            if G.inv(a) not in members:
-                raise NotSubgroup("subgroup not closed under inverses")
-            for b in elems:
-                if G.mult(a, b) not in members:
-                    raise NotSubgroup("subgroup not closed under products")
+        if not mask[G.inverse[idx]].all():
+            raise NotSubgroup("subgroup not closed under inverses")
+        if not mask[G.cayley[np.ix_(idx, idx)]].all():
+            raise NotSubgroup("subgroup not closed under products")
+        mask.flags.writeable = False
+        object.__setattr__(self, "elements", tuple(idx.tolist()))
+        object.__setattr__(self, "_mask", mask)
+        # the same set as a Python int, for constant-time subset tests
+        bits = np.packbits(mask, bitorder="little").tobytes()
+        object.__setattr__(self, "_bits", int.from_bytes(bits, "little"))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, g: int) -> bool:
-        return int(g) in set(self.elements)
+        g = int(g)
+        return 0 <= g < self.parent.order and bool(self._mask[g])
 
     def __iter__(self):
         return iter(self.elements)
 
     def mask(self) -> np.ndarray:
-        m = np.zeros(self.parent.order, dtype=bool)
-        m[list(self.elements)] = True
-        return m
+        """Read-only boolean mask over the parent's element indices."""
+        return self._mask
 
     def issubset(self, other: "Subgroup") -> bool:
-        return set(self.elements) <= set(other.elements)
+        _same_parent(self, other)
+        return self._bits & ~other._bits == 0
 
     def labels(self) -> list[str]:
         return [self.parent.label(g) for g in self.elements]
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
+
+
+def _index_mask(G: FiniteGroup, indices, what: str) -> np.ndarray:
+    """Mask of element indices; numpy would wrap negative ones, so check the range."""
+    idx = np.array([int(e) for e in indices], dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= G.order):
+        raise NotSubgroup(f"{what} index out of range 0..{G.order - 1}")
+    mask = np.zeros(G.order, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+def _same_parent(*subgroups: Subgroup, group: FiniteGroup | None = None):
+    parent = subgroups[0].parent if group is None else group
+    if any(S.parent is not parent for S in subgroups):
+        raise NotSubgroup("subgroups of different parents")
+
+
+def _closure(G: FiniteGroup, mask: np.ndarray, known=()) -> np.ndarray:
+    """Mask of the subgroup generated by a mask: products until closed.
+
+    Each round adds every product of two current elements, so round r
+    reaches all words of length 2^r; a finite set closed under products
+    (with the identity) is a subgroup.  The search stops early at the whole
+    group or at a mask whose bytes are in ``known`` (masks of subgroups).
+    """
+    mask = mask.copy()
+    mask[G.identity] = True
+    size = np.count_nonzero(mask)
+    while size < G.order and mask.tobytes() not in known:
+        idx = np.flatnonzero(mask)
+        mask[G.cayley[np.ix_(idx, idx)]] = True
+        grown = np.count_nonzero(mask)
+        if grown == size:
+            break
+        size = grown
+    return mask
+
+
+def _cyclic_masks(G: FiniteGroup) -> np.ndarray:
+    """Row g is the mask of the cyclic subgroup <g>, all rows at once."""
+    n = G.order
+    masks = np.zeros((n, n), dtype=bool)
+    rows, power = np.arange(n), np.full(n, G.identity)
+    while rows.size:
+        masks[rows, power] = True
+        power = G.cayley[power, rows]
+        live = power != G.identity
+        rows, power = rows[live], power[live]
+    return masks
+
+
+def _from_mask(G: FiniteGroup, mask: np.ndarray) -> Subgroup:
+    return Subgroup(G, tuple(np.flatnonzero(mask).tolist()))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -284,69 +351,57 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 def generated_subgroup(G: FiniteGroup, generators) -> Subgroup:
     """Closure of a generator set under the group operation."""
-    els = {G.identity}
-    boundary = [G.identity]
-    gens = [int(g) for g in generators]
-    for g in gens:
-        if g not in els:
-            els.add(g)
-            boundary.append(g)
-    while boundary:
-        fresh = []
-        for a in gens:
-            for b in boundary:
-                c = G.mult(a, b)
-                if c not in els:
-                    els.add(c)
-                    fresh.append(c)
-        boundary = fresh
-    return Subgroup(G, tuple(els))
+    return _from_mask(G, _closure(G, _index_mask(G, generators, "generator")))
 
 
 def intersection(K: Subgroup, L: Subgroup) -> Subgroup:
-    if K.parent is not L.parent:
-        raise NotSubgroup("subgroups of different parents")
-    return Subgroup(K.parent, tuple(set(K.elements) & set(L.elements)))
+    _same_parent(K, L)
+    return _from_mask(K.parent, K.mask() & L.mask())
 
 
 def subgroup_index(K, H: Subgroup) -> int:
     """[K : H] for nested subgroups (K may be the whole group)."""
-    k_set = set(range(K.order)) if isinstance(K, FiniteGroup) else set(K.elements)
-    if not set(H.elements) <= k_set:
+    if isinstance(K, FiniteGroup):
+        _same_parent(H, group=K)
+        contained, order = True, K.order
+    else:
+        contained, order = H.issubset(K), K.order
+    if not contained:
         raise NotIntermediate("H is not contained in K")
-    if len(k_set) % H.order:
+    if order % H.order:
         raise NotSubgroup("order does not divide (Lagrange violated)")
-    return len(k_set) // H.order
+    return order // H.order
 
 
 def left_coset_reps(G: FiniteGroup, H: Subgroup, within=None) -> list[int]:
     """Deterministic left-coset representatives: smallest index per coset."""
-    members = sorted(within.elements) if within is not None else range(G.order)
+    _same_parent(H, *([] if within is None else [within]), group=G)
+    members = within.elements if within is not None else range(G.order)
+    h = np.array(H.elements)
     covered = np.zeros(G.order, dtype=bool)
     reps = []
     for g in members:
         if covered[g]:
             continue
         reps.append(int(g))
-        for h in H.elements:
-            covered[G.mult(g, h)] = True
+        covered[G.cayley[g, h]] = True
     return reps
 
 
 def conjugate_subgroup(K: Subgroup, g: int) -> Subgroup:
+    """g^{-1} K g."""
     G = K.parent
-    gi = G.inv(g)
-    return Subgroup(G, tuple(G.mult(G.mult(gi, k), g) for k in K.elements))
+    k = np.array(K.elements)
+    return Subgroup(G, tuple(G.cayley[G.cayley[G.inverse[g], k], g].tolist()))
 
 
 def normalizer(G: FiniteGroup, K: Subgroup) -> Subgroup:
-    k_set = set(K.elements)
-    members = [
-        g
-        for g in range(G.order)
-        if {G.mult(G.mult(G.inv(g), k), g) for k in K.elements} == k_set
-    ]
-    return Subgroup(G, tuple(members))
+    _same_parent(K, group=G)
+    # row g holds g^{-1} k g over k in K; conjugation is injective, so g
+    # normalizes K exactly when the whole row lies in K
+    g, k = np.arange(G.order)[:, None], np.array(K.elements)[None, :]
+    conj = G.cayley[G.cayley[G.inverse[g], k], g]
+    return _from_mask(G, K.mask()[conj].all(axis=1))
 
 
 def is_normal(G: FiniteGroup, K: Subgroup) -> bool:
@@ -354,23 +409,28 @@ def is_normal(G: FiniteGroup, K: Subgroup) -> bool:
 
 
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """The full subgroup lattice, by closure of incremental generator sets."""
-    seed = frozenset({G.identity})
-    found = {seed}
-    frontier = [seed]
+    """The full subgroup lattice, by joins with cyclic subgroups.
+
+    Starts from the distinct cyclic subgroups and joins every newly found
+    subgroup with each cyclic subgroup it does not contain, deduplicating
+    by mask.  Every subgroup is the join of its cyclic subgroups, so the
+    search is complete.  Each distinct subgroup is validated once.
+    """
+    cyclic = np.array(list({m.tobytes(): m for m in _cyclic_masks(G)}.values()))
+    found = {m.tobytes(): m for m in cyclic}
+    frontier = list(cyclic)
     while frontier:
         fresh = []
         for S in frontier:
-            for g in range(G.order):
-                if g in S:
-                    continue
-                T = frozenset(generated_subgroup(G, tuple(S) + (g,)).elements)
-                if T not in found:
-                    found.add(T)
-                    fresh.append(T)
+            for C in cyclic[np.any(cyclic & ~S, axis=1)]:
+                joined = _closure(G, S | C, found)
+                key = joined.tobytes()
+                if key not in found:
+                    found[key] = joined
+                    fresh.append(joined)
         frontier = fresh
     return sorted(
-        (Subgroup(G, tuple(s)) for s in found), key=lambda s: (s.order, s.elements)
+        (_from_mask(G, m) for m in found.values()), key=lambda s: (s.order, s.elements)
     )
 
 
@@ -378,6 +438,7 @@ def intermediate_subgroups(
     G: FiniteGroup, H: Subgroup, strict: bool = True
 ) -> list[Subgroup]:
     """Subgroups K with H <= K <= G; ``strict`` drops K = H and K = G."""
+    _same_parent(H, group=G)
     out = []
     for K in all_subgroups(G):
         if not H.issubset(K):
@@ -400,13 +461,15 @@ def group_angle(
     Exact rational arithmetic for the squared cosine; floating point enters
     only in the final square root and arccos.
     """
+    _same_parent(H, K, L, group=G)
     for S, name in ((K, "K"), (L, "L")):
         if not H.issubset(S):
             raise NotIntermediate(f"H is not contained in {name}")
     if K.order == H.order or L.order == H.order:
         raise DegenerateIntermediate("K = H or L = H: angle undefined")
 
-    a = subgroup_index(intersection(K, L), H)
+    # K n L is a subgroup containing H
+    a = (K._bits & L._bits).bit_count() // H.order
     b = subgroup_index(K, H)
     c = subgroup_index(L, H)
     cos_sq = Fraction((a - 1) ** 2, (b - 1) * (c - 1))

@@ -65,6 +65,11 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def operator_norms(mats) -> np.ndarray:
+    """Operator norm of each matrix of a (k, n, m) stack, by one stacked SVD."""
+    return np.linalg.svd(as_stack(mats), compute_uv=False)[:, 0]
+
+
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 

@@ -59,7 +59,13 @@ from .tower import (
     iterate_tower,
 )
 
-__all__ = ["SUITE_NAMES", "run_suite", "angle_from_projections", "lattice_route_sweep"]
+__all__ = [
+    "SUITE_NAMES",
+    "run_suite",
+    "angle_from_projections",
+    "lattice_route_sweep",
+    "lattice_route_cosines",
+]
 
 
 def _record(checks: list, name: str, fn, tol: float, detail: str = ""):
@@ -85,8 +91,24 @@ def lattice_route_sweep(G: FiniteGroup) -> tuple[int, float]:
 
     Returns (number of triples checked, worst cosine deviation).
     """
-    subs = all_subgroups(G)
     worst, count = 0.0, 0
+    for _, _, _, exact, numeric in lattice_route_cosines(G):
+        worst = max(worst, abs(exact.cos_value - numeric.cos_value))
+        count += 1
+    return count, worst
+
+
+def lattice_route_cosines(G: FiniteGroup):
+    """Yield (H, K, L, exact, numeric) over every (H, K, L) chain in G.
+
+    For each base H the definition route runs on stacks: D_K = e_K - e_B
+    over the m intermediates K, all norms ||E_1(D_K* D_K)||^(1/2) from one
+    stacked dual value, then for each K all numerators ||E_1(D_K* D_L)||
+    from one stacked dual value and one stacked SVD, so 1 + m dual-value
+    calls per H.  ``group_angle`` is called per triple and never read by
+    the numeric route.
+    """
+    subs = all_subgroups(G)
     for H in subs:
         inters = [
             K for K in subs
@@ -96,19 +118,15 @@ def lattice_route_sweep(G: FiniteGroup) -> tuple[int, float]:
             continue
         inc = group_algebra_inclusion(G, H)
         level = inc.tower(materialize=False, check=False)
-        projections = {}
-        for K in inters:
-            e_k, _ = intermediate_data(level, *_onto(inc, K))
-            projections[K.elements] = e_k
-        for K in inters:
-            for L in inters:
-                exact = group_angle(G, H, K, L)
-                numeric = angle_from_projections(
-                    level, projections[K.elements], projections[L.elements]
-                )
-                worst = max(worst, abs(exact.cos_value - numeric.cos_value))
-                count += 1
-    return count, worst
+        diffs = np.stack(
+            [intermediate_data(level, *_onto(inc, K))[0] for K in inters]
+        ) - level.jones_projection
+        dens = np.sqrt(mx.operator_norms(level.dual_value(mx.adjoint(diffs) @ diffs)))
+        for K, d_k, den_k in zip(inters, diffs, dens):
+            nums = mx.operator_norms(level.dual_value(mx.adjoint(d_k) @ diffs))
+            for L, num, den_l in zip(inters, nums, dens):
+                numeric = _result(float(num), float(den_k), float(den_l), Route.DEFINITION)
+                yield H, K, L, group_angle(G, H, K, L), numeric
 
 
 def _onto(inc, K):

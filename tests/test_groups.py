@@ -169,6 +169,164 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(FiniteGroup.direct_product([2, 2, 2]))) == 16
 
 
+def _reference_closure(G, generators):
+    """The former generated_subgroup: breadth-first products with the generators."""
+    els = {G.identity}
+    boundary = [G.identity]
+    gens = [int(g) for g in generators]
+    for g in gens:
+        if g not in els:
+            els.add(g)
+            boundary.append(g)
+    while boundary:
+        fresh = []
+        for a in gens:
+            for b in boundary:
+                c = G.mult(a, b)
+                if c not in els:
+                    els.add(c)
+                    fresh.append(c)
+        boundary = fresh
+    return frozenset(els)
+
+
+def _reference_all_subgroups(G):
+    """The former enumeration: close every (known subgroup, element) pair."""
+    seed = frozenset({G.identity})
+    found = {seed}
+    frontier = [seed]
+    while frontier:
+        fresh = []
+        for S in frontier:
+            for g in range(G.order):
+                if g in S:
+                    continue
+                T = _reference_closure(G, tuple(S) + (g,))
+                if T not in found:
+                    found.add(T)
+                    fresh.append(T)
+        frontier = fresh
+    return sorted((len(s), tuple(sorted(s))) for s in found)
+
+
+def _relabel(G, rng):
+    """The same group with its element indices permuted at random."""
+    perm = rng.permutation(G.order)
+    inverse = np.argsort(perm)
+    table = inverse[G.cayley[np.ix_(perm, perm)]]
+    return FiniteGroup(
+        table,
+        elements=[G.elements[p] for p in perm],
+        labels=[G.labels[p] for p in perm],
+        name=G.name,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FiniteGroup.symmetric(3),
+        lambda: FiniteGroup.symmetric(4),
+        lambda: FiniteGroup.cyclic(12),
+        lambda: FiniteGroup.direct_product([2, 2, 2]),
+        lambda: FiniteGroup.direct_product([4, 2]),
+        lambda: FiniteGroup.direct_product([2, 2, 3, 4]),
+        lambda: _relabel(FiniteGroup.symmetric(4), np.random.default_rng(5)),
+    ],
+    ids=["S3", "S4", "Z12", "Z2^3", "Z4xZ2", "Z2xZ2xZ3xZ4", "S4-relabelled"],
+)
+def test_all_subgroups_matches_the_closure_enumeration(make):
+    G = make()
+    subs = all_subgroups(G)
+    assert [(s.order, s.elements) for s in subs] == _reference_all_subgroups(G)
+    if G.order == 48:
+        assert len(subs) == 54
+
+
+def test_all_subgroups_of_s5():
+    subs = all_subgroups(FiniteGroup.symmetric(5))
+    assert len(subs) == 156
+    assert [s.order for s in subs].count(60) == 1  # A5
+
+
+def test_normalizer_matches_per_element_reference():
+    G = FiniteGroup.symmetric(4)
+    for K in all_subgroups(G):
+        k_set = set(K.elements)
+        expected = tuple(
+            g for g in range(G.order)
+            if {G.mult(G.mult(G.inv(g), k), g) for k in K.elements} == k_set
+        )
+        assert normalizer(G, K).elements == expected
+
+
+def test_subgroup_mask_and_membership():
+    G = FiniteGroup.cyclic(6)
+    K = Subgroup(G, [3, 0, 3])
+    assert K.elements == (0, 3)
+    assert K.mask().tolist() == [True, False, False, True, False, False]
+    assert not K.mask().flags.writeable
+    assert 3 in K and 1 not in K and -3 not in K and 9 not in K
+
+
+def test_subgroup_rejections_name_the_failed_property():
+    G = FiniteGroup.cyclic(6)
+    with pytest.raises(NotSubgroup, match="identity"):
+        Subgroup(G, (2, 4))
+    with pytest.raises(NotSubgroup, match="inverses"):
+        Subgroup(G, (0, 1))
+    # closed under inverses, not under products: 1 + 1 = 2
+    with pytest.raises(NotSubgroup, match="products"):
+        Subgroup(G, (0, 1, 5))
+
+
+def test_out_of_range_indices_are_rejected():
+    G = FiniteGroup.cyclic(6)
+    with pytest.raises(NotSubgroup, match="out of range"):
+        Subgroup(G, (0, 3, -3))  # -3 would wrap to 3
+    with pytest.raises(NotSubgroup, match="out of range"):
+        Subgroup(G, (0, 99))
+    with pytest.raises(NotSubgroup, match="out of range"):
+        generated_subgroup(G, [7])
+    with pytest.raises(NotSubgroup, match="out of range"):
+        generated_subgroup(G, [-1])
+
+
+def test_subgroups_of_another_group_are_rejected():
+    S3, Z6 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(6)
+    H = trivial_subgroup(S3)
+    K = generated_subgroup(S3, [S3.index_of((1, 0, 2))])
+    L = generated_subgroup(S3, [S3.index_of((2, 1, 0))])
+    foreign = trivial_subgroup(Z6)
+    with pytest.raises(NotSubgroup):
+        foreign.issubset(K)
+    with pytest.raises(NotSubgroup):
+        group_angle(S3, foreign, K, L)
+    with pytest.raises(NotSubgroup):
+        group_angle(S3, H, full_subgroup(Z6), L)
+    with pytest.raises(NotSubgroup):
+        group_angle(S3, H, K, full_subgroup(Z6))
+    with pytest.raises(NotSubgroup):
+        group_angle(Z6, H, K, L)
+    with pytest.raises(NotSubgroup):
+        subgroup_index(Z6, H)
+    with pytest.raises(NotSubgroup):
+        subgroup_index(full_subgroup(Z6), H)
+    with pytest.raises(NotSubgroup):
+        intersection(K, foreign)
+    with pytest.raises(NotSubgroup):
+        normalizer(Z6, K)
+    with pytest.raises(NotSubgroup):
+        intermediate_subgroups(Z6, H)
+    with pytest.raises(NotSubgroup):
+        left_coset_reps(Z6, H)
+    with pytest.raises(NotSubgroup):
+        left_coset_reps(S3, H, within=full_subgroup(Z6))
+    inc = group_algebra_inclusion(S3, H)
+    with pytest.raises(NotSubgroup):
+        inc.expectation_onto(full_subgroup(Z6))
+
+
 def test_intermediate_subgroups():
     G = FiniteGroup.cyclic(12)
     H = generated_subgroup(G, [G.index_of((6,))])

@@ -397,6 +397,33 @@ def test_dual_value_matches_per_element_sum(tower_level, rng):
         )
 
 
+@pytest.mark.parametrize("budget", [mx.STACK_BUDGET_BYTES, 1])
+def test_stacked_dual_value_matches_per_element_sum(
+    tower_level, c_plus_m2, rng, monkeypatch, budget
+):
+    S3 = FiniteGroup.symmetric(3)
+    levels = (
+        tower_level,  # GenericModule, m2
+        c_plus_m2.level,  # non-scalar index
+        group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(materialize=False),
+        iterate_tower(tower_level),  # materialized level two
+    )
+    # budget 1 cuts every stack into single elements
+    monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+    for level in levels:
+        mod, lams = level.module, level.expectation.quasi_basis
+        ts = np.stack([mx.random_matrix(level.module_dim, rng) for _ in range(5)])
+        stacked = level.dual_value(ts)
+        assert stacked.shape == (5,) + level.index_inverse.shape
+        for t, value in zip(ts, stacked):
+            total = sum(mod.from_coords(t @ mod.coords(l)) @ mx.adjoint(l) for l in lams)
+            np.testing.assert_allclose(
+                value, level.index_inverse @ total, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(level.dual_value(t), value, rtol=0, atol=1e-12)
+        assert level.dual_value(ts[:0]).shape == (0,) + level.index_inverse.shape
+
+
 # ---------------------------------------------------------------------------
 # the d q spanning family {x e_B l_k*} of A_1
 

@@ -1,10 +1,21 @@
-"""The named invariant suites behind the verify command.
+"""The named invariant suites behind the verify command, and the lattice sweep.
 
 Every check passes.  The fourth-power closed form is held to its exact
-factor over the computation routes, so its check passes too.
+factor over the computation routes, so its check passes too.  The stacked
+lattice sweep is held to the per-pair definition route.
 """
 
-from cstar_angles.verify import SUITE_NAMES, run_suite
+import pytest
+
+from cstar_angles.groups import FiniteGroup, group_algebra_inclusion
+from cstar_angles.tower import intermediate_data
+from cstar_angles.verify import (
+    SUITE_NAMES,
+    angle_from_projections,
+    lattice_route_cosines,
+    lattice_route_sweep,
+    run_suite,
+)
 
 
 def test_all_suites_pass():
@@ -29,7 +40,31 @@ def test_groups_suite_check_names():
 
 
 def test_unknown_suite_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize(
+    "G, triples",
+    [(FiniteGroup.symmetric(3), 16), (FiniteGroup.direct_product([4, 2]), 47)],
+    ids=["S3", "Z4xZ2"],
+)
+def test_lattice_sweep_matches_per_pair_reference(G, triples):
+    rows = list(lattice_route_cosines(G))
+    assert len(rows) == triples
+    levels = {}
+    for H, K, L, exact, numeric in rows:
+        if H not in levels:
+            inc = group_algebra_inclusion(G, H)
+            levels[H] = (inc, inc.tower(materialize=False, check=False), {})
+        inc, level, projections = levels[H]
+        for S in (K, L):
+            if S not in projections:
+                F = inc.expectation_onto(S)
+                projections[S] = intermediate_data(level, F.target, F)[0]
+        reference = angle_from_projections(level, projections[K], projections[L])
+        assert abs(numeric.cos_value - reference.cos_value) <= 1e-12
+        assert abs(numeric.diagnostics.numerator - reference.diagnostics.numerator) <= 1e-12
+        assert abs(exact.cos_value - numeric.cos_value) <= 1e-7
+    count, worst = lattice_route_sweep(G)
+    assert count == triples and worst <= 1e-12
