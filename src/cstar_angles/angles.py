@@ -61,6 +61,7 @@ __all__ = [
     "AngleResult",
     "interior_angle_formula",
     "interior_angle_definition",
+    "angle_from_projections",
     "exterior_angle",
 ]
 
@@ -190,17 +191,18 @@ def interior_angle_definition(
     tol: float = mx.DEFAULT_TOL,
 ) -> AngleResult:
     """Interior angle from Jones projections in the basic construction."""
-    e_b = level.jones_projection
     e_c, restricted_c = intermediate_data(level, F.target, F, tol)
     e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime, tol)
     _check_degenerate(watatani_index(restricted_c), "C")
     _check_degenerate(watatani_index(restricted_d), "D")
+    return angle_from_projections(level, e_c, e_d)
 
-    dc, dd = e_c - e_b, e_d - e_b
+
+def angle_from_projections(level: TowerLevel, e_c, e_d) -> AngleResult:
+    """Definition-route angle from the intermediate projections e_C, e_D of ``level``."""
+    dc, dd = e_c - level.jones_projection, e_d - level.jones_projection
     num = mx.operator_norm(level.dual_inner(dc, dd))
-    den1 = level.module_norm(dc)
-    den2 = level.module_norm(dd)
-    return _result(num, den1, den2, Route.DEFINITION)
+    return _result(num, level.module_norm(dc), level.module_norm(dd), Route.DEFINITION)
 
 
 def _exterior_closed_expressions(
@@ -294,15 +296,9 @@ def exterior_angle(
     g_d = intermediate_dual_expectation(level, F_prime.target, F_prime, tol)
 
     level2 = iterate_tower(level, tol=tol)
-    e_2 = level2.jones_projection
     e_c1 = intermediate_projection(level2, g_c.target, g_c, tol)
     e_d1 = intermediate_projection(level2, g_d.target, g_d, tol)
-
-    dc, dd = e_c1 - e_2, e_d1 - e_2
-    num = mx.operator_norm(level2.dual_inner(dc, dd))
-    den1 = level2.module_norm(dc)
-    den2 = level2.module_norm(dd)
-    result = _result(num, den1, den2, Route.DEFINITION)
+    result = angle_from_projections(level2, e_c1, e_d1)
 
     num_x, den1_x, den2_x = _exterior_closed_expressions(
         level, level2, e_c, e_d, restricted_c, restricted_d, F, F_prime

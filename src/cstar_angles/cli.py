@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, m2
 from .algebra import restrict_expectation
-from .angles import interior_angle_definition, interior_angle_formula
+from .angles import interior_angle_definition
 from .errors import CStarAnglesError, InvalidGroup, NotUnitary
 from .groups import (
     group_algebra_inclusion,
@@ -133,14 +133,11 @@ def cmd_m2_angle(args, started: float) -> int:
     u = _parse_unitary(args)
     inc = m2.canonical_inclusion()
     level = m2.canonical_tower(inc)
-    f_u = m2.fu_expectation(u, inc)
     mu = restrict_expectation(inc.E, inc.delta, inc.F).quasi_basis
-    delta = restrict_expectation(inc.E, f_u.target, f_u).quasi_basis
 
     closed = m2.closed_form_angle(u)
     realized = m2.exact_angle(u)
-    formula = interior_angle_formula(inc.E, mu, delta)
-    definition = interior_angle_definition(level, inc.F, f_u)
+    formula, definition = m2.interior_routes(u, inc, level, mu)
 
     report = Report(
         "m2-angle",

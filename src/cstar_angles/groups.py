@@ -158,9 +158,7 @@ class FiniteGroup:
 
     def regular_matrix(self, g: int) -> np.ndarray:
         """Left-regular permutation matrix of g: column b has a 1 at row g*b."""
-        mat = np.zeros((self.order, self.order), dtype=np.complex128)
-        mat[self.cayley[g], np.arange(self.order)] = 1.0
-        return mat
+        return _regular_stack(self, [g])[0]
 
     # -- constructors ------------------------------------------------------
 
@@ -391,6 +389,7 @@ def left_coset_reps(G: FiniteGroup, H: Subgroup, within=None) -> list[int]:
 def conjugate_subgroup(K: Subgroup, g: int) -> Subgroup:
     """g^{-1} K g."""
     G = K.parent
+    _index_mask(G, [g], "conjugating element")  # NotSubgroup unless 0 <= g < |G|
     k = np.array(K.elements)
     return Subgroup(G, tuple(G.cayley[G.cayley[G.inverse[g], k], g].tolist()))
 
@@ -559,6 +558,28 @@ class RegularModule:
         ).T
 
 
+def _regular_stack(G: FiniteGroup, elements, value: float = 1.0) -> np.ndarray:
+    """Left-regular matrices of ``elements`` as one stack: ``value`` at [g b, b]."""
+    g, n = np.asarray(elements, dtype=np.int64), G.order
+    stack = np.zeros((len(g), n, n), dtype=np.complex128)
+    stack[np.arange(len(g))[:, None], G.cayley[g], np.arange(n)] = value
+    return stack
+
+
+def _masking_expectation(
+    A: MatrixStarAlgebra, module: RegularModule, S: Subgroup, reps, name: str
+) -> ConditionalExpectation:
+    """The expectation onto C[S] killing coefficients off S; C[S] takes A's basis rows at S."""
+    mask = S.mask()
+
+    def apply_fn(x: np.ndarray) -> np.ndarray:
+        return module.from_coords(np.where(mask, module.coords(x), 0.0))
+
+    target = MatrixStarAlgebra.from_orthonormal(A.basis_stack[mask])
+    quasi = _regular_stack(S.parent, reps)  # {lambda_g} over coset reps
+    return ConditionalExpectation(A, target, apply_fn, quasi_basis=quasi, name=name)
+
+
 @dataclass
 class GroupInclusion:
     """C[H] <= C[G] on the left regular representation, with E and quasi-basis."""
@@ -572,29 +593,14 @@ class GroupInclusion:
     coset_reps: list[int]
 
     def intermediate_algebra(self, K: Subgroup) -> MatrixStarAlgebra:
-        scale = math.sqrt(self.group.order)
-        basis = [self.group.regular_matrix(k) / scale for k in K.elements]
-        return MatrixStarAlgebra(
-            [self.group.regular_matrix(k) for k in K.elements], basis
-        )
+        return MatrixStarAlgebra.from_orthonormal(self.A.basis_stack[K.mask()])
 
     def expectation_onto(self, K: Subgroup, reps=None) -> ConditionalExpectation:
         """The coefficient-masking expectation onto C[K], coset-rep quasi-basis."""
         if not self.subgroup.issubset(K):
             raise NotIntermediate("K must contain H")
-        module, G = self.module, self.group
-        mask = K.mask()
-
-        def apply_fn(x: np.ndarray) -> np.ndarray:
-            coords = module.coords(x)
-            return module.from_coords(np.where(mask, coords, 0.0))
-
-        reps = left_coset_reps(G, K) if reps is None else list(reps)
-        quasi = [G.regular_matrix(g) for g in reps]
-        target = self.intermediate_algebra(K)
-        return ConditionalExpectation(
-            self.A, target, apply_fn, quasi_basis=quasi, name="F"
-        )
+        reps = left_coset_reps(self.group, K) if reps is None else list(reps)
+        return _masking_expectation(self.A, self.module, K, reps, "F")
 
     def tower(self, *, materialize: bool = False, check: bool = True) -> TowerLevel:
         return build_tower_level(
@@ -608,6 +614,7 @@ def group_algebra_inclusion(
 ) -> GroupInclusion:
     """Build C[H] <= C[G] with E killing coefficients off H.
 
+    Each algebra is spanned by its basis {lambda_g / sqrt(|G|)}, built once.
     The quasi-basis is a set of left-coset representatives (the
     deterministic smallest-index transversal unless ``reps`` overrides it;
     any transversal gives the same index [G:H] times the identity).
@@ -619,23 +626,12 @@ def group_algebra_inclusion(
     if H.parent is not G:
         raise NotSubgroup("H must be a subgroup of G")
     module = RegularModule(G)
-    scale = math.sqrt(G.order)
-    lam = [G.regular_matrix(g) for g in range(G.order)]
-    A = MatrixStarAlgebra(lam, [m / scale for m in lam])
-    B = MatrixStarAlgebra(
-        [lam[h] for h in H.elements], [lam[h] / scale for h in H.elements]
+    A = MatrixStarAlgebra.from_orthonormal(
+        _regular_stack(G, range(G.order), 1.0 / math.sqrt(G.order))
     )
-    mask = H.mask()
-
-    def apply_fn(x: np.ndarray) -> np.ndarray:
-        coords = module.coords(x)
-        return module.from_coords(np.where(mask, coords, 0.0))
-
     reps = left_coset_reps(G, H) if reps is None else list(reps)
-    E = ConditionalExpectation(
-        A, B, apply_fn, quasi_basis=[lam[g] for g in reps], name="E"
-    )
-    return GroupInclusion(G, H, A, B, E, module, reps)
+    E = _masking_expectation(A, module, H, reps, "E")
+    return GroupInclusion(G, H, A, E.target, E, module, reps)
 
 
 # ---------------------------------------------------------------------------

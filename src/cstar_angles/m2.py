@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices as mx
-from .algebra import ConditionalExpectation, MatrixStarAlgebra
+from .algebra import ConditionalExpectation, MatrixStarAlgebra, restrict_expectation
+from .angles import AngleResult, interior_angle_definition, interior_angle_formula
 from .errors import ClosedFormMismatch, NotUnitary
 from .tower import TowerLevel, build_tower_level, intermediate_projection
 
@@ -46,6 +47,7 @@ __all__ = [
     "is_hadamard",
     "fu_map",
     "fu_expectation",
+    "interior_routes",
     "skewed_scalar_expectation",
     "closed_form_angle",
     "exact_angle",
@@ -188,6 +190,19 @@ def fu_expectation(u, inclusion: M2Inclusion | None = None) -> ConditionalExpect
     return ConditionalExpectation.from_rule(
         inc.A, target, lambda a: fu_map(uu, a), quasi_basis=quasi, name="F_u"
     )
+
+
+def interior_routes(
+    u, inclusion: M2Inclusion, level: TowerLevel, mu
+) -> tuple[AngleResult, AngleResult]:
+    """(formula, definition) angles of Delta and u Delta u*; ``mu`` is E|Delta's quasi-basis.
+
+    The routes share only F_u: one reads quasi-bases, the other ``level``.
+    """
+    f_u = fu_expectation(u, inclusion)
+    delta = restrict_expectation(inclusion.E, f_u.target, f_u).quasi_basis
+    formula = interior_angle_formula(inclusion.E, mu, delta)
+    return formula, interior_angle_definition(level, inclusion.F, f_u)
 
 
 def skewed_scalar_expectation(t: float) -> ConditionalExpectation:

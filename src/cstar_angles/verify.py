@@ -14,6 +14,7 @@ relation with them, cos^2(closed_form_angle(u)) = cos^2 * (1 + (2|l11||l12|)^2).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from .algebra import (
     watatani_index,
 )
 from .angles import (
+    angle_from_projections,
     exterior_angle,
     interior_angle_definition,
     interior_angle_formula,
@@ -44,10 +46,12 @@ from .groups import (
     all_subgroups,
     group_algebra_inclusion,
     group_angle,
+    intermediate_subgroups,
     intersection,
     left_coset_reps,
     normalizer,
     normalizer_angle_profile,
+    parse_group_spec,
     trivial_subgroup,
     generated_subgroup,
 )
@@ -76,14 +80,6 @@ def _record(checks: list, name: str, fn, tol: float, detail: str = ""):
         checks.append(CheckResult(name, False, float("inf"), f"{type(exc).__name__}: {exc}"))
         return
     checks.append(CheckResult(name, residual <= tol, residual, detail))
-
-
-def angle_from_projections(level, e_c, e_d):
-    """Definition-route angle from precomputed intermediate projections."""
-    e_b = level.jones_projection
-    dc, dd = e_c - e_b, e_d - e_b
-    num = mx.operator_norm(level.dual_inner(dc, dd))
-    return _result(num, level.module_norm(dc), level.module_norm(dd), Route.DEFINITION)
 
 
 def lattice_route_sweep(G: FiniteGroup) -> tuple[int, float]:
@@ -127,6 +123,16 @@ def lattice_route_cosines(G: FiniteGroup):
             for L, num, den_l in zip(inters, nums, dens):
                 numeric = _result(float(num), float(den_k), float(den_l), Route.DEFINITION)
                 yield H, K, L, group_angle(G, H, K, L), numeric
+
+
+# groups whose whole lattices both route checks sweep (the groups suite adds S4)
+_SWEPT_GROUPS = ("S3", "Z2xZ2xZ2", "Z4xZ2", "Z12")
+
+
+@functools.cache
+def _sweep_deviation(spec: str) -> float:
+    """Worst deviation of :func:`lattice_route_sweep`; draws no random numbers."""
+    return lattice_route_sweep(parse_group_spec(spec))[1]
 
 
 def _onto(inc, K):
@@ -459,22 +465,14 @@ def _suite_angles(rng) -> list[CheckResult]:
         worst = 0.0
         for _ in range(100):
             u = m2.Unitary2(mx.random_unitary(2, rng))
-            f_u = m2.fu_expectation(u, inc)
-            delta_qb = restrict_expectation(inc.E, f_u.target, f_u).quasi_basis
-            a = interior_angle_formula(inc.E, mu, delta_qb)
-            b = interior_angle_definition(level, inc.F, f_u)
+            a, b = m2.interior_routes(u, inc, level, mu)
             worst = max(worst, abs(a.cos_value - b.cos_value))
         return worst
 
     _record(checks, "route_agreement_m2", route_agreement_m2, 1e-8)
 
     def route_agreement_groups():
-        worst = 0.0
-        for G in (FiniteGroup.direct_product([2, 2, 2]), FiniteGroup.cyclic(12),
-                  FiniteGroup.symmetric(3), FiniteGroup.direct_product([4, 2])):
-            _, dev = lattice_route_sweep(G)
-            worst = max(worst, dev)
-        return worst
+        return max(_sweep_deviation(spec) for spec in _SWEPT_GROUPS)
 
     _record(checks, "route_agreement_groups", route_agreement_groups, 1e-7)
 
@@ -576,15 +574,16 @@ def _suite_m2(rng) -> list[CheckResult]:
     mu = restrict_expectation(inc.E, inc.delta, inc.F).quasi_basis
     unitaries = [m2.Unitary2(mx.random_unitary(2, rng)) for _ in range(100)]
 
-    def routes(u):
-        f_u = m2.fu_expectation(u, inc)
-        delta_qb = restrict_expectation(inc.E, f_u.target, f_u).quasi_basis
-        a = interior_angle_formula(inc.E, mu, delta_qb)
-        b = interior_angle_definition(level, inc.F, f_u)
-        return a.cos_value, b.cos_value
+    @functools.cache
+    def route_table():
+        # (formula cos, definition cos) per unitary, shared by three checks
+        return [
+            tuple(r.cos_value for r in m2.interior_routes(u, inc, level, mu))
+            for u in unitaries
+        ]
 
     def two_route():
-        return max(abs(a - b) for a, b in (routes(u) for u in unitaries))
+        return max(abs(a - b) for a, b in route_table())
 
     _record(checks, "m2_two_route_agreement", two_route, 1e-8)
 
@@ -592,10 +591,10 @@ def _suite_m2(rng) -> list[CheckResult]:
         # the fourth-power radicand exceeds the routes' squared cosine by
         # exactly the factor 1 + (2|l11||l12|)^2
         worst = 0.0
-        for u in unitaries:
+        for u, cosines in zip(unitaries, route_table()):
             factor = 1.0 + (2.0 * abs(u.lam11) * abs(u.lam12)) ** 2
             printed_sq = math.cos(m2.closed_form_angle(u)) ** 2
-            for cos_route in routes(u):
+            for cos_route in cosines:
                 worst = max(worst, abs(printed_sq - cos_route**2 * factor))
         return worst
 
@@ -609,8 +608,7 @@ def _suite_m2(rng) -> list[CheckResult]:
 
     def exact_form():
         worst = 0.0
-        for u in unitaries:
-            a, b = routes(u)
+        for u, (a, b) in zip(unitaries, route_table()):
             exact = math.cos(m2.exact_angle(u))
             worst = max(worst, abs(a - exact), abs(b - exact))
         return worst
@@ -705,17 +703,7 @@ def _suite_groups(rng) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     def lattice_agreement():
-        worst = 0.0
-        for G in (
-            FiniteGroup.symmetric(3),
-            FiniteGroup.symmetric(4),
-            FiniteGroup.direct_product([2, 2, 2]),
-            FiniteGroup.direct_product([4, 2]),
-            FiniteGroup.cyclic(12),
-        ):
-            _, dev = lattice_route_sweep(G)
-            worst = max(worst, dev)
-        return worst
+        return max(_sweep_deviation(spec) for spec in _SWEPT_GROUPS + ("S4",))
 
     _record(checks, "lattice_formula_numeric_agreement", lattice_agreement, 1e-7)
 
@@ -767,12 +755,8 @@ def _suite_groups(rng) -> list[CheckResult]:
     def zero_characterization():
         G = FiniteGroup.symmetric(3)
         bad = 0.0
-        subs = all_subgroups(G)
-        for H in subs:
-            inters = [
-                K for K in subs
-                if H.issubset(K) and K.order != H.order and K.order != G.order
-            ]
+        for H in all_subgroups(G):
+            inters = intermediate_subgroups(G, H)
             for K in inters:
                 for L in inters:
                     res = group_angle(G, H, K, L)

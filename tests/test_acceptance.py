@@ -26,11 +26,7 @@ from cstar_angles.algebra import (
     verify_quasi_basis,
     watatani_index,
 )
-from cstar_angles.angles import (
-    exterior_angle,
-    interior_angle_definition,
-    interior_angle_formula,
-)
+from cstar_angles.angles import exterior_angle, interior_angle_definition
 from cstar_angles.groups import (
     FiniteGroup,
     generated_subgroup,
@@ -51,10 +47,7 @@ def _line(number: str, passed: bool, description: str):
 
 
 def _m2_routes(inclusion, level, u, mu):
-    f_u = m2.fu_expectation(u, inclusion)
-    delta = restrict_expectation(inclusion.E, f_u.target, f_u).quasi_basis
-    formula = interior_angle_formula(inclusion.E, mu, delta)
-    definition = interior_angle_definition(level, inclusion.F, f_u)
+    formula, definition = m2.interior_routes(u, inclusion, level, mu)
     return formula.cos_value, definition.cos_value
 
 

@@ -478,6 +478,12 @@ def test_basis_views_are_read_only_and_share_flat():
 
 def test_orthonormal_spanning_set_shares_the_basis(inclusion):
     assert inclusion.A.spanning_set is inclusion.A.basis
+    # group algebras are built from their orthonormal basis lambda_g / sqrt(|G|)
+    G = FiniteGroup.symmetric(3)
+    inc = group_algebra_inclusion(G, trivial_subgroup(G))
+    K = generated_subgroup(G, [G.index_of((1, 0, 2))])
+    for alg in (inc.A, inc.B, inc.expectation_onto(K).target):
+        assert alg.spanning_set is alg.basis
 
 
 def test_hs_coordinates_and_map_matrix_match_old_formulas(inclusion, rng):

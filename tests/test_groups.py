@@ -160,6 +160,10 @@ def test_conjugate_subgroup_in_s3():
     g = G.index_of((1, 2, 0))  # a 3-cycle
     L = conjugate_subgroup(K, g)
     assert L.order == 2 and L.elements != K.elements
+    # -1 would wrap to the last element, G.order would index past the table
+    for bad in (-1, G.order):
+        with pytest.raises(NotSubgroup, match="out of range"):
+            conjugate_subgroup(K, bad)
 
 
 def test_all_subgroups_counts():
