@@ -1,11 +1,12 @@
 """Subgroup lattices: enumeration times and the criterion-07 sweeps.
 
 Times ``all_subgroups`` on S4, S5 and Z2xZ2xZ3xZ4 and
-``lattice_route_sweep`` on S3, Z12, Z2^3 and S4, and prints one JSON
-object with the counts, the wall times (best of ``--repeats``) and the
-worst route deviation of each sweep.  Exits with status 1 unless the
-subgroup counts are 30, 156 and 54 and the sweeps check 16, 21, 259 and
-1065 triples with every deviation within 1e-7.
+``lattice_route_sweep`` on S3, Z12, Z2^3, S4 and Z2xZ2xZ3xZ4 (order 48,
+so the definition route runs on group algebras of order 48), and prints
+one JSON object with the counts, the wall times (best of ``--repeats``)
+and the worst route deviation of each sweep.  Exits with status 1 unless
+the subgroup counts are 30, 156 and 54 and the sweeps check 16, 21, 259,
+1065 and 6424 triples with every deviation within 1e-7.
 
     PYTHONPATH=src python scripts/subgroup_lattice.py [--repeats N]
 """
@@ -30,6 +31,7 @@ SWEEPS = (
     ("Z12", lambda: FiniteGroup.cyclic(12), 21),
     ("Z2xZ2xZ2", lambda: FiniteGroup.direct_product([2, 2, 2]), 259),
     ("S4", lambda: FiniteGroup.symmetric(4), 1065),
+    ("Z2xZ2xZ3xZ4", lambda: FiniteGroup.direct_product([2, 2, 3, 4]), 6424),
 )
 ROUTE_TOL = 1e-7
 

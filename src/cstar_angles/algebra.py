@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Callable, Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,12 +60,33 @@ __all__ = [
 
 
 def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """A validated (k, n, n) stack of a family of n x n matrices (k may be 0)."""
+    """A validated (k, n, n) stack of a family of n x n matrices (k may be 0).
+
+    A (k, n, n) array is copied at most once: a read-only complex stack is
+    immutable already and is returned as it is, not copied.
+    """
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        stack = mx.as_stack(mats)
+        if stack.shape[1:] != (n, n):
+            raise ShapeMismatch(f"expected {n}x{n} matrices, got {stack.shape[1:]}")
+        return stack.copy() if stack is mats and mats.flags.writeable else stack
     mats = [mx.as_matrix(m) for m in mats]
     for m in mats:
         if m.shape != (n, n):
             raise ShapeMismatch(f"expected {n}x{n} matrices, got {m.shape}")
     return np.array(mats, dtype=np.complex128).reshape(len(mats), n, n)
+
+
+# Bases of at least this many elements whose elements have pairwise disjoint
+# supports (group algebras and their subgroup slices) take HS coordinates by
+# a gather along the supports, O(n^2) per element, instead of the dense
+# O(d n^2) product.  Below it the dense product is faster, since the gather
+# costs a few more numpy calls.  Measured on a 2-core host, one coordinate
+# round trip (hs_coordinates, then combine) on the regular representation of
+# Z_d takes, dense against gather: 21 against 34 us at d = 16, 47 against
+# 38 us at d = 24; for a stack of 20 elements, 59 against 78 us at d = 16
+# and 145 against 121 us at d = 24.
+GATHER_MIN_DIM = 20
 
 
 class MatrixStarAlgebra:
@@ -84,6 +106,7 @@ class MatrixStarAlgebra:
         self.ambient_dim = n
         self._flat = _stack_of(basis, n).reshape(len(basis), n * n)
         self._flat.setflags(write=False)
+        self._supports = self._disjoint_supports()
         self.basis = tuple(self.basis_stack)
         if spanning_set is basis:
             self.spanning_stack = self.basis_stack
@@ -119,16 +142,55 @@ class MatrixStarAlgebra:
         n = self.ambient_dim
         return self._flat.reshape(self.dim, n, n)
 
+    def _disjoint_supports(self):
+        """Index arrays of the nonzero basis entries, or None.
+
+        Set when the basis has at least ``GATHER_MIN_DIM`` elements and no two
+        of them share a nonzero entry (exact zeros decide).  ``positions``
+        lists the flat positions of the nonzero entries ordered by owning
+        basis element, ``starts`` and ``counts`` cut that list into one run
+        per element, ``values`` holds the entries, and ``place`` maps every
+        flat position to its index in the list (one past the end off every
+        support).
+        """
+        d, n = self.dim, self.ambient_dim
+        if d < GATHER_MIN_DIM:
+            return None
+        support = self._flat != 0
+        if support.sum(axis=0).max() > 1 or not support.any(axis=1).all():
+            return None
+        owners, positions = np.nonzero(support)
+        starts = np.searchsorted(owners, np.arange(d))
+        counts = np.diff(np.append(starts, len(positions)))
+        place = np.full(n * n, len(positions))
+        place[positions] = np.arange(len(positions))
+        values = self._flat[owners, positions]
+        return SimpleNamespace(
+            positions=positions, starts=starts, counts=counts, place=place,
+            values=values, conj_values=np.conjugate(values),
+        )
+
     def hs_coordinates(self, x) -> np.ndarray:
         """Coordinates of the HS-orthogonal projection of ``x`` onto the span.
 
         ``x`` is one n x n matrix or a (k, n, n) stack (rows of coordinates).
+        On a basis with disjoint supports, coordinate k sums x against the
+        conjugate entries of basis element k over its support alone.
         """
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim != 3:
             x = mx.as_matrix(x)
         flat = x.reshape(x.shape[:-2] + (-1,))
-        return np.conjugate(np.conjugate(flat) @ self._flat.T)
+        sup = self._supports
+        if sup is None:
+            return np.conjugate(np.conjugate(flat) @ self._flat.T)
+        rows = flat.reshape(-1, flat.shape[-1])
+        coords = np.empty((len(rows), self.dim), dtype=np.complex128)
+        for block in mx.stack_slices(len(rows), 16 * len(sup.positions)):
+            taken = np.take(rows[block], sup.positions, axis=1)
+            taken *= sup.conj_values
+            coords[block] = np.add.reduceat(taken, sup.starts, axis=1)
+        return coords.reshape(flat.shape[:-1] + (self.dim,))
 
     def project(self, x) -> np.ndarray:
         return self.combine(self.hs_coordinates(x))
@@ -143,9 +205,12 @@ class MatrixStarAlgebra:
         """:meth:`contains` for every matrix of a (k, n, n) stack at once."""
         xs = mx.as_stack(xs)
         flat = xs.reshape(len(xs), -1)
-        coords = self.hs_coordinates(xs)
-        residual = np.linalg.norm(coords @ self._flat - flat, axis=1)
-        return bool(np.all(residual <= tol * (1.0 + np.linalg.norm(flat, axis=1))))
+        for rows in mx.stack_slices(len(xs), 3 * 16 * flat.shape[1]):
+            recon = self.project(xs[rows]).reshape(-1, flat.shape[1])
+            residual = np.linalg.norm(recon - flat[rows], axis=1)
+            if np.any(residual > tol * (1.0 + np.linalg.norm(flat[rows], axis=1))):
+                return False
+        return True
 
     def coordinates(self, x, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         """Orthonormal-basis coordinates; raises NotInAlgebra off the span."""
@@ -157,7 +222,20 @@ class MatrixStarAlgebra:
         """The element(s) with the given coordinates; rows give a stack."""
         coords = np.asarray(coords)
         n = self.ambient_dim
-        return (coords @ self._flat).reshape(coords.shape[:-1] + (n, n))
+        sup = self._supports
+        if sup is None:
+            return (coords @ self._flat).reshape(coords.shape[:-1] + (n, n))
+        # one gather: each flat position reads its entry, or a trailing zero
+        rows = coords.reshape(-1, self.dim)
+        out = np.empty((len(rows), n * n), dtype=np.complex128)
+        nnz = len(sup.values)
+        for block in mx.stack_slices(len(rows), 16 * (2 * nnz + n * n)):
+            entries = np.zeros((len(rows[block]), nnz + 1), dtype=np.complex128)
+            np.multiply(
+                np.repeat(rows[block], sup.counts, axis=1), sup.values, out=entries[:, :nnz]
+            )
+            out[block] = np.take(entries, sup.place, axis=1)
+        return out.reshape(coords.shape[:-1] + (n, n))
 
     def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:
         """Equality as subspaces (bases are never canonical)."""
@@ -515,10 +593,12 @@ def verify_quasi_basis(
     functionals phi_m of :attr:`ConditionalExpectation.coordinate_matrix`.
     Written as n x n matrices W_m, phi_m(y) = Tr(W_m^T y), so
     phi_m(x l) = Tr((l W_m^T) x) and phi_m(l* x) = Tr((W_m^T l*) x): for
-    one l_i and all x this is one product against the source basis rows.
-    An E whose images leave its target by more than ``tol`` (see
-    :meth:`ConditionalExpectation.coordinates`) is no expectation onto that
-    target, and fails the check.
+    one l_i and all x this is one product against the source basis rows,
+    a d_src x d_tgt matrix of values.  The two reconstructions are then
+    formed and compared a slab of ambient rows at a time, so no
+    d_src x n^2 array is held whole.  An E whose images leave its target
+    by more than ``tol`` (see :meth:`ConditionalExpectation.coordinates`)
+    is no expectation onto that target, and fails the check.
     """
     src, tgt = E.source, E.target
     lams = _stack_of(lambdas, E.ambient_dim)
@@ -529,28 +609,29 @@ def verify_quasi_basis(
     except NumericIntegrityError:
         return False
     flat = src._flat
-    d_t, n = tgt.dim, E.ambient_dim
+    d_s, d_t, n = src.dim, tgt.dim, E.ambient_dim
     # row m of W is phi_m as a vector, conj(S)^T T[:, m]
     w = np.conjugate(np.conjugate(t).T @ flat).reshape(d_t, n, n)
-    beta = tgt.basis_stack
-    left = np.zeros_like(flat)
-    right = np.zeros_like(flat)
-    for lam in lams:
-        if not lam.any():
-            continue  # a zero element adds nothing to either sum
-        lam_star = mx.adjoint(lam)
-        # phi[k, m] = phi_m(b_k l), then sum_m phi_m(b_k l) beta_m l*
-        # (a contiguous l^T keeps the stacked product on BLAS)
-        phi = flat @ (w @ np.ascontiguousarray(lam.T)).reshape(d_t, -1).T
-        left += phi @ (beta @ lam_star).reshape(d_t, -1)
-        # phi[k, m] = phi_m(l* b_k), then sum_m l phi_m(l* b_k) beta_m
-        phi = flat @ (np.conjugate(lam) @ w).reshape(d_t, -1).T
-        right += phi @ (lam @ beta).reshape(d_t, -1)
+    lams = [lam for lam in lams if lam.any()]  # a zero element adds nothing
+    # phi[k, m] = phi_m(b_k l) and phi_m(l* b_k), per l
+    # (a contiguous l^T keeps the stacked product on BLAS)
+    phi_left = [flat @ (w @ np.ascontiguousarray(lam.T)).reshape(d_t, -1).T for lam in lams]
+    phi_right = [flat @ (np.conjugate(lam) @ w).reshape(d_t, -1).T for lam in lams]
+    del w
+    basis, beta = src.basis_stack, tgt.basis_stack
+    # squared residual norms of sum_m phi_m(b_k l) beta_m l* and
+    # sum_m l phi_m(l* b_k) beta_m against b_k, accumulated over row slabs
+    sq_left, sq_right = np.zeros(d_s), np.zeros(d_s)
+    for rows in mx.stack_slices(n, 4 * max(d_s, d_t) * n * 16):
+        left = -basis[:, rows].reshape(d_s, -1)
+        right = left.copy()
+        for lam, p_left, p_right in zip(lams, phi_left, phi_right):
+            left += p_left @ (beta[:, rows] @ mx.adjoint(lam)).reshape(d_t, -1)
+            right += p_right @ (lam[rows] @ beta).reshape(d_t, -1)
+        sq_left += np.einsum("ij,ij->i", left, np.conjugate(left)).real
+        sq_right += np.einsum("ij,ij->i", right, np.conjugate(right)).real
     bound = tol * (1.0 + np.linalg.norm(flat, axis=1))
-    return bool(
-        np.all(np.linalg.norm(left - flat, axis=1) <= bound)
-        and np.all(np.linalg.norm(right - flat, axis=1) <= bound)
-    )
+    return bool(np.all(np.sqrt(sq_left) <= bound) and np.all(np.sqrt(sq_right) <= bound))
 
 
 def watatani_index(
@@ -604,6 +685,7 @@ def restrict_expectation(
     quasi = None
     if E.quasi_basis is not None:
         quasi = F.on_source(E.quasi_stack)
+        quasi.setflags(write=False)  # shared by the expectation and the check
     # E(c_j) = sum_k <b_k, c_j> E(b_k): the coordinate matrix restricts by rows
     restricted = ConditionalExpectation.from_coordinates(
         C,

@@ -520,34 +520,39 @@ class RegularModule:
 
     With orthonormal basis {lambda_g / sqrt(|G|)} the coordinates of an
     element are (scaled) group coefficients, extracted by gathering along
-    the Cayley table, and L_x is the ambient matrix of x itself.
+    the Cayley table, and L_x is the ambient matrix of x itself.  The
+    supports of the lambda_g tile the n x n matrix: entry (a, b) belongs to
+    g = a b^-1, and lambda_g covers the flat positions (g b) n + b.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.dim = group.order
-        self._sqrt = math.sqrt(group.order)
-        self._cols = np.arange(group.order)
+        n = self.dim = group.order
+        self._sqrt = math.sqrt(n)
+        cols = np.arange(n)
+        # row g lists the flat positions of lambda_g's support
+        self._support = (group.cayley * n + cols).ravel()
+        # flat position (a, b) -> the group element a b^-1 owning it
+        self._owner = group.cayley[:, group.inverse].ravel()
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
         y = np.asarray(y)
-        picked = y[..., self.group.cayley, self._cols[None, :]]
-        return picked.sum(axis=-1) / self._sqrt
+        n = self.dim
+        picked = np.take(y.reshape(y.shape[:-2] + (n * n,)), self._support, axis=-1)
+        return picked.reshape(y.shape[:-2] + (n, n)).sum(axis=-1) / self._sqrt
 
     def from_coords(self, v) -> np.ndarray:
         """Inverse of :meth:`coords`; rows of coordinates give a stack."""
         v = np.asarray(v, dtype=np.complex128)
         n = self.dim
-        x = np.zeros(v.shape[:-1] + (n, n), dtype=np.complex128)
         # permutation supports of distinct group elements are disjoint
-        x[..., self.group.cayley, np.broadcast_to(self._cols, (n, n))] = (
-            v[..., :, None] / self._sqrt
-        )
-        return x
+        x = np.take(v / self._sqrt, self._owner, axis=-1)
+        return x.reshape(v.shape[:-1] + (n, n))
 
     def left_mult(self, x) -> np.ndarray:
-        return np.array(x, dtype=np.complex128)
+        """L_x is x itself: a complex128 input comes back as it is, not copied."""
+        return np.asarray(x, dtype=np.complex128)
 
     def operator_matrix(self, fn) -> np.ndarray:
         """Matrix of a linear map on A; ``fn`` takes basis elements as stacks."""
@@ -567,17 +572,20 @@ def _regular_stack(G: FiniteGroup, elements, value: float = 1.0) -> np.ndarray:
 
 
 def _masking_expectation(
-    A: MatrixStarAlgebra, module: RegularModule, S: Subgroup, reps, name: str
+    A: MatrixStarAlgebra, S: Subgroup, reps, name: str
 ) -> ConditionalExpectation:
-    """The expectation onto C[S] killing coefficients off S; C[S] takes A's basis rows at S."""
+    """The expectation onto C[S] killing coefficients off S, from its exact 0/1 matrix.
+
+    C[S] takes A's basis rows at S, so the coordinate matrix keeps the
+    columns of the identity at S: basis element lambda_g / sqrt(|G|) maps to
+    itself for g in S and to zero otherwise.
+    """
     mask = S.mask()
-
-    def apply_fn(x: np.ndarray) -> np.ndarray:
-        return module.from_coords(np.where(mask, module.coords(x), 0.0))
-
     target = MatrixStarAlgebra.from_orthonormal(A.basis_stack[mask])
     quasi = _regular_stack(S.parent, reps)  # {lambda_g} over coset reps
-    return ConditionalExpectation(A, target, apply_fn, quasi_basis=quasi, name=name)
+    return ConditionalExpectation.from_coordinates(
+        A, target, np.eye(A.dim)[:, mask], quasi_basis=quasi, name=name
+    )
 
 
 @dataclass
@@ -600,7 +608,7 @@ class GroupInclusion:
         if not self.subgroup.issubset(K):
             raise NotIntermediate("K must contain H")
         reps = left_coset_reps(self.group, K) if reps is None else list(reps)
-        return _masking_expectation(self.A, self.module, K, reps, "F")
+        return _masking_expectation(self.A, K, reps, "F")
 
     def tower(self, *, materialize: bool = False, check: bool = True) -> TowerLevel:
         return build_tower_level(
@@ -626,11 +634,11 @@ def group_algebra_inclusion(
     if H.parent is not G:
         raise NotSubgroup("H must be a subgroup of G")
     module = RegularModule(G)
-    A = MatrixStarAlgebra.from_orthonormal(
-        _regular_stack(G, range(G.order), 1.0 / math.sqrt(G.order))
-    )
+    basis = _regular_stack(G, range(G.order), 1.0 / math.sqrt(G.order))
+    basis.setflags(write=False)  # so the algebra takes it without a copy
+    A = MatrixStarAlgebra.from_orthonormal(basis)
     reps = left_coset_reps(G, H) if reps is None else list(reps)
-    E = _masking_expectation(A, module, H, reps, "E")
+    E = _masking_expectation(A, H, reps, "E")
     return GroupInclusion(G, H, A, E.target, E, module, reps)
 
 

@@ -34,7 +34,18 @@ decomposition-free identity
 
 where {l_i} is the quasi-basis of E and t(l_i) is the module action (for a
 spanning element x e_B y the sum collapses to x y by the quasi-basis
-identity, and both sides are linear).  The route that decomposes t over
+identity, and both sides are linear).  It is evaluated in module
+coordinates, with q_i = coords(l_i) and the star matrix J, whose column j
+is coords(m_j*) for the module basis {m_j}, so that
+coords(x*) = J conj(coords(x)).  Since t(l_i) has coordinates t q_i and
+coords(l_i a*) = L_{l_i} J conj(coords(a)),
+
+    coords(E_1(t)) = L_{Ind(E)^-1} J conj(v),   v = sum_i L_{l_i} J conj(t q_i),
+
+where v holds the coordinates of (sum_i t(l_i) l_i*)*.  An element costs
+three products of q d x d matrices with vectors, about 3 q d^2, and one
+conversion from coordinates; J, the L_{l_i} and L_{Ind(E)^-1} J are built
+once per level.  The route that decomposes t over
 the spanning family by least squares is kept alongside and the two are
 cross-checked in the test suite.
 
@@ -212,32 +223,45 @@ class TowerLevel:
         """Module coordinates of the quasi-basis {l_i} of E, one row each."""
         return self.module.coords(self.expectation.quasi_stack)
 
+    @cached_property
+    def star_matrix(self) -> np.ndarray:
+        """J with coords(x*) = J conj(coords(x)): column j is coords(m_j*)."""
+        return self.module.operator_matrix(mx.adjoint)
+
+    @cached_property
+    def _quasi_left(self) -> np.ndarray:
+        """The (q, d, d) stack L_{l_i} (on the regular module, the quasi-basis itself)."""
+        return self.embed(self.expectation.quasi_stack)
+
+    @cached_property
+    def _index_inverse_star(self) -> np.ndarray:
+        """L_{Ind(E)^-1} J: conj(coords(y*)) to coords(Ind(E)^-1 y)."""
+        return self.embed(self.index_inverse) @ self.star_matrix
+
     def dual_value(self, t) -> np.ndarray:
         """E_1(t) as an ambient matrix, via the decomposition-free identity.
 
         ``t`` is one module operator or a (k, d, d) stack of them; a stack
-        gives the (k, n, n) stack of values.
+        gives the (k, n, n) stack of values.  Computed in module coordinates
+        (see the module docstring): v = sum_i L_{l_i} J conj(t q_i) holds the
+        coordinates of (sum_i t(l_i) l_i*)*, and E_1(t) is the element with
+        coordinates L_{Ind(E)^-1} J conj(v).
         """
         t = np.asarray(t, dtype=np.complex128)
         stack = t[None] if t.ndim == 2 else t
-        lams = self.expectation.quasi_stack
-        q, n = lams.shape[:2]
-        # sum_i acted_i l_i* for every element at once is one GEMM:
-        # (k n, q n) @ (q n, n), row (a, (i, b)) against row ((i, b), c) = conj(l_i[c, b])
-        lams_h = np.conjugate(lams).transpose(0, 2, 1).reshape(q * n, n)
-        out = np.empty((len(stack), n, n), dtype=np.complex128)
-        # charged per element: the acted vectors, the scatter into them and
-        # the GEMM operand; a chunk's arrays are freed before the next is built
-        for rows in mx.stack_slices(len(stack), 4 * q * n * n * 16):
-            # t acting on the module vector of each l_i
-            acted = self.module.from_coords(
-                self.quasi_coords @ np.swapaxes(stack[rows], 1, 2)
-            )
-            out[rows] = (acted.transpose(0, 2, 1, 3).reshape(-1, q * n) @ lams_h).reshape(
-                -1, n, n
-            )
-            del acted
-        out = self.index_inverse @ out
+        quasi, lmats = self.quasi_coords, self._quasi_left
+        q, d = quasi.shape
+        coords = np.empty((len(stack), d), dtype=np.complex128)
+        # charged per element: two (q, d) intermediates and the (q, d) terms
+        for rows in mx.stack_slices(len(stack), 3 * q * d * 16):
+            # row i of acted[k] is conj(t_k q_i), then J of it, as rows
+            acted = np.conjugate(quasi @ np.swapaxes(stack[rows], 1, 2))
+            acted = (acted.reshape(-1, d) @ self.star_matrix.T).reshape(-1, q, d)
+            # sum_i L_{l_i} J conj(t_k q_i), for every k: one product per i
+            terms = np.swapaxes(acted, 0, 1) @ np.swapaxes(lmats, 1, 2)
+            coords[rows] = np.conjugate(terms.sum(axis=0))
+            del acted, terms
+        out = self.module.from_coords(coords @ self._index_inverse_star.T)
         return out[0] if t.ndim == 2 else out
 
     def dual_value_embedded(self, t) -> np.ndarray:
@@ -271,12 +295,18 @@ def _check_level(level: TowerLevel, tol: float):
     )
 
     basis = level.algebra.basis_stack
-    flats = level.embed(basis).reshape(len(basis), -1)
-    gram = sum(
-        np.conjugate(flats[:, cols]) @ flats[:, cols].T
-        for cols in mx.stack_slices(flats.shape[1], flats[:, 0].nbytes)
-    )
-    del flats  # not needed by the dual-rule stacks below
+    d = len(basis)
+    # the HS Gram matrix of the embedded basis, block by block over row
+    # chunks of at most 8 stack budgets each, so no d x d^2 array is held
+    chunks = mx.stack_slices(d, e.nbytes // 8)
+    gram = np.empty((d, d), dtype=np.complex128)
+    for a, rows in enumerate(chunks):
+        left = np.conjugate(level.embed(basis[rows]).reshape(-1, e.size))
+        for cols in chunks[a:]:
+            block = left @ level.embed(basis[cols]).reshape(-1, e.size).T
+            gram[rows, cols] = block
+            gram[cols, rows] = np.conjugate(block.T)
+        del left
     smallest = float(np.linalg.eigvalsh(gram)[0])
     residuals["representation_faithful"] = 0.0 if smallest > 1e-12 else 1.0
 
@@ -405,7 +435,10 @@ def intermediate_data(
 
     e_b = level.jones_projection
     lm = level.embed(restricted.quasi_stack)
-    e_c = np.tensordot(lm @ e_b, np.conjugate(lm), axes=([0, 2], [0, 2]))
+    e_c = sum(
+        np.tensordot(lm[rows] @ e_b, np.conjugate(lm[rows]), axes=([0, 2], [0, 2]))
+        for rows in mx.stack_slices(len(lm), 4 * e_b.nbytes)
+    )
 
     residuals = {
         "matches_expectation_matrix": mx.operator_norm(

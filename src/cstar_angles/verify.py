@@ -615,12 +615,16 @@ def _suite_m2(rng) -> list[CheckResult]:
 
     _record(checks, "m2_exact_closed_form_agreement", exact_form, 1e-8)
 
+    @functools.cache
+    def projection(i):
+        # e_D of the i-th unitary, shared by the next two checks
+        f_u = m2.fu_expectation(unitaries[i], inc)
+        return intermediate_projection(level, f_u.target, f_u)
+
     def ed_matches():
         worst = 0.0
-        for u in unitaries:
-            f_u = m2.fu_expectation(u, inc)
-            e_d = intermediate_projection(level, f_u.target, f_u)
-            worst = max(worst, mx.operator_norm(e_d - m2.closed_form_eD(u)))
+        for i, u in enumerate(unitaries):
+            worst = max(worst, mx.operator_norm(projection(i) - m2.closed_form_eD(u)))
         return worst
 
     _record(checks, "ed_closed_form_matches_projection", ed_matches, 1e-9)
@@ -628,10 +632,8 @@ def _suite_m2(rng) -> list[CheckResult]:
     def t_scalar():
         worst = 0.0
         e_delta = intermediate_projection(level, inc.delta, inc.F)
-        for u in unitaries[:25]:
-            f_u = m2.fu_expectation(u, inc)
-            e_d = intermediate_projection(level, f_u.target, f_u)
-            t = level.dual_value(e_delta @ e_d - level.jones_projection)
+        for i, u in enumerate(unitaries[:25]):
+            t = level.dual_value(e_delta @ projection(i) - level.jones_projection)
             tt = mx.adjoint(t) @ t
             lam = (abs(u.lam11) ** 2 - abs(u.lam12) ** 2) ** 2 / 16.0
             worst = max(worst, mx.operator_norm(tt - lam * np.eye(2)))

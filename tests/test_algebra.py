@@ -24,6 +24,7 @@ from cstar_angles.algebra import (
 )
 from cstar_angles.errors import (
     EmptyAlgebra,
+    InvalidMatrix,
     NoQuasiBasis,
     NotInAlgebra,
     NotIntermediate,
@@ -70,6 +71,14 @@ def test_conjugated_algebra_verifies(rng):
 def test_empty_spanning_set_rejected():
     with pytest.raises(EmptyAlgebra):
         MatrixStarAlgebra.from_spanning([])
+    # a ready stack is validated as a family is: shapes, then finite entries
+    with pytest.raises(ShapeMismatch):
+        MatrixStarAlgebra.from_orthonormal(np.zeros((2, 2, 3)))
+    bad = np.stack([E11, E22]).astype(np.complex128)
+    bad[1, 1, 1] = np.nan
+    for family in (bad, list(bad)):
+        with pytest.raises(InvalidMatrix):
+            MatrixStarAlgebra.from_orthonormal(family)
 
 
 def test_same_span_insensitive_to_basis(rng):
@@ -474,6 +483,11 @@ def test_basis_views_are_read_only_and_share_flat():
             with pytest.raises(ValueError):
                 b[0, 0] = 1.0
         assert np.shares_memory(alg.basis_stack, alg._flat)
+    # a writable stack is copied once; a read-only one is taken as it is
+    stack = np.stack([E11, E22]).astype(np.complex128)
+    assert not np.shares_memory(MatrixStarAlgebra.from_orthonormal(stack)._flat, stack)
+    stack.setflags(write=False)
+    assert np.shares_memory(MatrixStarAlgebra.from_orthonormal(stack)._flat, stack)
 
 
 def test_orthonormal_spanning_set_shares_the_basis(inclusion):
@@ -501,17 +515,38 @@ def test_hs_coordinates_and_map_matrix_match_old_formulas(inclusion, rng):
     f_u_rotated = ConditionalExpectation.from_rule(
         rotated, f_u.target, lambda x: m2.fu_map(u, x)
     )
+    # group algebras from GATHER_MIN_DIM elements on take coordinates by gather
+    S4 = FiniteGroup.symmetric(4)
+    s4 = group_algebra_inclusion(S4, generated_subgroup(S4, [S4.index_of((1, 0, 3, 2))]))
+    A4 = generated_subgroup(S4, [S4.index_of(p) for p in ((1, 0, 3, 2), (1, 2, 0, 3))])
+    big = FiniteGroup.direct_product([2, 2, 3, 4])
+    over_big = group_algebra_inclusion(big, trivial_subgroup(big))
+    K24 = generated_subgroup(big, [big.index_of(e) for e in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))])
+    F24 = over_big.expectation_onto(K24)
     cases = [
         (inclusion.A, (inclusion.E, inclusion.F, f_u)),
         (rotated, (f_u_rotated,)),
         (z.A, (z.E, F)),
+        (s4.A, (s4.E, s4.expectation_onto(A4))),
+        (F24.target, ()),
     ]
+    assert [alg._supports is not None for alg, _ in cases] == [False] * 3 + [True] * 2
     for alg, exps in cases:
         n = alg.ambient_dim
-        for _ in range(5):
-            x = mx.random_matrix(n, rng)
+        xs = np.stack([mx.random_matrix(n, rng) for _ in range(5)])  # off the span
+        for x in xs:
             old = np.conjugate(alg._flat) @ np.ravel(x)
             assert np.max(np.abs(alg.hs_coordinates(x) - old)) <= 1e-13
+        coords = alg.hs_coordinates(xs)
+        old = xs.reshape(len(xs), -1) @ np.conjugate(alg._flat).T
+        assert np.max(np.abs(coords - old)) <= 1e-13
+        old = (coords @ alg._flat).reshape(xs.shape)
+        assert np.max(np.abs(alg.combine(coords) - old)) <= 1e-13
+        # contains_all keeps the explicit reconstruction residual: the span
+        # passes, and one off-span element fails the whole stack
+        inside = alg.combine(coords)
+        assert alg.contains_all(inside)
+        assert alg.contains_all(np.concatenate([inside, xs[:1]])) == (alg.dim == n * n)
         for exp in exps:
             diff = exp.map_matrix - _reference_map_matrix(exp)
             assert np.max(np.abs(diff)) <= 1e-13

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstar_angles.algebra import verify_expectation, verify_quasi_basis, watatani_index
+from cstar_angles.algebra import (
+    ConditionalExpectation,
+    verify_expectation,
+    verify_quasi_basis,
+    watatani_index,
+)
 from cstar_angles.errors import (
     DegenerateIntermediate,
     InvalidGroup,
@@ -414,6 +419,44 @@ def test_inclusion_expectation_properties(rng):
     assert verify_quasi_basis(inc.E, inc.E.quasi_basis)
     assert verify_expectation(inc.E, rng=rng).passed
     np.testing.assert_allclose(watatani_index(inc.E), 3 * np.eye(6), atol=1e-12)
+
+
+def _per_element_masking(inc, S, F):
+    """F rebuilt on the former per-element callable: kill the coefficients off S."""
+    mask = S.mask()
+
+    def apply_fn(x):
+        return inc.module.from_coords(np.where(mask, inc.module.coords(x), 0.0))
+
+    return ConditionalExpectation(
+        inc.A, F.target, apply_fn, quasi_basis=F.quasi_basis, name="reference"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, h_gens, k_gens",
+    [
+        ("Z4xZ2", ["(2,0)"], ["(1,0)"]),
+        ("S4", ["(12)(34)"], ["(12)(34)", "(13)(24)", "(123)"]),
+    ],
+)
+def test_masking_matrix_matches_the_per_element_callable(spec, h_gens, k_gens, rng):
+    G = parse_group_spec(spec)
+    H = parse_subgroup(G, ",".join(h_gens))
+    K = parse_subgroup(G, ",".join(k_gens))
+    hs = list(H.elements)
+    reps = [G.mult(g, int(rng.choice(hs))) for g in left_coset_reps(G, H)]
+    inc = group_algebra_inclusion(G, H, reps=reps)
+    k_elems = list(K.elements)
+    k_reps = [G.mult(g, int(rng.choice(k_elems))) for g in left_coset_reps(G, K)]
+    for S, exp in ((H, inc.E), (K, inc.expectation_onto(K, reps=k_reps))):
+        reference = _per_element_masking(inc, S, exp)
+        for got, want in (
+            (exp.coordinate_matrix, reference.coordinate_matrix),
+            (exp.map_matrix, reference.map_matrix),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert verify_quasi_basis(exp, exp.quasi_basis)
 
 
 def test_inclusion_too_large():

@@ -363,6 +363,30 @@ def test_module_coords_accept_stacks(tower_level, rng):
         np.testing.assert_allclose(back, xs, atol=1e-12)
 
 
+def test_star_matrix_conjugates_coordinates(tower_level, c_plus_m2, rng):
+    # coords(x*) = J conj(coords(x)) on generic and regular modules
+    skewed = m2.skewed_scalar_expectation(0.3)  # non-tracial
+    S3, Z4xZ2 = FiniteGroup.symmetric(3), FiniteGroup.direct_product([4, 2])
+    levels = (
+        tower_level,
+        c_plus_m2.level,
+        build_tower_level(skewed.source, skewed.target, skewed, materialize=False),
+        group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(),
+        group_algebra_inclusion(
+            Z4xZ2, generated_subgroup(Z4xZ2, [Z4xZ2.index_of((2, 0))])
+        ).tower(),
+    )
+    for level in levels:
+        mod, star = level.module, level.star_matrix
+        xs = np.stack([level.algebra.random_element(rng) for _ in range(4)])
+        np.testing.assert_allclose(
+            mod.coords(mx.adjoint(xs)),
+            np.conjugate(mod.coords(xs)) @ star.T,
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 def test_generic_module_basis_is_orthonormal(rng):
     # a non-tracial state Tr(rho x) 1 on M_2 with complex rho
     skewed = m2.skewed_scalar_expectation(0.3)
