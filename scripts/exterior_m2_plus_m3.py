@@ -9,7 +9,10 @@ second tower level is spanned by 97 * 13 = 1261 matrices of size 97 x 97.
 
 Prints one JSON object: the cosines of both interior routes and of both
 exterior routes (level-two definition and closed expressions), their
-differences, the wall time and the peak resident set size.
+differences, the wall time and the peak resident set size.  Exits
+nonzero when the interior routes differ by more than
+``angles.ROUTE_AGREEMENT_TOL``; ``exterior_angle`` itself raises when the
+exterior routes differ by more than ``EXTERIOR_AGREEMENT_TOL``.
 
     PYTHONPATH=src python scripts/exterior_m2_plus_m3.py [--seed N]
 """
@@ -32,6 +35,7 @@ from cstar_angles.algebra import (
     restrict_expectation,
 )
 from cstar_angles.angles import (
+    ROUTE_AGREEMENT_TOL,
     exterior_angle,
     interior_angle_definition,
     interior_angle_formula,
@@ -103,6 +107,11 @@ def main(argv=None) -> dict:
         ),
     }
     print(json.dumps(report, indent=2))
+    if report["interior_route_gap"] > ROUTE_AGREEMENT_TOL:
+        raise SystemExit(
+            f"interior routes differ by {report['interior_route_gap']:.2e} "
+            f"> {ROUTE_AGREEMENT_TOL:.0e}"
+        )
     return report
 
 

@@ -53,7 +53,6 @@ from .tower import (
     build_tower_level,
     dual_expectation_value,
     intermediate_dual_expectation,
-    intermediate_projection,
     iterate_tower,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "build_tower_level",
     "dual_expectation_value",
     "intermediate_dual_expectation",
-    "intermediate_projection",
     "iterate_tower",
     "__version__",
 ]

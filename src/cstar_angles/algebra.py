@@ -83,9 +83,9 @@ def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 # O(d n^2) product.  Below it the dense product is faster, since the gather
 # costs a few more numpy calls.  Measured on a 2-core host, one coordinate
 # round trip (hs_coordinates, then combine) on the regular representation of
-# Z_d takes, dense against gather: 21 against 34 us at d = 16, 47 against
-# 38 us at d = 24; for a stack of 20 elements, 59 against 78 us at d = 16
-# and 145 against 121 us at d = 24.
+# Z_d takes, dense against gather: 15-20 against 18-28 us at d = 16, 24
+# against 18-24 us at d = 24; for a stack of 20 elements, 51-61 against
+# 42-57 us at d = 16 and 130 against 73-76 us at d = 24.
 GATHER_MIN_DIM = 20
 
 
@@ -148,10 +148,10 @@ class MatrixStarAlgebra:
         Set when the basis has at least ``GATHER_MIN_DIM`` elements and no two
         of them share a nonzero entry (exact zeros decide).  ``positions``
         lists the flat positions of the nonzero entries ordered by owning
-        basis element, ``starts`` and ``counts`` cut that list into one run
-        per element, ``values`` holds the entries, and ``place`` maps every
-        flat position to its index in the list (one past the end off every
-        support).
+        basis element, ``starts`` cuts that list into one run per element,
+        and ``conj_values`` holds the conjugated entries.  ``owner`` maps
+        every flat position to the basis element owning it and ``entries``
+        to its entry (owner 0 and entry 0 off every support).
         """
         d, n = self.dim, self.ambient_dim
         if d < GATHER_MIN_DIM:
@@ -160,14 +160,13 @@ class MatrixStarAlgebra:
         if support.sum(axis=0).max() > 1 or not support.any(axis=1).all():
             return None
         owners, positions = np.nonzero(support)
-        starts = np.searchsorted(owners, np.arange(d))
-        counts = np.diff(np.append(starts, len(positions)))
-        place = np.full(n * n, len(positions))
-        place[positions] = np.arange(len(positions))
-        values = self._flat[owners, positions]
+        owner = np.zeros(n * n, dtype=np.intp)
+        owner[positions] = owners
+        entries = np.zeros(n * n, dtype=np.complex128)
+        entries[positions] = self._flat[owners, positions]
         return SimpleNamespace(
-            positions=positions, starts=starts, counts=counts, place=place,
-            values=values, conj_values=np.conjugate(values),
+            positions=positions, starts=np.searchsorted(owners, np.arange(d)),
+            conj_values=np.conjugate(entries[positions]), owner=owner, entries=entries,
         )
 
     def hs_coordinates(self, x) -> np.ndarray:
@@ -220,21 +219,15 @@ class MatrixStarAlgebra:
 
     def combine(self, coords: np.ndarray) -> np.ndarray:
         """The element(s) with the given coordinates; rows give a stack."""
-        coords = np.asarray(coords)
+        coords = np.asarray(coords, dtype=np.complex128)
         n = self.ambient_dim
         sup = self._supports
         if sup is None:
             return (coords @ self._flat).reshape(coords.shape[:-1] + (n, n))
-        # one gather: each flat position reads its entry, or a trailing zero
-        rows = coords.reshape(-1, self.dim)
-        out = np.empty((len(rows), n * n), dtype=np.complex128)
-        nnz = len(sup.values)
-        for block in mx.stack_slices(len(rows), 16 * (2 * nnz + n * n)):
-            entries = np.zeros((len(rows[block]), nnz + 1), dtype=np.complex128)
-            np.multiply(
-                np.repeat(rows[block], sup.counts, axis=1), sup.values, out=entries[:, :nnz]
-            )
-            out[block] = np.take(entries, sup.place, axis=1)
+        # one gather into the output, scaled in place: no other array of its
+        # size is allocated
+        out = np.take(coords.reshape(-1, self.dim), sup.owner, axis=1)
+        out *= sup.entries
         return out.reshape(coords.shape[:-1] + (n, n))
 
     def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:

@@ -51,7 +51,6 @@ from .tower import (
     TowerLevel,
     intermediate_data,
     intermediate_dual_expectation,
-    intermediate_projection,
     iterate_tower,
 )
 
@@ -296,8 +295,8 @@ def exterior_angle(
     g_d = intermediate_dual_expectation(level, F_prime.target, F_prime, tol)
 
     level2 = iterate_tower(level, tol=tol)
-    e_c1 = intermediate_projection(level2, g_c.target, g_c, tol)
-    e_d1 = intermediate_projection(level2, g_d.target, g_d, tol)
+    e_c1 = intermediate_data(level2, g_c.target, g_c, tol)[0]
+    e_d1 = intermediate_data(level2, g_d.target, g_d, tol)[0]
     result = angle_from_projections(level2, e_c1, e_d1)
 
     num_x, den1_x, den2_x = _exterior_closed_expressions(

@@ -21,9 +21,11 @@ C[L] inside C[H] <= C[G] has the exact value
 computed here in rational arithmetic (the square of the cosine is an exact
 fraction) with conversion to floating point only for the arccos.  The
 numeric cross-check route materializes C[H] <= C[G] on the left regular
-representation, where the group algebra is its own tower module: the
-coordinates of an algebra element are its group coefficients, and left
-multiplication acts by the same matrix as the element itself.
+representation.  E preserves the trace, so the tower module of C[G] is
+the algebra's own basis {lambda_g / sqrt(|G|)}: module coordinates are the
+algebra's HS coordinates, the scaled group coefficients (read off the
+disjoint supports of the lambda_g), and left multiplication acts by the
+same matrix as the element itself.
 
 The CLI mini-language for groups and subgroup generators is parsed at the
 bottom of this module; grammar in README.md.
@@ -49,7 +51,7 @@ from .errors import (
     NotSubgroup,
     TooLarge,
 )
-from .tower import TowerLevel, build_tower_level
+from .tower import GenericModule, TowerLevel, build_tower_level
 
 __all__ = [
     "FiniteGroup",
@@ -515,52 +517,23 @@ def normalizer_angle_profile(
 # the numeric route: group algebras on the regular representation
 
 
-class RegularModule:
-    """Tower module of C[H] <= C[G]: the algebra is its own coordinatization.
+class RegularModule(GenericModule):
+    """Tower module of C[H] <= C[G]: the algebra is its own module.
 
-    With orthonormal basis {lambda_g / sqrt(|G|)} the coordinates of an
-    element are (scaled) group coefficients, extracted by gathering along
-    the Cayley table, and L_x is the ambient matrix of x itself.  The
-    supports of the lambda_g tile the n x n matrix: entry (a, b) belongs to
-    g = a b^-1, and lambda_g covers the flat positions (g b) n + b.
+    E preserves the trace, so the module basis is A's own basis
+    {lambda_g / sqrt(|G|)} and module coordinates are A's coordinates,
+    the scaled group coefficients.  What is special here is left
+    multiplication: L_x is the ambient matrix of x itself.
     """
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        n = self.dim = group.order
-        self._sqrt = math.sqrt(n)
-        cols = np.arange(n)
-        # row g lists the flat positions of lambda_g's support
-        self._support = (group.cayley * n + cols).ravel()
-        # flat position (a, b) -> the group element a b^-1 owning it
-        self._owner = group.cayley[:, group.inverse].ravel()
-
-    def coords(self, y) -> np.ndarray:
-        """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
-        y = np.asarray(y)
-        n = self.dim
-        picked = np.take(y.reshape(y.shape[:-2] + (n * n,)), self._support, axis=-1)
-        return picked.reshape(y.shape[:-2] + (n, n)).sum(axis=-1) / self._sqrt
-
-    def from_coords(self, v) -> np.ndarray:
-        """Inverse of :meth:`coords`; rows of coordinates give a stack."""
-        v = np.asarray(v, dtype=np.complex128)
-        n = self.dim
-        # permutation supports of distinct group elements are disjoint
-        x = np.take(v / self._sqrt, self._owner, axis=-1)
-        return x.reshape(v.shape[:-1] + (n, n))
 
     def left_mult(self, x) -> np.ndarray:
         """L_x is x itself: a complex128 input comes back as it is, not copied."""
         return np.asarray(x, dtype=np.complex128)
 
-    def operator_matrix(self, fn) -> np.ndarray:
-        """Matrix of a linear map on A; ``fn`` takes basis elements as stacks."""
-        eye = np.eye(self.dim)
-        rows = mx.stack_slices(self.dim, eye.nbytes * 2)
-        return np.concatenate(
-            [self.coords(fn(self.from_coords(eye[r]))) for r in rows]
-        ).T
+    # named on this class too: the benchmark traces methods by class attribute
+    coords = GenericModule.coords
+    from_coords = GenericModule.from_coords
+    operator_matrix = GenericModule.operator_matrix
 
 
 def _regular_stack(G: FiniteGroup, elements, value: float = 1.0) -> np.ndarray:
@@ -633,13 +606,12 @@ def group_algebra_inclusion(
         )
     if H.parent is not G:
         raise NotSubgroup("H must be a subgroup of G")
-    module = RegularModule(G)
     basis = _regular_stack(G, range(G.order), 1.0 / math.sqrt(G.order))
     basis.setflags(write=False)  # so the algebra takes it without a copy
     A = MatrixStarAlgebra.from_orthonormal(basis)
     reps = left_coset_reps(G, H) if reps is None else list(reps)
     E = _masking_expectation(A, H, reps, "E")
-    return GroupInclusion(G, H, A, E.target, E, module, reps)
+    return GroupInclusion(G, H, A, E.target, E, RegularModule(A, E), reps)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from . import matrices as mx
 from .algebra import ConditionalExpectation, MatrixStarAlgebra, restrict_expectation
 from .angles import AngleResult, interior_angle_definition, interior_angle_formula
 from .errors import ClosedFormMismatch, NotUnitary
-from .tower import TowerLevel, build_tower_level, intermediate_projection
+from .tower import TowerLevel, build_tower_level, intermediate_data
 
 __all__ = [
     "Unitary2",
@@ -317,7 +317,7 @@ def hadamard_gap_demo(u, tol: float = mx.DEFAULT_TOL) -> GapDemo:
     uu = _coerce(u)
     inc = canonical_inclusion()
     level = canonical_tower(inc, materialize=False)
-    e_delta = intermediate_projection(level, inc.delta, inc.F)
+    e_delta = intermediate_data(level, inc.delta, inc.F)[0]
     lu = embed(uu.matrix)
     conjugated = lu @ e_delta @ mx.adjoint(lu)
     direct = closed_form_eD(uu)

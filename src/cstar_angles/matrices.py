@@ -5,10 +5,7 @@ Everything downstream works with plain ``numpy`` arrays of dtype
 package relies on: adjoints, operator norms (largest singular value),
 positivity tests, Hilbert-Schmidt geometry, least-squares membership in a
 matrix span, batched norm screening over stacks of matrices, and
-orthonormalization of (possibly redundant) spanning sets under the
-inner product <a, b> = Tr((a M)* b) of a metric matrix M (the identity
-gives the Hilbert-Schmidt product; the tower module passes the matrix of
-its trace functional).
+Hilbert-Schmidt orthonormalization of (possibly redundant) spanning sets.
 
 All tolerances are absolute, scaled by ``1 + norm`` wherever a residual is
 compared, and every routine is pure.
@@ -119,16 +116,10 @@ def coordinates_in_span(
     return coeffs
 
 
-def orthonormalize(
-    mats,
-    metric: np.ndarray | None = None,
-    cutoff: float = RANK_CUTOFF,
-) -> np.ndarray:
-    """Orthonormal basis of span(mats) under <a, b> = Tr((a metric)* b).
+def orthonormalize(mats, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+    """HS-orthonormal basis of span(mats), under <a, b> = Tr(a* b).
 
-    ``mats`` is a family or a (k, n, m) stack; ``metric`` is an m x m matrix
-    that makes the form positive definite on the span, and None stands for
-    the Hilbert-Schmidt product Tr(a* b).  Classical Gram-Schmidt with one
+    ``mats`` is a family or a (k, n, m) stack.  Classical Gram-Schmidt with one
     re-orthogonalization pass, taking the inputs in order: each pass
     projects a candidate against the whole basis so far with one
     matrix-vector product.  Candidates whose residual norm falls below
@@ -141,24 +132,16 @@ def orthonormalize(
     shape = stack.shape[1:]
     flat = stack.reshape(len(stack), -1)
     basis = np.empty_like(flat)
-    # rows vec(q metric) of the basis so far: <q, v> = conj(vec(q metric)) . vec(v)
-    weighted = basis if metric is None else np.empty_like(flat)
-
-    def weigh(v):
-        return v if metric is None else (v.reshape(shape) @ metric).ravel()
-
     rank = 0
     for row in flat:
         v = row.copy()
-        scale = np.sqrt(abs(np.vdot(weigh(v), v)))
+        scale = np.sqrt(abs(np.vdot(v, v)))
         for _ in range(2):  # second pass for numerical stability
-            coeffs = np.conjugate(weighted[:rank] @ np.conjugate(v))
+            coeffs = np.conjugate(basis[:rank] @ np.conjugate(v))
             v -= coeffs @ basis[:rank]
-        nrm = np.sqrt(abs(np.vdot(weigh(v), v)))
+        nrm = np.sqrt(abs(np.vdot(v, v)))
         if nrm > cutoff * (1.0 + scale):
             basis[rank] = v / nrm
-            if metric is not None:
-                weighted[rank] = weigh(basis[rank])
             rank += 1
     return basis[:rank].reshape((rank,) + shape)
 

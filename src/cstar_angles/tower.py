@@ -7,9 +7,12 @@ scalar inner product
 
     <x, y> = Tr(E(x* y)),
 
-which is positive definite because E is faithful.  Against an orthonormal
-basis of A every element x acts by left multiplication as a d x d matrix
-L_x (d = dim A), the map a -> E(a) becomes the Jones projection e_B, and
+which is positive definite because E is faithful.  The module works in A's
+own HS coordinates, changed by one lower-triangular matrix into an
+orthonormal basis for this product (:class:`GenericModule`; the identity
+when Tr o E = Tr).  Against that basis every element x acts by left
+multiplication as a d x d matrix L_x (d = dim A), the map a -> E(a)
+becomes the Jones projection e_B, and
 
     A_1 = span{ L_x e_B L_y : x, y in A }
 
@@ -85,7 +88,6 @@ __all__ = [
     "GenericModule",
     "TowerLevel",
     "build_tower_level",
-    "intermediate_projection",
     "dual_expectation_value",
     "iterate_tower",
     "intermediate_dual_expectation",
@@ -108,54 +110,88 @@ def _check_budget(count: int, n: int, what: str):
 
 
 class GenericModule:
-    """Orthonormal coordinatization of an algebra A as the module carrying E.
+    """The module of (A, E) in A's own coordinates, up to a triangular change of basis.
 
-    Works for any (A, E) pair; the group-algebra front end substitutes a
-    cheaper coordinatization with identical semantics (see
-    ``groups.RegularModule``).
+    Let {b_j} be A's HS-orthonormal basis, with coordinates
+    ``A.hs_coordinates`` and ``A.combine``.  Under the module inner product
+    its Gram matrix is G[j, l] = Tr(E(b_j* b_l)) = L L* (Cholesky, L lower
+    triangular with positive diagonal), and the module basis
+    m_k = sum_j conj(L^-1)[k, j] b_j is the Gram-Schmidt orthonormalization
+    of {b_j} in order.  An element with HS coordinates h has module
+    coordinates h conj(L), and a map acting on HS coordinate rows as h -> h X
+    has the module matrix (conj(L^-1) X conj(L))^T; left multiplications
+    and expectations take their module matrices that way.  When Tr o E = Tr
+    on A, G and L are the identity up to rounding.
     """
 
     def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
+        self.algebra = algebra
+        self.dim = algebra.dim
+        traces = np.trace(algebra.basis_stack, axis1=1, axis2=2)
+        tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
+        # Tr(E(y)) = sum_ab y[a, b] w[a, b] on A, so G[j, l] = <b_j, b_l w^T>_HS
         n = algebra.ambient_dim
-        # On A, y -> Tr(E(y)) is the functional sum_m Tr(beta_m) phi_m of the
-        # coordinate matrix of E; as a matrix w, Tr(E(y)) = sum_ab y[a, b] w[a, b].
-        traces = np.trace(expectation.target.basis_stack, axis1=1, axis2=2)
-        w = np.conjugate(expectation.source._flat).T @ (
-            expectation.coordinate_matrix @ traces
-        )
-        # Tr(E(a* b)) = sum (a* b) * w = Tr((a conj(w))* b): the metric conj(w)
-        metric = np.conjugate(w.reshape(n, n))
-        self._basis = mx.orthonormalize(algebra.basis_stack, metric=metric)  # (d, n, n)
-        if len(self._basis) != algebra.dim:
+        w = (tau @ np.conjugate(algebra._flat)).reshape(n, n)
+        gram = algebra.hs_coordinates(algebra.basis_stack @ w.T).T
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:  # not positive definite
+            chol = None
+        # the drop rule of Gram-Schmidt: a pivot below cutoff (1 + ||b_j||_E)
+        floor = mx.RANK_CUTOFF * (1.0 + np.sqrt(np.abs(np.diagonal(gram))))
+        if chol is None or not np.all(np.diagonal(chol).real > floor):
             raise ConstructionFailure(
                 "module inner product is degenerate (expectation not faithful?)"
             )
-        self.dim = len(self._basis)
+        self._to_module = np.conjugate(chol)
+        self._from_module = np.linalg.inv(self._to_module)
 
-        # The functional y -> Tr(E(m_k* y)) equals <D_k, y>_HS with
-        # D_k = m_k conj(w); precomputing D_k turns every coordinate
-        # extraction into one contraction.
-        self._duals = self._basis @ metric
+    def _hs_matrix(self, F: ConditionalExpectation) -> np.ndarray:
+        """F on A's HS coordinates: row j holds the HS coordinates of F(b_j)."""
+        A = self.algebra
+        onto = F.coordinate_matrix @ A.hs_coordinates(F.target.basis_stack)
+        return onto if F.source is A else F.source.hs_coordinates(A.basis_stack) @ onto
+
+    def _module_matrix(self, on_hs: np.ndarray) -> np.ndarray:
+        """Module matrix of the map h -> h X on HS coordinate rows (or a stack of them)."""
+        return np.swapaxes(self._from_module @ on_hs @ self._to_module, -1, -2)
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
-        return np.einsum("kab,...ab->...k", np.conjugate(self._duals), np.asarray(y))
+        return self.algebra.hs_coordinates(y) @ self._to_module
 
     def from_coords(self, v) -> np.ndarray:
         """Inverse of :meth:`coords`; rows of coordinates give a stack."""
-        return np.tensordot(np.asarray(v), self._basis, axes=([-1], [0]))
+        return self.algebra.combine(np.asarray(v) @ self._from_module)
 
     def left_mult(self, x) -> np.ndarray:
-        moved = np.einsum("...ab,kbc->...kac", np.asarray(x), self._basis)
-        return np.einsum("kab,...lab->...kl", np.conjugate(self._duals), moved)
+        """L_x, or the stack of them: the HS coordinates of x b_j, changed to the module basis."""
+        x = np.asarray(x, dtype=np.complex128)
+        stack = x.reshape((-1,) + x.shape[-2:])
+        basis, d = self.algebra.basis_stack, self.dim
+        on_hs = np.empty((len(stack), d, d), dtype=np.complex128)
+        for rows in mx.stack_slices(d, stack.nbytes):
+            moved = stack[:, None] @ basis[None, rows]
+            on_hs[:, rows] = self.algebra.hs_coordinates(
+                moved.reshape((-1,) + x.shape[-2:])
+            ).reshape(len(stack), -1, d)
+        return self._module_matrix(on_hs).reshape(x.shape[:-2] + (d, d))
+
+    def expectation_matrix(self, F: ConditionalExpectation) -> np.ndarray:
+        """Module matrix of an expectation F defined on A, from its coordinate matrix."""
+        return self._module_matrix(self._hs_matrix(F))
 
     def operator_matrix(self, fn) -> np.ndarray:
-        """Matrix of a linear map on A (columns are images in coordinates).
+        """Matrix of a map on A (columns are images in coordinates).
 
-        ``fn`` takes module basis elements as (k, n, n) stacks.
+        ``fn`` takes module basis elements as (k, n, n) stacks; it may be
+        conjugate-linear, as the adjoint is for the star matrix.
         """
-        rows = mx.stack_slices(self.dim, self._basis[0].nbytes)
-        return np.concatenate([self.coords(fn(self._basis[r])) for r in rows]).T
+        eye = np.eye(self.dim)
+        rows = mx.stack_slices(self.dim, 16 * self.algebra.ambient_dim**2)
+        return np.concatenate(
+            [self.coords(fn(self.from_coords(eye[r]))) for r in rows]
+        ).T
 
 
 @dataclass
@@ -175,7 +211,7 @@ class TowerLevel:
     algebra: MatrixStarAlgebra
     subalgebra: MatrixStarAlgebra
     expectation: ConditionalExpectation
-    module: object
+    module: GenericModule
     jones_projection: np.ndarray
     index_matrix: np.ndarray
     index_inverse: np.ndarray
@@ -277,7 +313,7 @@ class TowerLevel:
 
 
 def _check_level(level: TowerLevel, tol: float):
-    e, mod = level.jones_projection, level.module
+    e = level.jones_projection
     residuals = {}
     residuals["jones_idempotent"] = mx.operator_norm(e @ e - e)
     residuals["jones_selfadjoint"] = mx.operator_norm(e - mx.adjoint(e))
@@ -355,7 +391,7 @@ def build_tower_level(
             raise NotIntermediate("B is not contained in A")
 
     mod = module if module is not None else GenericModule(A, E)
-    e_b = mod.operator_matrix(E.on_source)
+    e_b = mod.expectation_matrix(E)
 
     ind = E.index_element(tol)
     level = TowerLevel(
@@ -406,16 +442,6 @@ def build_tower_level(
     return level
 
 
-def intermediate_projection(
-    level: TowerLevel,
-    C: MatrixStarAlgebra,
-    F: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
-) -> np.ndarray:
-    e_c, _ = intermediate_data(level, C, F, tol)
-    return e_c
-
-
 def intermediate_data(
     level: TowerLevel,
     C: MatrixStarAlgebra,
@@ -442,7 +468,7 @@ def intermediate_data(
 
     residuals = {
         "matches_expectation_matrix": mx.operator_norm(
-            e_c - level.module.operator_matrix(F.on_source)
+            e_c - level.module.expectation_matrix(F)
         ),
         "idempotent": mx.operator_norm(e_c @ e_c - e_c),
         "selfadjoint": mx.operator_norm(e_c - mx.adjoint(e_c)),

@@ -59,7 +59,6 @@ from .tower import (
     dual_expectation_value,
     intermediate_data,
     intermediate_dual_expectation,
-    intermediate_projection,
     iterate_tower,
 )
 
@@ -619,7 +618,7 @@ def _suite_m2(rng) -> list[CheckResult]:
     def projection(i):
         # e_D of the i-th unitary, shared by the next two checks
         f_u = m2.fu_expectation(unitaries[i], inc)
-        return intermediate_projection(level, f_u.target, f_u)
+        return intermediate_data(level, f_u.target, f_u)[0]
 
     def ed_matches():
         worst = 0.0
@@ -631,7 +630,7 @@ def _suite_m2(rng) -> list[CheckResult]:
 
     def t_scalar():
         worst = 0.0
-        e_delta = intermediate_projection(level, inc.delta, inc.F)
+        e_delta = intermediate_data(level, inc.delta, inc.F)[0]
         for i, u in enumerate(unitaries[:25]):
             t = level.dual_value(e_delta @ projection(i) - level.jones_projection)
             tt = mx.adjoint(t) @ t

@@ -31,6 +31,31 @@ def rng():
 
 
 @pytest.fixture(scope="session")
+def reference_orthonormalize():
+    """Per-pair Gram-Schmidt under any inner product, kept as the oracle.
+
+    Two passes, inputs in order, a candidate dropped below
+    ``cutoff (1 + its norm)``: the rule of ``mx.orthonormalize`` and of the
+    tower module's triangular change of basis.
+    """
+
+    def orthonormalize(mats, inner, cutoff=mx.RANK_CUTOFF):
+        basis = []
+        for m in mats:
+            v = np.array(m, dtype=np.complex128)
+            scale = np.sqrt(abs(inner(v, v)))
+            for _ in range(2):
+                for b in basis:
+                    v = v - inner(b, v) * b
+            nrm = np.sqrt(abs(inner(v, v)))
+            if nrm > cutoff * (1.0 + scale):
+                basis.append(v / nrm)
+        return basis
+
+    return orthonormalize
+
+
+@pytest.fixture(scope="session")
 def d2_family():
     """The former spanning family {L_x e_B L_y} of a level's A_1, as one stack."""
 

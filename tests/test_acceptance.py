@@ -37,7 +37,6 @@ from cstar_angles.groups import (
 from cstar_angles.tower import (
     intermediate_data,
     intermediate_dual_expectation,
-    intermediate_projection,
 )
 from cstar_angles.verify import lattice_route_sweep
 
@@ -147,7 +146,7 @@ def test_criterion_02_index_constants_and_projections(inclusion, tower_level):
         [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
     )
     ok &= np.allclose(tower_level.jones_projection, e1, atol=1e-10)
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
     ok &= np.allclose(e_delta, np.diag([1.0, 0, 0, 1.0]), atol=1e-10)
     elapsed = time.monotonic() - started
     passed = bool(ok) and elapsed < 1.0

@@ -459,6 +459,45 @@ def test_masking_matrix_matches_the_per_element_callable(spec, h_gens, k_gens, r
         assert verify_quasi_basis(exp, exp.quasi_basis)
 
 
+def _cayley_gather(G):
+    """The former coordinates of the regular module, gathered along the Cayley table.
+
+    Entry (a, b) of the n x n matrix belongs to g = a b^-1, and lambda_g
+    covers the flat positions (g b) n + b; coordinates are the group
+    coefficients over sqrt(|G|).
+    """
+    n, scale = G.order, math.sqrt(G.order)
+    support = (G.cayley * n + np.arange(n)).ravel()  # row g: lambda_g's support
+    owner = G.cayley[:, G.inverse].ravel()  # flat position -> a b^-1
+
+    def coords(y):
+        picked = np.take(y.reshape(y.shape[:-2] + (n * n,)), support, axis=-1)
+        return picked.reshape(y.shape[:-2] + (n, n)).sum(axis=-1) / scale
+
+    def from_coords(v):
+        return np.take(v / scale, owner, axis=-1).reshape(v.shape[:-1] + (n, n))
+
+    return coords, from_coords
+
+
+@pytest.mark.parametrize("spec", ["S4", "Z3xZ3xZ3xZ3"])
+def test_regular_coordinates_match_the_cayley_gather(spec, rng):
+    G = parse_group_spec(spec)
+    inc = group_algebra_inclusion(G, trivial_subgroup(G))
+    coords, from_coords = _cayley_gather(G)
+    n = G.order
+    v = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    elements = from_coords(v)
+    ambient = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    for ys in (elements, ambient):  # off A both give the HS projection's coordinates
+        np.testing.assert_allclose(inc.module.coords(ys), coords(ys), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(inc.module.coords(ys[0]), coords(ys[0]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(inc.module.from_coords(v), elements, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(inc.module.from_coords(v[0]), elements[0], rtol=0, atol=1e-14)
+    x = elements[0]
+    assert np.shares_memory(inc.module.left_mult(x), x)  # L_x is x, not a copy
+
+
 def test_inclusion_too_large():
     with pytest.raises(TooLarge):
         G = FiniteGroup.direct_product([17, 17])

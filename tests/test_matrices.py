@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cstar_angles import m2
 from cstar_angles import matrices as mx
 from cstar_angles.errors import InvalidMatrix, NotInSpan, ShapeMismatch
-from cstar_angles.tower import intermediate_projection, iterate_tower
+from cstar_angles.tower import intermediate_data, iterate_tower
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -31,8 +31,8 @@ def test_operator_norm_vanishes_for_balanced_unitary(inclusion, tower_level):
     # to zero when |l11| = |l12| = 1/sqrt(2)
     u = m2.Unitary2(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
     f_u = m2.fu_expectation(u, inclusion)
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
-    e_d = intermediate_projection(tower_level, f_u.target, f_u)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
     t = tower_level.dual_value(e_delta @ e_d - tower_level.jones_projection)
     assert mx.operator_norm(t) == pytest.approx(0.0, abs=1e-12)
 
@@ -131,59 +131,29 @@ def test_orthonormalize_drops_dependents():
     assert len(out) == 2
 
 
-def _reference_orthonormalize(mats, inner, cutoff=mx.RANK_CUTOFF):
-    """The former per-pair modified Gram-Schmidt, kept as the oracle."""
-    basis = []
-    for m in mats:
-        v = np.array(m, dtype=np.complex128)
-        scale = np.sqrt(abs(inner(v, v)))
-        for _ in range(2):
-            for b in basis:
-                v = v - inner(b, v) * b
-        nrm = np.sqrt(abs(inner(v, v)))
-        if nrm > cutoff * (1.0 + scale):
-            basis.append(v / nrm)
-    return basis
-
-
 def _orthonormalize_cases(tower_level, d2_family, rng):
-    """(family, metric, reference inner product, rank) for the oracle test."""
-
-    def with_metric(m):
-        return lambda a, b: np.vdot(a @ m, b)
-
-    level2 = iterate_tower(tower_level)
-    hs = with_metric(np.eye(4))
-    yield d2_family(tower_level), None, hs, 16
+    """(redundant family, rank) for the oracle test."""
+    yield d2_family(tower_level), 16
     u = mx.random_unitary(16, rng)  # complex entries, same rank
-    yield u @ d2_family(level2) @ mx.adjoint(u), None, with_metric(np.eye(16)), 64
-    # the module metric of A_1 under E_1 against Tr(E_1(a* b)) itself
-    E1 = level2.expectation
-    w = sum(np.conjugate(b) * np.trace(E1(b)) for b in E1.source.basis)
-    yield E1.source.basis_stack, np.conjugate(w), (
-        lambda a, b: np.trace(E1(mx.adjoint(a) @ b))
-    ), 16
-    # a redundant complex family under a complex positive definite metric
+    yield u @ d2_family(iterate_tower(tower_level)) @ mx.adjoint(u), 64
+    # a redundant complex family of 3 x 3 matrices
     mats = np.stack([mx.random_matrix(3, rng) for _ in range(6)])
-    mats = np.concatenate([mats, np.tensordot(rng.standard_normal((3, 6)), mats, axes=1)])
-    g = mx.random_matrix(3, rng)
-    metric = mx.adjoint(g) @ g + np.eye(3)
-    yield mats, metric, with_metric(metric), 6
+    yield np.concatenate([mats, np.tensordot(rng.standard_normal((3, 6)), mats, axes=1)]), 6
 
 
-def test_orthonormalize_matches_per_pair_reference(tower_level, d2_family, rng):
-    cases = _orthonormalize_cases(tower_level, d2_family, rng)
-    for mats, metric, inner, rank in cases:
-        m = np.eye(mats.shape[-1]) if metric is None else metric
-        ref = np.stack(_reference_orthonormalize(mats, inner))
-        new = mx.orthonormalize(mats, metric=metric)
+def test_orthonormalize_matches_per_pair_reference(
+    tower_level, d2_family, reference_orthonormalize, rng
+):
+    for mats, rank in _orthonormalize_cases(tower_level, d2_family, rng):
+        ref = np.stack(reference_orthonormalize(mats, np.vdot))
+        new = mx.orthonormalize(mats)
         assert len(new) == len(ref) == rank
-        # <q, v> = conj(vec(q m)) . vec(v); orthonormal rows give the projector
+        # orthonormal rows give the projector onto the span
         q_new, q_ref = new.reshape(rank, -1), ref.reshape(rank, -1)
-        w_new = np.conjugate((new @ m).reshape(rank, -1))
-        w_ref = np.conjugate((ref @ m).reshape(rank, -1))
-        np.testing.assert_allclose(w_new @ q_new.T, np.eye(rank), atol=1e-12)
-        np.testing.assert_allclose(q_new.T @ w_new, q_ref.T @ w_ref, atol=1e-12)
+        np.testing.assert_allclose(np.conjugate(q_new) @ q_new.T, np.eye(rank), atol=1e-12)
+        np.testing.assert_allclose(
+            q_new.T @ np.conjugate(q_new), q_ref.T @ np.conjugate(q_ref), atol=1e-12
+        )
 
 
 def test_orthonormalize_nearly_dependent_family(rng):

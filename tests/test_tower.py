@@ -33,8 +33,8 @@ from cstar_angles.tower import (
     TowerLevel,
     build_tower_level,
     dual_expectation_value,
+    intermediate_data,
     intermediate_dual_expectation,
-    intermediate_projection,
     iterate_tower,
 )
 
@@ -119,12 +119,12 @@ def test_build_rejects_non_subalgebra(inclusion):
 
 
 def test_diagonal_intermediate_projection(tower_level, inclusion):
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
     np.testing.assert_allclose(e_delta, E_DELTA_MATRIX, atol=1e-12)
 
 
 def test_intermediate_for_corner_is_jones(tower_level, inclusion):
-    e_b = intermediate_projection(tower_level, inclusion.B, inclusion.E)
+    e_b = intermediate_data(tower_level, inclusion.B, inclusion.E)[0]
     np.testing.assert_allclose(e_b, tower_level.jones_projection, atol=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_conjugated_intermediate_matches_entry_list(tower_level, inclusion, rng)
     for _ in range(10):
         u = m2.Unitary2(mx.random_unitary(2, rng))
         f_u = m2.fu_expectation(u, inclusion)
-        e_d = intermediate_projection(tower_level, f_u.target, f_u)
+        e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
         np.testing.assert_allclose(e_d, m2.closed_form_eD(u), atol=1e-10)
 
 
@@ -141,8 +141,8 @@ def test_projection_laws(tower_level, inclusion, rng):
     u = m2.Unitary2(mx.random_unitary(2, rng))
     f_u = m2.fu_expectation(u, inclusion)
     for e in (
-        intermediate_projection(tower_level, inclusion.delta, inclusion.F),
-        intermediate_projection(tower_level, f_u.target, f_u),
+        intermediate_data(tower_level, inclusion.delta, inclusion.F)[0],
+        intermediate_data(tower_level, f_u.target, f_u)[0],
     ):
         assert mx.operator_norm(e @ e - e) <= 1e-9
         assert mx.operator_norm(e - mx.adjoint(e)) <= 1e-9
@@ -156,7 +156,7 @@ def test_incompatible_pair_rejected(tower_level):
     f_u = m2.fu_expectation(u)
     level = build_tower_level(skew.source, skew.target, skew)
     with pytest.raises(NotCompatible):
-        intermediate_projection(level, f_u.target, f_u)
+        intermediate_data(level, f_u.target, f_u)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_incompatible_pair_rejected(tower_level):
 
 
 def test_dual_values_on_projections(tower_level, inclusion):
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
     np.testing.assert_allclose(
         dual_expectation_value(tower_level, tower_level.jones_projection),
         np.eye(2) / 4.0,
@@ -197,7 +197,8 @@ def test_dual_value_group_intermediate():
     inc = group_algebra_inclusion(G, trivial_subgroup(G))
     level = inc.tower(materialize=True)
     K = generated_subgroup(G, [G.index_of((2,))])
-    e_k = intermediate_projection(level, *(lambda F: (F.target, F))(inc.expectation_onto(K)))
+    F = inc.expectation_onto(K)
+    e_k = intermediate_data(level, F.target, F)[0]
     np.testing.assert_allclose(
         dual_expectation_value(level, e_k), np.eye(4) / 2.0, atol=1e-10
     )
@@ -269,7 +270,7 @@ def test_iterated_tower_group():
 def test_interior_dual_expectation_scaling(tower_level, inclusion):
     g = intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
     e_b = tower_level.jones_projection
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
     for x in inclusion.A.basis:
         for y in inclusion.A.basis:
             t = tower_level.embed(x) @ e_b @ tower_level.embed(y)
@@ -285,7 +286,7 @@ def test_interior_dual_expectation_corner_is_identity(tower_level, inclusion):
 
 def test_restricted_dual_equals_dual_of_restriction(tower_level, inclusion):
     # E_1(x e_C y) = Ind(F)^{-1} x y on spanning elements
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
     ind_f_inv = np.linalg.inv(watatani_index(inclusion.F))
     for x in inclusion.A.basis:
         for y in inclusion.A.basis:
@@ -310,8 +311,8 @@ def test_g_idempotent_compatible_group_case():
 def test_noncommutation_witness(tower_level, inclusion):
     u = m2.rotation(0.5)  # generic: not diagonal, not antidiagonal, not balanced
     f_u = m2.fu_expectation(u, inclusion)
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
-    e_d = intermediate_projection(tower_level, f_u.target, f_u)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
     prod = e_delta @ e_d
     assert mx.operator_norm(prod - e_d @ e_delta) > 1e-6
 
@@ -334,8 +335,8 @@ def test_noncommutation_witness(tower_level, inclusion):
 def test_commuting_for_diagonal_conjugation(tower_level, inclusion):
     u = m2.Unitary2(np.diag([np.exp(0.3j), np.exp(-0.9j)]))
     f_u = m2.fu_expectation(u, inclusion)
-    e_delta = intermediate_projection(tower_level, inclusion.delta, inclusion.F)
-    e_d = intermediate_projection(tower_level, f_u.target, f_u)
+    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
     np.testing.assert_allclose(e_delta, e_d, atol=1e-10)
 
 
@@ -387,16 +388,82 @@ def test_star_matrix_conjugates_coordinates(tower_level, c_plus_m2, rng):
         )
 
 
-def test_generic_module_basis_is_orthonormal(rng):
-    # a non-tracial state Tr(rho x) 1 on M_2 with complex rho
+def _state_on_m3(rng):
+    """The non-tracial state E(x) = Tr(rho x) 1 on M_3, rho a random full-rank density."""
+    units = np.eye(9, dtype=np.complex128).reshape(9, 3, 3)
+    A = MatrixStarAlgebra.from_orthonormal(units)
+    scalars = MatrixStarAlgebra.from_orthonormal([np.eye(3) / math.sqrt(3.0)])
+    g = mx.random_matrix(3, rng)
+    rho = mx.adjoint(g) @ g + 0.1 * np.eye(3)
+    rho /= np.trace(rho)
+    return ConditionalExpectation.from_rule(A, scalars, lambda x: np.trace(rho @ x) * np.eye(3))
+
+
+def test_generic_module_basis_is_orthonormal(tower_level, reference_orthonormalize, rng):
+    # the module basis is Gram-Schmidt of A's basis under Tr(E(a* b)): same
+    # vectors, same order, on tracial and non-tracial expectations alike
     skewed = m2.skewed_scalar_expectation(0.3)
-    E = conjugate_expectation(skewed, mx.random_unitary(2, rng))
-    module = GenericModule(E.source, E)
-    basis = module.from_coords(np.eye(module.dim))
-    gram = np.array(
-        [[np.trace(E(mx.adjoint(a) @ b)) for b in basis] for a in basis]
+    level2 = iterate_tower(tower_level)
+    cases = (
+        (skewed, None),
+        (conjugate_expectation(skewed, mx.random_unitary(2, rng)), None),  # complex rho
+        (level2.expectation, level2.module),  # E_1 on A_1, tracial
+        (_state_on_m3(rng), None),  # d = 9
     )
-    np.testing.assert_allclose(gram, np.eye(module.dim), atol=1e-12)
+    for E, module in cases:
+        module = module or GenericModule(E.source, E)
+        basis = module.from_coords(np.eye(module.dim))
+        ref = reference_orthonormalize(
+            E.source.basis, lambda a, b: np.trace(E(mx.adjoint(a) @ b))
+        )
+        assert module.dim == len(ref) == E.source.dim
+        np.testing.assert_allclose(basis, np.stack(ref), rtol=0, atol=1e-12)
+        gram = np.array([[np.trace(E(mx.adjoint(a) @ b)) for b in basis] for a in basis])
+        np.testing.assert_allclose(gram, np.eye(module.dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-25])
+def test_non_faithful_expectation_gives_a_degenerate_module(inclusion, eps):
+    # E(x) = x_11 1 (eps = 0) kills e_22; eps = 1e-25 leaves a pivot below the cutoff
+    E = ConditionalExpectation.from_rule(
+        inclusion.A, inclusion.B, lambda x: ((1 - eps) * x[0, 0] + eps * x[1, 1]) * np.eye(2)
+    )
+    with pytest.raises(ConstructionFailure, match="degenerate"):
+        GenericModule(inclusion.A, E)
+
+
+def test_expectation_matrix_matches_operator_matrix(tower_level, c_plus_m2, inclusion, rng):
+    # the module matrix of F from its coordinate matrix against F on the module basis
+    skewed = m2.skewed_scalar_expectation(0.3)
+    level2 = iterate_tower(tower_level)
+    S3, Z4xZ2 = FiniteGroup.symmetric(3), FiniteGroup.direct_product([4, 2])
+    z_inc = group_algebra_inclusion(Z4xZ2, trivial_subgroup(Z4xZ2))
+    K = generated_subgroup(Z4xZ2, [Z4xZ2.index_of((2, 0))])
+    # F on another algebra object with the same span as A: the change of basis Q
+    mixed = np.tensordot(mx.random_matrix(4, rng), inclusion.A.basis_stack, axes=1)
+    F_other = ConditionalExpectation.from_rule(
+        MatrixStarAlgebra.from_spanning(mixed), inclusion.delta, inclusion.F
+    )
+    assert F_other.source is not tower_level.algebra
+    cases = (
+        (tower_level, inclusion.E),
+        (tower_level, inclusion.F),
+        (tower_level, F_other),
+        (c_plus_m2.level, c_plus_m2.E),
+        (c_plus_m2.level, c_plus_m2.F_prime),
+        (build_tower_level(skewed.source, skewed.target, skewed, materialize=False), skewed),
+        (level2, level2.expectation),
+        (group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(), None),
+        (z_inc.tower(), z_inc.expectation_onto(K)),
+    )
+    for level, F in cases:
+        F = F or level.expectation
+        np.testing.assert_allclose(
+            level.module.expectation_matrix(F),
+            level.module.operator_matrix(F.on_source),
+            rtol=0,
+            atol=1e-13,
+        )
 
 
 def test_operator_matrix_matches_per_element_columns(tower_level, rng):
