@@ -1,4 +1,4 @@
-"""Exterior angle on M2+M3 >= C+C, a non-scalar index at level two.
+"""Exterior angles beyond the 2x2 model: M2+M3 >= C+C, and M2(x)M2 >= C(x)M2.
 
 A = M2 + M3 block-diagonal in M5, B = C + C (the two block units), E the
 blockwise normalized trace with quasi-basis {sqrt2 e_ij} + {sqrt3 e_ij}, so
@@ -7,12 +7,23 @@ is the diagonal conjugated by a seeded block-diagonal unitary u2 + u3.
 The module of A has dimension 13 and A_1 = M4 + M9 dimension 97, so the
 second tower level is spanned by 97 * 13 = 1261 matrices of size 97 x 97.
 
+The second case tensors the 2x2 model with M2, a finite-dimensional
+shadow of the tensor stability of angles: A = M2(x)M2 over B = C(x)M2
+with E = tr (x) id, C = Delta(x)M2 and D = u Delta u*(x)M2 for three
+seeded unitaries u.  Its interior angle must be ``m2.exact_angle(u)``,
+and both of its exterior routes must give the 2x2 model's exterior angle
+for u.
+
 Prints one JSON object: the cosines of both interior routes and of both
-exterior routes (level-two definition and closed expressions), their
-differences, the wall time and the peak resident set size.  Exits
-nonzero when the interior routes differ by more than
-``angles.ROUTE_AGREEMENT_TOL``; ``exterior_angle`` itself raises when the
-exterior routes differ by more than ``EXTERIOR_AGREEMENT_TOL``.
+exterior routes (level-two definition and closed expressions) on M2+M3,
+their differences, its wall time and the peak resident set size before
+the tensor case runs, and the worst deviations of the tensor case from the
+2x2 model, with its wall time.  Exits nonzero when the M2+M3 interior
+routes differ by more than ``angles.ROUTE_AGREEMENT_TOL``, when a tensor
+interior cosine is off ``cos(m2.exact_angle(u))`` by more than that, or
+when a tensor exterior cosine of either route is off the 2x2 model's by
+more than ``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle`` itself raises
+when its two routes differ by more than ``EXTERIOR_AGREEMENT_TOL``.
 
     PYTHONPATH=src python scripts/exterior_m2_plus_m3.py [--seed N]
 """
@@ -27,6 +38,7 @@ import time
 
 import numpy as np
 
+from cstar_angles import m2
 from cstar_angles import matrices as mx
 from cstar_angles.algebra import (
     ConditionalExpectation,
@@ -35,6 +47,7 @@ from cstar_angles.algebra import (
     restrict_expectation,
 )
 from cstar_angles.angles import (
+    EXTERIOR_AGREEMENT_TOL,
     ROUTE_AGREEMENT_TOL,
     exterior_angle,
     interior_angle_definition,
@@ -43,6 +56,7 @@ from cstar_angles.angles import (
 from cstar_angles.tower import build_tower_level
 
 BLOCKS = ((0, 2), (2, 5))  # index ranges of M2 and M3 in M5
+TENSOR_UNITARIES = 3  # seeded unitaries u of the M2(x)M2 case
 
 
 def unit(i: int, j: int) -> np.ndarray:
@@ -78,6 +92,53 @@ def fixture(seed: int):
     return A, B, C, E, F, conjugate_expectation(F, w)
 
 
+def tensor_fixture():
+    """M2(x)M2 >= C(x)M2 with E = tr (x) id, and F = (diagonal projection) (x) id."""
+    units = (m2.E11, m2.E12, m2.E21, m2.E22)
+    eye = np.eye(2, dtype=np.complex128)
+    A = MatrixStarAlgebra.from_orthonormal([np.kron(a, b) for a in units for b in units])
+    B = MatrixStarAlgebra.from_spanning([np.kron(eye, b) for b in units])
+    C = MatrixStarAlgebra.from_orthonormal(
+        [np.kron(a, b) for a in (m2.E11, m2.E22) for b in units]
+    )
+    corners = [np.kron(p, eye) for p in (m2.E11, m2.E22)]
+
+    def trace_first(x):  # 1 (x) sum_i x[(i, .), (i, .)] / 2
+        return np.kron(eye, np.einsum("iaib->ab", x.reshape(2, 2, 2, 2)) / 2.0)
+
+    quasi = [np.kron(m, eye) for m in units]
+    E = ConditionalExpectation.from_rule(
+        A, B, trace_first, quasi_basis=[math.sqrt(2.0) * m for m in quasi]
+    )
+    F = ConditionalExpectation.from_rule(
+        A, C, lambda x: sum(p @ x @ p for p in corners), quasi_basis=quasi, name="F"
+    )
+    return build_tower_level(A, B, E), F
+
+
+def tensor_deviations(seed: int) -> dict:
+    """Worst deviations of the M2(x)M2 angles from the 2x2 model's over seeded unitaries."""
+    level, F = tensor_fixture()
+    inc = m2.canonical_inclusion()
+    model = m2.canonical_tower(inc)
+    rng = mx.default_rng(seed)
+    interior, exterior = 0.0, 0.0
+    for _ in range(TENSOR_UNITARIES):
+        u = m2.Unitary2(mx.random_unitary(2, rng))
+        F_prime = conjugate_expectation(F, np.kron(u.matrix, np.eye(2)))
+        cos = interior_angle_definition(level, F, F_prime).cos_value
+        interior = max(interior, abs(cos - math.cos(m2.exact_angle(u))))
+        ext = exterior_angle(level, F, F_prime)
+        want = exterior_angle(model, inc.F, m2.fu_expectation(u, inc)).cos_value
+        for got in (ext.cos_value, ext.diagnostics.extra["closed_cos"]):
+            exterior = max(exterior, abs(got - want))
+    return {
+        "unitaries": TENSOR_UNITARIES,
+        "interior_deviation": interior,
+        "exterior_deviation": exterior,
+    }
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=mx.DEFAULT_SEED)
@@ -92,6 +153,11 @@ def main(argv=None) -> dict:
     definition = interior_angle_definition(level, F, F_prime).cos_value
     ext = exterior_angle(level, F, F_prime)
     closed = ext.diagnostics.extra["closed_cos"]
+    wall = time.perf_counter() - start
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    start = time.perf_counter()
+    tensor = tensor_deviations(args.seed)
+    tensor["wall_s"] = round(time.perf_counter() - start, 2)
     report = {
         "seed": args.seed,
         "index": np.diag(level.index_matrix).real.round(12).tolist(),
@@ -101,17 +167,29 @@ def main(argv=None) -> dict:
         "exterior_definition_cos": ext.cos_value,
         "exterior_closed_cos": closed,
         "exterior_route_gap": abs(ext.cos_value - closed),
-        "wall_s": round(time.perf_counter() - start, 2),
-        "ru_maxrss_mib": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
-        ),
+        "wall_s": round(wall, 2),
+        "ru_maxrss_mib": round(rss, 1),
+        "m2_tensor_m2": tensor,
     }
     print(json.dumps(report, indent=2))
+    failures = []
     if report["interior_route_gap"] > ROUTE_AGREEMENT_TOL:
-        raise SystemExit(
+        failures.append(
             f"interior routes differ by {report['interior_route_gap']:.2e} "
             f"> {ROUTE_AGREEMENT_TOL:.0e}"
         )
+    if tensor["interior_deviation"] > ROUTE_AGREEMENT_TOL:
+        failures.append(
+            f"M2(x)M2 interior cosine is off m2.exact_angle by "
+            f"{tensor['interior_deviation']:.2e} > {ROUTE_AGREEMENT_TOL:.0e}"
+        )
+    if tensor["exterior_deviation"] > EXTERIOR_AGREEMENT_TOL:
+        failures.append(
+            f"M2(x)M2 exterior cosine is off the 2x2 model's by "
+            f"{tensor['exterior_deviation']:.2e} > {EXTERIOR_AGREEMENT_TOL:.0e}"
+        )
+    if failures:
+        raise SystemExit("; ".join(failures))
     return report
 
 

@@ -121,7 +121,9 @@ class MatrixStarAlgebra:
         """Build from an arbitrary (possibly redundant) family or (k, n, n) stack."""
         if len(mats) == 0:
             raise EmptyAlgebra("spanning set is empty")
-        return cls(mats, mx.orthonormalize(mats, cutoff=cutoff))
+        basis = mx.orthonormalize(mats, cutoff=cutoff)
+        basis.setflags(write=False)  # nothing else holds it: enter uncopied
+        return cls(mats, basis)
 
     @classmethod
     def from_orthonormal(cls, mats: Sequence[np.ndarray]):

@@ -49,8 +49,8 @@ from .algebra import (
 from .errors import DegenerateIntermediate, NoQuasiBasis, NumericIntegrityError
 from .tower import (
     TowerLevel,
+    _dual_expectation_from,
     intermediate_data,
-    intermediate_dual_expectation,
     iterate_tower,
 )
 
@@ -219,16 +219,18 @@ def _exterior_closed_expressions(
     All three are norms of elements of A_1, assembled from level-one data:
     the quasi-basis {l_i} of E, quasi-bases {mu_j}, {delta_k} of the
     restrictions, the intermediate projections and the index elements.
+    E is evaluated on stacks, one :meth:`ConditionalExpectation.on_source`
+    call per chunk of (i, i') pairs; quasi-basis elements that are exactly
+    zero (F(l_i) often is) are dropped first, since each adds only zeros.
     """
     E = level.expectation
-    lams = E.quasi_basis
-    mus = restricted_c.quasi_basis
-    deltas = restricted_d.quasi_basis
+    lams, mus, deltas = (
+        exp.quasi_stack[exp.quasi_stack.any(axis=(1, 2))]
+        for exp in (E, restricted_c, restricted_d)
+    )
     ind_e = level.index_matrix
-    ind_c = watatani_index(restricted_c)
-    ind_d = watatani_index(restricted_d)
-    ind_c_inv = np.linalg.inv(ind_c)
-    ind_d_inv = np.linalg.inv(ind_d)
+    ind_c_inv = np.linalg.inv(restricted_c.index_element())
+    ind_d_inv = np.linalg.inv(restricted_d.index_element())
     ind_f = ind_e @ ind_c_inv  # Ind(F), by multiplicativity of scalar chains
     ind_f_prime = ind_e @ ind_d_inv
 
@@ -237,28 +239,28 @@ def _exterior_closed_expressions(
     ind_e1_inv = level2.index_inverse
 
     # numerator element: Ind(E_1)^{-1} [ Ind(E|C)^{-2} Ind(E|D)^{-1}
-    #   sum_{i,i'} l_i e_C Ind(F') (sum_{j,k} mu_j E(mu_j* l_i* l_i' d_k) d_k*)
-    #   e_D l_i'* - 1 ]
+    #   sum_{i,i'} l_i e_C Ind(F') inner_{ii'} e_D l_i'* - 1 ],
+    # inner_{ii'} = sum_{j,k} mu_j E(mu_j* l_i* l_i' d_k) d_k*
+    q, p, r, n = len(lams), len(mus), len(deltas), ind_e.shape[0]
+    pairs = (mx.adjoint(lams)[:, None] @ lams[None]).reshape(q * q, n, n)
+    mu_star, delta_star = mx.adjoint(mus), mx.adjoint(deltas)
+    inner = np.empty_like(pairs)
+    # charged per pair: the p r arguments, their images and the products
+    for rows in mx.stack_slices(q * q, 3 * p * r * n * n * 16):
+        args = mu_star[None, :, None] @ pairs[rows, None, None] @ deltas[None, None]
+        values = E.on_source(args.reshape(-1, n, n)).reshape(args.shape)
+        inner[rows] = (mus[None, :, None] @ values @ delta_star[None, None]).sum(axis=(1, 2))
+        del args, values
+    middle = level.embed(ind_f_prime @ inner).reshape(q, q, d, d)
+    lmats = level.embed(lams)
+    right = e_d @ mx.adjoint(lmats)  # e_D L_{l_i'}*
+    total = ((lmats @ e_c) @ (middle @ right[None]).sum(axis=1)).sum(axis=0)
     scalar_pre = level.embed(ind_c_inv @ ind_c_inv @ ind_d_inv)
-    total = np.zeros((d, d), dtype=np.complex128)
-    for li in lams:
-        left = level.embed(li) @ e_c
-        for lj in lams:
-            inner = np.zeros_like(ind_e)
-            for m in mus:
-                m_star = mx.adjoint(m)
-                for dk in deltas:
-                    inner += m @ E(m_star @ mx.adjoint(li) @ lj @ dk) @ mx.adjoint(dk)
-            total += left @ level.embed(ind_f_prime @ inner) @ e_d @ mx.adjoint(
-                level.embed(lj)
-            )
     numerator_elem = ind_e1_inv @ (scalar_pre @ total - eye_d)
 
     def denominator_elem(e_x, ind_x_inv, ind_g, G):
-        acc = np.zeros((d, d), dtype=np.complex128)
         f_ind = G(ind_g)  # F(Ind(F)); equals Ind(F) in the central case
-        for li in lams:
-            acc += level.embed(li @ f_ind) @ e_x @ mx.adjoint(level.embed(li))
+        acc = (level.embed(lams @ f_ind) @ e_x @ mx.adjoint(lmats)).sum(axis=0)
         return ind_e1_inv @ (level.embed(ind_x_inv) @ acc - eye_d)
 
     num = mx.operator_norm(numerator_elem)
@@ -291,8 +293,8 @@ def exterior_angle(
 
     e_c, restricted_c = intermediate_data(level, F.target, F, tol)
     e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime, tol)
-    g_c = intermediate_dual_expectation(level, F.target, F, tol)
-    g_d = intermediate_dual_expectation(level, F_prime.target, F_prime, tol)
+    g_c = _dual_expectation_from(level, e_c, restricted_c, tol)
+    g_d = _dual_expectation_from(level, e_d, restricted_d, tol)
 
     level2 = iterate_tower(level, tol=tol)
     e_c1 = intermediate_data(level2, g_c.target, g_c, tol)[0]

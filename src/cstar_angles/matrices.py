@@ -13,6 +13,7 @@ compared, and every routine is pure.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Sequence
 
@@ -30,6 +31,8 @@ DEFAULT_SEED = 42
 NOISE_FLOOR = 1e-13
 # largest temporary stack a batched routine builds at once
 STACK_BUDGET_BYTES = 1 << 22
+# orthonormalize: candidates projected against the basis so far at once
+ORTHONORMALIZE_BLOCK = 128
 
 
 def default_rng(seed: int | None = None) -> np.random.Generator:
@@ -119,31 +122,44 @@ def coordinates_in_span(
 def orthonormalize(mats, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     """HS-orthonormal basis of span(mats), under <a, b> = Tr(a* b).
 
-    ``mats`` is a family or a (k, n, m) stack.  Classical Gram-Schmidt with one
-    re-orthogonalization pass, taking the inputs in order: each pass
-    projects a candidate against the whole basis so far with one
-    matrix-vector product.  Candidates whose residual norm falls below
-    ``cutoff * (1 + original norm)`` are dropped, which is how the rank of a
-    redundant spanning set is decided.  Inputs that are already orthonormal
-    are returned unchanged (so a caller-chosen basis ordering survives).
-    The result is an (r, n, m) stack.
+    ``mats`` is a family or a (k, n, m) stack.  Blocked classical
+    Gram-Schmidt with one re-orthogonalization pass (CGS2), taking the
+    inputs in order: each block of ``ORTHONORMALIZE_BLOCK`` candidates is
+    projected against the whole basis so far with two matrix-matrix
+    passes, then its candidates are taken one at a time, each pass one
+    matrix-vector product against the rows the block has kept so far.
+    Candidates whose residual norm falls below ``cutoff * (1 + original
+    norm)`` are dropped, which is how the rank of a redundant spanning set
+    is decided.  Inputs that are already orthonormal are returned unchanged
+    (so a caller-chosen basis ordering survives).  The result is an
+    (r, n, m) stack whose storage holds r matrices, not one per input.
     """
     stack = as_stack(mats)
     shape = stack.shape[1:]
     flat = stack.reshape(len(stack), -1)
     basis = np.empty_like(flat)
     rank = 0
-    for row in flat:
-        v = row.copy()
-        scale = np.sqrt(abs(np.vdot(v, v)))
+    for start in range(0, len(flat), ORTHONORMALIZE_BLOCK):
+        block = flat[start : start + ORTHONORMALIZE_BLOCK].copy()
+        scales = np.linalg.norm(block, axis=1)
         for _ in range(2):  # second pass for numerical stability
-            coeffs = np.conjugate(basis[:rank] @ np.conjugate(v))
-            v -= coeffs @ basis[:rank]
-        nrm = np.sqrt(abs(np.vdot(v, v)))
-        if nrm > cutoff * (1.0 + scale):
-            basis[rank] = v / nrm
-            rank += 1
-    return basis[:rank].reshape((rank,) + shape)
+            # <b, v> for every pair, conjugating the block rather than the basis
+            coeffs = np.conjugate(basis[:rank] @ np.conjugate(block).T)
+            block -= coeffs.T @ basis[:rank]
+        first = rank
+        for v, scale in zip(block, scales):
+            for _ in range(2):
+                coeffs = np.conjugate(basis[first:rank] @ np.conjugate(v))
+                v -= coeffs @ basis[first:rank]
+            nrm = math.sqrt(np.vdot(v, v).real)
+            if nrm > cutoff * (1.0 + scale):
+                basis[rank] = v / nrm
+                rank += 1
+    if rank < len(basis):
+        # release the unused rows in place (no views of them remain), so a
+        # caller keeping the basis does not keep one row per candidate
+        basis.resize((rank, basis.shape[1]), refcheck=False)
+    return basis.reshape((rank,) + shape)
 
 
 def as_stack(m) -> np.ndarray:

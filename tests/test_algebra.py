@@ -490,6 +490,16 @@ def test_basis_views_are_read_only_and_share_flat():
     assert np.shares_memory(MatrixStarAlgebra.from_orthonormal(stack)._flat, stack)
 
 
+def test_redundant_spanning_set_keeps_a_compact_basis():
+    # the basis enters uncopied, so its storage must hold only rank rows
+    alg = MatrixStarAlgebra.from_spanning([E11, 2.0 * E11, E22, E11 + E22, 3.0 * E22])
+    assert alg.dim == 2
+    root = alg.basis_stack
+    while root.base is not None:
+        root = root.base
+    assert root.nbytes == alg.basis_stack.nbytes == 2 * 4 * 16
+
+
 def test_orthonormal_spanning_set_shares_the_basis(inclusion):
     assert inclusion.A.spanning_set is inclusion.A.basis
     # group algebras are built from their orthonormal basis lambda_g / sqrt(|G|)

@@ -5,8 +5,13 @@ import pytest
 
 from cstar_angles import m2
 from cstar_angles import matrices as mx
-from cstar_angles.algebra import ConditionalExpectation, restrict_expectation
-from cstar_angles.tower import iterate_tower
+from cstar_angles import angles, tower
+from cstar_angles.algebra import (
+    ConditionalExpectation,
+    restrict_expectation,
+    watatani_index,
+)
+from cstar_angles.tower import intermediate_data, iterate_tower
 from cstar_angles.angles import (
     Route,
     exterior_angle,
@@ -216,6 +221,21 @@ def test_exterior_group_tower():
     assert same.angle_rad == pytest.approx(0.0, abs=1e-8)
 
 
+def test_exterior_runs_each_intermediate_once(tower_level, inclusion, monkeypatch):
+    # C and D at level one, C_1 and D_1 at level two; G reuses level one's
+    calls, original = [], tower.intermediate_data
+
+    def counted(level, C, F, *args):
+        calls.append(F)
+        return original(level, C, F, *args)
+
+    for module in (angles, tower):
+        monkeypatch.setattr(module, "intermediate_data", counted)
+    f_u = m2.fu_expectation(m2.rotation(0.4), inclusion)
+    exterior_angle(tower_level, inclusion.F, f_u)
+    assert len(calls) == 4 and calls[:2] == [inclusion.F, f_u]
+
+
 def test_exterior_rejects_full_algebra(tower_level, inclusion):
     from cstar_angles.algebra import identity_expectation
 
@@ -246,3 +266,131 @@ def test_exterior_non_scalar_index(c_plus_m2):
     assert abs(res.cos_value - res.diagnostics.extra["closed_cos"]) <= 1e-7
     # level two is spanned by d q = 17 * 5 products instead of d^2 = 289
     assert len(iterate_tower(fx.level)._span_mats) == 85
+
+
+# ---------------------------------------------------------------------------
+# exterior closed forms: the stacked evaluation against the per-element loop
+
+
+def closed_expressions_loop(
+    level, level2, e_c, e_d, restricted_c, restricted_d, F, F_prime
+):
+    """The closed forms with one call of E per (l_i, l_i', mu_j, delta_k), kept as the oracle."""
+    E = level.expectation
+    lams = E.quasi_basis
+    mus = restricted_c.quasi_basis
+    deltas = restricted_d.quasi_basis
+    ind_e = level.index_matrix
+    ind_c_inv = np.linalg.inv(watatani_index(restricted_c))
+    ind_d_inv = np.linalg.inv(watatani_index(restricted_d))
+    ind_f = ind_e @ ind_c_inv
+    ind_f_prime = ind_e @ ind_d_inv
+
+    d = level.module_dim
+    eye_d = np.eye(d, dtype=np.complex128)
+    ind_e1_inv = level2.index_inverse
+
+    scalar_pre = level.embed(ind_c_inv @ ind_c_inv @ ind_d_inv)
+    total = np.zeros((d, d), dtype=np.complex128)
+    for li in lams:
+        left = level.embed(li) @ e_c
+        for lj in lams:
+            inner = np.zeros_like(ind_e)
+            for m in mus:
+                m_star = mx.adjoint(m)
+                for dk in deltas:
+                    inner += m @ E(m_star @ mx.adjoint(li) @ lj @ dk) @ mx.adjoint(dk)
+            total += left @ level.embed(ind_f_prime @ inner) @ e_d @ mx.adjoint(
+                level.embed(lj)
+            )
+    numerator_elem = ind_e1_inv @ (scalar_pre @ total - eye_d)
+
+    def denominator_elem(e_x, ind_x_inv, ind_g, G):
+        acc = np.zeros((d, d), dtype=np.complex128)
+        f_ind = G(ind_g)
+        for li in lams:
+            acc += level.embed(li @ f_ind) @ e_x @ mx.adjoint(level.embed(li))
+        return ind_e1_inv @ (level.embed(ind_x_inv) @ acc - eye_d)
+
+    num = mx.operator_norm(numerator_elem)
+    den1 = math.sqrt(mx.operator_norm(denominator_elem(e_c, ind_c_inv, ind_f, F)))
+    den2 = math.sqrt(
+        mx.operator_norm(denominator_elem(e_d, ind_d_inv, ind_f_prime, F_prime))
+    )
+    return num, den1, den2
+
+
+def closed_form_inputs(level, level2, F, F_prime):
+    """The arguments of ``angles._exterior_closed_expressions`` for (F, F')."""
+    e_c, restricted_c = intermediate_data(level, F.target, F)
+    e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime)
+    return level, level2, e_c, e_d, restricted_c, restricted_d, F, F_prime
+
+
+def closed_form_cases(tower_level, inclusion, c_plus_m2):
+    """m2 (10 seeded unitaries both ways, a rotation, the self-angle), C[Z2xZ2], C+M2."""
+    level2 = iterate_tower(tower_level)
+    rng = mx.default_rng(5)
+    others = [
+        m2.fu_expectation(m2.Unitary2(mx.random_unitary(2, rng)), inclusion)
+        for _ in range(10)
+    ]
+    others += [m2.fu_expectation(m2.rotation(0.6), inclusion), inclusion.F]
+    for f in others:
+        yield closed_form_inputs(tower_level, level2, inclusion.F, f)
+    # in this order mu_j = F_u(l_i) is not self-adjoint, so mu_j* is tested
+    for f in others[:10]:
+        yield closed_form_inputs(tower_level, level2, f, inclusion.F)
+
+    G = FiniteGroup.direct_product([2, 2])
+    inc = group_algebra_inclusion(G, trivial_subgroup(G))
+    level = inc.tower(materialize=True)
+    K, L = (generated_subgroup(G, [G.index_of(g)]) for g in ((1, 0), (0, 1)))
+    yield closed_form_inputs(
+        level, iterate_tower(level), inc.expectation_onto(K), inc.expectation_onto(L)
+    )
+
+    fx = c_plus_m2
+    yield closed_form_inputs(fx.level, iterate_tower(fx.level), fx.F, fx.F_prime)
+
+
+def test_stacked_closed_forms_match_the_loop(
+    tower_level, inclusion, c_plus_m2, monkeypatch
+):
+    cases = list(closed_form_cases(tower_level, inclusion, c_plus_m2))
+    expected = [closed_expressions_loop(*args) for args in cases]
+    # the default budget, then one (i, i') pair per chunk
+    for budget in (mx.STACK_BUDGET_BYTES, 1):
+        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+        for args, want in zip(cases, expected):
+            got = angles._exterior_closed_expressions(*args)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_closed_forms_call_no_single_matrix_expectation(
+    tower_level, inclusion, c_plus_m2, monkeypatch
+):
+    # only the two F(Ind(F)) terms may call an expectation on one matrix
+    for args in closed_form_cases(tower_level, inclusion, c_plus_m2):
+        E = args[0].expectation
+        E.coordinate_matrix  # built beforehand, as every level does
+        outer, called = [], []
+        depth = [0]
+        original = ConditionalExpectation.__call__
+
+        def counted(self, x):
+            called.append(self)
+            if not depth[0]:
+                outer.append(self)
+            depth[0] += 1
+            try:
+                return original(self, x)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ConditionalExpectation, "__call__", counted)
+        angles._exterior_closed_expressions(*args)
+        monkeypatch.setattr(ConditionalExpectation, "__call__", original)
+        F, F_prime = args[-2:]
+        assert len(outer) == 2 and outer[0] is F and outer[1] is F_prime
+        assert all(exp is not E for exp in called)

@@ -139,21 +139,45 @@ def _orthonormalize_cases(tower_level, d2_family, rng):
     # a redundant complex family of 3 x 3 matrices
     mats = np.stack([mx.random_matrix(3, rng) for _ in range(6)])
     yield np.concatenate([mats, np.tensordot(rng.standard_normal((3, 6)), mats, axes=1)]), 6
+    yield from _block_boundary_cases(rng)
+
+
+def _block_boundary_cases(rng):
+    """Families whose rank decisions fall on the blocks of ``mx.orthonormalize``."""
+    block = mx.ORTHONORMALIZE_BLOCK
+    n = math.isqrt(3 * block) + 1  # room for 3 blocks of independent matrices
+    fresh = np.stack([mx.random_matrix(n, rng) for _ in range(3 * block)])
+
+    def mix(mats, count):
+        return np.tensordot(rng.standard_normal((count, len(mats))), mats, axes=1)
+
+    # a rank drop exactly at a block boundary: the first candidate of block 2
+    yield np.concatenate([fresh[:block], mix(fresh[:block], 1), fresh[block : block + 2]]), block + 2
+    # a block that is entirely redundant, between two that are not
+    yield np.concatenate([fresh[:block], mix(fresh[:block], block), fresh[block : 2 * block]]), 2 * block
+    # a nearly dependent pair split across two blocks
+    near = fresh[block - 1] + 1e-6 * fresh[block]
+    yield np.concatenate([fresh[:block], near[None], fresh[block + 1 : block + 3]]), block + 3
 
 
 def test_orthonormalize_matches_per_pair_reference(
-    tower_level, d2_family, reference_orthonormalize, rng
+    tower_level, d2_family, reference_orthonormalize, rng, monkeypatch
 ):
-    for mats, rank in _orthonormalize_cases(tower_level, d2_family, rng):
-        ref = np.stack(reference_orthonormalize(mats, np.vdot))
-        new = mx.orthonormalize(mats)
-        assert len(new) == len(ref) == rank
-        # orthonormal rows give the projector onto the span
-        q_new, q_ref = new.reshape(rank, -1), ref.reshape(rank, -1)
-        np.testing.assert_allclose(np.conjugate(q_new) @ q_new.T, np.eye(rank), atol=1e-12)
-        np.testing.assert_allclose(
-            q_new.T @ np.conjugate(q_new), q_ref.T @ np.conjugate(q_ref), atol=1e-12
-        )
+    # the default blocks, then blocks small enough for every family to cross them
+    for block in (mx.ORTHONORMALIZE_BLOCK, 4, 8):
+        monkeypatch.setattr(mx, "ORTHONORMALIZE_BLOCK", block)
+        for mats, rank in _orthonormalize_cases(tower_level, d2_family, rng):
+            ref = np.stack(reference_orthonormalize(mats, np.vdot))
+            new = mx.orthonormalize(mats)
+            assert len(new) == len(ref) == rank
+            # orthonormal rows give the projector onto the span
+            q_new, q_ref = new.reshape(rank, -1), ref.reshape(rank, -1)
+            np.testing.assert_allclose(
+                np.conjugate(q_new) @ q_new.T, np.eye(rank), atol=1e-12
+            )
+            np.testing.assert_allclose(
+                q_new.T @ np.conjugate(q_new), q_ref.T @ np.conjugate(q_ref), atol=1e-12
+            )
 
 
 def test_orthonormalize_nearly_dependent_family(rng):

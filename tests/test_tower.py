@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -585,3 +586,43 @@ def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch)
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", 1)
     with pytest.raises(TooLarge):
         intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
+
+
+# ---------------------------------------------------------------------------
+# the exchange law on range(e)
+
+
+def exchange_law_dense(level, tol=mx.DEFAULT_TOL):
+    """max ||e L_b e - L_{E(b)} e|| with three d x d products per element, the oracle."""
+    e, E = level.jones_projection, level.expectation
+    basis, t = E.source.basis_stack, E.coordinates(tol)
+    return max(
+        mx.max_operator_norm(
+            e @ level.embed(basis[rows]) @ e - level.embed(E.target.combine(t[rows])) @ e
+        )
+        for rows in mx.stack_slices(len(basis), e.nbytes)
+    )
+
+
+def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus_m2):
+    G = FiniteGroup.direct_product([2, 3])
+    group_level = group_algebra_inclusion(G, trivial_subgroup(G)).tower(materialize=False)
+    levels = [tower_level, iterate_tower(tower_level), c_plus_m2.level, group_level]
+    for level in levels:
+        got = tower._check_level(level, mx.DEFAULT_TOL)["exchange_law"]
+        want = exchange_law_dense(level)
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+    # with an intermediate projection e_C in place of e_B the law fails
+    swaps = [
+        (tower_level, intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]),
+        (c_plus_m2.level, intermediate_data(c_plus_m2.level, c_plus_m2.C, c_plus_m2.F)[0]),
+    ]
+    for level, e_c in swaps:
+        swapped = dataclasses.replace(level, jones_projection=e_c)
+        with pytest.raises(ConstructionFailure) as failure:
+            tower._check_level(swapped, mx.DEFAULT_TOL)
+        got = failure.value.residuals["exchange_law"]
+        want = exchange_law_dense(swapped)
+        assert want > 0.1
+        assert abs(got - want) <= 1e-12 * want
