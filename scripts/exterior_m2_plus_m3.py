@@ -17,13 +17,16 @@ for u.
 Prints one JSON object: the cosines of both interior routes and of both
 exterior routes (level-two definition and closed expressions) on M2+M3,
 their differences, its wall time and the peak resident set size before
-the tensor case runs, and the worst deviations of the tensor case from the
-2x2 model, with its wall time.  Exits nonzero when the M2+M3 interior
-routes differ by more than ``angles.ROUTE_AGREEMENT_TOL``, when a tensor
-interior cosine is off ``cos(m2.exact_angle(u))`` by more than that, or
-when a tensor exterior cosine of either route is off the 2x2 model's by
-more than ``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle`` itself raises
-when its two routes differ by more than ``EXTERIOR_AGREEMENT_TOL``.
+the tensor case runs, the worst deviations of the tensor case from the
+2x2 model, with its wall time, and the peak resident set size of the
+whole run, read after the tensor case (the M2+M3 level keeps its level
+two, so the tensor case runs with it held).  Exits nonzero when the
+M2+M3 interior routes differ by more than ``angles.ROUTE_AGREEMENT_TOL``,
+when a tensor interior cosine is off ``cos(m2.exact_angle(u))`` by more
+than that, or when a tensor exterior cosine of either route is off the
+2x2 model's by more than ``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle``
+itself raises when its two routes differ by more than
+``EXTERIOR_AGREEMENT_TOL``.
 
     PYTHONPATH=src python scripts/exterior_m2_plus_m3.py [--seed N]
 """
@@ -158,6 +161,7 @@ def main(argv=None) -> dict:
     start = time.perf_counter()
     tensor = tensor_deviations(args.seed)
     tensor["wall_s"] = round(time.perf_counter() - start, 2)
+    rss_at_end = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     report = {
         "seed": args.seed,
         "index": np.diag(level.index_matrix).real.round(12).tolist(),
@@ -170,6 +174,7 @@ def main(argv=None) -> dict:
         "wall_s": round(wall, 2),
         "ru_maxrss_mib": round(rss, 1),
         "m2_tensor_m2": tensor,
+        "ru_maxrss_mib_at_end": round(rss_at_end, 1),
     }
     print(json.dumps(report, indent=2))
     failures = []

@@ -4,10 +4,11 @@ A :class:`MatrixStarAlgebra` is a unital *-subalgebra of M_n(C) described by
 a spanning set; a Hilbert-Schmidt-orthonormal basis is derived once and all
 membership questions are answered against it.  A
 :class:`ConditionalExpectation` is a linear idempotent map between nested
-algebras, stored as a callable on ambient matrices together with one lazily
-built coordinate matrix in the two algebras' orthonormal bases (stacks of
-elements, the checks below and the full ambient matrix go through it),
-optionally carrying a quasi-basis, i.e. a finite family {l_i} with
+algebras, stored as a callable on stacks of ambient matrices together with
+one lazily built coordinate matrix in the two algebras' orthonormal bases
+(stacks of elements, the checks below and the full ambient matrix go
+through it), optionally carrying a quasi-basis, i.e. a finite family {l_i}
+with
 
     x = sum_i E(x l_i) l_i*  =  sum_i l_i E(l_i* x)        for all x,
 
@@ -337,10 +338,12 @@ def verify_star_algebra(
 class ConditionalExpectation:
     """A linear idempotent B-bimodular positive unital map E: A -> B.
 
-    ``apply_fn`` must be defined (at least) on the span of ``source``; the
-    generic constructor :meth:`from_rule` extends any rule given on basis
-    elements by HS-projection onto the source span.  ``quasi_basis`` is the
-    family {l_i} witnessing finite index, when known.
+    ``apply_fn`` takes a (k, n, n) stack of elements and returns the
+    (k, n, n) stack of their images; it must be defined (at least) on the
+    span of ``source``.  The generic constructor :meth:`from_rule` extends
+    any rule given on single basis elements by HS-projection onto the
+    source span.  ``quasi_basis`` is the family {l_i} witnessing finite
+    index, when known.
 
     Besides the callable, an expectation has one cached matrix in the
     algebras' own orthonormal coordinates, :meth:`coordinates`; stacks of
@@ -374,7 +377,7 @@ class ConditionalExpectation:
         self._coords: tuple[np.ndarray, float, int] | None = None
 
     def __call__(self, x) -> np.ndarray:
-        return self._apply(mx.as_matrix(x))
+        return self._apply(mx.as_matrix(x)[None])[0]
 
     def on_source(self, xs) -> np.ndarray:
         """E on a (k, n, n) stack of source elements, through :meth:`coordinates`.
@@ -400,11 +403,11 @@ class ConditionalExpectation:
     ) -> "ConditionalExpectation":
         """Extend ``rule`` (given on source basis elements) linearly."""
         images = np.stack([np.ravel(rule(b)) for b in source.basis])
+        n = source.ambient_dim
 
-        def apply_fn(x: np.ndarray) -> np.ndarray:
-            coords = source.hs_coordinates(x)
-            n = source.ambient_dim
-            return (coords @ images).reshape(n, n)
+        def apply_fn(xs: np.ndarray) -> np.ndarray:
+            coords = source.hs_coordinates(xs)
+            return (coords @ images).reshape(coords.shape[:-1] + (n, n))
 
         return cls(source, target, apply_fn, quasi_basis, name=name)
 
@@ -423,8 +426,8 @@ class ConditionalExpectation:
             raise ShapeMismatch(f"coordinate matrix must be {source.dim}x{target.dim}")
         t.setflags(write=False)
 
-        def apply_fn(x: np.ndarray) -> np.ndarray:
-            return target.combine(source.hs_coordinates(x) @ t)
+        def apply_fn(xs: np.ndarray) -> np.ndarray:
+            return target.combine(source.hs_coordinates(xs) @ t)
 
         exp = cls(source, target, apply_fn, quasi_basis, name=name)
         exp._coords = (t, 0.0, 0)
@@ -433,11 +436,12 @@ class ConditionalExpectation:
     def coordinates(self, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         """T, of shape d_src x d_tgt: row k holds the target coordinates of E(b_k).
 
-        Built once, with exactly one call of E per source basis element.  An
-        image off the target span by more than ``tol (1 + ||E(b_k)||_F)``
-        raises :class:`NumericIntegrityError` instead of being projected
-        silently.  On the source span, E(y) = sum_m phi_m(y) beta_m over the
-        target basis {beta_m}, with the linear functional
+        Built once, with one call of the rule per chunk of source basis
+        elements (the rule takes stacks).  An image off the target span by
+        more than ``tol (1 + ||E(b_k)||_F)`` raises
+        :class:`NumericIntegrityError` instead of being projected silently.
+        On the source span, E(y) = sum_m phi_m(y) beta_m over the target
+        basis {beta_m}, with the linear functional
         phi_m(y) = sum_p vec(y)[p] (conj(S)^T T)[p, m] for the source basis
         rows S.
         """
@@ -460,7 +464,7 @@ class ConditionalExpectation:
         src, tgt = self.source, self.target
         blocks, ratios = [], []
         for rows in mx.stack_slices(src.dim, src._flat[0].nbytes):
-            images = np.stack([self(b) for b in src.basis[rows]])
+            images = self._apply(src.basis_stack[rows])
             coords = tgt.hs_coordinates(images)
             flat = images.reshape(len(images), -1)
             off = np.linalg.norm(coords @ tgt._flat - flat, axis=1)
@@ -505,10 +509,9 @@ class ConditionalExpectation:
         source = MatrixStarAlgebra.from_json(payload["source"])
         target = MatrixStarAlgebra.from_json(payload["target"])
         mat = matrix_from_json(payload["map_matrix"])
-        n = source.ambient_dim
 
-        def apply_fn(x: np.ndarray) -> np.ndarray:
-            return (mat @ np.ravel(x)).reshape(n, n)
+        def apply_fn(xs: np.ndarray) -> np.ndarray:
+            return (xs.reshape(len(xs), -1) @ mat.T).reshape(xs.shape)
 
         qb = payload.get("quasi_basis")
         quasi = None if qb is None else [matrix_from_json(m) for m in qb]
@@ -748,8 +751,8 @@ def conjugate_expectation(
     if F.quasi_basis is not None:
         quasi = [u @ lam @ ustar for lam in F.quasi_basis]
 
-    def apply_fn(x: np.ndarray) -> np.ndarray:
-        return u @ F(ustar @ x @ u) @ ustar
+    def apply_fn(xs: np.ndarray) -> np.ndarray:
+        return u @ F._apply(ustar @ xs @ u) @ ustar
 
     return ConditionalExpectation(
         F.source, new_target, apply_fn, quasi_basis=quasi, name=f"{F.name}_u"

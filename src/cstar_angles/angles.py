@@ -44,7 +44,6 @@ from .algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
     verify_quasi_basis,
-    watatani_index,
 )
 from .errors import DegenerateIntermediate, NoQuasiBasis, NumericIntegrityError
 from .tower import (
@@ -192,8 +191,8 @@ def interior_angle_definition(
     """Interior angle from Jones projections in the basic construction."""
     e_c, restricted_c = intermediate_data(level, F.target, F, tol)
     e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime, tol)
-    _check_degenerate(watatani_index(restricted_c), "C")
-    _check_degenerate(watatani_index(restricted_d), "D")
+    _check_degenerate(restricted_c.index_element(tol), "C")
+    _check_degenerate(restricted_d.index_element(tol), "D")
     return angle_from_projections(level, e_c, e_d)
 
 

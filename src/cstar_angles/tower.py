@@ -60,7 +60,7 @@ angles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -205,6 +205,10 @@ class TowerLevel:
     dimension 225).  The spanning family ``_span_mats`` is the spanning set
     of A_1, the products L_{b_i} e_B L_{l_k*} for the index pairs (i, k) of
     ``_span_pairs``.
+
+    A level is treated as immutable once built: :func:`iterate_tower` keeps
+    the next rung in ``_rungs``, keyed by its ``(check, tol)``, so level two
+    is built once per level and freed with it.
     """
 
     algebra: MatrixStarAlgebra
@@ -221,6 +225,7 @@ class TowerLevel:
     dual_expectation: ConditionalExpectation | None = None
     _span_mats: tuple | None = None
     _span_pairs: list | None = None
+    _rungs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def module_dim(self) -> int:
@@ -416,9 +421,8 @@ def build_tower_level(
         index_sqrt=mx.psd_sqrt(ind),
         dual_quasi_basis=(),
     )
-    ind_sqrt_l = level.embed(level.index_sqrt)
     level.dual_quasi_basis = tuple(
-        level.embed(lam) @ e_b @ ind_sqrt_l for lam in E.quasi_basis
+        level._quasi_left @ (e_b @ level.embed(level.index_sqrt))
     )
 
     if check:
@@ -524,17 +528,27 @@ def dual_expectation_value(
 def iterate_tower(
     level: TowerLevel, *, check: bool = True, tol: float = mx.DEFAULT_TOL
 ) -> TowerLevel:
-    """Next rung: the basic construction of (A <= A_1, E_1)."""
+    """Next rung: the basic construction of (A <= A_1, E_1).
+
+    Built once per ``(check, tol)`` and kept on ``level``; later calls
+    return the same rung.  The budget is checked on every call, so an
+    over-budget level raises :class:`TooLarge` even with a rung kept.
+    """
     if not level.materialized:
         raise ConstructionFailure("cannot iterate a lazily built tower level")
-    return build_tower_level(
-        level.basic_construction,
-        level.embedded_algebra,
-        level.dual_expectation,
-        materialize=True,
-        check=check,
-        tol=tol,
-    )
+    a1 = level.basic_construction
+    _check_budget(a1.dim * len(level.dual_quasi_basis), a1.dim, "materializing A_1")
+    key = (check, tol)
+    if key not in level._rungs:
+        level._rungs[key] = build_tower_level(
+            a1,
+            level.embedded_algebra,
+            level.dual_expectation,
+            materialize=True,
+            check=check,
+            tol=tol,
+        )
+    return level._rungs[key]
 
 
 def intermediate_dual_expectation(
@@ -579,11 +593,13 @@ def _dual_expectation_from(
     flat = level._span_flat
     gram_pinv = level._span_gram_pinv
 
-    def g_apply(t: np.ndarray) -> np.ndarray:
-        coeffs = gram_pinv @ np.conjugate(flat @ np.conjugate(np.ravel(t)))
-        return np.tensordot(coeffs, rule_values, axes=1)
+    def g_apply(ts: np.ndarray) -> np.ndarray:
+        # least-squares coefficients over the family, one column per element
+        rows = np.conjugate(ts.reshape(len(ts), -1))
+        coeffs = gram_pinv @ np.conjugate(flat @ rows.T)
+        return np.tensordot(coeffs.T, rule_values, axes=1)
 
-    quasi = level.embed(level.expectation.quasi_stack) @ (
+    quasi = level._quasi_left @ (
         level.jones_projection @ level.embed(mx.psd_sqrt(ind_c))
     )
     g = ConditionalExpectation(

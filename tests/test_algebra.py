@@ -560,3 +560,88 @@ def test_hs_coordinates_and_map_matrix_match_old_formulas(inclusion, rng):
         for exp in exps:
             diff = exp.map_matrix - _reference_map_matrix(exp)
             assert np.max(np.abs(diff)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the coordinate matrix from stacked rule calls
+
+
+def _reference_build_coordinates(E):
+    """The former per-element build of T: one call of E per source basis element."""
+    src, tgt = E.source, E.target
+    images = np.stack([E(b) for b in src.basis])
+    coords = tgt.hs_coordinates(images)
+    flat = images.reshape(len(images), -1)
+    off = np.linalg.norm(coords @ tgt._flat - flat, axis=1)
+    ratios = off / (1.0 + np.linalg.norm(flat, axis=1))
+    k = int(np.argmax(ratios))
+    return coords, float(ratios[k]), k
+
+
+def _stacked_rule_cases(inclusion, tower_level, c_plus_m2, rng):
+    u = m2.Unitary2(mx.random_unitary(2, rng))
+    f_u = m2.fu_expectation(u, inclusion)
+    G = FiniteGroup.direct_product([2, 2])
+    z2z2 = group_algebra_inclusion(G, trivial_subgroup(G)).tower(materialize=True)
+    return {
+        "E1 m2": tower_level.dual_expectation,
+        "E1 C+M2": c_plus_m2.level.dual_expectation,
+        "E1 C[Z2xZ2]": z2z2.dual_expectation,
+        "G m2 F": intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F),
+        "G m2 F_u": intermediate_dual_expectation(tower_level, f_u.target, f_u),
+        "G C+M2": intermediate_dual_expectation(c_plus_m2.level, c_plus_m2.C, c_plus_m2.F),
+        "from_rule": f_u,
+        "from_json": ConditionalExpectation.from_json(f_u.to_json()),
+        "conjugate": conjugate_expectation(inclusion.F, mx.random_unitary(2, rng)),
+        "identity": identity_expectation(c_plus_m2.A),
+    }
+
+
+def test_stacked_coordinates_match_the_per_element_loop(
+    inclusion, tower_level, c_plus_m2, rng, monkeypatch
+):
+    for name, E in _stacked_rule_cases(inclusion, tower_level, c_plus_m2, rng).items():
+        want, want_worst, _ = _reference_build_coordinates(E)
+        item = E.source._flat[0].nbytes
+        # one chunk, one element per chunk, and two per chunk with a remainder
+        for budget in (mx.STACK_BUDGET_BYTES, 1, 2 * item):
+            monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+            got, worst, _ = E._build_coordinates()
+            monkeypatch.undo()
+            assert np.max(np.abs(got - want)) <= 1e-12, (name, budget)
+            assert abs(worst - want_worst) <= 1e-12, (name, budget)
+
+
+def test_coordinates_call_the_rule_once_per_chunk(c_plus_m2):
+    level = c_plus_m2.level
+    E1 = level.dual_expectation
+    shapes = []
+
+    def recorded(xs):
+        shapes.append(xs.shape)
+        return E1._apply(xs)
+
+    spy = ConditionalExpectation(E1.source, E1.target, recorded, name="spy")
+    np.testing.assert_allclose(spy.coordinate_matrix, E1.coordinate_matrix, atol=1e-12)
+    n = level.module_dim
+    assert shapes == [(E1.source.dim, n, n)]
+    # a single matrix reaches the rule as a stack of one
+    spy(E1.source.basis[0])
+    assert shapes[-1] == (1, n, n)
+
+
+def test_off_target_check_reads_every_image_of_a_chunk(inclusion):
+    # only the last source basis element leaves the scalars, by eps relative
+    A, E, eps = inclusion.A, inclusion.E, 1e-6
+    last = A.basis[-1]
+
+    def rule(b):
+        weight = np.vdot(last, b)  # 1 on the last basis element, 0 on the rest
+        return E(b) + eps * weight * (b - E(b))
+
+    skewed = ConditionalExpectation.from_rule(A, E.target, rule, E.quasi_basis)
+    k = A.dim - 1
+    assert k > 0
+    with pytest.raises(NumericIntegrityError, match=f"source basis element {k} "):
+        skewed.coordinates(1e-8)
+    np.testing.assert_allclose(skewed.coordinates(1e-5), E.coordinate_matrix, atol=1e-5)

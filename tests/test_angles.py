@@ -5,7 +5,7 @@ import pytest
 
 from cstar_angles import m2
 from cstar_angles import matrices as mx
-from cstar_angles import angles, tower
+from cstar_angles import algebra, angles, tower
 from cstar_angles.algebra import (
     ConditionalExpectation,
     restrict_expectation,
@@ -138,6 +138,22 @@ def test_definition_diagnostics_values(tower_level, inclusion, rng):
 def test_definition_degenerate_corner(tower_level, inclusion):
     with pytest.raises(DegenerateIntermediate):
         interior_angle_definition(tower_level, inclusion.E, inclusion.F)
+
+
+def test_definition_index_check_uses_the_callers_tolerance(
+    tower_level, inclusion, rng, monkeypatch
+):
+    seen = []
+    index = algebra.watatani_index
+
+    def recorded(E, tol=mx.DEFAULT_TOL):
+        seen.append(tol)
+        return index(E, tol)
+
+    monkeypatch.setattr(algebra, "watatani_index", recorded)
+    f_u = m2.fu_expectation(m2.Unitary2(mx.random_unitary(2, rng)), inclusion)
+    interior_angle_definition(tower_level, inclusion.F, f_u, tol=1e-8)
+    assert seen == [1e-8, 1e-8]
 
 
 def test_routes_agree_on_random_unitaries(tower_level, inclusion, rng):

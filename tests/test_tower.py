@@ -231,6 +231,19 @@ def test_dual_quasi_basis_verifies(tower_level):
     )
 
 
+def test_dual_quasi_basis_matches_the_per_element_loop(tower_level, c_plus_m2):
+    S3 = FiniteGroup.symmetric(3)
+    s3 = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))]))
+    for level in (tower_level, c_plus_m2.level, s3.tower(materialize=False)):
+        e_b, ind_sqrt_l = level.jones_projection, level.embed(level.index_sqrt)
+        want = [level.embed(lam) @ e_b @ ind_sqrt_l for lam in level.expectation.quasi_basis]
+        got = level.dual_quasi_basis
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == (level.module_dim, level.module_dim)
+            assert np.max(np.abs(g - w)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # iterating the tower
 
@@ -244,6 +257,45 @@ def test_iterated_tower_m2(tower_level):
     np.testing.assert_allclose(
         level2.dual_value(level2.jones_projection), np.eye(4) / 4.0, atol=1e-9
     )
+
+
+def test_iterate_tower_keeps_one_rung_per_check_and_tol(inclusion, monkeypatch):
+    level = m2.canonical_tower(inclusion)
+    builds = []
+    build = tower.build_tower_level
+
+    def counted(*args, **kwargs):
+        builds.append((kwargs["check"], kwargs["tol"]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(tower, "build_tower_level", counted)
+    level2 = iterate_tower(level)
+    assert iterate_tower(level) is level2
+    looser = iterate_tower(level, tol=1e-8)
+    unchecked = iterate_tower(level, check=False)
+    assert looser is not level2 and unchecked is not level2 and looser is not unchecked
+    assert iterate_tower(level, tol=1e-8) is looser
+    assert iterate_tower(level, check=False) is unchecked
+    assert builds == [(True, mx.DEFAULT_TOL), (True, 1e-8), (False, mx.DEFAULT_TOL)]
+    # a rung belongs to its level, not to an equal-looking copy of it
+    assert iterate_tower(m2.canonical_tower(inclusion)) is not level2
+
+
+def test_kept_rung_does_not_bypass_the_budget(inclusion, monkeypatch):
+    level = m2.canonical_tower(inclusion)
+    level2 = iterate_tower(level)
+
+    def no_module(*args, **kwargs):
+        raise AssertionError("module built before the budget check")
+
+    monkeypatch.setattr(tower, "GenericModule", no_module)
+    assert iterate_tower(level) is level2  # kept: no module is built
+    need = 16 * (64 * 16 * 16 + 2 * 64 * 64)  # m2 level two, as in the test below
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
+    with pytest.raises(TooLarge):
+        iterate_tower(level)
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need)
+    assert iterate_tower(level) is level2
 
 
 def test_iterated_tower_trivial(inclusion):
