@@ -5,7 +5,8 @@ blockwise normalized trace with quasi-basis {sqrt2 e_ij} + {sqrt3 e_ij}, so
 Ind(E) = 4 + 9.  C is the diagonal with the diagonal projection F, and D
 is the diagonal conjugated by a seeded block-diagonal unitary u2 + u3.
 The module of A has dimension 13 and A_1 = M4 + M9 dimension 97, so the
-second tower level is spanned by 97 * 13 = 1261 matrices of size 97 x 97.
+second tower level acts on a module of dimension 97; the exterior angle
+reads its e_2, its module and E_2, and never builds A_2.
 
 The second case tensors the 2x2 model with M2, a finite-dimensional
 shadow of the tensor stability of angles: A = M2(x)M2 over B = C(x)M2
@@ -21,8 +22,9 @@ the tensor case runs, the worst deviations of the tensor case from the
 2x2 model, with its wall time, and the peak resident set size of the
 whole run, read after the tensor case (the M2+M3 level keeps its level
 two, so the tensor case runs with it held).  Exits nonzero when the
-M2+M3 interior routes differ by more than ``angles.ROUTE_AGREEMENT_TOL``,
-when a tensor interior cosine is off ``cos(m2.exact_angle(u))`` by more
+M2+M3 part peaks above ``RSS_LIMIT_MIB``, when the M2+M3 interior routes
+differ by more than ``angles.ROUTE_AGREEMENT_TOL``, when a tensor
+interior cosine is off ``cos(m2.exact_angle(u))`` by more
 than that, or when a tensor exterior cosine of either route is off the
 2x2 model's by more than ``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle``
 itself raises when its two routes differ by more than
@@ -60,6 +62,7 @@ from cstar_angles.tower import build_tower_level
 
 BLOCKS = ((0, 2), (2, 5))  # index ranges of M2 and M3 in M5
 TENSOR_UNITARIES = 3  # seeded unitaries u of the M2(x)M2 case
+RSS_LIMIT_MIB = 256  # peak resident set size allowed to the M2+M3 part
 
 
 def unit(i: int, j: int) -> np.ndarray:
@@ -178,6 +181,11 @@ def main(argv=None) -> dict:
     }
     print(json.dumps(report, indent=2))
     failures = []
+    if report["ru_maxrss_mib"] > RSS_LIMIT_MIB:
+        failures.append(
+            f"the M2+M3 part peaked at {report['ru_maxrss_mib']} MiB "
+            f"> {RSS_LIMIT_MIB} MiB"
+        )
     if report["interior_route_gap"] > ROUTE_AGREEMENT_TOL:
         failures.append(
             f"interior routes differ by {report['interior_route_gap']:.2e} "

@@ -152,11 +152,17 @@ def interior_angle_formula(
     _check_degenerate(ind_c, "C")
     _check_degenerate(ind_d, "D")
 
+    # sum_{j,k} mu_j E(mu_j* delta_k) delta_k*, with E on stacks of mu_j* delta_k
+    # as in E.on_source, but at the pre-check's tolerance; charged per mu_j:
+    # its r arguments, their images and the products
+    coords_e = E.coordinates(max(tol, 1e-8))
+    mus, deltas = np.stack(mu), np.stack(delta)
     cross = np.zeros((n, n), dtype=np.complex128)
-    for m in mu:
-        m_star = mx.adjoint(m)
-        for d in delta:
-            cross += m @ E(m_star @ d) @ mx.adjoint(d)
+    for rows in mx.stack_slices(len(mus), 3 * len(deltas) * n * n * 16):
+        args = mx.adjoint(mus[rows])[:, None] @ deltas[None]
+        images = E.source.hs_coordinates(args.reshape(-1, n, n)) @ coords_e
+        values = E.target.combine(images).reshape(args.shape)
+        cross += (mus[rows, None] @ values @ mx.adjoint(deltas)[None]).sum(axis=(0, 1))
 
     ind_inv = np.linalg.inv(ind_e)
     num = mx.operator_norm(ind_inv @ (cross - eye))

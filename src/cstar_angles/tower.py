@@ -17,19 +17,19 @@ becomes the Jones projection e_B, and
     A_1 = span{ L_x e_B L_y : x, y in A }
 
 is the basic construction, faithfully represented on the module, so
-C*-norms of its elements are plain operator norms of d x d matrices.  A
-materialized level spans A_1 by d q products instead of d^2, with q the
-size of the quasi-basis {l_k} of E: every y in A is sum_k E(y l_k) l_k*,
-and e_B commutes with B, so
+C*-norms of its elements are plain operator norms of d x d matrices.  A_1
+is spanned by d q products instead of d^2, with q the size of the
+quasi-basis {l_k} of E: every y in A is sum_k E(y l_k) l_k*, and e_B
+commutes with B, so
 
     x e_B y = sum_k x E(y l_k) e_B l_k*   and   A_1 = span{ L_{b_i} e_B L_{l_k*} }
 
 over the basis {b_i} of A (Watatani, Index for C*-subalgebras, 1990).
 The same argument with e_C, which commutes with C >= B, spans C_1 by
-{L_{b_i} e_C L_{l_k*}}.  Materializing stops with :class:`TooLarge` before
-it builds a family whose estimated size, with its Gram matrix and
-pseudo-inverse, exceeds ``MATERIALIZE_BUDGET_BYTES``.  The
-dual expectation E_1 : A_1 -> A is pinned down by E_1(x e_B y) =
+{L_{b_i} e_C L_{l_k*}}.  A level builds A_1 only when it is first read,
+and stops with :class:`TooLarge` before it builds a family whose
+estimated size exceeds ``MATERIALIZE_BUDGET_BYTES``.  The dual
+expectation E_1 : A_1 -> A is pinned down by E_1(x e_B y) =
 Ind(E)^{-1} x y; on the whole of A_1 this is evaluated through the
 decomposition-free identity
 
@@ -48,14 +48,17 @@ coords(l_i a*) = L_{l_i} J conj(coords(a)),
 where v holds the coordinates of (sum_i t(l_i) l_i*)*.  An element costs
 three products of q d x d matrices with vectors, about 3 q d^2, and one
 conversion from coordinates; J, the L_{l_i} and L_{Ind(E)^-1} J are built
-once per level.  The route that decomposes t over
-the spanning family by least squares is kept alongside and the two are
-cross-checked in the test suite.
+once per level.  The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
+A_1, gives the compatible expectation onto C_1 as
+G(t) = L_{Ind(E|_C)^-1} sum_i L_{t(l_i)} e_C L_{l_i*}.  The route that
+decomposes t over the spanning family of A_1 by least squares,
+:func:`dual_expectation_value`, is kept as the oracle of E_1, and the two
+are cross-checked.
 
 Iterating: a :class:`TowerLevel` is itself a valid (algebra, subalgebra,
 expectation) triple one rung up, with A embedded into A_1 as {L_x}, so the
-same constructor produces level two, giving e_2, A_2 and E_2 for exterior
-angles.
+same constructor produces level two, giving e_2 and E_2 for exterior
+angles; its A_2 too is built only if it is read.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ from .errors import (
     NonCentralIndex,
     NotCompatible,
     NotInAlgebra,
+    NotInSpan,
     NotIntermediate,
     TooLarge,
 )
@@ -92,20 +96,27 @@ __all__ = [
     "intermediate_dual_expectation",
 ]
 
-# largest estimated size of a spanning family, its Gram matrix and its
-# pseudo-inverse (16 bytes per entry) that a tower level may materialize
+# largest estimated size (16 bytes per entry) of a spanning family, or of
+# a next rung, that a tower level may build
 MATERIALIZE_BUDGET_BYTES = 1 << 30
 
 
-def _check_budget(count: int, n: int, what: str):
-    """Raise :class:`TooLarge` before ``count`` n x n spanning matrices are built."""
-    need = 16 * (count * n * n + 2 * count * count)
+def _check_budget(need: int, what: str):
+    """Raise :class:`TooLarge` when ``what``, estimated at ``need`` bytes, exceeds the budget."""
     if need > MATERIALIZE_BUDGET_BYTES:
         raise TooLarge(
-            f"{what}: {count} spanning matrices of size {n}x{n}, with their Gram "
-            f"matrix and its pseudo-inverse, need about {need / 2**20:.0f} MiB "
+            f"{what} need about {need / 2**20:.0f} MiB "
             f"(budget {MATERIALIZE_BUDGET_BYTES / 2**20:.0f} MiB)"
         )
+
+
+def _check_family_budget(count: int, n: int, what: str):
+    """Raise :class:`TooLarge` before ``count`` n x n spanning matrices are built."""
+    _check_budget(
+        16 * (count * n * n + 2 * count * count),
+        f"{what}: {count} spanning matrices of size {n}x{n}, with room for two "
+        f"{count}x{count} matrices (no Gram pseudo-inverse is formed),",
+    )
 
 
 class GenericModule:
@@ -197,14 +208,11 @@ class GenericModule:
 class TowerLevel:
     """One rung of the Jones tower for (B <= A, E), fully coordinatized.
 
-    ``basic_construction``, ``embedded_algebra``, ``dual_expectation`` and
-    the spanning metadata are populated only when the level was built with
-    ``materialize=True``; the lazy form still supports Jones projections,
-    intermediate projections and closed-form dual values, which is all the
-    definition-route angle needs (and all that is tractable at module
-    dimension 225).  The spanning family ``_span_mats`` is the spanning set
-    of A_1, the products L_{b_i} e_B L_{l_k*} for the index pairs (i, k) of
-    ``_span_pairs``.
+    ``basic_construction`` (A_1, spanned by the products L_{b_i} e_B L_{l_k*},
+    row i q + k of its ``spanning_stack``), ``embedded_algebra`` ({L_x})
+    and ``dual_expectation`` (E_1) are built on first read and cached: A_1
+    after its budget check, then checked to span A_1 when the level was
+    built with ``check``, at the level's ``tol``.
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
     the next rung in ``_rungs``, keyed by its ``(check, tol)``, so level two
@@ -220,40 +228,54 @@ class TowerLevel:
     index_inverse: np.ndarray
     index_sqrt: np.ndarray
     dual_quasi_basis: tuple
-    basic_construction: MatrixStarAlgebra | None = None
-    embedded_algebra: MatrixStarAlgebra | None = None
-    dual_expectation: ConditionalExpectation | None = None
-    _span_mats: tuple | None = None
-    _span_pairs: list | None = None
+    _check: bool = field(default=True, repr=False)
+    _tol: float = field(default=mx.DEFAULT_TOL, repr=False)
     _rungs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def module_dim(self) -> int:
         return self.module.dim
 
-    @property
-    def materialized(self) -> bool:
-        return self.basic_construction is not None
-
     def embed(self, x) -> np.ndarray:
         """Left-multiplication matrix L_x of an algebra element."""
         return self.module.left_mult(x)
 
-    @property
-    def _span_flat(self) -> np.ndarray:
-        """The spanning family of A_1 as rows of ambient coordinates."""
-        stack = self.basic_construction.spanning_stack
-        return stack.reshape(len(stack), -1)
+    @cached_property
+    def basic_construction(self) -> MatrixStarAlgebra:
+        """A_1, spanned by the d q products L_{b_i} e_B L_{l_k*}."""
+        A = self.algebra
+        _check_family_budget(A.dim * len(self.expectation.quasi_stack), A.dim, "A_1")
+        a1 = MatrixStarAlgebra.from_spanning(self._spanning_products(self.jones_projection))
+        if self._check:
+            # a seeded sample of the products x e_B y the family replaces
+            lmats, e_b = self.embedded_algebra.spanning_stack, self.jones_projection
+            i, j = mx.default_rng().integers(A.dim, size=(2, min(20, A.dim**2)))
+            if not a1.contains_all(lmats[i] @ e_b @ lmats[j], self._tol):
+                raise ConstructionFailure(
+                    "the family {x e_B l_k*} does not span the products x e_B y"
+                )
+            if not a1.contains_all(lmats, self._tol):
+                raise ConstructionFailure(
+                    "basic construction does not contain the embedded algebra"
+                )
+        return a1
 
     @cached_property
-    def _span_gram_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the HS Gram matrix of the spanning family."""
-        flat = self._span_flat
-        gram = np.conjugate(flat) @ flat.T
-        return np.linalg.pinv(gram, rcond=mx.GRAM_CUTOFF, hermitian=True)
+    def embedded_algebra(self) -> MatrixStarAlgebra:
+        """A inside A_1, spanned by the L_{b_i}."""
+        return MatrixStarAlgebra.from_spanning(self.embed(self.algebra.basis_stack))
+
+    @cached_property
+    def dual_expectation(self) -> ConditionalExpectation:
+        """E_1 : A_1 -> {L_x}, by :meth:`dual_value`."""
+        return ConditionalExpectation(
+            self.basic_construction, self.embedded_algebra,
+            lambda ts: self.embed(self.dual_value(ts)),
+            quasi_basis=self.dual_quasi_basis, name="E1",
+        )
 
     def _spanning_products(self, projection: np.ndarray) -> np.ndarray:
-        """L_{b_i} p L_{l_k*} over the pairs (i, k) of ``_span_pairs``, one read-only stack.
+        """L_{b_i} p L_{l_k*}, row i * q + k of one read-only stack.
 
         Read-only, so that an algebra spanned by it holds it uncopied.
         """
@@ -308,9 +330,6 @@ class TowerLevel:
             del acted, terms
         out = self.module.from_coords(coords @ self._index_inverse_star.T)
         return out[0] if t.ndim == 2 else out
-
-    def dual_value_embedded(self, t) -> np.ndarray:
-        return self.embed(self.dual_value(t))
 
     def module_norm(self, t) -> float:
         """||t||_{A_1} = ||E_1(t* t)||^(1/2) for t in the basic construction."""
@@ -389,15 +408,14 @@ def build_tower_level(
 ) -> TowerLevel:
     """Construct the basic-construction level for (B <= A, E).
 
-    Raises :class:`NoQuasiBasis` when E has none, :class:`NotIntermediate`
-    when B is not inside A, and :class:`ConstructionFailure` with a residual
+    ``materialize`` reads ``basic_construction``, ``embedded_algebra`` and
+    ``dual_expectation`` at once instead of on first use.  Raises
+    :class:`NoQuasiBasis` when E has none, :class:`NotIntermediate` when B
+    is not inside A, and :class:`ConstructionFailure` with a residual
     report when an invariant check fails.
     """
     if E.quasi_basis is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
-    if materialize:
-        # the module dimension is dim A
-        _check_budget(A.dim * len(E.quasi_basis), A.dim, "materializing A_1")
     if not E.source.same_span(A, tol):
         raise NotIntermediate("E.source must be A")
     if not E.target.same_span(B, tol):
@@ -420,6 +438,8 @@ def build_tower_level(
         index_inverse=np.linalg.inv(ind),
         index_sqrt=mx.psd_sqrt(ind),
         dual_quasi_basis=(),
+        _check=check,
+        _tol=tol,
     )
     level.dual_quasi_basis = tuple(
         level._quasi_left @ (e_b @ level.embed(level.index_sqrt))
@@ -429,31 +449,7 @@ def build_tower_level(
         _check_level(level, tol)
 
     if materialize:
-        level._span_pairs = list(np.ndindex(A.dim, len(E.quasi_basis)))
-        a1 = MatrixStarAlgebra.from_spanning(level._spanning_products(e_b))
-        lmats = level.embed(A.basis_stack)
-        embedded = MatrixStarAlgebra.from_spanning(lmats)
-        level.basic_construction = a1
-        level.embedded_algebra = embedded
-        level._span_mats = a1.spanning_set
-        level.dual_expectation = ConditionalExpectation(
-            a1,
-            embedded,
-            level.dual_value_embedded,
-            quasi_basis=level.dual_quasi_basis,
-            name="E1",
-        )
-        if check:
-            # a seeded sample of the products x e_B y the family replaces
-            i, j = mx.default_rng().integers(A.dim, size=(2, min(20, A.dim**2)))
-            if not a1.contains_all(lmats[i] @ e_b @ lmats[j], tol):
-                raise ConstructionFailure(
-                    "the family {x e_B l_k*} does not span the products x e_B y"
-                )
-            if not a1.contains_all(lmats, tol):
-                raise ConstructionFailure(
-                    "basic construction does not contain the embedded algebra"
-                )
+        level.dual_expectation  # reads A_1 and the embedded algebra too
     return level
 
 
@@ -501,27 +497,20 @@ def intermediate_data(
 def dual_expectation_value(
     level: TowerLevel, t, tol: float = mx.DEFAULT_TOL
 ) -> np.ndarray:
-    """E_1(t) for t in the basic construction.
+    """E_1(t) for t in the basic construction, the oracle of :meth:`TowerLevel.dual_value`.
 
-    On a materialized level, t is decomposed over the spanning family
-    {L_{b_i} e_B L_{l_k*}} by least squares (membership enforced) and the rule
+    t is decomposed over the spanning family {L_{b_i} e_B L_{l_k*}} of A_1
+    by least squares (membership enforced) and the rule
     x e_B y -> Ind(E)^{-1} x y is applied termwise; redundant decompositions
-    give the same answer because E_1 is well defined.  On a lazy level the
-    equivalent closed-form evaluation is used directly.
+    give the same answer because E_1 is well defined.
     """
     t = mx.as_matrix(t)
-    if not level.materialized:
-        return level.dual_value(t)
-
-    flat = level._span_flat
-    coeffs = level._span_gram_pinv @ np.conjugate(flat @ np.conjugate(np.ravel(t)))
-    residual = float(np.linalg.norm(coeffs @ flat - np.ravel(t)))
-    if residual > tol * (1.0 + float(np.linalg.norm(t))):
-        raise NotInAlgebra("element is not in the basic construction")
-
-    i, k = np.transpose(level._span_pairs)
-    lam_star = mx.adjoint(level.expectation.quasi_stack)
-    products = level.algebra.basis_stack[i] @ lam_star[k]
+    try:
+        coeffs = mx.coordinates_in_span(level.basic_construction.spanning_set, t, tol)
+    except NotInSpan:
+        raise NotInAlgebra("element is not in the basic construction") from None
+    basis, lam_star = level.algebra.basis_stack, mx.adjoint(level.expectation.quasi_stack)
+    products = (basis[:, None] @ lam_star[None]).reshape((-1,) + basis.shape[1:])
     return level.index_inverse @ np.tensordot(coeffs, products, axes=1)
 
 
@@ -531,20 +520,24 @@ def iterate_tower(
     """Next rung: the basic construction of (A <= A_1, E_1).
 
     Built once per ``(check, tol)`` and kept on ``level``; later calls
-    return the same rung.  The budget is checked on every call, so an
-    over-budget level raises :class:`TooLarge` even with a rung kept.
+    return the same rung, a level like any other, whose A_2 is built only
+    if it is read.  The budget is checked on every call, so an over-budget
+    level raises :class:`TooLarge` even with a rung kept.
     """
-    if not level.materialized:
-        raise ConstructionFailure("cannot iterate a lazily built tower level")
-    a1 = level.basic_construction
-    _check_budget(a1.dim * len(level.dual_quasi_basis), a1.dim, "materializing A_1")
+    # the rung builds the module of A_1 (a (d1, n1, n1) stack for its Gram
+    # matrix, four d1 x d1 matrices), e_2, J, _quasi_left and dual_quasi_basis
+    d1, n1, q = level.basic_construction.dim, level.module_dim, len(level.dual_quasi_basis)
+    _check_budget(
+        16 * (d1 * n1 * n1 + 6 * d1 * d1 + 2 * q * d1 * d1),
+        f"the next rung (module dimension {d1}, {q} dual quasi-basis elements)",
+    )
     key = (check, tol)
     if key not in level._rungs:
         level._rungs[key] = build_tower_level(
-            a1,
+            level.basic_construction,
             level.embedded_algebra,
             level.dual_expectation,
-            materialize=True,
+            materialize=False,
             check=check,
             tol=tol,
         )
@@ -575,11 +568,8 @@ def _dual_expectation_from(
     tol: float = mx.DEFAULT_TOL,
 ) -> ConditionalExpectation:
     """:func:`intermediate_dual_expectation` from the output of :func:`intermediate_data`."""
-    if not level.materialized:
-        raise ConstructionFailure("intermediate dual expectation needs materialization")
-    _check_budget(
-        len(level._span_pairs), level.module_dim, "the intermediate dual expectation"
-    )
+    q, d = len(level.expectation.quasi_stack), level.module_dim
+    _check_family_budget(d * q, d, "the intermediate dual expectation")
     ind_c = restricted.index_element(tol)
     basis = level.algebra.basis_stack
     worst = mx.max_operator_norm(ind_c @ basis - basis @ ind_c)
@@ -587,17 +577,19 @@ def _dual_expectation_from(
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1
-    c1_mats = level._spanning_products(e_c)
-    c1 = MatrixStarAlgebra.from_spanning(c1_mats)
-    rule_values = level.embed(np.linalg.inv(ind_c)) @ c1_mats
-    flat = level._span_flat
-    gram_pinv = level._span_gram_pinv
+    c1 = MatrixStarAlgebra.from_spanning(level._spanning_products(e_c))
+    ind_c_inv = np.linalg.inv(ind_c)
+    right = e_c @ mx.adjoint(level._quasi_left)  # e_C L_{l_i*}
 
     def g_apply(ts: np.ndarray) -> np.ndarray:
-        # least-squares coefficients over the family, one column per element
-        rows = np.conjugate(ts.reshape(len(ts), -1))
-        coeffs = gram_pinv @ np.conjugate(flat @ rows.T)
-        return np.tensordot(coeffs.T, rule_values, axes=1)
+        # sum_i L_{Ind^-1 t(l_i)} e_C L_{l_i*}, t(l_i) with coordinates t q_i;
+        # charged per element: the q values t(l_i), their L's and the products
+        out = np.empty_like(ts)
+        for rows in mx.stack_slices(len(ts), 3 * q * d * d * 16):
+            acted = np.swapaxes(ts[rows] @ level.quasi_coords.T, 1, 2).reshape(-1, d)
+            lefts = level.embed(ind_c_inv @ level.module.from_coords(acted))
+            out[rows] = (lefts.reshape(-1, q, d, d) @ right).sum(axis=1)
+        return out
 
     quasi = level._quasi_left @ (
         level.jones_projection @ level.embed(mx.psd_sqrt(ind_c))

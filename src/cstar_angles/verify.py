@@ -354,8 +354,8 @@ def _suite_tower(rng) -> list[CheckResult]:
         # redundant decompositions of the same element must agree
         worst = 0.0
         for _ in range(10):
-            coeffs = rng.standard_normal(len(level._span_mats))
-            t = sum(c * m for c, m in zip(coeffs, level._span_mats))
+            coeffs = rng.standard_normal(len(level.basic_construction.spanning_set))
+            t = sum(c * m for c, m in zip(coeffs, level.basic_construction.spanning_set))
             worst = max(
                 worst,
                 mx.frobenius_norm(

@@ -281,7 +281,24 @@ def test_exterior_non_scalar_index(c_plus_m2):
     res = exterior_angle(fx.level, fx.F, fx.F_prime)
     assert abs(res.cos_value - res.diagnostics.extra["closed_cos"]) <= 1e-7
     # level two is spanned by d q = 17 * 5 products instead of d^2 = 289
-    assert len(iterate_tower(fx.level)._span_mats) == 85
+    assert len(iterate_tower(fx.level).basic_construction.spanning_stack) == 85
+
+
+def test_exterior_angle_never_builds_level_two_algebra(inclusion, c_plus_m2):
+    # the kept rung serves e_2, its module and E_2; A_2 is never read
+    fx = c_plus_m2
+    f_u = m2.fu_expectation(m2.rotation(0.5), inclusion)
+    cases = (
+        (m2.canonical_tower(inclusion), inclusion.F, f_u),
+        (tower.build_tower_level(fx.A, fx.B, fx.E), fx.F, fx.F_prime),
+    )
+    for level, F, F_prime in cases:
+        exterior_angle(level, F, F_prime)
+        assert len(level._rungs) == 1
+        level2 = iterate_tower(level)
+        assert level2 is next(iter(level._rungs.values()))
+        built = {"basic_construction", "embedded_algebra", "dual_expectation"}
+        assert not built & set(vars(level2))
 
 
 # ---------------------------------------------------------------------------

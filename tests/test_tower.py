@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,21 +207,24 @@ def test_dual_value_group_intermediate():
     )
 
 
-def test_dual_value_outside_construction_rejected():
+def test_dual_value_outside_construction_rejected(rng):
     inc = z4_over_z2()
-    level = inc.tower(materialize=True)
-    assert level.basic_construction.dim == 8  # strictly smaller than M_4
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0  # maps lambda-coordinates across cosets: not in A_1
-    if not level.basic_construction.contains(bad):
-        with pytest.raises(NotInAlgebra):
-            dual_expectation_value(level, bad)
+    # membership is enforced on every level, also one built lazily
+    for level in (inc.tower(materialize=True), inc.tower(materialize=False)):
+        for t in (bad, mx.random_matrix(4, rng)):
+            with pytest.raises(NotInAlgebra):
+                dual_expectation_value(level, t)
+        assert level.basic_construction.dim == 8  # strictly smaller than M_4
+        assert not level.basic_construction.contains(bad)
 
 
 def test_dual_value_well_defined_across_decompositions(tower_level, rng):
     # the spanning family is redundant; least squares vs closed form must agree
-    coeffs = rng.standard_normal(len(tower_level._span_mats))
-    t = sum(c * s for c, s in zip(coeffs, tower_level._span_mats))
+    family = tower_level.basic_construction.spanning_set
+    coeffs = rng.standard_normal(len(family))
+    t = sum(c * s for c, s in zip(coeffs, family))
     np.testing.assert_allclose(
         dual_expectation_value(tower_level, t), tower_level.dual_value(t), atol=1e-10
     )
@@ -290,7 +295,7 @@ def test_kept_rung_does_not_bypass_the_budget(inclusion, monkeypatch):
 
     monkeypatch.setattr(tower, "GenericModule", no_module)
     assert iterate_tower(level) is level2  # kept: no module is built
-    need = 16 * (64 * 16 * 16 + 2 * 64 * 64)  # m2 level two, as in the test below
+    need = 16 * (16 * 4 * 4 + 6 * 16 * 16 + 2 * 4 * 16 * 16)  # the m2 rung, as below
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
     with pytest.raises(TooLarge):
         iterate_tower(level)
@@ -347,6 +352,89 @@ def test_restricted_dual_equals_dual_of_restriction(tower_level, inclusion):
             np.testing.assert_allclose(
                 tower_level.dual_value(t), ind_f_inv @ x @ y, atol=1e-10
             )
+
+
+def least_squares_g(level, C, F):
+    """G as formerly built, kept as the oracle of the quasi-basis identity.
+
+    t is decomposed over the family {L_{b_i} e_B L_{l_k*}} of A_1 through the
+    pseudo-inverse of its HS Gram matrix, and each term x e_B l_k* is mapped
+    to Ind(E|_C)^{-1} x e_C l_k*.  Returns G on a (k, d, d) stack.
+    """
+    e_c, restricted = intermediate_data(level, C, F)
+    family = level.basic_construction.spanning_stack
+    flat = family.reshape(len(family), -1)
+    gram_pinv = np.linalg.pinv(
+        np.conjugate(flat) @ flat.T, rcond=mx.GRAM_CUTOFF, hermitian=True
+    )
+    ind_c_inv = np.linalg.inv(restricted.index_element())
+    rule_values = level.embed(ind_c_inv) @ level._spanning_products(e_c)
+
+    def g(ts):
+        coeffs = gram_pinv @ (np.conjugate(flat) @ ts.reshape(len(ts), -1).T)
+        return np.tensordot(coeffs.T, rule_values, axes=1)
+
+    return g
+
+
+def m2_plus_m3():
+    """The M2+M3 >= C+C level of ``scripts/exterior_m2_plus_m3.py``, with its F and F'."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "exterior_m2_plus_m3.py"
+    spec = importlib.util.spec_from_file_location("exterior_m2_plus_m3", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    A, B, _, E, F, F_prime = script.fixture(mx.DEFAULT_SEED)
+    return build_tower_level(A, B, E), F, F_prime
+
+
+def test_g_by_the_identity_matches_least_squares(tower_level, inclusion, c_plus_m2):
+    f_u = m2.fu_expectation(m2.rotation(0.5), inclusion)
+    level5, F5, F5_prime = m2_plus_m3()
+    cases = (
+        (tower_level, inclusion.F),
+        (tower_level, f_u),
+        (c_plus_m2.level, c_plus_m2.F),
+        (level5, F5),
+        (level5, F5_prime),
+    )
+    for level, F in cases:
+        basis = level.basic_construction.basis_stack
+        g = intermediate_dual_expectation(level, F.target, F)
+        got = np.stack([g(b) for b in basis])
+        want = least_squares_g(level, F.target, F)(basis)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["m2", "z4_over_z2"])
+def test_lazy_level_iterates_and_gives_g(case, inclusion, rng):
+    # a level built with materialize=False builds A_1 when it is first read
+    if case == "m2":
+        C, F = inclusion.delta, inclusion.F
+        lazy = m2.canonical_tower(inclusion, materialize=False)
+        eager = m2.canonical_tower(inclusion, materialize=True)
+    else:
+        inc = z4_over_z2()
+        C, F = inc.A, identity_expectation(inc.A)
+        lazy, eager = inc.tower(materialize=False), inc.tower(materialize=True)
+    assert "basic_construction" not in vars(lazy)
+    assert "basic_construction" in vars(eager)
+
+    def close(a, b):
+        return np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= 1e-12
+
+    lazy2, eager2 = iterate_tower(lazy), iterate_tower(eager)
+    assert lazy2.module_dim == eager2.module_dim
+    for name in ("jones_projection", "index_matrix", "index_inverse", "dual_quasi_basis"):
+        assert close(getattr(lazy2, name), getattr(eager2, name)), name
+    ts = np.stack([mx.random_matrix(lazy2.module_dim, rng) for _ in range(3)])
+    assert close(lazy2.dual_value(ts), eager2.dual_value(ts))
+
+    basis = eager.basic_construction.basis_stack
+    assert close(lazy.basic_construction.basis_stack, basis)
+    g_lazy = intermediate_dual_expectation(lazy, C, F)
+    g_eager = intermediate_dual_expectation(eager, C, F)
+    assert close([g_lazy(b) for b in basis], [g_eager(b) for b in basis])
+    assert close(g_lazy.target.basis_stack, g_eager.target.basis_stack)
 
 
 def test_g_idempotent_compatible_group_case():
@@ -550,7 +638,7 @@ def test_stacked_dual_value_matches_per_element_sum(
         tower_level,  # GenericModule, m2
         c_plus_m2.level,  # non-scalar index
         group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(materialize=False),
-        iterate_tower(tower_level),  # materialized level two
+        iterate_tower(tower_level),  # level two
     )
     # budget 1 cuts every stack into single elements
     monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
@@ -583,8 +671,7 @@ def test_dq_family_spans_the_d2_family(tower_level, c_plus_m2, d2_family):
         iterate_tower(c_plus_m2.level),
     ):
         d, q = level.algebra.dim, len(level.expectation.quasi_basis)
-        assert len(level._span_mats) == len(level._span_pairs) == d * q
-        assert level._span_mats is level.basic_construction.spanning_set
+        assert len(level.basic_construction.spanning_stack) == d * q
         d2 = MatrixStarAlgebra.from_spanning(d2_family(level))
         assert d2.same_span(level.basic_construction)
 
@@ -596,7 +683,7 @@ def test_dual_expectation_value_on_dq_families(tower_level, c_plus_m2, rng):
         c_plus_m2.level,
         iterate_tower(c_plus_m2.level),
     ):
-        coeffs = rng.standard_normal(len(level._span_mats))
+        coeffs = rng.standard_normal(len(level.basic_construction.spanning_stack))
         t = np.tensordot(coeffs, level.basic_construction.spanning_stack, axes=1)
         np.testing.assert_allclose(
             dual_expectation_value(level, t), level.dual_value(t), atol=1e-10
@@ -621,8 +708,9 @@ def test_family_without_the_quasi_basis_fails_the_check(inclusion, monkeypatch):
 
 
 def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch):
-    # m2 level two: 64 matrices of 16 x 16, Gram matrix and pseudo-inverse
-    need = 16 * (64 * 16 * 16 + 2 * 64 * 64)
+    # the m2 rung: the module of A_1 (dim 16, ambient 4) with its (16, 4, 4)
+    # stack and four 16 x 16 matrices, e_2, J, and two stacks of 4 16 x 16
+    need = 16 * (16 * 4 * 4 + 6 * 16 * 16 + 2 * 4 * 16 * 16)
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
 
     def no_module(*args, **kwargs):
@@ -634,7 +722,7 @@ def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch)
     # level one (16 matrices of 4 x 4) fits; its intermediate G does not at 1 byte
     assert build_tower_level(
         inclusion.A, inclusion.B, inclusion.E, module=tower_level.module
-    ).materialized
+    ).basic_construction.dim == 16
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", 1)
     with pytest.raises(TooLarge):
         intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
