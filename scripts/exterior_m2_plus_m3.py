@@ -1,4 +1,4 @@
-"""Exterior angles beyond the 2x2 model: M2+M3 >= C+C, and M2(x)M2 >= C(x)M2.
+"""Exterior angles beyond the 2x2 model: M2+M3 >= C+C, M2(x)M2 >= C(x)M2 and M3+M4 >= C+C.
 
 A = M2 + M3 block-diagonal in M5, B = C + C (the two block units), E the
 blockwise normalized trace with quasi-basis {sqrt2 e_ij} + {sqrt3 e_ij}, so
@@ -15,20 +15,24 @@ seeded unitaries u.  Its interior angle must be ``m2.exact_angle(u)``,
 and both of its exterior routes must give the 2x2 model's exterior angle
 for u.
 
-Prints one JSON object: the cosines of both interior routes and of both
-exterior routes (level-two definition and closed expressions) on M2+M3,
-their differences, its wall time and the peak resident set size before
-the tensor case runs, the worst deviations of the tensor case from the
-2x2 model, with its wall time, and the peak resident set size of the
-whole run, read after the tensor case (the M2+M3 level keeps its level
-two, so the tensor case runs with it held).  Exits nonzero when the
-M2+M3 part peaks above ``RSS_LIMIT_MIB``, when the M2+M3 interior routes
-differ by more than ``angles.ROUTE_AGREEMENT_TOL``, when a tensor
-interior cosine is off ``cos(m2.exact_angle(u))`` by more
-than that, or when a tensor exterior cosine of either route is off the
-2x2 model's by more than ``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle``
-itself raises when its two routes differ by more than
-``EXTERIOR_AGREEMENT_TOL``.
+The third case, run last, is the first case on blocks of sizes 3 and 4:
+A = M3 + M4 in M7 with Ind(E) = 9 + 16, a module of dimension 25 and a
+second level on a module of dimension 337.
+
+Prints one JSON object: for M2+M3, the cosines of both interior routes
+and of both exterior routes (level-two definition and closed
+expressions), their differences, its wall time and the peak resident set
+size before the tensor case runs; the worst deviations of the tensor case
+from the 2x2 model, with its wall time; the same fields as M2+M3 for
+M3+M4 under ``m3_plus_m4``; and the peak resident set size of the whole
+run, read at its end.  Exits nonzero when the M2+M3 part peaks
+above ``RSS_LIMIT_MIB`` or the whole run above ``RUN_RSS_LIMIT_MIB``,
+when the interior routes of M2+M3 or of M3+M4 differ by more than
+``angles.ROUTE_AGREEMENT_TOL``, when a tensor interior cosine is off
+``cos(m2.exact_angle(u))`` by more than that, or when a tensor exterior
+cosine of either route is off the 2x2 model's by more than
+``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle`` itself raises when its two
+routes differ by more than ``EXTERIOR_AGREEMENT_TOL``.
 
     PYTHONPATH=src python scripts/exterior_m2_plus_m3.py [--seed N]
 """
@@ -60,30 +64,34 @@ from cstar_angles.angles import (
 )
 from cstar_angles.tower import build_tower_level
 
-BLOCKS = ((0, 2), (2, 5))  # index ranges of M2 and M3 in M5
 TENSOR_UNITARIES = 3  # seeded unitaries u of the M2(x)M2 case
 RSS_LIMIT_MIB = 256  # peak resident set size allowed to the M2+M3 part
+RUN_RSS_LIMIT_MIB = 400  # peak resident set size allowed to the whole run
 
 
-def unit(i: int, j: int) -> np.ndarray:
-    m = np.zeros((5, 5), dtype=np.complex128)
-    m[i, j] = 1.0
-    return m
+def fixture(seed: int, sizes=(2, 3)):
+    """M_{s_1} + ... + M_{s_k} >= C + ... + C for block sizes ``sizes``, with E, F and F'."""
+    n = sum(sizes)
+    edges = np.cumsum((0,) + tuple(sizes))
+    ranges = list(zip(edges[:-1], edges[1:]))
 
+    def unit(i: int, j: int) -> np.ndarray:
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[i, j] = 1.0
+        return m
 
-def fixture(seed: int):
-    blocks = [(lo, hi, unit(i, j)) for lo, hi in BLOCKS
+    blocks = [(lo, hi, unit(i, j)) for lo, hi in ranges
               for i in range(lo, hi) for j in range(lo, hi)]
     units = [m for _, _, m in blocks]
     A = MatrixStarAlgebra.from_orthonormal(units)
-    corners = [sum(unit(i, i) for i in range(lo, hi)) for lo, hi in BLOCKS]
+    corners = [sum(unit(i, i) for i in range(lo, hi)) for lo, hi in ranges]
     B = MatrixStarAlgebra.from_spanning(corners)
-    C = MatrixStarAlgebra.from_orthonormal([unit(i, i) for i in range(5)])
+    C = MatrixStarAlgebra.from_orthonormal([unit(i, i) for i in range(n)])
 
     def blockwise_trace(x):
         return sum(
             np.trace(x[lo:hi, lo:hi]) / (hi - lo) * corner
-            for (lo, hi), corner in zip(BLOCKS, corners)
+            for (lo, hi), corner in zip(ranges, corners)
         )
 
     quasi = [math.sqrt(hi - lo) * m for lo, hi, m in blocks]
@@ -92,8 +100,8 @@ def fixture(seed: int):
         A, C, lambda x: np.diag(np.diag(x)), quasi_basis=units, name="F"
     )
     rng = mx.default_rng(seed)
-    w = np.zeros((5, 5), dtype=np.complex128)
-    for lo, hi in BLOCKS:
+    w = np.zeros((n, n), dtype=np.complex128)
+    for lo, hi in ranges:
         w[lo:hi, lo:hi] = mx.random_unitary(hi - lo, rng)
     return A, B, C, E, F, conjugate_expectation(F, w)
 
@@ -145,13 +153,10 @@ def tensor_deviations(seed: int) -> dict:
     }
 
 
-def main(argv=None) -> dict:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=mx.DEFAULT_SEED)
-    args = parser.parse_args(argv)
-
+def block_sum_case(seed: int, sizes) -> dict:
+    """Both interior and both exterior routes on the block sum of ``sizes``, with its wall time."""
     start = time.perf_counter()
-    A, B, C, E, F, F_prime = fixture(args.seed)
+    A, B, C, E, F, F_prime = fixture(seed, sizes)
     level = build_tower_level(A, B, E)
     mu = restrict_expectation(E, C, F).quasi_basis
     delta = restrict_expectation(E, F_prime.target, F_prime).quasi_basis
@@ -159,14 +164,7 @@ def main(argv=None) -> dict:
     definition = interior_angle_definition(level, F, F_prime).cos_value
     ext = exterior_angle(level, F, F_prime)
     closed = ext.diagnostics.extra["closed_cos"]
-    wall = time.perf_counter() - start
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    start = time.perf_counter()
-    tensor = tensor_deviations(args.seed)
-    tensor["wall_s"] = round(time.perf_counter() - start, 2)
-    rss_at_end = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    report = {
-        "seed": args.seed,
+    return {
         "index": np.diag(level.index_matrix).real.round(12).tolist(),
         "interior_formula_cos": formula,
         "interior_definition_cos": definition,
@@ -174,11 +172,28 @@ def main(argv=None) -> dict:
         "exterior_definition_cos": ext.cos_value,
         "exterior_closed_cos": closed,
         "exterior_route_gap": abs(ext.cos_value - closed),
-        "wall_s": round(wall, 2),
-        "ru_maxrss_mib": round(rss, 1),
-        "m2_tensor_m2": tensor,
-        "ru_maxrss_mib_at_end": round(rss_at_end, 1),
+        "wall_s": round(time.perf_counter() - start, 2),
     }
+
+
+def max_rss_mib() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=mx.DEFAULT_SEED)
+    args = parser.parse_args(argv)
+
+    report = {"seed": args.seed, **block_sum_case(args.seed, (2, 3))}
+    report["ru_maxrss_mib"] = max_rss_mib()
+    start = time.perf_counter()
+    tensor = tensor_deviations(args.seed)
+    tensor["wall_s"] = round(time.perf_counter() - start, 2)
+    report["m2_tensor_m2"] = tensor
+    large = block_sum_case(args.seed, (3, 4))
+    report["m3_plus_m4"] = large
+    report["ru_maxrss_mib_at_end"] = max_rss_mib()
     print(json.dumps(report, indent=2))
     failures = []
     if report["ru_maxrss_mib"] > RSS_LIMIT_MIB:
@@ -186,11 +201,17 @@ def main(argv=None) -> dict:
             f"the M2+M3 part peaked at {report['ru_maxrss_mib']} MiB "
             f"> {RSS_LIMIT_MIB} MiB"
         )
-    if report["interior_route_gap"] > ROUTE_AGREEMENT_TOL:
+    if report["ru_maxrss_mib_at_end"] > RUN_RSS_LIMIT_MIB:
         failures.append(
-            f"interior routes differ by {report['interior_route_gap']:.2e} "
-            f"> {ROUTE_AGREEMENT_TOL:.0e}"
+            f"the run peaked at {report['ru_maxrss_mib_at_end']} MiB "
+            f"> {RUN_RSS_LIMIT_MIB} MiB"
         )
+    for name, case in (("M2+M3", report), ("M3+M4", large)):
+        if case["interior_route_gap"] > ROUTE_AGREEMENT_TOL:
+            failures.append(
+                f"{name} interior routes differ by {case['interior_route_gap']:.2e} "
+                f"> {ROUTE_AGREEMENT_TOL:.0e}"
+            )
     if tensor["interior_deviation"] > ROUTE_AGREEMENT_TOL:
         failures.append(
             f"M2(x)M2 interior cosine is off m2.exact_angle by "

@@ -7,11 +7,11 @@ scalar inner product
 
     <x, y> = Tr(E(x* y)),
 
-which is positive definite because E is faithful.  The module works in A's
-own HS coordinates, changed by one lower-triangular matrix into an
-orthonormal basis for this product (:class:`GenericModule`; the identity
-when Tr o E = Tr).  Against that basis every element x acts by left
-multiplication as a d x d matrix L_x (d = dim A), the map a -> E(a)
+which is positive definite because E is faithful.  The module basis is A's
+HS basis times the inverse square root of its Gram matrix, which commutes
+with left multiplication (:class:`GenericModule`), so every element x acts
+by left multiplication as the d x d matrix L_x of HS coordinates
+(d = dim A), the map a -> E(a)
 becomes the Jones projection e_B, and
 
     A_1 = span{ L_x e_B L_y : x, y in A }
@@ -120,18 +120,17 @@ def _check_family_budget(count: int, n: int, what: str):
 
 
 class GenericModule:
-    """The module of (A, E) in A's own coordinates, up to a triangular change of basis.
+    """The module of (A, E): A's coordinates scaled by the square root of its Gram matrix.
 
     Let {b_j} be A's HS-orthonormal basis, with coordinates
-    ``A.hs_coordinates`` and ``A.combine``.  Under the module inner product
-    its Gram matrix is G[j, l] = Tr(E(b_j* b_l)) = L L* (Cholesky, L lower
-    triangular with positive diagonal), and the module basis
-    m_k = sum_j conj(L^-1)[k, j] b_j is the Gram-Schmidt orthonormalization
-    of {b_j} in order.  An element with HS coordinates h has module
-    coordinates h conj(L), and a map acting on HS coordinate rows as h -> h X
-    has the module matrix (conj(L^-1) X conj(L))^T; left multiplications
-    and expectations take their module matrices that way.  When Tr o E = Tr
-    on A, G and L are the identity up to rounding.
+    ``A.hs_coordinates`` and ``A.combine``.  The module Gram matrix
+    G[j, l] = Tr(E(b_j* b_l)) = <b_j, b_l rho>_HS is right multiplication by
+    the density rho of Tr o E, and the module basis m_k = b_k rho^{-1/2} =
+    sum_j b_j G^{-1/2}[j, k] is the symmetric (Loewdin) orthonormalization of
+    {b_j}.  HS coordinates h become h conj(G^{1/2}), and a map h -> h X on HS
+    rows has the module matrix (conj(G^{-1/2}) X conj(G^{1/2}))^T.  G commutes
+    with left multiplication, so column j of L_x is the HS coordinates of
+    x b_j.  When Tr o E = c Tr, the module basis is A's basis over sqrt(c).
     """
 
     def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
@@ -143,28 +142,26 @@ class GenericModule:
         n = algebra.ambient_dim
         w = (tau @ np.conjugate(algebra._flat)).reshape(n, n)
         gram = algebra.hs_coordinates(algebra.basis_stack @ w.T).T
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:  # not positive definite
-            chol = None
-        # the drop rule of Gram-Schmidt: a pivot below cutoff (1 + ||b_j||_E)
-        floor = mx.RANK_CUTOFF * (1.0 + np.sqrt(np.abs(np.diagonal(gram))))
-        if chol is None or not np.all(np.diagonal(chol).real > floor):
+        values, vectors = np.linalg.eigh(gram)
+        del gram
+        # no Gram-Schmidt pivot is below sqrt(values[0]), so this fires
+        # whenever the pivot rule cutoff (1 + ||b_j||_E) would
+        low, high = np.sqrt(np.maximum(values[[0, -1]], 0.0))
+        if not low > mx.RANK_CUTOFF * (1.0 + high):
             raise ConstructionFailure(
                 "module inner product is degenerate (expectation not faithful?)"
             )
-        self._to_module = np.conjugate(chol)
-        self._from_module = np.linalg.inv(self._to_module)
+        # conj(V diag(s) V*) = conj(V) diag(s) V^T for s = values^(+-1/2)
+        scaled = np.conjugate(vectors) * np.sqrt(values)
+        self._to_module = scaled @ vectors.T
+        scaled /= values
+        self._from_module = scaled @ vectors.T
 
     def _hs_matrix(self, F: ConditionalExpectation) -> np.ndarray:
         """F on A's HS coordinates: row j holds the HS coordinates of F(b_j)."""
         A = self.algebra
         onto = F.coordinate_matrix @ A.hs_coordinates(F.target.basis_stack)
         return onto if F.source is A else F.source.hs_coordinates(A.basis_stack) @ onto
-
-    def _module_matrix(self, on_hs: np.ndarray) -> np.ndarray:
-        """Module matrix of the map h -> h X on HS coordinate rows (or a stack of them)."""
-        return np.swapaxes(self._from_module @ on_hs @ self._to_module, -1, -2)
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
@@ -175,7 +172,7 @@ class GenericModule:
         return self.algebra.combine(np.asarray(v) @ self._from_module)
 
     def left_mult(self, x) -> np.ndarray:
-        """L_x, or the stack of them: the HS coordinates of x b_j, changed to the module basis."""
+        """L_x, or the stack of them: column j holds the HS coordinates of x b_j."""
         x = np.asarray(x, dtype=np.complex128)
         stack = x.reshape((-1,) + x.shape[-2:])
         basis, d = self.algebra.basis_stack, self.dim
@@ -185,11 +182,11 @@ class GenericModule:
             on_hs[:, rows] = self.algebra.hs_coordinates(
                 moved.reshape((-1,) + x.shape[-2:])
             ).reshape(len(stack), -1, d)
-        return self._module_matrix(on_hs).reshape(x.shape[:-2] + (d, d))
+        return np.swapaxes(on_hs, 1, 2).reshape(x.shape[:-2] + (d, d))
 
     def expectation_matrix(self, F: ConditionalExpectation) -> np.ndarray:
         """Module matrix of an expectation F defined on A, from its coordinate matrix."""
-        return self._module_matrix(self._hs_matrix(F))
+        return (self._from_module @ self._hs_matrix(F) @ self._to_module).T
 
     def operator_matrix(self, fn) -> np.ndarray:
         """Matrix of a map on A (columns are images in coordinates).
@@ -420,9 +417,8 @@ def build_tower_level(
         raise NotIntermediate("E.source must be A")
     if not E.target.same_span(B, tol):
         raise NotIntermediate("E must map onto B")
-    for b in B.basis:
-        if not A.contains(b, tol):
-            raise NotIntermediate("B is not contained in A")
+    if not A.contains_all(B.basis_stack, tol):
+        raise NotIntermediate("B is not contained in A")
 
     mod = module if module is not None else GenericModule(A, E)
     e_b = mod.expectation_matrix(E)
@@ -525,7 +521,8 @@ def iterate_tower(
     level raises :class:`TooLarge` even with a rung kept.
     """
     # the rung builds the module of A_1 (a (d1, n1, n1) stack for its Gram
-    # matrix, four d1 x d1 matrices), e_2, J, _quasi_left and dual_quasi_basis
+    # matrix, at most four d1 x d1 matrices at once while G^(+-1/2) are
+    # formed), e_2, J, _quasi_left and dual_quasi_basis
     d1, n1, q = level.basic_construction.dim, level.module_dim, len(level.dual_quasi_basis)
     _check_budget(
         16 * (d1 * n1 * n1 + 6 * d1 * d1 + 2 * q * d1 * d1),

@@ -35,8 +35,7 @@ def reference_orthonormalize():
     """Per-pair Gram-Schmidt under any inner product, kept as the oracle.
 
     Two passes, inputs in order, a candidate dropped below
-    ``cutoff (1 + its norm)``: the rule of ``mx.orthonormalize`` and of the
-    tower module's triangular change of basis.
+    ``cutoff (1 + its norm)``: the rule of ``mx.orthonormalize``.
     """
 
     def orthonormalize(mats, inner, cutoff=mx.RANK_CUTOFF):

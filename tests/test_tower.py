@@ -530,9 +530,17 @@ def test_star_matrix_conjugates_coordinates(tower_level, c_plus_m2, rng):
 
 
 def _state_on_m3(rng):
-    """The non-tracial state E(x) = Tr(rho x) 1 on M_3, rho a random full-rank density."""
+    """The non-tracial state E(x) = Tr(rho x) 1 on M_3, rho a random full-rank density.
+
+    A's HS basis is a random unitary mix of the matrix units, so the module
+    Gram matrix is not block diagonal.  On matrix units it is, and then any
+    block-diagonal factor of it, not only its square root, commutes with
+    left multiplication.
+    """
     units = np.eye(9, dtype=np.complex128).reshape(9, 3, 3)
-    A = MatrixStarAlgebra.from_orthonormal(units)
+    A = MatrixStarAlgebra.from_orthonormal(
+        np.tensordot(mx.random_unitary(9, rng), units, axes=1)
+    )
     scalars = MatrixStarAlgebra.from_orthonormal([np.eye(3) / math.sqrt(3.0)])
     g = mx.random_matrix(3, rng)
     rho = mx.adjoint(g) @ g + 0.1 * np.eye(3)
@@ -540,27 +548,57 @@ def _state_on_m3(rng):
     return ConditionalExpectation.from_rule(A, scalars, lambda x: np.trace(rho @ x) * np.eye(3))
 
 
-def test_generic_module_basis_is_orthonormal(tower_level, reference_orthonormalize, rng):
-    # the module basis is Gram-Schmidt of A's basis under Tr(E(a* b)): same
-    # vectors, same order, on tracial and non-tracial expectations alike
+def _expectation_cases(tower_level, rng):
+    """(E, module or None) on skewed m2, its unitary conjugate, m2 level two and an M3 state."""
     skewed = m2.skewed_scalar_expectation(0.3)
     level2 = iterate_tower(tower_level)
-    cases = (
+    return (
         (skewed, None),
         (conjugate_expectation(skewed, mx.random_unitary(2, rng)), None),  # complex rho
         (level2.expectation, level2.module),  # E_1 on A_1, tracial
         (_state_on_m3(rng), None),  # d = 9
     )
-    for E, module in cases:
+
+
+def test_generic_module_basis_is_orthonormal(tower_level, rng):
+    # the module basis is A's basis times G^(-1/2), G[j, l] = Tr(E(b_j* b_l))
+    # taken pair by pair, on tracial and non-tracial expectations alike
+    for E, module in _expectation_cases(tower_level, rng):
         module = module or GenericModule(E.source, E)
         basis = module.from_coords(np.eye(module.dim))
-        ref = reference_orthonormalize(
-            E.source.basis, lambda a, b: np.trace(E(mx.adjoint(a) @ b))
+        hs_basis = module.algebra.basis_stack
+        gram = np.array(
+            [[np.trace(E(mx.adjoint(a) @ b)) for b in hs_basis] for a in hs_basis]
         )
-        assert module.dim == len(ref) == E.source.dim
-        np.testing.assert_allclose(basis, np.stack(ref), rtol=0, atol=1e-12)
+        inv_root = np.linalg.inv(mx.psd_sqrt(gram))
+        assert module.dim == E.source.dim
+        np.testing.assert_allclose(
+            basis, np.tensordot(inv_root, hs_basis, axes=([0], [0])), rtol=0, atol=1e-12
+        )
         gram = np.array([[np.trace(E(mx.adjoint(a) @ b)) for b in basis] for a in basis])
         np.testing.assert_allclose(gram, np.eye(module.dim), atol=1e-12)
+
+
+def test_left_mult_is_the_hs_matrix_of_left_multiplication(tower_level, rng):
+    # no change of basis: column j of L_x is hs_coordinates(x b_j) on every module,
+    # L_x represents the product on coordinates, and L_{x*} = L_x*
+    for E, module in _expectation_cases(tower_level, rng):
+        module = module or GenericModule(E.source, E)
+        A = module.algebra
+        xs = np.stack([A.random_element(rng) for _ in range(3)])
+        lmats = module.left_mult(xs)
+        for x, lx in zip(xs, lmats):
+            np.testing.assert_allclose(
+                lx, np.swapaxes(A.hs_coordinates(x @ A.basis_stack), 0, 1),
+                rtol=0, atol=1e-13,
+            )
+            y = A.random_element(rng)
+            np.testing.assert_allclose(
+                module.coords(x @ y), lx @ module.coords(y), rtol=0, atol=1e-12
+            )
+        np.testing.assert_allclose(
+            module.left_mult(mx.adjoint(xs)), mx.adjoint(lmats), rtol=0, atol=1e-12
+        )
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-25])
