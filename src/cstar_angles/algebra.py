@@ -86,7 +86,9 @@ def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 # round trip (hs_coordinates, then combine) on the regular representation of
 # Z_d takes, dense against gather: 15-20 against 18-28 us at d = 16, 24
 # against 18-24 us at d = 24; for a stack of 20 elements, 51-61 against
-# 42-57 us at d = 16 and 130 against 73-76 us at d = 24.
+# 42-57 us at d = 16 and 130 against 73-76 us at d = 24.  The same bound
+# gates the product table (``MatrixStarAlgebra._table``), which is only
+# looked for on a basis with disjoint supports.
 GATHER_MIN_DIM = 20
 
 
@@ -98,6 +100,14 @@ class MatrixStarAlgebra:
     spanning set is one read-only (k, n, n) ``spanning_stack``, with
     ``spanning_set`` its views; both share the basis storage when the
     spanning set is the basis.
+
+    A basis of scaled partial permutation matrices closed under products
+    and adjoints up to scalars (group algebras and their subgroup slices)
+    has a product table, ``_table``, built on first read; the centrality
+    tests of index elements (:func:`_centrality_residual`),
+    :func:`verify_quasi_basis` and the module Gram matrix multiply by it.
+    On any other basis ``_table`` is None and each of them runs its dense
+    n x n products instead.
     """
 
     def __init__(self, spanning_set: Sequence[np.ndarray], basis: Sequence[np.ndarray]):
@@ -170,6 +180,78 @@ class MatrixStarAlgebra:
         return SimpleNamespace(
             positions=positions, starts=np.searchsorted(owners, np.arange(d)),
             conj_values=np.conjugate(entries[positions]), owner=owner, entries=entries,
+        )
+
+    @cached_property
+    def _table(self):
+        """The product table of a monomial basis, or None.
+
+        Looked for only on a basis with disjoint supports (so from
+        ``GATHER_MIN_DIM`` elements on) whose elements b_i are each v_i
+        times a partial permutation matrix (one value v_i on every nonzero
+        entry, at most one per row and column).  Then b_i b_j = scale[i, j]
+        b_index[i, j], with scale 0 (and index 0) for a zero product, and
+        b_i* = star_scale[i] b_star_index[i].  Built from the column -> row
+        maps of the elements: the map of b_i b_j is p_i o p_j, and it is
+        compared with the map of the basis element owning its first entry
+        on every column, integer work a chunk of left factors at a time
+        with no n x n product.  None when some product or adjoint is not
+        one scaled basis element.
+        """
+        sup = self._supports
+        if sup is None:
+            return None
+        d, n = self.dim, self.ambient_dim
+        owners = sup.owner[sup.positions]
+        rows, cols = np.divmod(sup.positions, n)
+        values = sup.entries[sup.positions[sup.starts]]
+        if np.any(sup.entries[sup.positions] != values[owners]):
+            return None
+        if not values.imag.any():
+            values = values.real  # and so is every scale
+        # maps[i, c]: the row of b_i's entry in column c, and n for an empty
+        # column; column n maps to n, so that maps compose through it
+        maps = np.full((d, n + 1), n, dtype=np.int32)
+        maps[owners, cols] = rows
+        inverse = np.full((d, n), n, dtype=np.int32)  # the maps of the b_i*
+        inverse[owners, rows] = cols
+        if min(np.count_nonzero(maps < n), np.count_nonzero(inverse < n)) < len(owners):
+            return None  # two entries share a column or a row
+
+        def owning(composed):
+            """The basis element whose map each map of ``composed`` is, or None."""
+            defined = composed < n
+            nonempty, first = defined.any(axis=-1), defined.argmax(axis=-1)
+            row = np.take_along_axis(composed, first[..., None], axis=-1)[..., 0]
+            pos = np.where(nonempty, row.astype(np.intp) * n + first, 0)
+            index = np.where(nonempty, sup.owner[pos], 0)
+            if np.any(nonempty & (sup.entries[pos] == 0)):
+                return None
+            if not np.all((composed == maps[index, :n]).all(axis=-1) | ~nonempty):
+                return None
+            return index, nonempty
+
+        star = owning(inverse)  # no adjoint of a basis element is empty
+        if star is None:
+            return None
+        star_index = star[0]
+        index = np.zeros((d, d), dtype=np.int32)
+        scale = np.zeros((d, d), dtype=values.dtype)
+        # charged per left factor: the composed maps, their comparison maps
+        # and two boolean masks
+        for block in mx.stack_slices(d, 10 * d * n):
+            found = owning(maps[block][:, maps[:, :n]])
+            if found is None:
+                return None
+            index[block], nonempty = found
+            scale[block] = np.where(
+                nonempty, values[block, None] * values / values[index[block]], 0.0
+            )
+        for a in (index, scale, star_index):
+            a.setflags(write=False)
+        return SimpleNamespace(
+            index=index, scale=scale, star_index=star_index,
+            star_scale=np.conjugate(values) / values[star_index],
         )
 
     def hs_coordinates(self, x) -> np.ndarray:
@@ -260,6 +342,31 @@ class MatrixStarAlgebra:
 
     def __repr__(self):
         return f"MatrixStarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _multiplication_matrices(table, coords, left: bool) -> np.ndarray:
+    """Multiplication by each element y of a stack, in coordinates, by the product table.
+
+    ``coords`` holds the coordinates of the y, one row each.  Row k of
+    slice a of the (m, d, d) result holds coords(y_a b_k) when ``left`` (y
+    multiplies from the left), else coords(b_k y_a), so that coords(y x),
+    or coords(x y), is coords(x) @ slice.  For a fixed factor b_k the nonzero
+    products with distinct basis elements are distinct basis elements
+    (their supports are disjoint), so each slice is one scatter.
+    """
+    coords = np.asarray(coords, dtype=np.complex128).reshape(-1, len(table.scale))
+    i, j = np.nonzero(table.scale)
+    out = np.zeros((len(coords),) + table.scale.shape, dtype=np.complex128)
+    terms = coords[:, i if left else j] * table.scale[i, j]
+    out[:, j if left else i, table.index[i, j]] = terms
+    return out
+
+
+def _adjoint_coordinates(table, coords) -> np.ndarray:
+    """coords(y*) from coords(y), rows of a stack, by the table's adjoints."""
+    out = np.zeros_like(coords)
+    out[..., table.star_index] = np.conjugate(coords) * table.star_scale
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +704,12 @@ def verify_quasi_basis(
     d_src x n^2 array is held whole.  An E whose images leave its target
     by more than ``tol`` (see :meth:`ConditionalExpectation.coordinates`)
     is no expectation onto that target, and fails the check.
+
+    On a source with a product table (``MatrixStarAlgebra._table``) whose
+    span holds every l_i and every target basis element within
+    ``NOISE_FLOOR (1 + norm)``, both identities are checked in source
+    coordinates instead, by :func:`_quasi_basis_by_table`, against the same
+    bound; otherwise the dense products above run.
     """
     src, tgt = E.source, E.target
     lams = _stack_of(lambdas, E.ambient_dim)
@@ -606,11 +719,17 @@ def verify_quasi_basis(
         t = E.coordinates(tol)
     except NumericIntegrityError:
         return False
+    if (
+        src._table is not None
+        and src.contains_all(lams, mx.NOISE_FLOOR)
+        and src.contains_all(tgt.basis_stack, mx.NOISE_FLOOR)
+    ):
+        return _quasi_basis_by_table(src, tgt, t, lams, tol)
+    lams = [lam for lam in lams if lam.any()]  # a zero element adds nothing
     flat = src._flat
     d_s, d_t, n = src.dim, tgt.dim, E.ambient_dim
     # row m of W is phi_m as a vector, conj(S)^T T[:, m]
     w = np.conjugate(np.conjugate(t).T @ flat).reshape(d_t, n, n)
-    lams = [lam for lam in lams if lam.any()]  # a zero element adds nothing
     # phi[k, m] = phi_m(b_k l) and phi_m(l* b_k), per l
     # (a contiguous l^T keeps the stacked product on BLAS)
     phi_left = [flat @ (w @ np.ascontiguousarray(lam.T)).reshape(d_t, -1).T for lam in lams]
@@ -628,8 +747,42 @@ def verify_quasi_basis(
             right += p_right @ (lam[rows] @ beta).reshape(d_t, -1)
         sq_left += np.einsum("ij,ij->i", left, np.conjugate(left)).real
         sq_right += np.einsum("ij,ij->i", right, np.conjugate(right)).real
-    bound = tol * (1.0 + np.linalg.norm(flat, axis=1))
+    bound = tol * (1.0 + mx.row_norms(flat))
     return bool(np.all(np.sqrt(sq_left) <= bound) and np.all(np.sqrt(sq_right) <= bound))
+
+
+def _quasi_basis_by_table(
+    src: MatrixStarAlgebra, tgt: MatrixStarAlgebra, t: np.ndarray, lams: np.ndarray, tol: float
+) -> bool:
+    """Both identities of :func:`verify_quasi_basis` as d_src x d_src coordinate sums.
+
+    With R_y (row k = coords(b_k y)) and L_y (row k = coords(y b_k)) from
+    :func:`_multiplication_matrices`, and E in source coordinates T B (B
+    holds the target basis in source coordinates), row k of
+    sum_i R_{l_i} T B R_{l_i*} holds coords(sum_i E(b_k l_i) l_i*), and row
+    k of sum_i L_{l_i*} T B L_{l_i} holds coords(sum_i l_i E(l_i* b_k)).
+    The basis is orthonormal, so the row norms of each sum minus the
+    identity are the Frobenius residuals of the dense check.
+    """
+    table, d = src._table, src.dim
+    coords = src.hs_coordinates(lams)
+    coords = coords[coords.any(axis=1)]  # a zero element adds nothing
+    star = _adjoint_coordinates(table, coords)
+    onto = src.hs_coordinates(tgt.basis_stack)
+    left, right = -np.eye(d, dtype=np.complex128), -np.eye(d, dtype=np.complex128)
+    # charged per element: its four multiplication matrices
+    for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
+        r_lam = _multiplication_matrices(table, coords[rows], left=False) @ t
+        r_star = onto @ _multiplication_matrices(table, star[rows], left=False)
+        left += np.tensordot(r_lam, r_star, axes=([0, 2], [0, 1]))
+        l_star = _multiplication_matrices(table, star[rows], left=True) @ t
+        l_lam = onto @ _multiplication_matrices(table, coords[rows], left=True)
+        right += np.tensordot(l_star, l_lam, axes=([0, 2], [0, 1]))
+    bound = tol * (1.0 + mx.row_norms(src._flat))
+    return bool(
+        np.all(np.linalg.norm(left, axis=1) <= bound)
+        and np.all(np.linalg.norm(right, axis=1) <= bound)
+    )
 
 
 def watatani_index(
@@ -640,27 +793,59 @@ def watatani_index(
     The result must be self-adjoint, commute with every source basis element
     (centrality) and have spectrum >= 1; violations raise
     :class:`NumericIntegrityError` since they indicate a broken quasi-basis.
+    On a source with a product table the centrality test may pass in
+    coordinates; whenever it does not, the dense commutators run, and only
+    they can fail it (:func:`_centrality_residual`).
     """
     if E.quasi_basis is None:
         raise NoQuasiBasis("expectation carries no quasi-basis")
     n = E.ambient_dim
     ind = np.zeros((n, n), dtype=np.complex128)
     for lam in E.quasi_basis:
-        ind += lam @ mx.adjoint(lam)
+        if lam.any():  # a zero element adds nothing (derived ones often are)
+            ind += lam @ mx.adjoint(lam)
 
     if mx.operator_norm(ind - mx.adjoint(ind)) > tol:
         raise NumericIntegrityError("index element is not self-adjoint")
-    basis = E.source.basis_stack
-    worst = max(
-        mx.max_operator_norm(ind @ basis[rows] - basis[rows] @ ind)
-        for rows in mx.stack_slices(len(basis), basis[0].nbytes)
-    )
-    if worst > tol * (1.0 + mx.operator_norm(ind)):
+    bound = tol * (1.0 + mx.operator_norm(ind))
+    worst = _centrality_residual(E.source, ind, bound)
+    if worst > bound:
         raise NumericIntegrityError(f"index element not central (residual {worst:.2e})")
     smallest = float(np.linalg.eigvalsh((ind + mx.adjoint(ind)) / 2.0)[0])
     if smallest < 1.0 - tol:
         raise NumericIntegrityError(f"index has eigenvalue {smallest:.6f} below 1")
     return ind
+
+
+def _centrality_residual(alg: MatrixStarAlgebra, x: np.ndarray, bound: float) -> float:
+    """max_k ||[x, b_k]|| over the basis, or an upper bound of it within ``bound``.
+
+    On a basis with a product table, with P the HS projection onto the
+    span, the commutators [P x, b_k] have coordinates
+    coords(P x b_k) - coords(b_k P x), whose norm is their Frobenius norm,
+    and ||[x - P x, b_k]|| <= 2 ||x - P x||_F, since a basis element of one
+    value and HS norm 1 has operator norm at most 1.  When that upper bound
+    is within ``bound`` it is returned.  Otherwise (and without a table)
+    the commutators are formed densely, a chunk of the basis at a time, and
+    their largest operator norm is returned, so a residual above ``bound``
+    is always the dense one.
+    """
+    table = alg._table
+    if table is not None:
+        coords = alg.hs_coordinates(x)
+        off = mx.frobenius_norm(x - alg.combine(coords))
+        commutators = (
+            _multiplication_matrices(table, coords, left=True)[0]
+            - _multiplication_matrices(table, coords, left=False)[0]
+        )
+        upper = float(np.linalg.norm(commutators, axis=1).max()) + 2.0 * off
+        if upper <= bound:
+            return upper
+    basis = alg.basis_stack
+    return max(
+        mx.max_operator_norm(x @ basis[rows] - basis[rows] @ x)
+        for rows in mx.stack_slices(len(basis), basis[0].nbytes)
+    )
 
 
 def restrict_expectation(

@@ -544,6 +544,13 @@ def _regular_stack(G: FiniteGroup, elements, value: float = 1.0) -> np.ndarray:
     return stack
 
 
+def _slice_algebra(A: MatrixStarAlgebra, mask: np.ndarray) -> MatrixStarAlgebra:
+    """C[S] as the algebra of A's basis rows at ``mask``, held once."""
+    rows = A.basis_stack[mask]
+    rows.setflags(write=False)  # a fresh copy already: enter uncopied
+    return MatrixStarAlgebra.from_orthonormal(rows)
+
+
 def _masking_expectation(
     A: MatrixStarAlgebra, S: Subgroup, reps, name: str
 ) -> ConditionalExpectation:
@@ -554,8 +561,9 @@ def _masking_expectation(
     itself for g in S and to zero otherwise.
     """
     mask = S.mask()
-    target = MatrixStarAlgebra.from_orthonormal(A.basis_stack[mask])
+    target = _slice_algebra(A, mask)
     quasi = _regular_stack(S.parent, reps)  # {lambda_g} over coset reps
+    quasi.setflags(write=False)  # so that the expectation takes it uncopied
     return ConditionalExpectation.from_coordinates(
         A, target, np.eye(A.dim)[:, mask], quasi_basis=quasi, name=name
     )
@@ -574,7 +582,7 @@ class GroupInclusion:
     coset_reps: list[int]
 
     def intermediate_algebra(self, K: Subgroup) -> MatrixStarAlgebra:
-        return MatrixStarAlgebra.from_orthonormal(self.A.basis_stack[K.mask()])
+        return _slice_algebra(self.A, K.mask())
 
     def expectation_onto(self, K: Subgroup, reps=None) -> ConditionalExpectation:
         """The coefficient-masking expectation onto C[K], coset-rep quasi-basis."""

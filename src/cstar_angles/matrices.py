@@ -178,6 +178,17 @@ def stack_slices(count: int, item_bytes: int):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, with no temporary of its size.
+
+    ``np.linalg.norm(rows, axis=1)`` of a complex array first forms the
+    squared moduli, an array as large as ``rows``; this reads each row as
+    real and imaginary parts side by side and sums their squares.
+    """
+    pairs = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+
+
 def norm_screen(frobenius: np.ndarray, n: int) -> np.ndarray:
     """Indices of the matrices that can attain the largest operator norm.
 

@@ -72,6 +72,7 @@ from . import matrices as mx
 from .algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
+    _centrality_residual,
     compatibility_residual,
     restrict_expectation,
     verify_quasi_basis,
@@ -131,6 +132,12 @@ class GenericModule:
     rows has the module matrix (conj(G^{-1/2}) X conj(G^{1/2}))^T.  G commutes
     with left multiplication, so column j of L_x is the HS coordinates of
     x b_j.  When Tr o E = c Tr, the module basis is A's basis over sqrt(c).
+
+    On an algebra with a product table (``MatrixStarAlgebra._table``), G is
+    read off it: b_j* b_l = star_scale[j] scale[pi j, l] b_index[pi j, l]
+    with pi = star_index, so G[j, l] is that scalar times
+    tau[index[pi j, l]], tau_k = Tr(E(b_k)).  Without one, G takes d dense
+    n x n products.
     """
 
     def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
@@ -138,10 +145,15 @@ class GenericModule:
         self.dim = algebra.dim
         traces = np.trace(algebra.basis_stack, axis1=1, axis2=2)
         tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
-        # Tr(E(y)) = sum_ab y[a, b] w[a, b] on A, so G[j, l] = <b_j, b_l w^T>_HS
-        n = algebra.ambient_dim
-        w = (tau @ np.conjugate(algebra._flat)).reshape(n, n)
-        gram = algebra.hs_coordinates(algebra.basis_stack @ w.T).T
+        table = algebra._table
+        if table is not None:
+            pi = table.star_index
+            gram = table.star_scale[:, None] * table.scale[pi] * tau[table.index[pi]]
+        else:
+            # Tr(E(y)) = sum_ab y[a, b] w[a, b] on A, so G[j, l] = <b_j, b_l w^T>_HS
+            n = algebra.ambient_dim
+            w = (tau @ np.conjugate(algebra._flat)).reshape(n, n)
+            gram = algebra.hs_coordinates(algebra.basis_stack @ w.T).T
         values, vectors = np.linalg.eigh(gram)
         del gram
         # no Gram-Schmidt pivot is below sqrt(values[0]), so this fires
@@ -568,9 +580,9 @@ def _dual_expectation_from(
     q, d = len(level.expectation.quasi_stack), level.module_dim
     _check_family_budget(d * q, d, "the intermediate dual expectation")
     ind_c = restricted.index_element(tol)
-    basis = level.algebra.basis_stack
-    worst = mx.max_operator_norm(ind_c @ basis - basis @ ind_c)
-    if worst > tol * (1.0 + mx.operator_norm(ind_c)):
+    bound = tol * (1.0 + mx.operator_norm(ind_c))
+    worst = _centrality_residual(level.algebra, ind_c, bound)
+    if worst > bound:
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from cstar_angles import m2
+from cstar_angles import algebra, m2
 from cstar_angles import matrices as mx
 from cstar_angles.algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
+    _adjoint_coordinates,
+    _multiplication_matrices,
     cauchy_schwarz_check,
     compatibility_residual,
     conjugate_expectation,
@@ -39,7 +41,7 @@ from cstar_angles.groups import (
     left_coset_reps,
     trivial_subgroup,
 )
-from cstar_angles.tower import intermediate_dual_expectation
+from cstar_angles.tower import GenericModule, intermediate_dual_expectation
 
 E11, E12 = m2.E11, m2.E12
 E21, E22 = m2.E21, m2.E22
@@ -560,6 +562,203 @@ def test_hs_coordinates_and_map_matrix_match_old_formulas(inclusion, rng):
         for exp in exps:
             diff = exp.map_matrix - _reference_map_matrix(exp)
             assert np.max(np.abs(diff)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the product table of monomial bases
+
+
+def _z3_power_inclusion(H_gens=((0, 0, 0, 1),)):
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+    H = generated_subgroup(G, [G.index_of(g) for g in H_gens])
+    K = generated_subgroup(
+        G, [G.index_of(g) for g in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))]
+    )
+    return group_algebra_inclusion(G, H), K
+
+
+def _block_diagonal_s3_z4z4() -> MatrixStarAlgebra:
+    """C[S3] + C[Z4 x Z4] on C^6 + C^16: d = 22, every cross product zero."""
+    blocks = (FiniteGroup.symmetric(3), FiniteGroup.direct_product([4, 4]))
+    n = sum(G.order for G in blocks)
+    mats, offset = [], 0
+    for G in blocks:
+        for g in range(G.order):
+            m = np.zeros((n, n), dtype=np.complex128)
+            span = slice(offset, offset + G.order)
+            m[span, span] = G.regular_matrix(g) / math.sqrt(G.order)
+            mats.append(m)
+        offset += G.order
+    return MatrixStarAlgebra.from_orthonormal(np.stack(mats))
+
+
+def test_product_table_matches_dense_products(rng):
+    S4 = FiniteGroup.symmetric(4)
+    z81, K = _z3_power_inclusion()
+    algebras = [
+        group_algebra_inclusion(S4, trivial_subgroup(S4)).A,
+        z81.A,
+        z81.intermediate_algebra(K),
+        _block_diagonal_s3_z4z4(),
+    ]
+    assert [alg.dim for alg in algebras] == [24, 81, 27, 22]
+    for alg in algebras:
+        table, basis = alg._table, alg.basis_stack
+        assert table is not None
+        d, n = alg.dim, alg.ambient_dim
+        # b_i b_j, all j at once as one product with the basis side by side
+        side_by_side = np.swapaxes(basis, 0, 1).reshape(n, d * n)
+        for i in range(d):
+            products = np.swapaxes((basis[i] @ side_by_side).reshape(n, d, n), 0, 1)
+            want = table.scale[i][:, None, None] * basis[table.index[i]]
+            assert np.max(np.abs(products - want)) <= 1e-13
+        want = table.star_scale[:, None, None] * basis[table.star_index]
+        assert np.max(np.abs(mx.adjoint(basis) - want)) <= 1e-13
+        # the multiplication matrices against the coordinates of dense products
+        coords = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        ys = alg.combine(coords)
+        on_left = _multiplication_matrices(table, coords, left=True)
+        on_right = _multiplication_matrices(table, coords, left=False)
+        for y, lm, rm in zip(ys, on_left, on_right):
+            assert np.max(np.abs(lm - alg.hs_coordinates(y @ basis))) <= 1e-13
+            assert np.max(np.abs(rm - alg.hs_coordinates(basis @ y))) <= 1e-13
+        star = _adjoint_coordinates(table, coords)
+        assert np.max(np.abs(star - alg.hs_coordinates(mx.adjoint(ys)))) <= 1e-13
+    # the two blocks of the direct sum annihilate each other
+    block = algebras[-1]._table
+    assert not block.scale[:6, 6:].any() and not block.scale[6:, :6].any()
+
+
+def _diagonal_family(first: np.ndarray, n: int = 22) -> np.ndarray:
+    """``first`` on the top 3 x 3 corner, then the matrix units E_kk for k >= 3."""
+    mats = np.zeros((n - 2, n, n), dtype=np.complex128)
+    mats[0, :3, :3] = first
+    mats[np.arange(1, n - 2), np.arange(3, n), np.arange(3, n)] = 1.0
+    return mats
+
+
+def test_product_table_is_none_off_monomial_closed_families():
+    cycle = np.roll(np.eye(3), 1, axis=0)  # the 3-cycle, with inverse cycle^2
+    non_monomial = [
+        np.diag([0.6, 0.8, 0.0]),  # two values
+        np.array([[1, 0, 0], [1, 0, 0], [0, 0, 0]]) / math.sqrt(2),  # two entries in a column
+    ]
+    for first in non_monomial:
+        alg = MatrixStarAlgebra.from_orthonormal(_diagonal_family(first))
+        assert alg._supports is not None and alg._table is None
+    # cycle and cycle^2 are closed under adjoints, but cycle cycle^2 is the
+    # unit of the corner, which is no basis element
+    mats = _diagonal_family(cycle / math.sqrt(3))
+    mats[1] = 0.0
+    mats[1, :3, :3] = cycle @ cycle / math.sqrt(3)
+    alg = MatrixStarAlgebra.from_orthonormal(mats)
+    assert alg._supports is not None and alg._table is None
+    # with the corner unit as well, the family is closed again
+    mats = np.concatenate([mats, _diagonal_family(np.eye(3) / math.sqrt(3))[:1]])
+    assert MatrixStarAlgebra.from_orthonormal(mats)._table is not None
+
+
+def _dense_and_table(monkeypatch, build):
+    """``build()`` once as it is and once with the product table forced off."""
+    on_table = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(MatrixStarAlgebra, "_table", None)
+        dense = build()
+    return on_table, dense
+
+
+def test_table_and_dense_paths_agree(monkeypatch):
+    def build():
+        inc, K = _z3_power_inclusion()
+        F = inc.expectation_onto(K)
+        restricted = restrict_expectation(inc.E, F.target, F)
+        wrong = list(inc.coset_reps)
+        wrong[1] = inc.group.mult(wrong[0], inc.subgroup.elements[1])  # coset of wrong[0]
+        lambdas = [inc.group.regular_matrix(g) for g in wrong]
+        out = []
+        for E in (inc.E, restricted):
+            module = GenericModule(E.source, E)
+            out.append((
+                E.source._table is not None,
+                watatani_index(E),
+                verify_quasi_basis(E, E.quasi_stack),
+                verify_quasi_basis(E, lambdas) if E is inc.E else None,
+                module._to_module,
+                module._from_module,
+            ))
+        return out
+
+    calls = []
+    original = algebra._quasi_basis_by_table
+    monkeypatch.setattr(
+        algebra, "_quasi_basis_by_table", lambda *a: calls.append(a) or original(*a)
+    )
+    on_table, dense = _dense_and_table(monkeypatch, build)
+    # restrict_expectation checks its quasi-basis too: four checks in all,
+    # all on the table, and none with it forced off
+    assert len(calls) == 4
+    for got, want in zip(on_table, dense):
+        assert got[0] and not want[0]
+        assert got[2] is want[2] is True
+        assert got[3] is want[3]
+        for a, b in zip(got[1:], want[1:]):
+            if isinstance(a, np.ndarray):
+                assert np.max(np.abs(a - b)) <= 1e-13
+    assert on_table[0][3] is False  # two representatives of one coset
+
+
+def test_table_path_centrality_passes_without_dense_commutators(monkeypatch):
+    inc, _ = _z3_power_inclusion()
+    fresh = ConditionalExpectation.from_coordinates(
+        inc.A, inc.B, inc.E.coordinate_matrix, quasi_basis=inc.E.quasi_stack
+    )
+
+    def dense(*args):
+        raise AssertionError("dense commutators on the table path")
+
+    monkeypatch.setattr(mx, "max_operator_norm", dense)
+    np.testing.assert_allclose(watatani_index(fresh), 27.0 * np.eye(81), atol=1e-12)
+
+
+def test_centrality_residual_is_dense_whenever_it_fails(monkeypatch):
+    S4 = FiniteGroup.symmetric(4)
+    swap = S4.regular_matrix(S4.index_of((1, 0, 2, 3)))
+    # the class sum of the six transpositions, labelled "(ab)"
+    class_sum = sum(S4.regular_matrix(g) for g, lab in enumerate(S4.labels) if len(lab) == 4)
+
+    def build():
+        alg = group_algebra_inclusion(S4, trivial_subgroup(S4)).A
+        basis = alg.basis_stack
+        dense = [mx.max_operator_norm(x @ basis - basis @ x) for x in (swap, class_sum)]
+        got = [algebra._centrality_residual(alg, x, 1e-9) for x in (swap, class_sum)]
+        return alg._table is not None, dense, got
+
+    (tabled, dense, got), (untabled, dense_off, got_off) = _dense_and_table(monkeypatch, build)
+    assert tabled and not untabled
+    # a failing residual is the dense one on both paths
+    assert got[0] == got_off[0] == dense[0] > 0.1
+    # a central element passes on both, the table giving an upper bound
+    assert got[1] <= 1e-9 and got_off[1] == dense_off[1] <= 1e-9
+
+
+def test_non_central_index_fails_the_same_on_both_paths(monkeypatch):
+    S4 = FiniteGroup.symmetric(4)
+    swap = S4.index_of((1, 0, 2, 3))
+
+    def build():
+        inc = group_algebra_inclusion(S4, trivial_subgroup(S4))
+        lambdas = [S4.regular_matrix(g) for g in range(S4.order)]
+        lambdas[S4.identity] = lambdas[S4.identity] + S4.regular_matrix(swap)
+        E = ConditionalExpectation.from_coordinates(
+            inc.A, inc.B, inc.E.coordinate_matrix, quasi_basis=lambdas
+        )
+        with pytest.raises(NumericIntegrityError, match="index element not central") as err:
+            watatani_index(E)
+        return inc.A._table is not None, str(err.value)
+
+    (tabled, message), (untabled, dense_message) = _dense_and_table(monkeypatch, build)
+    assert tabled and not untabled
+    assert message == dense_message
 
 
 # ---------------------------------------------------------------------------

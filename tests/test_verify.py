@@ -5,6 +5,9 @@ factor over the computation routes, so its check passes too.  The stacked
 lattice sweep is held to the per-pair definition route.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from cstar_angles.groups import FiniteGroup, group_algebra_inclusion
@@ -68,3 +71,17 @@ def test_lattice_sweep_matches_per_pair_reference(G, triples):
         assert abs(exact.cos_value - numeric.cos_value) <= 1e-7
     count, worst = lattice_route_sweep(G)
     assert count == triples and worst <= 1e-12
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check written as one would
+    # silently stop testing anything
+    sources = sorted((Path(__file__).parents[1] / "src" / "cstar_angles").glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
