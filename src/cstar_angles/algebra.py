@@ -15,6 +15,10 @@ with
 which witnesses finite index.  The Watatani index is sum_i l_i l_i*, a
 positive invertible central element independent of the quasi-basis.
 
+Both identities and the centrality of the index are checked in source
+coordinates, through the products of coordinate rows with basis elements
+(:meth:`MatrixStarAlgebra.multiplication_matrices`), on every algebra.
+
 Everything here is a pure function over immutable values; arrays are
 write-protected after construction.
 """
@@ -101,13 +105,15 @@ class MatrixStarAlgebra:
     ``spanning_set`` its views; both share the basis storage when the
     spanning set is the basis.
 
-    A basis of scaled partial permutation matrices closed under products
-    and adjoints up to scalars (group algebras and their subgroup slices)
-    has a product table, ``_table``, built on first read; the centrality
-    tests of index elements (:func:`_centrality_residual`),
-    :func:`verify_quasi_basis` and the module Gram matrix multiply by it.
-    On any other basis ``_table`` is None and each of them runs its dense
-    n x n products instead.
+    Products go through one primitive, :meth:`multiplication_matrices`, the
+    coordinates of y b_k or b_k y for every basis element b_k: the
+    centrality tests of index elements (:func:`_centrality_residual`),
+    :func:`verify_quasi_basis`, the module Gram matrix and left
+    multiplication all read it.  A basis of scaled partial permutation
+    matrices closed under products up to scalars (group algebras and their
+    subgroup slices) has a product table, ``_table``, built on first read,
+    and the primitive scatters by it; on any other basis it takes dense
+    n x n products.
     """
 
     def __init__(self, spanning_set: Sequence[np.ndarray], basis: Sequence[np.ndarray]):
@@ -190,13 +196,13 @@ class MatrixStarAlgebra:
         ``GATHER_MIN_DIM`` elements on) whose elements b_i are each v_i
         times a partial permutation matrix (one value v_i on every nonzero
         entry, at most one per row and column).  Then b_i b_j = scale[i, j]
-        b_index[i, j], with scale 0 (and index 0) for a zero product, and
-        b_i* = star_scale[i] b_star_index[i].  Built from the column -> row
-        maps of the elements: the map of b_i b_j is p_i o p_j, and it is
-        compared with the map of the basis element owning its first entry
-        on every column, integer work a chunk of left factors at a time
-        with no n x n product.  None when some product or adjoint is not
-        one scaled basis element.
+        b_index[i, j], with scale 0 (and index 0) for a zero product; it is
+        what :meth:`multiplication_matrices` scatters by.  Built from the
+        column -> row maps of the elements: the map of b_i b_j is p_i o p_j,
+        and it is compared with the map of the basis element owning its
+        first entry on every column, integer work a chunk of left factors at
+        a time with no n x n product.  None when some product is not one
+        scaled basis element.
         """
         sup = self._supports
         if sup is None:
@@ -213,9 +219,9 @@ class MatrixStarAlgebra:
         # column; column n maps to n, so that maps compose through it
         maps = np.full((d, n + 1), n, dtype=np.int32)
         maps[owners, cols] = rows
-        inverse = np.full((d, n), n, dtype=np.int32)  # the maps of the b_i*
-        inverse[owners, rows] = cols
-        if min(np.count_nonzero(maps < n), np.count_nonzero(inverse < n)) < len(owners):
+        by_row = np.zeros((d, n), dtype=bool)
+        by_row[owners, rows] = True
+        if min(np.count_nonzero(maps < n), np.count_nonzero(by_row)) < len(owners):
             return None  # two entries share a column or a row
 
         def owning(composed):
@@ -231,10 +237,6 @@ class MatrixStarAlgebra:
                 return None
             return index, nonempty
 
-        star = owning(inverse)  # no adjoint of a basis element is empty
-        if star is None:
-            return None
-        star_index = star[0]
         index = np.zeros((d, d), dtype=np.int32)
         scale = np.zeros((d, d), dtype=values.dtype)
         # charged per left factor: the composed maps, their comparison maps
@@ -247,12 +249,9 @@ class MatrixStarAlgebra:
             scale[block] = np.where(
                 nonempty, values[block, None] * values / values[index[block]], 0.0
             )
-        for a in (index, scale, star_index):
+        for a in (index, scale):
             a.setflags(write=False)
-        return SimpleNamespace(
-            index=index, scale=scale, star_index=star_index,
-            star_scale=np.conjugate(values) / values[star_index],
-        )
+        return SimpleNamespace(index=index, scale=scale)
 
     def hs_coordinates(self, x) -> np.ndarray:
         """Coordinates of the HS-orthogonal projection of ``x`` onto the span.
@@ -264,7 +263,7 @@ class MatrixStarAlgebra:
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim != 3:
             x = mx.as_matrix(x)
-        flat = x.reshape(x.shape[:-2] + (-1,))
+        flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
         sup = self._supports
         if sup is None:
             return np.conjugate(np.conjugate(flat) @ self._flat.T)
@@ -288,7 +287,7 @@ class MatrixStarAlgebra:
     def contains_all(self, xs, tol: float = mx.DEFAULT_TOL) -> bool:
         """:meth:`contains` for every matrix of a (k, n, n) stack at once."""
         xs = mx.as_stack(xs)
-        flat = xs.reshape(len(xs), -1)
+        flat = xs.reshape(len(xs), xs.shape[1] * xs.shape[2])
         for rows in mx.stack_slices(len(xs), 3 * 16 * flat.shape[1]):
             recon = self.project(xs[rows]).reshape(-1, flat.shape[1])
             residual = np.linalg.norm(recon - flat[rows], axis=1)
@@ -314,6 +313,46 @@ class MatrixStarAlgebra:
         out = np.take(coords.reshape(-1, self.dim), sup.owner, axis=1)
         out *= sup.entries
         return out.reshape(coords.shape[:-1] + (n, n))
+
+    def multiplication_matrices(self, ys, left: bool) -> np.ndarray:
+        """Multiplication by each element y of a (m, n, n) stack, in coordinates.
+
+        Row k of slice a of the (m, d, d) result holds coords(y_a b_k) when
+        ``left`` (y multiplies from the left), else coords(b_k y_a), so that
+        coords(y x), or coords(x y), is coords(x) @ slice.  The y must lie in
+        the algebra.  With a product table, for a fixed factor b_k the
+        nonzero products with distinct basis elements are distinct basis
+        elements (their supports are disjoint), so each slice is one scatter
+        of coords(y_a).  Otherwise each element takes one GEMM against the
+        basis stacked as a (d n, n) matrix, and the HS coordinates of the
+        products.
+        """
+        ys = np.asarray(ys, dtype=np.complex128)
+        d, n = self.dim, self.ambient_dim
+        table = self._table
+        if table is not None:
+            coords = self.hs_coordinates(ys)
+            i, j = np.nonzero(table.scale)
+            out = np.zeros((len(ys), d, d), dtype=np.complex128)
+            terms = coords[:, i if left else j] * table.scale[i, j]
+            out[:, j if left else i, table.index[i, j]] = terms
+            return out
+        basis = self.basis_stack
+        # b_k, or b_k^T for products from the left, stacked as a (d n, n)
+        # matrix: one GEMM per element gives the d products b_k y, or their
+        # transposes (y b_k)^T = b_k^T y^T
+        stacked = (np.swapaxes(basis, 1, 2) if left else basis).reshape(d * n, n)
+        out = np.empty((len(ys), d, d), dtype=np.complex128)
+        # charged per element: its d products, transposed and conjugated (by
+        # hs_coordinates), though no more than two of them are held at once
+        for rows in mx.stack_slices(len(ys), 3 * 16 * d * n * n):
+            if left:
+                products = stacked @ np.swapaxes(ys[rows], 1, 2)
+                products = np.swapaxes(products.reshape(-1, d, n, n), 2, 3).reshape(-1, n * n)
+            else:
+                products = stacked @ ys[rows]
+            out[rows] = self.hs_coordinates(products.reshape(-1, n, n)).reshape(-1, d, d)
+        return out
 
     def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:
         """Equality as subspaces (bases are never canonical)."""
@@ -342,31 +381,6 @@ class MatrixStarAlgebra:
 
     def __repr__(self):
         return f"MatrixStarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _multiplication_matrices(table, coords, left: bool) -> np.ndarray:
-    """Multiplication by each element y of a stack, in coordinates, by the product table.
-
-    ``coords`` holds the coordinates of the y, one row each.  Row k of
-    slice a of the (m, d, d) result holds coords(y_a b_k) when ``left`` (y
-    multiplies from the left), else coords(b_k y_a), so that coords(y x),
-    or coords(x y), is coords(x) @ slice.  For a fixed factor b_k the nonzero
-    products with distinct basis elements are distinct basis elements
-    (their supports are disjoint), so each slice is one scatter.
-    """
-    coords = np.asarray(coords, dtype=np.complex128).reshape(-1, len(table.scale))
-    i, j = np.nonzero(table.scale)
-    out = np.zeros((len(coords),) + table.scale.shape, dtype=np.complex128)
-    terms = coords[:, i if left else j] * table.scale[i, j]
-    out[:, j if left else i, table.index[i, j]] = terms
-    return out
-
-
-def _adjoint_coordinates(table, coords) -> np.ndarray:
-    """coords(y*) from coords(y), rows of a stack, by the table's adjoints."""
-    out = np.zeros_like(coords)
-    out[..., table.star_index] = np.conjugate(coords) * table.star_scale
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -693,96 +707,57 @@ def verify_quasi_basis(
     """Check both reconstruction identities on every source basis element.
 
     x = sum_i E(x l_i) l_i* and x = sum_i l_i E(l_i* x), each within
-    ``tol (1 + ||x||_F)``, for every source basis element x at once.  Since
-    x l_i and l_i* x lie in the source, E acts on them through the
-    functionals phi_m of :attr:`ConditionalExpectation.coordinate_matrix`.
-    Written as n x n matrices W_m, phi_m(y) = Tr(W_m^T y), so
-    phi_m(x l) = Tr((l W_m^T) x) and phi_m(l* x) = Tr((W_m^T l*) x): for
-    one l_i and all x this is one product against the source basis rows,
-    a d_src x d_tgt matrix of values.  The two reconstructions are then
-    formed and compared a slab of ambient rows at a time, so no
-    d_src x n^2 array is held whole.  An E whose images leave its target
-    by more than ``tol`` (see :meth:`ConditionalExpectation.coordinates`)
-    is no expectation onto that target, and fails the check.
+    ``tol (1 + ||x||_F)``, for every source basis element x at once, as
+    d_src x d_src coordinate sums.  With R_y (row k = coords(b_k y)) and L_y
+    (row k = coords(y b_k)) from
+    :meth:`MatrixStarAlgebra.multiplication_matrices`, and E in source
+    coordinates T B (B holds the target basis in source coordinates), row k
+    of sum_i R_{l_i} T B R_{l_i*} holds coords(sum_i E(b_k l_i) l_i*), and
+    row k of sum_i L_{l_i*} T B L_{l_i} holds coords(sum_i l_i E(l_i* b_k)).
+    The basis is orthonormal, so the row norms of each sum minus the
+    identity are the Frobenius residuals of the identities on the source.
 
-    On a source with a product table (``MatrixStarAlgebra._table``) whose
-    span holds every l_i and every target basis element within
-    ``NOISE_FLOOR (1 + norm)``, both identities are checked in source
-    coordinates instead, by :func:`_quasi_basis_by_table`, against the same
-    bound; otherwise the dense products above run.
+    The sums run on the HS projections p_i of the nonzero l_i onto the
+    source, and B on that of the target basis.  What they leave off, the
+    d_i = l_i - p_i and the target basis's part off the source (Frobenius
+    norm e over the whole basis), moves either residual by at most
+    ||T||_F (sum_i ||d_i|| (2 ||l_i|| + ||d_i||) + e sum_i ||l_i||^2) in
+    Frobenius norms (each x has operator norm at most 1), and that charge
+    is taken off the bound: the check passes only where the identities hold
+    with E acting, as :attr:`ConditionalExpectation.map_matrix` does, after
+    HS projection onto the source.  An l_i off the source by more than
+    ``tol (1 + ||l_i||_F)`` raises :class:`NotInAlgebra`.  An E whose images
+    leave its target by more than ``tol`` (see
+    :meth:`ConditionalExpectation.coordinates`) is no expectation onto that
+    target, and fails the check.
     """
-    src, tgt = E.source, E.target
-    lams = _stack_of(lambdas, E.ambient_dim)
-    if not src.contains_all(lams, tol):
+    src, tgt, n = E.source, E.target, E.ambient_dim
+    lams = _stack_of(lambdas, n)
+    lams = lams[lams.reshape(len(lams), n * n).any(axis=1)]  # a zero element adds nothing
+    projected = src.project(lams)
+    sizes = mx.row_norms(lams.reshape(len(lams), n * n))
+    offs = mx.row_norms((lams - projected).reshape(len(lams), n * n))
+    if np.any(offs > tol * (1.0 + sizes)):
         raise NotInAlgebra("quasi-basis element outside the source algebra")
     try:
         t = E.coordinates(tol)
     except NumericIntegrityError:
         return False
-    if (
-        src._table is not None
-        and src.contains_all(lams, mx.NOISE_FLOOR)
-        and src.contains_all(tgt.basis_stack, mx.NOISE_FLOOR)
-    ):
-        return _quasi_basis_by_table(src, tgt, t, lams, tol)
-    lams = [lam for lam in lams if lam.any()]  # a zero element adds nothing
-    flat = src._flat
-    d_s, d_t, n = src.dim, tgt.dim, E.ambient_dim
-    # row m of W is phi_m as a vector, conj(S)^T T[:, m]
-    w = np.conjugate(np.conjugate(t).T @ flat).reshape(d_t, n, n)
-    # phi[k, m] = phi_m(b_k l) and phi_m(l* b_k), per l
-    # (a contiguous l^T keeps the stacked product on BLAS)
-    phi_left = [flat @ (w @ np.ascontiguousarray(lam.T)).reshape(d_t, -1).T for lam in lams]
-    phi_right = [flat @ (np.conjugate(lam) @ w).reshape(d_t, -1).T for lam in lams]
-    del w
-    basis, beta = src.basis_stack, tgt.basis_stack
-    # squared residual norms of sum_m phi_m(b_k l) beta_m l* and
-    # sum_m l phi_m(l* b_k) beta_m against b_k, accumulated over row slabs
-    sq_left, sq_right = np.zeros(d_s), np.zeros(d_s)
-    for rows in mx.stack_slices(n, 4 * max(d_s, d_t) * n * 16):
-        left = -basis[:, rows].reshape(d_s, -1)
-        right = left.copy()
-        for lam, p_left, p_right in zip(lams, phi_left, phi_right):
-            left += p_left @ (beta[:, rows] @ mx.adjoint(lam)).reshape(d_t, -1)
-            right += p_right @ (lam[rows] @ beta).reshape(d_t, -1)
-        sq_left += np.einsum("ij,ij->i", left, np.conjugate(left)).real
-        sq_right += np.einsum("ij,ij->i", right, np.conjugate(right)).real
-    bound = tol * (1.0 + mx.row_norms(flat))
-    return bool(np.all(np.sqrt(sq_left) <= bound) and np.all(np.sqrt(sq_right) <= bound))
-
-
-def _quasi_basis_by_table(
-    src: MatrixStarAlgebra, tgt: MatrixStarAlgebra, t: np.ndarray, lams: np.ndarray, tol: float
-) -> bool:
-    """Both identities of :func:`verify_quasi_basis` as d_src x d_src coordinate sums.
-
-    With R_y (row k = coords(b_k y)) and L_y (row k = coords(y b_k)) from
-    :func:`_multiplication_matrices`, and E in source coordinates T B (B
-    holds the target basis in source coordinates), row k of
-    sum_i R_{l_i} T B R_{l_i*} holds coords(sum_i E(b_k l_i) l_i*), and row
-    k of sum_i L_{l_i*} T B L_{l_i} holds coords(sum_i l_i E(l_i* b_k)).
-    The basis is orthonormal, so the row norms of each sum minus the
-    identity are the Frobenius residuals of the dense check.
-    """
-    table, d = src._table, src.dim
-    coords = src.hs_coordinates(lams)
-    coords = coords[coords.any(axis=1)]  # a zero element adds nothing
-    star = _adjoint_coordinates(table, coords)
     onto = src.hs_coordinates(tgt.basis_stack)
-    left, right = -np.eye(d, dtype=np.complex128), -np.eye(d, dtype=np.complex128)
-    # charged per element: its four multiplication matrices
-    for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
-        r_lam = _multiplication_matrices(table, coords[rows], left=False) @ t
-        r_star = onto @ _multiplication_matrices(table, star[rows], left=False)
-        left += np.tensordot(r_lam, r_star, axes=([0, 2], [0, 1]))
-        l_star = _multiplication_matrices(table, star[rows], left=True) @ t
-        l_lam = onto @ _multiplication_matrices(table, coords[rows], left=True)
-        right += np.tensordot(l_star, l_lam, axes=([0, 2], [0, 1]))
-    bound = tol * (1.0 + mx.row_norms(src._flat))
-    return bool(
-        np.all(np.linalg.norm(left, axis=1) <= bound)
-        and np.all(np.linalg.norm(right, axis=1) <= bound)
-    )
+    off_target = mx.frobenius_norm(src.combine(onto) - tgt.basis_stack)
+    charge = np.linalg.norm(t) * (offs @ (2.0 * sizes + offs) + off_target * sizes @ sizes)
+    d = src.dim
+    sums = np.zeros((2, d, d), dtype=np.complex128)  # the two reconstructions
+    # charged per element: its two multiplication matrices and their adjoints
+    for rows in mx.stack_slices(len(lams), 4 * 16 * d * d):
+        # on the span with the HS inner product, multiplication by l* is the
+        # adjoint of multiplication by l: R_{l*} = R_l* and L_{l*} = L_l*
+        on_right = src.multiplication_matrices(projected[rows], left=False)
+        sums[0] += np.tensordot(on_right @ t, onto @ mx.adjoint(on_right), axes=([0, 2], [0, 1]))
+        on_left = src.multiplication_matrices(projected[rows], left=True)
+        sums[1] += np.tensordot(mx.adjoint(on_left) @ t, onto @ on_left, axes=([0, 2], [0, 1]))
+    residuals = mx.row_norms((sums - np.eye(d)).reshape(2 * d, d))
+    return bool(np.all(residuals <= 2.0 * tol - charge))  # tol (1 + ||x||_F), ||x||_F = 1
 
 
 def watatani_index(
@@ -793,23 +768,21 @@ def watatani_index(
     The result must be self-adjoint, commute with every source basis element
     (centrality) and have spectrum >= 1; violations raise
     :class:`NumericIntegrityError` since they indicate a broken quasi-basis.
-    On a source with a product table the centrality test may pass in
-    coordinates; whenever it does not, the dense commutators run, and only
-    they can fail it (:func:`_centrality_residual`).
+    Centrality is tested in coordinates, against an upper bound of the
+    largest commutator norm (:func:`_centrality_residual`).
     """
     if E.quasi_basis is None:
         raise NoQuasiBasis("expectation carries no quasi-basis")
     n = E.ambient_dim
     ind = np.zeros((n, n), dtype=np.complex128)
     for lam in E.quasi_basis:
-        if lam.any():  # a zero element adds nothing (derived ones often are)
+        if lam.any():  # a zero element adds nothing
             ind += lam @ mx.adjoint(lam)
 
     if mx.operator_norm(ind - mx.adjoint(ind)) > tol:
         raise NumericIntegrityError("index element is not self-adjoint")
-    bound = tol * (1.0 + mx.operator_norm(ind))
-    worst = _centrality_residual(E.source, ind, bound)
-    if worst > bound:
+    worst = _centrality_residual(E.source, ind)
+    if worst > tol * (1.0 + mx.operator_norm(ind)):
         raise NumericIntegrityError(f"index element not central (residual {worst:.2e})")
     smallest = float(np.linalg.eigvalsh((ind + mx.adjoint(ind)) / 2.0)[0])
     if smallest < 1.0 - tol:
@@ -817,35 +790,22 @@ def watatani_index(
     return ind
 
 
-def _centrality_residual(alg: MatrixStarAlgebra, x: np.ndarray, bound: float) -> float:
-    """max_k ||[x, b_k]|| over the basis, or an upper bound of it within ``bound``.
+def _centrality_residual(alg: MatrixStarAlgebra, x: np.ndarray) -> float:
+    """An upper bound of max_k ||[x, b_k]|| over the basis.
 
-    On a basis with a product table, with P the HS projection onto the
-    span, the commutators [P x, b_k] have coordinates
-    coords(P x b_k) - coords(b_k P x), whose norm is their Frobenius norm,
-    and ||[x - P x, b_k]|| <= 2 ||x - P x||_F, since a basis element of one
-    value and HS norm 1 has operator norm at most 1.  When that upper bound
-    is within ``bound`` it is returned.  Otherwise (and without a table)
-    the commutators are formed densely, a chunk of the basis at a time, and
-    their largest operator norm is returned, so a residual above ``bound``
-    is always the dense one.
+    With P the HS projection onto the span, the commutators [P x, b_k] have
+    coordinates coords(P x b_k) - coords(b_k P x), rows of
+    :meth:`MatrixStarAlgebra.multiplication_matrices`, whose norm is their
+    Frobenius norm, and ||[x - P x, b_k]|| <= 2 ||x - P x||_F, since
+    ||b_k|| <= ||b_k||_F = 1.
     """
-    table = alg._table
-    if table is not None:
-        coords = alg.hs_coordinates(x)
-        off = mx.frobenius_norm(x - alg.combine(coords))
-        commutators = (
-            _multiplication_matrices(table, coords, left=True)[0]
-            - _multiplication_matrices(table, coords, left=False)[0]
-        )
-        upper = float(np.linalg.norm(commutators, axis=1).max()) + 2.0 * off
-        if upper <= bound:
-            return upper
-    basis = alg.basis_stack
-    return max(
-        mx.max_operator_norm(x @ basis[rows] - basis[rows] @ x)
-        for rows in mx.stack_slices(len(basis), basis[0].nbytes)
+    projected = alg.project(x)[None]
+    commutators = (
+        alg.multiplication_matrices(projected, left=True)[0]
+        - alg.multiplication_matrices(projected, left=False)[0]
     )
+    off = mx.frobenius_norm(x - projected[0])
+    return float(mx.row_norms(commutators).max()) + 2.0 * off
 
 
 def restrict_expectation(
@@ -857,6 +817,8 @@ def restrict_expectation(
     """E restricted to an intermediate C, with derived quasi-basis {F(l_i)}.
 
     Requires target(E) <= C <= source(E) and F mapping source(E) onto C.
+    The F(l_i) that are exactly zero add nothing to either identity and are
+    left out of the derived quasi-basis.
     """
     if not C.contains_all(E.target.basis_stack, tol):
         raise NotIntermediate("target(E) is not contained in C")
@@ -867,7 +829,8 @@ def restrict_expectation(
 
     quasi = None
     if E.quasi_basis is not None:
-        quasi = F.on_source(E.quasi_stack)
+        coords = F.source.hs_coordinates(E.quasi_stack) @ F.coordinate_matrix
+        quasi = F.target.combine(coords[coords.any(axis=1)])  # F.on_source, zeros left out
         quasi.setflags(write=False)  # shared by the expectation and the check
     # E(c_j) = sum_k <b_k, c_j> E(b_k): the coordinate matrix restricts by rows
     restricted = ConditionalExpectation.from_coordinates(

@@ -226,7 +226,7 @@ def _exterior_closed_expressions(
     restrictions, the intermediate projections and the index elements.
     E is evaluated on stacks, one :meth:`ConditionalExpectation.on_source`
     call per chunk of (i, i') pairs; quasi-basis elements that are exactly
-    zero (F(l_i) often is) are dropped first, since each adds only zeros.
+    zero are dropped first, since each adds only zeros.
     """
     E = level.expectation
     lams, mus, deltas = (

@@ -133,11 +133,10 @@ class GenericModule:
     with left multiplication, so column j of L_x is the HS coordinates of
     x b_j.  When Tr o E = c Tr, the module basis is A's basis over sqrt(c).
 
-    On an algebra with a product table (``MatrixStarAlgebra._table``), G is
-    read off it: b_j* b_l = star_scale[j] scale[pi j, l] b_index[pi j, l]
-    with pi = star_index, so G[j, l] is that scalar times
-    tau[index[pi j, l]], tau_k = Tr(E(b_k)).  Without one, G takes d dense
-    n x n products.
+    The density is rho = sum_k tau_k b_k*, tau_k = Tr(E(b_k)), since
+    Tr(E(y)) = sum_k tau_k <b_k, y>_HS = Tr(y rho) on A; so G is the
+    transpose of R_rho, the right multiplication matrix of
+    :meth:`MatrixStarAlgebra.multiplication_matrices`.
     """
 
     def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
@@ -145,15 +144,8 @@ class GenericModule:
         self.dim = algebra.dim
         traces = np.trace(algebra.basis_stack, axis1=1, axis2=2)
         tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
-        table = algebra._table
-        if table is not None:
-            pi = table.star_index
-            gram = table.star_scale[:, None] * table.scale[pi] * tau[table.index[pi]]
-        else:
-            # Tr(E(y)) = sum_ab y[a, b] w[a, b] on A, so G[j, l] = <b_j, b_l w^T>_HS
-            n = algebra.ambient_dim
-            w = (tau @ np.conjugate(algebra._flat)).reshape(n, n)
-            gram = algebra.hs_coordinates(algebra.basis_stack @ w.T).T
+        rho = mx.adjoint(algebra.combine(np.conjugate(tau)))
+        gram = algebra.multiplication_matrices(rho[None], left=False)[0].T
         values, vectors = np.linalg.eigh(gram)
         del gram
         # no Gram-Schmidt pivot is below sqrt(values[0]), so this fires
@@ -187,14 +179,8 @@ class GenericModule:
         """L_x, or the stack of them: column j holds the HS coordinates of x b_j."""
         x = np.asarray(x, dtype=np.complex128)
         stack = x.reshape((-1,) + x.shape[-2:])
-        basis, d = self.algebra.basis_stack, self.dim
-        on_hs = np.empty((len(stack), d, d), dtype=np.complex128)
-        for rows in mx.stack_slices(d, stack.nbytes):
-            moved = stack[:, None] @ basis[None, rows]
-            on_hs[:, rows] = self.algebra.hs_coordinates(
-                moved.reshape((-1,) + x.shape[-2:])
-            ).reshape(len(stack), -1, d)
-        return np.swapaxes(on_hs, 1, 2).reshape(x.shape[:-2] + (d, d))
+        on_hs = self.algebra.multiplication_matrices(stack, left=True)
+        return np.swapaxes(on_hs, 1, 2).reshape(x.shape[:-2] + (self.dim, self.dim))
 
     def expectation_matrix(self, F: ConditionalExpectation) -> np.ndarray:
         """Module matrix of an expectation F defined on A, from its coordinate matrix."""
@@ -580,9 +566,8 @@ def _dual_expectation_from(
     q, d = len(level.expectation.quasi_stack), level.module_dim
     _check_family_budget(d * q, d, "the intermediate dual expectation")
     ind_c = restricted.index_element(tol)
-    bound = tol * (1.0 + mx.operator_norm(ind_c))
-    worst = _centrality_residual(level.algebra, ind_c, bound)
-    if worst > bound:
+    worst = _centrality_residual(level.algebra, ind_c)
+    if worst > tol * (1.0 + mx.operator_norm(ind_c)):
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1

@@ -9,8 +9,6 @@ from cstar_angles import matrices as mx
 from cstar_angles.algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
-    _adjoint_coordinates,
-    _multiplication_matrices,
     cauchy_schwarz_check,
     compatibility_residual,
     conjugate_expectation,
@@ -105,6 +103,10 @@ def test_diagonal_expectation_quasi_basis(inclusion):
 def test_identity_alone_is_not_a_quasi_basis(inclusion):
     # sum_i 1 E(1 x) = E(x) != x already for x = e12
     assert not verify_quasi_basis(inclusion.E, [np.eye(2)])
+    # nor is a family of zeros, or no family at all (which the span holds)
+    assert not verify_quasi_basis(inclusion.E, [np.zeros((2, 2))])
+    assert not verify_quasi_basis(inclusion.E, np.zeros((0, 2, 2)))
+    assert inclusion.A.contains_all(np.zeros((0, 2, 2)))
 
 
 def test_quasi_basis_elements_must_be_in_source(inclusion):
@@ -151,12 +153,9 @@ def test_index_independent_of_quasi_basis(inclusion, rng):
 
 def test_restrict_to_diagonal(inclusion):
     restricted = restrict_expectation(inclusion.E, inclusion.delta, inclusion.F)
-    expected = [
-        math.sqrt(2) * E11,
-        np.zeros((2, 2)),
-        np.zeros((2, 2)),
-        math.sqrt(2) * E22,
-    ]
+    # F(sqrt(2) E12) = F(sqrt(2) E21) = 0 are left out
+    expected = [math.sqrt(2) * E11, math.sqrt(2) * E22]
+    assert len(restricted.quasi_basis) == len(expected)
     for got, want in zip(restricted.quasi_basis, expected):
         np.testing.assert_allclose(got, want, atol=1e-12)
     np.testing.assert_allclose(
@@ -424,6 +423,36 @@ def test_quasi_basis_oracle_level_two_dual(inclusion, tower_level):
     )
 
 
+def test_quasi_basis_off_the_span_never_passes_where_the_loop_fails(c_plus_m2, rng):
+    # quasi-bases scaled to either side of the tolerance, each element moved
+    # off the source by more than NOISE_FLOOR and less than tol
+    S4 = FiniteGroup.symmetric(4)
+    A4 = generated_subgroup(S4, [S4.index_of(p) for p in ((1, 0, 3, 2), (1, 2, 0, 3))])
+    s4 = group_algebra_inclusion(S4, A4)  # C[S4] has a product table
+    assert s4.A._table is not None
+    tol = mx.DEFAULT_TOL
+    outcomes = []
+    for E in (c_plus_m2.E, c_plus_m2.F, s4.E):
+        n = E.ambient_dim
+        lams = E.quasi_stack[E.quasi_stack.any(axis=(1, 2))]
+        away = np.stack([mx.random_matrix(n, rng) for _ in lams])
+        away -= E.source.project(away)
+        away /= np.linalg.norm(away.reshape(len(away), -1), axis=1)[:, None, None]
+        for scale in (0.0, 0.5e-9, 0.9e-9, 0.99e-9, 1.01e-9, 1.1e-9):
+            for size in (2 * mx.NOISE_FLOOR, 1e-12, 1e-11, 1e-10, 0.5 * tol):
+                moved = (1.0 + scale) * lams + size * away
+                got = verify_quasi_basis(E, moved, tol)
+                want = _reference_verify_quasi_basis(E, moved, tol)
+                assert want or not got, (E, scale, size)
+                outcomes.append((got, want, scale, size))
+    # the check is not vacuous: it passes and fails, and where the charge
+    # for the moved part is far below the margin it agrees with the loop
+    assert {got for got, *_ in outcomes} == {True, False}
+    for got, want, scale, size in outcomes:
+        if size < 1e-12 and abs(scale - 1e-9) > 0.05e-9:
+            assert got == want
+
+
 def test_expectation_leaving_its_target_raises(inclusion):
     # the identity map, declared to land in the scalars
     bogus = ConditionalExpectation.from_rule(
@@ -592,7 +621,7 @@ def _block_diagonal_s3_z4z4() -> MatrixStarAlgebra:
     return MatrixStarAlgebra.from_orthonormal(np.stack(mats))
 
 
-def test_product_table_matches_dense_products(rng):
+def test_product_table_matches_dense_products():
     S4 = FiniteGroup.symmetric(4)
     z81, K = _z3_power_inclusion()
     algebras = [
@@ -612,21 +641,45 @@ def test_product_table_matches_dense_products(rng):
             products = np.swapaxes((basis[i] @ side_by_side).reshape(n, d, n), 0, 1)
             want = table.scale[i][:, None, None] * basis[table.index[i]]
             assert np.max(np.abs(products - want)) <= 1e-13
-        want = table.star_scale[:, None, None] * basis[table.star_index]
-        assert np.max(np.abs(mx.adjoint(basis) - want)) <= 1e-13
-        # the multiplication matrices against the coordinates of dense products
-        coords = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
-        ys = alg.combine(coords)
-        on_left = _multiplication_matrices(table, coords, left=True)
-        on_right = _multiplication_matrices(table, coords, left=False)
-        for y, lm, rm in zip(ys, on_left, on_right):
-            assert np.max(np.abs(lm - alg.hs_coordinates(y @ basis))) <= 1e-13
-            assert np.max(np.abs(rm - alg.hs_coordinates(basis @ y))) <= 1e-13
-        star = _adjoint_coordinates(table, coords)
-        assert np.max(np.abs(star - alg.hs_coordinates(mx.adjoint(ys)))) <= 1e-13
     # the two blocks of the direct sum annihilate each other
     block = algebras[-1]._table
     assert not block.scale[:6, 6:].any() and not block.scale[6:, :6].any()
+
+
+def test_multiplication_matrices_match_dense_products(inclusion, tower_level, c_plus_m2, monkeypatch):
+    # the four algebras with a product table, then m2 A, C+M2 and m2 A_1,
+    # each once more with the table forced off
+    def build():
+        S4 = FiniteGroup.symmetric(4)
+        z81, K = _z3_power_inclusion()
+        algebras = [
+            group_algebra_inclusion(S4, trivial_subgroup(S4)).A,
+            z81.A,
+            z81.intermediate_algebra(K),
+            _block_diagonal_s3_z4z4(),
+            inclusion.A,
+            c_plus_m2.A,
+            tower_level.basic_construction,
+        ]
+        rng, out = mx.default_rng(), []
+        for alg in algebras:
+            basis, d = alg.basis_stack, alg.dim
+            ys = alg.combine(rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d)))
+            on_left = alg.multiplication_matrices(ys, left=True)
+            on_right = alg.multiplication_matrices(ys, left=False)
+            assert on_left.shape == on_right.shape == (2, d, d)
+            for y, lm, rm in zip(ys, on_left, on_right):
+                assert np.max(np.abs(lm - alg.hs_coordinates(y @ basis))) <= 1e-13
+                assert np.max(np.abs(rm - alg.hs_coordinates(basis @ y))) <= 1e-13
+            out.append((alg._table is not None, on_left, on_right))
+        return out
+
+    on_table, dense = _dense_and_table(monkeypatch, build)
+    assert [got[0] for got in on_table] == [True] * 4 + [False] * 3
+    assert not any(want[0] for want in dense)
+    for got, want in zip(on_table, dense):
+        for a, b in zip(got[1:], want[1:]):
+            assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def _diagonal_family(first: np.ndarray, n: int = 22) -> np.ndarray:
@@ -685,18 +738,11 @@ def test_table_and_dense_paths_agree(monkeypatch):
                 verify_quasi_basis(E, lambdas) if E is inc.E else None,
                 module._to_module,
                 module._from_module,
+                module.left_mult(E.source.basis_stack[::5]),
             ))
         return out
 
-    calls = []
-    original = algebra._quasi_basis_by_table
-    monkeypatch.setattr(
-        algebra, "_quasi_basis_by_table", lambda *a: calls.append(a) or original(*a)
-    )
     on_table, dense = _dense_and_table(monkeypatch, build)
-    # restrict_expectation checks its quasi-basis too: four checks in all,
-    # all on the table, and none with it forced off
-    assert len(calls) == 4
     for got, want in zip(on_table, dense):
         assert got[0] and not want[0]
         assert got[2] is want[2] is True
@@ -720,25 +766,33 @@ def test_table_path_centrality_passes_without_dense_commutators(monkeypatch):
     np.testing.assert_allclose(watatani_index(fresh), 27.0 * np.eye(81), atol=1e-12)
 
 
-def test_centrality_residual_is_dense_whenever_it_fails(monkeypatch):
+def test_centrality_residual_bounds_the_dense_commutators(c_plus_m2, monkeypatch, rng):
     S4 = FiniteGroup.symmetric(4)
     swap = S4.regular_matrix(S4.index_of((1, 0, 2, 3)))
     # the class sum of the six transpositions, labelled "(ab)"
     class_sum = sum(S4.regular_matrix(g) for g, lab in enumerate(S4.labels) if len(lab) == 4)
 
+    def dense(alg, x):
+        basis = alg.basis_stack
+        return mx.max_operator_norm(x @ basis - basis @ x)
+
     def build():
         alg = group_algebra_inclusion(S4, trivial_subgroup(S4)).A
-        basis = alg.basis_stack
-        dense = [mx.max_operator_norm(x @ basis - basis @ x) for x in (swap, class_sum)]
-        got = [algebra._centrality_residual(alg, x, 1e-9) for x in (swap, class_sum)]
-        return alg._table is not None, dense, got
+        got = [algebra._centrality_residual(alg, x) for x in (swap, class_sum)]
+        return alg._table is not None, got, alg
 
-    (tabled, dense, got), (untabled, dense_off, got_off) = _dense_and_table(monkeypatch, build)
+    (tabled, got, alg), (untabled, got_off, _) = _dense_and_table(monkeypatch, build)
     assert tabled and not untabled
-    # a failing residual is the dense one on both paths
-    assert got[0] == got_off[0] == dense[0] > 0.1
-    # a central element passes on both, the table giving an upper bound
-    assert got[1] <= 1e-9 and got_off[1] == dense_off[1] <= 1e-9
+    want = [dense(alg, x) for x in (swap, class_sum)]
+    for residuals in (got, got_off):
+        # the transposition is flagged on both paths, and the class sum passes
+        assert residuals[0] >= want[0] > 0.1
+        assert residuals[1] <= 1e-9
+    # off the span, 2 ||x - P x||_F keeps the bound above the commutators
+    for alg in (alg, c_plus_m2.A):
+        for _ in range(3):
+            x = mx.random_matrix(alg.ambient_dim, rng)
+            assert algebra._centrality_residual(alg, x) >= dense(alg, x) > 0.1
 
 
 def test_non_central_index_fails_the_same_on_both_paths(monkeypatch):

@@ -14,8 +14,14 @@ from cstar_angles.algebra import (
     MatrixStarAlgebra,
     conjugate_expectation,
     identity_expectation,
+    restrict_expectation,
     verify_quasi_basis,
     watatani_index,
+)
+from cstar_angles.angles import (
+    ROUTE_AGREEMENT_TOL,
+    interior_angle_definition,
+    interior_angle_formula,
 )
 from cstar_angles.errors import (
     ConstructionFailure,
@@ -599,6 +605,66 @@ def test_left_mult_is_the_hs_matrix_of_left_multiplication(tower_level, rng):
         np.testing.assert_allclose(
             module.left_mult(mx.adjoint(xs)), mx.adjoint(lmats), rtol=0, atol=1e-12
         )
+
+
+def m2_tensor_m3():
+    """M2(x)M3 >= C(x)M3, with E = tr (x) id and F = (diagonal projection) (x) id.
+
+    A takes a seeded unitary mix of the matrix units of M6 as its basis, so
+    its basis elements share their supports and A has no product table: its
+    module (d = 36) multiplies by dense products.
+    """
+    units2 = (m2.E11, m2.E12, m2.E21, m2.E22)
+    units3 = np.eye(9, dtype=np.complex128).reshape(9, 3, 3)
+    eye2, eye3 = np.eye(2), np.eye(3)
+    units6 = np.stack([np.kron(a, b) for a in units2 for b in units3])
+    A = MatrixStarAlgebra.from_orthonormal(
+        np.tensordot(mx.random_unitary(36, mx.default_rng(5)), units6, axes=1)
+    )
+    B = MatrixStarAlgebra.from_orthonormal([np.kron(eye2, b) / math.sqrt(2.0) for b in units3])
+    C = MatrixStarAlgebra.from_orthonormal(
+        [np.kron(p, b) for p in (m2.E11, m2.E22) for b in units3]
+    )
+    corners = [np.kron(p, eye3) for p in (m2.E11, m2.E22)]
+
+    def trace_first(x):  # 1 (x) sum_i x[(i, .), (i, .)] / 2
+        return np.kron(eye2, np.einsum("iaib->ab", x.reshape(2, 3, 2, 3)) / 2.0)
+
+    quasi = [np.kron(m, eye3) for m in units2]
+    E = ConditionalExpectation.from_rule(
+        A, B, trace_first, quasi_basis=[math.sqrt(2.0) * m for m in quasi]
+    )
+    F = ConditionalExpectation.from_rule(
+        A, C, lambda x: sum(p @ x @ p for p in corners), quasi_basis=quasi, name="F"
+    )
+    return E, F
+
+
+def test_generic_module_beyond_d17_m2_tensor_m3(rng):
+    E, F = m2_tensor_m3()
+    A = E.source
+    assert A.dim == 36 and A._supports is None
+    # the dense primitive against products formed one element at a time
+    ys = np.stack([A.random_element(rng) for _ in range(2)])
+    on_left = A.multiplication_matrices(ys, left=True)
+    on_right = A.multiplication_matrices(ys, left=False)
+    for y, lm, rm in zip(ys, on_left, on_right):
+        want_left = np.stack([A.hs_coordinates(y @ b) for b in A.basis])
+        want_right = np.stack([A.hs_coordinates(b @ y) for b in A.basis])
+        np.testing.assert_allclose(lm, want_left, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rm, want_right, rtol=0, atol=1e-12)
+    # both interior routes against the 2x2 model's exact angle
+    level = build_tower_level(A, E.target, E, materialize=False)
+    assert type(level.module) is GenericModule and level.module_dim == 36
+    u = m2.Unitary2(mx.random_unitary(2, rng))
+    F_prime = conjugate_expectation(F, np.kron(u.matrix, np.eye(3)))
+    want = math.cos(m2.exact_angle(u))
+    definition = interior_angle_definition(level, F, F_prime).cos_value
+    mu = restrict_expectation(E, F.target, F).quasi_basis
+    delta = restrict_expectation(E, F_prime.target, F_prime).quasi_basis
+    formula = interior_angle_formula(E, mu, delta).cos_value
+    assert abs(definition - want) <= ROUTE_AGREEMENT_TOL
+    assert abs(formula - want) <= ROUTE_AGREEMENT_TOL
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-25])
