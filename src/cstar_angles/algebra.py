@@ -1,8 +1,8 @@
 """Matrix star-algebras and finite-index conditional expectations.
 
-A :class:`MatrixStarAlgebra` is a unital *-subalgebra of M_n(C) described by
-a spanning set; a Hilbert-Schmidt-orthonormal basis is derived once and all
-membership questions are answered against it.  A
+A :class:`MatrixStarAlgebra` is a unital *-subalgebra of M_n(C) held as a
+Hilbert-Schmidt-orthonormal basis, derived once from any spanning family;
+all membership questions are answered against it.  A
 :class:`ConditionalExpectation` is a linear idempotent map between nested
 algebras, stored as a callable on stacks of ambient matrices together with
 one lazily built coordinate matrix in the two algebras' orthonormal bases
@@ -97,13 +97,12 @@ GATHER_MIN_DIM = 20
 
 
 class MatrixStarAlgebra:
-    """A unital *-subalgebra of M_n(C) given by a spanning set of matrices.
+    """A unital *-subalgebra of M_n(C) given by an HS-orthonormal basis.
 
-    The orthonormal basis is stored once, as the read-only rows of ``_flat``
-    (shape d x n^2); ``basis`` holds n x n views into those rows.  The
-    spanning set is one read-only (k, n, n) ``spanning_stack``, with
-    ``spanning_set`` its views; both share the basis storage when the
-    spanning set is the basis.
+    The orthonormal basis is the one family an algebra stores, as the
+    read-only rows of ``_flat`` (shape d x n^2); ``basis`` holds n x n views
+    into those rows.  :meth:`from_spanning` derives it from any spanning
+    family and keeps nothing of that family.
 
     Products go through one primitive, :meth:`multiplication_matrices`, the
     coordinates of y b_k or b_k y for every basis element b_k: the
@@ -116,22 +115,16 @@ class MatrixStarAlgebra:
     n x n products.
     """
 
-    def __init__(self, spanning_set: Sequence[np.ndarray], basis: Sequence[np.ndarray]):
-        if len(spanning_set) == 0:
-            raise EmptyAlgebra("spanning set is empty")
-        n = np.shape(spanning_set[0])[0]
+    def __init__(self, basis: Sequence[np.ndarray]):
+        """From an HS-orthonormal family, or (d, n, n) stack with d >= 0, kept verbatim."""
+        if len(basis) == 0 and np.ndim(basis) != 3:
+            raise EmptyAlgebra("basis is empty")
+        n = np.shape(basis[0])[0] if len(basis) else basis.shape[1]
         self.ambient_dim = n
         self._flat = _stack_of(basis, n).reshape(len(basis), n * n)
         self._flat.setflags(write=False)
         self._supports = self._disjoint_supports()
         self.basis = tuple(self.basis_stack)
-        if spanning_set is basis:
-            self.spanning_stack = self.basis_stack
-            self.spanning_set = self.basis
-        else:
-            self.spanning_stack = _stack_of(spanning_set, n)
-            self.spanning_stack.setflags(write=False)
-            self.spanning_set = tuple(self.spanning_stack)
 
     @classmethod
     def from_spanning(cls, mats: Sequence[np.ndarray], cutoff: float = mx.RANK_CUTOFF):
@@ -140,12 +133,12 @@ class MatrixStarAlgebra:
             raise EmptyAlgebra("spanning set is empty")
         basis = mx.orthonormalize(mats, cutoff=cutoff)
         basis.setflags(write=False)  # nothing else holds it: enter uncopied
-        return cls(mats, basis)
+        return cls(basis)
 
     @classmethod
     def from_orthonormal(cls, mats: Sequence[np.ndarray]):
         """Build from a family known to be HS-orthonormal (kept verbatim)."""
-        return cls(mats, mats)
+        return cls(mats)
 
     @property
     def dim(self) -> int:
@@ -195,9 +188,11 @@ class MatrixStarAlgebra:
         Looked for only on a basis with disjoint supports (so from
         ``GATHER_MIN_DIM`` elements on) whose elements b_i are each v_i
         times a partial permutation matrix (one value v_i on every nonzero
-        entry, at most one per row and column).  Then b_i b_j = scale[i, j]
-        b_index[i, j], with scale 0 (and index 0) for a zero product; it is
-        what :meth:`multiplication_matrices` scatters by.  Built from the
+        entry, at most one per row and column).  Then every nonzero product
+        is one scaled basis element, b_i b_j = s b_k, and the table holds
+        them as flat arrays ``i``, ``j``, ``k`` and ``s``, one entry per
+        nonzero product in row-major (i, j) order; it is what
+        :meth:`multiplication_matrices` scatters by.  Built from the
         column -> row maps of the elements: the map of b_i b_j is p_i o p_j,
         and it is compared with the map of the basis element owning its
         first entry on every column, integer work a chunk of left factors at
@@ -237,21 +232,21 @@ class MatrixStarAlgebra:
                 return None
             return index, nonempty
 
-        index = np.zeros((d, d), dtype=np.int32)
-        scale = np.zeros((d, d), dtype=values.dtype)
+        parts = []
         # charged per left factor: the composed maps, their comparison maps
         # and two boolean masks
         for block in mx.stack_slices(d, 10 * d * n):
             found = owning(maps[block][:, maps[:, :n]])
             if found is None:
                 return None
-            index[block], nonempty = found
-            scale[block] = np.where(
-                nonempty, values[block, None] * values / values[index[block]], 0.0
-            )
-        for a in (index, scale):
+            index, nonempty = found
+            i, j = np.nonzero(nonempty)
+            i, k = i + block.start, index[i, j]
+            parts.append((i, j, k, values[i] * values[j] / values[k]))
+        i, j, k, s = (np.concatenate(a) for a in zip(*parts))
+        for a in (i, j, k, s):
             a.setflags(write=False)
-        return SimpleNamespace(index=index, scale=scale)
+        return SimpleNamespace(i=i, j=j, k=k, s=s)
 
     def hs_coordinates(self, x) -> np.ndarray:
         """Coordinates of the HS-orthogonal projection of ``x`` onto the span.
@@ -332,10 +327,9 @@ class MatrixStarAlgebra:
         table = self._table
         if table is not None:
             coords = self.hs_coordinates(ys)
-            i, j = np.nonzero(table.scale)
             out = np.zeros((len(ys), d, d), dtype=np.complex128)
-            terms = coords[:, i if left else j] * table.scale[i, j]
-            out[:, j if left else i, table.index[i, j]] = terms
+            terms = coords[:, table.i if left else table.j] * table.s
+            out[:, table.j if left else table.i, table.k] = terms
             return out
         basis = self.basis_stack
         # b_k, or b_k^T for products from the left, stacked as a (d n, n)
@@ -371,13 +365,14 @@ class MatrixStarAlgebra:
         return {
             "schema": "cstar-angles.algebra/1",
             "ambient_dim": self.ambient_dim,
-            "spanning_set": [matrix_to_json(m) for m in self.spanning_set],
+            "spanning_set": [matrix_to_json(m) for m in self.basis],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "MatrixStarAlgebra":
         mats = [matrix_from_json(m) for m in payload["spanning_set"]]
-        return cls.from_spanning(mats)
+        n = int(payload["ambient_dim"])
+        return cls.from_spanning(mats) if mats else cls(np.zeros((0, n, n)))
 
     def __repr__(self):
         return f"MatrixStarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
@@ -424,30 +419,22 @@ def verify_star_algebra(
     by default every pair of basis elements is checked.
     """
     report = VerificationReport(subject=repr(alg))
-    n, flat = alg.ambient_dim, alg._flat
+    basis, d, n = alg.basis_stack, alg.dim, alg.ambient_dim
 
-    def span_residual_rows(rows: np.ndarray) -> np.ndarray:
-        coeffs = np.conjugate(flat @ np.conjugate(rows).T)
-        recon = coeffs.T @ flat
-        return np.linalg.norm(recon - rows, axis=1)
+    def worst_residual(mats: np.ndarray) -> float:
+        off = (alg.project(mats) - mats).reshape(len(mats), n * n)
+        return float(mx.row_norms(off).max(initial=0.0))
 
     report.add("unit_in_span", alg.membership_residual(alg.unit), tol)
+    report.add("adjoint_closed", worst_residual(mx.adjoint(basis)), tol)
 
-    adjoints = np.stack([np.ravel(mx.adjoint(b)) for b in alg.basis])
-    report.add("adjoint_closed", float(span_residual_rows(adjoints).max()), tol)
-
-    d = alg.dim
-    pairs = [(i, j) for i in range(d) for j in range(d)]
+    pairs = np.arange(d * d)  # pair (i, j) is number i d + j
     if max_pairs is not None and len(pairs) > max_pairs:
-        rng = mx.default_rng()
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[k] for k in idx]
-    worst = 0.0
-    chunk = 2048
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        rows = np.stack([np.ravel(alg.basis[i] @ alg.basis[j]) for i, j in block])
-        worst = max(worst, float(span_residual_rows(rows).max()))
+        pairs = mx.default_rng().choice(len(pairs), size=max_pairs, replace=False)
+    i, j = np.divmod(pairs, d)
+    # charged per pair: its product, the projection and their difference
+    chunks = mx.stack_slices(len(pairs), 3 * 16 * n * n)
+    worst = max((worst_residual(basis[i[r]] @ basis[j[r]]) for r in chunks), default=0.0)
     report.add("product_closed", worst, tol)
     return report
 
@@ -493,7 +480,7 @@ class ConditionalExpectation:
             self.quasi_stack.setflags(write=False)
             self.quasi_basis = tuple(self.quasi_stack)
         self.name = name
-        self._index_cache: np.ndarray | None = None
+        self._index_cache: tuple | None = None  # Ind(E) and residuals: watatani_index
         # (T, worst relative off-target residual, its source basis index)
         self._coords: tuple[np.ndarray, float, int] | None = None
 
@@ -608,10 +595,8 @@ class ConditionalExpectation:
         return b.T @ (self.coordinate_matrix.T @ np.conjugate(s))
 
     def index_element(self, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
-        """Cached Watatani index; see :func:`watatani_index`."""
-        if self._index_cache is None:
-            self._index_cache = watatani_index(self, tol)
-        return self._index_cache
+        """The Watatani index; see :func:`watatani_index`."""
+        return watatani_index(self, tol)
 
     def to_json(self) -> dict:
         n = self.ambient_dim
@@ -769,22 +754,30 @@ def watatani_index(
     (centrality) and have spectrum >= 1; violations raise
     :class:`NumericIntegrityError` since they indicate a broken quasi-basis.
     Centrality is tested in coordinates, against an upper bound of the
-    largest commutator norm (:func:`_centrality_residual`).
+    largest commutator norm (:func:`_centrality_residual`).  The element and
+    its residuals are computed once per expectation and kept on it; every
+    call tests them against its own ``tol``.
     """
-    if E.quasi_basis is None:
-        raise NoQuasiBasis("expectation carries no quasi-basis")
-    n = E.ambient_dim
-    ind = np.zeros((n, n), dtype=np.complex128)
-    for lam in E.quasi_basis:
-        if lam.any():  # a zero element adds nothing
-            ind += lam @ mx.adjoint(lam)
-
-    if mx.operator_norm(ind - mx.adjoint(ind)) > tol:
+    if E._index_cache is None:
+        if E.quasi_basis is None:
+            raise NoQuasiBasis("expectation carries no quasi-basis")
+        ind = np.zeros((E.ambient_dim,) * 2, dtype=np.complex128)
+        for lam in E.quasi_basis:
+            if lam.any():  # a zero element adds nothing
+                ind += lam @ mx.adjoint(lam)
+        ind.setflags(write=False)
+        E._index_cache = (
+            ind,
+            mx.operator_norm(ind - mx.adjoint(ind)),
+            _centrality_residual(E.source, ind),
+            1.0 + mx.operator_norm(ind),
+            float(np.linalg.eigvalsh((ind + mx.adjoint(ind)) / 2.0)[0]),
+        )
+    ind, selfadjoint, central, scale, smallest = E._index_cache
+    if selfadjoint > tol:
         raise NumericIntegrityError("index element is not self-adjoint")
-    worst = _centrality_residual(E.source, ind)
-    if worst > tol * (1.0 + mx.operator_norm(ind)):
-        raise NumericIntegrityError(f"index element not central (residual {worst:.2e})")
-    smallest = float(np.linalg.eigvalsh((ind + mx.adjoint(ind)) / 2.0)[0])
+    if central > tol * scale:
+        raise NumericIntegrityError(f"index element not central (residual {central:.2e})")
     if smallest < 1.0 - tol:
         raise NumericIntegrityError(f"index has eigenvalue {smallest:.6f} below 1")
     return ind

@@ -464,15 +464,15 @@ def group_angle(
     """
     _same_parent(H, K, L, group=G)
     for S, name in ((K, "K"), (L, "L")):
-        if not H.issubset(S):
+        if H._bits & ~S._bits:
             raise NotIntermediate(f"H is not contained in {name}")
     if K.order == H.order or L.order == H.order:
         raise DegenerateIntermediate("K = H or L = H: angle undefined")
 
-    # K n L is a subgroup containing H
+    # K n L is a subgroup containing H, and Lagrange holds for H <= K, L
     a = (K._bits & L._bits).bit_count() // H.order
-    b = subgroup_index(K, H)
-    c = subgroup_index(L, H)
+    b = K.order // H.order
+    c = L.order // H.order
     cos_sq = Fraction((a - 1) ** 2, (b - 1) * (c - 1))
     cos = min(1.0, math.sqrt(float(cos_sq)))
     diagnostics = AngleDiagnostics(

@@ -133,7 +133,7 @@ def canonical_inclusion() -> M2Inclusion:
     sqrt2 = math.sqrt(2.0)
     A = MatrixStarAlgebra.from_orthonormal([E11, E12, E21, E22])
     eye = np.eye(2, dtype=np.complex128)
-    B = MatrixStarAlgebra([eye], [eye / sqrt2])
+    B = MatrixStarAlgebra([eye / sqrt2])
     E = ConditionalExpectation.from_rule(
         A,
         B,
@@ -215,7 +215,7 @@ def skewed_scalar_expectation(t: float) -> ConditionalExpectation:
         raise ValueError("t must lie strictly between 0 and 1")
     A = MatrixStarAlgebra.from_orthonormal([E11, E12, E21, E22])
     eye = np.eye(2, dtype=np.complex128)
-    B = MatrixStarAlgebra([eye], [eye / math.sqrt(2.0)])
+    B = MatrixStarAlgebra([eye / math.sqrt(2.0)])
     st, s1t = math.sqrt(t), math.sqrt(1.0 - t)
     quasi = [E11 / st, E12 / s1t, E21 / st, E22 / s1t]
     return ConditionalExpectation.from_rule(

@@ -203,8 +203,8 @@ class GenericModule:
 class TowerLevel:
     """One rung of the Jones tower for (B <= A, E), fully coordinatized.
 
-    ``basic_construction`` (A_1, spanned by the products L_{b_i} e_B L_{l_k*},
-    row i q + k of its ``spanning_stack``), ``embedded_algebra`` ({L_x})
+    ``basic_construction`` (A_1, spanned by the rows i q + k = L_{b_i} e_B
+    L_{l_k*} of ``spanning_products``), ``embedded_algebra`` ({L_x})
     and ``dual_expectation`` (E_1) are built on first read and cached: A_1
     after its budget check, then checked to span A_1 when the level was
     built with ``check``, at the level's ``tol``.
@@ -240,10 +240,10 @@ class TowerLevel:
         """A_1, spanned by the d q products L_{b_i} e_B L_{l_k*}."""
         A = self.algebra
         _check_family_budget(A.dim * len(self.expectation.quasi_stack), A.dim, "A_1")
-        a1 = MatrixStarAlgebra.from_spanning(self._spanning_products(self.jones_projection))
+        a1 = MatrixStarAlgebra.from_spanning(self.spanning_products(self.jones_projection))
         if self._check:
             # a seeded sample of the products x e_B y the family replaces
-            lmats, e_b = self.embedded_algebra.spanning_stack, self.jones_projection
+            lmats, e_b = self.embed(A.basis_stack), self.jones_projection
             i, j = mx.default_rng().integers(A.dim, size=(2, min(20, A.dim**2)))
             if not a1.contains_all(lmats[i] @ e_b @ lmats[j], self._tol):
                 raise ConstructionFailure(
@@ -269,16 +269,15 @@ class TowerLevel:
             quasi_basis=self.dual_quasi_basis, name="E1",
         )
 
-    def _spanning_products(self, projection: np.ndarray) -> np.ndarray:
-        """L_{b_i} p L_{l_k*}, row i * q + k of one read-only stack.
+    def spanning_products(self, projection: np.ndarray) -> np.ndarray:
+        """L_{b_i} p L_{l_k*}, row i * q + k of one stack.
 
-        Read-only, so that an algebra spanned by it holds it uncopied.
+        With p = e_B this is the spanning family of A_1, with p = e_C that of
+        C_1; neither algebra keeps it, so its readers rebuild it here.
         """
         left = self.embed(self.algebra.basis_stack) @ projection
         right = self.embed(mx.adjoint(self.expectation.quasi_stack))
-        products = (left[:, None] @ right[None]).reshape((-1,) + projection.shape)
-        products.setflags(write=False)
-        return products
+        return (left[:, None] @ right[None]).reshape((-1,) + projection.shape)
 
     @cached_property
     def quasi_coords(self) -> np.ndarray:
@@ -499,8 +498,10 @@ def dual_expectation_value(
     give the same answer because E_1 is well defined.
     """
     t = mx.as_matrix(t)
+    d, q = level.module_dim, len(level.expectation.quasi_stack)
+    _check_family_budget(d * q, d, "A_1")
     try:
-        coeffs = mx.coordinates_in_span(level.basic_construction.spanning_set, t, tol)
+        coeffs = mx.coordinates_in_span(level.spanning_products(level.jones_projection), t, tol)
     except NotInSpan:
         raise NotInAlgebra("element is not in the basic construction") from None
     basis, lam_star = level.algebra.basis_stack, mx.adjoint(level.expectation.quasi_stack)
@@ -571,7 +572,7 @@ def _dual_expectation_from(
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1
-    c1 = MatrixStarAlgebra.from_spanning(level._spanning_products(e_c))
+    c1 = MatrixStarAlgebra.from_spanning(level.spanning_products(e_c))
     ind_c_inv = np.linalg.inv(ind_c)
     right = e_c @ mx.adjoint(level._quasi_left)  # e_C L_{l_i*}
 

@@ -60,6 +60,23 @@ def test_unitless_span_fails():
     assert any(c.name == "unit_in_span" and not c.passed for c in report.checks)
 
 
+def test_star_algebra_sample_draws_the_seeded_pairs(rng):
+    # a subspace not closed under products: each pair has its own residual
+    family = [np.eye(3)] + [mx.random_matrix(3, rng) for _ in range(3)]
+    alg = MatrixStarAlgebra.from_spanning(family)
+    flat = alg._flat
+    residuals = []
+    for k in mx.default_rng().choice(16, size=5, replace=False):  # pair (k // 4, k % 4)
+        product = np.ravel(alg.basis[k // 4] @ alg.basis[k % 4])
+        residuals.append(np.linalg.norm((np.conjugate(flat) @ product) @ flat - product))
+    sampled, everything = (
+        next(c for c in verify_star_algebra(alg, **cap).checks if c.name == "product_closed")
+        for cap in ({"max_pairs": 5}, {})
+    )
+    assert sampled.residual == pytest.approx(max(residuals), rel=1e-12)
+    assert everything.residual >= sampled.residual > 0.1
+
+
 def test_conjugated_algebra_verifies(rng):
     u = mx.random_unitary(2, rng)
     alg = MatrixStarAlgebra.from_spanning(
@@ -79,6 +96,15 @@ def test_empty_spanning_set_rejected():
     for family in (bad, list(bad)):
         with pytest.raises(InvalidMatrix):
             MatrixStarAlgebra.from_orthonormal(family)
+
+
+def test_zero_family_spans_the_zero_algebra():
+    alg = MatrixStarAlgebra.from_spanning(np.zeros((2, 3, 3)))
+    assert (alg.dim, alg.ambient_dim) == (0, 3)
+    payload = json.loads(json.dumps(alg.to_json()))
+    assert payload["spanning_set"] == []
+    back = MatrixStarAlgebra.from_json(payload)
+    assert (back.dim, back.ambient_dim) == (0, 3) and back.same_span(alg)
 
 
 def test_same_span_insensitive_to_basis(rng):
@@ -135,6 +161,20 @@ def test_watatani_requires_quasi_basis(inclusion):
     bare = ConditionalExpectation.from_rule(inclusion.A, inclusion.B, inclusion.E)
     with pytest.raises(NoQuasiBasis):
         watatani_index(bare)
+
+
+def test_index_element_tests_each_calls_tolerance(inclusion):
+    # one quasi-basis element scaled by 1 + 1e-6: central only to about 4e-6
+    E = inclusion.E
+    quasi = np.array(E.quasi_stack)
+    quasi[0] *= 1.0 + 1e-6
+    skewed = ConditionalExpectation(E.source, E.target, E._apply, quasi_basis=quasi)
+    ind = skewed.index_element(1e-3)
+    np.testing.assert_allclose(ind, 4.0 * np.eye(2), atol=1e-5)
+    for check in (skewed.index_element, lambda tol: watatani_index(skewed, tol)):
+        with pytest.raises(NumericIntegrityError, match="not central"):
+            check(1e-9)
+    assert skewed.index_element(1e-3) is ind
 
 
 def test_index_independent_of_quasi_basis(inclusion, rng):
@@ -531,14 +571,22 @@ def test_redundant_spanning_set_keeps_a_compact_basis():
     assert root.nbytes == alg.basis_stack.nbytes == 2 * 4 * 16
 
 
-def test_orthonormal_spanning_set_shares_the_basis(inclusion):
-    assert inclusion.A.spanning_set is inclusion.A.basis
-    # group algebras are built from their orthonormal basis lambda_g / sqrt(|G|)
+def test_algebra_holds_only_its_orthonormal_basis(inclusion, c_plus_m2):
+    # group algebras are built from their orthonormal basis lambda_g / sqrt(|G|);
+    # C+M2's A_1 from a redundant family of 25 products for dimension 17
     G = FiniteGroup.symmetric(3)
     inc = group_algebra_inclusion(G, trivial_subgroup(G))
     K = generated_subgroup(G, [G.index_of((1, 0, 2))])
-    for alg in (inc.A, inc.B, inc.expectation_onto(K).target):
-        assert alg.spanning_set is alg.basis
+    a1 = c_plus_m2.level.basic_construction
+    assert a1.dim == 17
+    for alg in (inclusion.A, inc.A, inc.B, inc.expectation_onto(K).target, a1):
+        held = [v for v in vars(alg).values() if isinstance(v, np.ndarray)]
+        assert all(np.shares_memory(a, alg._flat) for a in held + list(alg.basis))
+        # the basis is what travels, and it reads back as the same span
+        payload = json.loads(json.dumps(alg.to_json()))
+        sent = np.array([matrix_from_json(m) for m in payload["spanning_set"]])
+        np.testing.assert_array_equal(sent, alg.basis_stack)
+        assert MatrixStarAlgebra.from_json(payload).same_span(alg)
 
 
 def test_hs_coordinates_and_map_matrix_match_old_formulas(inclusion, rng):
@@ -635,15 +683,21 @@ def test_product_table_matches_dense_products():
         table, basis = alg._table, alg.basis_stack
         assert table is not None
         d, n = alg.dim, alg.ambient_dim
+        # the nonzero products b_i b_j = s b_k, in row-major (i, j) order
+        assert np.all(np.diff(table.i * d + table.j) > 0)
+        scale = np.zeros((d, d), dtype=table.s.dtype)
+        scale[table.i, table.j] = table.s
+        index = np.zeros((d, d), dtype=np.intp)
+        index[table.i, table.j] = table.k
         # b_i b_j, all j at once as one product with the basis side by side
         side_by_side = np.swapaxes(basis, 0, 1).reshape(n, d * n)
         for i in range(d):
             products = np.swapaxes((basis[i] @ side_by_side).reshape(n, d, n), 0, 1)
-            want = table.scale[i][:, None, None] * basis[table.index[i]]
+            want = scale[i][:, None, None] * basis[index[i]]
             assert np.max(np.abs(products - want)) <= 1e-13
     # the two blocks of the direct sum annihilate each other
     block = algebras[-1]._table
-    assert not block.scale[:6, 6:].any() and not block.scale[6:, :6].any()
+    assert np.all((block.i < 6) == (block.j < 6))
 
 
 def test_multiplication_matrices_match_dense_products(inclusion, tower_level, c_plus_m2, monkeypatch):

@@ -281,7 +281,8 @@ def test_exterior_non_scalar_index(c_plus_m2):
     res = exterior_angle(fx.level, fx.F, fx.F_prime)
     assert abs(res.cos_value - res.diagnostics.extra["closed_cos"]) <= 1e-7
     # level two is spanned by d q = 17 * 5 products instead of d^2 = 289
-    assert len(iterate_tower(fx.level).basic_construction.spanning_stack) == 85
+    level2 = iterate_tower(fx.level)
+    assert len(level2.spanning_products(level2.jones_projection)) == 85
 
 
 def test_exterior_angle_never_builds_level_two_algebra(inclusion, c_plus_m2):

@@ -228,7 +228,7 @@ def test_dual_value_outside_construction_rejected(rng):
 
 def test_dual_value_well_defined_across_decompositions(tower_level, rng):
     # the spanning family is redundant; least squares vs closed form must agree
-    family = tower_level.basic_construction.spanning_set
+    family = tower_level.spanning_products(tower_level.jones_projection)
     coeffs = rng.standard_normal(len(family))
     t = sum(c * s for c, s in zip(coeffs, family))
     np.testing.assert_allclose(
@@ -368,13 +368,13 @@ def least_squares_g(level, C, F):
     to Ind(E|_C)^{-1} x e_C l_k*.  Returns G on a (k, d, d) stack.
     """
     e_c, restricted = intermediate_data(level, C, F)
-    family = level.basic_construction.spanning_stack
+    family = level.spanning_products(level.jones_projection)
     flat = family.reshape(len(family), -1)
     gram_pinv = np.linalg.pinv(
         np.conjugate(flat) @ flat.T, rcond=mx.GRAM_CUTOFF, hermitian=True
     )
     ind_c_inv = np.linalg.inv(restricted.index_element())
-    rule_values = level.embed(ind_c_inv) @ level._spanning_products(e_c)
+    rule_values = level.embed(ind_c_inv) @ level.spanning_products(e_c)
 
     def g(ts):
         coeffs = gram_pinv @ (np.conjugate(flat) @ ts.reshape(len(ts), -1).T)
@@ -775,7 +775,7 @@ def test_dq_family_spans_the_d2_family(tower_level, c_plus_m2, d2_family):
         iterate_tower(c_plus_m2.level),
     ):
         d, q = level.algebra.dim, len(level.expectation.quasi_basis)
-        assert len(level.basic_construction.spanning_stack) == d * q
+        assert len(level.spanning_products(level.jones_projection)) == d * q
         d2 = MatrixStarAlgebra.from_spanning(d2_family(level))
         assert d2.same_span(level.basic_construction)
 
@@ -787,8 +787,9 @@ def test_dual_expectation_value_on_dq_families(tower_level, c_plus_m2, rng):
         c_plus_m2.level,
         iterate_tower(c_plus_m2.level),
     ):
-        coeffs = rng.standard_normal(len(level.basic_construction.spanning_stack))
-        t = np.tensordot(coeffs, level.basic_construction.spanning_stack, axes=1)
+        family = level.spanning_products(level.jones_projection)
+        coeffs = rng.standard_normal(len(family))
+        t = np.tensordot(coeffs, family, axes=1)
         np.testing.assert_allclose(
             dual_expectation_value(level, t), level.dual_value(t), atol=1e-10
         )
@@ -806,7 +807,7 @@ def test_family_without_the_quasi_basis_fails_the_check(inclusion, monkeypatch):
         lmats = self.embed(self.algebra.basis_stack)
         return np.concatenate([lmats, lmats @ p])
 
-    monkeypatch.setattr(TowerLevel, "_spanning_products", short_family)
+    monkeypatch.setattr(TowerLevel, "spanning_products", short_family)
     with pytest.raises(ConstructionFailure, match="does not span"):
         build_tower_level(inclusion.A, inclusion.B, inclusion.E)
 
