@@ -270,6 +270,30 @@ class MatrixStarAlgebra:
             coords[block] = np.add.reduceat(taken, sup.starts, axis=1)
         return coords.reshape(flat.shape[:-1] + (self.dim,))
 
+    def star_coordinates(self) -> np.ndarray:
+        """S, the star of the basis: row l holds hs_coordinates(b_l*).
+
+        So hs_coordinates(x*) = conj(hs_coordinates(x)) @ S.  On a basis with
+        disjoint supports, b_l* holds conj(b_l[r, c]) at (c, r), a position
+        owned by one basis element b_k, so S[l, k] sums
+        conj(b_k[c, r] b_l[r, c]) over the support of b_l: one scatter over
+        the support positions, with no n x n matrix formed.  Otherwise S is
+        the HS coordinates of the adjoint basis.  Not kept: an algebra holds
+        only its basis, and its readers keep what they build from S.
+        """
+        sup = self._supports
+        if sup is None:
+            return self.hs_coordinates(mx.adjoint(self.basis_stack))
+        d, n = self.dim, self.ambient_dim
+        rows, cols = np.divmod(sup.positions, n)
+        moved = cols * n + rows
+        cells = sup.owner[sup.positions] * d + sup.owner[moved]
+        values = np.conjugate(sup.entries[moved]) * sup.conj_values
+        star = np.bincount(cells, values.real, d * d) + 1j * np.bincount(
+            cells, values.imag, d * d
+        )
+        return star.reshape(d, d)
+
     def project(self, x) -> np.ndarray:
         return self.combine(self.hs_coordinates(x))
 

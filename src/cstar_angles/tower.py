@@ -48,12 +48,31 @@ coords(l_i a*) = L_{l_i} J conj(coords(a)),
 where v holds the coordinates of (sum_i t(l_i) l_i*)*.  An element costs
 three products of q d x d matrices with vectors, about 3 q d^2, and one
 conversion from coordinates; J, the L_{l_i} and L_{Ind(E)^-1} J are built
-once per level.  The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
+once per level.  J needs no module operator: with S the star of A's
+basis in HS coordinates (row l holds those of b_l*) and M the module Gram
+matrix of :class:`GenericModule`,
+
+    J = (M^{-1/2} S conj(M^{1/2}))^T.
+
+The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
 A_1, gives the compatible expectation onto C_1 as
 G(t) = L_{Ind(E|_C)^-1} sum_i L_{t(l_i)} e_C L_{l_i*}.  The route that
 decomposes t over the spanning family of A_1 by least squares,
 :func:`dual_expectation_value`, is kept as the oracle of E_1, and the two
 are cross-checked.
+
+A checked level also confirms that {L_x} represents A faithfully without
+forming the L_{b_i}.  With {b_k} A's HS-orthonormal basis, {m_k} the
+module basis and rho the density of Tr o E,
+
+    Tr(L_{b_i}* L_{b_j}) = sum_k <b_i m_k, b_j m_k>_E = Tr(b_i* b_j c),
+    c = sum_k m_k rho m_k* = sum_k b_k b_k*,
+
+since m_k = b_k rho^{-1/2}; so the HS Gram matrix of the embedded basis is
+R_c^T, one right multiplication matrix in A's coordinates, d^3 work where
+the d x d^2 product of the embedded basis is d^4.  The identity needs L to
+be left multiplication, which the check confirms on every basis element
+by one matrix-vector product each.
 
 Iterating: a :class:`TowerLevel` is itself a valid (algebra, subalgebra,
 expectation) triple one rung up, with A embedded into A_1 as {L_x}, so the
@@ -137,6 +156,14 @@ class GenericModule:
     Tr(E(y)) = sum_k tau_k <b_k, y>_HS = Tr(y rho) on A; so G is the
     transpose of R_rho, the right multiplication matrix of
     :meth:`MatrixStarAlgebra.multiplication_matrices`.
+
+    Two more module quantities follow in A's coordinates.  The star matrix
+    J (coords(x*) = J conj(coords(x))) is (G^{-1/2} S conj(G^{1/2}))^T, with
+    S = :meth:`MatrixStarAlgebra.star_coordinates`.  And since the m_k are
+    orthonormal for <x, y> = Tr(x* y rho),
+    Tr(L_{b_i}* L_{b_j}) = sum_k Tr(m_k* b_i* b_j m_k rho) = Tr(b_i* b_j c)
+    with c = sum_k m_k rho m_k* = sum_k b_k b_k*, so the HS Gram matrix of
+    the L_{b_i} is R_c^T.
     """
 
     def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
@@ -190,7 +217,8 @@ class GenericModule:
         """Matrix of a map on A (columns are images in coordinates).
 
         ``fn`` takes module basis elements as (k, n, n) stacks; it may be
-        conjugate-linear, as the adjoint is for the star matrix.
+        conjugate-linear, as the adjoint is: ``operator_matrix(mx.adjoint)``
+        is J, which :attr:`TowerLevel.star_matrix` builds in A's coordinates.
         """
         eye = np.eye(self.dim)
         rows = mx.stack_slices(self.dim, 16 * self.algebra.ambient_dim**2)
@@ -286,8 +314,16 @@ class TowerLevel:
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
-        """J with coords(x*) = J conj(coords(x)): column j is coords(m_j*)."""
-        return self.module.operator_matrix(mx.adjoint)
+        """J with coords(x*) = J conj(coords(x)): column j is coords(m_j*).
+
+        Built in A's coordinates: m_j has HS coordinates row j of
+        ``_from_module``, so m_j* has conj(that row) S, with S the star of A's
+        basis (:meth:`MatrixStarAlgebra.star_coordinates`), and
+        J = (conj(_from_module) S _to_module)^T.
+        """
+        mod = self.module
+        star = self.algebra.star_coordinates()
+        return (np.conjugate(mod._from_module) @ star @ mod._to_module).T
 
     @cached_property
     def _quasi_left(self) -> np.ndarray:
@@ -295,35 +331,46 @@ class TowerLevel:
         return self.embed(self.expectation.quasi_stack)
 
     @cached_property
+    def _index_inverse_left(self) -> np.ndarray:
+        """L_{Ind(E)^-1}."""
+        return self.embed(self.index_inverse)
+
+    @cached_property
     def _index_inverse_star(self) -> np.ndarray:
         """L_{Ind(E)^-1} J: conj(coords(y*)) to coords(Ind(E)^-1 y)."""
-        return self.embed(self.index_inverse) @ self.star_matrix
+        return self._index_inverse_left @ self.star_matrix
 
     def dual_value(self, t) -> np.ndarray:
         """E_1(t) as an ambient matrix, via the decomposition-free identity.
 
         ``t`` is one module operator or a (k, d, d) stack of them; a stack
-        gives the (k, n, n) stack of values.  Computed in module coordinates
-        (see the module docstring): v = sum_i L_{l_i} J conj(t q_i) holds the
-        coordinates of (sum_i t(l_i) l_i*)*, and E_1(t) is the element with
-        coordinates L_{Ind(E)^-1} J conj(v).
+        gives the (k, n, n) stack of values (see :meth:`_dual_coords`).
         """
         t = np.asarray(t, dtype=np.complex128)
-        stack = t[None] if t.ndim == 2 else t
-        quasi, lmats = self.quasi_coords, self._quasi_left
-        q, d = quasi.shape
-        coords = np.empty((len(stack), d), dtype=np.complex128)
+        images = (t[None] if t.ndim == 2 else t) @ self.quasi_coords.T
+        out = self.module.from_coords(self._dual_coords(images))
+        return out[0] if t.ndim == 2 else out
+
+    def _dual_coords(self, images: np.ndarray) -> np.ndarray:
+        """Module coordinates of E_1(t_k), from the (k, d, q) stack whose column i is t_k q_i.
+
+        Computed as in the module docstring: v = sum_i L_{l_i} J conj(t q_i)
+        holds the coordinates of (sum_i t(l_i) l_i*)*, and E_1(t) is the
+        element with coordinates L_{Ind(E)^-1} J conj(v).
+        """
+        lmats = self._quasi_left
+        k, d, q = images.shape
+        coords = np.empty((k, d), dtype=np.complex128)
         # charged per element: two (q, d) intermediates and the (q, d) terms
-        for rows in mx.stack_slices(len(stack), 3 * q * d * 16):
+        for rows in mx.stack_slices(k, 3 * q * d * 16):
             # row i of acted[k] is conj(t_k q_i), then J of it, as rows
-            acted = np.conjugate(quasi @ np.swapaxes(stack[rows], 1, 2))
+            acted = np.conjugate(np.swapaxes(images[rows], 1, 2))
             acted = (acted.reshape(-1, d) @ self.star_matrix.T).reshape(-1, q, d)
             # sum_i L_{l_i} J conj(t_k q_i), for every k: one product per i
             terms = np.swapaxes(acted, 0, 1) @ np.swapaxes(lmats, 1, 2)
             coords[rows] = np.conjugate(terms.sum(axis=0))
             del acted, terms
-        out = self.module.from_coords(coords @ self._index_inverse_star.T)
-        return out[0] if t.ndim == 2 else out
+        return coords @ self._index_inverse_star.T
 
     def module_norm(self, t) -> float:
         """||t||_{A_1} = ||E_1(t* t)||^(1/2) for t in the basic construction."""
@@ -334,8 +381,59 @@ class TowerLevel:
         return self.dual_value(mx.adjoint(s) @ t)
 
 
+def _faithfulness_gram(A: MatrixStarAlgebra) -> np.ndarray:
+    """The HS Gram matrix Tr(L_{b_i}* L_{b_j}) of the embedded basis, as R_c^T.
+
+    c = sum_k b_k b_k* is the same for every HS-orthonormal basis (module
+    docstring).  With a product table every b_k is a scaled partial
+    permutation, so b_k b_k* is diagonal and c holds the squared moduli of
+    the basis entries summed along each row; otherwise c is one
+    (n x d n)(d n x n) product.
+    """
+    n = A.ambient_dim
+    if A._table is not None:
+        weights = np.abs(A._supports.entries.reshape(n, n)) ** 2
+        c = np.diag(weights.sum(axis=1)).astype(np.complex128)
+    else:
+        wide = np.swapaxes(A.basis_stack, 0, 1).reshape(n, -1)  # [b_1 ... b_d]
+        c = wide @ np.conjugate(wide).T
+    return A.multiplication_matrices(c[None], left=False)[0].T
+
+
+def _left_multiplication_residual(level: TowerLevel) -> float:
+    """max_k ||L_{b_k} coords(z) - coords(b_k z)|| / ||coords(z)|| for a seeded random z in A.
+
+    coords(b_k z) are the rows of the right multiplication matrix R_z in
+    module coordinates.  A random z is not central unless A is commutative,
+    so a right multiplication in place of L fails here, where z = 1 would
+    not tell the two apart.  One ``embed`` per chunk of the basis, d^2 work
+    per element.
+    """
+    A, mod = level.algebra, level.module
+    rng = mx.default_rng()
+    z = A.combine(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+    v = mod.coords(z)
+    want = A.multiplication_matrices(z[None], left=False)[0] @ mod._to_module
+    basis = A.basis_stack
+    worst = max(
+        float(mx.row_norms(level.embed(basis[rows]) @ v - want[rows]).max())
+        for rows in mx.stack_slices(A.dim, level.jones_projection.nbytes // 8)
+    )
+    return worst / float(np.linalg.norm(v))
+
+
 def _check_level(level: TowerLevel, tol: float) -> dict:
-    """The residual of each level invariant; raises when one exceeds ``tol``."""
+    """The residual of each level invariant; raises when one exceeds ``tol``.
+
+    This is the fast route, run on every checked level; it works in A's
+    coordinates and forms no d x d^2 array.  Its oracles are verify's
+    per-element ``exchange_law`` and ``module_representation_faithful`` on
+    the 2x2 model (``verify._suite_tower``) and the dense forms kept in the
+    tests.  ``representation_faithful`` reads the HS Gram matrix of the
+    L_{b_i} from the identity Tr(L_{b_i}* L_{b_j}) = Tr(b_i* b_j c) (module
+    docstring), which holds when L is left multiplication;
+    ``left_multiplication`` checks that on every basis element.
+    """
     e = level.jones_projection
     residuals = {}
     residuals["jones_idempotent"] = mx.operator_norm(e @ e - e)
@@ -358,31 +456,26 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
         for rows in mx.stack_slices(len(basis), e.nbytes)
     )
 
-    basis = level.algebra.basis_stack
-    d = len(basis)
-    # the HS Gram matrix of the embedded basis, block by block over row
-    # chunks of at most 8 stack budgets each, so no d x d^2 array is held
-    chunks = mx.stack_slices(d, e.nbytes // 8)
-    gram = np.empty((d, d), dtype=np.complex128)
-    for a, rows in enumerate(chunks):
-        left = np.conjugate(level.embed(basis[rows]).reshape(-1, e.size))
-        for cols in chunks[a:]:
-            block = left @ level.embed(basis[cols]).reshape(-1, e.size).T
-            gram[rows, cols] = block
-            gram[cols, rows] = np.conjugate(block.T)
-        del left
-    smallest = float(np.linalg.eigvalsh(gram)[0])
+    A = level.algebra
+    residuals["left_multiplication"] = _left_multiplication_residual(level)
+    smallest = float(np.linalg.eigvalsh(_faithfulness_gram(A))[0])
     residuals["representation_faithful"] = 0.0 if smallest > 1e-12 else 1.0
 
-    # dual rule on a seeded sample of spanning elements, one stacked call
+    # dual rule on a seeded sample of spanning elements t = L_{b_i} e L_{b_j},
+    # one stacked call on their images t q_k (no t is formed), compared in
+    # HS coordinates: those of b_i b_j are column j of L_{b_i}
+    basis = A.basis_stack
     rng = mx.default_rng()
     d = len(basis)
     i, j = np.array(
         [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
     ).T
-    misses = level.dual_value(level.embed(basis[i]) @ e @ level.embed(basis[j]))
-    misses -= level.index_inverse @ (basis[i] @ basis[j])
-    residuals["dual_rule"] = float(np.linalg.norm(misses.reshape(len(i), -1), axis=1).max())
+    left = level.embed(basis[i])
+    images = left @ (e @ (level.embed(basis[j]) @ level.quasi_coords.T))
+    got = level._dual_coords(images) @ level.module._from_module
+    want = left[np.arange(len(i)), :, j] @ level._index_inverse_left.T
+    del left, images
+    residuals["dual_rule"] = float(mx.row_norms(got - want).max())
 
     bad = {k: v for k, v in residuals.items() if v > tol}
     if bad:

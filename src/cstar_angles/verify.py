@@ -291,6 +291,14 @@ def _suite_algebra(rng) -> list[CheckResult]:
 
 
 def _suite_tower(rng) -> list[CheckResult]:
+    """The level invariants on the 2x2 model, by the direct per-element forms.
+
+    ``exchange_law`` forms e_B L_a e_B and ``module_representation_faithful``
+    the HS Gram matrix of the embedded basis, one L_a per basis element:
+    they are the oracles of ``tower._check_level``, the fast route every
+    checked level runs (the exchange law on range(e_B), the Gram matrix as
+    R_c^T in A's coordinates).
+    """
     checks: list[CheckResult] = []
     inc = m2.canonical_inclusion()
     level = m2.canonical_tower(inc)

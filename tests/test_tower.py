@@ -871,3 +871,142 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
         want = exchange_law_dense(swapped)
         assert want > 0.1
         assert abs(got - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# the faithfulness Gram, the star matrix and the dual rule in A's coordinates
+
+
+def faithfulness_gram_dense(level):
+    """The HS Gram matrix of the embedded basis, block by block, the oracle.
+
+    Forms every L_{b_i} and a d x d^2 product over row chunks of at most 8
+    stack budgets each.
+    """
+    e, basis = level.jones_projection, level.algebra.basis_stack
+    d = len(basis)
+    chunks = mx.stack_slices(d, e.nbytes // 8)
+    gram = np.empty((d, d), dtype=np.complex128)
+    for a, rows in enumerate(chunks):
+        left = np.conjugate(level.embed(basis[rows]).reshape(-1, e.size))
+        for cols in chunks[a:]:
+            block = left @ level.embed(basis[cols]).reshape(-1, e.size).T
+            gram[rows, cols] = block
+            gram[cols, rows] = np.conjugate(block.T)
+    return gram
+
+
+@pytest.fixture(scope="module")
+def coordinate_levels(tower_level, c_plus_m2):
+    """m2 levels 1 and 2, a non-tracial m2 level with a complex module Gram matrix,
+    C+M2, M2+M3 level 2 (d = 97), C[Z2xZ3] and C[S4] (product table)."""
+    Z2xZ3, S4 = FiniteGroup.direct_product([2, 3]), FiniteGroup.symmetric(4)
+    level5 = m2_plus_m3()[0]
+    skewed = conjugate_expectation(
+        m2.skewed_scalar_expectation(0.3), mx.random_unitary(2, mx.default_rng(3))
+    )
+    return {
+        "m2": tower_level,
+        "m2 level 2": iterate_tower(tower_level),
+        "skewed m2": build_tower_level(skewed.source, skewed.target, skewed),
+        "C+M2": c_plus_m2.level,
+        "M2+M3 level 2": iterate_tower(level5),
+        "C[Z2xZ3]": group_algebra_inclusion(
+            Z2xZ3, generated_subgroup(Z2xZ3, [Z2xZ3.index_of((1, 0))])
+        ).tower(),
+        "C[S4]": group_algebra_inclusion(
+            S4, generated_subgroup(S4, [S4.index_of((1, 0, 2, 3))])
+        ).tower(),
+    }
+
+
+def test_faithfulness_gram_by_right_multiplication_matches_the_embedded_gram(
+    coordinate_levels,
+):
+    assert coordinate_levels["M2+M3 level 2"].algebra.dim == 97
+    assert coordinate_levels["C[S4]"].algebra._table is not None
+    assert coordinate_levels["C[Z2xZ3]"].algebra._table is None
+    assert np.abs(coordinate_levels["skewed m2"].module._to_module.imag).max() > 0.01
+    for name, level in coordinate_levels.items():
+        got = tower._faithfulness_gram(level.algebra)
+        want = faithfulness_gram_dense(level)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale, name
+        smallest = np.linalg.eigvalsh(want)[0]
+        assert abs(np.linalg.eigvalsh(got)[0] - smallest) <= 1e-13 * scale, name
+        assert smallest > 1e-12, name
+
+
+def test_star_matrix_in_algebra_coordinates_matches_operator_matrix(coordinate_levels):
+    for name, level in coordinate_levels.items():
+        A = level.algebra
+        np.testing.assert_allclose(
+            A.star_coordinates(), A.hs_coordinates(mx.adjoint(A.basis_stack)),
+            rtol=0, atol=1e-13, err_msg=name,
+        )
+        want = level.module.operator_matrix(mx.adjoint)
+        got = level.star_matrix
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+class _RightMultiplicationModule(GenericModule):
+    """A module whose ``left_mult`` returns right multiplication: column j is hs(b_j x)."""
+
+    def left_mult(self, x):
+        x = np.asarray(x, dtype=np.complex128)
+        stack = x.reshape((-1,) + x.shape[-2:])
+        on_hs = self.algebra.multiplication_matrices(stack, left=False)
+        return np.swapaxes(on_hs, 1, 2).reshape(x.shape[:-2] + (self.dim, self.dim))
+
+
+@pytest.mark.parametrize("case", ["m2", "C[S3]"])
+def test_right_multiplication_fails_the_left_multiplication_check(case, inclusion):
+    if case == "m2":
+        A, B, E = inclusion.A, inclusion.B, inclusion.E
+    else:
+        S3 = FiniteGroup.symmetric(3)
+        inc = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))]))
+        A, B, E = inc.A, inc.B, inc.E
+    module = _RightMultiplicationModule(A, E)
+    with pytest.raises(ConstructionFailure, match="left_multiplication") as failure:
+        build_tower_level(A, B, E, module=module, materialize=False)
+    assert failure.value.residuals["left_multiplication"] > 0.1
+    # the true module passes, with a residual at rounding level
+    level = build_tower_level(A, B, E, materialize=False)
+    assert tower._check_level(level, mx.DEFAULT_TOL)["left_multiplication"] <= 1e-14
+
+
+def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
+    level = iterate_tower(m2_plus_m3()[0])
+    e, d = level.jones_projection, level.algebra.dim
+    # ten basis elements per chunk: the former nested Gram loop made 10 + 55 calls
+    monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", 10 * (e.nbytes // 8))
+    chunks = mx.stack_slices(d, e.nbytes // 8)
+    exchange = mx.stack_slices(len(level.expectation.source.basis), e.nbytes)
+    assert len(chunks) == 10
+    calls = []
+    embed = level.embed
+
+    def counted(x):
+        calls.append(len(x) if np.ndim(x) == 3 else 1)
+        return embed(x)
+
+    monkeypatch.setattr(level, "embed", counted)
+    tower._left_multiplication_residual(level)
+    assert calls == [len(level.algebra.basis_stack[rows]) for rows in chunks]
+    calls.clear()
+    tower._faithfulness_gram(level.algebra)
+    assert calls == []
+    tower._check_level(level, mx.DEFAULT_TOL)
+    # two per exchange-law chunk, one per basis chunk, two for the dual-rule sample
+    assert len(calls) == 2 * len(exchange) + len(chunks) + 2
+
+
+def test_wrong_star_matrix_fails_the_dual_rule():
+    S3 = FiniteGroup.symmetric(3)
+    level = group_algebra_inclusion(S3, trivial_subgroup(S3)).tower()
+    assert tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"] <= 1e-14
+    broken = dataclasses.replace(level)
+    broken.star_matrix = np.eye(level.module_dim)  # coords(x*) = conj(coords(x)): false on S3
+    with pytest.raises(ConstructionFailure, match="dual_rule"):
+        tower._check_level(broken, mx.DEFAULT_TOL)
