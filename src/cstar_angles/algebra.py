@@ -300,25 +300,50 @@ class MatrixStarAlgebra:
     def membership_residual(self, x) -> float:
         return mx.frobenius_norm(self.project(x) - mx.as_matrix(x))
 
+    def _member_coordinates(self, xs: np.ndarray, tol: float) -> np.ndarray | None:
+        """HS coordinates of a (k, n, n) stack, or None when one of its matrices is no member.
+
+        The membership core of :meth:`contains`, :meth:`contains_all` and
+        :meth:`coordinates`: x is a member when ||P x - x||_F <= tol
+        (1 + ||x||_F), with P the HS projection onto the span.  One pass per
+        chunk of the stack takes the coordinates, rebuilds P x from them and
+        compares; it stops at the first chunk holding a non-member.
+        """
+        flat = xs.reshape(len(xs), xs.shape[1] * xs.shape[2])
+        coords = np.empty((len(xs), self.dim), dtype=np.complex128)
+        # charged per matrix: its projection, the difference and the
+        # temporaries of hs_coordinates
+        for rows in mx.stack_slices(len(xs), 3 * 16 * flat.shape[1]):
+            coords[rows] = self.hs_coordinates(xs[rows])
+            recon = self.combine(coords[rows]).reshape(-1, flat.shape[1])
+            residual = mx.row_norms(recon - flat[rows])
+            if np.any(residual > tol * (1.0 + mx.row_norms(flat[rows]))):
+                return None
+        return coords
+
     def contains(self, x, tol: float = mx.DEFAULT_TOL) -> bool:
-        return self.membership_residual(x) <= tol * (1.0 + mx.frobenius_norm(x))
+        return self._member_coordinates(mx.as_matrix(x)[None], tol) is not None
 
     def contains_all(self, xs, tol: float = mx.DEFAULT_TOL) -> bool:
         """:meth:`contains` for every matrix of a (k, n, n) stack at once."""
-        xs = mx.as_stack(xs)
-        flat = xs.reshape(len(xs), xs.shape[1] * xs.shape[2])
-        for rows in mx.stack_slices(len(xs), 3 * 16 * flat.shape[1]):
-            recon = self.project(xs[rows]).reshape(-1, flat.shape[1])
-            residual = np.linalg.norm(recon - flat[rows], axis=1)
-            if np.any(residual > tol * (1.0 + np.linalg.norm(flat[rows], axis=1))):
-                return False
-        return True
+        return self._member_coordinates(mx.as_stack(xs), tol) is not None
 
     def coordinates(self, x, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
-        """Orthonormal-basis coordinates; raises NotInAlgebra off the span."""
-        if not self.contains(x, tol):
+        """Orthonormal-basis coordinates of members; raises NotInAlgebra off the span.
+
+        ``x`` is one n x n matrix or a (k, n, n) stack (rows of coordinates).
+        A matrix is off the span when its projection misses it by more than
+        ``tol (1 + ||x||_F)`` in Frobenius norm.  The coordinates and that
+        test come from one pass over the stack, a chunk of at most
+        ``STACK_BUDGET_BYTES`` at a time; the coordinates are those of
+        :meth:`hs_coordinates`.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        stack = mx.as_stack(x) if x.ndim == 3 else mx.as_matrix(x)[None]
+        coords = self._member_coordinates(stack, tol)
+        if coords is None:
             raise NotInAlgebra("element is not in the algebra span")
-        return self.hs_coordinates(x)
+        return coords if x.ndim == 3 else coords[0]
 
     def combine(self, coords: np.ndarray) -> np.ndarray:
         """The element(s) with the given coordinates; rows give a stack."""
@@ -833,29 +858,57 @@ def restrict_expectation(
 ) -> ConditionalExpectation:
     """E restricted to an intermediate C, with derived quasi-basis {F(l_i)}.
 
-    Requires target(E) <= C <= source(E) and F mapping source(E) onto C.
-    The F(l_i) that are exactly zero add nothing to either identity and are
-    left out of the derived quasi-basis.
+    Requires target(E) <= C <= source(E) and F mapping source(E) onto C,
+    each within ``tol`` (:func:`_intermediate_coordinates`), and raises
+    :class:`NotIntermediate` otherwise.  The test of C <= source(E) also
+    gives C's basis in source coordinates, which the restriction itself
+    (:func:`_restrict_core`) reads, so C's basis is projected onto the
+    source once.  The F(l_i) that are exactly zero add nothing to either
+    identity and are left out of the derived quasi-basis.
+    """
+    return _restrict_core(E, C, F, _intermediate_coordinates(E, C, F, tol), tol)
+
+
+def _intermediate_coordinates(
+    E: ConditionalExpectation, C: MatrixStarAlgebra, F: ConditionalExpectation, tol: float
+) -> np.ndarray:
+    """The checks of :func:`restrict_expectation`; returns C's basis in source coordinates.
+
+    Raises :class:`NotIntermediate` unless target(E) <= C <= source(E) and
+    F maps onto C, each at ``tol``.  C's coordinates come from the same pass
+    that tests C <= source(E).
     """
     if not C.contains_all(E.target.basis_stack, tol):
         raise NotIntermediate("target(E) is not contained in C")
-    if not E.source.contains_all(C.basis_stack, tol):
+    on_source = E.source._member_coordinates(C.basis_stack, tol)
+    if on_source is None:
         raise NotIntermediate("C is not contained in source(E)")
     if not F.target.same_span(C, tol):
         raise NotIntermediate("F does not map onto C")
+    return on_source
 
+
+def _restrict_core(
+    E: ConditionalExpectation,
+    C: MatrixStarAlgebra,
+    F: ConditionalExpectation,
+    on_source: np.ndarray,
+    tol: float,
+) -> ConditionalExpectation:
+    """:func:`restrict_expectation` after its checks, from C's basis in source coordinates.
+
+    E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
+    rows: ``on_source`` (row j holds the <b_k, c_j>) times E's.  The derived
+    quasi-basis is checked by :func:`verify_quasi_basis`, and
+    :class:`NoQuasiBasis` is raised when it fails.
+    """
     quasi = None
     if E.quasi_basis is not None:
         coords = F.source.hs_coordinates(E.quasi_stack) @ F.coordinate_matrix
         quasi = F.target.combine(coords[coords.any(axis=1)])  # F.on_source, zeros left out
         quasi.setflags(write=False)  # shared by the expectation and the check
-    # E(c_j) = sum_k <b_k, c_j> E(b_k): the coordinate matrix restricts by rows
     restricted = ConditionalExpectation.from_coordinates(
-        C,
-        E.target,
-        E.source.hs_coordinates(C.basis_stack) @ E.coordinates(tol),
-        quasi_basis=quasi,
-        name=f"{E.name}|C",
+        C, E.target, on_source @ E.coordinates(tol), quasi_basis=quasi, name=f"{E.name}|C"
     )
     if quasi is not None and not verify_quasi_basis(restricted, quasi, tol):
         raise NoQuasiBasis("derived quasi-basis {F(l_i)} failed verification")
@@ -867,24 +920,53 @@ def compatibility_residual(
 ) -> float:
     """max over source basis of ||E(x) - E(F(x))||.
 
+    E and F must share their source, with target(E) <= target(F) <=
+    source, each within the default tolerance
+    (:func:`_compatible_pair_coordinates`); otherwise
+    :class:`NotIntermediate` is raised.  The test of target(F) <= source
+    also gives target(F)'s basis in source coordinates, which the residual
+    itself (:func:`_compatibility_core`) reads.
+    """
+    return _compatibility_core(E, F, _compatible_pair_coordinates(E, F, mx.DEFAULT_TOL))
+
+
+def _compatible_pair_coordinates(
+    E: ConditionalExpectation, F: ConditionalExpectation, tol: float
+) -> np.ndarray:
+    """The checks of :func:`compatibility_residual`; returns F's target basis in source coordinates.
+
+    Raises :class:`NotIntermediate` unless E and F share their source and
+    target(E) <= target(F) <= source(E), each at ``tol``.  The coordinates
+    come from the same pass that tests target(F) <= source(E).
+    """
+    src = E.source
+    if not src.same_span(F.source, tol):
+        raise NotIntermediate("E and F must share their source algebra")
+    if not F.target.contains_all(E.target.basis_stack, tol):
+        raise NotIntermediate("target(E) is not contained in target(F)")
+    on_source = src._member_coordinates(F.target.basis_stack, tol)
+    if on_source is None:
+        raise NotIntermediate("target(F) is not contained in the source")
+    return on_source
+
+
+def _compatibility_core(
+    E: ConditionalExpectation, F: ConditionalExpectation, on_source: np.ndarray
+) -> float:
+    """:func:`compatibility_residual` after its checks, from F's target basis in source coordinates.
+
     Both terms come from the coordinate matrices, as target coordinates of
-    E for every source basis element at once; the norms go through one
+    E for every source basis element at once: F(x) in source coordinates is
+    F's coordinate matrix times ``on_source``.  The norms go through one
     Frobenius screen and one stacked SVD.
     """
     src = E.source
-    if not src.same_span(F.source):
-        raise NotIntermediate("E and F must share their source algebra")
-    if not F.target.contains_all(E.target.basis_stack):
-        raise NotIntermediate("target(E) is not contained in target(F)")
-    if not src.contains_all(F.target.basis_stack):
-        raise NotIntermediate("target(F) is not contained in the source")
     t_e, t_f = E.coordinate_matrix, F.coordinate_matrix
     if F.source is not src:
         # F's coordinate rows belong to F's own source basis
         t_f = F.source.hs_coordinates(src.basis_stack) @ t_f
     # F(x) in source coordinates, then E of it in target coordinates
-    f_of_x = t_f @ src.hs_coordinates(F.target.basis_stack)
-    diff = t_e - f_of_x @ t_e
+    diff = t_e - (t_f @ on_source) @ t_e
     # the target basis is HS-orthonormal, so row norms are Frobenius norms
     keep = mx.norm_screen(np.linalg.norm(diff, axis=1), E.ambient_dim)
     return mx.max_operator_norm(E.target.combine(diff[keep]))

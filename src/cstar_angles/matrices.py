@@ -66,8 +66,19 @@ def operator_norm(m) -> float:
 
 
 def operator_norms(mats) -> np.ndarray:
-    """Operator norm of each matrix of a (k, n, m) stack, by one stacked SVD."""
-    return np.linalg.svd(as_stack(mats), compute_uv=False)[:, 0]
+    """Operator norm of each matrix of a family or (k, n, m) stack, by stacked SVDs.
+
+    The SVDs run a chunk of at most ``STACK_BUDGET_BYTES`` at a time, and a
+    family is stacked one chunk at a time, so no copy of the whole family
+    is made.
+    """
+    if len(mats) == 0:
+        return np.zeros(0)
+    item_bytes = 16 * np.size(mats[0])
+    return np.concatenate([
+        np.linalg.svd(as_stack(mats[rows]), compute_uv=False)[:, 0]
+        for rows in stack_slices(len(mats), item_bytes)
+    ])
 
 
 def frobenius_norm(m) -> float:

@@ -92,8 +92,10 @@ from .algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
     _centrality_residual,
-    compatibility_residual,
-    restrict_expectation,
+    _compatibility_core,
+    _compatible_pair_coordinates,
+    _intermediate_coordinates,
+    _restrict_core,
     verify_quasi_basis,
 )
 from .errors import (
@@ -188,10 +190,16 @@ class GenericModule:
         scaled /= values
         self._from_module = scaled @ vectors.T
 
-    def _hs_matrix(self, F: ConditionalExpectation) -> np.ndarray:
-        """F on A's HS coordinates: row j holds the HS coordinates of F(b_j)."""
+    def _hs_matrix(self, F: ConditionalExpectation, on_a: np.ndarray | None = None) -> np.ndarray:
+        """F on A's HS coordinates: row j holds the HS coordinates of F(b_j).
+
+        ``on_a``, when given, holds F's target basis in A's HS coordinates,
+        one row each, as a caller has already taken them.
+        """
         A = self.algebra
-        onto = F.coordinate_matrix @ A.hs_coordinates(F.target.basis_stack)
+        if on_a is None:
+            on_a = A.hs_coordinates(F.target.basis_stack)
+        onto = F.coordinate_matrix @ on_a
         return onto if F.source is A else F.source.hs_coordinates(A.basis_stack) @ onto
 
     def coords(self, y) -> np.ndarray:
@@ -211,7 +219,11 @@ class GenericModule:
 
     def expectation_matrix(self, F: ConditionalExpectation) -> np.ndarray:
         """Module matrix of an expectation F defined on A, from its coordinate matrix."""
-        return (self._from_module @ self._hs_matrix(F) @ self._to_module).T
+        return self._expectation_matrix(F)
+
+    def _expectation_matrix(self, F: ConditionalExpectation, on_a=None) -> np.ndarray:
+        """:meth:`expectation_matrix`, with ``on_a`` as in :meth:`_hs_matrix`."""
+        return (self._from_module @ self._hs_matrix(F, on_a) @ self._to_module).T
 
     def operator_matrix(self, fn) -> np.ndarray:
         """Matrix of a map on A (columns are images in coordinates).
@@ -443,18 +455,22 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     # are the rows of its coordinate matrix.  R = e L_a e - L_{E(a)} e
     # satisfies R = R e, so ||R|| = ||R V|| for an orthonormal basis V
     # (d x rank e) of range(e): e (L_a V) - L_{E(a)} V costs 3 d^2 rank(e)
-    # per element instead of 3 d^3.
+    # per element instead of 3 d^3.  L is linear, so L_{E(b_k)} V is
+    # sum_m T[k, m] L_{beta_m} V over E's target basis {beta_m}: one embed
+    # of that basis per level, then one contraction per chunk.
     E = level.expectation
     basis, t = E.source.basis_stack, E.coordinates(tol)
     values, vectors = np.linalg.eigh((e + mx.adjoint(e)) / 2.0)
     range_e = vectors[:, values > 0.5]
+    target_on_range = level.embed(E.target.basis_stack) @ range_e
     residuals["exchange_law"] = max(
         mx.max_operator_norm(
             e @ (level.embed(basis[rows]) @ range_e)
-            - level.embed(E.target.combine(t[rows])) @ range_e
+            - np.tensordot(t[rows], target_on_range, axes=1)
         )
         for rows in mx.stack_slices(len(basis), e.nbytes)
     )
+    del target_on_range
 
     A = level.algebra
     residuals["left_multiplication"] = _left_multiplication_residual(level)
@@ -550,34 +566,69 @@ def intermediate_data(
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* over any quasi-basis {mu_j} of the
     restriction of E to C.  Postconditions checked: e_C agrees with the
     matrix of the map a -> F(a), is a projection, and absorbs e_B.
+
+    This is :func:`~cstar_angles.algebra.compatibility_residual` (above
+    ``tol``: :class:`NotCompatible`), then
+    :func:`~cstar_angles.algebra.restrict_expectation`, with each of their
+    checks run once, at ``min(tol, DEFAULT_TOL)``: C's basis is taken to
+    A's coordinates by one pass when C is F's target, and that pass also
+    tests C <= A and feeds the compatibility residual, the restricted
+    coordinate matrix and F's module matrix.  The postcondition norms and
+    ||e_C|| come from one stacked SVD call.
     """
     E = level.expectation
-    if compatibility_residual(E, F) > tol:
+    check_tol = min(tol, mx.DEFAULT_TOL)
+    f_on_source = _compatible_pair_coordinates(E, F, check_tol)
+    if _compatibility_core(E, F, f_on_source) > tol:
         raise NotCompatible("E does not factor through F (not a compatible pair)")
-    restricted = restrict_expectation(E, C, F, tol)
+    # with C = target(F) the checks of the restriction are those just run
+    c_on_source = f_on_source if C is F.target else _intermediate_coordinates(E, C, F, check_tol)
+    restricted = _restrict_core(E, C, F, c_on_source, tol)
 
     e_b = level.jones_projection
     lm = level.embed(restricted.quasi_stack)
-    e_c = sum(
-        np.tensordot(lm[rows] @ e_b, np.conjugate(lm[rows]), axes=([0, 2], [0, 2]))
-        for rows in mx.stack_slices(len(lm), 4 * e_b.nbytes)
-    )
+    d = len(e_b)
 
-    residuals = {
-        "matches_expectation_matrix": mx.operator_norm(
-            e_c - level.module.expectation_matrix(F)
-        ),
-        "idempotent": mx.operator_norm(e_c @ e_c - e_c),
-        "selfadjoint": mx.operator_norm(e_c - mx.adjoint(e_c)),
-        "absorbs_jones": max(
-            mx.operator_norm(e_c @ e_b - e_b), mx.operator_norm(e_b @ e_c - e_b)
-        ),
-    }
-    bound = tol * (1.0 + mx.operator_norm(e_c))
+    def projection_part(rows):
+        # the product np.tensordot(L e_B, conj(L), axes=([0, 2], [0, 2])) forms,
+        # with its operands laid out as it lays them out but one temporary
+        # fewer: (L_j e_B)[a, k] at row a, column (j, k), and conj(L_j[b, k])
+        # at row (j, k), column b
+        left = np.swapaxes(lm[rows] @ e_b, 0, 1).reshape(d, -1)
+        right = np.conjugate(np.swapaxes(lm[rows], 1, 2), order="C").reshape(-1, d)
+        return np.dot(left, right)
+
+    # charged per element: L e_B, its transposed copy and conj(L)^T, within
+    # four d x d matrices
+    e_c = sum(projection_part(rows) for rows in mx.stack_slices(len(lm), 4 * e_b.nbytes))
+
+    mod = level.module
+    e_f = mod._expectation_matrix(F, f_on_source if mod.algebra is E.source else None)
+    residuals, size = _projection_residuals(e_c, e_b, e_f)
+    bound = tol * (1.0 + size)
     bad = {k: v for k, v in residuals.items() if v > bound}
     if bad:
         raise ConstructionFailure(f"intermediate projection failed: {bad}", residuals)
     return e_c, restricted
+
+
+def _projection_residuals(e_c: np.ndarray, e_b: np.ndarray, e_f: np.ndarray) -> tuple[dict, float]:
+    """The postconditions of :func:`intermediate_data` and ||e_C||, from one stacked SVD call.
+
+    The residuals are the operator norms of e_C - e_F (e_F the module
+    matrix of F), e_C^2 - e_C, e_C - e_C* and the larger of e_C e_B - e_B
+    and e_B e_C - e_B.
+    """
+    norms = mx.operator_norms([
+        e_c - e_f, e_c @ e_c - e_c, e_c - mx.adjoint(e_c), e_c @ e_b - e_b, e_b @ e_c - e_b, e_c
+    ]).tolist()
+    residuals = {
+        "matches_expectation_matrix": norms[0],
+        "idempotent": norms[1],
+        "selfadjoint": norms[2],
+        "absorbs_jones": max(norms[3], norms[4]),
+    }
+    return residuals, norms[5]
 
 
 def dual_expectation_value(

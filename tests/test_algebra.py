@@ -952,3 +952,63 @@ def test_off_target_check_reads_every_image_of_a_chunk(inclusion):
     with pytest.raises(NumericIntegrityError, match=f"source basis element {k} "):
         skewed.coordinates(1e-8)
     np.testing.assert_allclose(skewed.coordinates(1e-5), E.coordinate_matrix, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# coordinates of members, and membership, from one pass
+
+
+def _membership_algebras(c_plus_m2):
+    """An algebra on each coordinate path: the Z24 group algebra gathers, C+M2 is dense."""
+    G = FiniteGroup.cyclic(24)
+    gather = group_algebra_inclusion(G, trivial_subgroup(G)).A
+    assert gather._supports is not None and c_plus_m2.A._supports is None
+    return {"gather": gather, "dense": c_plus_m2.A}
+
+
+def _members(alg, count, rng):
+    shape = (count, alg.dim)
+    return alg.combine(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("path", ["gather", "dense"])
+def test_stacked_coordinates_are_the_hs_coordinates_of_members(path, c_plus_m2, rng, monkeypatch):
+    alg = _membership_algebras(c_plus_m2)[path]
+    members = _members(alg, 7, rng)
+    want = alg.hs_coordinates(members)
+    assert np.array_equal(alg.coordinates(members), want)  # one chunk: the same pass
+    np.testing.assert_allclose(alg.coordinates(members[3]), want[3], rtol=0, atol=1e-13)
+    # chunks of two members, with a remainder
+    monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", 3 * 2 * members[0].nbytes)
+    np.testing.assert_allclose(alg.coordinates(members), want, rtol=0, atol=1e-13)
+    assert alg.contains_all(members) and all(alg.contains(x) for x in members)
+
+
+@pytest.mark.parametrize("path", ["gather", "dense"])
+def test_stacked_coordinates_raise_on_one_element_off_the_span(path, c_plus_m2, rng, monkeypatch):
+    alg, tol = _membership_algebras(c_plus_m2)[path], 1e-6
+    members = _members(alg, 5, rng)
+    x = mx.random_matrix(alg.ambient_dim, rng)
+    off = x - alg.project(x)
+    off /= mx.frobenius_norm(off)  # a unit matrix HS-orthogonal to the span
+    # one chunk, then chunks of two members, so the last one sits alone
+    for budget in (mx.STACK_BUDGET_BYTES, 3 * 2 * members[0].nbytes):
+        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+        for k in (0, len(members) - 1):
+            # the residual of x_k + s off is s; the bound is tol (1 + ||x_k + s off||_F)
+            for factor, member in ((2.0, False), (0.5, True)):
+                xs = members.copy()
+                xs[k] += factor * tol * (1.0 + mx.frobenius_norm(xs[k])) * off
+                assert alg.contains_all(xs, tol) is member
+                singles = [alg.contains(x, tol) for x in xs]
+                assert singles == [i != k or member for i in range(len(xs))]
+                if member:
+                    np.testing.assert_allclose(
+                        alg.coordinates(xs, tol), alg.hs_coordinates(xs), rtol=0, atol=1e-13
+                    )
+                    continue
+                with pytest.raises(NotInAlgebra):
+                    alg.coordinates(xs, tol)
+                with pytest.raises(NotInAlgebra):
+                    alg.coordinates(xs[k], tol)
+                alg.coordinates(np.delete(xs, k, axis=0), tol)  # the others are members

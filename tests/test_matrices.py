@@ -236,3 +236,14 @@ def test_default_rng_env_override(monkeypatch):
     a = mx.default_rng().standard_normal(3)
     b = np.random.default_rng(7).standard_normal(3)
     np.testing.assert_allclose(a, b)
+
+
+def test_operator_norms_by_chunks_equal_the_single_norms(rng, monkeypatch):
+    mats = [mx.random_matrix(5, rng) for _ in range(7)]
+    want = [mx.operator_norm(m) for m in mats]
+    # one chunk, then chunks of two matrices with a remainder
+    for budget in (mx.STACK_BUDGET_BYTES, 2 * mats[0].nbytes):
+        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+        assert mx.operator_norms(mats).tolist() == want
+        assert mx.operator_norms(np.stack(mats)).tolist() == want
+    assert mx.operator_norms([]).shape == (0,)

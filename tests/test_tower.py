@@ -12,6 +12,7 @@ from cstar_angles import tower
 from cstar_angles.algebra import (
     ConditionalExpectation,
     MatrixStarAlgebra,
+    compatibility_residual,
     conjugate_expectation,
     identity_expectation,
     restrict_expectation,
@@ -33,6 +34,8 @@ from cstar_angles.errors import (
 )
 from cstar_angles.groups import (
     FiniteGroup,
+    _masking_expectation,
+    all_subgroups,
     generated_subgroup,
     group_algebra_inclusion,
     trivial_subgroup,
@@ -998,8 +1001,10 @@ def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
     tower._faithfulness_gram(level.algebra)
     assert calls == []
     tower._check_level(level, mx.DEFAULT_TOL)
-    # two per exchange-law chunk, one per basis chunk, two for the dual-rule sample
-    assert len(calls) == 2 * len(exchange) + len(chunks) + 2
+    # one for E's target basis, one per exchange-law chunk, one per basis
+    # chunk, two for the dual-rule sample
+    assert len(calls) == 1 + len(exchange) + len(chunks) + 2
+    assert calls[0] == level.expectation.target.dim
 
 
 def test_wrong_star_matrix_fails_the_dual_rule():
@@ -1010,3 +1015,142 @@ def test_wrong_star_matrix_fails_the_dual_rule():
     broken.star_matrix = np.eye(level.module_dim)  # coords(x*) = conj(coords(x)): false on S3
     with pytest.raises(ConstructionFailure, match="dual_rule"):
         tower._check_level(broken, mx.DEFAULT_TOL)
+
+
+# ---------------------------------------------------------------------------
+# intermediate_data against the composition of the public checks
+
+
+def intermediate_data_composed(level, C, F, tol=mx.DEFAULT_TOL):
+    """intermediate_data as the composition it replaces: the oracle of its one-pass form.
+
+    compatibility_residual, then restrict_expectation, then
+    expectation_matrix, with one SVD per norm.  Returns e_C, the restricted
+    expectation and the residuals.
+    """
+    E = level.expectation
+    if compatibility_residual(E, F) > tol:
+        raise NotCompatible("E does not factor through F")
+    restricted = restrict_expectation(E, C, F, tol)
+    e_b = level.jones_projection
+    lm = level.embed(restricted.quasi_stack)
+    e_c = sum(
+        np.tensordot(lm[rows] @ e_b, np.conjugate(lm[rows]), axes=([0, 2], [0, 2]))
+        for rows in mx.stack_slices(len(lm), 4 * e_b.nbytes)
+    )
+    residuals = {
+        "matches_expectation_matrix": mx.operator_norm(e_c - level.module.expectation_matrix(F)),
+        "idempotent": mx.operator_norm(e_c @ e_c - e_c),
+        "selfadjoint": mx.operator_norm(e_c - mx.adjoint(e_c)),
+        "absorbs_jones": max(
+            mx.operator_norm(e_c @ e_b - e_b), mx.operator_norm(e_b @ e_c - e_b)
+        ),
+    }
+    return e_c, restricted, residuals
+
+
+def intermediate_cases(tower_level, inclusion):
+    """(name, level, C, F) for intermediate_data.
+
+    m2's Delta and F_u, C[A4] in C[S4], C[K] and C[L] in C[Z3^4] over C[Z3]
+    (the group-numeric benchmark's inclusion), and an intermediate of M2+M3
+    at level two.
+    """
+    f_u = m2.fu_expectation(m2.rotation(0.5), inclusion)
+    S4 = FiniteGroup.symmetric(4)
+    s4 = group_algebra_inclusion(S4, trivial_subgroup(S4))
+    A4 = next(K for K in all_subgroups(S4) if K.order == 12)
+    Z3 = FiniteGroup.direct_product([3, 3, 3, 3])
+
+    def sub(*gens):
+        return generated_subgroup(Z3, [Z3.index_of(g) for g in gens])
+
+    z3 = group_algebra_inclusion(Z3, sub((0, 0, 0, 1)))
+    z3_level = z3.tower()
+    K = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+    L = sub((0, 1, 0, 0), (0, 0, 0, 1))
+    level5, F5, _ = m2_plus_m3()
+    g = intermediate_dual_expectation(level5, F5.target, F5)
+    return [
+        ("m2 Delta", tower_level, inclusion.delta, inclusion.F),
+        ("m2 F_u", tower_level, f_u.target, f_u),
+        ("S4 over A4", s4.tower(), *_onto(s4.expectation_onto(A4))),
+        ("Z3^4 K", z3_level, *_onto(z3.expectation_onto(K))),
+        ("Z3^4 L", z3_level, *_onto(z3.expectation_onto(L))),
+        ("M2+M3 level two", iterate_tower(level5), g.target, g),
+    ]
+
+
+def _onto(F):
+    return F.target, F
+
+
+def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, monkeypatch):
+    recorded = []
+    residuals_of = tower._projection_residuals
+
+    def recording(*args):
+        residuals, size = residuals_of(*args)
+        recorded.append(residuals)
+        return residuals, size
+
+    monkeypatch.setattr(tower, "_projection_residuals", recording)
+    for name, level, C, F in intermediate_cases(tower_level, inclusion):
+        e_c, restricted = intermediate_data(level, C, F)
+        want_e, want_restricted, want_residuals = intermediate_data_composed(level, C, F)
+        assert e_c.tobytes() == want_e.tobytes(), name
+        assert restricted.coordinate_matrix.tobytes() == want_restricted.coordinate_matrix.tobytes()
+        assert restricted.quasi_stack.tobytes() == want_restricted.quasi_stack.tobytes(), name
+        got = recorded.pop()
+        assert got.keys() == want_residuals.keys()
+        for key, want in want_residuals.items():
+            assert abs(got[key] - want) <= 1e-13, (name, key)
+
+
+def test_intermediate_data_takes_c_to_a_by_one_coordinate_pass(tower_level, inclusion, monkeypatch):
+    hs_coordinates = MatrixStarAlgebra.hs_coordinates
+    for name, level, C, F in intermediate_cases(tower_level, inclusion):
+        passes = []
+
+        def counted(alg, x):
+            if alg is level.algebra and np.shares_memory(x, C._flat):
+                passes.append(len(x))
+            return hs_coordinates(alg, x)
+
+        monkeypatch.setattr(MatrixStarAlgebra, "hs_coordinates", counted)
+        # a pass may take C's basis in chunks: it projects each element once
+        intermediate_data(level, C, F)
+        assert sum(passes) == C.dim, name
+        passes.clear()
+        intermediate_data_composed(level, C, F)
+        # the composition: one in each public function, one for F's module matrix
+        assert sum(passes) == 3 * C.dim, name
+        monkeypatch.undo()
+
+
+def test_intermediate_data_fails_as_the_composed_checks(tower_level, inclusion):
+    skew = m2.skewed_scalar_expectation(0.3)
+    u = m2.Unitary2(np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2))
+    f_u = m2.fu_expectation(u)
+    G = FiniteGroup.cyclic(4)
+    z4 = z4_over_z2()
+    # C[Z4] over C[Z2], and F onto the trivial subgroup, which misses Z2
+    trivial = _masking_expectation(z4.A, trivial_subgroup(G), range(4), "F")
+    E = inclusion.E
+    broken = ConditionalExpectation.from_coordinates(
+        E.source, E.target, E.coordinate_matrix, quasi_basis=1.1 * E.quasi_stack
+    )
+    broken_level = dataclasses.replace(tower_level, expectation=broken)
+    cases = [
+        (NotCompatible, build_tower_level(skew.source, skew.target, skew), f_u.target, f_u),
+        (NotIntermediate, z4.tower(), trivial.target, trivial),
+        # C = M2 is no target of F
+        (NotIntermediate, tower_level, inclusion.A, inclusion.F),
+        # a quasi-basis of E scaled by 1.1 derives none of E|_Delta
+        (NoQuasiBasis, broken_level, inclusion.delta, inclusion.F),
+    ]
+    for error, level, C, F in cases:
+        with pytest.raises(error):
+            intermediate_data_composed(level, C, F)
+        with pytest.raises(error):
+            intermediate_data(level, C, F)
