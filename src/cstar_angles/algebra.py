@@ -92,7 +92,11 @@ def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 # against 18-24 us at d = 24; for a stack of 20 elements, 51-61 against
 # 42-57 us at d = 16 and 130 against 73-76 us at d = 24.  The same bound
 # gates the product table (``MatrixStarAlgebra._table``), which is only
-# looked for on a basis with disjoint supports.
+# looked for on a basis with disjoint supports.  It decides for an algebra
+# built from its basis; a slice of a basis with disjoint supports
+# (``MatrixStarAlgebra.basis_slice``, C[K] inside C[G]) inherits its supports
+# and product table whatever its dimension, since it needs no scan and its
+# table spares the dense n x n products, which cost far more than a gather.
 GATHER_MIN_DIM = 20
 
 
@@ -109,10 +113,12 @@ class MatrixStarAlgebra:
     centrality tests of index elements (:func:`_centrality_residual`),
     :func:`verify_quasi_basis`, the module Gram matrix and left
     multiplication all read it.  A basis of scaled partial permutation
-    matrices closed under products up to scalars (group algebras and their
-    subgroup slices) has a product table, ``_table``, built on first read,
-    and the primitive scatters by it; on any other basis it takes dense
-    n x n products.
+    matrices closed under products up to scalars (group algebras) has a
+    product table, ``_table``, built on first read, and the primitive
+    scatters by it; on any other basis it takes dense n x n products.  A
+    subalgebra spanned by some of the basis elements (:meth:`basis_slice`,
+    a subgroup's C[K] inside C[G]) inherits the supports and the table of
+    its parent, restricted and renumbered, whatever its dimension.
     """
 
     def __init__(self, basis: Sequence[np.ndarray]):
@@ -123,7 +129,6 @@ class MatrixStarAlgebra:
         self.ambient_dim = n
         self._flat = _stack_of(basis, n).reshape(len(basis), n * n)
         self._flat.setflags(write=False)
-        self._supports = self._disjoint_supports()
         self.basis = tuple(self.basis_stack)
 
     @classmethod
@@ -154,39 +159,91 @@ class MatrixStarAlgebra:
         n = self.ambient_dim
         return self._flat.reshape(self.dim, n, n)
 
-    def _disjoint_supports(self):
+    @cached_property
+    def _supports(self):
         """Index arrays of the nonzero basis entries, or None.
 
         Set when the basis has at least ``GATHER_MIN_DIM`` elements and no two
-        of them share a nonzero entry (exact zeros decide).  ``positions``
-        lists the flat positions of the nonzero entries ordered by owning
-        basis element, ``starts`` cuts that list into one run per element,
-        and ``conj_values`` holds the conjugated entries.  ``owner`` maps
-        every flat position to the basis element owning it and ``entries``
-        to its entry (owner 0 and entry 0 off every support).
+        of them share a nonzero entry (exact zeros decide), and on every
+        :meth:`basis_slice` of such a basis, whatever its dimension, which
+        inherits the arrays instead of scanning.  ``positions`` lists the
+        flat positions of the nonzero entries ordered by owning basis
+        element, ``starts`` cuts that list into one run per element, and
+        ``conj_values`` holds the conjugated entries.  ``owner`` maps every
+        flat position to the basis element owning it and ``entries`` to its
+        entry (owner 0 and entry 0 off every support).
         """
-        d, n = self.dim, self.ambient_dim
-        if d < GATHER_MIN_DIM:
+        if self.dim < GATHER_MIN_DIM:
             return None
         support = self._flat != 0
         if support.sum(axis=0).max() > 1 or not support.any(axis=1).all():
             return None
         owners, positions = np.nonzero(support)
+        return self._support_arrays(owners, positions, self._flat[owners, positions])
+
+    def _support_arrays(self, owners, positions, values) -> SimpleNamespace:
+        """``_supports`` from the nonzero entries, listed in order of their owners."""
+        n = self.ambient_dim
         owner = np.zeros(n * n, dtype=np.intp)
         owner[positions] = owners
         entries = np.zeros(n * n, dtype=np.complex128)
-        entries[positions] = self._flat[owners, positions]
+        entries[positions] = values
         return SimpleNamespace(
-            positions=positions, starts=np.searchsorted(owners, np.arange(d)),
-            conj_values=np.conjugate(entries[positions]), owner=owner, entries=entries,
+            positions=positions, starts=np.searchsorted(owners, np.arange(self.dim)),
+            conj_values=np.conjugate(values), owner=owner, entries=entries,
         )
+
+    def basis_slice(self, mask) -> "MatrixStarAlgebra":
+        """The span of the basis elements at a boolean ``mask``, holding one copy of them.
+
+        The caller vouches that they span a *-subalgebra, as the elements of
+        a subgroup do in a group algebra.  On a basis with disjoint supports
+        the slice inherits ``_supports`` and ``_table`` rather than
+        scanning its rows and building its table: the kept runs of the
+        supports and the table's entries at kept pairs (i, j), renumbered
+        and in the same row-major order.  The table is None when the parent
+        has none or a product of kept elements lands on a dropped one (the
+        kept rows are not closed).  So a slice takes the gather and table
+        paths whatever its dimension; ``GATHER_MIN_DIM`` decides only for an
+        algebra built from its basis, as a slice of any other algebra is.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.dim,):
+            raise ShapeMismatch(f"expected a mask of {self.dim} basis elements")
+        rows = self.basis_stack[mask]
+        rows.setflags(write=False)  # a fresh copy already: enter uncopied
+        sliced = MatrixStarAlgebra(rows)
+        sup = self._supports
+        if sup is None or not mask.any():  # an empty slice gathers nothing
+            return sliced
+        renumber = np.cumsum(mask) - 1
+        owners = sup.owner[sup.positions]
+        kept = mask[owners]
+        positions = sup.positions[kept]
+        inherited = sliced._support_arrays(
+            renumber[owners[kept]], positions, sup.entries[positions]
+        )
+        table = self._table
+        if table is not None:
+            pairs = mask[table.i] & mask[table.j]
+            if mask[table.k[pairs]].all():
+                i, j, k = (renumber[a[pairs]] for a in (table.i, table.j, table.k))
+                s = table.s[pairs]
+                for a in (i, j, k, s):
+                    a.setflags(write=False)
+                table = SimpleNamespace(i=i, j=j, k=k, s=s)
+            else:
+                table = None
+        sliced.__dict__.update(_supports=inherited, _table=table)
+        return sliced
 
     @cached_property
     def _table(self):
         """The product table of a monomial basis, or None.
 
         Looked for only on a basis with disjoint supports (so from
-        ``GATHER_MIN_DIM`` elements on) whose elements b_i are each v_i
+        ``GATHER_MIN_DIM`` elements on; a :meth:`basis_slice` inherits its
+        parent's instead) whose elements b_i are each v_i
         times a partial permutation matrix (one value v_i on every nonzero
         entry, at most one per row and column).  Then every nonzero product
         is one scaled basis element, b_i b_j = s b_k, and the table holds

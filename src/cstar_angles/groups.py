@@ -38,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -83,11 +84,16 @@ _FULL_ASSOC_LIMIT = 32
 
 
 class FiniteGroup:
-    """A finite group as a Cayley table on element indices 0..order-1."""
+    """A finite group as a Cayley table on element indices 0..order-1.
+
+    The group owns a read-only copy of its table, so a caller's later
+    write to the array it passed in cannot change the group, nor the group
+    algebra kept on it (:attr:`regular_algebra`).
+    """
 
     def __init__(self, cayley, elements=None, labels=None, name="G", kind="table",
                  radices=None):
-        table = np.asarray(cayley, dtype=np.int64)
+        table = np.array(cayley, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise InvalidGroup("Cayley table must be square")
         order = table.shape[0]
@@ -107,6 +113,8 @@ class FiniteGroup:
         self._validate()
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
+        table.setflags(write=False)
+        self.inverse.setflags(write=False)
 
     def _validate(self):
         n, t = self.order, self.cayley
@@ -161,6 +169,22 @@ class FiniteGroup:
     def regular_matrix(self, g: int) -> np.ndarray:
         """Left-regular permutation matrix of g: column b has a 1 at row g*b."""
         return _regular_stack(self, [g])[0]
+
+    @cached_property
+    def regular_algebra(self) -> MatrixStarAlgebra:
+        """C[G] on the left regular representation, basis {lambda_g / sqrt(|G|)}.
+
+        Built on first read and kept on the group for its lifetime, so every
+        inclusion of one group shares it and it is freed with the group;
+        ``TooLarge`` above ``MAX_ALGEBRA_ORDER``, before anything is allocated.
+        """
+        if self.order > MAX_ALGEBRA_ORDER:
+            raise TooLarge(
+                f"group algebra route supports order <= {MAX_ALGEBRA_ORDER}"
+            )
+        basis = _regular_stack(self, range(self.order), 1.0 / math.sqrt(self.order))
+        basis.setflags(write=False)  # so the algebra takes it without a copy
+        return MatrixStarAlgebra.from_orthonormal(basis)
 
     # -- constructors ------------------------------------------------------
 
@@ -544,24 +568,18 @@ def _regular_stack(G: FiniteGroup, elements, value: float = 1.0) -> np.ndarray:
     return stack
 
 
-def _slice_algebra(A: MatrixStarAlgebra, mask: np.ndarray) -> MatrixStarAlgebra:
-    """C[S] as the algebra of A's basis rows at ``mask``, held once."""
-    rows = A.basis_stack[mask]
-    rows.setflags(write=False)  # a fresh copy already: enter uncopied
-    return MatrixStarAlgebra.from_orthonormal(rows)
-
-
 def _masking_expectation(
     A: MatrixStarAlgebra, S: Subgroup, reps, name: str
 ) -> ConditionalExpectation:
     """The expectation onto C[S] killing coefficients off S, from its exact 0/1 matrix.
 
-    C[S] takes A's basis rows at S, so the coordinate matrix keeps the
-    columns of the identity at S: basis element lambda_g / sqrt(|G|) maps to
-    itself for g in S and to zero otherwise.
+    C[S] takes A's basis rows at S (inheriting their supports and product
+    table), so the coordinate matrix keeps the columns of the identity at S:
+    basis element lambda_g / sqrt(|G|) maps to itself for g in S and to zero
+    otherwise.
     """
     mask = S.mask()
-    target = _slice_algebra(A, mask)
+    target = A.basis_slice(mask)
     quasi = _regular_stack(S.parent, reps)  # {lambda_g} over coset reps
     quasi.setflags(write=False)  # so that the expectation takes it uncopied
     return ConditionalExpectation.from_coordinates(
@@ -582,7 +600,7 @@ class GroupInclusion:
     coset_reps: list[int]
 
     def intermediate_algebra(self, K: Subgroup) -> MatrixStarAlgebra:
-        return _slice_algebra(self.A, K.mask())
+        return self.A.basis_slice(K.mask())
 
     def expectation_onto(self, K: Subgroup, reps=None) -> ConditionalExpectation:
         """The coefficient-masking expectation onto C[K], coset-rep quasi-basis."""
@@ -603,20 +621,18 @@ def group_algebra_inclusion(
 ) -> GroupInclusion:
     """Build C[H] <= C[G] with E killing coefficients off H.
 
-    Each algebra is spanned by its basis {lambda_g / sqrt(|G|)}, built once.
-    The quasi-basis is a set of left-coset representatives (the
-    deterministic smallest-index transversal unless ``reps`` overrides it;
-    any transversal gives the same index [G:H] times the identity).
+    A is ``G.regular_algebra``: C[G] is built once per group and kept on it
+    for the group's lifetime, so every inclusion of one group shares it, its
+    supports and its product table.  B = C[H] and every C[K] of
+    :meth:`GroupInclusion.expectation_onto` are slices of its basis
+    (:meth:`MatrixStarAlgebra.basis_slice`) and inherit both.  The
+    quasi-basis is a set of left-coset representatives (the deterministic
+    smallest-index transversal unless ``reps`` overrides it; any
+    transversal gives the same index [G:H] times the identity).
     """
-    if G.order > MAX_ALGEBRA_ORDER:
-        raise TooLarge(
-            f"group algebra route supports order <= {MAX_ALGEBRA_ORDER}"
-        )
+    A = G.regular_algebra  # TooLarge above MAX_ALGEBRA_ORDER, before any allocation
     if H.parent is not G:
         raise NotSubgroup("H must be a subgroup of G")
-    basis = _regular_stack(G, range(G.order), 1.0 / math.sqrt(G.order))
-    basis.setflags(write=False)  # so the algebra takes it without a copy
-    A = MatrixStarAlgebra.from_orthonormal(basis)
     reps = left_coset_reps(G, H) if reps is None else list(reps)
     E = _masking_expectation(A, H, reps, "E")
     return GroupInclusion(G, H, A, E.target, E, RegularModule(A, E), reps)

@@ -765,6 +765,99 @@ def test_product_table_is_none_off_monomial_closed_families():
     assert MatrixStarAlgebra.from_orthonormal(mats)._table is not None
 
 
+# ---------------------------------------------------------------------------
+# subgroup slices inherit the supports and the product table of C[G]
+
+
+def _inherited_slices():
+    """C[K], C[L], C[H] and C[1] of Z3^4 (d = 27, 9, 3, 1), and C[A4] in C[S4] (d = 12)."""
+    z81, K = _z3_power_inclusion()
+    G = z81.group
+    L = generated_subgroup(G, [G.index_of(g) for g in ((0, 1, 0, 0), (0, 0, 0, 1))])
+    S4 = FiniteGroup.symmetric(4)
+    A4 = generated_subgroup(S4, [S4.index_of(p) for p in ((1, 0, 3, 2), (1, 2, 0, 3))])
+    s4 = group_algebra_inclusion(S4, trivial_subgroup(S4))
+    slices = {
+        "C[K]": z81.intermediate_algebra(K),
+        "C[L]": z81.expectation_onto(L).target,
+        "C[H]": z81.B,
+        "C[1]": z81.intermediate_algebra(trivial_subgroup(G)),
+        "C[A4]": s4.intermediate_algebra(A4),
+    }
+    assert [alg.dim for alg in slices.values()] == [27, 9, 3, 1, 12]
+    return slices
+
+
+def _dense_coordinates(alg, xs):
+    """HS coordinates of a stack by one dense product with the basis."""
+    return xs.reshape(len(xs), -1) @ np.conjugate(alg._flat).T
+
+
+def test_slices_match_dense_products(rng):
+    for name, alg in _inherited_slices().items():
+        assert alg._supports is not None and alg._table is not None, name
+        basis, d, n = alg.basis_stack, alg.dim, alg.ambient_dim
+        xs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        coords = alg.hs_coordinates(xs)
+        assert np.max(np.abs(coords - _dense_coordinates(alg, xs))) <= 1e-13, name
+        want = (coords @ alg._flat).reshape(xs.shape)
+        assert np.max(np.abs(alg.combine(coords) - want)) <= 1e-13, name
+        ys = alg.combine(rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d)))
+        on_left = alg.multiplication_matrices(ys, left=True)
+        on_right = alg.multiplication_matrices(ys, left=False)
+        for y, lm, rm in zip(ys, on_left, on_right):
+            assert np.max(np.abs(lm - _dense_coordinates(alg, y @ basis))) <= 1e-13, name
+            assert np.max(np.abs(rm - _dense_coordinates(alg, basis @ y))) <= 1e-13, name
+        star = alg.hs_coordinates(mx.adjoint(basis))
+        assert np.max(np.abs(alg.star_coordinates() - star)) <= 1e-13, name
+        assert np.max(np.abs(star - _dense_coordinates(alg, mx.adjoint(basis)))) <= 1e-13, name
+
+
+def _assert_same_arrays(got, want, name):
+    assert vars(got).keys() == vars(want).keys(), name
+    for key, a in vars(got).items():
+        b = getattr(want, key)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (name, key)
+
+
+def test_inherited_supports_and_table_equal_a_fresh_build(monkeypatch):
+    for name, alg in _inherited_slices().items():
+        fresh = MatrixStarAlgebra(alg.basis_stack)
+        if alg.dim >= algebra.GATHER_MIN_DIM:
+            assert fresh._table is not None, name
+        else:
+            assert fresh._supports is None, name  # a basis this small is not scanned
+            with monkeypatch.context() as patch:
+                patch.setattr(algebra, "GATHER_MIN_DIM", 1)
+                fresh = MatrixStarAlgebra(alg.basis_stack)
+                fresh._table
+        for key in ("_supports", "_table"):
+            _assert_same_arrays(getattr(alg, key), getattr(fresh, key), (name, key))
+        assert all(not a.flags.writeable for a in vars(alg._table).values()), name
+
+
+def test_slice_off_a_subalgebra_gets_no_table(rng):
+    inc, _ = _z3_power_inclusion()
+    G = inc.group
+    g = G.index_of((1, 0, 0, 0))
+    mask = np.zeros(G.order, dtype=bool)
+    mask[[G.identity, g]] = True  # g g = g^2 is dropped
+    alg = inc.A.basis_slice(mask)
+    assert alg.dim == 2 and alg._supports is not None and alg._table is None
+    basis = alg.basis_stack
+    ys = alg.combine(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    on_left = alg.multiplication_matrices(ys, left=True)
+    on_right = alg.multiplication_matrices(ys, left=False)
+    for y, lm, rm in zip(ys, on_left, on_right):
+        assert np.max(np.abs(lm - _dense_coordinates(alg, y @ basis))) <= 1e-13
+        assert np.max(np.abs(rm - _dense_coordinates(alg, basis @ y))) <= 1e-13
+    # closed again with g^2: the three powers of g are C[<g>]
+    mask[G.mult(g, g)] = True
+    assert inc.A.basis_slice(mask)._table is not None
+    with pytest.raises(ShapeMismatch):
+        inc.A.basis_slice(mask[:-1])
+
+
 def _dense_and_table(monkeypatch, build):
     """``build()`` once as it is and once with the product table forced off."""
     on_table = build()
@@ -831,7 +924,10 @@ def test_centrality_residual_bounds_the_dense_commutators(c_plus_m2, monkeypatch
         return mx.max_operator_norm(x @ basis - basis @ x)
 
     def build():
-        alg = group_algebra_inclusion(S4, trivial_subgroup(S4)).A
+        # a fresh group on each path: C[G] is kept on its group, and the
+        # dense path must not reuse an algebra whose table is already built
+        G = FiniteGroup.symmetric(4)
+        alg = group_algebra_inclusion(G, trivial_subgroup(G)).A
         got = [algebra._centrality_residual(alg, x) for x in (swap, class_sum)]
         return alg._table is not None, got, alg
 
@@ -850,10 +946,9 @@ def test_centrality_residual_bounds_the_dense_commutators(c_plus_m2, monkeypatch
 
 
 def test_non_central_index_fails_the_same_on_both_paths(monkeypatch):
-    S4 = FiniteGroup.symmetric(4)
-    swap = S4.index_of((1, 0, 2, 3))
-
     def build():
+        S4 = FiniteGroup.symmetric(4)  # fresh on each path, as is its C[G]
+        swap = S4.index_of((1, 0, 2, 3))
         inc = group_algebra_inclusion(S4, trivial_subgroup(S4))
         lambdas = [S4.regular_matrix(g) for g in range(S4.order)]
         lambdas[S4.identity] = lambdas[S4.identity] + S4.regular_matrix(swap)

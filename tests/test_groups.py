@@ -498,6 +498,38 @@ def test_regular_coordinates_match_the_cayley_gather(spec, rng):
     assert np.shares_memory(inc.module.left_mult(x), x)  # L_x is x, not a copy
 
 
+def test_group_owns_its_cayley_table():
+    table = FiniteGroup.cyclic(4).cayley.copy()  # the caller's int64 array
+    G = FiniteGroup(table)
+    table[:] = table[::-1]
+    np.testing.assert_array_equal(G.cayley, FiniteGroup.cyclic(4).cayley)
+    for held in (G.cayley, G.inverse):
+        with pytest.raises(ValueError):
+            held[0] = 1
+    assert G.mult(1, 1) == 2 and G.inv(1) == 3
+
+
+def test_inclusions_of_one_group_share_its_algebra():
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+    H = generated_subgroup(G, [G.index_of((0, 0, 0, 1))])
+    K = generated_subgroup(G, [G.index_of((0, 1, 0, 0)), G.index_of((0, 0, 0, 1))])
+    first, second = group_algebra_inclusion(G, H), group_algebra_inclusion(G, K)
+    assert first.A is second.A is G.regular_algebra
+    assert first.A._table is not None  # built once, for every inclusion of G
+    # a rebuilt group, or the same group relabelled, gets its own
+    rebuilt = FiniteGroup.direct_product([3, 3, 3, 3])
+    perm = np.random.default_rng(5).permutation(G.order)
+    relabelled = FiniteGroup(np.argsort(perm)[G.cayley[np.ix_(perm, perm)]])
+    for other in (rebuilt, relabelled):
+        inc = group_algebra_inclusion(other, trivial_subgroup(other))
+        assert inc.A is other.regular_algebra and inc.A is not first.A
+    # TooLarge comes before anything is built, and leaves nothing on the group
+    big = FiniteGroup.direct_product([17, 17])
+    with pytest.raises(TooLarge):
+        big.regular_algebra
+    assert "regular_algebra" not in vars(big)
+
+
 def test_inclusion_too_large():
     with pytest.raises(TooLarge):
         G = FiniteGroup.direct_product([17, 17])
