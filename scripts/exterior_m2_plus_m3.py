@@ -66,7 +66,7 @@ from cstar_angles.tower import build_tower_level
 
 TENSOR_UNITARIES = 3  # seeded unitaries u of the M2(x)M2 case
 RSS_LIMIT_MIB = 256  # peak resident set size allowed to the M2+M3 part
-RUN_RSS_LIMIT_MIB = 400  # peak resident set size allowed to the whole run
+RUN_RSS_LIMIT_MIB = 300  # peak resident set size allowed to the whole run
 
 
 def fixture(seed: int, sizes=(2, 3)):

@@ -74,6 +74,20 @@ the d x d^2 product of the embedded basis is d^4.  The identity needs L to
 be left multiplication, which the check confirms on every basis element
 by one matrix-vector product each.
 
+e_B has rank r = dim B, usually far below d, so every product the level
+builds with e_B as a factor goes through its range.  The level keeps V
+(:attr:`TowerLevel.jones_range`), the d x r isometry whose columns are the
+eigenvectors of e_B's Hermitian part with eigenvalue above 1/2, so that
+e_B = V V* and x e_B y = (x V)(V* y).  In particular the Jones projection
+of an intermediate C is
+
+    e_C = sum_j L_{mu_j} e_B L_{mu_j}* = W W*,   W = [L_{mu_1} V ... L_{mu_p} V],
+
+2 p d^2 r work where the sum of products is 2 p d^3.  The checks of a
+level keep their dense operands: e_B's own laws, the postconditions of
+e_C against e_B and the expectation matrix, and left multiplication are
+taken on the matrices themselves, never on V.
+
 Iterating: a :class:`TowerLevel` is itself a valid (algebra, subalgebra,
 expectation) triple one rung up, with A embedded into A_1 as {L_x}, so the
 same constructor produces level two, giving e_2 and E_2 for exterior
@@ -244,10 +258,14 @@ class TowerLevel:
     """One rung of the Jones tower for (B <= A, E), fully coordinatized.
 
     ``basic_construction`` (A_1, spanned by the rows i q + k = L_{b_i} e_B
-    L_{l_k*} of ``spanning_products``), ``embedded_algebra`` ({L_x})
-    and ``dual_expectation`` (E_1) are built on first read and cached: A_1
-    after its budget check, then checked to span A_1 when the level was
-    built with ``check``, at the level's ``tol``.
+    L_{l_k*} of ``spanning_products``), ``embedded_algebra`` ({L_x}),
+    ``dual_quasi_basis`` and ``dual_expectation`` (E_1) are built on first
+    read and cached: A_1 after its budget check, then checked to span A_1
+    when the level was built with ``check``, at the level's ``tol``.  So
+    is ``jones_range``, the d x r isometry V with e_B = V V*: the
+    eigenvectors of e_B's Hermitian part with eigenvalue above 1/2.  Every
+    product the level forms with e_B inside, x e_B y, is taken as
+    (x V)(V* y) (:meth:`_through_jones`); the checks read e_B itself.
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
     the next rung in ``_rungs``, keyed by its ``(check, tol)``, so level two
@@ -262,7 +280,6 @@ class TowerLevel:
     index_matrix: np.ndarray
     index_inverse: np.ndarray
     index_sqrt: np.ndarray
-    dual_quasi_basis: tuple
     _check: bool = field(default=True, repr=False)
     _tol: float = field(default=mx.DEFAULT_TOL, repr=False)
     _rungs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -274,6 +291,26 @@ class TowerLevel:
     def embed(self, x) -> np.ndarray:
         """Left-multiplication matrix L_x of an algebra element."""
         return self.module.left_mult(x)
+
+    @cached_property
+    def jones_range(self) -> np.ndarray:
+        """V, d x rank(e_B), orthonormal columns spanning range(e_B): e_B = V V*.
+
+        The eigenvectors of (e_B + e_B*) / 2 with eigenvalue above 1/2.
+        """
+        e = self.jones_projection
+        values, vectors = np.linalg.eigh((e + mx.adjoint(e)) / 2.0)
+        return vectors[:, values > 0.5]
+
+    def _through_jones(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left e_B right as (left V)(V* right), for a matrix or a stack ``left``."""
+        v = self.jones_range
+        return (left @ v) @ (mx.adjoint(v) @ right)
+
+    @cached_property
+    def dual_quasi_basis(self) -> tuple:
+        """The quasi-basis {L_{l_i} e_B L_{Ind(E)^(1/2)}} of E_1, one d x d matrix each."""
+        return tuple(self._through_jones(self._quasi_left, self.embed(self.index_sqrt)))
 
     @cached_property
     def basic_construction(self) -> MatrixStarAlgebra:
@@ -453,22 +490,26 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
 
     # e L_a e = L_{E(a)} e over the source basis of E, whose images E(b_k)
     # are the rows of its coordinate matrix.  R = e L_a e - L_{E(a)} e
-    # satisfies R = R e, so ||R|| = ||R V|| for an orthonormal basis V
-    # (d x rank e) of range(e): e (L_a V) - L_{E(a)} V costs 3 d^2 rank(e)
-    # per element instead of 3 d^3.  L is linear, so L_{E(b_k)} V is
-    # sum_m T[k, m] L_{beta_m} V over E's target basis {beta_m}: one embed
-    # of that basis per level, then one contraction per chunk.
+    # satisfies R = R e, so ||R|| = ||R V|| with V = jones_range:
+    # e (L_a V) - L_{E(a)} V costs 3 d^2 rank(e) per element instead of
+    # 3 d^3, and e multiplies a whole chunk [L_a V ...] in one GEMM.  L is
+    # linear, so L_{E(b_k)} V is sum_m T[k, m] L_{beta_m} V over E's target
+    # basis {beta_m}: one embed of that basis per level, then one
+    # contraction per chunk.
     E = level.expectation
     basis, t = E.source.basis_stack, E.coordinates(tol)
-    values, vectors = np.linalg.eigh((e + mx.adjoint(e)) / 2.0)
-    range_e = vectors[:, values > 0.5]
+    range_e = level.jones_range
+    d, r = range_e.shape
     target_on_range = level.embed(E.target.basis_stack) @ range_e
+
+    def exchange_residual(rows):
+        # (L_a V) for the chunk, side by side as one d x k r matrix
+        wide = np.swapaxes(level.embed(basis[rows]) @ range_e, 0, 1).reshape(d, -1)
+        acted = np.swapaxes((e @ wide).reshape(d, -1, r), 0, 1)
+        return mx.max_operator_norm(acted - np.tensordot(t[rows], target_on_range, axes=1))
+
     residuals["exchange_law"] = max(
-        mx.max_operator_norm(
-            e @ (level.embed(basis[rows]) @ range_e)
-            - np.tensordot(t[rows], target_on_range, axes=1)
-        )
-        for rows in mx.stack_slices(len(basis), e.nbytes)
+        exchange_residual(rows) for rows in mx.stack_slices(len(basis), e.nbytes)
     )
     del target_on_range
 
@@ -478,8 +519,9 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     residuals["representation_faithful"] = 0.0 if smallest > 1e-12 else 1.0
 
     # dual rule on a seeded sample of spanning elements t = L_{b_i} e L_{b_j},
-    # one stacked call on their images t q_k (no t is formed), compared in
-    # HS coordinates: those of b_i b_j are column j of L_{b_i}
+    # one stacked call on their images t q_k = (L_{b_i} V)((V* L_{b_j}) q_k)
+    # (no t is formed), compared in HS coordinates: those of b_i b_j are
+    # column j of L_{b_i}
     basis = A.basis_stack
     rng = mx.default_rng()
     d = len(basis)
@@ -487,10 +529,11 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
         [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
     ).T
     left = level.embed(basis[i])
-    images = left @ (e @ (level.embed(basis[j]) @ level.quasi_coords.T))
+    right = mx.adjoint(range_e) @ level.embed(basis[j])
+    images = (left @ range_e) @ (right @ level.quasi_coords.T)
     got = level._dual_coords(images) @ level.module._from_module
     want = left[np.arange(len(i)), :, j] @ level._index_inverse_left.T
-    del left, images
+    del left, right, images
     residuals["dual_rule"] = float(mx.row_norms(got - want).max())
 
     bad = {k: v for k, v in residuals.items() if v > tol}
@@ -539,12 +582,8 @@ def build_tower_level(
         index_matrix=ind,
         index_inverse=np.linalg.inv(ind),
         index_sqrt=mx.psd_sqrt(ind),
-        dual_quasi_basis=(),
         _check=check,
         _tol=tol,
-    )
-    level.dual_quasi_basis = tuple(
-        level._quasi_left @ (e_b @ level.embed(level.index_sqrt))
     )
 
     if check:
@@ -564,8 +603,11 @@ def intermediate_data(
     """Jones projection of a compatible intermediate, plus the restricted E.
 
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* over any quasi-basis {mu_j} of the
-    restriction of E to C.  Postconditions checked: e_C agrees with the
-    matrix of the map a -> F(a), is a projection, and absorbs e_B.
+    restriction of E to C, formed as W W* with W = [L_{mu_1} V ... L_{mu_p} V]
+    the p blocks side by side and V = ``level.jones_range`` (e_B = V V*):
+    2 p d^2 r work for e_B of rank r.  Postconditions checked, against the
+    dense e_B and F's module matrix: e_C agrees with the matrix of the map
+    a -> F(a), is a projection, and absorbs e_B.
 
     This is :func:`~cstar_angles.algebra.compatibility_residual` (above
     ``tol``: :class:`NotCompatible`), then
@@ -586,21 +628,13 @@ def intermediate_data(
     restricted = _restrict_core(E, C, F, c_on_source, tol)
 
     e_b = level.jones_projection
-    lm = level.embed(restricted.quasi_stack)
     d = len(e_b)
-
-    def projection_part(rows):
-        # the product np.tensordot(L e_B, conj(L), axes=([0, 2], [0, 2])) forms,
-        # with its operands laid out as it lays them out but one temporary
-        # fewer: (L_j e_B)[a, k] at row a, column (j, k), and conj(L_j[b, k])
-        # at row (j, k), column b
-        left = np.swapaxes(lm[rows] @ e_b, 0, 1).reshape(d, -1)
-        right = np.conjugate(np.swapaxes(lm[rows], 1, 2), order="C").reshape(-1, d)
-        return np.dot(left, right)
-
-    # charged per element: L e_B, its transposed copy and conj(L)^T, within
-    # four d x d matrices
-    e_c = sum(projection_part(rows) for rows in mx.stack_slices(len(lm), 4 * e_b.nbytes))
+    # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
+    # per quasi-basis element
+    w = np.swapaxes(level.embed(restricted.quasi_stack) @ level.jones_range, 0, 1)
+    w = w.reshape(d, -1)
+    e_c = w @ mx.adjoint(w)
+    del w
 
     mod = level.module
     e_f = mod._expectation_matrix(F, f_on_source if mod.algebra is E.source else None)
@@ -665,8 +699,10 @@ def iterate_tower(
     """
     # the rung builds the module of A_1 (a (d1, n1, n1) stack for its Gram
     # matrix, at most four d1 x d1 matrices at once while G^(+-1/2) are
-    # formed), e_2, J, _quasi_left and dual_quasi_basis
-    d1, n1, q = level.basic_construction.dim, level.module_dim, len(level.dual_quasi_basis)
+    # formed), e_2, J, _quasi_left and dual_quasi_basis; q is read off E's
+    # quasi-basis, so that the lazy dual_quasi_basis is not built for it
+    d1, n1 = level.basic_construction.dim, level.module_dim
+    q = len(level.expectation.quasi_stack)
     _check_budget(
         16 * (d1 * n1 * n1 + 6 * d1 * d1 + 2 * q * d1 * d1),
         f"the next rung (module dimension {d1}, {q} dual quasi-basis elements)",
@@ -730,9 +766,7 @@ def _dual_expectation_from(
             out[rows] = (lefts.reshape(-1, q, d, d) @ right).sum(axis=1)
         return out
 
-    quasi = level._quasi_left @ (
-        level.jones_projection @ level.embed(mx.psd_sqrt(ind_c))
-    )
+    quasi = level._through_jones(level._quasi_left, level.embed(mx.psd_sqrt(ind_c)))
     g = ConditionalExpectation(
         level.basic_construction, c1, g_apply, quasi_basis=quasi, name="G"
     )

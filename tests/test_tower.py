@@ -245,10 +245,19 @@ def test_dual_quasi_basis_verifies(tower_level):
     )
 
 
-def test_dual_quasi_basis_matches_the_per_element_loop(tower_level, c_plus_m2):
+def test_dual_quasi_basis_matches_the_per_element_loop(inclusion, c_plus_m2):
     S3 = FiniteGroup.symmetric(3)
     s3 = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))]))
-    for level in (tower_level, c_plus_m2.level, s3.tower(materialize=False)):
+    z3 = group_numeric_inclusion()
+    lazy = [
+        build_tower_level(inclusion.A, inclusion.B, inclusion.E, materialize=False),
+        s3.tower(materialize=False),
+        z3.tower(materialize=False),
+    ]
+    # a level built without materialize forms its dual quasi-basis on first read
+    for level in lazy:
+        assert "dual_quasi_basis" not in vars(level)
+    for level in [c_plus_m2.level] + lazy:
         e_b, ind_sqrt_l = level.jones_projection, level.embed(level.index_sqrt)
         want = [level.embed(lam) @ e_b @ ind_sqrt_l for lam in level.expectation.quasi_basis]
         got = level.dual_quasi_basis
@@ -815,6 +824,19 @@ def test_family_without_the_quasi_basis_fails_the_check(inclusion, monkeypatch):
         build_tower_level(inclusion.A, inclusion.B, inclusion.E)
 
 
+def test_over_budget_rung_leaves_the_dual_quasi_basis_unbuilt(inclusion, monkeypatch):
+    # the budget check reads q off E's quasi-basis, not off the lazy dual
+    # quasi-basis, so an over-budget rung forms none of it
+    level = build_tower_level(inclusion.A, inclusion.B, inclusion.E, materialize=False)
+    level.basic_construction  # A_1 (16 matrices of 4 x 4) within the default budget
+    need = 16 * (16 * 4 * 4 + 6 * 16 * 16 + 2 * 4 * 16 * 16)
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
+    with pytest.raises(TooLarge):
+        iterate_tower(level)
+    assert "dual_quasi_basis" not in vars(level)
+    assert not level._rungs
+
+
 def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch):
     # the m2 rung: the module of A_1 (dim 16, ambient 4) with its (16, 4, 4)
     # stack and four 16 x 16 matrices, e_2, J, and two stacks of 4 16 x 16
@@ -874,6 +896,69 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
         want = exchange_law_dense(swapped)
         assert want > 0.1
         assert abs(got - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# the range of e_B
+
+
+def group_numeric_inclusion():
+    """C[H] <= C[Z3^4] with H = <(0, 0, 0, 1)>: d = 81, rank(e_B) = 3."""
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+    return group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))]))
+
+
+@pytest.fixture(scope="module")
+def range_levels(tower_level):
+    """The m2 level, C[H] <= C[Z3^4] and M2+M3 level two (d = 97)."""
+    return {
+        "m2": tower_level,
+        "C[Z3^4]": group_numeric_inclusion().tower(),
+        "M2+M3 level 2": iterate_tower(m2_plus_m3()[0]),
+    }
+
+
+def test_jones_range_is_an_isometry_onto_range_e(range_levels, tower_level, inclusion):
+    e_c = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    swapped = dataclasses.replace(tower_level, jones_projection=e_c)
+    cases = [(name, level, level.subalgebra.dim) for name, level in range_levels.items()]
+    cases.append(("m2 with e_Delta", swapped, inclusion.delta.dim))
+    for name, level, rank in cases:
+        v = level.jones_range
+        assert v.shape == (level.module_dim, rank), name
+        assert np.abs(mx.adjoint(v) @ v - np.eye(rank)).max() <= 1e-13, name
+        assert np.abs(v @ mx.adjoint(v) - level.jones_projection).max() <= 1e-13, name
+    # the swapped level has its own range: that of e_Delta, not of e_B
+    assert swapped.jones_range.shape[1] != tower_level.jones_range.shape[1]
+
+
+def dual_rule_dense(level):
+    """max ||E_1(t) - Ind(E)^-1 b_i b_j||_F over the seeded pairs of ``_check_level``,
+    each t = L_{b_i} e_B L_{b_j} formed as a d x d matrix, the oracle."""
+    basis, e = level.algebra.basis_stack, level.jones_projection
+    rng, d = mx.default_rng(), len(basis)
+    pairs = [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
+    return max(
+        mx.frobenius_norm(
+            level.dual_value(level.embed(basis[i]) @ e @ level.embed(basis[j]))
+            - level.index_inverse @ basis[i] @ basis[j]
+        )
+        for i, j in pairs
+    )
+
+
+def test_dual_rule_through_the_range_matches_formed_products(range_levels):
+    for name, level in range_levels.items():
+        got = tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"]
+        assert abs(got - dual_rule_dense(level)) <= 1e-12, name
+    # with a wrong star matrix both forms see the same large residual
+    broken = dataclasses.replace(range_levels["C[Z3^4]"])
+    broken.star_matrix = np.eye(broken.module_dim)
+    with pytest.raises(ConstructionFailure, match="dual_rule") as failure:
+        tower._check_level(broken, mx.DEFAULT_TOL)
+    got, want = failure.value.residuals["dual_rule"], dual_rule_dense(broken)
+    assert want > 1e6 * mx.DEFAULT_TOL
+    assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
@@ -1098,7 +1183,8 @@ def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, m
     for name, level, C, F in intermediate_cases(tower_level, inclusion):
         e_c, restricted = intermediate_data(level, C, F)
         want_e, want_restricted, want_residuals = intermediate_data_composed(level, C, F)
-        assert e_c.tobytes() == want_e.tobytes(), name
+        # W W* through range(e_B) against the dense sum of products
+        assert np.abs(e_c - want_e).max() <= 1e-13, name
         assert restricted.coordinate_matrix.tobytes() == want_restricted.coordinate_matrix.tobytes()
         assert restricted.quasi_stack.tobytes() == want_restricted.quasi_stack.tobytes(), name
         got = recorded.pop()
