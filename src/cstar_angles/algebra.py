@@ -4,11 +4,11 @@ A :class:`MatrixStarAlgebra` is a unital *-subalgebra of M_n(C) held as a
 Hilbert-Schmidt-orthonormal basis, derived once from any spanning family;
 all membership questions are answered against it.  A
 :class:`ConditionalExpectation` is a linear idempotent map between nested
-algebras, stored as a callable on stacks of ambient matrices together with
-one lazily built coordinate matrix in the two algebras' orthonormal bases
-(stacks of elements, the checks below and the full ambient matrix go
-through it), optionally carrying a quasi-basis, i.e. a finite family {l_i}
-with
+algebras, held as one matrix in the two algebras' orthonormal bases, built
+once from a rule on stacks when the expectation is made (E(x), stacks of
+elements, the checks below and the full ambient matrix all read it; so
+E(x) is E of x's HS projection onto the source), optionally carrying a
+quasi-basis, i.e. a finite family {l_i} with
 
     x = sum_i E(x l_i) l_i*  =  sum_i l_i E(l_i* x)        for all x,
 
@@ -552,17 +552,18 @@ def verify_star_algebra(
 class ConditionalExpectation:
     """A linear idempotent B-bimodular positive unital map E: A -> B.
 
-    ``apply_fn`` takes a (k, n, n) stack of elements and returns the
-    (k, n, n) stack of their images; it must be defined (at least) on the
-    span of ``source``.  The generic constructor :meth:`from_rule` extends
-    any rule given on single basis elements by HS-projection onto the
-    source span.  ``quasi_basis`` is the family {l_i} witnessing finite
-    index, when known.
-
-    Besides the callable, an expectation has one cached matrix in the
-    algebras' own orthonormal coordinates, :meth:`coordinates`; stacks of
-    source elements (:meth:`on_source`), the checks and :attr:`map_matrix`
-    go through it.
+    An expectation is its coordinate matrix T (:meth:`coordinates`), built
+    once by the constructor: ``apply_fn`` takes a (k, n, n) stack of source
+    elements and returns the (k, n, n) stack of their images, and it is
+    called once per chunk of source basis elements and not kept.  Every
+    reading of the map goes through T: ``E(x)``, :meth:`on_source`,
+    :attr:`map_matrix` and :meth:`to_json`.  So E(x) is E of x's HS
+    projection onto the source, whatever ``apply_fn`` does off the source
+    span, and each of them refuses an E whose images left the target (at
+    the default tolerance; :meth:`coordinates` takes the caller's).
+    :meth:`from_rule` takes a rule on single matrices instead,
+    :meth:`from_coordinates` T itself.  ``quasi_basis`` is the family
+    {l_i} witnessing finite index, when known.
     """
 
     def __init__(
@@ -573,11 +574,28 @@ class ConditionalExpectation:
         quasi_basis: Sequence[np.ndarray] | None = None,
         name: str = "E",
     ):
+        self._hold(source, target, quasi_basis, name)
+        d, n = source.dim, source.ambient_dim
+        t = np.empty((d, target.dim), dtype=np.complex128)
+        ratios = np.zeros(max(d, 1))  # relative off-target residuals; none off a dim-0 source
+        for rows in mx.stack_slices(d, 16 * n * n):
+            xs = source.basis_stack[rows]
+            images = mx.as_stack(apply_fn(xs))  # finite, or InvalidMatrix
+            if images.shape != xs.shape:
+                raise ShapeMismatch(f"{name}: images of shape {images.shape}, not {xs.shape}")
+            t[rows] = target.hs_coordinates(images)
+            off = mx.row_norms((target.combine(t[rows]) - images).reshape(len(xs), n * n))
+            ratios[rows] = off / (1.0 + mx.row_norms(images.reshape(len(xs), n * n)))
+        t.setflags(write=False)
+        k = int(np.argmax(ratios))
+        self._t, self._off_target = t, (float(ratios[k]), f"image of source basis element {k}")
+
+    def _hold(self, source, target, quasi_basis, name):
+        """Everything an expectation holds but T and its off-target residual."""
         if source.ambient_dim != target.ambient_dim:
             raise ShapeMismatch("source and target must share the ambient algebra")
         self.source = source
         self.target = target
-        self._apply = apply_fn
         # one read-only (q, n, n) stack; quasi_basis holds views into it
         self.quasi_stack = None
         self.quasi_basis = None
@@ -587,20 +605,21 @@ class ConditionalExpectation:
             self.quasi_basis = tuple(self.quasi_stack)
         self.name = name
         self._index_cache: tuple | None = None  # Ind(E) and residuals: watatani_index
-        # (T, worst relative off-target residual, its source basis index)
-        self._coords: tuple[np.ndarray, float, int] | None = None
 
     def __call__(self, x) -> np.ndarray:
-        return self._apply(mx.as_matrix(x)[None])[0]
+        return self.on_source(mx.as_matrix(x)[None])[0]
 
     def on_source(self, xs) -> np.ndarray:
-        """E on a (k, n, n) stack of source elements, through :meth:`coordinates`.
+        """E on a (k, n, n) stack of source elements, through :attr:`coordinate_matrix`.
 
         Off the source span this acts as :attr:`map_matrix` does, as E after
-        HS-projection onto the source, which may differ from E itself.
+        HS-projection onto the source.
         """
-        coords = self.source.hs_coordinates(mx.as_stack(xs))
-        return self.target.combine(coords @ self.coordinate_matrix)
+        return self._through(self.coordinate_matrix, xs)
+
+    def _through(self, t, xs) -> np.ndarray:
+        """The target elements with coordinates hs_coordinates(x) t, for a stack xs."""
+        return self.target.combine(self.source.hs_coordinates(mx.as_stack(xs)) @ t)
 
     @property
     def ambient_dim(self) -> int:
@@ -615,15 +634,12 @@ class ConditionalExpectation:
         quasi_basis: Sequence[np.ndarray] | None = None,
         name: str = "E",
     ) -> "ConditionalExpectation":
-        """Extend ``rule`` (given on source basis elements) linearly."""
-        images = np.stack([np.ravel(rule(b)) for b in source.basis])
-        n = source.ambient_dim
+        """Extend ``rule``, called on each source basis element once, linearly."""
 
-        def apply_fn(xs: np.ndarray) -> np.ndarray:
-            coords = source.hs_coordinates(xs)
-            return (coords @ images).reshape(coords.shape[:-1] + (n, n))
+        def stacked(xs: np.ndarray) -> np.ndarray:
+            return _stack_of([rule(x) for x in xs], source.ambient_dim)
 
-        return cls(source, target, apply_fn, quasi_basis, name=name)
+        return cls(source, target, stacked, quasi_basis, name=name)
 
     @classmethod
     def from_coordinates(
@@ -634,68 +650,45 @@ class ConditionalExpectation:
         quasi_basis: Sequence[np.ndarray] | None = None,
         name: str = "E",
     ) -> "ConditionalExpectation":
-        """The map with the given :attr:`coordinate_matrix`, extended as :meth:`from_rule` is."""
+        """The map with the given :attr:`coordinate_matrix`, calling no rule."""
         t = np.array(coordinate_matrix, dtype=np.complex128)
         if t.shape != (source.dim, target.dim):
             raise ShapeMismatch(f"coordinate matrix must be {source.dim}x{target.dim}")
         t.setflags(write=False)
-
-        def apply_fn(xs: np.ndarray) -> np.ndarray:
-            return target.combine(source.hs_coordinates(xs) @ t)
-
-        exp = cls(source, target, apply_fn, quasi_basis, name=name)
-        exp._coords = (t, 0.0, 0)
+        exp = cls.__new__(cls)
+        exp._hold(source, target, quasi_basis, name)
+        exp._t, exp._off_target = t, (0.0, "")
         return exp
 
     def coordinates(self, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         """T, of shape d_src x d_tgt: row k holds the target coordinates of E(b_k).
 
-        Built once, with one call of the rule per chunk of source basis
-        elements (the rule takes stacks).  An image off the target span by
-        more than ``tol (1 + ||E(b_k)||_F)`` raises
-        :class:`NumericIntegrityError` instead of being projected silently.
-        On the source span, E(y) = sum_m phi_m(y) beta_m over the target
-        basis {beta_m}, with the linear functional
-        phi_m(y) = sum_p vec(y)[p] (conj(S)^T T)[p, m] for the source basis
-        rows S.
+        The images the constructor took T from are projected onto the target
+        span; one off it by more than ``tol (1 + ||E(b_k)||_F)`` raises
+        :class:`NumericIntegrityError` here instead of being projected
+        silently.  :func:`conjugate_expectation` has no rule and carries
+        F's residual instead, and the message names F.
         """
-        if self._coords is None:
-            self._coords = self._build_coordinates()
-        t, worst, k = self._coords
+        worst, where = self._off_target
         if worst > tol:
             raise NumericIntegrityError(
-                f"{self.name}: image of source basis element {k} lies off the "
-                f"target span (relative residual {worst:.2e} > {tol:.1e})"
+                f"{self.name}: {where} lies off the target span "
+                f"(relative residual {worst:.2e} > {tol:.1e})"
             )
-        return t
+        return self._t
 
     @property
     def coordinate_matrix(self) -> np.ndarray:
         """:meth:`coordinates` at the default tolerance."""
         return self.coordinates()
 
-    def _build_coordinates(self) -> tuple[np.ndarray, float, int]:
-        src, tgt = self.source, self.target
-        blocks, ratios = [], []
-        for rows in mx.stack_slices(src.dim, src._flat[0].nbytes):
-            images = self._apply(src.basis_stack[rows])
-            coords = tgt.hs_coordinates(images)
-            flat = images.reshape(len(images), -1)
-            off = np.linalg.norm(coords @ tgt._flat - flat, axis=1)
-            ratios.append(off / (1.0 + np.linalg.norm(flat, axis=1)))
-            blocks.append(coords)
-        t = np.concatenate(blocks)
-        t.setflags(write=False)
-        ratios = np.concatenate(ratios)
-        k = int(np.argmax(ratios))
-        return t, float(ratios[k]), k
-
     @cached_property
     def map_matrix(self) -> np.ndarray:
         """The map on ambient coordinates, as an n^2 x n^2 matrix.
 
         Row-major ``vec`` convention: ``vec(E(x)) = map_matrix @ vec(x)``.
-        Off the source span the map acts as E after HS-projection.
+        Off the source span the map acts as E after HS-projection.  Read from
+        :attr:`coordinate_matrix`: an E off its target is refused, here and by :meth:`to_json`.
         """
         s, b = self.source._flat, self.target._flat
         return b.T @ (self.coordinate_matrix.T @ np.conjugate(s))
@@ -705,7 +698,6 @@ class ConditionalExpectation:
         return watatani_index(self, tol)
 
     def to_json(self) -> dict:
-        n = self.ambient_dim
         return {
             "schema": "cstar-angles.expectation/1",
             "source": self.source.to_json(),
@@ -722,12 +714,12 @@ class ConditionalExpectation:
         target = MatrixStarAlgebra.from_json(payload["target"])
         mat = matrix_from_json(payload["map_matrix"])
 
-        def apply_fn(xs: np.ndarray) -> np.ndarray:
+        def rule(xs: np.ndarray) -> np.ndarray:
             return (xs.reshape(len(xs), -1) @ mat.T).reshape(xs.shape)
 
         qb = payload.get("quasi_basis")
         quasi = None if qb is None else [matrix_from_json(m) for m in qb]
-        return cls(source, target, apply_fn, quasi)
+        return cls(source, target, rule, quasi)
 
     def __repr__(self):
         return (
@@ -738,8 +730,8 @@ class ConditionalExpectation:
 
 def identity_expectation(alg: MatrixStarAlgebra) -> ConditionalExpectation:
     """The identity map of an algebra, with quasi-basis {1}."""
-    return ConditionalExpectation(
-        alg, alg, lambda x: x, quasi_basis=(alg.unit,), name="id"
+    return ConditionalExpectation.from_coordinates(
+        alg, alg, np.eye(alg.dim), quasi_basis=(alg.unit,), name="id"
     )
 
 
@@ -755,38 +747,48 @@ def verify_expectation(
     Covers: E fixes the target, E maps into the target span, bimodularity
     E(b x b') = b E(x) b' over target pairs and source elements, E(1) = 1,
     and positivity of E(x*x) on random samples (sampled, not certified).
+    Each runs on stacks through the coordinate matrix, unchecked.  T holds
+    only the projections of E's images onto the target, so
+    ``range_in_target`` is the images' own relative residual, the one
+    :meth:`ConditionalExpectation.coordinates` checks.
     """
     rng = rng or mx.default_rng()
     report = VerificationReport(subject=repr(E))
+    src, tgt, n = E.source, E.target, E.ambient_dim
+    betas = tgt.basis_stack
 
-    res = max(mx.frobenius_norm(E(b) - b) for b in E.target.basis)
-    report.add("fixes_target", res, tol)
+    def worst(diffs: np.ndarray) -> float:
+        return float(mx.row_norms(diffs.reshape(len(diffs), n * n)).max(initial=0.0))
 
-    res = max(E.target.membership_residual(E(b)) for b in E.source.basis)
-    report.add("range_in_target", res, tol)
+    def apply(xs: np.ndarray) -> np.ndarray:  # unchecked: range_in_target reports
+        return E._through(E._t, xs)
 
-    triples = [
-        (b, x, b2) for b in E.target.basis for b2 in E.target.basis for x in E.source.basis
-    ]
+    report.add("fixes_target", worst(apply(betas) - betas), tol)
+    report.add("range_in_target", E._off_target[0], tol)
+
+    shape = (tgt.dim, tgt.dim, src.dim)  # the triples (b, b', x), numbered in this order
+    triples = np.arange(np.prod(shape))
     if bimodular_samples is not None and len(triples) > bimodular_samples:
-        idx = rng.choice(len(triples), size=bimodular_samples, replace=False)
-        triples = [triples[k] for k in idx]
-    res = max(
-        mx.frobenius_norm(E(b @ x @ b2) - b @ E(x) @ b2) for b, x, b2 in triples
-    )
+        triples = rng.choice(len(triples), size=bimodular_samples, replace=False)
+    left, right, x = np.unravel_index(triples, shape)
+    res = 0.0
+    # charged per triple: its two target factors, its product, E of it, E(x)
+    # and the difference
+    for r in mx.stack_slices(len(triples), 6 * 16 * n * n):
+        b, b2 = betas[left[r]], betas[right[r]]
+        images = tgt.combine(E._t[x[r]])  # E(x), from its row of T
+        res = max(res, worst(apply(b @ src.basis_stack[x[r]] @ b2) - b @ images @ b2))
     report.add("bimodular", res, tol)
 
-    report.add("unital", mx.frobenius_norm(E(E.source.unit) - E.target.unit), tol)
+    report.add("unital", worst(apply(src.unit[None]) - tgt.unit), tol)
 
-    worst = 0.0
-    for _ in range(positivity_samples):
-        x = E.source.random_element(rng)
-        value = E(mx.adjoint(x) @ x)
-        herm = (value + mx.adjoint(value)) / 2.0
-        smallest = float(np.linalg.eigvalsh(herm)[0])
-        worst = max(worst, max(0.0, -smallest))
-        worst = max(worst, mx.operator_norm(value - mx.adjoint(value)))
-    report.add("positive_on_samples", worst, tol * 10)
+    # the samples, one random_element call each
+    xs = np.reshape([src.random_element(rng) for _ in range(positivity_samples)], (-1, n, n))
+    values = apply(mx.adjoint(xs) @ xs)
+    smallest = np.linalg.eigvalsh((values + mx.adjoint(values)) / 2.0)[:, :1]
+    skew = mx.operator_norms(values - mx.adjoint(values))
+    res = float(max(0.0, -smallest.min(initial=0.0), skew.max(initial=0.0)))
+    report.add("positive_on_samples", res, tol * 10)
     return report
 
 
@@ -867,10 +869,7 @@ def watatani_index(
     if E._index_cache is None:
         if E.quasi_basis is None:
             raise NoQuasiBasis("expectation carries no quasi-basis")
-        ind = np.zeros((E.ambient_dim,) * 2, dtype=np.complex128)
-        for lam in E.quasi_basis:
-            if lam.any():  # a zero element adds nothing
-                ind += lam @ mx.adjoint(lam)
+        ind = mx.sum_times_adjoint(E.quasi_stack)
         ind.setflags(write=False)
         E._index_cache = (
             ind,
@@ -1048,19 +1047,18 @@ def conjugate_expectation(
         raise NotUnitary("matrix is not unitary")
     ustar = mx.adjoint(u)
     # conjugation preserves HS-orthonormality, so the basis maps over directly
-    new_target = MatrixStarAlgebra.from_orthonormal(
-        [u @ b @ ustar for b in F.target.basis]
-    )
-    quasi = None
-    if F.quasi_basis is not None:
-        quasi = [u @ lam @ ustar for lam in F.quasi_basis]
-
-    def apply_fn(xs: np.ndarray) -> np.ndarray:
-        return u @ F._apply(ustar @ xs @ u) @ ustar
-
-    return ConditionalExpectation(
-        F.source, new_target, apply_fn, quasi_basis=quasi, name=f"{F.name}_u"
-    )
+    new_target = MatrixStarAlgebra.from_orthonormal(u @ F.target.basis_stack @ ustar)
+    quasi = None if F.quasi_stack is None else u @ F.quasi_stack @ ustar
+    # row k: F(u* b_k u) in F's target basis, which is u F(u* b_k u) u* in
+    # the conjugated one
+    t = F.source.hs_coordinates(ustar @ F.source.basis_stack @ u) @ F._t
+    f_u = ConditionalExpectation.from_coordinates(F.source, new_target, t, quasi, f"{F.name}_u")
+    # F's off-target residual, measured on F's images of the source basis: no
+    # rule gives F_u's, and F_u leaves u C u* exactly when F leaves C (for u
+    # normalizing the source)
+    worst, where = F._off_target
+    f_u._off_target = (worst, f"{where} (in {F.name}, which it is made from)")
+    return f_u
 
 
 @dataclass(frozen=True)
@@ -1079,10 +1077,10 @@ def cauchy_schwarz_check(
     the diagonal witness.
     """
     x, y = mx.as_matrix(x), mx.as_matrix(y)
-    lhs = mx.operator_norm(E(mx.adjoint(x) @ y))
-    rhs = np.sqrt(mx.operator_norm(E(mx.adjoint(x) @ x))) * np.sqrt(
-        mx.operator_norm(E(mx.adjoint(y) @ y))
-    )
+    # E(x* y), E(x* x) and E(y* y) from one stack
+    products = mx.adjoint(np.stack([x, x, y])) @ np.stack([y, x, y])
+    lhs, xx, yy = mx.operator_norms(E.on_source(products))
+    rhs = np.sqrt(xx) * np.sqrt(yy)
     return CauchySchwarzResult(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs + tol)
 
 

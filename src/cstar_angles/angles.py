@@ -134,21 +134,23 @@ def interior_angle_formula(
 
     ``mu`` and ``delta`` are quasi-bases of E|_C and E|_D.  When the
     intermediate algebras are supplied the quasi-bases are verified against
-    them first (raising :class:`NoQuasiBasis` on failure).
+    them first (raising :class:`NoQuasiBasis` on failure).  The restrictions
+    are taken by rows of E's coordinate matrix, so the check also fails for
+    an E whose images leave its target.
     """
-    mu = [mx.as_matrix(m) for m in mu]
-    delta = [mx.as_matrix(m) for m in delta]
-    for mats, alg, label in ((mu, C, "C"), (delta, D, "D")):
+    mus, deltas = (np.stack([mx.as_matrix(m) for m in mats]) for mats in (mu, delta))
+    for mats, alg, label in ((mus, C, "C"), (deltas, D, "D")):
         if alg is not None:
-            restricted = ConditionalExpectation.from_rule(alg, E.target, E)
-            if not verify_quasi_basis(restricted, mats, max(tol, 1e-8)):
+            rows = E.source.hs_coordinates(alg.basis_stack) @ E._t
+            restricted = ConditionalExpectation.from_coordinates(alg, E.target, rows)
+            check_tol = max(tol, 1e-8)
+            if not verify_quasi_basis(restricted, mats, check_tol) or E._off_target[0] > check_tol:
                 raise NoQuasiBasis(f"family is not a quasi-basis of E|_{label}")
 
     n = E.ambient_dim
     eye = np.eye(n, dtype=np.complex128)
     ind_e = E.index_element()
-    ind_c = sum(m @ mx.adjoint(m) for m in mu)
-    ind_d = sum(d @ mx.adjoint(d) for d in delta)
+    ind_c, ind_d = mx.sum_times_adjoint(mus), mx.sum_times_adjoint(deltas)
     _check_degenerate(ind_c, "C")
     _check_degenerate(ind_d, "D")
 
@@ -156,12 +158,10 @@ def interior_angle_formula(
     # as in E.on_source, but at the pre-check's tolerance; charged per mu_j:
     # its r arguments, their images and the products
     coords_e = E.coordinates(max(tol, 1e-8))
-    mus, deltas = np.stack(mu), np.stack(delta)
     cross = np.zeros((n, n), dtype=np.complex128)
     for rows in mx.stack_slices(len(mus), 3 * len(deltas) * n * n * 16):
         args = mx.adjoint(mus[rows])[:, None] @ deltas[None]
-        images = E.source.hs_coordinates(args.reshape(-1, n, n)) @ coords_e
-        values = E.target.combine(images).reshape(args.shape)
+        values = E._through(coords_e, args.reshape(-1, n, n)).reshape(args.shape)
         cross += (mus[rows, None] @ values @ mx.adjoint(deltas)[None]).sum(axis=(0, 1))
 
     ind_inv = np.linalg.inv(ind_e)

@@ -81,6 +81,15 @@ def operator_norms(mats) -> np.ndarray:
     ])
 
 
+def sum_times_adjoint(mats) -> np.ndarray:
+    """sum_k m_k m_k* of a (k, n, n) stack; an exactly-zero m_k adds nothing and is skipped."""
+    total = np.zeros(mats.shape[1:], dtype=np.complex128)
+    for m in mats:
+        if m.any():
+            total += m @ adjoint(m)
+    return total
+
+
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 

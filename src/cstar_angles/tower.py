@@ -339,7 +339,7 @@ class TowerLevel:
 
     @cached_property
     def dual_expectation(self) -> ConditionalExpectation:
-        """E_1 : A_1 -> {L_x}, by :meth:`dual_value`."""
+        """E_1 : A_1 -> {L_x} by :meth:`dual_value`; E_1(t) is E_1 of t's projection onto A_1."""
         return ConditionalExpectation(
             self.basic_construction, self.embedded_algebra,
             lambda ts: self.embed(self.dual_value(ts)),
@@ -731,7 +731,7 @@ def intermediate_dual_expectation(
     C_1 = span{L_x e_C L_y : x, y in A} = span{L_{b_i} e_C L_{l_k*}} sits
     inside A_1; G carries the quasi-basis {L_{l_i} e_B Ind(E|_C)^(1/2)} and
     satisfies E_1 = E_1|_{C_1} o G.  Requires the restricted index to be
-    central.
+    central.  G(t) is G of t's HS projection onto A_1.
     """
     e_c, restricted = intermediate_data(level, C, F, tol)
     return _dual_expectation_from(level, e_c, restricted, tol)
@@ -756,7 +756,7 @@ def _dual_expectation_from(
     ind_c_inv = np.linalg.inv(ind_c)
     right = e_c @ mx.adjoint(level._quasi_left)  # e_C L_{l_i*}
 
-    def g_apply(ts: np.ndarray) -> np.ndarray:
+    def g_rule(ts: np.ndarray) -> np.ndarray:
         # sum_i L_{Ind^-1 t(l_i)} e_C L_{l_i*}, t(l_i) with coordinates t q_i;
         # charged per element: the q values t(l_i), their L's and the products
         out = np.empty_like(ts)
@@ -768,7 +768,7 @@ def _dual_expectation_from(
 
     quasi = level._through_jones(level._quasi_left, level.embed(mx.psd_sqrt(ind_c)))
     g = ConditionalExpectation(
-        level.basic_construction, c1, g_apply, quasi_basis=quasi, name="G"
+        level.basic_construction, c1, g_rule, quasi_basis=quasi, name="G"
     )
     if not verify_quasi_basis(g, quasi, max(tol, 1e-8)):
         raise ConstructionFailure("quasi-basis of G failed verification")

@@ -94,11 +94,15 @@ def c_plus_m2():
         A, B, blockwise_trace,
         quasi_basis=[units[0]] + [math.sqrt(2.0) * m for m in units[1:]],
     )
-    F = ConditionalExpectation.from_rule(
-        A, C, lambda x: np.diag(np.diag(x)), quasi_basis=units, name="F"
-    )
+    def diagonal(x):
+        return np.diag(np.diag(x))
+
+    F = ConditionalExpectation.from_rule(A, C, diagonal, quasi_basis=units, name="F")
     w = np.eye(3, dtype=np.complex128)
     w[1:, 1:] = mx.random_unitary(2, mx.default_rng(11))
     F_prime = conjugate_expectation(F, w)
     level = build_tower_level(A, B, E)
-    return SimpleNamespace(A=A, B=B, E=E, C=C, F=F, F_prime=F_prime, level=level)
+    return SimpleNamespace(
+        A=A, B=B, E=E, C=C, F=F, F_prime=F_prime, level=level,
+        rules={"E": blockwise_trace, "F": diagonal},  # the rules E and F are built from
+    )

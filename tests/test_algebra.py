@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -168,7 +169,9 @@ def test_index_element_tests_each_calls_tolerance(inclusion):
     E = inclusion.E
     quasi = np.array(E.quasi_stack)
     quasi[0] *= 1.0 + 1e-6
-    skewed = ConditionalExpectation(E.source, E.target, E._apply, quasi_basis=quasi)
+    skewed = ConditionalExpectation.from_coordinates(
+        E.source, E.target, E.coordinate_matrix, quasi_basis=quasi
+    )
     ind = skewed.index_element(1e-3)
     np.testing.assert_allclose(ind, 4.0 * np.eye(2), atol=1e-5)
     for check in (skewed.index_element, lambda tol: watatani_index(skewed, tol)):
@@ -388,15 +391,19 @@ def test_expectation_json_roundtrip(inclusion):
 # the coordinate matrix against per-element references
 
 
-def _reference_verify_quasi_basis(E, lambdas, tol=mx.DEFAULT_TOL):
-    """The per-element loop: both identities, E called on every product."""
+def _reference_verify_quasi_basis(rule, E, lambdas, tol=mx.DEFAULT_TOL):
+    """The per-element loop: both identities, the rule E was built from called on every product.
+
+    ``rule`` maps one matrix to its image, so the oracle never reads E's
+    coordinate matrix; an image off E's target counts as it is.
+    """
     lams = [mx.as_matrix(m) for m in lambdas]
     for lam in lams:
         if not E.source.contains(lam, tol):
             raise NotInAlgebra("quasi-basis element outside the source algebra")
     for x in E.source.basis:
-        left = sum(E(x @ lam) @ mx.adjoint(lam) for lam in lams)
-        right = sum(lam @ E(mx.adjoint(lam) @ x) for lam in lams)
+        left = sum(rule(x @ lam) @ mx.adjoint(lam) for lam in lams)
+        right = sum(lam @ rule(mx.adjoint(lam) @ x) for lam in lams)
         bound = tol * (1.0 + mx.frobenius_norm(x))
         if mx.frobenius_norm(left - x) > bound or mx.frobenius_norm(right - x) > bound:
             return False
@@ -416,21 +423,60 @@ def _z2z3_inclusion():
     return group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 1))]))
 
 
-def _assert_same_outcome(E, lambdas, tol=mx.DEFAULT_TOL):
-    expected = _reference_verify_quasi_basis(E, lambdas, tol)
+def _assert_same_outcome(rule, E, lambdas, tol=mx.DEFAULT_TOL):
+    expected = _reference_verify_quasi_basis(rule, E, lambdas, tol)
     assert verify_quasi_basis(E, lambdas, tol) == expected
     return expected
+
+
+def _trace_rule(x):
+    """The rule of the 2x2 model's E: the normalized trace."""
+    return np.trace(x) / 2.0 * np.eye(2)
+
+
+def _diagonal_rule(x):
+    """The rule of the 2x2 model's F: the diagonal part."""
+    return np.diag(np.diag(x))
+
+
+def _group_rule(G, H):
+    """E_H on C[G]: keeps the coefficient Tr(lambda_h* x) / |G| of each h in H."""
+    lams = np.stack([G.regular_matrix(h) for h in H.elements])
+
+    def rule(x):
+        coeffs = np.trace(mx.adjoint(lams) @ x, axis1=1, axis2=2) / G.order
+        return np.tensordot(coeffs, lams, axes=1)
+
+    return rule
+
+
+def _recorded_rules(monkeypatch):
+    """The stacked rule handed to the constructor, by expectation, from now on."""
+    rules = {}
+    init = ConditionalExpectation.__init__
+
+    def recording(self, source, target, apply_fn, *args, **kwargs):
+        init(self, source, target, apply_fn, *args, **kwargs)
+        rules[self] = apply_fn
+
+    monkeypatch.setattr(ConditionalExpectation, "__init__", recording)
+    return rules
 
 
 def test_quasi_basis_oracle_m2(inclusion, rng):
     u = m2.Unitary2(mx.random_unitary(2, rng))
     f_u = m2.fu_expectation(u, inclusion)
-    for exp in (inclusion.E, inclusion.F, f_u):
-        assert _assert_same_outcome(exp, exp.quasi_basis)
+    cases = (
+        (_trace_rule, inclusion.E),
+        (_diagonal_rule, inclusion.F),
+        (lambda x: m2.fu_map(u, x), f_u),
+    )
+    for rule, exp in cases:
+        assert _assert_same_outcome(rule, exp, exp.quasi_basis)
         # negative cases: the identity alone, and a slightly scaled quasi-basis
-        assert not _assert_same_outcome(exp, [np.eye(2)])
+        assert not _assert_same_outcome(rule, exp, [np.eye(2)])
         assert not _assert_same_outcome(
-            exp, [(1.0 + 1e-6) * lam for lam in exp.quasi_basis]
+            rule, exp, [(1.0 + 1e-6) * lam for lam in exp.quasi_basis]
         )
 
 
@@ -442,24 +488,31 @@ def test_quasi_basis_oracle_group_random_transversal(rng):
         for g in left_coset_reps(G, H)
     ]
     inc = group_algebra_inclusion(G, H, reps=reps)
-    assert _assert_same_outcome(inc.E, inc.E.quasi_basis)
-    assert not _assert_same_outcome(inc.E, [np.eye(G.order)])
+    e_h = _group_rule(G, H)
+    assert _assert_same_outcome(e_h, inc.E, inc.E.quasi_basis)
+    assert not _assert_same_outcome(e_h, inc.E, [np.eye(G.order)])
     assert not _assert_same_outcome(
-        inc.E, [(1.0 + 1e-6) * lam for lam in inc.E.quasi_basis]
+        e_h, inc.E, [(1.0 + 1e-6) * lam for lam in inc.E.quasi_basis]
     )
     K = generated_subgroup(G, [G.index_of((1, 0))])
     F = inc.expectation_onto(K)
-    assert _assert_same_outcome(F, F.quasi_basis)
+    assert _assert_same_outcome(_group_rule(G, K), F, F.quasi_basis)
     restricted = restrict_expectation(inc.E, F.target, F)
-    assert _assert_same_outcome(restricted, restricted.quasi_basis)
+    assert _assert_same_outcome(e_h, restricted, restricted.quasi_basis)
 
 
-def test_quasi_basis_oracle_level_two_dual(inclusion, tower_level):
+def test_quasi_basis_oracle_level_two_dual(inclusion, tower_level, monkeypatch):
+    rules = _recorded_rules(monkeypatch)
     g = intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
-    assert _assert_same_outcome(g, g.quasi_basis, 1e-8)
-    assert not _assert_same_outcome(g, [np.eye(4)], 1e-8)
+    monkeypatch.undo()
+
+    def rule(x):
+        return rules[g](x[None])[0]
+
+    assert _assert_same_outcome(rule, g, g.quasi_basis, 1e-8)
+    assert not _assert_same_outcome(rule, g, [np.eye(4)], 1e-8)
     assert not _assert_same_outcome(
-        g, [(1.0 + 1e-6) * lam for lam in g.quasi_basis], 1e-8
+        rule, g, [(1.0 + 1e-6) * lam for lam in g.quasi_basis], 1e-8
     )
 
 
@@ -472,7 +525,8 @@ def test_quasi_basis_off_the_span_never_passes_where_the_loop_fails(c_plus_m2, r
     assert s4.A._table is not None
     tol = mx.DEFAULT_TOL
     outcomes = []
-    for E in (c_plus_m2.E, c_plus_m2.F, s4.E):
+    rules = [c_plus_m2.rules["E"], c_plus_m2.rules["F"], _group_rule(S4, A4)]
+    for rule, E in zip(rules, (c_plus_m2.E, c_plus_m2.F, s4.E)):
         n = E.ambient_dim
         lams = E.quasi_stack[E.quasi_stack.any(axis=(1, 2))]
         away = np.stack([mx.random_matrix(n, rng) for _ in lams])
@@ -482,7 +536,7 @@ def test_quasi_basis_off_the_span_never_passes_where_the_loop_fails(c_plus_m2, r
             for size in (2 * mx.NOISE_FLOOR, 1e-12, 1e-11, 1e-10, 0.5 * tol):
                 moved = (1.0 + scale) * lams + size * away
                 got = verify_quasi_basis(E, moved, tol)
-                want = _reference_verify_quasi_basis(E, moved, tol)
+                want = _reference_verify_quasi_basis(rule, E, moved, tol)
                 assert want or not got, (E, scale, size)
                 outcomes.append((got, want, scale, size))
     # the check is not vacuous: it passes and fails, and where the charge
@@ -495,32 +549,61 @@ def test_quasi_basis_off_the_span_never_passes_where_the_loop_fails(c_plus_m2, r
 
 def test_expectation_leaving_its_target_raises(inclusion):
     # the identity map, declared to land in the scalars
+    def identity(x):
+        return x
+
     bogus = ConditionalExpectation.from_rule(
-        inclusion.A, inclusion.B, lambda x: x, quasi_basis=inclusion.E.quasi_basis
+        inclusion.A, inclusion.B, identity, quasi_basis=inclusion.E.quasi_basis
     )
     with pytest.raises(NumericIntegrityError):
         bogus.coordinate_matrix
     # no expectation onto the scalars, so no quasi-basis of one either
-    assert not _assert_same_outcome(bogus, bogus.quasi_basis)
+    assert not _assert_same_outcome(identity, bogus, bogus.quasi_basis)
 
 
 def _off_target(E, eps):
-    """E plus eps (x - E(x)): images leave the target by eps ||x - E(x)||."""
-    return ConditionalExpectation.from_rule(
-        E.source, E.target, lambda x: E(x) + eps * (x - E(x)), E.quasi_basis
-    )
+    """E plus eps (x - E(x)), and its rule: images leave the target by eps ||x - E(x)||."""
+
+    def rule(x):
+        return E(x) + eps * (x - E(x))
+
+    return ConditionalExpectation.from_rule(E.source, E.target, rule, E.quasi_basis), rule
 
 
 def test_off_target_check_uses_the_callers_tolerance(inclusion):
     # off the scalars by 5e-9 relative; the identities hold within 1.5e-8
-    near = _off_target(inclusion.E, 5e-9)
+    near, rule = _off_target(inclusion.E, 5e-9)
     with pytest.raises(NumericIntegrityError):
         near.coordinate_matrix
     t = near.coordinates(1e-8)
     np.testing.assert_allclose(t, inclusion.E.coordinate_matrix, atol=1e-8)
-    assert _assert_same_outcome(near, near.quasi_basis, 1e-8)
-    assert not _assert_same_outcome(near, near.quasi_basis)
-    assert not verify_quasi_basis(_off_target(inclusion.E, 1e-6), near.quasi_basis, 1e-8)
+    assert _assert_same_outcome(rule, near, near.quasi_basis, 1e-8)
+    assert not _assert_same_outcome(rule, near, near.quasi_basis)
+    assert not verify_quasi_basis(_off_target(inclusion.E, 1e-6)[0], near.quasi_basis, 1e-8)
+
+
+def test_every_reading_of_an_off_target_expectation_refuses_it(inclusion):
+    off, _ = _off_target(inclusion.E, 1e-6)
+    x = inclusion.A.basis[0]
+    for read in (lambda: off(x), lambda: off.on_source(x[None]), lambda: off.map_matrix):
+        with pytest.raises(NumericIntegrityError):
+            read()
+    # verify_expectation reports the residual instead of raising
+    report = verify_expectation(off, tol=1e-8)
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["range_in_target"]
+
+
+def test_conjugated_expectation_carries_and_names_its_source_residual(inclusion):
+    u = mx.random_unitary(2, mx.default_rng(5))
+    off, _ = _off_target(inclusion.E, 1e-6)
+    with pytest.raises(NumericIntegrityError, match=r"E_u: .*\(in E, which it is made from\)"):
+        conjugate_expectation(off, u).coordinates(1e-8)
+    np.testing.assert_allclose(
+        conjugate_expectation(off, u).coordinates(1e-5),
+        conjugate_expectation(inclusion.E, u).coordinate_matrix,
+        atol=1e-5,
+    )
 
 
 def test_coordinate_matrix_rows_are_target_coordinates(inclusion):
@@ -968,10 +1051,10 @@ def test_non_central_index_fails_the_same_on_both_paths(monkeypatch):
 # the coordinate matrix from stacked rule calls
 
 
-def _reference_build_coordinates(E):
-    """The former per-element build of T: one call of E per source basis element."""
+def _reference_build_coordinates(rule, E):
+    """T and its worst off-target residual, one stacked rule call per source basis element."""
     src, tgt = E.source, E.target
-    images = np.stack([E(b) for b in src.basis])
+    images = np.stack([rule(b[None])[0] for b in src.basis])
     coords = tgt.hs_coordinates(images)
     flat = images.reshape(len(images), -1)
     off = np.linalg.norm(coords @ tgt._flat - flat, axis=1)
@@ -980,56 +1063,140 @@ def _reference_build_coordinates(E):
     return coords, float(ratios[k]), k
 
 
-def _stacked_rule_cases(inclusion, tower_level, c_plus_m2, rng):
+def _rule_built(inclusion, tower_level, c_plus_m2, rng):
+    """Builders of expectations made from a stacked rule, by name: E_1, G, from_rule, from_json."""
     u = m2.Unitary2(mx.random_unitary(2, rng))
     f_u = m2.fu_expectation(u, inclusion)
+    payload = f_u.to_json()
     G = FiniteGroup.direct_product([2, 2])
-    z2z2 = group_algebra_inclusion(G, trivial_subgroup(G)).tower(materialize=True)
+    z2z2 = group_algebra_inclusion(G, trivial_subgroup(G))
     return {
-        "E1 m2": tower_level.dual_expectation,
-        "E1 C+M2": c_plus_m2.level.dual_expectation,
-        "E1 C[Z2xZ2]": z2z2.dual_expectation,
-        "G m2 F": intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F),
-        "G m2 F_u": intermediate_dual_expectation(tower_level, f_u.target, f_u),
-        "G C+M2": intermediate_dual_expectation(c_plus_m2.level, c_plus_m2.C, c_plus_m2.F),
-        "from_rule": f_u,
-        "from_json": ConditionalExpectation.from_json(f_u.to_json()),
-        "conjugate": conjugate_expectation(inclusion.F, mx.random_unitary(2, rng)),
-        "identity": identity_expectation(c_plus_m2.A),
+        "E1 m2": lambda: dataclasses.replace(tower_level).dual_expectation,
+        "E1 C+M2": lambda: dataclasses.replace(c_plus_m2.level).dual_expectation,
+        "E1 C[Z2xZ2]": lambda: z2z2.tower(materialize=False).dual_expectation,
+        "G m2 F": lambda: intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F),
+        "G m2 F_u": lambda: intermediate_dual_expectation(tower_level, f_u.target, f_u),
+        "G C+M2": lambda: intermediate_dual_expectation(c_plus_m2.level, c_plus_m2.C, c_plus_m2.F),
+        "from_rule": lambda: m2.fu_expectation(u, inclusion),
+        "from_json": lambda: ConditionalExpectation.from_json(payload),
     }
 
 
 def test_stacked_coordinates_match_the_per_element_loop(
     inclusion, tower_level, c_plus_m2, rng, monkeypatch
 ):
-    for name, E in _stacked_rule_cases(inclusion, tower_level, c_plus_m2, rng).items():
-        want, want_worst, _ = _reference_build_coordinates(E)
-        item = E.source._flat[0].nbytes
+    for name, build in _rule_built(inclusion, tower_level, c_plus_m2, rng).items():
+        rules = _recorded_rules(monkeypatch)
+        E = build()
+        monkeypatch.undo()
+        want, want_worst, _ = _reference_build_coordinates(rules[E], E)
+        item = 16 * E.ambient_dim**2
         # one chunk, one element per chunk, and two per chunk with a remainder
         for budget in (mx.STACK_BUDGET_BYTES, 1, 2 * item):
             monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
-            got, worst, _ = E._build_coordinates()
+            built = ConditionalExpectation(E.source, E.target, rules[E], name=name)
             monkeypatch.undo()
-            assert np.max(np.abs(got - want)) <= 1e-12, (name, budget)
+            worst, _ = built._off_target
+            assert np.max(np.abs(built.coordinates(1.0) - want)) <= 1e-12, (name, budget)
             assert abs(worst - want_worst) <= 1e-12, (name, budget)
 
 
-def test_coordinates_call_the_rule_once_per_chunk(c_plus_m2):
+def _every_construction(inclusion, tower_level, c_plus_m2, rng, monkeypatch):
+    """(name, expectation, its stacked rule or None) for every way to build one."""
+    rules = _recorded_rules(monkeypatch)
+    builders = _rule_built(inclusion, tower_level, c_plus_m2, rng)
+    built = {name: build() for name, build in builders.items()}
+    w = mx.random_unitary(2, rng)
+    built["constructor"] = ConditionalExpectation(
+        inclusion.A, inclusion.delta, lambda xs: np.stack([np.diag(np.diag(x)) for x in xs])
+    )
+    monkeypatch.undo()
+    G = FiniteGroup.direct_product([2, 3])
+    groups = group_algebra_inclusion(G, trivial_subgroup(G))
+    built.update({
+        "from_coordinates": groups.expectation_onto(generated_subgroup(G, [G.index_of((0, 1))])),
+        "conjugate": conjugate_expectation(inclusion.F, w),
+        "identity": identity_expectation(c_plus_m2.A),
+    })
+    return [(name, E, rules.get(E)) for name, E in built.items()]
+
+
+def test_every_construction_reads_one_map(inclusion, tower_level, c_plus_m2, rng, monkeypatch):
+    # E(x), E.on_source and map_matrix are one map, on members and off the
+    # source span; on members it is the rule's map
+    for name, E, rule in _every_construction(inclusion, tower_level, c_plus_m2, rng, monkeypatch):
+        assert not any(callable(v) for v in vars(E).values()), name
+        n = E.ambient_dim
+        members = np.stack([E.source.random_element(rng) for _ in range(3)])
+        others = np.stack([mx.random_matrix(n, rng) for _ in range(3)])
+        assert np.max(np.abs(others - E.source.project(others))) > 0.1 or E.source.dim == n * n
+        for x in (*members, *others):
+            one = E(x)
+            by_matrix = (E.map_matrix @ x.reshape(-1)).reshape(n, n)
+            for other in (E.on_source(x[None])[0], by_matrix):
+                np.testing.assert_allclose(other, one, rtol=0, atol=1e-13, err_msg=name)
+        if rule is not None:
+            np.testing.assert_allclose(E.on_source(members), rule(members), rtol=0, atol=1e-12)
+    # the closed forms hold the maps they stand for
+    w = mx.random_unitary(2, rng)
+    conj = conjugate_expectation(inclusion.F, w)
+    x = mx.random_matrix(2, rng)
+    want = w @ inclusion.F(mx.adjoint(w) @ x @ w) @ mx.adjoint(w)
+    np.testing.assert_allclose(conj(x), want, rtol=0, atol=1e-13)
+    members = c_plus_m2.A.combine(rng.standard_normal((3, c_plus_m2.A.dim)))
+    ident = identity_expectation(c_plus_m2.A)
+    np.testing.assert_allclose(ident.on_source(members), members, rtol=0, atol=1e-13)
+
+
+def test_coordinates_call_the_rule_once_per_chunk(c_plus_m2, monkeypatch):
     level = c_plus_m2.level
     E1 = level.dual_expectation
+    d, n = E1.source.dim, level.module_dim
+    assert d == 17
     shapes = []
 
     def recorded(xs):
         shapes.append(xs.shape)
-        return E1._apply(xs)
+        return E1.on_source(xs)
 
-    spy = ConditionalExpectation(E1.source, E1.target, recorded, name="spy")
-    np.testing.assert_allclose(spy.coordinate_matrix, E1.coordinate_matrix, atol=1e-12)
-    n = level.module_dim
-    assert shapes == [(E1.source.dim, n, n)]
-    # a single matrix reaches the rule as a stack of one
-    spy(E1.source.basis[0])
-    assert shapes[-1] == (1, n, n)
+    # one chunk, then chunks of two elements with one left over
+    for budget, chunks in ((mx.STACK_BUDGET_BYTES, [d]), (2 * 16 * n * n, [2] * 8 + [1])):
+        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+        spy = ConditionalExpectation(E1.source, E1.target, recorded, E1.quasi_basis, name="spy")
+        monkeypatch.undo()
+        assert shapes == [(k, n, n) for k in chunks]
+        assert not any(callable(v) for v in vars(spy).values())
+        np.testing.assert_allclose(spy.coordinate_matrix, E1.coordinate_matrix, atol=1e-12)
+        # every reading goes through T: the rule is not called again
+        spy(E1.source.basis[0])
+        spy.on_source(E1.source.basis_stack)
+        spy.map_matrix
+        assert verify_quasi_basis(spy, spy.quasi_basis, 1e-8)
+        watatani_index(spy)
+        verify_expectation(spy, positivity_samples=3, bimodular_samples=5)
+        assert len(shapes) == len(chunks)
+        shapes.clear()
+
+
+def test_rule_images_are_checked_when_the_expectation_is_built(inclusion):
+    A, B, E = inclusion.A, inclusion.B, inclusion.E
+
+    def nan_on_e22(x):
+        return np.full((2, 2), np.nan) if np.array_equal(x, E22) else E(x)
+
+    def stacked(rule):
+        return lambda xs: np.stack([rule(x) for x in xs])
+
+    with pytest.raises(InvalidMatrix):
+        ConditionalExpectation.from_rule(A, B, nan_on_e22)
+    with pytest.raises(InvalidMatrix):
+        ConditionalExpectation(A, B, stacked(nan_on_e22))
+    # every image of the wrong shape, or only one of them
+    for rule in (lambda x: np.eye(3), lambda x: np.eye(3) if np.array_equal(x, E22) else E(x)):
+        with pytest.raises(ShapeMismatch):
+            ConditionalExpectation.from_rule(A, B, rule)
+    with pytest.raises(ShapeMismatch):
+        ConditionalExpectation(A, B, lambda xs: xs.reshape(len(xs), -1))
 
 
 def test_off_target_check_reads_every_image_of_a_chunk(inclusion):

@@ -91,6 +91,38 @@ def test_formula_pre_check_tolerates_a_slightly_off_target_expectation(inclusion
         interior_angle_formula(off_target(1e-6), mu, delta, C=inclusion.delta)
 
 
+def test_formula_pre_check_refuses_an_expectation_off_target_only_outside_c(inclusion):
+    # E leaves the scalars only on e_12, which lies outside the diagonal C:
+    # E|_C is exact, but E is no expectation onto the scalars
+    mu = diagonal_quasi_basis(inclusion)
+    _, delta = conjugated_quasi_basis(inclusion, m2.rotation(math.pi / 8))
+    E, eps = inclusion.E, 1e-6
+
+    def rule(x):
+        return E(x) + eps * np.vdot(m2.E12, x) * (x - E(x))
+
+    for c in inclusion.delta.basis:
+        np.testing.assert_array_equal(rule(c), E(c))
+    off = ConditionalExpectation.from_rule(E.source, E.target, rule, E.quasi_basis)
+    with pytest.raises(NoQuasiBasis):
+        interior_angle_formula(off, mu, delta, C=inclusion.delta)
+
+
+def test_formula_pre_check_makes_no_single_matrix_expectation_calls(inclusion, monkeypatch):
+    u = m2.Unitary2(mx.random_unitary(2, mx.default_rng(3)))
+    f_u, delta = conjugated_quasi_basis(inclusion, u)
+    calls = []
+    call = ConditionalExpectation.__call__
+    monkeypatch.setattr(
+        ConditionalExpectation, "__call__", lambda self, x: calls.append(1) or call(self, x)
+    )
+    res = interior_angle_formula(
+        inclusion.E, diagonal_quasi_basis(inclusion), delta, C=inclusion.delta, D=f_u.target
+    )
+    assert calls == []
+    assert res.cos_value == pytest.approx(math.cos(m2.exact_angle(u)), abs=1e-8)
+
+
 def test_formula_verifies_quasi_basis_when_algebra_given(inclusion):
     with pytest.raises(NoQuasiBasis):
         interior_angle_formula(

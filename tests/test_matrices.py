@@ -247,3 +247,11 @@ def test_operator_norms_by_chunks_equal_the_single_norms(rng, monkeypatch):
         assert mx.operator_norms(mats).tolist() == want
         assert mx.operator_norms(np.stack(mats)).tolist() == want
     assert mx.operator_norms([]).shape == (0,)
+
+
+def test_sum_times_adjoint_skips_zero_matrices(rng):
+    mats = np.stack([mx.random_matrix(4, rng) for _ in range(7)])
+    mats[3] = 0.0  # adds nothing
+    want = sum(m @ mx.adjoint(m) for m in mats)
+    np.testing.assert_allclose(mx.sum_times_adjoint(mats), want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(mx.sum_times_adjoint(np.zeros((2, 3, 3))), np.zeros((3, 3)))
