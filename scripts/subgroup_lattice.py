@@ -3,10 +3,12 @@
 Times ``all_subgroups`` on S4, S5 and Z2xZ2xZ3xZ4 and
 ``lattice_route_sweep`` on S3, Z12, Z2^3, S4 and Z2xZ2xZ3xZ4 (order 48,
 so the definition route runs on group algebras of order 48), and prints
-one JSON object with the counts, the wall times (best of ``--repeats``)
-and the worst route deviation of each sweep.  Exits with status 1 unless
-the subgroup counts are 30, 156 and 54 and the sweeps check 16, 21, 259,
-1065 and 6424 triples with every deviation within 1e-7.
+one JSON object with the counts, the wall times (best of ``--repeats``),
+the worst route deviation of each sweep and the peak resident set size of
+the run (``ru_maxrss_mib``).  Exits with status 1 unless the subgroup
+counts are 30, 156 and 54, the sweeps check 16, 21, 259, 1065 and 6424
+triples with every deviation within 1e-7, and the run peaks at no more
+than 70 MiB.
 
     PYTHONPATH=src python scripts/subgroup_lattice.py [--repeats N]
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -34,6 +37,7 @@ SWEEPS = (
     ("Z2xZ2xZ3xZ4", lambda: FiniteGroup.direct_product([2, 2, 3, 4]), 6424),
 )
 ROUTE_TOL = 1e-7
+RSS_LIMIT_MIB = 70  # peak resident set size allowed to the run
 
 
 def best_of(repeats: int, fn):
@@ -66,7 +70,10 @@ def main(argv=None) -> int:
             "triples": count, "expected": expected, "worst_deviation": worst, "ms": ms,
         }
         ok &= count == expected and worst <= ROUTE_TOL
-    print(json.dumps({"all_subgroups": lattices, "sweeps": sweeps, "ok": ok}, indent=2))
+    peak = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+    ok &= peak <= RSS_LIMIT_MIB
+    report = {"all_subgroups": lattices, "sweeps": sweeps, "ru_maxrss_mib": peak, "ok": ok}
+    print(json.dumps(report, indent=2))
     return 0 if ok else 1
 
 

@@ -706,6 +706,7 @@ class ConditionalExpectation:
             "quasi_basis": None
             if self.quasi_basis is None
             else [matrix_to_json(m) for m in self.quasi_basis],
+            "name": self.name,
         }
 
     @classmethod
@@ -719,7 +720,7 @@ class ConditionalExpectation:
 
         qb = payload.get("quasi_basis")
         quasi = None if qb is None else [matrix_from_json(m) for m in qb]
-        return cls(source, target, rule, quasi)
+        return cls(source, target, rule, quasi, name=payload.get("name", "E"))
 
     def __repr__(self):
         return (
@@ -824,6 +825,18 @@ def verify_quasi_basis(
     :meth:`ConditionalExpectation.coordinates`) is no expectation onto that
     target, and fails the check.
     """
+    return _quasi_basis_core(E, lambdas, E.source.hs_coordinates(E.target.basis_stack), tol)
+
+
+def _quasi_basis_core(
+    E: ConditionalExpectation, lambdas: Sequence[np.ndarray], onto: np.ndarray, tol: float
+) -> bool:
+    """:func:`verify_quasi_basis`, from the target basis in source coordinates.
+
+    ``onto`` holds the HS coordinates of E's target basis over its source,
+    one row each, as a containment test of the target in the source takes
+    them (:func:`_intermediate_coordinates`).
+    """
     src, tgt, n = E.source, E.target, E.ambient_dim
     lams = _stack_of(lambdas, n)
     lams = lams[lams.reshape(len(lams), n * n).any(axis=1)]  # a zero element adds nothing
@@ -836,7 +849,6 @@ def verify_quasi_basis(
         t = E.coordinates(tol)
     except NumericIntegrityError:
         return False
-    onto = src.hs_coordinates(tgt.basis_stack)
     off_target = mx.frobenius_norm(src.combine(onto) - tgt.basis_stack)
     charge = np.linalg.norm(t) * (offs @ (2.0 * sizes + offs) + off_target * sizes @ sizes)
     d = src.dim
@@ -916,32 +928,41 @@ def restrict_expectation(
 
     Requires target(E) <= C <= source(E) and F mapping source(E) onto C,
     each within ``tol`` (:func:`_intermediate_coordinates`), and raises
-    :class:`NotIntermediate` otherwise.  The test of C <= source(E) also
-    gives C's basis in source coordinates, which the restriction itself
-    (:func:`_restrict_core`) reads, so C's basis is projected onto the
-    source once.  The F(l_i) that are exactly zero add nothing to either
-    identity and are left out of the derived quasi-basis.
+    :class:`NotIntermediate` otherwise.  The tests of target(E) <= C and of
+    C <= source(E) also give target(E)'s basis in C's coordinates and C's
+    basis in source coordinates, which the restriction itself
+    (:func:`_restrict_core`) reads, so neither basis is projected twice.
+    The F(l_i) that are exactly zero add nothing to either identity and are
+    left out of the derived quasi-basis.
     """
-    return _restrict_core(E, C, F, _intermediate_coordinates(E, C, F, tol), tol)
+    on_source, target_on_c = _intermediate_coordinates(E, C, F, tol)
+    return _restrict_core(E, C, F, on_source, target_on_c, _quasi_coordinates(E, F.source), tol)
+
+
+def _quasi_coordinates(E: ConditionalExpectation, alg: MatrixStarAlgebra) -> np.ndarray | None:
+    """E's quasi-basis in ``alg``'s HS coordinates, one row each; None when E carries none."""
+    return None if E.quasi_basis is None else alg.hs_coordinates(E.quasi_stack)
 
 
 def _intermediate_coordinates(
     E: ConditionalExpectation, C: MatrixStarAlgebra, F: ConditionalExpectation, tol: float
-) -> np.ndarray:
-    """The checks of :func:`restrict_expectation`; returns C's basis in source coordinates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of :func:`restrict_expectation`; returns the coordinates they take.
 
     Raises :class:`NotIntermediate` unless target(E) <= C <= source(E) and
-    F maps onto C, each at ``tol``.  C's coordinates come from the same pass
-    that tests C <= source(E).
+    F maps onto C, each at ``tol``.  Returns the coordinates of C's basis
+    over the source and those of target(E)'s basis over C, each from the
+    pass that tests the containment.
     """
-    if not C.contains_all(E.target.basis_stack, tol):
+    target_on_c = C._member_coordinates(E.target.basis_stack, tol)
+    if target_on_c is None:
         raise NotIntermediate("target(E) is not contained in C")
     on_source = E.source._member_coordinates(C.basis_stack, tol)
     if on_source is None:
         raise NotIntermediate("C is not contained in source(E)")
     if not F.target.same_span(C, tol):
         raise NotIntermediate("F does not map onto C")
-    return on_source
+    return on_source, target_on_c
 
 
 def _restrict_core(
@@ -949,24 +970,29 @@ def _restrict_core(
     C: MatrixStarAlgebra,
     F: ConditionalExpectation,
     on_source: np.ndarray,
+    target_on_c: np.ndarray,
+    quasi_coords: np.ndarray | None,
     tol: float,
 ) -> ConditionalExpectation:
-    """:func:`restrict_expectation` after its checks, from C's basis in source coordinates.
+    """:func:`restrict_expectation` after its checks, from coordinates already taken.
 
     E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
     rows: ``on_source`` (row j holds the <b_k, c_j>) times E's.  The derived
-    quasi-basis is checked by :func:`verify_quasi_basis`, and
+    quasi-basis is F's coordinate matrix applied to ``quasi_coords``, E's
+    quasi-basis in the coordinates of F's source (:func:`_quasi_coordinates`).
+    It is checked by the core of :func:`verify_quasi_basis` on
+    ``target_on_c``, target(E)'s basis in C's coordinates, and
     :class:`NoQuasiBasis` is raised when it fails.
     """
     quasi = None
-    if E.quasi_basis is not None:
-        coords = F.source.hs_coordinates(E.quasi_stack) @ F.coordinate_matrix
+    if quasi_coords is not None:
+        coords = quasi_coords @ F.coordinate_matrix
         quasi = F.target.combine(coords[coords.any(axis=1)])  # F.on_source, zeros left out
         quasi.setflags(write=False)  # shared by the expectation and the check
     restricted = ConditionalExpectation.from_coordinates(
         C, E.target, on_source @ E.coordinates(tol), quasi_basis=quasi, name=f"{E.name}|C"
     )
-    if quasi is not None and not verify_quasi_basis(restricted, quasi, tol):
+    if quasi is not None and not _quasi_basis_core(restricted, quasi, target_on_c, tol):
         raise NoQuasiBasis("derived quasi-basis {F(l_i)} failed verification")
     return restricted
 
@@ -983,49 +1009,71 @@ def compatibility_residual(
     also gives target(F)'s basis in source coordinates, which the residual
     itself (:func:`_compatibility_core`) reads.
     """
-    return _compatibility_core(E, F, _compatible_pair_coordinates(E, F, mx.DEFAULT_TOL))
+    on_source, _ = _compatible_pair_coordinates(E, F, mx.DEFAULT_TOL)
+    return float(_compatibility_core(E, [(F, on_source)])[0])
 
 
 def _compatible_pair_coordinates(
     E: ConditionalExpectation, F: ConditionalExpectation, tol: float
-) -> np.ndarray:
-    """The checks of :func:`compatibility_residual`; returns F's target basis in source coordinates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of :func:`compatibility_residual`; returns the coordinates they take.
 
     Raises :class:`NotIntermediate` unless E and F share their source and
-    target(E) <= target(F) <= source(E), each at ``tol``.  The coordinates
-    come from the same pass that tests target(F) <= source(E).
+    target(E) <= target(F) <= source(E), each at ``tol``.  Returns the
+    coordinates of target(F)'s basis over the source and those of
+    target(E)'s basis over target(F), each from the pass that tests the
+    containment.
     """
     src = E.source
     if not src.same_span(F.source, tol):
         raise NotIntermediate("E and F must share their source algebra")
-    if not F.target.contains_all(E.target.basis_stack, tol):
+    target_on_f = F.target._member_coordinates(E.target.basis_stack, tol)
+    if target_on_f is None:
         raise NotIntermediate("target(E) is not contained in target(F)")
     on_source = src._member_coordinates(F.target.basis_stack, tol)
     if on_source is None:
         raise NotIntermediate("target(F) is not contained in the source")
-    return on_source
+    return on_source, target_on_f
 
 
-def _compatibility_core(
-    E: ConditionalExpectation, F: ConditionalExpectation, on_source: np.ndarray
-) -> float:
-    """:func:`compatibility_residual` after its checks, from F's target basis in source coordinates.
+def _compatibility_core(E: ConditionalExpectation, pairs) -> np.ndarray:
+    """:func:`compatibility_residual` after its checks, for each (F, on_source) pair.
 
-    Both terms come from the coordinate matrices, as target coordinates of
-    E for every source basis element at once: F(x) in source coordinates is
-    F's coordinate matrix times ``on_source``.  The norms go through one
-    Frobenius screen and one stacked SVD.
+    ``on_source`` holds F's target basis in source coordinates.  Both terms
+    come from the coordinate matrices, as target coordinates of E for every
+    source basis element at once: F(x) in source coordinates is F's
+    coordinate matrix times ``on_source``.  Each pair's rows go through
+    their own Frobenius screen (:func:`~cstar_angles.matrices.norm_screen`),
+    and the survivors of every pair through one stacked SVD call, a chunk
+    of ``STACK_BUDGET_BYTES`` at a time.  A pair whose rows are all below
+    ``NOISE_FLOOR`` reports its largest Frobenius norm, as
+    :func:`~cstar_angles.matrices.max_operator_norm` does.
     """
-    src = E.source
-    t_e, t_f = E.coordinate_matrix, F.coordinate_matrix
-    if F.source is not src:
-        # F's coordinate rows belong to F's own source basis
-        t_f = F.source.hs_coordinates(src.basis_stack) @ t_f
-    # F(x) in source coordinates, then E of it in target coordinates
-    diff = t_e - (t_f @ on_source) @ t_e
-    # the target basis is HS-orthonormal, so row norms are Frobenius norms
-    keep = mx.norm_screen(np.linalg.norm(diff, axis=1), E.ambient_dim)
-    return mx.max_operator_norm(E.target.combine(diff[keep]))
+    src, n = E.source, E.ambient_dim
+    t_e = E.coordinate_matrix
+    residuals = np.zeros(len(pairs))
+    kept, owners = [], []
+    for i, (F, on_source) in enumerate(pairs):
+        t_f = F.coordinate_matrix
+        if F.source is not src:
+            # F's coordinate rows belong to F's own source basis
+            t_f = F.source.hs_coordinates(src.basis_stack) @ t_f
+        # F(x) in source coordinates, then E of it in target coordinates
+        diff = t_e - (t_f @ on_source) @ t_e
+        # the target basis is HS-orthonormal, so row norms are Frobenius norms
+        frobenius = np.linalg.norm(diff, axis=1)
+        residuals[i] = frobenius.max(initial=0.0)
+        if residuals[i] >= mx.NOISE_FLOOR:
+            keep = mx.norm_screen(frobenius, n)
+            kept.append(diff[keep])
+            owners.append(np.full(len(keep), i))
+    if kept:
+        rows, owners = np.concatenate(kept), np.concatenate(owners)
+        residuals[owners] = 0.0
+        for chunk in mx.stack_slices(len(rows), 16 * n * n):
+            norms = mx.operator_norms(E.target.combine(rows[chunk]))
+            np.maximum.at(residuals, owners[chunk], norms)
+    return residuals
 
 
 def is_compatible(

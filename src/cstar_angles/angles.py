@@ -136,9 +136,14 @@ def interior_angle_formula(
     intermediate algebras are supplied the quasi-bases are verified against
     them first (raising :class:`NoQuasiBasis` on failure).  The restrictions
     are taken by rows of E's coordinate matrix, so the check also fails for
-    an E whose images leave its target.
+    an E whose images leave its target.  An empty family is no quasi-basis
+    and raises :class:`NoQuasiBasis`.
     """
-    mus, deltas = (np.stack([mx.as_matrix(m) for m in mats]) for mats in (mu, delta))
+    mus, deltas = ([mx.as_matrix(m) for m in mats] for mats in (mu, delta))
+    for mats, label in ((mus, "C"), (deltas, "D")):
+        if not mats:
+            raise NoQuasiBasis(f"an empty family is no quasi-basis of E|_{label}")
+    mus, deltas = np.stack(mus), np.stack(deltas)
     for mats, alg, label in ((mus, C, "C"), (deltas, D, "D")):
         if alg is not None:
             rows = E.source.hs_coordinates(alg.basis_stack) @ E._t

@@ -109,6 +109,7 @@ from .algebra import (
     _compatibility_core,
     _compatible_pair_coordinates,
     _intermediate_coordinates,
+    _quasi_coordinates,
     _restrict_core,
     verify_quasi_basis,
 )
@@ -129,6 +130,8 @@ __all__ = [
     "build_tower_level",
     "dual_expectation_value",
     "iterate_tower",
+    "intermediate_data",
+    "intermediate_projections",
     "intermediate_dual_expectation",
 ]
 
@@ -615,47 +618,155 @@ def intermediate_data(
     checks run once, at ``min(tol, DEFAULT_TOL)``: C's basis is taken to
     A's coordinates by one pass when C is F's target, and that pass also
     tests C <= A and feeds the compatibility residual, the restricted
-    coordinate matrix and F's module matrix.  The postcondition norms and
-    ||e_C|| come from one stacked SVD call.
+    coordinate matrix and F's module matrix; the pass that tests B <= C
+    feeds the quasi-basis check.  It is the one-member case of
+    :func:`intermediate_projections`, through the same steps.
     """
-    E = level.expectation
-    check_tol = min(tol, mx.DEFAULT_TOL)
-    f_on_source = _compatible_pair_coordinates(E, F, check_tol)
-    if _compatibility_core(E, F, f_on_source) > tol:
-        raise NotCompatible("E does not factor through F (not a compatible pair)")
-    # with C = target(F) the checks of the restriction are those just run
-    c_on_source = f_on_source if C is F.target else _intermediate_coordinates(E, C, F, check_tol)
-    restricted = _restrict_core(E, C, F, c_on_source, tol)
-
-    e_b = level.jones_projection
-    d = len(e_b)
-    # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
-    # per quasi-basis element
-    w = np.swapaxes(level.embed(restricted.quasi_stack) @ level.jones_range, 0, 1)
-    w = w.reshape(d, -1)
-    e_c = w @ mx.adjoint(w)
-    del w
-
-    mod = level.module
-    e_f = mod._expectation_matrix(F, f_on_source if mod.algebra is E.source else None)
-    residuals, size = _projection_residuals(e_c, e_b, e_f)
-    bound = tol * (1.0 + size)
-    bad = {k: v for k, v in residuals.items() if v > bound}
-    if bad:
-        raise ConstructionFailure(f"intermediate projection failed: {bad}", residuals)
+    (member,) = _compatible_members(level, iter([(C, F)]), tol)
+    quasi_on_a = _quasi_coordinates(level.expectation, level.expectation.source)
+    e_c, e_f, restricted = _member_projection(level, member, quasi_on_a, tol)
+    _check_projections(e_c[None], level.jones_projection, e_f[None], tol)
     return e_c, restricted
 
 
-def _projection_residuals(e_c: np.ndarray, e_b: np.ndarray, e_f: np.ndarray) -> tuple[dict, float]:
-    """The postconditions of :func:`intermediate_data` and ||e_C||, from one stacked SVD call.
+def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
+    """The e_C of :func:`intermediate_data` for every (C, F) pair of an iterable.
 
-    The residuals are the operator norms of e_C - e_F (e_F the module
-    matrix of F), e_C^2 - e_C, e_C - e_C* and the larger of e_C e_B - e_B
-    and e_B e_C - e_B.
+    Returns them as one (k, d, d) stack in the order of ``members``, which
+    is read once, a chunk of members at a time
+    (:func:`_compatible_members`).  Each member's containment tests,
+    restriction, quasi-basis check and W W* run on it alone
+    (:func:`_member_projection`), with E's quasi-basis taken to A's
+    coordinates once for the family, and each member's C and F are freed
+    once its e_C is formed.  The compatibility residuals of a chunk come
+    from one stacked SVD call, and its postconditions and ||e_C|| from
+    another (:func:`_check_projections`).  Every check runs over the whole
+    chunk before the next, in the order of :func:`intermediate_data`, so a
+    family whose other members pass raises for a failing member what
+    :func:`intermediate_data` raises for it alone.
     """
-    norms = mx.operator_norms([
-        e_c - e_f, e_c @ e_c - e_c, e_c - mx.adjoint(e_c), e_c @ e_b - e_b, e_b @ e_c - e_b, e_c
-    ]).tolist()
+    E = level.expectation
+    d = level.module_dim
+    quasi_on_a = _quasi_coordinates(E, E.source)
+    pairs, stacks = iter(members), []
+    while chunk := _compatible_members(level, pairs, tol):
+        e_cs = np.empty((len(chunk), d, d), dtype=np.complex128)
+        e_fs = np.empty_like(e_cs)
+        chunk.reverse()  # taken from the end, so that each C and F is freed once used
+        for k in range(len(e_cs)):
+            e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop(), quasi_on_a, tol)
+        _check_projections(e_cs, level.jones_projection, e_fs, tol)
+        stacks.append(e_cs)
+        del e_fs  # freed before the next chunk is read
+    if len(stacks) == 1:
+        return stacks[0]
+    return np.concatenate(stacks) if stacks else np.empty((0, d, d), dtype=np.complex128)
+
+
+def _compatible_members(level: TowerLevel, pairs, tol: float) -> list[tuple]:
+    """The containment tests and compatibility residuals of the next chunk of (C, F) pairs.
+
+    Reads pairs from the iterator ``pairs`` until their C's bases and the
+    postcondition stacks of :func:`_check_projections` fill
+    ``STACK_BUDGET_BYTES``, or it runs out (an empty list then).  Returns
+    one (C, F, F's target basis over A, B's basis over F's target) tuple per
+    pair, the coordinates as the containment passes of
+    :func:`~cstar_angles.algebra._compatible_pair_coordinates` took them, at
+    ``min(tol, DEFAULT_TOL)``.  F is kept as its coordinate matrix, source
+    and target: no later step reads its quasi-basis, which is freed with
+    the caller's F.  The residuals of the chunk come from one
+    :func:`~cstar_angles.algebra._compatibility_core` call; one above
+    ``tol`` raises :class:`NotCompatible`.
+    """
+    E = level.expectation
+    check_tol = min(tol, mx.DEFAULT_TOL)
+    members, held = [], 0
+    for C, F in pairs:
+        coords = _compatible_pair_coordinates(E, F, check_tol)
+        F = ConditionalExpectation.from_coordinates(
+            F.source, F.target, F.coordinate_matrix, name=F.name
+        )
+        members.append((C, F, *coords))
+        held += C.basis_stack.nbytes + 6 * level.jones_projection.nbytes
+        if held >= mx.STACK_BUDGET_BYTES:
+            break
+    if np.any(_compatibility_core(E, [(F, f_on_a) for _, F, f_on_a, _ in members]) > tol):
+        raise NotCompatible("E does not factor through F (not a compatible pair)")
+    return members
+
+
+def _member_projection(
+    level: TowerLevel, member: tuple, quasi_on_a: np.ndarray | None, tol: float
+) -> tuple[np.ndarray, np.ndarray, ConditionalExpectation]:
+    """e_C, F's module matrix and the restricted E, for one member of :func:`_compatible_members`.
+
+    ``quasi_on_a`` holds E's quasi-basis in A's coordinates, read when F's
+    source is A.  With C = target(F) the checks of the restriction are
+    those :func:`_compatible_members` has run; otherwise they run here, at
+    ``min(tol, DEFAULT_TOL)``.
+    """
+    E = level.expectation
+    C, F, f_on_a, b_on_f = member
+    if C is F.target:
+        c_on_a, b_on_c = f_on_a, b_on_f
+    else:
+        c_on_a, b_on_c = _intermediate_coordinates(E, C, F, min(tol, mx.DEFAULT_TOL))
+    quasi = quasi_on_a if F.source is E.source else _quasi_coordinates(E, F.source)
+    restricted = _restrict_core(E, C, F, c_on_a, b_on_c, quasi, tol)
+    # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
+    # per quasi-basis element
+    w = np.swapaxes(level.embed(restricted.quasi_stack) @ level.jones_range, 0, 1)
+    w = w.reshape(level.module_dim, -1)
+    e_c = w @ mx.adjoint(w)
+    del w
+    mod = level.module
+    e_f = mod._expectation_matrix(F, f_on_a if mod.algebra is E.source else None)
+    return e_c, e_f, restricted
+
+
+def _check_projections(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray, tol: float):
+    """The postconditions of :func:`intermediate_data` on (k, d, d) stacks of e_C and e_F.
+
+    One :func:`_projection_norms` call per chunk of members under
+    ``STACK_BUDGET_BYTES``; a member whose residual exceeds
+    ``tol (1 + ||e_C||)`` raises :class:`ConstructionFailure`.
+    """
+    # charged per member: its six residual matrices
+    for rows in mx.stack_slices(len(e_cs), 6 * e_b.nbytes):
+        for norms in _projection_norms(e_cs[rows], e_b, e_fs[rows]):
+            residuals, size = _projection_residuals(norms)
+            bound = tol * (1.0 + size)
+            bad = {k: v for k, v in residuals.items() if v > bound}
+            if bad:
+                raise ConstructionFailure(f"intermediate projection failed: {bad}", residuals)
+
+
+def _projection_norms(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray) -> np.ndarray:
+    """Row k: the postcondition norms of member k and ||e_C||, from one stacked SVD call.
+
+    The operator norms of e_C - e_F (e_F the module matrix of F), e_C^2 -
+    e_C, e_C - e_C*, e_C e_B - e_B, e_B e_C - e_B and e_C, for the (k, d, d)
+    stacks ``e_cs`` and ``e_fs``.  Each product is written into the stack,
+    so no other array of its size is formed.
+    """
+    k, d = len(e_cs), len(e_b)
+    stack = np.empty((k, 6, d, d), dtype=np.complex128)
+    np.subtract(e_cs, e_fs, out=stack[:, 0])
+    np.matmul(e_cs, e_cs, out=stack[:, 1])
+    stack[:, 1] -= e_cs
+    np.conjugate(np.swapaxes(e_cs, 1, 2), out=stack[:, 2])
+    np.subtract(e_cs, stack[:, 2], out=stack[:, 2])
+    np.matmul(e_cs, e_b, out=stack[:, 3])
+    stack[:, 3] -= e_b
+    np.matmul(e_b, e_cs, out=stack[:, 4])
+    stack[:, 4] -= e_b
+    stack[:, 5] = e_cs
+    return mx.operator_norms(stack.reshape(-1, d, d)).reshape(k, 6)
+
+
+def _projection_residuals(norms: np.ndarray) -> tuple[dict, float]:
+    """The postconditions of :func:`intermediate_data` and ||e_C||, from a row of :func:`_projection_norms`."""
+    norms = norms.tolist()
     residuals = {
         "matches_expectation_matrix": norms[0],
         "idempotent": norms[1],

@@ -58,6 +58,7 @@ from .groups import (
 from .tower import (
     dual_expectation_value,
     intermediate_data,
+    intermediate_projections,
     intermediate_dual_expectation,
     iterate_tower,
 )
@@ -96,12 +97,15 @@ def lattice_route_sweep(G: FiniteGroup) -> tuple[int, float]:
 def lattice_route_cosines(G: FiniteGroup):
     """Yield (H, K, L, exact, numeric) over every (H, K, L) chain in G.
 
-    For each base H the definition route runs on stacks: D_K = e_K - e_B
-    over the m intermediates K, all norms ||E_1(D_K* D_K)||^(1/2) from one
-    stacked dual value, then for each K all numerators ||E_1(D_K* D_L)||
-    from one stacked dual value and one stacked SVD, so 1 + m dual-value
-    calls per H.  ``group_angle`` is called per triple and never read by
-    the numeric route.
+    For each base H the definition route runs on stacks.  One
+    :func:`~cstar_angles.tower.intermediate_projections` call gives the
+    e_K of all m intermediates K, taking their masking expectations from a
+    generator, so they are held only while H is processed; D_K = e_K - e_B.
+    E_1 is *-preserving, so ||E_1(D_K* D_L)|| = ||E_1(D_L* D_K)||: row K
+    takes the numerators of the L from K on, from one stacked dual value and
+    one stacked SVD, so m dual-value calls per H, and the denominators
+    ||E_1(D_K* D_K)||^(1/2) are read off the diagonal.  ``group_angle`` is
+    called per triple and never read by the numeric route.
     """
     subs = all_subgroups(G)
     for H in subs:
@@ -113,13 +117,16 @@ def lattice_route_cosines(G: FiniteGroup):
             continue
         inc = group_algebra_inclusion(G, H)
         level = inc.tower(materialize=False, check=False)
-        diffs = np.stack(
-            [intermediate_data(level, *_onto(inc, K))[0] for K in inters]
-        ) - level.jones_projection
-        dens = np.sqrt(mx.operator_norms(level.dual_value(mx.adjoint(diffs) @ diffs)))
-        for K, d_k, den_k in zip(inters, diffs, dens):
-            nums = mx.operator_norms(level.dual_value(mx.adjoint(d_k) @ diffs))
-            for L, num, den_l in zip(inters, nums, dens):
+        diffs = intermediate_projections(level, (_onto(inc, K) for K in inters))
+        diffs -= level.jones_projection
+        nums = np.empty((len(inters), len(inters)))
+        for i, d_k in enumerate(diffs):
+            nums[i, i:] = mx.operator_norms(level.dual_value(mx.adjoint(d_k) @ diffs[i:]))
+            nums[i:, i] = nums[i, i:]
+        del inc, level, diffs
+        dens = np.sqrt(np.diagonal(nums))
+        for K, row, den_k in zip(inters, nums, dens):
+            for L, num, den_l in zip(inters, row, dens):
                 numeric = _result(float(num), float(den_k), float(den_l), Route.DEFINITION)
                 yield H, K, L, group_angle(G, H, K, L), numeric
 

@@ -387,6 +387,15 @@ def test_expectation_json_roundtrip(inclusion):
     assert verify_quasi_basis(rebuilt, rebuilt.quasi_basis)
 
 
+def test_expectation_json_keeps_the_name(inclusion):
+    assert inclusion.F.name != "E"
+    payload = json.loads(json.dumps(inclusion.F.to_json()))
+    assert ConditionalExpectation.from_json(payload).name == inclusion.F.name
+    # a payload written without the field loads with the default name
+    del payload["name"]
+    assert ConditionalExpectation.from_json(payload).name == "E"
+
+
 # ---------------------------------------------------------------------------
 # the coordinate matrix against per-element references
 

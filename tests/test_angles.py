@@ -123,6 +123,15 @@ def test_formula_pre_check_makes_no_single_matrix_expectation_calls(inclusion, m
     assert res.cos_value == pytest.approx(math.cos(m2.exact_angle(u)), abs=1e-8)
 
 
+def test_formula_rejects_an_empty_family(inclusion):
+    mu = diagonal_quasi_basis(inclusion)
+    for families in (([], mu), (mu, []), ([], []), (np.zeros((0, 2, 2)), mu)):
+        with pytest.raises(NoQuasiBasis, match="empty family"):
+            interior_angle_formula(inclusion.E, *families)
+        with pytest.raises(NoQuasiBasis, match="empty family"):
+            interior_angle_formula(inclusion.E, *families, C=inclusion.delta, D=inclusion.delta)
+
+
 def test_formula_verifies_quasi_basis_when_algebra_given(inclusion):
     with pytest.raises(NoQuasiBasis):
         interior_angle_formula(

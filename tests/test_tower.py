@@ -745,7 +745,9 @@ def test_dual_value_matches_per_element_sum(tower_level, rng):
         )
 
 
-@pytest.mark.parametrize("budget", [mx.STACK_BUDGET_BYTES, 1])
+@pytest.mark.parametrize(
+    "budget", [mx.STACK_BUDGET_BYTES, 1], ids=["default_budget", "one_member_per_chunk"]
+)
 def test_stacked_dual_value_matches_per_element_sum(
     tower_level, c_plus_m2, rng, monkeypatch, budget
 ):
@@ -1240,3 +1242,99 @@ def test_intermediate_data_fails_as_the_composed_checks(tower_level, inclusion):
             intermediate_data_composed(level, C, F)
         with pytest.raises(error):
             intermediate_data(level, C, F)
+
+
+def test_intermediate_data_takes_b_to_c_by_one_coordinate_pass(tower_level, inclusion, monkeypatch):
+    # the containment test B <= C and the quasi-basis check share one pass
+    hs_coordinates = MatrixStarAlgebra.hs_coordinates
+    for name, level, C, F in intermediate_cases(tower_level, inclusion):
+        B, passes = level.expectation.target, []
+
+        def counted(alg, x):
+            if alg is C and np.shares_memory(x, B._flat):
+                passes.append(len(x))
+            return hs_coordinates(alg, x)
+
+        monkeypatch.setattr(MatrixStarAlgebra, "hs_coordinates", counted)
+        intermediate_data(level, C, F)
+        assert sum(passes) == B.dim, name
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# intermediate_projections: a family of members in one call
+
+
+def _z4_perturbed(z4, k, j):
+    """(C[Z4], F) with F the identity of C[Z4] plus b_k -> b_j, b the basis of C[Z4]."""
+    t = np.eye(z4.A.dim)
+    t[k, j] = 1.0
+    return z4.A, ConditionalExpectation.from_coordinates(z4.A, z4.A, t, name="F")
+
+
+def test_intermediate_projections_fail_as_the_failing_member_alone():
+    z4 = z4_over_z2()
+    level = z4.tower()
+    G = z4.group
+    good = [_onto(z4.expectation_onto(K)) for K in all_subgroups(G) if z4.subgroup.issubset(K)]
+    assert len(good) == 2
+    trivial = _masking_expectation(z4.A, trivial_subgroup(G), range(4), "F")
+    bad = [
+        # onto the trivial subgroup, which misses Z2
+        (NotIntermediate, _onto(trivial)),
+        # E(F(b_1)) = E(b_1 + b_0) = b_0, where E(b_1) = 0
+        (NotCompatible, _z4_perturbed(z4, 1, 0)),
+        # compatible, but {F(l_i)} = {b_0, b_1 + b_3} up to scale is no quasi-basis
+        (NoQuasiBasis, _z4_perturbed(z4, 1, 3)),
+        # the quasi-basis {F(l_i)} is E's own, so e_C = 1, but F is no identity
+        (ConstructionFailure, _z4_perturbed(z4, 2, 1)),
+    ]
+    want = np.stack([intermediate_data(level, C, F)[0] for C, F in good])
+    assert np.abs(tower.intermediate_projections(level, iter(good)) - want).max() == 0.0
+    for error, member in bad:
+        with pytest.raises(error) as alone:
+            intermediate_data(level, *member)
+        for family in ([member, *good], [good[0], member, good[1]], [*good, member]):
+            with pytest.raises(error) as failure:
+                tower.intermediate_projections(level, iter(family))
+            assert str(failure.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "budget", [mx.STACK_BUDGET_BYTES, 1], ids=["default_budget", "one_member_per_chunk"]
+)
+def test_intermediate_projections_match_the_composed_checks(tower_level, inclusion, monkeypatch, budget):
+    families = {}  # the cases of one level form one family, in their order
+    for name, level, C, F in intermediate_cases(tower_level, inclusion):
+        families.setdefault(id(level), (level, []))[1].append((name, C, F))
+    recorded, chunks = [], []
+    residuals_of, members_of = tower._projection_residuals, tower._compatible_members
+
+    def recording(*args):
+        residuals, size = residuals_of(*args)
+        recorded.append(residuals)
+        return residuals, size
+
+    def chunked(*args):
+        members = members_of(*args)
+        chunks.append(len(members))
+        return members
+
+    monkeypatch.setattr(tower, "_projection_residuals", recording)
+    monkeypatch.setattr(tower, "_compatible_members", chunked)
+    monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+    assert any(len(cases) > 1 for _, cases in families.values())
+    for level, cases in families.values():
+        chunks.clear()
+        e_cs = tower.intermediate_projections(level, ((C, F) for _, C, F in cases))
+        # the reads of the iterator, the last one finding it empty
+        assert chunks[-1] == 0 and sum(chunks) == len(cases)
+        if budget == 1:
+            assert chunks[:-1] == [1] * len(cases)
+        got = recorded[-len(cases):]
+        for (name, C, F), e_c, residuals in zip(cases, e_cs, got):
+            want_e, _, want_residuals = intermediate_data_composed(level, C, F)
+            assert np.abs(e_c - want_e).max() <= 1e-13, name
+            assert residuals.keys() == want_residuals.keys()
+            for key, want in want_residuals.items():
+                assert abs(residuals[key] - want) <= 1e-13, (name, key)

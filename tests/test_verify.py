@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cstar_angles.angles import interior_angle_definition
 from cstar_angles.groups import FiniteGroup, group_algebra_inclusion
 from cstar_angles.tower import intermediate_data
 from cstar_angles.verify import (
@@ -98,6 +99,26 @@ def test_lattice_sweep_matches_per_pair_reference(G, triples):
         assert abs(exact.cos_value - numeric.cos_value) <= 1e-7
     count, worst = lattice_route_sweep(G)
     assert count == triples and worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "G, triples",
+    [(FiniteGroup.symmetric(3), 16), (FiniteGroup.direct_product([2, 2, 2]), 259)],
+    ids=["S3", "Z2xZ2xZ2"],
+)
+def test_lattice_sweep_matches_the_definition_route_per_triple(G, triples):
+    # the oracle runs intermediate_data once per expectation and the
+    # definition on one pair, with no stack shared between triples
+    count, levels = 0, {}
+    for H, K, L, _, numeric in lattice_route_cosines(G):
+        if H not in levels:
+            inc = group_algebra_inclusion(G, H)
+            levels[H] = (inc, inc.tower(materialize=False, check=False))
+        inc, level = levels[H]
+        want = interior_angle_definition(level, inc.expectation_onto(K), inc.expectation_onto(L))
+        assert abs(numeric.cos_value - want.cos_value) <= 1e-12, (H, K, L)
+        count += 1
+    assert count == triples
 
 
 def test_package_has_no_assert_statements():
