@@ -745,9 +745,7 @@ def test_dual_value_matches_per_element_sum(tower_level, rng):
         )
 
 
-@pytest.mark.parametrize(
-    "budget", [mx.STACK_BUDGET_BYTES, 1], ids=["default_budget", "one_member_per_chunk"]
-)
+@pytest.mark.parametrize("budget", [mx.STACK_BUDGET_BYTES, 1])
 def test_stacked_dual_value_matches_per_element_sum(
     tower_level, c_plus_m2, rng, monkeypatch, budget
 ):
@@ -1300,9 +1298,7 @@ def test_intermediate_projections_fail_as_the_failing_member_alone():
             assert str(failure.value) == str(alone.value)
 
 
-@pytest.mark.parametrize(
-    "budget", [mx.STACK_BUDGET_BYTES, 1], ids=["default_budget", "one_member_per_chunk"]
-)
+@pytest.mark.parametrize("budget", [mx.STACK_BUDGET_BYTES, 1])
 def test_intermediate_projections_match_the_composed_checks(tower_level, inclusion, monkeypatch, budget):
     families = {}  # the cases of one level form one family, in their order
     for name, level, C, F in intermediate_cases(tower_level, inclusion):
