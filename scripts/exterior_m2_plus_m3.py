@@ -127,7 +127,7 @@ def tensor_fixture():
     F = ConditionalExpectation.from_rule(
         A, C, lambda x: sum(p @ x @ p for p in corners), quasi_basis=quasi, name="F"
     )
-    return build_tower_level(A, B, E), F
+    return build_tower_level(E), F
 
 
 def tensor_deviations(seed: int) -> dict:
@@ -156,8 +156,8 @@ def tensor_deviations(seed: int) -> dict:
 def block_sum_case(seed: int, sizes) -> dict:
     """Both interior and both exterior routes on the block sum of ``sizes``, with its wall time."""
     start = time.perf_counter()
-    A, B, C, E, F, F_prime = fixture(seed, sizes)
-    level = build_tower_level(A, B, E)
+    _, _, C, E, F, F_prime = fixture(seed, sizes)
+    level = build_tower_level(E)
     mu = restrict_expectation(E, C, F).quasi_basis
     delta = restrict_expectation(E, F_prime.target, F_prime).quasi_basis
     formula = interior_angle_formula(E, mu, delta).cos_value

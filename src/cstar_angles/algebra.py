@@ -835,7 +835,7 @@ def _quasi_basis_core(
 
     ``onto`` holds the HS coordinates of E's target basis over its source,
     one row each, as a containment test of the target in the source takes
-    them (:func:`_intermediate_coordinates`).
+    them (:func:`_compatible_pair_coordinates`).
     """
     src, tgt, n = E.source, E.target, E.ambient_dim
     lams = _stack_of(lambdas, n)
@@ -924,19 +924,23 @@ def restrict_expectation(
     F: ConditionalExpectation,
     tol: float = mx.DEFAULT_TOL,
 ) -> ConditionalExpectation:
-    """E restricted to an intermediate C, with derived quasi-basis {F(l_i)}.
+    """E restricted to the intermediate target(F) = C, with derived quasi-basis {F(l_i)}.
 
-    Requires target(E) <= C <= source(E) and F mapping source(E) onto C,
-    each within ``tol`` (:func:`_intermediate_coordinates`), and raises
-    :class:`NotIntermediate` otherwise.  The tests of target(E) <= C and of
-    C <= source(E) also give target(E)'s basis in C's coordinates and C's
-    basis in source coordinates, which the restriction itself
+    Raises :class:`NotIntermediate` unless F's target spans C, and then
+    unless E and F share their source and target(E) <= target(F) <=
+    source(E), each within ``tol`` (:func:`_compatible_pair_coordinates`).
+    The tests of target(E) <= target(F) and of target(F) <= source(E) also
+    give target(E)'s basis in target(F)'s coordinates and target(F)'s basis
+    in source coordinates, which the restriction itself
     (:func:`_restrict_core`) reads, so neither basis is projected twice.
-    The F(l_i) that are exactly zero add nothing to either identity and are
-    left out of the derived quasi-basis.
+    The restriction's source is F's target.  The F(l_i) that are exactly
+    zero add nothing to either identity and are left out of the derived
+    quasi-basis.
     """
-    on_source, target_on_c = _intermediate_coordinates(E, C, F, tol)
-    return _restrict_core(E, C, F, on_source, target_on_c, _quasi_coordinates(E, F.source), tol)
+    if not F.target.same_span(C, tol):
+        raise NotIntermediate("F does not map onto C")
+    on_source, target_on_f = _compatible_pair_coordinates(E, F, tol)
+    return _restrict_core(E, F, on_source, target_on_f, _quasi_coordinates(E, F.source), tol)
 
 
 def _quasi_coordinates(E: ConditionalExpectation, alg: MatrixStarAlgebra) -> np.ndarray | None:
@@ -944,45 +948,24 @@ def _quasi_coordinates(E: ConditionalExpectation, alg: MatrixStarAlgebra) -> np.
     return None if E.quasi_basis is None else alg.hs_coordinates(E.quasi_stack)
 
 
-def _intermediate_coordinates(
-    E: ConditionalExpectation, C: MatrixStarAlgebra, F: ConditionalExpectation, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of :func:`restrict_expectation`; returns the coordinates they take.
-
-    Raises :class:`NotIntermediate` unless target(E) <= C <= source(E) and
-    F maps onto C, each at ``tol``.  Returns the coordinates of C's basis
-    over the source and those of target(E)'s basis over C, each from the
-    pass that tests the containment.
-    """
-    target_on_c = C._member_coordinates(E.target.basis_stack, tol)
-    if target_on_c is None:
-        raise NotIntermediate("target(E) is not contained in C")
-    on_source = E.source._member_coordinates(C.basis_stack, tol)
-    if on_source is None:
-        raise NotIntermediate("C is not contained in source(E)")
-    if not F.target.same_span(C, tol):
-        raise NotIntermediate("F does not map onto C")
-    return on_source, target_on_c
-
-
 def _restrict_core(
     E: ConditionalExpectation,
-    C: MatrixStarAlgebra,
     F: ConditionalExpectation,
     on_source: np.ndarray,
-    target_on_c: np.ndarray,
+    target_on_f: np.ndarray,
     quasi_coords: np.ndarray | None,
     tol: float,
 ) -> ConditionalExpectation:
     """:func:`restrict_expectation` after its checks, from coordinates already taken.
 
     E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
-    rows: ``on_source`` (row j holds the <b_k, c_j>) times E's.  The derived
-    quasi-basis is F's coordinate matrix applied to ``quasi_coords``, E's
-    quasi-basis in the coordinates of F's source (:func:`_quasi_coordinates`).
-    It is checked by the core of :func:`verify_quasi_basis` on
-    ``target_on_c``, target(E)'s basis in C's coordinates, and
-    :class:`NoQuasiBasis` is raised when it fails.
+    rows: ``on_source`` (row j holds the <b_k, c_j> for F's target basis
+    {c_j}) times E's.  The derived quasi-basis is F's coordinate matrix
+    applied to ``quasi_coords``, E's quasi-basis in the coordinates of F's
+    source (:func:`_quasi_coordinates`).  It is checked by the core of
+    :func:`verify_quasi_basis` on ``target_on_f``, target(E)'s basis in
+    target(F)'s coordinates, and :class:`NoQuasiBasis` is raised when it
+    fails.
     """
     quasi = None
     if quasi_coords is not None:
@@ -990,9 +973,9 @@ def _restrict_core(
         quasi = F.target.combine(coords[coords.any(axis=1)])  # F.on_source, zeros left out
         quasi.setflags(write=False)  # shared by the expectation and the check
     restricted = ConditionalExpectation.from_coordinates(
-        C, E.target, on_source @ E.coordinates(tol), quasi_basis=quasi, name=f"{E.name}|C"
+        F.target, E.target, on_source @ E.coordinates(tol), quasi_basis=quasi, name=f"{E.name}|C"
     )
-    if quasi is not None and not _quasi_basis_core(restricted, quasi, target_on_c, tol):
+    if quasi is not None and not _quasi_basis_core(restricted, quasi, target_on_f, tol):
         raise NoQuasiBasis("derived quasi-basis {F(l_i)} failed verification")
     return restricted
 

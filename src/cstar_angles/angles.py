@@ -45,7 +45,7 @@ from .algebra import (
     MatrixStarAlgebra,
     verify_quasi_basis,
 )
-from .errors import DegenerateIntermediate, NoQuasiBasis, NumericIntegrityError
+from .errors import DegenerateIntermediate, NoQuasiBasis, NotInAlgebra, NumericIntegrityError
 from .tower import (
     TowerLevel,
     _dual_expectation_from,
@@ -134,7 +134,8 @@ def interior_angle_formula(
 
     ``mu`` and ``delta`` are quasi-bases of E|_C and E|_D.  When the
     intermediate algebras are supplied the quasi-bases are verified against
-    them first (raising :class:`NoQuasiBasis` on failure).  The restrictions
+    them first (raising :class:`NoQuasiBasis` on failure, also for a family
+    element outside its algebra).  The restrictions
     are taken by rows of E's coordinate matrix, so the check also fails for
     an E whose images leave its target.  An empty family is no quasi-basis
     and raises :class:`NoQuasiBasis`.
@@ -149,7 +150,11 @@ def interior_angle_formula(
             rows = E.source.hs_coordinates(alg.basis_stack) @ E._t
             restricted = ConditionalExpectation.from_coordinates(alg, E.target, rows)
             check_tol = max(tol, 1e-8)
-            if not verify_quasi_basis(restricted, mats, check_tol) or E._off_target[0] > check_tol:
+            try:
+                verified = verify_quasi_basis(restricted, mats, check_tol)
+            except NotInAlgebra as exc:
+                raise NoQuasiBasis(f"family has an element outside {label}") from exc
+            if not verified or E._off_target[0] > check_tol:
                 raise NoQuasiBasis(f"family is not a quasi-basis of E|_{label}")
 
     n = E.ambient_dim
@@ -200,8 +205,8 @@ def interior_angle_definition(
     tol: float = mx.DEFAULT_TOL,
 ) -> AngleResult:
     """Interior angle from Jones projections in the basic construction."""
-    e_c, restricted_c = intermediate_data(level, F.target, F, tol)
-    e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime, tol)
+    e_c, restricted_c = intermediate_data(level, F, tol)
+    e_d, restricted_d = intermediate_data(level, F_prime, tol)
     _check_degenerate(restricted_c.index_element(tol), "C")
     _check_degenerate(restricted_d.index_element(tol), "D")
     return angle_from_projections(level, e_c, e_d)
@@ -301,14 +306,14 @@ def exterior_angle(
     if F_prime.target.same_span(level.algebra, tol):
         raise DegenerateIntermediate("D equals A; exterior angle undefined")
 
-    e_c, restricted_c = intermediate_data(level, F.target, F, tol)
-    e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime, tol)
+    e_c, restricted_c = intermediate_data(level, F, tol)
+    e_d, restricted_d = intermediate_data(level, F_prime, tol)
     g_c = _dual_expectation_from(level, e_c, restricted_c, tol)
     g_d = _dual_expectation_from(level, e_d, restricted_d, tol)
 
     level2 = iterate_tower(level, tol=tol)
-    e_c1 = intermediate_data(level2, g_c.target, g_c, tol)[0]
-    e_d1 = intermediate_data(level2, g_d.target, g_d, tol)[0]
+    e_c1 = intermediate_data(level2, g_c, tol)[0]
+    e_d1 = intermediate_data(level2, g_d, tol)[0]
     result = angle_from_projections(level2, e_c1, e_d1)
 
     num_x, den1_x, den2_x = _exterior_closed_expressions(

@@ -219,7 +219,9 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
-        if n < 1 or n > 5:
+        if n < 1:
+            raise InvalidGroup("symmetric degree must be positive")
+        if n > 5:
             raise TooLarge("symmetric groups supported up to S5")
         elements = list(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(elements)}
@@ -611,7 +613,7 @@ class GroupInclusion:
 
     def tower(self, *, materialize: bool = False, check: bool = True) -> TowerLevel:
         return build_tower_level(
-            self.A, self.B, self.E, module=self.module,
+            self.E, module=self.module,
             materialize=materialize, check=check,
         )
 

@@ -156,7 +156,7 @@ def canonical_tower(
     inclusion: M2Inclusion | None = None, *, materialize: bool = True
 ) -> TowerLevel:
     inc = inclusion or canonical_inclusion()
-    return build_tower_level(inc.A, inc.B, inc.E, materialize=materialize)
+    return build_tower_level(inc.E, materialize=materialize)
 
 
 def embed(x) -> np.ndarray:
@@ -317,7 +317,7 @@ def hadamard_gap_demo(u, tol: float = mx.DEFAULT_TOL) -> GapDemo:
     uu = _coerce(u)
     inc = canonical_inclusion()
     level = canonical_tower(inc, materialize=False)
-    e_delta = intermediate_data(level, inc.delta, inc.F)[0]
+    e_delta = intermediate_data(level, inc.F)[0]
     lu = embed(uu.matrix)
     conjugated = lu @ e_delta @ mx.adjoint(lu)
     direct = closed_form_eD(uu)

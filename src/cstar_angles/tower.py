@@ -88,10 +88,13 @@ level keep their dense operands: e_B's own laws, the postconditions of
 e_C against e_B and the expectation matrix, and left multiplication are
 taken on the matrices themselves, never on V.
 
-Iterating: a :class:`TowerLevel` is itself a valid (algebra, subalgebra,
-expectation) triple one rung up, with A embedded into A_1 as {L_x}, so the
-same constructor produces level two, giving e_2 and E_2 for exterior
-angles; its A_2 too is built only if it is read.
+An inclusion is named by its expectation: :func:`build_tower_level`
+takes E alone, with A = E.source and B = E.target, and an intermediate C
+is named by its compatible expectation F, with C = F.target.  Iterating:
+the dual expectation E_1 : A_1 -> {L_x} of a :class:`TowerLevel` names
+the inclusion one rung up, so the same constructor produces level two,
+giving e_2 and E_2 for exterior angles; its A_2 too is built only if it is
+read.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ from .algebra import (
     _centrality_residual,
     _compatibility_core,
     _compatible_pair_coordinates,
-    _intermediate_coordinates,
     _quasi_coordinates,
     _restrict_core,
     verify_quasi_basis,
@@ -271,8 +273,8 @@ class TowerLevel:
     (x V)(V* y) (:meth:`_through_jones`); the checks read e_B itself.
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
-    the next rung in ``_rungs``, keyed by its ``(check, tol)``, so level two
-    is built once per level and freed with it.
+    the next rung in ``_rungs``, keyed by its ``tol``, so level two is built
+    once per level and freed with it.
     """
 
     algebra: MatrixStarAlgebra
@@ -546,8 +548,6 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
 
 
 def build_tower_level(
-    A: MatrixStarAlgebra,
-    B: MatrixStarAlgebra,
     E: ConditionalExpectation,
     *,
     module=None,
@@ -555,7 +555,7 @@ def build_tower_level(
     check: bool = True,
     tol: float = mx.DEFAULT_TOL,
 ) -> TowerLevel:
-    """Construct the basic-construction level for (B <= A, E).
+    """Construct the basic-construction level for (B <= A, E), with A = E.source and B = E.target.
 
     ``materialize`` reads ``basic_construction``, ``embedded_algebra`` and
     ``dual_expectation`` at once instead of on first use.  Raises
@@ -563,12 +563,9 @@ def build_tower_level(
     is not inside A, and :class:`ConstructionFailure` with a residual
     report when an invariant check fails.
     """
+    A, B = E.source, E.target
     if E.quasi_basis is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
-    if not E.source.same_span(A, tol):
-        raise NotIntermediate("E.source must be A")
-    if not E.target.same_span(B, tol):
-        raise NotIntermediate("E must map onto B")
     if not A.contains_all(B.basis_stack, tol):
         raise NotIntermediate("B is not contained in A")
 
@@ -599,11 +596,10 @@ def build_tower_level(
 
 def intermediate_data(
     level: TowerLevel,
-    C: MatrixStarAlgebra,
     F: ConditionalExpectation,
     tol: float = mx.DEFAULT_TOL,
 ) -> tuple[np.ndarray, ConditionalExpectation]:
-    """Jones projection of a compatible intermediate, plus the restricted E.
+    """Jones projection of the compatible intermediate C = target(F), plus the restricted E.
 
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* over any quasi-basis {mu_j} of the
     restriction of E to C, formed as W W* with W = [L_{mu_1} V ... L_{mu_p} V]
@@ -616,13 +612,13 @@ def intermediate_data(
     ``tol``: :class:`NotCompatible`), then
     :func:`~cstar_angles.algebra.restrict_expectation`, with each of their
     checks run once, at ``min(tol, DEFAULT_TOL)``: C's basis is taken to
-    A's coordinates by one pass when C is F's target, and that pass also
-    tests C <= A and feeds the compatibility residual, the restricted
-    coordinate matrix and F's module matrix; the pass that tests B <= C
-    feeds the quasi-basis check.  It is the one-member case of
-    :func:`intermediate_projections`, through the same steps.
+    A's coordinates by one pass, which also tests C <= A and feeds the
+    compatibility residual, the restricted coordinate matrix and F's module
+    matrix; the pass that tests B <= C feeds the quasi-basis check.  It is
+    the one-member case of :func:`intermediate_projections`, through the
+    same steps.
     """
-    (member,) = _compatible_members(level, iter([(C, F)]), tol)
+    (member,) = _compatible_members(level, iter([F]), tol)
     quasi_on_a = _quasi_coordinates(level.expectation, level.expectation.source)
     e_c, e_f, restricted = _member_projection(level, member, quasi_on_a, tol)
     _check_projections(e_c[None], level.jones_projection, e_f[None], tol)
@@ -630,15 +626,15 @@ def intermediate_data(
 
 
 def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
-    """The e_C of :func:`intermediate_data` for every (C, F) pair of an iterable.
+    """The e_C of :func:`intermediate_data` for every expectation F of an iterable.
 
     Returns them as one (k, d, d) stack in the order of ``members``, which
     is read once, a chunk of members at a time
     (:func:`_compatible_members`).  Each member's containment tests,
     restriction, quasi-basis check and W W* run on it alone
     (:func:`_member_projection`), with E's quasi-basis taken to A's
-    coordinates once for the family, and each member's C and F are freed
-    once its e_C is formed.  The compatibility residuals of a chunk come
+    coordinates once for the family, and each member's F is freed once its
+    e_C is formed.  The compatibility residuals of a chunk come
     from one stacked SVD call, and its postconditions and ||e_C|| from
     another (:func:`_check_projections`).  Every check runs over the whole
     chunk before the next, in the order of :func:`intermediate_data`, so a
@@ -648,11 +644,11 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     E = level.expectation
     d = level.module_dim
     quasi_on_a = _quasi_coordinates(E, E.source)
-    pairs, stacks = iter(members), []
-    while chunk := _compatible_members(level, pairs, tol):
+    members, stacks = iter(members), []
+    while chunk := _compatible_members(level, members, tol):
         e_cs = np.empty((len(chunk), d, d), dtype=np.complex128)
         e_fs = np.empty_like(e_cs)
-        chunk.reverse()  # taken from the end, so that each C and F is freed once used
+        chunk.reverse()  # taken from the end, so that each F is freed once used
         for k in range(len(e_cs)):
             e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop(), quasi_on_a, tol)
         _check_projections(e_cs, level.jones_projection, e_fs, tol)
@@ -663,14 +659,15 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     return np.concatenate(stacks) if stacks else np.empty((0, d, d), dtype=np.complex128)
 
 
-def _compatible_members(level: TowerLevel, pairs, tol: float) -> list[tuple]:
-    """The containment tests and compatibility residuals of the next chunk of (C, F) pairs.
+def _compatible_members(level: TowerLevel, expectations, tol: float) -> list[tuple]:
+    """The containment tests and compatibility residuals of the next chunk of expectations.
 
-    Reads pairs from the iterator ``pairs`` until their C's bases and the
-    postcondition stacks of :func:`_check_projections` fill
-    ``STACK_BUDGET_BYTES``, or it runs out (an empty list then).  Returns
-    one (C, F, F's target basis over A, B's basis over F's target) tuple per
-    pair, the coordinates as the containment passes of
+    Reads expectations F from the iterator ``expectations`` until their
+    targets' bases and the postcondition stacks of
+    :func:`_check_projections` fill ``STACK_BUDGET_BYTES``, or it runs out
+    (an empty list then).  Returns one (F, F's target basis over A, B's
+    basis over F's target) tuple per F, the coordinates as the containment
+    passes of
     :func:`~cstar_angles.algebra._compatible_pair_coordinates` took them, at
     ``min(tol, DEFAULT_TOL)``.  F is kept as its coordinate matrix, source
     and target: no later step reads its quasi-basis, which is freed with
@@ -681,16 +678,16 @@ def _compatible_members(level: TowerLevel, pairs, tol: float) -> list[tuple]:
     E = level.expectation
     check_tol = min(tol, mx.DEFAULT_TOL)
     members, held = [], 0
-    for C, F in pairs:
+    for F in expectations:
         coords = _compatible_pair_coordinates(E, F, check_tol)
         F = ConditionalExpectation.from_coordinates(
             F.source, F.target, F.coordinate_matrix, name=F.name
         )
-        members.append((C, F, *coords))
-        held += C.basis_stack.nbytes + 6 * level.jones_projection.nbytes
+        members.append((F, *coords))
+        held += F.target.basis_stack.nbytes + 6 * level.jones_projection.nbytes
         if held >= mx.STACK_BUDGET_BYTES:
             break
-    if np.any(_compatibility_core(E, [(F, f_on_a) for _, F, f_on_a, _ in members]) > tol):
+    if np.any(_compatibility_core(E, [(F, f_on_a) for F, f_on_a, _ in members]) > tol):
         raise NotCompatible("E does not factor through F (not a compatible pair)")
     return members
 
@@ -701,18 +698,13 @@ def _member_projection(
     """e_C, F's module matrix and the restricted E, for one member of :func:`_compatible_members`.
 
     ``quasi_on_a`` holds E's quasi-basis in A's coordinates, read when F's
-    source is A.  With C = target(F) the checks of the restriction are
-    those :func:`_compatible_members` has run; otherwise they run here, at
-    ``min(tol, DEFAULT_TOL)``.
+    source is A.  The checks of the restriction are those
+    :func:`_compatible_members` has run.
     """
     E = level.expectation
-    C, F, f_on_a, b_on_f = member
-    if C is F.target:
-        c_on_a, b_on_c = f_on_a, b_on_f
-    else:
-        c_on_a, b_on_c = _intermediate_coordinates(E, C, F, min(tol, mx.DEFAULT_TOL))
+    F, f_on_a, b_on_f = member
     quasi = quasi_on_a if F.source is E.source else _quasi_coordinates(E, F.source)
-    restricted = _restrict_core(E, C, F, c_on_a, b_on_c, quasi, tol)
+    restricted = _restrict_core(E, F, f_on_a, b_on_f, quasi, tol)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
     # per quasi-basis element
     w = np.swapaxes(level.embed(restricted.quasi_stack) @ level.jones_range, 0, 1)
@@ -799,11 +791,11 @@ def dual_expectation_value(
 
 
 def iterate_tower(
-    level: TowerLevel, *, check: bool = True, tol: float = mx.DEFAULT_TOL
+    level: TowerLevel, *, tol: float = mx.DEFAULT_TOL
 ) -> TowerLevel:
-    """Next rung: the basic construction of (A <= A_1, E_1).
+    """Next rung: the basic construction of (A <= A_1, E_1), checked.
 
-    Built once per ``(check, tol)`` and kept on ``level``; later calls
+    Built once per ``tol`` and kept on ``level``; later calls
     return the same rung, a level like any other, whose A_2 is built only
     if it is read.  The budget is checked on every call, so an over-budget
     level raises :class:`TooLarge` even with a rung kept.
@@ -818,33 +810,28 @@ def iterate_tower(
         16 * (d1 * n1 * n1 + 6 * d1 * d1 + 2 * q * d1 * d1),
         f"the next rung (module dimension {d1}, {q} dual quasi-basis elements)",
     )
-    key = (check, tol)
-    if key not in level._rungs:
-        level._rungs[key] = build_tower_level(
-            level.basic_construction,
-            level.embedded_algebra,
+    if tol not in level._rungs:
+        level._rungs[tol] = build_tower_level(
             level.dual_expectation,
             materialize=False,
-            check=check,
             tol=tol,
         )
-    return level._rungs[key]
+    return level._rungs[tol]
 
 
 def intermediate_dual_expectation(
     level: TowerLevel,
-    C: MatrixStarAlgebra,
     F: ConditionalExpectation,
     tol: float = mx.DEFAULT_TOL,
 ) -> ConditionalExpectation:
-    """The compatible expectation G : A_1 -> C_1, x e_B y -> Ind(E|_C)^{-1} x e_C y.
+    """The compatible expectation G : A_1 -> C_1, x e_B y -> Ind(E|_C)^{-1} x e_C y, C = target(F).
 
     C_1 = span{L_x e_C L_y : x, y in A} = span{L_{b_i} e_C L_{l_k*}} sits
     inside A_1; G carries the quasi-basis {L_{l_i} e_B Ind(E|_C)^(1/2)} and
     satisfies E_1 = E_1|_{C_1} o G.  Requires the restricted index to be
     central.  G(t) is G of t's HS projection onto A_1.
     """
-    e_c, restricted = intermediate_data(level, C, F, tol)
+    e_c, restricted = intermediate_data(level, F, tol)
     return _dual_expectation_from(level, e_c, restricted, tol)
 
 

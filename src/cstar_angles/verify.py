@@ -117,7 +117,7 @@ def lattice_route_cosines(G: FiniteGroup):
             continue
         inc = group_algebra_inclusion(G, H)
         level = inc.tower(materialize=False, check=False)
-        diffs = intermediate_projections(level, (_onto(inc, K) for K in inters))
+        diffs = intermediate_projections(level, (inc.expectation_onto(K) for K in inters))
         diffs -= level.jones_projection
         nums = np.empty((len(inters), len(inters)))
         for i, d_k in enumerate(diffs):
@@ -139,11 +139,6 @@ _SWEPT_GROUPS = ("S3", "Z2xZ2xZ2", "Z4xZ2", "Z12")
 def _sweep_deviation(spec: str) -> float:
     """Worst deviation of :func:`lattice_route_sweep`; draws no random numbers."""
     return lattice_route_sweep(parse_group_spec(spec))[1]
-
-
-def _onto(inc, K):
-    F = inc.expectation_onto(K)
-    return F.target, F
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +307,8 @@ def _suite_tower(rng) -> list[CheckResult]:
     e_b = level.jones_projection
     u = mx.random_unitary(2, rng)
     f_u = m2.fu_expectation(m2.Unitary2(u), inc)
-    e_delta, _ = intermediate_data(level, inc.delta, inc.F)
-    e_d, _ = intermediate_data(level, f_u.target, f_u)
+    e_delta, _ = intermediate_data(level, inc.F)
+    e_d, _ = intermediate_data(level, f_u)
 
     def projection_laws():
         worst = 0.0
@@ -389,7 +384,7 @@ def _suite_tower(rng) -> list[CheckResult]:
     _record(checks, "dual_of_jones_projection", dual_of_jones, 1e-9)
 
     def dual_of_intermediate():
-        e_c, restricted = intermediate_data(level, inc.delta, inc.F)
+        e_c, restricted = intermediate_data(level, inc.F)
         expected = level.index_inverse @ watatani_index(restricted)
         return mx.frobenius_norm(level.dual_value(e_c) - expected)
 
@@ -417,7 +412,7 @@ def _suite_tower(rng) -> list[CheckResult]:
     def interior_dual_expectation_laws():
         # G's own images lie in C_1 (coordinates raises otherwise), G is
         # idempotent and E_1 o G = E_1, on the basis of A_1 as one stack
-        g = intermediate_dual_expectation(level, inc.delta, inc.F)
+        g = intermediate_dual_expectation(level, inc.F)
         t = g.coordinates(1e-8)
         basis = level.basic_construction.basis_stack
         gb = g._through(t, basis)
@@ -429,7 +424,7 @@ def _suite_tower(rng) -> list[CheckResult]:
 
     def half_scaling():
         # G(x e_B y) = (1/2) x e_Delta y on the 2x2 model's spanning set
-        g = intermediate_dual_expectation(level, inc.delta, inc.F)
+        g = intermediate_dual_expectation(level, inc.F)
         lmats = level.embed(inc.A.basis_stack)
         ts = ((lmats @ e_b)[:, None] @ lmats[None]).reshape(16, 4, 4)
         want = ((lmats @ e_delta)[:, None] @ lmats[None]).reshape(16, 4, 4)
@@ -623,7 +618,7 @@ def _suite_m2(rng) -> list[CheckResult]:
     def projection(i):
         # e_D of the i-th unitary, shared by the next two checks
         f_u = m2.fu_expectation(unitaries[i], inc)
-        return intermediate_data(level, f_u.target, f_u)[0]
+        return intermediate_data(level, f_u)[0]
 
     def ed_matches():
         worst = 0.0
@@ -635,7 +630,7 @@ def _suite_m2(rng) -> list[CheckResult]:
 
     def t_scalar():
         worst = 0.0
-        e_delta = intermediate_data(level, inc.delta, inc.F)[0]
+        e_delta = intermediate_data(level, inc.F)[0]
         for i, u in enumerate(unitaries[:25]):
             t = level.dual_value(e_delta @ projection(i) - level.jones_projection)
             tt = mx.adjoint(t) @ t

@@ -101,7 +101,7 @@ def c_plus_m2():
     w = np.eye(3, dtype=np.complex128)
     w[1:, 1:] = mx.random_unitary(2, mx.default_rng(11))
     F_prime = conjugate_expectation(F, w)
-    level = build_tower_level(A, B, E)
+    level = build_tower_level(E)
     return SimpleNamespace(
         A=A, B=B, E=E, C=C, F=F, F_prime=F_prime, level=level,
         rules={"E": blockwise_trace, "F": diagonal},  # the rules E and F are built from

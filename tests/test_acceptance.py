@@ -146,7 +146,7 @@ def test_criterion_02_index_constants_and_projections(inclusion, tower_level):
         [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
     )
     ok &= np.allclose(tower_level.jones_projection, e1, atol=1e-10)
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
     ok &= np.allclose(e_delta, np.diag([1.0, 0, 0, 1.0]), atol=1e-10)
     elapsed = time.monotonic() - started
     passed = bool(ok) and elapsed < 1.0
@@ -292,11 +292,11 @@ def test_criterion_07_lattice_agreement():
     assert passed
 
 
-def _identity_suite(level, C, F, tol=1e-8) -> float:
-    """Worst residual over the projection/index/dual identities for (C, F)."""
+def _identity_suite(level, F, tol=1e-8) -> float:
+    """Worst residual over the projection/index/dual identities for C = target(F)."""
     E = level.expectation
     e_b = level.jones_projection
-    e_c, restricted = intermediate_data(level, C, F)
+    e_c, restricted = intermediate_data(level, F)
     ind_e = level.index_matrix
     ind_e_inv = level.index_inverse
     ind_c = watatani_index(restricted)
@@ -316,7 +316,7 @@ def _identity_suite(level, C, F, tol=1e-8) -> float:
             worst = max(
                 worst, mx.frobenius_norm(level.dual_value(t) - ind_f_inv @ (x @ y))
             )
-    g = intermediate_dual_expectation(level, C, F)
+    g = intermediate_dual_expectation(level, F)
     assert verify_quasi_basis(g, g.quasi_basis, tol)
     for b in level.basic_construction.basis:
         gb = g(b)
@@ -330,7 +330,7 @@ def _identity_suite(level, C, F, tol=1e-8) -> float:
 def test_criterion_08_identity_suite(inclusion, tower_level):
     """Projection, index and dual-expectation identities at 1e-8 on three cases."""
     started = time.monotonic()
-    worst = _identity_suite(tower_level, inclusion.delta, inclusion.F)
+    worst = _identity_suite(tower_level, inclusion.F)
 
     for G, hgen, cgen in (
         (FiniteGroup.cyclic(4), (), ((2,),)),
@@ -345,7 +345,7 @@ def test_criterion_08_identity_suite(inclusion, tower_level):
         inc = group_algebra_inclusion(G, H)
         level = inc.tower(materialize=True)
         F = inc.expectation_onto(C)
-        worst = max(worst, _identity_suite(level, F.target, F))
+        worst = max(worst, _identity_suite(level, F))
     elapsed = time.monotonic() - started
     passed = worst <= 1e-8
     _line("08", passed, f"identity suite worst residual {worst:.2e} ({elapsed:.1f}s)")

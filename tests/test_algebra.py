@@ -231,6 +231,30 @@ def test_restrict_rejects_non_intermediate(inclusion):
     outside = MatrixStarAlgebra.from_spanning([np.eye(2), E12 + E21])
     with pytest.raises(NotIntermediate):
         restrict_expectation(inclusion.E, outside, inclusion.F)
+    # M2 holds F's target but is not its span
+    with pytest.raises(NotIntermediate, match="onto C"):
+        restrict_expectation(inclusion.E, inclusion.A, inclusion.F)
+    # an F on Delta alone shares no source with E
+    with pytest.raises(NotIntermediate, match="share their source"):
+        restrict_expectation(inclusion.E, inclusion.delta, identity_expectation(inclusion.delta))
+
+
+def test_restrict_reads_c_off_f(inclusion):
+    # a C built apart from F, spanning F's target: the restriction is E's on F's target
+    G = FiniteGroup.cyclic(12)
+    inc = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((6,))]))
+    K = generated_subgroup(G, [G.index_of((3,))])
+    cases = (
+        (inclusion.E, MatrixStarAlgebra.from_spanning([E11 + E22, E11 - E22]), inclusion.F),
+        (inc.E, inc.intermediate_algebra(K), inc.expectation_onto(K)),
+    )
+    for E, C, F in cases:
+        assert C is not F.target and C.same_span(F.target)
+        got = restrict_expectation(E, C, F)
+        want = restrict_expectation(E, F.target, F)
+        assert got.source is F.target
+        assert np.abs(got.coordinate_matrix - want.coordinate_matrix).max() <= 1e-13
+        assert np.abs(got.quasi_stack - want.quasi_stack).max() <= 1e-13
 
 
 def test_compatibility_diagonal(inclusion):
@@ -512,7 +536,7 @@ def test_quasi_basis_oracle_group_random_transversal(rng):
 
 def test_quasi_basis_oracle_level_two_dual(inclusion, tower_level, monkeypatch):
     rules = _recorded_rules(monkeypatch)
-    g = intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
+    g = intermediate_dual_expectation(tower_level, inclusion.F)
     monkeypatch.undo()
 
     def rule(x):
@@ -1083,9 +1107,9 @@ def _rule_built(inclusion, tower_level, c_plus_m2, rng):
         "E1 m2": lambda: dataclasses.replace(tower_level).dual_expectation,
         "E1 C+M2": lambda: dataclasses.replace(c_plus_m2.level).dual_expectation,
         "E1 C[Z2xZ2]": lambda: z2z2.tower(materialize=False).dual_expectation,
-        "G m2 F": lambda: intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F),
-        "G m2 F_u": lambda: intermediate_dual_expectation(tower_level, f_u.target, f_u),
-        "G C+M2": lambda: intermediate_dual_expectation(c_plus_m2.level, c_plus_m2.C, c_plus_m2.F),
+        "G m2 F": lambda: intermediate_dual_expectation(tower_level, inclusion.F),
+        "G m2 F_u": lambda: intermediate_dual_expectation(tower_level, f_u),
+        "G C+M2": lambda: intermediate_dual_expectation(c_plus_m2.level, c_plus_m2.F),
         "from_rule": lambda: m2.fu_expectation(u, inclusion),
         "from_json": lambda: ConditionalExpectation.from_json(payload),
     }

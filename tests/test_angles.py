@@ -18,7 +18,7 @@ from cstar_angles.angles import (
     interior_angle_definition,
     interior_angle_formula,
 )
-from cstar_angles.errors import DegenerateIntermediate, NoQuasiBasis
+from cstar_angles.errors import DegenerateIntermediate, NoQuasiBasis, NotInAlgebra
 from cstar_angles.groups import (
     FiniteGroup,
     generated_subgroup,
@@ -140,6 +140,17 @@ def test_formula_verifies_quasi_basis_when_algebra_given(inclusion):
             diagonal_quasi_basis(inclusion),
             C=inclusion.delta,
         )
+
+
+def test_formula_pre_check_refuses_a_family_element_outside_the_algebra(inclusion):
+    # E12 lies outside Delta: the pre-check raises NoQuasiBasis, from NotInAlgebra
+    mu = diagonal_quasi_basis(inclusion)
+    family = [np.eye(2), m2.E12]
+    cases = (((family, mu), {"C": inclusion.delta}), ((mu, family), {"D": inclusion.delta}))
+    for families, algebras in cases:
+        with pytest.raises(NoQuasiBasis, match="outside") as failure:
+            interior_angle_formula(inclusion.E, *families, **algebras)
+        assert isinstance(failure.value.__cause__, NotInAlgebra)
 
 
 def test_formula_scalar_form_agrees_with_general(inclusion, rng):
@@ -282,9 +293,9 @@ def test_exterior_runs_each_intermediate_once(tower_level, inclusion, monkeypatc
     # C and D at level one, C_1 and D_1 at level two; G reuses level one's
     calls, original = [], tower.intermediate_data
 
-    def counted(level, C, F, *args):
+    def counted(level, F, *args):
         calls.append(F)
-        return original(level, C, F, *args)
+        return original(level, F, *args)
 
     for module in (angles, tower):
         monkeypatch.setattr(module, "intermediate_data", counted)
@@ -332,7 +343,7 @@ def test_exterior_angle_never_builds_level_two_algebra(inclusion, c_plus_m2):
     f_u = m2.fu_expectation(m2.rotation(0.5), inclusion)
     cases = (
         (m2.canonical_tower(inclusion), inclusion.F, f_u),
-        (tower.build_tower_level(fx.A, fx.B, fx.E), fx.F, fx.F_prime),
+        (tower.build_tower_level(fx.E), fx.F, fx.F_prime),
     )
     for level, F, F_prime in cases:
         exterior_angle(level, F, F_prime)
@@ -397,8 +408,8 @@ def closed_expressions_loop(
 
 def closed_form_inputs(level, level2, F, F_prime):
     """The arguments of ``angles._exterior_closed_expressions`` for (F, F')."""
-    e_c, restricted_c = intermediate_data(level, F.target, F)
-    e_d, restricted_d = intermediate_data(level, F_prime.target, F_prime)
+    e_c, restricted_c = intermediate_data(level, F)
+    e_d, restricted_d = intermediate_data(level, F_prime)
     return level, level2, e_c, e_d, restricted_c, restricted_d, F, F_prime
 
 

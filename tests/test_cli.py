@@ -191,6 +191,12 @@ def test_group_angle_bad_spec(capsys):
     assert code == 2
 
 
+def test_group_angle_s0_is_an_invalid_group(capsys):
+    code, _, err = run_cli(capsys, "group-angle", "--group", "S0", "--K", "()", "--L", "()")
+    assert code == 2
+    assert "InvalidGroup" in err and "TooLarge" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -83,6 +83,8 @@ def test_too_large_rejected():
     with pytest.raises(TooLarge):
         FiniteGroup.symmetric(6)
     with pytest.raises(TooLarge):
+        parse_group_spec("S6")
+    with pytest.raises(TooLarge):
         FiniteGroup.direct_product([2] * 11)
 
 
@@ -580,6 +582,9 @@ def test_parse_group_specs():
         parse_group_spec("Q8")
     with pytest.raises(InvalidGroup):
         parse_group_spec("S3xZ2")
+    # a degree below 1 is no symmetric group, not one too large to build
+    with pytest.raises(InvalidGroup, match="degree must be positive"):
+        parse_group_spec("S0")
 
 
 def test_parse_subgroup_tuples():

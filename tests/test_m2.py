@@ -142,16 +142,16 @@ def test_closed_form_eD_matches_tower(tower_level, inclusion, rng):
     for _ in range(25):
         u = m2.Unitary2(mx.random_unitary(2, rng))
         f_u = m2.fu_expectation(u, inclusion)
-        e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
+        e_d = intermediate_data(tower_level, f_u)[0]
         np.testing.assert_allclose(e_d, m2.closed_form_eD(u), atol=1e-9)
 
 
 def test_t_star_t_is_scalar(tower_level, inclusion, rng):
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
     for _ in range(10):
         u = m2.Unitary2(mx.random_unitary(2, rng))
         f_u = m2.fu_expectation(u, inclusion)
-        e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
+        e_d = intermediate_data(tower_level, f_u)[0]
         t = tower_level.dual_value(e_delta @ e_d - tower_level.jones_projection)
         tt = mx.adjoint(t) @ t
         lam = (abs(u.lam11) ** 2 - abs(u.lam12) ** 2) ** 2 / 16.0

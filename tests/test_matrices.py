@@ -31,8 +31,8 @@ def test_operator_norm_vanishes_for_balanced_unitary(inclusion, tower_level):
     # to zero when |l11| = |l12| = 1/sqrt(2)
     u = m2.Unitary2(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
     f_u = m2.fu_expectation(u, inclusion)
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
-    e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
+    e_d = intermediate_data(tower_level, f_u)[0]
     t = tower_level.dual_value(e_delta @ e_d - tower_level.jones_projection)
     assert mx.operator_norm(t) == pytest.approx(0.0, abs=1e-12)
 

@@ -90,9 +90,7 @@ def test_basic_construction_is_full_m4(tower_level):
 
 
 def test_trivial_inclusion(inclusion):
-    level = build_tower_level(
-        inclusion.A, inclusion.A, identity_expectation(inclusion.A)
-    )
+    level = build_tower_level(identity_expectation(inclusion.A))
     np.testing.assert_allclose(level.jones_projection, np.eye(4), atol=1e-12)
     assert level.basic_construction.dim == 4  # A_1 isomorphic to A
 
@@ -107,23 +105,17 @@ def test_group_jones_projection_is_coefficient_mask():
 def test_build_requires_quasi_basis(inclusion):
     bare = ConditionalExpectation.from_rule(inclusion.A, inclusion.B, inclusion.E)
     with pytest.raises(NoQuasiBasis):
-        build_tower_level(inclusion.A, inclusion.B, bare)
-
-
-def test_build_rejects_mismatched_target(inclusion):
-    # E maps onto the scalars, not onto this two-dimensional algebra
-    other = MatrixStarAlgebra.from_spanning([np.eye(2), m2.E12 + m2.E21])
-    with pytest.raises(NotIntermediate):
-        build_tower_level(inclusion.A, other, inclusion.E)
+        build_tower_level(bare)
 
 
 def test_build_rejects_non_subalgebra(inclusion):
+    # an E whose target leaves its source: the tower reads A and B off E alone
     outside = MatrixStarAlgebra.from_spanning([np.eye(2), m2.E12 + m2.E21])
     bogus = ConditionalExpectation.from_rule(
         inclusion.delta, outside, lambda x: x, quasi_basis=(np.eye(2),)
     )
     with pytest.raises(NotIntermediate):
-        build_tower_level(inclusion.delta, outside, bogus)
+        build_tower_level(bogus)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +123,12 @@ def test_build_rejects_non_subalgebra(inclusion):
 
 
 def test_diagonal_intermediate_projection(tower_level, inclusion):
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
     np.testing.assert_allclose(e_delta, E_DELTA_MATRIX, atol=1e-12)
 
 
 def test_intermediate_for_corner_is_jones(tower_level, inclusion):
-    e_b = intermediate_data(tower_level, inclusion.B, inclusion.E)[0]
+    e_b = intermediate_data(tower_level, inclusion.E)[0]
     np.testing.assert_allclose(e_b, tower_level.jones_projection, atol=1e-12)
 
 
@@ -144,7 +136,7 @@ def test_conjugated_intermediate_matches_entry_list(tower_level, inclusion, rng)
     for _ in range(10):
         u = m2.Unitary2(mx.random_unitary(2, rng))
         f_u = m2.fu_expectation(u, inclusion)
-        e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
+        e_d = intermediate_data(tower_level, f_u)[0]
         np.testing.assert_allclose(e_d, m2.closed_form_eD(u), atol=1e-10)
 
 
@@ -153,8 +145,8 @@ def test_projection_laws(tower_level, inclusion, rng):
     u = m2.Unitary2(mx.random_unitary(2, rng))
     f_u = m2.fu_expectation(u, inclusion)
     for e in (
-        intermediate_data(tower_level, inclusion.delta, inclusion.F)[0],
-        intermediate_data(tower_level, f_u.target, f_u)[0],
+        intermediate_data(tower_level, inclusion.F)[0],
+        intermediate_data(tower_level, f_u)[0],
     ):
         assert mx.operator_norm(e @ e - e) <= 1e-9
         assert mx.operator_norm(e - mx.adjoint(e)) <= 1e-9
@@ -166,9 +158,9 @@ def test_incompatible_pair_rejected(tower_level):
     skew = m2.skewed_scalar_expectation(0.3)
     u = m2.Unitary2(np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2))
     f_u = m2.fu_expectation(u)
-    level = build_tower_level(skew.source, skew.target, skew)
+    level = build_tower_level(skew)
     with pytest.raises(NotCompatible):
-        intermediate_data(level, f_u.target, f_u)
+        intermediate_data(level, f_u)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +168,7 @@ def test_incompatible_pair_rejected(tower_level):
 
 
 def test_dual_values_on_projections(tower_level, inclusion):
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
     np.testing.assert_allclose(
         dual_expectation_value(tower_level, tower_level.jones_projection),
         np.eye(2) / 4.0,
@@ -210,7 +202,7 @@ def test_dual_value_group_intermediate():
     level = inc.tower(materialize=True)
     K = generated_subgroup(G, [G.index_of((2,))])
     F = inc.expectation_onto(K)
-    e_k = intermediate_data(level, F.target, F)[0]
+    e_k = intermediate_data(level, F)[0]
     np.testing.assert_allclose(
         dual_expectation_value(level, e_k), np.eye(4) / 2.0, atol=1e-10
     )
@@ -250,7 +242,7 @@ def test_dual_quasi_basis_matches_the_per_element_loop(inclusion, c_plus_m2):
     s3 = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))]))
     z3 = group_numeric_inclusion()
     lazy = [
-        build_tower_level(inclusion.A, inclusion.B, inclusion.E, materialize=False),
+        build_tower_level(inclusion.E, materialize=False),
         s3.tower(materialize=False),
         z3.tower(materialize=False),
     ]
@@ -282,24 +274,22 @@ def test_iterated_tower_m2(tower_level):
     )
 
 
-def test_iterate_tower_keeps_one_rung_per_check_and_tol(inclusion, monkeypatch):
+def test_iterate_tower_keeps_one_rung_per_tol(inclusion, monkeypatch):
     level = m2.canonical_tower(inclusion)
     builds = []
     build = tower.build_tower_level
 
     def counted(*args, **kwargs):
-        builds.append((kwargs["check"], kwargs["tol"]))
+        builds.append(kwargs["tol"])
         return build(*args, **kwargs)
 
     monkeypatch.setattr(tower, "build_tower_level", counted)
     level2 = iterate_tower(level)
     assert iterate_tower(level) is level2
     looser = iterate_tower(level, tol=1e-8)
-    unchecked = iterate_tower(level, check=False)
-    assert looser is not level2 and unchecked is not level2 and looser is not unchecked
+    assert looser is not level2
     assert iterate_tower(level, tol=1e-8) is looser
-    assert iterate_tower(level, check=False) is unchecked
-    assert builds == [(True, mx.DEFAULT_TOL), (True, 1e-8), (False, mx.DEFAULT_TOL)]
+    assert builds == [mx.DEFAULT_TOL, 1e-8]
     # a rung belongs to its level, not to an equal-looking copy of it
     assert iterate_tower(m2.canonical_tower(inclusion)) is not level2
 
@@ -322,9 +312,7 @@ def test_kept_rung_does_not_bypass_the_budget(inclusion, monkeypatch):
 
 
 def test_iterated_tower_trivial(inclusion):
-    level = build_tower_level(
-        inclusion.A, inclusion.A, identity_expectation(inclusion.A)
-    )
+    level = build_tower_level(identity_expectation(inclusion.A))
     level2 = iterate_tower(level)
     np.testing.assert_allclose(level2.jones_projection, np.eye(4), atol=1e-10)
 
@@ -344,9 +332,9 @@ def test_iterated_tower_group():
 
 
 def test_interior_dual_expectation_scaling(tower_level, inclusion):
-    g = intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
+    g = intermediate_dual_expectation(tower_level, inclusion.F)
     e_b = tower_level.jones_projection
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
     for x in inclusion.A.basis:
         for y in inclusion.A.basis:
             t = tower_level.embed(x) @ e_b @ tower_level.embed(y)
@@ -355,14 +343,14 @@ def test_interior_dual_expectation_scaling(tower_level, inclusion):
 
 
 def test_interior_dual_expectation_corner_is_identity(tower_level, inclusion):
-    g = intermediate_dual_expectation(tower_level, inclusion.B, inclusion.E)
+    g = intermediate_dual_expectation(tower_level, inclusion.E)
     for b in tower_level.basic_construction.basis:
         np.testing.assert_allclose(g(b), b, atol=1e-9)
 
 
 def test_restricted_dual_equals_dual_of_restriction(tower_level, inclusion):
     # E_1(x e_C y) = Ind(F)^{-1} x y on spanning elements
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
     ind_f_inv = np.linalg.inv(watatani_index(inclusion.F))
     for x in inclusion.A.basis:
         for y in inclusion.A.basis:
@@ -372,14 +360,15 @@ def test_restricted_dual_equals_dual_of_restriction(tower_level, inclusion):
             )
 
 
-def least_squares_g(level, C, F):
+def least_squares_g(level, F):
     """G as formerly built, kept as the oracle of the quasi-basis identity.
 
     t is decomposed over the family {L_{b_i} e_B L_{l_k*}} of A_1 through the
     pseudo-inverse of its HS Gram matrix, and each term x e_B l_k* is mapped
-    to Ind(E|_C)^{-1} x e_C l_k*.  Returns G on a (k, d, d) stack.
+    to Ind(E|_C)^{-1} x e_C l_k*, with C = target(F).  Returns G on a
+    (k, d, d) stack.
     """
-    e_c, restricted = intermediate_data(level, C, F)
+    e_c, restricted = intermediate_data(level, F)
     family = level.spanning_products(level.jones_projection)
     flat = family.reshape(len(family), -1)
     gram_pinv = np.linalg.pinv(
@@ -401,8 +390,8 @@ def m2_plus_m3():
     spec = importlib.util.spec_from_file_location("exterior_m2_plus_m3", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    A, B, _, E, F, F_prime = script.fixture(mx.DEFAULT_SEED)
-    return build_tower_level(A, B, E), F, F_prime
+    _, _, _, E, F, F_prime = script.fixture(mx.DEFAULT_SEED)
+    return build_tower_level(E), F, F_prime
 
 
 def test_g_by_the_identity_matches_least_squares(tower_level, inclusion, c_plus_m2):
@@ -417,9 +406,9 @@ def test_g_by_the_identity_matches_least_squares(tower_level, inclusion, c_plus_
     )
     for level, F in cases:
         basis = level.basic_construction.basis_stack
-        g = intermediate_dual_expectation(level, F.target, F)
+        g = intermediate_dual_expectation(level, F)
         got = np.stack([g(b) for b in basis])
-        want = least_squares_g(level, F.target, F)(basis)
+        want = least_squares_g(level, F)(basis)
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -427,12 +416,12 @@ def test_g_by_the_identity_matches_least_squares(tower_level, inclusion, c_plus_
 def test_lazy_level_iterates_and_gives_g(case, inclusion, rng):
     # a level built with materialize=False builds A_1 when it is first read
     if case == "m2":
-        C, F = inclusion.delta, inclusion.F
+        F = inclusion.F
         lazy = m2.canonical_tower(inclusion, materialize=False)
         eager = m2.canonical_tower(inclusion, materialize=True)
     else:
         inc = z4_over_z2()
-        C, F = inc.A, identity_expectation(inc.A)
+        F = identity_expectation(inc.A)
         lazy, eager = inc.tower(materialize=False), inc.tower(materialize=True)
     assert "basic_construction" not in vars(lazy)
     assert "basic_construction" in vars(eager)
@@ -449,8 +438,8 @@ def test_lazy_level_iterates_and_gives_g(case, inclusion, rng):
 
     basis = eager.basic_construction.basis_stack
     assert close(lazy.basic_construction.basis_stack, basis)
-    g_lazy = intermediate_dual_expectation(lazy, C, F)
-    g_eager = intermediate_dual_expectation(eager, C, F)
+    g_lazy = intermediate_dual_expectation(lazy, F)
+    g_eager = intermediate_dual_expectation(eager, F)
     assert close([g_lazy(b) for b in basis], [g_eager(b) for b in basis])
     assert close(g_lazy.target.basis_stack, g_eager.target.basis_stack)
 
@@ -458,7 +447,7 @@ def test_lazy_level_iterates_and_gives_g(case, inclusion, rng):
 def test_g_idempotent_compatible_group_case():
     inc = z4_over_z2()
     level = inc.tower(materialize=True)
-    g = intermediate_dual_expectation(level, inc.A, identity_expectation(inc.A))
+    g = intermediate_dual_expectation(level, identity_expectation(inc.A))
     for b in level.basic_construction.basis[:4]:
         np.testing.assert_allclose(g(g(b)), g(b), atol=1e-9)
 
@@ -470,8 +459,8 @@ def test_g_idempotent_compatible_group_case():
 def test_noncommutation_witness(tower_level, inclusion):
     u = m2.rotation(0.5)  # generic: not diagonal, not antidiagonal, not balanced
     f_u = m2.fu_expectation(u, inclusion)
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
-    e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
+    e_d = intermediate_data(tower_level, f_u)[0]
     prod = e_delta @ e_d
     assert mx.operator_norm(prod - e_d @ e_delta) > 1e-6
 
@@ -494,8 +483,8 @@ def test_noncommutation_witness(tower_level, inclusion):
 def test_commuting_for_diagonal_conjugation(tower_level, inclusion):
     u = m2.Unitary2(np.diag([np.exp(0.3j), np.exp(-0.9j)]))
     f_u = m2.fu_expectation(u, inclusion)
-    e_delta = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
-    e_d = intermediate_data(tower_level, f_u.target, f_u)[0]
+    e_delta = intermediate_data(tower_level, inclusion.F)[0]
+    e_d = intermediate_data(tower_level, f_u)[0]
     np.testing.assert_allclose(e_delta, e_d, atol=1e-10)
 
 
@@ -530,7 +519,7 @@ def test_star_matrix_conjugates_coordinates(tower_level, c_plus_m2, rng):
     levels = (
         tower_level,
         c_plus_m2.level,
-        build_tower_level(skewed.source, skewed.target, skewed, materialize=False),
+        build_tower_level(skewed, materialize=False),
         group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(),
         group_algebra_inclusion(
             Z4xZ2, generated_subgroup(Z4xZ2, [Z4xZ2.index_of((2, 0))])
@@ -666,7 +655,7 @@ def test_generic_module_beyond_d17_m2_tensor_m3(rng):
         np.testing.assert_allclose(lm, want_left, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rm, want_right, rtol=0, atol=1e-12)
     # both interior routes against the 2x2 model's exact angle
-    level = build_tower_level(A, E.target, E, materialize=False)
+    level = build_tower_level(E, materialize=False)
     assert type(level.module) is GenericModule and level.module_dim == 36
     u = m2.Unitary2(mx.random_unitary(2, rng))
     F_prime = conjugate_expectation(F, np.kron(u.matrix, np.eye(3)))
@@ -708,7 +697,7 @@ def test_expectation_matrix_matches_operator_matrix(tower_level, c_plus_m2, incl
         (tower_level, F_other),
         (c_plus_m2.level, c_plus_m2.E),
         (c_plus_m2.level, c_plus_m2.F_prime),
-        (build_tower_level(skewed.source, skewed.target, skewed, materialize=False), skewed),
+        (build_tower_level(skewed, materialize=False), skewed),
         (level2, level2.expectation),
         (group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(), None),
         (z_inc.tower(), z_inc.expectation_onto(K)),
@@ -821,13 +810,13 @@ def test_family_without_the_quasi_basis_fails_the_check(inclusion, monkeypatch):
 
     monkeypatch.setattr(TowerLevel, "spanning_products", short_family)
     with pytest.raises(ConstructionFailure, match="does not span"):
-        build_tower_level(inclusion.A, inclusion.B, inclusion.E)
+        build_tower_level(inclusion.E)
 
 
 def test_over_budget_rung_leaves_the_dual_quasi_basis_unbuilt(inclusion, monkeypatch):
     # the budget check reads q off E's quasi-basis, not off the lazy dual
     # quasi-basis, so an over-budget rung forms none of it
-    level = build_tower_level(inclusion.A, inclusion.B, inclusion.E, materialize=False)
+    level = build_tower_level(inclusion.E, materialize=False)
     level.basic_construction  # A_1 (16 matrices of 4 x 4) within the default budget
     need = 16 * (16 * 4 * 4 + 6 * 16 * 16 + 2 * 4 * 16 * 16)
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
@@ -851,11 +840,11 @@ def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch)
         iterate_tower(tower_level)
     # level one (16 matrices of 4 x 4) fits; its intermediate G does not at 1 byte
     assert build_tower_level(
-        inclusion.A, inclusion.B, inclusion.E, module=tower_level.module
+        inclusion.E, module=tower_level.module
     ).basic_construction.dim == 16
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", 1)
     with pytest.raises(TooLarge):
-        intermediate_dual_expectation(tower_level, inclusion.delta, inclusion.F)
+        intermediate_dual_expectation(tower_level, inclusion.F)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +874,8 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
 
     # with an intermediate projection e_C in place of e_B the law fails
     swaps = [
-        (tower_level, intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]),
-        (c_plus_m2.level, intermediate_data(c_plus_m2.level, c_plus_m2.C, c_plus_m2.F)[0]),
+        (tower_level, intermediate_data(tower_level, inclusion.F)[0]),
+        (c_plus_m2.level, intermediate_data(c_plus_m2.level, c_plus_m2.F)[0]),
     ]
     for level, e_c in swaps:
         swapped = dataclasses.replace(level, jones_projection=e_c)
@@ -919,7 +908,7 @@ def range_levels(tower_level):
 
 
 def test_jones_range_is_an_isometry_onto_range_e(range_levels, tower_level, inclusion):
-    e_c = intermediate_data(tower_level, inclusion.delta, inclusion.F)[0]
+    e_c = intermediate_data(tower_level, inclusion.F)[0]
     swapped = dataclasses.replace(tower_level, jones_projection=e_c)
     cases = [(name, level, level.subalgebra.dim) for name, level in range_levels.items()]
     cases.append(("m2 with e_Delta", swapped, inclusion.delta.dim))
@@ -996,7 +985,7 @@ def coordinate_levels(tower_level, c_plus_m2):
     return {
         "m2": tower_level,
         "m2 level 2": iterate_tower(tower_level),
-        "skewed m2": build_tower_level(skewed.source, skewed.target, skewed),
+        "skewed m2": build_tower_level(skewed),
         "C+M2": c_plus_m2.level,
         "M2+M3 level 2": iterate_tower(level5),
         "C[Z2xZ3]": group_algebra_inclusion(
@@ -1057,10 +1046,10 @@ def test_right_multiplication_fails_the_left_multiplication_check(case, inclusio
         A, B, E = inc.A, inc.B, inc.E
     module = _RightMultiplicationModule(A, E)
     with pytest.raises(ConstructionFailure, match="left_multiplication") as failure:
-        build_tower_level(A, B, E, module=module, materialize=False)
+        build_tower_level(E, module=module, materialize=False)
     assert failure.value.residuals["left_multiplication"] > 0.1
     # the true module passes, with a residual at rounding level
-    level = build_tower_level(A, B, E, materialize=False)
+    level = build_tower_level(E, materialize=False)
     assert tower._check_level(level, mx.DEFAULT_TOL)["left_multiplication"] <= 1e-14
 
 
@@ -1106,7 +1095,7 @@ def test_wrong_star_matrix_fails_the_dual_rule():
 # intermediate_data against the composition of the public checks
 
 
-def intermediate_data_composed(level, C, F, tol=mx.DEFAULT_TOL):
+def intermediate_data_composed(level, F, tol=mx.DEFAULT_TOL):
     """intermediate_data as the composition it replaces: the oracle of its one-pass form.
 
     compatibility_residual, then restrict_expectation, then
@@ -1116,7 +1105,7 @@ def intermediate_data_composed(level, C, F, tol=mx.DEFAULT_TOL):
     E = level.expectation
     if compatibility_residual(E, F) > tol:
         raise NotCompatible("E does not factor through F")
-    restricted = restrict_expectation(E, C, F, tol)
+    restricted = restrict_expectation(E, F.target, F, tol)
     e_b = level.jones_projection
     lm = level.embed(restricted.quasi_stack)
     e_c = sum(
@@ -1135,7 +1124,7 @@ def intermediate_data_composed(level, C, F, tol=mx.DEFAULT_TOL):
 
 
 def intermediate_cases(tower_level, inclusion):
-    """(name, level, C, F) for intermediate_data.
+    """(name, level, F) for intermediate_data.
 
     m2's Delta and F_u, C[A4] in C[S4], C[K] and C[L] in C[Z3^4] over C[Z3]
     (the group-numeric benchmark's inclusion), and an intermediate of M2+M3
@@ -1155,19 +1144,15 @@ def intermediate_cases(tower_level, inclusion):
     K = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
     L = sub((0, 1, 0, 0), (0, 0, 0, 1))
     level5, F5, _ = m2_plus_m3()
-    g = intermediate_dual_expectation(level5, F5.target, F5)
+    g = intermediate_dual_expectation(level5, F5)
     return [
-        ("m2 Delta", tower_level, inclusion.delta, inclusion.F),
-        ("m2 F_u", tower_level, f_u.target, f_u),
-        ("S4 over A4", s4.tower(), *_onto(s4.expectation_onto(A4))),
-        ("Z3^4 K", z3_level, *_onto(z3.expectation_onto(K))),
-        ("Z3^4 L", z3_level, *_onto(z3.expectation_onto(L))),
-        ("M2+M3 level two", iterate_tower(level5), g.target, g),
+        ("m2 Delta", tower_level, inclusion.F),
+        ("m2 F_u", tower_level, f_u),
+        ("S4 over A4", s4.tower(), s4.expectation_onto(A4)),
+        ("Z3^4 K", z3_level, z3.expectation_onto(K)),
+        ("Z3^4 L", z3_level, z3.expectation_onto(L)),
+        ("M2+M3 level two", iterate_tower(level5), g),
     ]
-
-
-def _onto(F):
-    return F.target, F
 
 
 def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, monkeypatch):
@@ -1180,9 +1165,9 @@ def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, m
         return residuals, size
 
     monkeypatch.setattr(tower, "_projection_residuals", recording)
-    for name, level, C, F in intermediate_cases(tower_level, inclusion):
-        e_c, restricted = intermediate_data(level, C, F)
-        want_e, want_restricted, want_residuals = intermediate_data_composed(level, C, F)
+    for name, level, F in intermediate_cases(tower_level, inclusion):
+        e_c, restricted = intermediate_data(level, F)
+        want_e, want_restricted, want_residuals = intermediate_data_composed(level, F)
         # W W* through range(e_B) against the dense sum of products
         assert np.abs(e_c - want_e).max() <= 1e-13, name
         assert restricted.coordinate_matrix.tobytes() == want_restricted.coordinate_matrix.tobytes()
@@ -1195,8 +1180,8 @@ def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, m
 
 def test_intermediate_data_takes_c_to_a_by_one_coordinate_pass(tower_level, inclusion, monkeypatch):
     hs_coordinates = MatrixStarAlgebra.hs_coordinates
-    for name, level, C, F in intermediate_cases(tower_level, inclusion):
-        passes = []
+    for name, level, F in intermediate_cases(tower_level, inclusion):
+        C, passes = F.target, []
 
         def counted(alg, x):
             if alg is level.algebra and np.shares_memory(x, C._flat):
@@ -1205,10 +1190,10 @@ def test_intermediate_data_takes_c_to_a_by_one_coordinate_pass(tower_level, incl
 
         monkeypatch.setattr(MatrixStarAlgebra, "hs_coordinates", counted)
         # a pass may take C's basis in chunks: it projects each element once
-        intermediate_data(level, C, F)
+        intermediate_data(level, F)
         assert sum(passes) == C.dim, name
         passes.clear()
-        intermediate_data_composed(level, C, F)
+        intermediate_data_composed(level, F)
         # the composition: one in each public function, one for F's module matrix
         assert sum(passes) == 3 * C.dim, name
         monkeypatch.undo()
@@ -1228,25 +1213,23 @@ def test_intermediate_data_fails_as_the_composed_checks(tower_level, inclusion):
     )
     broken_level = dataclasses.replace(tower_level, expectation=broken)
     cases = [
-        (NotCompatible, build_tower_level(skew.source, skew.target, skew), f_u.target, f_u),
-        (NotIntermediate, z4.tower(), trivial.target, trivial),
-        # C = M2 is no target of F
-        (NotIntermediate, tower_level, inclusion.A, inclusion.F),
+        (NotCompatible, build_tower_level(skew), f_u),
+        (NotIntermediate, z4.tower(), trivial),
         # a quasi-basis of E scaled by 1.1 derives none of E|_Delta
-        (NoQuasiBasis, broken_level, inclusion.delta, inclusion.F),
+        (NoQuasiBasis, broken_level, inclusion.F),
     ]
-    for error, level, C, F in cases:
+    for error, level, F in cases:
         with pytest.raises(error):
-            intermediate_data_composed(level, C, F)
+            intermediate_data_composed(level, F)
         with pytest.raises(error):
-            intermediate_data(level, C, F)
+            intermediate_data(level, F)
 
 
 def test_intermediate_data_takes_b_to_c_by_one_coordinate_pass(tower_level, inclusion, monkeypatch):
     # the containment test B <= C and the quasi-basis check share one pass
     hs_coordinates = MatrixStarAlgebra.hs_coordinates
-    for name, level, C, F in intermediate_cases(tower_level, inclusion):
-        B, passes = level.expectation.target, []
+    for name, level, F in intermediate_cases(tower_level, inclusion):
+        B, C, passes = level.expectation.target, F.target, []
 
         def counted(alg, x):
             if alg is C and np.shares_memory(x, B._flat):
@@ -1254,7 +1237,7 @@ def test_intermediate_data_takes_b_to_c_by_one_coordinate_pass(tower_level, incl
             return hs_coordinates(alg, x)
 
         monkeypatch.setattr(MatrixStarAlgebra, "hs_coordinates", counted)
-        intermediate_data(level, C, F)
+        intermediate_data(level, F)
         assert sum(passes) == B.dim, name
         monkeypatch.undo()
 
@@ -1264,22 +1247,22 @@ def test_intermediate_data_takes_b_to_c_by_one_coordinate_pass(tower_level, incl
 
 
 def _z4_perturbed(z4, k, j):
-    """(C[Z4], F) with F the identity of C[Z4] plus b_k -> b_j, b the basis of C[Z4]."""
+    """F onto C[Z4]: the identity of C[Z4] plus b_k -> b_j, b the basis of C[Z4]."""
     t = np.eye(z4.A.dim)
     t[k, j] = 1.0
-    return z4.A, ConditionalExpectation.from_coordinates(z4.A, z4.A, t, name="F")
+    return ConditionalExpectation.from_coordinates(z4.A, z4.A, t, name="F")
 
 
 def test_intermediate_projections_fail_as_the_failing_member_alone():
     z4 = z4_over_z2()
     level = z4.tower()
     G = z4.group
-    good = [_onto(z4.expectation_onto(K)) for K in all_subgroups(G) if z4.subgroup.issubset(K)]
+    good = [z4.expectation_onto(K) for K in all_subgroups(G) if z4.subgroup.issubset(K)]
     assert len(good) == 2
     trivial = _masking_expectation(z4.A, trivial_subgroup(G), range(4), "F")
     bad = [
         # onto the trivial subgroup, which misses Z2
-        (NotIntermediate, _onto(trivial)),
+        (NotIntermediate, trivial),
         # E(F(b_1)) = E(b_1 + b_0) = b_0, where E(b_1) = 0
         (NotCompatible, _z4_perturbed(z4, 1, 0)),
         # compatible, but {F(l_i)} = {b_0, b_1 + b_3} up to scale is no quasi-basis
@@ -1287,11 +1270,11 @@ def test_intermediate_projections_fail_as_the_failing_member_alone():
         # the quasi-basis {F(l_i)} is E's own, so e_C = 1, but F is no identity
         (ConstructionFailure, _z4_perturbed(z4, 2, 1)),
     ]
-    want = np.stack([intermediate_data(level, C, F)[0] for C, F in good])
+    want = np.stack([intermediate_data(level, F)[0] for F in good])
     assert np.abs(tower.intermediate_projections(level, iter(good)) - want).max() == 0.0
     for error, member in bad:
         with pytest.raises(error) as alone:
-            intermediate_data(level, *member)
+            intermediate_data(level, member)
         for family in ([member, *good], [good[0], member, good[1]], [*good, member]):
             with pytest.raises(error) as failure:
                 tower.intermediate_projections(level, iter(family))
@@ -1301,8 +1284,8 @@ def test_intermediate_projections_fail_as_the_failing_member_alone():
 @pytest.mark.parametrize("budget", [mx.STACK_BUDGET_BYTES, 1])
 def test_intermediate_projections_match_the_composed_checks(tower_level, inclusion, monkeypatch, budget):
     families = {}  # the cases of one level form one family, in their order
-    for name, level, C, F in intermediate_cases(tower_level, inclusion):
-        families.setdefault(id(level), (level, []))[1].append((name, C, F))
+    for name, level, F in intermediate_cases(tower_level, inclusion):
+        families.setdefault(id(level), (level, []))[1].append((name, F))
     recorded, chunks = [], []
     residuals_of, members_of = tower._projection_residuals, tower._compatible_members
 
@@ -1322,14 +1305,14 @@ def test_intermediate_projections_match_the_composed_checks(tower_level, inclusi
     assert any(len(cases) > 1 for _, cases in families.values())
     for level, cases in families.values():
         chunks.clear()
-        e_cs = tower.intermediate_projections(level, ((C, F) for _, C, F in cases))
+        e_cs = tower.intermediate_projections(level, (F for _, F in cases))
         # the reads of the iterator, the last one finding it empty
         assert chunks[-1] == 0 and sum(chunks) == len(cases)
         if budget == 1:
             assert chunks[:-1] == [1] * len(cases)
         got = recorded[-len(cases):]
-        for (name, C, F), e_c, residuals in zip(cases, e_cs, got):
-            want_e, _, want_residuals = intermediate_data_composed(level, C, F)
+        for (name, F), e_c, residuals in zip(cases, e_cs, got):
+            want_e, _, want_residuals = intermediate_data_composed(level, F)
             assert np.abs(e_c - want_e).max() <= 1e-13, name
             assert residuals.keys() == want_residuals.keys()
             for key, want in want_residuals.items():

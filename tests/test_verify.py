@@ -92,7 +92,7 @@ def test_lattice_sweep_matches_per_pair_reference(G, triples):
         for S in (K, L):
             if S not in projections:
                 F = inc.expectation_onto(S)
-                projections[S] = intermediate_data(level, F.target, F)[0]
+                projections[S] = intermediate_data(level, F)[0]
         reference = angle_from_projections(level, projections[K], projections[L])
         assert abs(numeric.cos_value - reference.cos_value) <= 1e-12
         assert abs(numeric.diagnostics.numerator - reference.diagnostics.numerator) <= 1e-12
