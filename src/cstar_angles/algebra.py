@@ -15,6 +15,16 @@ quasi-basis, i.e. a finite family {l_i} with
 which witnesses finite index.  The Watatani index is sum_i l_i l_i*, a
 positive invertible central element independent of the quasi-basis.
 
+A quasi-basis is held as it was given: as n x n matrices, or as Y, the
+q x d_src array of the l_i's source coordinates, which is how the group
+route and the restriction of an expectation produce it.  Either form gives
+the other on first read, once: a Y-held expectation builds its matrices
+(``source.combine(Y)``) only when they are read, and a matrix-held one takes
+their HS coordinates only when they are read.  On a source with a product
+table (:attr:`MatrixStarAlgebra._table`) the index of a Y-held quasi-basis
+is summed in coordinates, d^2 q work with no n x n product; every other
+expectation sums l_i l_i* densely.
+
 Both identities and the centrality of the index are checked in source
 coordinates, through the products of coordinate rows with basis elements
 (:meth:`MatrixStarAlgebra.multiplication_matrices`), on every algebra.
@@ -430,13 +440,8 @@ class MatrixStarAlgebra:
         """
         ys = np.asarray(ys, dtype=np.complex128)
         d, n = self.dim, self.ambient_dim
-        table = self._table
-        if table is not None:
-            coords = self.hs_coordinates(ys)
-            out = np.zeros((len(ys), d, d), dtype=np.complex128)
-            terms = coords[:, table.i if left else table.j] * table.s
-            out[:, table.j if left else table.i, table.k] = terms
-            return out
+        if self._table is not None:
+            return self._coordinate_multiplication(self.hs_coordinates(ys), left)
         basis = self.basis_stack
         # b_k, or b_k^T for products from the left, stacked as a (d n, n)
         # matrix: one GEMM per element gives the d products b_k y, or their
@@ -452,6 +457,21 @@ class MatrixStarAlgebra:
             else:
                 products = stacked @ ys[rows]
             out[rows] = self.hs_coordinates(products.reshape(-1, n, n)).reshape(-1, d, d)
+        return out
+
+    def _coordinate_multiplication(self, coords: np.ndarray, left: bool) -> np.ndarray:
+        """:meth:`multiplication_matrices` of the elements with the given coordinates (rows).
+
+        With a product table each slice is one scatter of a row, and no
+        element is formed; otherwise the elements are combined and
+        multiplied densely.
+        """
+        table = self._table
+        if table is None:
+            return self.multiplication_matrices(self.combine(coords), left)
+        out = np.zeros((len(coords), self.dim, self.dim), dtype=np.complex128)
+        terms = coords[:, table.i if left else table.j] * table.s
+        out[:, table.j if left else table.i, table.k] = terms
         return out
 
     def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:
@@ -562,8 +582,15 @@ class ConditionalExpectation:
     span, and each of them refuses an E whose images left the target (at
     the default tolerance; :meth:`coordinates` takes the caller's).
     :meth:`from_rule` takes a rule on single matrices instead,
-    :meth:`from_coordinates` T itself.  ``quasi_basis`` is the family
-    {l_i} witnessing finite index, when known.
+    :meth:`from_coordinates` T itself.
+
+    ``quasi_basis`` is the family {l_i} witnessing finite index, when known,
+    given to any constructor either as n x n matrices or as Y, a 2-D
+    (q, d_src) array whose row i holds the source coordinates of l_i.  It is
+    held in the form it was given, read-only.  :attr:`quasi_stack` (one
+    (q, n, n) stack) and :attr:`quasi_basis` (views into it) are built from
+    Y on first read and kept; the coordinates of given matrices are taken
+    on first read and kept (:func:`_quasi_coordinates`), as the index is.
     """
 
     def __init__(
@@ -596,15 +623,50 @@ class ConditionalExpectation:
             raise ShapeMismatch("source and target must share the ambient algebra")
         self.source = source
         self.target = target
-        # one read-only (q, n, n) stack; quasi_basis holds views into it
-        self.quasi_stack = None
-        self.quasi_basis = None
-        if quasi_basis is not None:
-            self.quasi_stack = _stack_of(quasi_basis, source.ambient_dim)
-            self.quasi_stack.setflags(write=False)
-            self.quasi_basis = tuple(self.quasi_stack)
+        # the quasi-basis as given, read-only: a (q, n, n) stack of matrices
+        # or Y, their (q, d_src) source coordinates
+        self._quasi = None
+        if isinstance(quasi_basis, np.ndarray) and quasi_basis.ndim == 2:
+            y = np.asarray(quasi_basis, dtype=np.complex128)
+            if y.shape[1] != source.dim:
+                raise ShapeMismatch(
+                    f"{name}: quasi-basis coordinates must have {source.dim} columns, "
+                    f"not shape {y.shape}"
+                )
+            self._quasi = y.copy() if y is quasi_basis and y.flags.writeable else y
+        elif quasi_basis is not None:
+            self._quasi = _stack_of(quasi_basis, source.ambient_dim)
+        if self._quasi is not None:
+            self._quasi.setflags(write=False)
         self.name = name
         self._index_cache: tuple | None = None  # Ind(E) and residuals: watatani_index
+
+    @cached_property
+    def quasi_stack(self) -> np.ndarray | None:
+        """The quasi-basis as one read-only (q, n, n) stack, built from Y on first read."""
+        if self._quasi is None or self._quasi.ndim == 3:
+            return self._quasi
+        stack = self.source.combine(self._quasi)
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def quasi_basis(self) -> tuple | None:
+        """The quasi-basis {l_i}, views into :attr:`quasi_stack`; None when E carries none."""
+        return None if self._quasi is None else tuple(self.quasi_stack)
+
+    @cached_property
+    def _quasi_coords(self) -> np.ndarray | None:
+        """Y, the quasi-basis in source coordinates, one read-only row each.
+
+        Held as given, or the HS coordinates of given matrices, taken on
+        first read (their projections onto the source).
+        """
+        if self._quasi is None or self._quasi.ndim == 2:
+            return self._quasi
+        y = self.source.hs_coordinates(self._quasi)
+        y.setflags(write=False)
+        return y
 
     def __call__(self, x) -> np.ndarray:
         return self.on_source(mx.as_matrix(x)[None])[0]
@@ -650,7 +712,11 @@ class ConditionalExpectation:
         quasi_basis: Sequence[np.ndarray] | None = None,
         name: str = "E",
     ) -> "ConditionalExpectation":
-        """The map with the given :attr:`coordinate_matrix`, calling no rule."""
+        """The map with the given :attr:`coordinate_matrix`, calling no rule.
+
+        ``quasi_basis`` may be Y, the (q, d_src) array of the quasi-basis's
+        source coordinates, as its callers here have it (class docstring).
+        """
         t = np.array(coordinate_matrix, dtype=np.complex128)
         if t.shape != (source.dim, target.dim):
             raise ShapeMismatch(f"coordinate matrix must be {source.dim}x{target.dim}")
@@ -704,7 +770,7 @@ class ConditionalExpectation:
             "target": self.target.to_json(),
             "map_matrix": matrix_to_json(self.map_matrix),
             "quasi_basis": None
-            if self.quasi_basis is None
+            if self._quasi is None
             else [matrix_to_json(m) for m in self.quasi_basis],
             "name": self.name,
         }
@@ -825,41 +891,53 @@ def verify_quasi_basis(
     :meth:`ConditionalExpectation.coordinates`) is no expectation onto that
     target, and fails the check.
     """
-    return _quasi_basis_core(E, lambdas, E.source.hs_coordinates(E.target.basis_stack), tol)
+    src, n = E.source, E.ambient_dim
+    lams = _stack_of(lambdas, n)
+    lams = lams[lams.reshape(len(lams), n * n).any(axis=1)]  # a zero element adds nothing
+    coords = src.hs_coordinates(lams)
+    sizes = mx.row_norms(lams.reshape(len(lams), n * n))
+    offs = mx.row_norms((lams - src.combine(coords)).reshape(len(lams), n * n))
+    if np.any(offs > tol * (1.0 + sizes)):
+        raise NotInAlgebra("quasi-basis element outside the source algebra")
+    onto = src.hs_coordinates(E.target.basis_stack)
+    return _quasi_basis_core(E, coords, onto, tol, sizes, offs)
 
 
 def _quasi_basis_core(
-    E: ConditionalExpectation, lambdas: Sequence[np.ndarray], onto: np.ndarray, tol: float
+    E: ConditionalExpectation,
+    coords: np.ndarray,
+    onto: np.ndarray,
+    tol: float,
+    sizes: np.ndarray | None = None,
+    offs: np.ndarray | float = 0.0,
 ) -> bool:
-    """:func:`verify_quasi_basis`, from the target basis in source coordinates.
+    """:func:`verify_quasi_basis`, from the quasi-basis and the target basis in source coordinates.
 
-    ``onto`` holds the HS coordinates of E's target basis over its source,
-    one row each, as a containment test of the target in the source takes
-    them (:func:`_compatible_pair_coordinates`).
+    ``coords`` holds the source coordinates of the l_i, one row each (the
+    p_i), and ``onto`` those of E's target basis, as a containment test of
+    the target in the source takes them (:func:`_compatible_pair_coordinates`).
+    ``sizes`` and ``offs`` hold the ||l_i||_F and ||d_i||_F of a family
+    given as matrices; a family given by its coordinates lies on the source
+    (d_i = 0, and ||l_i||_F is the norm of its row).
     """
-    src, tgt, n = E.source, E.target, E.ambient_dim
-    lams = _stack_of(lambdas, n)
-    lams = lams[lams.reshape(len(lams), n * n).any(axis=1)]  # a zero element adds nothing
-    projected = src.project(lams)
-    sizes = mx.row_norms(lams.reshape(len(lams), n * n))
-    offs = mx.row_norms((lams - projected).reshape(len(lams), n * n))
-    if np.any(offs > tol * (1.0 + sizes)):
-        raise NotInAlgebra("quasi-basis element outside the source algebra")
+    src, tgt = E.source, E.target
+    if sizes is None:
+        sizes = mx.row_norms(coords)
     try:
         t = E.coordinates(tol)
     except NumericIntegrityError:
         return False
     off_target = mx.frobenius_norm(src.combine(onto) - tgt.basis_stack)
-    charge = np.linalg.norm(t) * (offs @ (2.0 * sizes + offs) + off_target * sizes @ sizes)
+    charge = np.linalg.norm(t) * (np.sum(offs * (2.0 * sizes + offs)) + off_target * sizes @ sizes)
     d = src.dim
     sums = np.zeros((2, d, d), dtype=np.complex128)  # the two reconstructions
     # charged per element: its two multiplication matrices and their adjoints
-    for rows in mx.stack_slices(len(lams), 4 * 16 * d * d):
+    for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
         # on the span with the HS inner product, multiplication by l* is the
         # adjoint of multiplication by l: R_{l*} = R_l* and L_{l*} = L_l*
-        on_right = src.multiplication_matrices(projected[rows], left=False)
+        on_right = src._coordinate_multiplication(coords[rows], left=False)
         sums[0] += np.tensordot(on_right @ t, onto @ mx.adjoint(on_right), axes=([0, 2], [0, 1]))
-        on_left = src.multiplication_matrices(projected[rows], left=True)
+        on_left = src._coordinate_multiplication(coords[rows], left=True)
         sums[1] += np.tensordot(mx.adjoint(on_left) @ t, onto @ on_left, axes=([0, 2], [0, 1]))
     residuals = mx.row_norms((sums - np.eye(d)).reshape(2 * d, d))
     return bool(np.all(residuals <= 2.0 * tol - charge))  # tol (1 + ||x||_F), ||x||_F = 1
@@ -870,18 +948,23 @@ def watatani_index(
 ) -> np.ndarray:
     """sum_i l_i l_i* for the stored quasi-basis, with its guarantees checked.
 
-    The result must be self-adjoint, commute with every source basis element
-    (centrality) and have spectrum >= 1; violations raise
-    :class:`NumericIntegrityError` since they indicate a broken quasi-basis.
-    Centrality is tested in coordinates, against an upper bound of the
-    largest commutator norm (:func:`_centrality_residual`).  The element and
-    its residuals are computed once per expectation and kept on it; every
-    call tests them against its own ``tol``.
+    A quasi-basis held as its source coordinates Y on a source with a
+    product table is summed in coordinates (:func:`_table_index`); any other
+    is summed as dense products.  The result must be self-adjoint, commute
+    with every source basis element (centrality) and have spectrum >= 1;
+    violations raise :class:`NumericIntegrityError` since they indicate a
+    broken quasi-basis.  Centrality is tested in coordinates, against an
+    upper bound of the largest commutator norm (:func:`_centrality_residual`).
+    The element and its residuals are computed once per expectation and kept
+    on it; every call tests them against its own ``tol``.
     """
     if E._index_cache is None:
-        if E.quasi_basis is None:
+        if E._quasi is None:
             raise NoQuasiBasis("expectation carries no quasi-basis")
-        ind = mx.sum_times_adjoint(E.quasi_stack)
+        if E._quasi.ndim == 2 and E.source._table is not None:
+            ind = _table_index(E.source, E._quasi)
+        else:
+            ind = mx.sum_times_adjoint(E.quasi_stack)
         ind.setflags(write=False)
         E._index_cache = (
             ind,
@@ -898,6 +981,23 @@ def watatani_index(
     if smallest < 1.0 - tol:
         raise NumericIntegrityError(f"index has eigenvalue {smallest:.6f} below 1")
     return ind
+
+
+def _table_index(alg: MatrixStarAlgebra, y: np.ndarray) -> np.ndarray:
+    """sum_i l_i l_i* from the l_i's coordinates Y over ``alg``, through its product table.
+
+    l_i* has coordinates conj(Y) S (S = :meth:`MatrixStarAlgebra.star_coordinates`),
+    so sum_i l_i l_i* = sum_{a,b} P[a, b] b_a b_b with P = Y^T conj(Y) S,
+    and each table entry b_a b_b = s b_k adds P[a, b] s to coordinate k:
+    d^2 q work and one combine, where the dense sum is q n^3.
+    """
+    table = alg._table
+    p = y.T @ (np.conjugate(y) @ alg.star_coordinates())
+    terms = p[table.i, table.j] * table.s
+    coords = np.bincount(table.k, terms.real, alg.dim) + 1j * np.bincount(
+        table.k, terms.imag, alg.dim
+    )
+    return alg.combine(coords)
 
 
 def _centrality_residual(alg: MatrixStarAlgebra, x: np.ndarray) -> float:
@@ -944,8 +1044,13 @@ def restrict_expectation(
 
 
 def _quasi_coordinates(E: ConditionalExpectation, alg: MatrixStarAlgebra) -> np.ndarray | None:
-    """E's quasi-basis in ``alg``'s HS coordinates, one row each; None when E carries none."""
-    return None if E.quasi_basis is None else alg.hs_coordinates(E.quasi_stack)
+    """E's quasi-basis in ``alg``'s HS coordinates, one row each; None when E carries none.
+
+    Over E's own source this is the Y that E holds or keeps.
+    """
+    if alg is E.source or E._quasi is None:
+        return E._quasi_coords
+    return alg.hs_coordinates(E.quasi_stack)
 
 
 def _restrict_core(
@@ -960,17 +1065,18 @@ def _restrict_core(
 
     E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
     rows: ``on_source`` (row j holds the <b_k, c_j> for F's target basis
-    {c_j}) times E's.  The derived quasi-basis is F's coordinate matrix
-    applied to ``quasi_coords``, E's quasi-basis in the coordinates of F's
-    source (:func:`_quasi_coordinates`).  It is checked by the core of
-    :func:`verify_quasi_basis` on ``target_on_f``, target(E)'s basis in
-    target(F)'s coordinates, and :class:`NoQuasiBasis` is raised when it
-    fails.
+    {c_j}) times E's.  The derived quasi-basis is held as its coordinates
+    over F's target, Y = ``quasi_coords`` times F's coordinate matrix with
+    its zero rows left out, ``quasi_coords`` being E's quasi-basis in the
+    coordinates of F's source (:func:`_quasi_coordinates`).  It is checked
+    from Y by the core of :func:`verify_quasi_basis` on ``target_on_f``,
+    target(E)'s basis in target(F)'s coordinates, and :class:`NoQuasiBasis`
+    is raised when it fails.
     """
     quasi = None
     if quasi_coords is not None:
-        coords = quasi_coords @ F.coordinate_matrix
-        quasi = F.target.combine(coords[coords.any(axis=1)])  # F.on_source, zeros left out
+        quasi = quasi_coords @ F.coordinate_matrix  # the F(l_i), zeros left out
+        quasi = quasi[quasi.any(axis=1)]
         quasi.setflags(write=False)  # shared by the expectation and the check
     restricted = ConditionalExpectation.from_coordinates(
         F.target, E.target, on_source @ E.coordinates(tol), quasi_basis=quasi, name=f"{E.name}|C"

@@ -48,6 +48,7 @@ from .angles import AngleDiagnostics, AngleResult, Route
 from .errors import (
     DegenerateIntermediate,
     InvalidGroup,
+    NoQuasiBasis,
     NotIntermediate,
     NotSubgroup,
     TooLarge,
@@ -578,15 +579,42 @@ def _masking_expectation(
     C[S] takes A's basis rows at S (inheriting their supports and product
     table), so the coordinate matrix keeps the columns of the identity at S:
     basis element lambda_g / sqrt(|G|) maps to itself for g in S and to zero
-    otherwise.
+    otherwise.  The quasi-basis {lambda_g} over the coset representatives
+    ``reps`` (a transversal, :func:`_transversal`) is handed over as its
+    coordinates, sqrt(|G|) at basis element g, so no (q, n, n) stack is
+    filled unless it is read.
     """
     mask = S.mask()
     target = A.basis_slice(mask)
-    quasi = _regular_stack(S.parent, reps)  # {lambda_g} over coset reps
+    quasi = np.zeros((len(reps), A.dim), dtype=np.complex128)
+    quasi[np.arange(len(reps)), reps] = math.sqrt(A.dim)
     quasi.setflags(write=False)  # so that the expectation takes it uncopied
     return ConditionalExpectation.from_coordinates(
         A, target, np.eye(A.dim)[:, mask], quasi_basis=quasi, name=name
     )
+
+
+def _transversal(G: FiniteGroup, S: Subgroup, reps) -> list[int]:
+    """``reps`` as a list of element indices checked to be a left transversal of S.
+
+    None gives :func:`left_coset_reps`.  Raises :class:`NotSubgroup` for an
+    index out of range (numpy would wrap a negative one) and
+    :class:`NoQuasiBasis` unless the reps meet each left coset g S exactly
+    once: there must be [G:S] of them, and their cosets, one row of the
+    Cayley table each, must cover G, O(|G|) integer work.
+    """
+    if reps is None:
+        return left_coset_reps(G, S)
+    reps = [int(g) for g in reps]
+    _index_mask(G, reps, "coset representative")  # NotSubgroup unless 0 <= g < |G|
+    if len(reps) != G.order // S.order:
+        raise NoQuasiBasis(
+            f"{len(reps)} coset representatives for the {G.order // S.order} left cosets"
+        )
+    hits = np.bincount(G.cayley[np.ix_(reps, S.elements)].ravel(), minlength=G.order)
+    if np.any(hits != 1):
+        raise NoQuasiBasis("coset representatives must meet each left coset exactly once")
+    return reps
 
 
 @dataclass
@@ -605,11 +633,14 @@ class GroupInclusion:
         return self.A.basis_slice(K.mask())
 
     def expectation_onto(self, K: Subgroup, reps=None) -> ConditionalExpectation:
-        """The coefficient-masking expectation onto C[K], coset-rep quasi-basis."""
+        """The coefficient-masking expectation onto C[K], coset-rep quasi-basis.
+
+        ``reps``, when given, must be a left transversal of K, as in
+        :func:`group_algebra_inclusion`.
+        """
         if not self.subgroup.issubset(K):
             raise NotIntermediate("K must contain H")
-        reps = left_coset_reps(self.group, K) if reps is None else list(reps)
-        return _masking_expectation(self.A, K, reps, "F")
+        return _masking_expectation(self.A, K, _transversal(self.group, K, reps), "F")
 
     def tower(self, *, materialize: bool = False, check: bool = True) -> TowerLevel:
         return build_tower_level(
@@ -630,14 +661,17 @@ def group_algebra_inclusion(
     (:meth:`MatrixStarAlgebra.basis_slice`) and inherit both.  The
     quasi-basis is a set of left-coset representatives (the deterministic
     smallest-index transversal unless ``reps`` overrides it; any
-    transversal gives the same index [G:H] times the identity).
+    transversal gives the same index [G:H] times the identity).  ``reps``
+    must be a left transversal of H: an index out of range raises
+    :class:`NotSubgroup`, and reps that miss a coset or meet one twice raise
+    :class:`NoQuasiBasis`.
     """
     A = G.regular_algebra  # TooLarge above MAX_ALGEBRA_ORDER, before any allocation
     if H.parent is not G:
         raise NotSubgroup("H must be a subgroup of G")
-    reps = left_coset_reps(G, H) if reps is None else list(reps)
+    reps = _transversal(G, H, reps)
     E = _masking_expectation(A, H, reps, "E")
-    return GroupInclusion(G, H, A, E.target, E, RegularModule(A, E), reps)
+    return GroupInclusion(G, H, A, E.target, E, RegularModule(E), reps)
 
 
 # ---------------------------------------------------------------------------

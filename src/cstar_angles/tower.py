@@ -123,6 +123,7 @@ from .errors import (
     NotInAlgebra,
     NotInSpan,
     NotIntermediate,
+    ShapeMismatch,
     TooLarge,
 )
 
@@ -163,7 +164,7 @@ def _check_family_budget(count: int, n: int, what: str):
 class GenericModule:
     """The module of (A, E): A's coordinates scaled by the square root of its Gram matrix.
 
-    Let {b_j} be A's HS-orthonormal basis, with coordinates
+    A is E's source.  Let {b_j} be A's HS-orthonormal basis, with coordinates
     ``A.hs_coordinates`` and ``A.combine``.  The module Gram matrix
     G[j, l] = Tr(E(b_j* b_l)) = <b_j, b_l rho>_HS is right multiplication by
     the density rho of Tr o E, and the module basis m_k = b_k rho^{-1/2} =
@@ -187,8 +188,8 @@ class GenericModule:
     the L_{b_i} is R_c^T.
     """
 
-    def __init__(self, algebra: MatrixStarAlgebra, expectation: ConditionalExpectation):
-        self.algebra = algebra
+    def __init__(self, expectation: ConditionalExpectation):
+        self.algebra = algebra = expectation.source
         self.dim = algebra.dim
         traces = np.trace(algebra.basis_stack, axis1=1, axis2=2)
         tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
@@ -274,11 +275,10 @@ class TowerLevel:
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
     the next rung in ``_rungs``, keyed by its ``tol``, so level two is built
-    once per level and freed with it.
+    once per level and freed with it.  A and B are read off the expectation
+    (:attr:`algebra`, :attr:`subalgebra`), and ``module`` is built on A.
     """
 
-    algebra: MatrixStarAlgebra
-    subalgebra: MatrixStarAlgebra
     expectation: ConditionalExpectation
     module: GenericModule
     jones_projection: np.ndarray
@@ -288,6 +288,16 @@ class TowerLevel:
     _check: bool = field(default=True, repr=False)
     _tol: float = field(default=mx.DEFAULT_TOL, repr=False)
     _rungs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def algebra(self) -> MatrixStarAlgebra:
+        """A, the source of E."""
+        return self.expectation.source
+
+    @property
+    def subalgebra(self) -> MatrixStarAlgebra:
+        """B, the target of E."""
+        return self.expectation.target
 
     @property
     def module_dim(self) -> int:
@@ -363,8 +373,8 @@ class TowerLevel:
 
     @cached_property
     def quasi_coords(self) -> np.ndarray:
-        """Module coordinates of the quasi-basis {l_i} of E, one row each."""
-        return self.module.coords(self.expectation.quasi_stack)
+        """Module coordinates of the quasi-basis {l_i} of E, one row each, from E's Y."""
+        return _quasi_coordinates(self.expectation, self.algebra) @ self.module._to_module
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
@@ -557,25 +567,26 @@ def build_tower_level(
 ) -> TowerLevel:
     """Construct the basic-construction level for (B <= A, E), with A = E.source and B = E.target.
 
-    ``materialize`` reads ``basic_construction``, ``embedded_algebra`` and
-    ``dual_expectation`` at once instead of on first use.  Raises
+    ``module``, when given, must be built on A itself (``module.algebra is
+    A``).  ``materialize`` reads ``basic_construction``, ``embedded_algebra``
+    and ``dual_expectation`` at once instead of on first use.  Raises
     :class:`NoQuasiBasis` when E has none, :class:`NotIntermediate` when B
     is not inside A, and :class:`ConstructionFailure` with a residual
     report when an invariant check fails.
     """
     A, B = E.source, E.target
-    if E.quasi_basis is None:
+    if E._quasi is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
     if not A.contains_all(B.basis_stack, tol):
         raise NotIntermediate("B is not contained in A")
+    if module is not None and module.algebra is not A:
+        raise ShapeMismatch("the module must be built on the source of E")
 
-    mod = module if module is not None else GenericModule(A, E)
+    mod = module if module is not None else GenericModule(E)
     e_b = mod.expectation_matrix(E)
 
     ind = E.index_element(tol)
     level = TowerLevel(
-        algebra=A,
-        subalgebra=B,
         expectation=E,
         module=mod,
         jones_projection=e_b,
@@ -619,8 +630,7 @@ def intermediate_data(
     same steps.
     """
     (member,) = _compatible_members(level, iter([F]), tol)
-    quasi_on_a = _quasi_coordinates(level.expectation, level.expectation.source)
-    e_c, e_f, restricted = _member_projection(level, member, quasi_on_a, tol)
+    e_c, e_f, restricted = _member_projection(level, member, tol)
     _check_projections(e_c[None], level.jones_projection, e_f[None], tol)
     return e_c, restricted
 
@@ -632,8 +642,8 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     is read once, a chunk of members at a time
     (:func:`_compatible_members`).  Each member's containment tests,
     restriction, quasi-basis check and W W* run on it alone
-    (:func:`_member_projection`), with E's quasi-basis taken to A's
-    coordinates once for the family, and each member's F is freed once its
+    (:func:`_member_projection`), reading E's quasi-basis in A's
+    coordinates as E holds it, and each member's F is freed once its
     e_C is formed.  The compatibility residuals of a chunk come
     from one stacked SVD call, and its postconditions and ||e_C|| from
     another (:func:`_check_projections`).  Every check runs over the whole
@@ -641,16 +651,14 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     family whose other members pass raises for a failing member what
     :func:`intermediate_data` raises for it alone.
     """
-    E = level.expectation
     d = level.module_dim
-    quasi_on_a = _quasi_coordinates(E, E.source)
     members, stacks = iter(members), []
     while chunk := _compatible_members(level, members, tol):
         e_cs = np.empty((len(chunk), d, d), dtype=np.complex128)
         e_fs = np.empty_like(e_cs)
         chunk.reverse()  # taken from the end, so that each F is freed once used
         for k in range(len(e_cs)):
-            e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop(), quasi_on_a, tol)
+            e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop(), tol)
         _check_projections(e_cs, level.jones_projection, e_fs, tol)
         stacks.append(e_cs)
         del e_fs  # freed before the next chunk is read
@@ -693,17 +701,17 @@ def _compatible_members(level: TowerLevel, expectations, tol: float) -> list[tup
 
 
 def _member_projection(
-    level: TowerLevel, member: tuple, quasi_on_a: np.ndarray | None, tol: float
+    level: TowerLevel, member: tuple, tol: float
 ) -> tuple[np.ndarray, np.ndarray, ConditionalExpectation]:
     """e_C, F's module matrix and the restricted E, for one member of :func:`_compatible_members`.
 
-    ``quasi_on_a`` holds E's quasi-basis in A's coordinates, read when F's
-    source is A.  The checks of the restriction are those
-    :func:`_compatible_members` has run.
+    E's quasi-basis is read in the coordinates of F's source, which are the
+    Y that E holds when F's source is A.  The checks of the restriction are
+    those :func:`_compatible_members` has run.
     """
     E = level.expectation
     F, f_on_a, b_on_f = member
-    quasi = quasi_on_a if F.source is E.source else _quasi_coordinates(E, F.source)
+    quasi = _quasi_coordinates(E, F.source)
     restricted = _restrict_core(E, F, f_on_a, b_on_f, quasi, tol)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
     # per quasi-basis element
@@ -711,8 +719,7 @@ def _member_projection(
     w = w.reshape(level.module_dim, -1)
     e_c = w @ mx.adjoint(w)
     del w
-    mod = level.module
-    e_f = mod._expectation_matrix(F, f_on_a if mod.algebra is E.source else None)
+    e_f = level.module._expectation_matrix(F, f_on_a)
     return e_c, e_f, restricted
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cstar_angles import algebra, m2
+from cstar_angles import algebra, groups, m2, verify
 from cstar_angles import matrices as mx
 from cstar_angles.algebra import (
     ConditionalExpectation,
@@ -993,7 +993,7 @@ def test_table_and_dense_paths_agree(monkeypatch):
         lambdas = [inc.group.regular_matrix(g) for g in wrong]
         out = []
         for E in (inc.E, restricted):
-            module = GenericModule(E.source, E)
+            module = GenericModule(E)
             out.append((
                 E.source._table is not None,
                 watatani_index(E),
@@ -1027,6 +1027,106 @@ def test_table_path_centrality_passes_without_dense_commutators(monkeypatch):
 
     monkeypatch.setattr(mx, "max_operator_norm", dense)
     np.testing.assert_allclose(watatani_index(fresh), 27.0 * np.eye(81), atol=1e-12)
+
+
+def _y_held_family(case):
+    """A masking E and its restrictions onto C[K] and C[L], whose source is that slice of C[G]."""
+    if case == "Z3^4":
+        inc, K = _z3_power_inclusion()
+        G = inc.group
+        L = generated_subgroup(G, [G.index_of(g) for g in ((0, 1, 0, 0), (0, 0, 0, 1))])
+    else:
+        G = FiniteGroup.symmetric(4)
+        H = generated_subgroup(G, [G.index_of((1, 0, 3, 2))])
+        inc = group_algebra_inclusion(G, H)
+        K = generated_subgroup(G, [G.index_of(g) for g in ((1, 0, 3, 2), (2, 3, 0, 1))])
+        L = generated_subgroup(G, [G.index_of(g) for g in ((1, 0, 2, 3), (0, 1, 3, 2))])
+    out = [(inc.E, inc.coset_reps)]
+    for S in (K, L):
+        F = inc.expectation_onto(S)
+        out.append((F, left_coset_reps(G, S)))
+        restricted = restrict_expectation(inc.E, F.target, F)
+        assert restricted.source is F.target  # the C[S] slice
+        out.append((restricted, None))
+    return inc, out
+
+
+@pytest.mark.parametrize("case", ["Z3^4", "S4"])
+def test_held_quasi_coordinates_are_those_of_the_stack(case):
+    inc, family = _y_held_family(case)
+    for E, reps in family:
+        y = algebra._quasi_coordinates(E, E.source)
+        assert y is E._quasi and y.ndim == 2 and not y.flags.writeable  # held, not taken
+        np.testing.assert_allclose(
+            y, E.source.hs_coordinates(E.quasi_stack), rtol=0, atol=1e-14
+        )
+        if reps is not None:  # a masking expectation: {lambda_g} over its coset reps
+            want = groups._regular_stack(inc.group, reps)
+            np.testing.assert_allclose(E.quasi_stack, want, rtol=0, atol=1e-15)
+            assert not E.quasi_stack.flags.writeable
+            assert all(np.shares_memory(m, E.quasi_stack) for m in E.quasi_basis)
+
+
+@pytest.mark.parametrize("case", ["Z3^4", "S4"])
+def test_table_index_matches_the_dense_sum(case, monkeypatch, rng):
+    _, family = _y_held_family(case)
+    # each l_i times a phase is a quasi-basis too, with complex coordinates
+    E = family[0][0]
+    phases = np.exp(2j * np.pi * rng.random(len(E._quasi)))[:, None]
+    phased = ConditionalExpectation.from_coordinates(
+        E.source, E.target, E.coordinate_matrix, quasi_basis=phases * E._quasi
+    )
+    for E in [phased] + [E for E, _ in family]:
+        want = mx.sum_times_adjoint(E.quasi_stack)
+        with monkeypatch.context() as patch:
+            patch.setattr(mx, "sum_times_adjoint", None)  # the table path calls no dense sum
+            got = watatani_index(E)
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + mx.operator_norm(want))
+        assert not got.flags.writeable
+
+
+def test_matrix_held_quasi_basis_keeps_the_dense_index_and_takes_coordinates_once(monkeypatch):
+    inc, _ = _z3_power_inclusion()
+    held = ConditionalExpectation.from_coordinates(
+        inc.A, inc.B, inc.E.coordinate_matrix, quasi_basis=inc.E.quasi_stack
+    )
+    assert held.quasi_stack is inc.E.quasi_stack  # read-only: kept uncopied
+    calls = []
+    dense = mx.sum_times_adjoint
+    monkeypatch.setattr(mx, "sum_times_adjoint", lambda mats: calls.append(1) or dense(mats))
+    np.testing.assert_allclose(watatani_index(held), 27.0 * np.eye(81), atol=1e-12)
+    assert calls == [1]
+    y = algebra._quasi_coordinates(held, held.source)
+    assert algebra._quasi_coordinates(held, held.source) is y
+    np.testing.assert_allclose(y, inc.E._quasi, rtol=0, atol=1e-14)
+
+
+def test_quasi_coordinates_of_the_wrong_shape_are_refused():
+    inc, _ = _z3_power_inclusion()
+    t = inc.E.coordinate_matrix
+    for y in (np.zeros((27, 80)), np.zeros((27, 82))):
+        with pytest.raises(ShapeMismatch, match="81 columns"):
+            ConditionalExpectation.from_coordinates(inc.A, inc.B, t, quasi_basis=y)
+    y = np.array(inc.E._quasi)  # writable: copied in, not shared
+    E = ConditionalExpectation.from_coordinates(inc.A, inc.B, t, quasi_basis=y)
+    assert not np.shares_memory(E._quasi, y)
+    np.testing.assert_array_equal(E._quasi, y)
+
+
+def test_lattice_sweep_builds_no_dense_stack_for_an_intermediate(monkeypatch):
+    built = []
+    stack_of = ConditionalExpectation.__dict__["quasi_stack"].func
+
+    def recorded(self):
+        stack = stack_of(self)
+        if stack is not None:
+            built.append(self.name)
+        return stack
+
+    monkeypatch.setattr(ConditionalExpectation, "quasi_stack", property(recorded))
+    count, worst = verify.lattice_route_sweep(FiniteGroup.symmetric(4))
+    assert (count, worst <= 1e-12) == (1065, True)
+    assert "E" in built and "F" not in built
 
 
 def test_centrality_residual_bounds_the_dense_commutators(c_plus_m2, monkeypatch, rng):

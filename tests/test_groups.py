@@ -15,6 +15,7 @@ from cstar_angles.algebra import (
 from cstar_angles.errors import (
     DegenerateIntermediate,
     InvalidGroup,
+    NoQuasiBasis,
     NotIntermediate,
     NotSubgroup,
     TooLarge,
@@ -150,6 +151,32 @@ def test_coset_reps_deterministic_and_covering():
     assert reps == sorted(reps)
     covered = {G.mult(g, h) for g in reps for h in H.elements}
     assert covered == set(range(G.order))
+
+
+@pytest.mark.parametrize(
+    "reps, error",
+    [
+        ([0], NoQuasiBasis),  # one coset of three: index 1
+        ([0, 1, 2, 4], NoQuasiBasis),  # 1 and 4 share a coset: index 4
+        ([0, 1, 4], NoQuasiBasis),  # three reps, two cosets
+        ([-1, 1, 2], NotSubgroup),  # numpy would wrap -1 to element 5
+        ([0, 1, 8], NotSubgroup),
+    ],
+)
+def test_coset_reps_must_be_a_left_transversal(reps, error):
+    G = FiniteGroup.cyclic(6)
+    H = generated_subgroup(G, [3])
+    with pytest.raises(error):
+        group_algebra_inclusion(G, H, reps=reps)
+    inc = group_algebra_inclusion(G, trivial_subgroup(G))
+    with pytest.raises(error):
+        inc.expectation_onto(H, reps=reps)
+    # any transversal passes, in any order, and gives the index [G:H] = 3
+    for good in ([0, 1, 2], [5, 3, 4], (2, 0, 1)):
+        E = group_algebra_inclusion(G, H, reps=good).E
+        np.testing.assert_allclose(watatani_index(E), 3.0 * np.eye(6), rtol=0, atol=1e-12)
+        F = inc.expectation_onto(H, reps=good)
+        assert verify_quasi_basis(F, [G.regular_matrix(g) for g in good])
 
 
 def test_normalizer_of_transposition_in_s3():

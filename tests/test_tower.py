@@ -30,6 +30,7 @@ from cstar_angles.errors import (
     NotCompatible,
     NotInAlgebra,
     NotIntermediate,
+    ShapeMismatch,
     TooLarge,
 )
 from cstar_angles.groups import (
@@ -571,7 +572,7 @@ def test_generic_module_basis_is_orthonormal(tower_level, rng):
     # the module basis is A's basis times G^(-1/2), G[j, l] = Tr(E(b_j* b_l))
     # taken pair by pair, on tracial and non-tracial expectations alike
     for E, module in _expectation_cases(tower_level, rng):
-        module = module or GenericModule(E.source, E)
+        module = module or GenericModule(E)
         basis = module.from_coords(np.eye(module.dim))
         hs_basis = module.algebra.basis_stack
         gram = np.array(
@@ -590,7 +591,7 @@ def test_left_mult_is_the_hs_matrix_of_left_multiplication(tower_level, rng):
     # no change of basis: column j of L_x is hs_coordinates(x b_j) on every module,
     # L_x represents the product on coordinates, and L_{x*} = L_x*
     for E, module in _expectation_cases(tower_level, rng):
-        module = module or GenericModule(E.source, E)
+        module = module or GenericModule(E)
         A = module.algebra
         xs = np.stack([A.random_element(rng) for _ in range(3)])
         lmats = module.left_mult(xs)
@@ -668,6 +669,21 @@ def test_generic_module_beyond_d17_m2_tensor_m3(rng):
     assert abs(formula - want) <= ROUTE_AGREEMENT_TOL
 
 
+def test_level_and_module_read_a_and_b_off_the_expectation(tower_level, inclusion):
+    E = tower_level.expectation
+    assert tower_level.algebra is E.source and tower_level.subalgebra is E.target
+    with pytest.raises(AttributeError):
+        tower_level.algebra = inclusion.B
+    swapped = dataclasses.replace(tower_level, expectation=inclusion.F)
+    assert swapped.algebra is inclusion.F.source and swapped.subalgebra is inclusion.F.target
+    assert GenericModule(E).algebra is E.source
+    # a module built on another algebra, even one of the same span, is refused
+    same_span = MatrixStarAlgebra.from_spanning(E.source.basis_stack[::-1])
+    other = ConditionalExpectation.from_rule(same_span, E.target, E, quasi_basis=E.quasi_basis)
+    with pytest.raises(ShapeMismatch, match="source of E"):
+        build_tower_level(E, module=GenericModule(other), materialize=False)
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-25])
 def test_non_faithful_expectation_gives_a_degenerate_module(inclusion, eps):
     # E(x) = x_11 1 (eps = 0) kills e_22; eps = 1e-25 leaves a pivot below the cutoff
@@ -675,7 +691,7 @@ def test_non_faithful_expectation_gives_a_degenerate_module(inclusion, eps):
         inclusion.A, inclusion.B, lambda x: ((1 - eps) * x[0, 0] + eps * x[1, 1]) * np.eye(2)
     )
     with pytest.raises(ConstructionFailure, match="degenerate"):
-        GenericModule(inclusion.A, E)
+        GenericModule(E)
 
 
 def test_expectation_matrix_matches_operator_matrix(tower_level, c_plus_m2, inclusion, rng):
@@ -1039,12 +1055,11 @@ class _RightMultiplicationModule(GenericModule):
 @pytest.mark.parametrize("case", ["m2", "C[S3]"])
 def test_right_multiplication_fails_the_left_multiplication_check(case, inclusion):
     if case == "m2":
-        A, B, E = inclusion.A, inclusion.B, inclusion.E
+        E = inclusion.E
     else:
         S3 = FiniteGroup.symmetric(3)
-        inc = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))]))
-        A, B, E = inc.A, inc.B, inc.E
-    module = _RightMultiplicationModule(A, E)
+        E = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))])).E
+    module = _RightMultiplicationModule(E)
     with pytest.raises(ConstructionFailure, match="left_multiplication") as failure:
         build_tower_level(E, module=module, materialize=False)
     assert failure.value.residuals["left_multiplication"] > 0.1
