@@ -5,7 +5,7 @@ Groups are Cayley tables over element indices.  Constructors cover cyclic
 groups, direct products of cyclic groups, and symmetric groups up to S_5.
 A subgroup is a sorted tuple of element indices together with a boolean
 mask over the parent's elements, validated by one gather per property
-(identity, inverses, and the products cayley[ix_(e, e)]); subgroups of
+(identity, inverses, and the products cayley[e[:, None], e]); subgroups of
 different parents never mix.  Subgroup generation closes a mask under
 products of its elements.  The lattice is found by cyclic extension (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, sections
@@ -18,14 +18,15 @@ C[L] inside C[H] <= C[G] has the exact value
 
     cos a(C[K], C[L]) = ([K n L : H] - 1) / (sqrt([K:H] - 1) sqrt([L:H] - 1)),
 
-computed here in rational arithmetic (the square of the cosine is an exact
-fraction) with conversion to floating point only for the arccos.  The
-numeric cross-check route materializes C[H] <= C[G] on the left regular
-representation.  E preserves the trace, so the tower module of C[G] is
-the algebra's own basis {lambda_g / sqrt(|G|)}: module coordinates are the
-algebra's HS coordinates, the scaled group coefficients (read off the
-disjoint supports of the lambda_g), and left multiplication acts by the
-same matrix as the element itself.
+computed here on Python ints (the square of the cosine is a fraction
+reduced by its gcd) with conversion to floating point only for the square
+root and the arccos.  The numeric cross-check route materializes
+C[H] <= C[G] on the left regular representation.  E preserves the trace,
+so the tower module of C[G] is the algebra's own basis
+{lambda_g / sqrt(|G|)}: module coordinates are the algebra's HS
+coordinates, the scaled group coefficients (read off the disjoint supports
+of the lambda_g), and left multiplication acts by the same matrix as the
+element itself.
 
 The CLI mini-language for groups and subgroup generators is parsed at the
 bottom of this module; grammar in README.md.
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -155,6 +156,13 @@ class FiniteGroup:
             inv[g] = h
         return inv
 
+    @cached_property
+    def _largest_proper_order(self) -> int:
+        """|G| / p for p the smallest prime factor of |G|: by Lagrange, no
+        proper subgroup is larger (0 for the trivial group)."""
+        n = self.order
+        return n // next((p for p in range(2, n + 1) if n % p == 0), n + 1)
+
     def mult(self, a: int, b: int) -> int:
         return int(self.cayley[a, b])
 
@@ -266,7 +274,10 @@ def make_group(spec) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A validated subgroup: a sorted tuple of element indices and its mask."""
+    """A validated subgroup: a sorted tuple of element indices and its mask.
+
+    ``order`` is the number of elements, an int stored at validation.
+    """
 
     parent: FiniteGroup
     elements: tuple
@@ -279,21 +290,22 @@ class Subgroup:
             raise NotSubgroup("subgroup must contain the identity")
         if not mask[G.inverse[idx]].all():
             raise NotSubgroup("subgroup not closed under inverses")
-        if not mask[G.cayley[np.ix_(idx, idx)]].all():
+        if not mask[G.cayley[idx[:, None], idx]].all():
             raise NotSubgroup("subgroup not closed under products")
         mask.flags.writeable = False
         object.__setattr__(self, "elements", tuple(idx.tolist()))
+        object.__setattr__(self, "order", idx.size)
         object.__setattr__(self, "_mask", mask)
         # the same set as a Python int, for constant-time subset tests
         bits = np.packbits(mask, bitorder="little").tobytes()
         object.__setattr__(self, "_bits", int.from_bytes(bits, "little"))
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, g: int) -> bool:
-        g = int(g)
+    def __contains__(self, g) -> bool:
+        """Membership of an element index; a value that is not an integer is no member."""
+        try:
+            g = operator.index(g)
+        except TypeError:
+            return False
         return 0 <= g < self.parent.order and bool(self._mask[g])
 
     def __iter__(self):
@@ -335,15 +347,20 @@ def _closure(G: FiniteGroup, mask: np.ndarray, known=()) -> np.ndarray:
 
     Each round adds every product of two current elements, so round r
     reaches all words of length 2^r; a finite set closed under products
-    (with the identity) is a subgroup.  The search stops early at the whole
-    group or at a mask whose bytes are in ``known`` (masks of subgroups).
+    (with the identity) is a subgroup.  The search stops early at a mask
+    whose bytes are in ``known`` (masks of subgroups), and at the whole
+    group once the mask outgrows every proper subgroup
+    (``FiniteGroup._largest_proper_order``).
     """
     mask = mask.copy()
     mask[G.identity] = True
     size = np.count_nonzero(mask)
     while size < G.order and mask.tobytes() not in known:
-        idx = np.flatnonzero(mask)
-        mask[G.cayley[np.ix_(idx, idx)]] = True
+        if size > G._largest_proper_order:
+            mask[:] = True
+            break
+        idx = mask.nonzero()[0]
+        mask[G.cayley[idx[:, None], idx]] = True
         grown = np.count_nonzero(mask)
         if grown == size:
             break
@@ -401,18 +418,23 @@ def subgroup_index(K, H: Subgroup) -> int:
 
 
 def left_coset_reps(G: FiniteGroup, H: Subgroup, within=None) -> list[int]:
-    """Deterministic left-coset representatives: smallest index per coset."""
+    """Deterministic left-coset representatives: smallest index per coset.
+
+    One per coset g H of the elements g of ``within`` (a subgroup K
+    containing H; all of G when None), in increasing order: g is a
+    representative exactly when it is the smallest element of g H.  Raises
+    :class:`NotIntermediate` when K does not contain H, as its elements then
+    meet cosets that K does not cover.
+    """
     _same_parent(H, *([] if within is None else [within]), group=G)
-    members = within.elements if within is not None else range(G.order)
-    h = np.array(H.elements)
-    covered = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in members:
-        if covered[g]:
-            continue
-        reps.append(int(g))
-        covered[G.cayley[g, h]] = True
-    return reps
+    if within is None:
+        members = np.arange(G.order)
+    elif H.issubset(within):
+        members = np.array(within.elements)
+    else:
+        raise NotIntermediate("H is not contained in K")
+    smallest = G.cayley[members[:, None], H.elements].min(axis=1)
+    return members[smallest == members].tolist()
 
 
 def conjugate_subgroup(K: Subgroup, g: int) -> Subgroup:
@@ -442,16 +464,23 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     Starts from the distinct cyclic subgroups and joins every newly found
     subgroup with each cyclic subgroup it does not contain, deduplicating
     by mask.  Every subgroup is the join of its cyclic subgroups, so the
-    search is complete.  Each distinct subgroup is validated once.
+    search is complete.  Each distinct seed S | C is closed once, and each
+    distinct subgroup is validated once.
     """
     cyclic = np.array(list({m.tobytes(): m for m in _cyclic_masks(G)}.values()))
     found = {m.tobytes(): m for m in cyclic}
+    seeds = set()
     frontier = list(cyclic)
     while frontier:
         fresh = []
         for S in frontier:
             for C in cyclic[np.any(cyclic & ~S, axis=1)]:
-                joined = _closure(G, S | C, found)
+                seed = S | C
+                seed_key = seed.tobytes()
+                if seed_key in seeds:
+                    continue
+                seeds.add(seed_key)
+                joined = _closure(G, seed, found)
                 key = joined.tobytes()
                 if key not in found:
                     found[key] = joined
@@ -486,30 +515,38 @@ def group_angle(
 ) -> AngleResult:
     """cos a(C[K], C[L]) = ([KnL:H] - 1) / (sqrt([K:H]-1) sqrt([L:H]-1)).
 
-    Exact rational arithmetic for the squared cosine; floating point enters
-    only in the final square root and arccos.
+    The squared cosine is exact: a fraction of Python ints reduced by their
+    gcd, whose quotient is the correctly rounded float.  Floating point
+    enters only in that quotient, the square root and the arccos.
     """
-    _same_parent(H, K, L, group=G)
-    for S, name in ((K, "K"), (L, "L")):
-        if H._bits & ~S._bits:
-            raise NotIntermediate(f"H is not contained in {name}")
-    if K.order == H.order or L.order == H.order:
+    if H.parent is not G or K.parent is not G or L.parent is not G:
+        raise NotSubgroup("subgroups of different parents")
+    h_bits, k_bits, l_bits = H._bits, K._bits, L._bits
+    if h_bits & ~k_bits:
+        raise NotIntermediate("H is not contained in K")
+    if h_bits & ~l_bits:
+        raise NotIntermediate("H is not contained in L")
+    h, k, l = H.order, K.order, L.order
+    if k == h or l == h:
         raise DegenerateIntermediate("K = H or L = H: angle undefined")
 
     # K n L is a subgroup containing H, and Lagrange holds for H <= K, L
-    a = (K._bits & L._bits).bit_count() // H.order
-    b = K.order // H.order
-    c = L.order // H.order
-    cos_sq = Fraction((a - 1) ** 2, (b - 1) * (c - 1))
-    cos = min(1.0, math.sqrt(float(cos_sq)))
+    a = (k_bits & l_bits).bit_count() // h
+    b = k // h
+    c = l // h
+    num, den = (a - 1) ** 2, (b - 1) * (c - 1)
+    gcd = math.gcd(num, den)
+    num //= gcd
+    den //= gcd
+    cos = min(1.0, math.sqrt(num / den))
     diagnostics = AngleDiagnostics(
         numerator=float(a - 1),
         denominator_first=math.sqrt(b - 1),
         denominator_second=math.sqrt(c - 1),
         raw_cos=cos,
         extra={
-            "cos_squared_numerator": cos_sq.numerator,
-            "cos_squared_denominator": cos_sq.denominator,
+            "cos_squared_numerator": num,
+            "cos_squared_denominator": den,
             "index_intersection": a,
             "index_K": b,
             "index_L": c,

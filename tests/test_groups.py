@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstar_angles.angles import AngleDiagnostics, AngleResult, Route
 from cstar_angles.algebra import (
     ConditionalExpectation,
     verify_expectation,
@@ -153,6 +154,41 @@ def test_coset_reps_deterministic_and_covering():
     assert covered == set(range(G.order))
 
 
+def _reference_coset_reps(G, H, within=None):
+    """The former left_coset_reps: the first uncovered element of each coset."""
+    members = within.elements if within is not None else range(G.order)
+    covered, reps = set(), []
+    for g in members:
+        if g not in covered:
+            reps.append(g)
+            covered.update(G.mult(g, h) for h in H.elements)
+    return reps
+
+
+def test_coset_reps_match_the_per_element_loop():
+    G = FiniteGroup.symmetric(4)
+    subs = all_subgroups(G)
+    for H in subs:
+        reps = left_coset_reps(G, H)
+        assert reps == _reference_coset_reps(G, H)
+        assert all(type(g) is int for g in reps)
+        for K in subs:
+            if H.issubset(K):
+                assert left_coset_reps(G, H, within=K) == _reference_coset_reps(G, H, K)
+            else:
+                with pytest.raises(NotIntermediate):
+                    left_coset_reps(G, H, within=K)
+
+
+def test_coset_reps_within_a_subgroup_not_containing_h():
+    G = FiniteGroup.symmetric(3)
+    H, K = parse_subgroup(G, "(12)"), parse_subgroup(G, "(13)")
+    # the per-element loop gave [0, 5]: no transversal of H's cosets in K
+    with pytest.raises(NotIntermediate, match="H is not contained in K"):
+        left_coset_reps(G, H, within=K)
+    assert left_coset_reps(G, H, within=H) == [H.elements[0]]
+
+
 @pytest.mark.parametrize(
     "reps, error",
     [
@@ -287,6 +323,39 @@ def test_all_subgroups_of_s5():
     assert [s.order for s in subs].count(60) == 1  # A5
 
 
+def test_largest_proper_subgroup_order():
+    for n, bound in ((1, 0), (2, 1), (7, 1), (12, 6), (81, 27), (120, 60), (125, 25)):
+        assert FiniteGroup.cyclic(n)._largest_proper_order == bound
+    G = FiniteGroup.symmetric(5)
+    assert max(s.order for s in all_subgroups(G) if s.order < G.order) == 60
+
+
+@pytest.mark.parametrize("spec", ["S5", "Z3xZ3xZ3xZ3", "Z2xZ2xZ3xZ4"])
+def test_generated_subgroup_matches_the_reference_closure(spec):
+    # the closure stops at G once past the largest proper order: the
+    # generator sets include ones that generate G and ones that do not
+    G = parse_group_spec(spec)
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 2, 3):
+        for _ in range(8):
+            gens = rng.choice(G.order, size=size, replace=False).tolist()
+            assert set(generated_subgroup(G, gens).elements) == _reference_closure(G, gens)
+
+
+def test_all_subgroups_of_relabelled_s5_is_the_relabelled_lattice():
+    G = FiniteGroup.symmetric(5)
+    perm = np.random.default_rng(7).permutation(G.order)
+    relabelled = FiniteGroup(
+        np.argsort(perm)[G.cayley[np.ix_(perm, perm)]], elements=[G.elements[p] for p in perm]
+    )
+    # element i of the relabelled group is element perm[i] of G
+    image = sorted(
+        (s.order, tuple(sorted(perm[i] for i in s.elements))) for s in all_subgroups(relabelled)
+    )
+    assert len(image) == 156
+    assert image == [(s.order, s.elements) for s in all_subgroups(G)]
+
+
 def test_normalizer_matches_per_element_reference():
     G = FiniteGroup.symmetric(4)
     for K in all_subgroups(G):
@@ -302,9 +371,21 @@ def test_subgroup_mask_and_membership():
     G = FiniteGroup.cyclic(6)
     K = Subgroup(G, [3, 0, 3])
     assert K.elements == (0, 3)
+    assert K.order == 2 and type(K.order) is int
     assert K.mask().tolist() == [True, False, False, True, False, False]
     assert not K.mask().flags.writeable
     assert 3 in K and 1 not in K and -3 not in K and 9 not in K
+
+
+def test_membership_takes_integers_only():
+    G = FiniteGroup.cyclic(6)
+    K = Subgroup(G, [0, 3])
+    # int() truncated these to the member 3
+    for value in (3.5, 3.0, np.float64(3.0), "3", None):
+        assert value not in K
+    for value in (np.int64(3), np.int32(3), np.uint8(3), np.array(3)):
+        assert value in K
+    assert np.int64(1) not in K and np.int64(-3) not in K
 
 
 def test_subgroup_rejections_name_the_failed_property():
@@ -405,6 +486,87 @@ def test_group_angle_errors():
     outside = generated_subgroup(G, [G.index_of((4,))])  # does not contain H
     with pytest.raises(NotIntermediate):
         group_angle(G, H, outside, K)
+
+
+def _reference_group_angle(G, H, K, L):
+    """The former group_angle: the squared cosine as a Fraction."""
+    if any(S.parent is not G for S in (H, K, L)):
+        raise NotSubgroup("subgroups of different parents")
+    for S, name in ((K, "K"), (L, "L")):
+        if not H.issubset(S):
+            raise NotIntermediate(f"H is not contained in {name}")
+    if K.order == H.order or L.order == H.order:
+        raise DegenerateIntermediate("K = H or L = H: angle undefined")
+    a = intersection(K, L).order // H.order
+    b = K.order // H.order
+    c = L.order // H.order
+    cos_sq = Fraction((a - 1) ** 2, (b - 1) * (c - 1))
+    cos = min(1.0, math.sqrt(float(cos_sq)))
+    diagnostics = AngleDiagnostics(
+        numerator=float(a - 1),
+        denominator_first=math.sqrt(b - 1),
+        denominator_second=math.sqrt(c - 1),
+        raw_cos=cos,
+        extra={
+            "cos_squared_numerator": cos_sq.numerator,
+            "cos_squared_denominator": cos_sq.denominator,
+            "index_intersection": a,
+            "index_K": b,
+            "index_L": c,
+        },
+    )
+    return AngleResult(
+        cos_value=cos, angle_rad=math.acos(cos), route=Route.FORMULA,
+        diagnostics=diagnostics,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [
+        (lambda: FiniteGroup.symmetric(4), 3),
+        (lambda: FiniteGroup.direct_product([2, 2, 3, 4]), 4),
+    ],
+    ids=["S4-relabelled", "Z2xZ2xZ3xZ4-relabelled"],
+)
+def test_group_angle_equals_the_fraction_reference(make, seed):
+    G = _relabel(make(), np.random.default_rng(seed))
+    subs = all_subgroups(G)
+    chains = 0
+    for H in subs:
+        inters = [K for K in subs if H.issubset(K) and K.order not in (H.order, G.order)]
+        for K in inters:
+            for L in inters:
+                res = group_angle(G, H, K, L)
+                assert res == _reference_group_angle(G, H, K, L)
+                assert all(type(v) is int for v in res.diagnostics.extra.values())
+                chains += 1
+    assert chains == {24: 1065, 48: 6424}[G.order]
+
+
+def _s3_angle_cases():
+    S3, Z6 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(6)
+    H = parse_subgroup(S3, "(12)")
+    A3, other = parse_subgroup(S3, "(123)"), parse_subgroup(S3, "(13)")
+    G = full_subgroup(S3)
+    return {
+        # a foreign parent comes first, before K's failed containment
+        "foreign-first": ((S3, H, other, full_subgroup(Z6)), NotSubgroup, "parents"),
+        "foreign-group": ((Z6, H, other, A3), NotSubgroup, "parents"),
+        # K is tested before L
+        "K-before-L": ((S3, H, A3, other), NotIntermediate, "contained in K"),
+        # containment before degeneracy: K = H, L misses H
+        "L-before-degenerate": ((S3, H, H, A3), NotIntermediate, "contained in L"),
+        "degenerate": ((S3, H, G, H), DegenerateIntermediate, "undefined"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_s3_angle_cases()))
+def test_group_angle_error_precedence(case):
+    args, error, message = _s3_angle_cases()[case]
+    for fn in (group_angle, _reference_group_angle):
+        with pytest.raises(error, match=message):
+            fn(*args)
 
 
 def test_zero_iff_equal_over_s3_lattice():
