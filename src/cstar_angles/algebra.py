@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -590,7 +591,7 @@ class ConditionalExpectation:
     held in the form it was given, read-only.  :attr:`quasi_stack` (one
     (q, n, n) stack) and :attr:`quasi_basis` (views into it) are built from
     Y on first read and kept; the coordinates of given matrices are taken
-    on first read and kept (:func:`_quasi_coordinates`), as the index is.
+    on first read and kept (:attr:`_quasi_coords`), as the index is.
     """
 
     def __init__(
@@ -915,7 +916,7 @@ def _quasi_basis_core(
 
     ``coords`` holds the source coordinates of the l_i, one row each (the
     p_i), and ``onto`` those of E's target basis, as a containment test of
-    the target in the source takes them (:func:`_compatible_pair_coordinates`).
+    the target in the source takes them (:func:`_intermediate`).
     ``sizes`` and ``offs`` hold the ||l_i||_F and ||d_i||_F of a family
     given as matrices; a family given by its coordinates lies on the source
     (d_i = 0, and ||l_i||_F is the norm of its row).
@@ -1027,61 +1028,92 @@ def restrict_expectation(
     """E restricted to the intermediate target(F) = C, with derived quasi-basis {F(l_i)}.
 
     Raises :class:`NotIntermediate` unless F's target spans C, and then
-    unless E and F share their source and target(E) <= target(F) <=
-    source(E), each within ``tol`` (:func:`_compatible_pair_coordinates`).
-    The tests of target(E) <= target(F) and of target(F) <= source(E) also
-    give target(E)'s basis in target(F)'s coordinates and target(F)'s basis
-    in source coordinates, which the restriction itself
-    (:func:`_restrict_core`) reads, so neither basis is projected twice.
-    The restriction's source is F's target.  The F(l_i) that are exactly
-    zero add nothing to either identity and are left out of the derived
-    quasi-basis.
+    unless F's source spans E's and target(E) <= target(F) <= source(E),
+    each within ``tol`` (:func:`_intermediate`).  The restriction
+    (:func:`_restrict_core`) reads F only as the record those checks
+    return, so neither basis is projected twice.  The restriction's source
+    is F's target.  The F(l_i) that are exactly zero add nothing to either
+    identity and are left out of the derived quasi-basis.
     """
     if not F.target.same_span(C, tol):
         raise NotIntermediate("F does not map onto C")
-    on_source, target_on_f = _compatible_pair_coordinates(E, F, tol)
-    return _restrict_core(E, F, on_source, target_on_f, _quasi_coordinates(E, F.source), tol)
+    return _restrict_core(E, _intermediate(E, F, tol), tol)
 
 
-def _quasi_coordinates(E: ConditionalExpectation, alg: MatrixStarAlgebra) -> np.ndarray | None:
-    """E's quasi-basis in ``alg``'s HS coordinates, one row each; None when E carries none.
+class _Intermediate(NamedTuple):
+    """A compatible intermediate C = target(F), read in the coordinates of A = source(E).
 
-    Over E's own source this is the Y that E holds or keeps.
+    ``t`` is F's coordinate matrix with its rows over A's basis, ``c_on_a``
+    C's basis over A and ``b_on_c`` the basis of B = target(E) over C, each
+    from the pass that tests its containment; ``hs`` is F on A's HS
+    coordinates, ``t @ c_on_a``.  F itself, and its quasi-basis, are not kept.
     """
-    if alg is E.source or E._quasi is None:
-        return E._quasi_coords
-    return alg.hs_coordinates(E.quasi_stack)
+
+    target: MatrixStarAlgebra
+    t: np.ndarray
+    c_on_a: np.ndarray
+    b_on_c: np.ndarray
+    hs: np.ndarray
 
 
-def _restrict_core(
-    E: ConditionalExpectation,
-    F: ConditionalExpectation,
-    on_source: np.ndarray,
-    target_on_f: np.ndarray,
-    quasi_coords: np.ndarray | None,
-    tol: float,
-) -> ConditionalExpectation:
-    """:func:`restrict_expectation` after its checks, from coordinates already taken.
+def _intermediate(E: ConditionalExpectation, F: ConditionalExpectation, tol: float):
+    """The checks of :func:`compatibility_residual`, at ``tol``; returns F as a record.
+
+    Raises :class:`NotIntermediate` unless F's source spans A = source(E),
+    then unless target(E) <= target(F), then unless target(F) <= A.  Only
+    then is F's coordinate matrix read, on A (:func:`_coordinates_on`), into
+    the :class:`_Intermediate` returned.
+    """
+    A = E.source
+    read_t = _coordinates_on(A, F, tol)
+    b_on_c = F.target._member_coordinates(E.target.basis_stack, tol)
+    if b_on_c is None:
+        raise NotIntermediate("target(E) is not contained in target(F)")
+    c_on_a = A._member_coordinates(F.target.basis_stack, tol)
+    if c_on_a is None:
+        raise NotIntermediate("target(F) is not contained in the source")
+    t = read_t()
+    return _Intermediate(F.target, t, c_on_a, b_on_c, t @ c_on_a)
+
+
+def _coordinates_on(
+    A: MatrixStarAlgebra, F: ConditionalExpectation, tol: float
+) -> Callable[[], np.ndarray]:
+    """A reader of F's coordinate matrix T with its rows over A's basis {a_j}.
+
+    The one place an F is read on an algebra object other than its source:
+    raises :class:`NotIntermediate` at once unless F's source spans A, at
+    ``tol``, and the reader gives Q T, Q[j] = a_j over F's source basis.
+    T is read, at the default tolerance, only when the reader is called.
+    """
+    if F.source is A:
+        return F.coordinates
+    if not A.same_span(F.source, tol):
+        raise NotIntermediate("E and F must share their source algebra")
+    return lambda: F.source.hs_coordinates(A.basis_stack) @ F.coordinate_matrix
+
+
+def _restrict_core(E: ConditionalExpectation, member, tol: float) -> ConditionalExpectation:
+    """:func:`restrict_expectation` after its checks, from the record :func:`_intermediate` returns.
 
     E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
-    rows: ``on_source`` (row j holds the <b_k, c_j> for F's target basis
+    rows: ``member.c_on_a`` (row j holds the <b_k, c_j> for C's basis
     {c_j}) times E's.  The derived quasi-basis is held as its coordinates
-    over F's target, Y = ``quasi_coords`` times F's coordinate matrix with
-    its zero rows left out, ``quasi_coords`` being E's quasi-basis in the
-    coordinates of F's source (:func:`_quasi_coordinates`).  It is checked
-    from Y by the core of :func:`verify_quasi_basis` on ``target_on_f``,
-    target(E)'s basis in target(F)'s coordinates, and :class:`NoQuasiBasis`
-    is raised when it fails.
+    over C, Y = E's Y, read as E holds it, times ``member.t`` with its zero
+    rows left out.  It is checked from Y by the core of
+    :func:`verify_quasi_basis` on ``member.b_on_c``, and
+    :class:`NoQuasiBasis` is raised when it fails.
     """
-    quasi = None
-    if quasi_coords is not None:
-        quasi = quasi_coords @ F.coordinate_matrix  # the F(l_i), zeros left out
+    quasi = E._quasi_coords
+    if quasi is not None:
+        quasi = quasi @ member.t  # the F(l_i), zeros left out
         quasi = quasi[quasi.any(axis=1)]
         quasi.setflags(write=False)  # shared by the expectation and the check
     restricted = ConditionalExpectation.from_coordinates(
-        F.target, E.target, on_source @ E.coordinates(tol), quasi_basis=quasi, name=f"{E.name}|C"
+        member.target, E.target, member.c_on_a @ E.coordinates(tol), quasi_basis=quasi,
+        name=f"{E.name}|C",
     )
-    if quasi is not None and not _quasi_basis_core(restricted, quasi, target_on_f, tol):
+    if quasi is not None and not _quasi_basis_core(restricted, quasi, member.b_on_c, tol):
         raise NoQuasiBasis("derived quasi-basis {F(l_i)} failed verification")
     return restricted
 
@@ -1091,64 +1123,34 @@ def compatibility_residual(
 ) -> float:
     """max over source basis of ||E(x) - E(F(x))||.
 
-    E and F must share their source, with target(E) <= target(F) <=
-    source, each within the default tolerance
-    (:func:`_compatible_pair_coordinates`); otherwise
-    :class:`NotIntermediate` is raised.  The test of target(F) <= source
-    also gives target(F)'s basis in source coordinates, which the residual
-    itself (:func:`_compatibility_core`) reads.
+    F's source must span E's, with target(E) <= target(F) <= source, each
+    within the default tolerance (:func:`_intermediate`); otherwise
+    :class:`NotIntermediate` is raised.  The residual itself
+    (:func:`_compatibility_core`) reads F on A's HS coordinates from the
+    record those checks return.
     """
-    on_source, _ = _compatible_pair_coordinates(E, F, mx.DEFAULT_TOL)
-    return float(_compatibility_core(E, [(F, on_source)])[0])
+    return float(_compatibility_core(E, [_intermediate(E, F, mx.DEFAULT_TOL)])[0])
 
 
-def _compatible_pair_coordinates(
-    E: ConditionalExpectation, F: ConditionalExpectation, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of :func:`compatibility_residual`; returns the coordinates they take.
+def _compatibility_core(E: ConditionalExpectation, members) -> np.ndarray:
+    """:func:`compatibility_residual` after its checks, for each :func:`_intermediate` record.
 
-    Raises :class:`NotIntermediate` unless E and F share their source and
-    target(E) <= target(F) <= source(E), each at ``tol``.  Returns the
-    coordinates of target(F)'s basis over the source and those of
-    target(E)'s basis over target(F), each from the pass that tests the
-    containment.
-    """
-    src = E.source
-    if not src.same_span(F.source, tol):
-        raise NotIntermediate("E and F must share their source algebra")
-    target_on_f = F.target._member_coordinates(E.target.basis_stack, tol)
-    if target_on_f is None:
-        raise NotIntermediate("target(E) is not contained in target(F)")
-    on_source = src._member_coordinates(F.target.basis_stack, tol)
-    if on_source is None:
-        raise NotIntermediate("target(F) is not contained in the source")
-    return on_source, target_on_f
-
-
-def _compatibility_core(E: ConditionalExpectation, pairs) -> np.ndarray:
-    """:func:`compatibility_residual` after its checks, for each (F, on_source) pair.
-
-    ``on_source`` holds F's target basis in source coordinates.  Both terms
-    come from the coordinate matrices, as target coordinates of E for every
-    source basis element at once: F(x) in source coordinates is F's
-    coordinate matrix times ``on_source``.  Each pair's rows go through
-    their own Frobenius screen (:func:`~cstar_angles.matrices.norm_screen`),
-    and the survivors of every pair through one stacked SVD call, a chunk
-    of ``STACK_BUDGET_BYTES`` at a time.  A pair whose rows are all below
+    Both terms come from coordinate matrices, as target coordinates of E
+    for every source basis element at once: F(x) in source coordinates is
+    the record's ``hs``.  Each member's rows go through their own Frobenius
+    screen (:func:`~cstar_angles.matrices.norm_screen`), and the survivors
+    of every member through one stacked SVD call, a chunk of
+    ``STACK_BUDGET_BYTES`` at a time.  A member whose rows are all below
     ``NOISE_FLOOR`` reports its largest Frobenius norm, as
     :func:`~cstar_angles.matrices.max_operator_norm` does.
     """
-    src, n = E.source, E.ambient_dim
+    n = E.ambient_dim
     t_e = E.coordinate_matrix
-    residuals = np.zeros(len(pairs))
+    residuals = np.zeros(len(members))
     kept, owners = [], []
-    for i, (F, on_source) in enumerate(pairs):
-        t_f = F.coordinate_matrix
-        if F.source is not src:
-            # F's coordinate rows belong to F's own source basis
-            t_f = F.source.hs_coordinates(src.basis_stack) @ t_f
+    for i, member in enumerate(members):
         # F(x) in source coordinates, then E of it in target coordinates
-        diff = t_e - (t_f @ on_source) @ t_e
+        diff = t_e - member.hs @ t_e
         # the target basis is HS-orthonormal, so row norms are Frobenius norms
         frobenius = np.linalg.norm(diff, axis=1)
         residuals[i] = frobenius.max(initial=0.0)

@@ -111,7 +111,8 @@ class FiniteGroup:
             tuple(labels) if labels is not None else tuple(str(e) for e in self.elements)
         )
         self._index_of = {e: i for i, e in enumerate(self.elements)}
-
+        if {len(self.elements), len(self._index_of), len(self.labels)} != {order}:
+            raise InvalidGroup(f"need one distinct element and one label per table row ({order})")
         self._validate()
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()

@@ -110,8 +110,8 @@ from .algebra import (
     MatrixStarAlgebra,
     _centrality_residual,
     _compatibility_core,
-    _compatible_pair_coordinates,
-    _quasi_coordinates,
+    _coordinates_on,
+    _intermediate,
     _restrict_core,
     verify_quasi_basis,
 )
@@ -210,17 +210,14 @@ class GenericModule:
         scaled /= values
         self._from_module = scaled @ vectors.T
 
-    def _hs_matrix(self, F: ConditionalExpectation, on_a: np.ndarray | None = None) -> np.ndarray:
+    def _hs_matrix(self, F: ConditionalExpectation) -> np.ndarray:
         """F on A's HS coordinates: row j holds the HS coordinates of F(b_j).
 
-        ``on_a``, when given, holds F's target basis in A's HS coordinates,
-        one row each, as a caller has already taken them.
+        F's source must span A; raises :class:`NotIntermediate` otherwise
+        (:func:`~cstar_angles.algebra._coordinates_on`).
         """
         A = self.algebra
-        if on_a is None:
-            on_a = A.hs_coordinates(F.target.basis_stack)
-        onto = F.coordinate_matrix @ on_a
-        return onto if F.source is A else F.source.hs_coordinates(A.basis_stack) @ onto
+        return _coordinates_on(A, F, mx.DEFAULT_TOL)() @ A.hs_coordinates(F.target.basis_stack)
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
@@ -238,12 +235,15 @@ class GenericModule:
         return np.swapaxes(on_hs, 1, 2).reshape(x.shape[:-2] + (self.dim, self.dim))
 
     def expectation_matrix(self, F: ConditionalExpectation) -> np.ndarray:
-        """Module matrix of an expectation F defined on A, from its coordinate matrix."""
-        return self._expectation_matrix(F)
+        """Module matrix of an expectation F on A, from its coordinate matrix.
 
-    def _expectation_matrix(self, F: ConditionalExpectation, on_a=None) -> np.ndarray:
-        """:meth:`expectation_matrix`, with ``on_a`` as in :meth:`_hs_matrix`."""
-        return (self._from_module @ self._hs_matrix(F, on_a) @ self._to_module).T
+        F's source must span A; raises :class:`NotIntermediate` otherwise.
+        """
+        return self._module_matrix(self._hs_matrix(F))
+
+    def _module_matrix(self, hs: np.ndarray) -> np.ndarray:
+        """Module matrix of a map on A's HS coordinates, given as :meth:`_hs_matrix` gives it."""
+        return (self._from_module @ hs @ self._to_module).T
 
     def operator_matrix(self, fn) -> np.ndarray:
         """Matrix of a map on A (columns are images in coordinates).
@@ -374,7 +374,7 @@ class TowerLevel:
     @cached_property
     def quasi_coords(self) -> np.ndarray:
         """Module coordinates of the quasi-basis {l_i} of E, one row each, from E's Y."""
-        return _quasi_coordinates(self.expectation, self.algebra) @ self.module._to_module
+        return self.expectation._quasi_coords @ self.module._to_module
 
     @cached_property
     def star_matrix(self) -> np.ndarray:
@@ -622,12 +622,12 @@ def intermediate_data(
     This is :func:`~cstar_angles.algebra.compatibility_residual` (above
     ``tol``: :class:`NotCompatible`), then
     :func:`~cstar_angles.algebra.restrict_expectation`, with each of their
-    checks run once, at ``min(tol, DEFAULT_TOL)``: C's basis is taken to
-    A's coordinates by one pass, which also tests C <= A and feeds the
-    compatibility residual, the restricted coordinate matrix and F's module
-    matrix; the pass that tests B <= C feeds the quasi-basis check.  It is
-    the one-member case of :func:`intermediate_projections`, through the
-    same steps.
+    checks run once, at ``min(tol, DEFAULT_TOL)``, and F read once, into
+    the record of :func:`~cstar_angles.algebra._intermediate`: its F on
+    A's HS coordinates feeds the compatibility residual and F's module
+    matrix, C's basis over A the restricted coordinate matrix, and B's
+    basis over C the quasi-basis check.  It is the one-member case of
+    :func:`intermediate_projections`, through the same steps.
     """
     (member,) = _compatible_members(level, iter([F]), tol)
     e_c, e_f, restricted = _member_projection(level, member, tol)
@@ -643,7 +643,7 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     (:func:`_compatible_members`).  Each member's containment tests,
     restriction, quasi-basis check and W W* run on it alone
     (:func:`_member_projection`), reading E's quasi-basis in A's
-    coordinates as E holds it, and each member's F is freed once its
+    coordinates as E holds it, and each member's record is freed once its
     e_C is formed.  The compatibility residuals of a chunk come
     from one stacked SVD call, and its postconditions and ||e_C|| from
     another (:func:`_check_projections`).  Every check runs over the whole
@@ -656,7 +656,7 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     while chunk := _compatible_members(level, members, tol):
         e_cs = np.empty((len(chunk), d, d), dtype=np.complex128)
         e_fs = np.empty_like(e_cs)
-        chunk.reverse()  # taken from the end, so that each F is freed once used
+        chunk.reverse()  # taken from the end, so that each record is freed once used
         for k in range(len(e_cs)):
             e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop(), tol)
         _check_projections(e_cs, level.jones_projection, e_fs, tol)
@@ -667,19 +667,18 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     return np.concatenate(stacks) if stacks else np.empty((0, d, d), dtype=np.complex128)
 
 
-def _compatible_members(level: TowerLevel, expectations, tol: float) -> list[tuple]:
+def _compatible_members(level: TowerLevel, expectations, tol: float) -> list:
     """The containment tests and compatibility residuals of the next chunk of expectations.
 
     Reads expectations F from the iterator ``expectations`` until their
     targets' bases and the postcondition stacks of
     :func:`_check_projections` fill ``STACK_BUDGET_BYTES``, or it runs out
-    (an empty list then).  Returns one (F, F's target basis over A, B's
-    basis over F's target) tuple per F, the coordinates as the containment
-    passes of
-    :func:`~cstar_angles.algebra._compatible_pair_coordinates` took them, at
-    ``min(tol, DEFAULT_TOL)``.  F is kept as its coordinate matrix, source
-    and target: no later step reads its quasi-basis, which is freed with
-    the caller's F.  The residuals of the chunk come from one
+    (an empty list then).  Returns one
+    :func:`~cstar_angles.algebra._intermediate` record per F, its checks
+    run at ``min(tol, DEFAULT_TOL)``: F's coordinate matrix over A, C's
+    basis over A, B's basis over C and F on A's HS coordinates.  No later
+    step reads F's quasi-basis, which is freed with the caller's F.  The
+    residuals of the chunk come from one
     :func:`~cstar_angles.algebra._compatibility_core` call; one above
     ``tol`` raises :class:`NotCompatible`.
     """
@@ -687,39 +686,32 @@ def _compatible_members(level: TowerLevel, expectations, tol: float) -> list[tup
     check_tol = min(tol, mx.DEFAULT_TOL)
     members, held = [], 0
     for F in expectations:
-        coords = _compatible_pair_coordinates(E, F, check_tol)
-        F = ConditionalExpectation.from_coordinates(
-            F.source, F.target, F.coordinate_matrix, name=F.name
-        )
-        members.append((F, *coords))
-        held += F.target.basis_stack.nbytes + 6 * level.jones_projection.nbytes
+        members.append(_intermediate(E, F, check_tol))
+        # charged per member: its target basis, its d x d hs and six postcondition matrices
+        held += F.target.basis_stack.nbytes + 7 * level.jones_projection.nbytes
         if held >= mx.STACK_BUDGET_BYTES:
             break
-    if np.any(_compatibility_core(E, [(F, f_on_a) for F, f_on_a, _ in members]) > tol):
+    if np.any(_compatibility_core(E, members) > tol):
         raise NotCompatible("E does not factor through F (not a compatible pair)")
     return members
 
 
 def _member_projection(
-    level: TowerLevel, member: tuple, tol: float
+    level: TowerLevel, member, tol: float
 ) -> tuple[np.ndarray, np.ndarray, ConditionalExpectation]:
-    """e_C, F's module matrix and the restricted E, for one member of :func:`_compatible_members`.
+    """e_C, F's module matrix and the restricted E, for one record of :func:`_compatible_members`.
 
-    E's quasi-basis is read in the coordinates of F's source, which are the
-    Y that E holds when F's source is A.  The checks of the restriction are
-    those :func:`_compatible_members` has run.
+    F's module matrix is that of the record's ``hs``.  The checks of the
+    restriction are those :func:`_compatible_members` has run.
     """
-    E = level.expectation
-    F, f_on_a, b_on_f = member
-    quasi = _quasi_coordinates(E, F.source)
-    restricted = _restrict_core(E, F, f_on_a, b_on_f, quasi, tol)
+    restricted = _restrict_core(level.expectation, member, tol)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
     # per quasi-basis element
     w = np.swapaxes(level.embed(restricted.quasi_stack) @ level.jones_range, 0, 1)
     w = w.reshape(level.module_dim, -1)
     e_c = w @ mx.adjoint(w)
     del w
-    e_f = level.module._expectation_matrix(F, f_on_a)
+    e_f = level.module._module_matrix(member.hs)
     return e_c, e_f, restricted
 
 

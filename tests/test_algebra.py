@@ -1055,7 +1055,7 @@ def _y_held_family(case):
 def test_held_quasi_coordinates_are_those_of_the_stack(case):
     inc, family = _y_held_family(case)
     for E, reps in family:
-        y = algebra._quasi_coordinates(E, E.source)
+        y = E._quasi_coords
         assert y is E._quasi and y.ndim == 2 and not y.flags.writeable  # held, not taken
         np.testing.assert_allclose(
             y, E.source.hs_coordinates(E.quasi_stack), rtol=0, atol=1e-14
@@ -1096,8 +1096,8 @@ def test_matrix_held_quasi_basis_keeps_the_dense_index_and_takes_coordinates_onc
     monkeypatch.setattr(mx, "sum_times_adjoint", lambda mats: calls.append(1) or dense(mats))
     np.testing.assert_allclose(watatani_index(held), 27.0 * np.eye(81), atol=1e-12)
     assert calls == [1]
-    y = algebra._quasi_coordinates(held, held.source)
-    assert algebra._quasi_coordinates(held, held.source) is y
+    y = held._quasi_coords
+    assert held._quasi_coords is y
     np.testing.assert_allclose(y, inc.E._quasi, rtol=0, atol=1e-14)
 
 

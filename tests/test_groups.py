@@ -105,6 +105,23 @@ def test_invalid_tables_rejected():
         FiniteGroup(loop)
 
 
+def test_elements_and_labels_must_give_one_per_table_row():
+    table = FiniteGroup.cyclic(4).cayley
+    bad = [
+        {"elements": [0, 1]},  # too few: label(3) was an IndexError
+        {"elements": [0, 1, 2, 3, 4]},
+        {"elements": [0, 0, 1, 2]},  # repeated: index_of(0) was 1
+        {"elements": [0, 1, 2, 3, 3]},  # four distinct, but five of them
+        {"labels": ["e", "a", "b"]},
+        {"labels": ["e", "a", "b", "c", "d"]},
+    ]
+    for kwargs in bad:
+        with pytest.raises(InvalidGroup, match="one distinct element and one label per table row"):
+            FiniteGroup(table, **kwargs)
+    G = FiniteGroup(table, elements="wxyz", labels=["e", "a", "a", "b"])  # labels may repeat
+    assert [G.index_of(e) for e in "wxyz"] == [0, 1, 2, 3] and G.label(3) == "b"
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 24))
 def test_cyclic_groups_validate(n):

@@ -684,6 +684,41 @@ def test_level_and_module_read_a_and_b_off_the_expectation(tower_level, inclusio
         build_tower_level(E, module=GenericModule(other), materialize=False)
 
 
+def test_expectation_matrix_refuses_a_foreign_source(tower_level, inclusion):
+    # the restriction of E to Delta has source Delta (dim 2), not A (dim 4)
+    restricted = restrict_expectation(inclusion.E, inclusion.delta, inclusion.F)
+    assert restricted.source.dim == 2
+    with pytest.raises(NotIntermediate, match="E and F must share their source algebra"):
+        tower_level.module.expectation_matrix(restricted)
+
+
+def test_an_expectation_on_a_same_span_source_reads_as_on_a(tower_level, inclusion, rng):
+    # F on another algebra object with A's span (a mixed spanning family)
+    # gives what the same F on A gives, through every reader of an intermediate
+    A, E, F = inclusion.A, inclusion.E, inclusion.F
+    mixed = np.tensordot(mx.random_matrix(4, rng), A.basis_stack, axes=1)
+    F_other = ConditionalExpectation.from_rule(
+        MatrixStarAlgebra.from_spanning(mixed), inclusion.delta, F
+    )
+    assert F_other.source is not A and F_other.source.same_span(A)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13
+
+    e_c, got = intermediate_data(tower_level, F_other)
+    want_e, want = intermediate_data(tower_level, F)
+    close(e_c, want_e)
+    close(tower.intermediate_projections(tower_level, [F_other, F_other]), np.stack([want_e] * 2))
+    for restricted in (got, restrict_expectation(E, inclusion.delta, F_other)):
+        assert restricted.source is inclusion.delta
+        close(restricted.coordinate_matrix, want.coordinate_matrix)
+        # the F(l_i) that are zero on A are rounding noise off it, not exact
+        # zeros, and stay in the derived quasi-basis
+        stack = restricted.quasi_stack
+        close(stack[mx.row_norms(stack.reshape(len(stack), -1)) > 1e-13], want.quasi_stack)
+    close(compatibility_residual(E, F_other), compatibility_residual(E, F))
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-25])
 def test_non_faithful_expectation_gives_a_degenerate_module(inclusion, eps):
     # E(x) = x_11 1 (eps = 0) kills e_22; eps = 1e-25 leaves a pivot below the cutoff
