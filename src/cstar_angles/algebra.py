@@ -27,7 +27,10 @@ expectation sums l_i l_i* densely.
 
 Both identities and the centrality of the index are checked in source
 coordinates, through the products of coordinate rows with basis elements
-(:meth:`MatrixStarAlgebra.multiplication_matrices`), on every algebra.
+(:meth:`MatrixStarAlgebra.multiplication_matrices`), on every algebra; on
+a source with a product table the identities take those products as
+gathers of rows (:attr:`MatrixStarAlgebra._gathers`), with no d x d
+multiplication matrix formed.
 
 Everything here is a pure function over immutable values; arrays are
 write-protected after construction.
@@ -316,6 +319,36 @@ class MatrixStarAlgebra:
             a.setflags(write=False)
         return SimpleNamespace(i=i, j=j, k=k, s=s)
 
+    @cached_property
+    def _gathers(self):
+        """The product table as row maps of the multiplication matrices, or None without a table.
+
+        With b_i b_j = s b_k: row k of L_{b_i}, the transpose of slice i of
+        :meth:`multiplication_matrices` from the left (the matrix of
+        left multiplication on coordinates), is s e_j, held as
+        ``left[i, k] = j`` and ``left_scale[i, k] = s``; row i of slice j
+        from the right is s e_k, held as ``right[j, i] = k`` and
+        ``right_scale[j, i] = s``.  A row with no entry holds index 0 and
+        scale 0.  No row has two entries: for a fixed factor, distinct basis
+        elements have distinct nonzero products with it (see
+        :meth:`multiplication_matrices`).  So the multiplication matrix of an
+        element with w nonzero coordinates applies as w row gathers
+        (:func:`_row_gathers`), read from the table once per algebra.
+        """
+        table = self._table
+        if table is None:
+            return None
+        d = self.dim
+        left, right = np.zeros((2, d, d), dtype=np.intp)
+        left_scale, right_scale = np.zeros((2, d, d), dtype=table.s.dtype)
+        left[table.i, table.k], left_scale[table.i, table.k] = table.j, table.s
+        right[table.j, table.i], right_scale[table.j, table.i] = table.k, table.s
+        for a in (left, right, left_scale, right_scale):
+            a.setflags(write=False)
+        return SimpleNamespace(
+            left=left, left_scale=left_scale, right=right, right_scale=right_scale
+        )
+
     def hs_coordinates(self, x) -> np.ndarray:
         """Coordinates of the HS-orthogonal projection of ``x`` onto the span.
 
@@ -503,6 +536,63 @@ class MatrixStarAlgebra:
 
     def __repr__(self):
         return f"MatrixStarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _row_nonzeros(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, values), each (m, w): the nonzero entries of each row of ``coords``.
+
+    w is the largest count of nonzero entries in a row, at least 1; shorter
+    rows are padded with zero values at position 0, which add nothing where
+    the values weigh what the positions gather.
+    """
+    rows, cols = np.nonzero(coords)
+    if len(rows) == len(coords) and (rows == np.arange(len(rows))).all():
+        # one entry a row, as on the group route
+        return cols[:, None], coords[rows, cols][:, None]
+    counts = np.bincount(rows, minlength=len(coords))
+    w = max(1, int(counts.max(initial=0)))
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    positions = np.zeros((len(coords), w), dtype=np.intp)
+    values = np.zeros((len(coords), w), dtype=coords.dtype)
+    positions[rows, slot] = cols
+    values[rows, slot] = coords[rows, cols]
+    return positions, values
+
+
+def _row_gathers(index: np.ndarray, scale: np.ndarray, nonzeros: tuple):
+    """One family of multiplication matrices of :attr:`MatrixStarAlgebra._gathers`, as row gathers.
+
+    ``index`` and ``scale`` are one of its maps, and ``nonzeros`` holds the
+    coordinates of m elements as :func:`_row_nonzeros` gives them.  Returns
+    (rows, weights), each (m, w, d): row k of element a's matrix is
+    sum_u weights[a, u, k] e_{rows[a, u, k]}, since the matrix of
+    sum_g c_g b_g is the sum of the c_g-scaled maps of the b_g.
+    """
+    positions, values = nonzeros
+    return index[positions], values[..., None] * scale[positions]
+
+
+def _gather_times(rows: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (m, d, c) products of the row gathers of :func:`_row_gathers` with x.
+
+    x is one (d, c) matrix or an (m, d, c) stack, one matrix per element:
+    w d c work per element, where a dense product is d^2 c.
+    """
+    m, w, d = rows.shape
+    if x.ndim == 3:  # element a gathers from rows a d ... a d + d - 1 of the stacked x
+        rows = rows + (np.arange(m) * d)[:, None, None]
+    flat = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+    out = np.take(flat, rows[:, 0], axis=0)
+    out *= weights[:, 0, :, None]
+    for u in range(1, w):
+        out += np.take(flat, rows[:, u], axis=0) * weights[:, u, :, None]
+    return out
+
+
+def _gather_sandwich(rows: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_a G_a p G_a* over the row gathers G_a of :func:`_row_gathers`: G_a (G_a p*)*."""
+    half = _gather_times(rows, weights, mx.adjoint(p))
+    return _gather_times(rows, weights, mx.adjoint(half)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +1010,11 @@ def _quasi_basis_core(
     ``sizes`` and ``offs`` hold the ||l_i||_F and ||d_i||_F of a family
     given as matrices; a family given by its coordinates lies on the source
     (d_i = 0, and ||l_i||_F is the norm of its row).
+
+    On a source with a product table every multiplication matrix is a row
+    gather (:attr:`MatrixStarAlgebra._gathers`), so an element with w
+    nonzero coordinates costs four gathers of w d^2 each; otherwise it
+    costs two multiplication matrices and dense products of d^2 dim(target).
     """
     src, tgt = E.source, E.target
     if sizes is None:
@@ -932,14 +1027,27 @@ def _quasi_basis_core(
     charge = np.linalg.norm(t) * (np.sum(offs * (2.0 * sizes + offs)) + off_target * sizes @ sizes)
     d = src.dim
     sums = np.zeros((2, d, d), dtype=np.complex128)  # the two reconstructions
-    # charged per element: its two multiplication matrices and their adjoints
-    for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
-        # on the span with the HS inner product, multiplication by l* is the
-        # adjoint of multiplication by l: R_{l*} = R_l* and L_{l*} = L_l*
-        on_right = src._coordinate_multiplication(coords[rows], left=False)
-        sums[0] += np.tensordot(on_right @ t, onto @ mx.adjoint(on_right), axes=([0, 2], [0, 1]))
-        on_left = src._coordinate_multiplication(coords[rows], left=True)
-        sums[1] += np.tensordot(mx.adjoint(on_left) @ t, onto @ on_left, axes=([0, 2], [0, 1]))
+    gathers = src._gathers
+    if gathers is None:
+        # charged per element: its two multiplication matrices and their adjoints
+        for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
+            # on the span with the HS inner product, multiplication by l* is the
+            # adjoint of multiplication by l: R_{l*} = R_l* and L_{l*} = L_l*
+            on_right = src._coordinate_multiplication(coords[rows], left=False)
+            sums[0] += np.tensordot(on_right @ t, onto @ mx.adjoint(on_right), axes=([0, 2], [0, 1]))
+            on_left = src._coordinate_multiplication(coords[rows], left=True)
+            sums[1] += np.tensordot(mx.adjoint(on_left) @ t, onto @ on_left, axes=([0, 2], [0, 1]))
+    else:
+        # with P = T B the terms are R P R* and L* P L = conj(M) P conj(M)*,
+        # M = L^T the matrix of left multiplication, whose rows ``left`` gathers
+        p = t @ onto
+        positions, values = _row_nonzeros(coords)
+        # charged per element: the gathered rows and the half products
+        for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
+            nonzeros = positions[rows], values[rows]
+            sums[0] += _gather_sandwich(*_row_gathers(gathers.right, gathers.right_scale, nonzeros), p)
+            index, weights = _row_gathers(gathers.left, gathers.left_scale, nonzeros)
+            sums[1] += _gather_sandwich(index, np.conjugate(weights), p)
     residuals = mx.row_norms((sums - np.eye(d)).reshape(2 * d, d))
     return bool(np.all(residuals <= 2.0 * tol - charge))  # tol (1 + ||x||_F), ||x||_F = 1
 
@@ -1032,8 +1140,8 @@ def restrict_expectation(
     each within ``tol`` (:func:`_intermediate`).  The restriction
     (:func:`_restrict_core`) reads F only as the record those checks
     return, so neither basis is projected twice.  The restriction's source
-    is F's target.  The F(l_i) that are exactly zero add nothing to either
-    identity and are left out of the derived quasi-basis.
+    is F's target.  The F(l_i) whose norm is at most ``tol`` times the
+    largest are left out of the derived quasi-basis (:func:`_restrict_core`).
     """
     if not F.target.same_span(C, tol):
         raise NotIntermediate("F does not map onto C")
@@ -1099,15 +1207,19 @@ def _restrict_core(E: ConditionalExpectation, member, tol: float) -> Conditional
     E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
     rows: ``member.c_on_a`` (row j holds the <b_k, c_j> for C's basis
     {c_j}) times E's.  The derived quasi-basis is held as its coordinates
-    over C, Y = E's Y, read as E holds it, times ``member.t`` with its zero
-    rows left out.  It is checked from Y by the core of
+    over C, Y = E's Y, read as E holds it, times ``member.t``, with the rows
+    whose norm is at most ``tol`` times the largest row norm left out: exact
+    zeros add nothing to either identity, and an F read on another algebra
+    object of A's span (:func:`_coordinates_on`) leaves rounding noise where
+    F on A gives zeros.  It is checked from Y by the core of
     :func:`verify_quasi_basis` on ``member.b_on_c``, and
     :class:`NoQuasiBasis` is raised when it fails.
     """
     quasi = E._quasi_coords
     if quasi is not None:
-        quasi = quasi @ member.t  # the F(l_i), zeros left out
-        quasi = quasi[quasi.any(axis=1)]
+        quasi = quasi @ member.t  # the F(l_i), zeros and noise left out
+        norms = mx.row_norms(quasi)
+        quasi = quasi[norms > tol * norms.max(initial=0.0)]
         quasi.setflags(write=False)  # shared by the expectation and the check
     restricted = ConditionalExpectation.from_coordinates(
         member.target, E.target, member.c_on_a @ E.coordinates(tol), quasi_basis=quasi,

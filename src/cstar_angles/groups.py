@@ -588,8 +588,21 @@ class RegularModule(GenericModule):
     E preserves the trace, so the module basis is A's own basis
     {lambda_g / sqrt(|G|)} and module coordinates are A's coordinates,
     the scaled group coefficients.  What is special here is left
-    multiplication: L_x is the ambient matrix of x itself.
+    multiplication: L_x is the ambient matrix of x itself, and with a
+    product table (from ``GATHER_MIN_DIM`` elements on) L_{b_i} sends row j
+    to row k with scale s wherever b_i b_j = s b_k.  So the level forms
+    every product with an L_x by gathers along the table
+    (:attr:`gathers`), w d c work for an L_x X with x of w nonzero
+    coordinates and X of c columns, where a dense product is d^2 c.  The
+    checks that certify the module (left multiplication, through ``embed``,
+    and the faithfulness of the representation) read the dense L_x as
+    before.
     """
+
+    @property
+    def gathers(self):
+        """A's product table as row maps (:attr:`MatrixStarAlgebra._gathers`), or None without one."""
+        return self.algebra._gathers
 
     def left_mult(self, x) -> np.ndarray:
         """L_x is x itself: a complex128 input comes back as it is, not copied."""

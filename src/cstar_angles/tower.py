@@ -45,14 +45,27 @@ coords(l_i a*) = L_{l_i} J conj(coords(a)),
 
     coords(E_1(t)) = L_{Ind(E)^-1} J conj(v),   v = sum_i L_{l_i} J conj(t q_i),
 
-where v holds the coordinates of (sum_i t(l_i) l_i*)*.  An element costs
-three products of q d x d matrices with vectors, about 3 q d^2, and one
-conversion from coordinates; J, the L_{l_i} and L_{Ind(E)^-1} J are built
-once per level.  J needs no module operator: with S the star of A's
-basis in HS coordinates (row l holds those of b_l*) and M the module Gram
-matrix of :class:`GenericModule`,
+where v holds the coordinates of (sum_i t(l_i) l_i*)*.  On a
+:class:`GenericModule` an element costs three products of q d x d matrices
+with vectors, about 3 q d^2, and one conversion from coordinates; J, the
+L_{l_i} and L_{Ind(E)^-1} J are built once per level.  J needs no module
+operator: with S the star of A's basis in HS coordinates (row l holds those
+of b_l*) and M the module Gram matrix of :class:`GenericModule`,
 
     J = (M^{-1/2} S conj(M^{1/2}))^T.
+
+On the regular module of a group algebra
+(:class:`~cstar_angles.groups.RegularModule`) module coordinates are A's
+HS coordinates and A has a product table from ``GATHER_MIN_DIM`` elements
+on.  Then every L_{b_i} is a scaled partial permutation, read off the
+table (:attr:`MatrixStarAlgebra._gathers`): b_i b_j = s b_k sends row j to
+row k with scale s.  J = S^T is one too, read off the supports
+(:attr:`TowerLevel._star_map`), and so is every q_i of a coset-rep
+quasi-basis.  So each product above is a gather: t q_i takes the columns
+of t at the nonzero coordinates of q_i, and L_{l_i} J and L_{Ind(E)^-1} J
+are each a gather of rows, about q w d per element for q_i and l_i of w
+nonzero coordinates (w = 1 on the group route), and no d x d matrix of them
+is formed.
 
 The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
 A_1, gives the compatible expectation onto C_1 as
@@ -83,10 +96,15 @@ of an intermediate C is
 
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* = W W*,   W = [L_{mu_1} V ... L_{mu_p} V],
 
-2 p d^2 r work where the sum of products is 2 p d^3.  The checks of a
-level keep their dense operands: e_B's own laws, the postconditions of
-e_C against e_B and the expectation matrix, and left multiplication are
-taken on the matrices themselves, never on V.
+2 p d^2 r work where the sum of products is 2 p d^3; on the regular
+module each L_{mu_j} V is a gather of V's rows, and the products L_{b_k} V
+of the exchange law and the dual-rule sample are gathers too.  The checks
+of a level keep their dense operands wherever a wrong module could hide:
+e_B's own laws (idempotent, self-adjoint, and the e_B of the exchange law),
+the postconditions of e_C against e_B and the expectation matrix, left
+multiplication (through :meth:`TowerLevel.embed`) and the faithfulness of
+the representation are taken on the matrices themselves, never on V or on
+a gather.
 
 An inclusion is named by its expectation: :func:`build_tower_level`
 takes E alone, with A = E.source and B = E.target, and an intermediate C
@@ -111,8 +129,11 @@ from .algebra import (
     _centrality_residual,
     _compatibility_core,
     _coordinates_on,
+    _gather_times,
     _intermediate,
     _restrict_core,
+    _row_gathers,
+    _row_nonzeros,
     verify_quasi_basis,
 )
 from .errors import (
@@ -187,6 +208,12 @@ class GenericModule:
     with c = sum_k m_k rho m_k* = sum_k b_k b_k*, so the HS Gram matrix of
     the L_{b_i} is R_c^T.
     """
+
+    # a generic module multiplies by dense L_x (its J and quasi-basis
+    # coordinates carry the Gram matrix), and is the oracle of the gathers
+    # along A's product table that :class:`~cstar_angles.groups.RegularModule`,
+    # whose coordinates are A's own, takes instead
+    gathers = None
 
     def __init__(self, expectation: ConditionalExpectation):
         self.algebra = algebra = expectation.source
@@ -404,27 +431,100 @@ class TowerLevel:
         """L_{Ind(E)^-1} J: conj(coords(y*)) to coords(Ind(E)^-1 y)."""
         return self._index_inverse_left @ self.star_matrix
 
+    @cached_property
+    def _star_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """J on a module with gathers, as (rows, scale): row k of J is scale[k] e_{rows[k]}.
+
+        Module coordinates are A's HS coordinates there, so J = S^T with
+        S = :meth:`MatrixStarAlgebra.star_coordinates`, and J[k, l] is the
+        coordinate of b_l* on b_k.  Supports are disjoint, and b_l* has b_l's
+        support transposed, so b_k lies in b_l* for one l alone: the owner of
+        any transposed position of b_k.
+        """
+        A = self.algebra
+        sup, n = A._supports, A.ambient_dim
+        r, c = np.divmod(sup.positions[sup.starts], n)
+        rows = sup.owner[c * n + r]
+        return rows, A.star_coordinates()[rows, np.arange(A.dim)]
+
+    @cached_property
+    def _dual_gathers(self) -> tuple:
+        """The row gathers of L_{l_i} J, one per quasi-basis element, and of L_{Ind(E)^-1} J.
+
+        Each is (rows, weights) as :func:`~cstar_angles.algebra._row_gathers`
+        gives it, composed with :attr:`_star_map`: row r of L_x J is
+        sum_u weights[u, r] times row rows[u, r] of J.  Those of the l_i are
+        held as :meth:`_dual_coords` reads them: the rows as positions
+        r q + i in a d x q image stack taken flat, the weights conjugated.
+        """
+        maps = self.module.gathers
+        star_rows, star_scale = self._star_map
+
+        def after_star(coords):
+            rows, weights = _row_gathers(maps.left, maps.left_scale, _row_nonzeros(coords))
+            return star_rows[rows], weights * star_scale[rows]
+
+        rows, weights = after_star(self.expectation._quasi_coords)
+        q = len(rows)
+        flat = rows * q + np.arange(q)[:, None, None]
+        return (flat, np.conjugate(weights)), after_star(
+            self.algebra.hs_coordinates(self.index_inverse)[None]
+        )
+
+    def _left_gathered(self, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """L_y x for each element y with the given A-coordinates (rows), on a module with gathers."""
+        maps = self.module.gathers
+        return _gather_times(*_row_gathers(maps.left, maps.left_scale, _row_nonzeros(coords)), x)
+
     def dual_value(self, t) -> np.ndarray:
         """E_1(t) as an ambient matrix, via the decomposition-free identity.
 
         ``t`` is one module operator or a (k, d, d) stack of them; a stack
-        gives the (k, n, n) stack of values (see :meth:`_dual_coords`).
+        gives the (k, n, n) stack of values (see :meth:`_dual_coords`).  On a
+        module with gathers the images t q_i are columns of t gathered at
+        the nonzero coordinates of q_i.
         """
         t = np.asarray(t, dtype=np.complex128)
-        images = (t[None] if t.ndim == 2 else t) @ self.quasi_coords.T
+        ts = t[None] if t.ndim == 2 else t
+        if self.module.gathers is None:
+            images = ts @ self.quasi_coords.T
+        else:
+            columns, values = self._quasi_columns
+            images = np.take(ts, columns[:, 0], axis=2)
+            images *= values[:, 0]
+            for u in range(1, columns.shape[1]):
+                images += np.take(ts, columns[:, u], axis=2) * values[:, u]
         out = self.module.from_coords(self._dual_coords(images))
         return out[0] if t.ndim == 2 else out
+
+    @cached_property
+    def _quasi_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero entries of each row of ``quasi_coords``, as :func:`~cstar_angles.algebra._row_nonzeros` gives them."""
+        return _row_nonzeros(self.quasi_coords)
 
     def _dual_coords(self, images: np.ndarray) -> np.ndarray:
         """Module coordinates of E_1(t_k), from the (k, d, q) stack whose column i is t_k q_i.
 
         Computed as in the module docstring: v = sum_i L_{l_i} J conj(t q_i)
         holds the coordinates of (sum_i t(l_i) l_i*)*, and E_1(t) is the
-        element with coordinates L_{Ind(E)^-1} J conj(v).
+        element with coordinates L_{Ind(E)^-1} J conj(v).  On a module with
+        gathers both operators are the row gathers of :attr:`_dual_gathers`,
+        k q w d work for q_i with w nonzero coordinates, and no d x d matrix
+        is read.
         """
-        lmats = self._quasi_left
         k, d, q = images.shape
         coords = np.empty((k, d), dtype=np.complex128)
+        if self.module.gathers is not None:
+            (flat, conj_weights), (last_rows, last_weights) = self._dual_gathers
+            # charged per element: the gathered (q, w, d) entries
+            for chunk in mx.stack_slices(k, 16 * flat.size):
+                acted = np.take(images[chunk].reshape(-1, d * q), flat, axis=1)
+                # conj(v), v = sum_i L_{l_i} J conj(t q_i), needs no conjugate of a stack
+                v_bar = np.einsum("iwr,kiwr->kr", conj_weights, acted)
+                del acted
+                coords[chunk] = np.einsum("wr,kwr->kr", last_weights[0], v_bar[:, last_rows[0]])
+            return coords
+        lmats = self._quasi_left
         # charged per element: two (q, d) intermediates and the (q, d) terms
         for rows in mx.stack_slices(k, 3 * q * d * 16):
             # row i of acted[k] is conj(t_k q_i), then J of it, as rows
@@ -511,15 +611,24 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     # linear, so L_{E(b_k)} V is sum_m T[k, m] L_{beta_m} V over E's target
     # basis {beta_m}: one embed of that basis per level, then one
     # contraction per chunk.
-    E = level.expectation
+    E, A, maps = level.expectation, level.algebra, level.module.gathers
     basis, t = E.source.basis_stack, E.coordinates(tol)
     range_e = level.jones_range
     d, r = range_e.shape
-    target_on_range = level.embed(E.target.basis_stack) @ range_e
+    if maps is None:
+        target_on_range = level.embed(E.target.basis_stack) @ range_e
+    else:
+        target_on_range = level._left_gathered(A.hs_coordinates(E.target.basis_stack), range_e)
+
+    def left_on_range(rows):
+        # L_{b_k} V for basis elements k; a row gather of V with gathers
+        if maps is None:
+            return level.embed(basis[rows]) @ range_e
+        return range_e[maps.left[rows]] * maps.left_scale[rows][..., None]
 
     def exchange_residual(rows):
         # (L_a V) for the chunk, side by side as one d x k r matrix
-        wide = np.swapaxes(level.embed(basis[rows]) @ range_e, 0, 1).reshape(d, -1)
+        wide = np.swapaxes(left_on_range(rows), 0, 1).reshape(d, -1)
         acted = np.swapaxes((e @ wide).reshape(d, -1, r), 0, 1)
         return mx.max_operator_norm(acted - np.tensordot(t[rows], target_on_range, axes=1))
 
@@ -528,13 +637,12 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     )
     del target_on_range
 
-    A = level.algebra
     residuals["left_multiplication"] = _left_multiplication_residual(level)
     smallest = float(np.linalg.eigvalsh(_faithfulness_gram(A))[0])
     residuals["representation_faithful"] = 0.0 if smallest > 1e-12 else 1.0
 
     # dual rule on a seeded sample of spanning elements t = L_{b_i} e L_{b_j},
-    # one stacked call on their images t q_k = (L_{b_i} V)((V* L_{b_j}) q_k)
+    # one stacked call on their images t q_k = (L_{b_i} V)(V* (L_{b_j} q_k))
     # (no t is formed), compared in HS coordinates: those of b_i b_j are
     # column j of L_{b_i}
     basis = A.basis_stack
@@ -543,12 +651,19 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     i, j = np.array(
         [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
     ).T
-    left = level.embed(basis[i])
-    right = mx.adjoint(range_e) @ level.embed(basis[j])
-    images = (left @ range_e) @ (right @ level.quasi_coords.T)
+    quasi = level.quasi_coords.T
+    if maps is None:
+        left = level.embed(basis[i])
+        images = (left @ range_e) @ (mx.adjoint(range_e) @ level.embed(basis[j]) @ quasi)
+        column = left[np.arange(len(i)), :, j]
+        del left
+    else:
+        on_quasi = quasi[maps.left[j]] * maps.left_scale[j][..., None]
+        images = left_on_range(i) @ (mx.adjoint(range_e) @ on_quasi)
+        column = np.where(maps.left[i] == j[:, None], maps.left_scale[i], 0.0)
     got = level._dual_coords(images) @ level.module._from_module
-    want = left[np.arange(len(i)), :, j] @ level._index_inverse_left.T
-    del left, right, images
+    want = column @ level._index_inverse_left.T
+    del images
     residuals["dual_rule"] = float(mx.row_norms(got - want).max())
 
     bad = {k: v for k, v in residuals.items() if v > tol}
@@ -706,9 +821,13 @@ def _member_projection(
     """
     restricted = _restrict_core(level.expectation, member, tol)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
-    # per quasi-basis element
-    w = np.swapaxes(level.embed(restricted.quasi_stack) @ level.jones_range, 0, 1)
-    w = w.reshape(level.module_dim, -1)
+    # per quasi-basis element; with gathers the mu_j are read over A as
+    # their coordinates over C times C's basis over A, and no L_{mu_j} is formed
+    if level.module.gathers is None:
+        w = level.embed(restricted.quasi_stack) @ level.jones_range
+    else:
+        w = level._left_gathered(restricted._quasi_coords @ member.c_on_a, level.jones_range)
+    w = np.swapaxes(w, 0, 1).reshape(level.module_dim, -1)
     e_c = w @ mx.adjoint(w)
     del w
     e_f = level.module._module_matrix(member.hs)

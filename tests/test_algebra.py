@@ -1126,6 +1126,11 @@ def test_lattice_sweep_builds_no_dense_stack_for_an_intermediate(monkeypatch):
     monkeypatch.setattr(ConditionalExpectation, "quasi_stack", property(recorded))
     count, worst = verify.lattice_route_sweep(FiniteGroup.symmetric(4))
     assert (count, worst <= 1e-12) == (1065, True)
+    # C[S4] has a product table: its levels gather, and read no stack at all
+    assert built == []
+    # C[S3] has none: its levels multiply by E's stack, never by an F's
+    count, worst = verify.lattice_route_sweep(FiniteGroup.symmetric(3))
+    assert (count, worst <= 1e-12) == (16, True)
     assert "E" in built and "F" not in built
 
 

@@ -35,10 +35,12 @@ from cstar_angles.errors import (
 )
 from cstar_angles.groups import (
     FiniteGroup,
+    RegularModule,
     _masking_expectation,
     all_subgroups,
     generated_subgroup,
     group_algebra_inclusion,
+    left_coset_reps,
     trivial_subgroup,
 )
 from cstar_angles.tower import (
@@ -712,10 +714,10 @@ def test_an_expectation_on_a_same_span_source_reads_as_on_a(tower_level, inclusi
     for restricted in (got, restrict_expectation(E, inclusion.delta, F_other)):
         assert restricted.source is inclusion.delta
         close(restricted.coordinate_matrix, want.coordinate_matrix)
-        # the F(l_i) that are zero on A are rounding noise off it, not exact
-        # zeros, and stay in the derived quasi-basis
-        stack = restricted.quasi_stack
-        close(stack[mx.row_norms(stack.reshape(len(stack), -1)) > 1e-13], want.quasi_stack)
+        # the F(l_i) that are zero on A are rounding noise off it, and are
+        # left out as the exact zeros are: two elements, as on A
+        assert len(restricted.quasi_stack) == len(want.quasi_stack) == 2
+        close(restricted.quasi_stack, want.quasi_stack)
     close(compatibility_residual(E, F_other), compatibility_residual(E, F))
 
 
@@ -991,9 +993,11 @@ def test_dual_rule_through_the_range_matches_formed_products(range_levels):
     for name, level in range_levels.items():
         got = tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"]
         assert abs(got - dual_rule_dense(level)) <= 1e-12, name
-    # with a wrong star matrix both forms see the same large residual
+    # with a wrong star matrix both forms see the same large residual; the
+    # regular module of C[Z3^4] gathers, and reads J as its star map
     broken = dataclasses.replace(range_levels["C[Z3^4]"])
     broken.star_matrix = np.eye(broken.module_dim)
+    broken._star_map = (np.arange(broken.module_dim), np.ones(broken.module_dim))
     with pytest.raises(ConstructionFailure, match="dual_rule") as failure:
         tower._check_level(broken, mx.DEFAULT_TOL)
     got, want = failure.value.residuals["dual_rule"], dual_rule_dense(broken)
@@ -1139,6 +1143,197 @@ def test_wrong_star_matrix_fails_the_dual_rule():
     broken.star_matrix = np.eye(level.module_dim)  # coords(x*) = conj(coords(x)): false on S3
     with pytest.raises(ConstructionFailure, match="dual_rule"):
         tower._check_level(broken, mx.DEFAULT_TOL)
+
+
+# ---------------------------------------------------------------------------
+# products with L_x by gathers along the product table, against GenericModule
+
+
+def _random_transversal(G, H, rng):
+    """A left transversal of H: each smallest coset representative g becomes g h, h random in H."""
+    reps = left_coset_reps(G, H)
+    picks = rng.integers(H.order, size=len(reps))
+    return [G.mult(g, H.elements[i]) for g, i in zip(reps, picks)]
+
+
+def gather_cases(rng):
+    """(name, inclusion, intermediates) on C[Z3^4] with a random transversal, S4 and Z2xZ2xZ3xZ4.
+
+    Every C[K] is a slice of C[G] with its inherited product table.
+    """
+    Z3 = FiniteGroup.direct_product([3, 3, 3, 3])
+
+    def sub(*gens):
+        return generated_subgroup(Z3, [Z3.index_of(g) for g in gens])
+
+    H = sub((0, 0, 0, 1))
+    z3 = group_algebra_inclusion(Z3, H, reps=_random_transversal(Z3, H, rng))
+    cases = [
+        ("C[Z3^4]", z3, [sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)), sub((0, 1, 0, 0), (0, 0, 0, 1))]),
+    ]
+    for G in (FiniteGroup.symmetric(4), FiniteGroup.direct_product([2, 2, 3, 4])):
+        subs = all_subgroups(G)
+        H = next(S for S in subs if S.order == 2)
+        inters = [K for K in subs if H.issubset(K) and K.order not in (H.order, G.order)]
+        cases.append((G.name, group_algebra_inclusion(G, H), inters))
+    return cases
+
+
+def _unitary_of(A, rng):
+    """The unitary part of a random element of A."""
+    z = A.combine(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+    return z @ np.linalg.inv(mx.psd_sqrt(mx.adjoint(z) @ z))
+
+
+@pytest.fixture(scope="module")
+def gathered_levels():
+    """(name, inclusion, regular level, GenericModule level on the same E, the F onto each C[K]).
+
+    The last case conjugates the S4 inclusion by a unitary u of C[S4]: E_u
+    still preserves the trace, so the regular module still holds, but its
+    quasi-basis {u l_i u*} has dense coordinates, and F_u on A is not a mask.
+    """
+    rng, out = mx.default_rng(7), []
+    for name, inc, inters in gather_cases(rng):
+        regular = inc.tower()
+        dense = build_tower_level(inc.E, materialize=False)
+        assert regular.module.gathers is not None and dense.module.gathers is None, name
+        out.append((name, inc, regular, dense, [inc.expectation_onto(K) for K in inters]))
+    _, inc, _, _, members = out[1]
+    u = _unitary_of(inc.A, rng)
+    E_u = conjugate_expectation(inc.E, u)
+    regular = build_tower_level(E_u, module=RegularModule(E_u), materialize=False)
+    dense = build_tower_level(E_u, materialize=False)
+    out.append(("S4 under Ad u", None, regular, dense, [conjugate_expectation(F, u) for F in members]))
+    return out
+
+
+def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
+    for name, _, regular, dense, _ in gathered_levels:
+        d = regular.module_dim
+        ts = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+        got, want = regular.dual_value(ts), dense.dual_value(ts)
+        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max()), name
+        # one element as a matrix, and an empty stack
+        assert np.abs(regular.dual_value(ts[1]) - want[1]).max() <= 1e-13 * (1.0 + np.abs(want).max()), name
+        assert regular.dual_value(ts[:0]).shape == (0, d, d)
+
+
+def test_gathered_level_checks_match_the_dense_module(gathered_levels):
+    for name, _, regular, dense, _ in gathered_levels:
+        got = tower._check_level(regular, mx.DEFAULT_TOL)
+        want = tower._check_level(dense, mx.DEFAULT_TOL)
+        assert got.keys() == want.keys(), name
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-13, (name, key)
+
+
+def test_gathered_intermediate_projections_match_the_dense_module(gathered_levels):
+    for name, _, regular, dense, members in gathered_levels:
+        got = tower.intermediate_projections(regular, members)
+        want = tower.intermediate_projections(dense, members)
+        assert got.shape == want.shape == (len(members),) + regular.jones_projection.shape
+        assert np.abs(got - want).max() <= 1e-13, name
+
+
+def _core_verdict_and_sums(expectation, coords, patch):
+    """The verdict of the quasi-basis check and its two reconstructions minus 1, as it forms them."""
+    from cstar_angles.algebra import _quasi_basis_core
+
+    seen, row_norms = [], mx.row_norms
+
+    def recorded(rows):
+        seen.append(np.array(rows))
+        return row_norms(rows)
+
+    patch.setattr(mx, "row_norms", recorded)
+    onto = expectation.source.hs_coordinates(expectation.target.basis_stack)
+    verdict = _quasi_basis_core(expectation, coords, onto, mx.DEFAULT_TOL)
+    return verdict, seen[-1]  # the residual rows are its last norms
+
+
+def test_gathered_quasi_basis_check_matches_dense_products(gathered_levels, monkeypatch, rng):
+    # the table path of the quasi-basis check, on C[G] and on every C[K]
+    # slice, against the dense products it replaces (the source's gathers
+    # forced off): the verdict and both reconstructions
+    for name, inc, regular, _, members in gathered_levels:
+        E = regular.expectation
+        # E's own quasi-basis, and one element short
+        cases = [(E, E._quasi_coords, True), (E, E._quasi_coords[1:], False)]
+        if inc is not None:  # under Ad u, C = u C[K] u* is no slice and has no table
+            cases += _group_quasi_cases(inc, rng)
+            for F in members:
+                restricted = restrict_expectation(E, F.target, F)
+                cases.append((restricted, restricted._quasi_coords, True))
+                cases.append((restricted, restricted._quasi_coords[1:], False))
+        for expectation, coords, valid in cases:
+            src = expectation.source
+            assert src._gathers is not None, name
+            with monkeypatch.context() as patch:
+                got, got_sums = _core_verdict_and_sums(expectation, coords, patch)
+            with monkeypatch.context() as patch:
+                patch.setitem(vars(src), "_gathers", None)
+                want, want_sums = _core_verdict_and_sums(expectation, coords, patch)
+            assert got is want is valid, name
+            assert np.abs(got_sums - want_sums).max() <= 1e-13, name
+
+
+def _group_quasi_cases(inc, rng):
+    """(E, coordinates, is a quasi-basis) for more families of a group inclusion's E."""
+    E, G = inc.E, inc.group
+    # two representatives of one coset: the first, and the first times h != e
+    wrong = E._quasi_coords.copy()
+    wrong[1] = 0.0
+    wrong[1, G.mult(inc.coset_reps[0], inc.subgroup.elements[1])] = math.sqrt(G.order)
+    # a unitary mix of a quasi-basis is one: of the last two elements (rows
+    # of two and of one nonzero coordinates, padded), and of all of them
+    q = len(wrong)
+    pair = np.eye(q, dtype=complex)
+    pair[-2:, -2:] = mx.random_unitary(2, rng)
+    # so is {lambda_g u} for a unitary u of C[H], whose coordinates give
+    # the Gram matrix Y* Y entries that are not real
+    u = _unitary_of(inc.B, rng)
+    twisted = inc.A.hs_coordinates(np.stack([G.regular_matrix(g) @ u for g in inc.coset_reps]))
+    return [
+        (E, pair @ E._quasi_coords, True),
+        (E, mx.random_unitary(q, rng) @ E._quasi_coords, True),
+        (E, twisted, True),
+        (E, twisted[1:], False),
+        (E, wrong, False),
+    ]
+
+
+def test_wrong_star_map_on_a_table_algebra_fails_the_dual_rule():
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+    level = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))])).tower()
+    assert level.algebra._table is not None and level.module.gathers is not None
+    assert tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"] <= 1e-14
+    broken = dataclasses.replace(level)
+    d = level.module_dim
+    broken._star_map = (np.arange(d), np.ones(d))  # coords(x*) = conj(coords(x)): false on Z3^4
+    with pytest.raises(ConstructionFailure, match="dual_rule"):
+        tower._check_level(broken, mx.DEFAULT_TOL)
+
+
+def test_interior_angle_on_a_regular_level_forms_no_quasi_stack():
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+
+    def sub(*gens):
+        return generated_subgroup(G, [G.index_of(g) for g in gens])
+
+    inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
+    level = inc.tower()
+    K = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+    L = sub((0, 1, 0, 0), (0, 0, 0, 1))
+    F, F_prime = inc.expectation_onto(K), inc.expectation_onto(L)
+    cos = interior_angle_definition(level, F, F_prime).cos_value
+    assert abs(cos - 0.5) <= 1e-12
+    # neither (q, d, d) stack of the dense path was built, nor E's own stack
+    held = vars(level)
+    assert "_quasi_left" not in held and "_index_inverse_star" not in held
+    assert "_dual_gathers" in held
+    for expectation in (inc.E, F, F_prime):
+        assert "quasi_stack" not in vars(expectation)
 
 
 # ---------------------------------------------------------------------------
