@@ -1045,7 +1045,8 @@ def _quasi_basis_core(
         # charged per element: the gathered rows and the half products
         for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
             nonzeros = positions[rows], values[rows]
-            sums[0] += _gather_sandwich(*_row_gathers(gathers.right, gathers.right_scale, nonzeros), p)
+            index, weights = _row_gathers(gathers.right, gathers.right_scale, nonzeros)
+            sums[0] += _gather_sandwich(index, weights, p)
             index, weights = _row_gathers(gathers.left, gathers.left_scale, nonzeros)
             sums[1] += _gather_sandwich(index, np.conjugate(weights), p)
     residuals = mx.row_norms((sums - np.eye(d)).reshape(2 * d, d))

@@ -499,7 +499,7 @@ class TowerLevel:
 
     @cached_property
     def _quasi_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero entries of each row of ``quasi_coords``, as :func:`~cstar_angles.algebra._row_nonzeros` gives them."""
+        """The nonzero entries of each row of ``quasi_coords`` (:func:`~cstar_angles.algebra._row_nonzeros`)."""
         return _row_nonzeros(self.quasi_coords)
 
     def _dual_coords(self, images: np.ndarray) -> np.ndarray:
@@ -609,8 +609,8 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     # e (L_a V) - L_{E(a)} V costs 3 d^2 rank(e) per element instead of
     # 3 d^3, and e multiplies a whole chunk [L_a V ...] in one GEMM.  L is
     # linear, so L_{E(b_k)} V is sum_m T[k, m] L_{beta_m} V over E's target
-    # basis {beta_m}: one embed of that basis per level, then one
-    # contraction per chunk.
+    # basis {beta_m}: one embed of that basis per level (on a module with
+    # gathers, gathers of V's rows), then one contraction per chunk.
     E, A, maps = level.expectation, level.algebra, level.module.gathers
     basis, t = E.source.basis_stack, E.coordinates(tol)
     range_e = level.jones_range

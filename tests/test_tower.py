@@ -1168,9 +1168,8 @@ def gather_cases(rng):
 
     H = sub((0, 0, 0, 1))
     z3 = group_algebra_inclusion(Z3, H, reps=_random_transversal(Z3, H, rng))
-    cases = [
-        ("C[Z3^4]", z3, [sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)), sub((0, 1, 0, 0), (0, 0, 0, 1))]),
-    ]
+    K, L = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)), sub((0, 1, 0, 0), (0, 0, 0, 1))
+    cases = [("C[Z3^4]", z3, [K, L])]
     for G in (FiniteGroup.symmetric(4), FiniteGroup.direct_product([2, 2, 3, 4])):
         subs = all_subgroups(G)
         H = next(S for S in subs if S.order == 2)
@@ -1204,7 +1203,8 @@ def gathered_levels():
     E_u = conjugate_expectation(inc.E, u)
     regular = build_tower_level(E_u, module=RegularModule(E_u), materialize=False)
     dense = build_tower_level(E_u, materialize=False)
-    out.append(("S4 under Ad u", None, regular, dense, [conjugate_expectation(F, u) for F in members]))
+    conjugated = [conjugate_expectation(F, u) for F in members]
+    out.append(("S4 under Ad u", None, regular, dense, conjugated))
     return out
 
 
@@ -1213,9 +1213,10 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
         d = regular.module_dim
         ts = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
         got, want = regular.dual_value(ts), dense.dual_value(ts)
-        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max()), name
+        bound = 1e-13 * (1.0 + np.abs(want).max())
+        assert np.abs(got - want).max() <= bound, name
         # one element as a matrix, and an empty stack
-        assert np.abs(regular.dual_value(ts[1]) - want[1]).max() <= 1e-13 * (1.0 + np.abs(want).max()), name
+        assert np.abs(regular.dual_value(ts[1]) - want[1]).max() <= bound, name
         assert regular.dual_value(ts[:0]).shape == (0, d, d)
 
 
