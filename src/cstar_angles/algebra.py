@@ -395,6 +395,33 @@ class MatrixStarAlgebra:
         )
         return star.reshape(d, d)
 
+    def _star_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """S^T as a row gather on a basis with disjoint supports: row k is scale[k] e_{rows[k]}.
+
+        Returns (rows, scale).  S^T[k, l] is the coordinate of b_l* on b_k,
+        and b_l* has b_l's support transposed, so b_k lies in b_l* for one l
+        alone: the owner of any transposed position of b_k.
+        """
+        sup, n = self._supports, self.ambient_dim
+        r, c = np.divmod(sup.positions[sup.starts], n)
+        rows = sup.owner[c * n + r]
+        return rows, self.star_coordinates()[rows, np.arange(self.dim)]
+
+    def square_sum(self) -> np.ndarray:
+        """c = sum_k b_k b_k*, the same for every HS-orthonormal basis of the span.
+
+        With a product table every b_k is a scaled partial permutation, so
+        b_k b_k* is diagonal and c holds the squared moduli of the basis
+        entries summed along each row; otherwise c is one (n x d n)(d n x n)
+        product.
+        """
+        n = self.ambient_dim
+        if self._table is not None:
+            weights = np.abs(self._supports.entries.reshape(n, n)) ** 2
+            return np.diag(weights.sum(axis=1)).astype(np.complex128)
+        wide = np.swapaxes(self.basis_stack, 0, 1).reshape(n, -1)  # [b_1 ... b_d]
+        return wide @ np.conjugate(wide).T
+
     def project(self, x) -> np.ndarray:
         return self.combine(self.hs_coordinates(x))
 
@@ -575,13 +602,13 @@ def _row_gathers(index: np.ndarray, scale: np.ndarray, nonzeros: tuple):
 def _gather_times(rows: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The (m, d, c) products of the row gathers of :func:`_row_gathers` with x.
 
-    x is one (d, c) matrix or an (m, d, c) stack, one matrix per element:
-    w d c work per element, where a dense product is d^2 c.
+    x is one (d, c) matrix or an (m, d, c) stack, one matrix per element,
+    real or complex: w d c work per element, where a dense product is d^2 c.
     """
     m, w, d = rows.shape
     if x.ndim == 3:  # element a gathers from rows a d ... a d + d - 1 of the stacked x
         rows = rows + (np.arange(m) * d)[:, None, None]
-    flat = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+    flat = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1, x.shape[-1])
     out = np.take(flat, rows[:, 0], axis=0)
     out *= weights[:, 0, :, None]
     for u in range(1, w):

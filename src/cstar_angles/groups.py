@@ -34,6 +34,7 @@ bottom of this module; grammar in README.md.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,7 +45,13 @@ from functools import cached_property
 import numpy as np
 
 from . import matrices as mx
-from .algebra import ConditionalExpectation, MatrixStarAlgebra
+from .algebra import (
+    ConditionalExpectation,
+    MatrixStarAlgebra,
+    _gather_times,
+    _row_gathers,
+    _row_nonzeros,
+)
 from .angles import AngleDiagnostics, AngleResult, Route
 from .errors import (
     DegenerateIntermediate,
@@ -588,25 +595,66 @@ class RegularModule(GenericModule):
     E preserves the trace, so the module basis is A's own basis
     {lambda_g / sqrt(|G|)} and module coordinates are A's coordinates,
     the scaled group coefficients.  What is special here is left
-    multiplication: L_x is the ambient matrix of x itself, and with a
-    product table (from ``GATHER_MIN_DIM`` elements on) L_{b_i} sends row j
-    to row k with scale s wherever b_i b_j = s b_k.  So the level forms
-    every product with an L_x by gathers along the table
-    (:attr:`gathers`), w d c work for an L_x X with x of w nonzero
-    coordinates and X of c columns, where a dense product is d^2 c.  The
-    checks that certify the module (left multiplication, through ``embed``,
-    and the faithfulness of the representation) read the dense L_x as
-    before.
+    multiplication: L_x is the ambient matrix of x itself.  With a product
+    table (from ``GATHER_MIN_DIM`` elements on) L_{b_i} sends row j to row
+    k with scale s wherever b_i b_j = s b_k (:attr:`MatrixStarAlgebra._gathers`),
+    and J = S^T is a scaled permutation too (:attr:`_star_map`), so there
+    the module forms its products by gathers: w d c work for an L_x X with
+    x of w nonzero coordinates and X of c columns, where a dense product is
+    d^2 c.  Without a table it forms them as
+    :class:`~cstar_angles.tower.GenericModule`, their oracle, does.
     """
-
-    @property
-    def gathers(self):
-        """A's product table as row maps (:attr:`MatrixStarAlgebra._gathers`), or None without one."""
-        return self.algebra._gathers
 
     def left_mult(self, x) -> np.ndarray:
         """L_x is x itself: a complex128 input comes back as it is, not copied."""
         return np.asarray(x, dtype=np.complex128)
+
+    @cached_property
+    def _star_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """J = S^T as a row gather (rows, scale) (:meth:`MatrixStarAlgebra._star_rows`)."""
+        return self.algebra._star_rows()
+
+    def _left_gathers(self, coords: np.ndarray):
+        """The row gathers of the L_y, y with A-coordinates ``coords``; None without a table."""
+        maps = self.algebra._gathers
+        if maps is None:
+            return None
+        return _row_gathers(maps.left, maps.left_scale, _row_nonzeros(coords))
+
+    def left_times(self, coords: np.ndarray):
+        gathers = self._left_gathers(coords)
+        if gathers is None:
+            return super().left_times(coords)
+        return functools.partial(_gather_times, *gathers)
+
+    def left_star(self, coords: np.ndarray):
+        gathers = self._left_gathers(coords)
+        if gathers is None:
+            return super().left_star(coords)
+        # row r of L_{y_a} J is sum_u weights[a, u, r] scale[s] e_s, s = star[rows[a, u, r]],
+        # read off the (d, m) image of an element taken flat at s m + a
+        star, scale = self._star_map
+        rows, weights = gathers
+        m, d = len(rows), self.dim
+        flat = star[rows] * m + np.arange(m)[:, None, None]
+        conj_weights = np.conjugate(weights * scale[rows])
+        return lambda x: np.conjugate(np.einsum(
+            "awr,kawr->kr", conj_weights, np.take(x.reshape(len(x), d * m), flat, axis=1)
+        ))
+
+    def times_columns(self, q: np.ndarray):
+        if self.algebra._gathers is None:
+            return super().times_columns(q)
+        columns, values = _row_nonzeros(q)
+
+        def images(ts):
+            out = np.take(ts, columns[:, 0], axis=2)
+            out *= values[:, 0]
+            for u in range(1, columns.shape[1]):
+                out += np.take(ts, columns[:, u], axis=2) * values[:, u]
+            return out
+
+        return images
 
     # named on this class too: the benchmark traces methods by class attribute
     coords = GenericModule.coords

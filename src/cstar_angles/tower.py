@@ -45,27 +45,23 @@ coords(l_i a*) = L_{l_i} J conj(coords(a)),
 
     coords(E_1(t)) = L_{Ind(E)^-1} J conj(v),   v = sum_i L_{l_i} J conj(t q_i),
 
-where v holds the coordinates of (sum_i t(l_i) l_i*)*.  On a
-:class:`GenericModule` an element costs three products of q d x d matrices
-with vectors, about 3 q d^2, and one conversion from coordinates; J, the
-L_{l_i} and L_{Ind(E)^-1} J are built once per level.  J needs no module
-operator: with S the star of A's basis in HS coordinates (row l holds those
-of b_l*) and M the module Gram matrix of :class:`GenericModule`,
+where v holds the coordinates of (sum_i t(l_i) l_i*)*.  The module forms
+the products t -> [t q_i] and X -> sum_i L_{l_i} J conj(X_i)
+(:meth:`GenericModule.times_columns`, :meth:`GenericModule.left_star`) as
+maps the level builds once; a :class:`GenericModule` forms them densely,
+about 2 q d^2 per element.  J needs no module operator: with S the star of
+A's basis in HS coordinates (row l holds those of b_l*) and M the module
+Gram matrix of :class:`GenericModule`,
 
     J = (M^{-1/2} S conj(M^{1/2}))^T.
 
 On the regular module of a group algebra
 (:class:`~cstar_angles.groups.RegularModule`) module coordinates are A's
-HS coordinates and A has a product table from ``GATHER_MIN_DIM`` elements
-on.  Then every L_{b_i} is a scaled partial permutation, read off the
-table (:attr:`MatrixStarAlgebra._gathers`): b_i b_j = s b_k sends row j to
-row k with scale s.  J = S^T is one too, read off the supports
-(:attr:`TowerLevel._star_map`), and so is every q_i of a coset-rep
-quasi-basis.  So each product above is a gather: t q_i takes the columns
-of t at the nonzero coordinates of q_i, and L_{l_i} J and L_{Ind(E)^-1} J
-are each a gather of rows, about q w d per element for q_i and l_i of w
-nonzero coordinates (w = 1 on the group route), and no d x d matrix of them
-is formed.
+HS coordinates, and from ``GATHER_MIN_DIM`` elements on A has a product
+table.  Then every L_{b_i}, J and every q_i of a coset-rep quasi-basis are
+scaled partial permutations, and that module forms each product by
+gathers, about q w d per element for q_i and l_i of w nonzero coordinates
+(w = 1 on the group route).  The module, not the level, chooses the route.
 
 The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
 A_1, gives the compatible expectation onto C_1 as
@@ -96,15 +92,15 @@ of an intermediate C is
 
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* = W W*,   W = [L_{mu_1} V ... L_{mu_p} V],
 
-2 p d^2 r work where the sum of products is 2 p d^3; on the regular
-module each L_{mu_j} V is a gather of V's rows, and the products L_{b_k} V
-of the exchange law and the dual-rule sample are gathers too.  The checks
-of a level keep their dense operands wherever a wrong module could hide:
-e_B's own laws (idempotent, self-adjoint, and the e_B of the exchange law),
-the postconditions of e_C against e_B and the expectation matrix, left
-multiplication (through :meth:`TowerLevel.embed`) and the faithfulness of
-the representation are taken on the matrices themselves, never on V or on
-a gather.
+2 p d^2 r work where the sum of products is 2 p d^3.  W, and the L_{b_k} V
+of the exchange law and of the dual-rule sample, are the module's products
+L_y X (:meth:`GenericModule.left_times`), gathers of V's rows on the
+regular module.  The checks of a level keep their dense operands wherever
+a wrong module could hide: e_B's own laws (idempotent, self-adjoint, and
+the e_B of the exchange law), the postconditions of e_C against e_B and the
+expectation matrix, left multiplication (through :meth:`TowerLevel.embed`)
+and the faithfulness of the representation are taken on the matrices
+themselves, never on V or on a product the module forms.
 
 An inclusion is named by its expectation: :func:`build_tower_level`
 takes E alone, with A = E.source and B = E.target, and an intermediate C
@@ -129,11 +125,8 @@ from .algebra import (
     _centrality_residual,
     _compatibility_core,
     _coordinates_on,
-    _gather_times,
     _intermediate,
     _restrict_core,
-    _row_gathers,
-    _row_nonzeros,
     verify_quasi_basis,
 )
 from .errors import (
@@ -207,13 +200,13 @@ class GenericModule:
     Tr(L_{b_i}* L_{b_j}) = sum_k Tr(m_k* b_i* b_j m_k rho) = Tr(b_i* b_j c)
     with c = sum_k m_k rho m_k* = sum_k b_k b_k*, so the HS Gram matrix of
     the L_{b_i} is R_c^T.
-    """
 
-    # a generic module multiplies by dense L_x (its J and quasi-basis
-    # coordinates carry the Gram matrix), and is the oracle of the gathers
-    # along A's product table that :class:`~cstar_angles.groups.RegularModule`,
-    # whose coordinates are A's own, takes instead
-    gathers = None
+    The products a tower level takes with an L_y, with L_y J and with the
+    coordinates of an element are the module's (:meth:`left_times`,
+    :meth:`left_star`, :meth:`times_columns`): maps built once per operand.
+    Here they are dense; :class:`~cstar_angles.groups.RegularModule` gathers
+    along A's product table instead, and this class is its oracle.
+    """
 
     def __init__(self, expectation: ConditionalExpectation):
         self.algebra = algebra = expectation.source
@@ -277,13 +270,49 @@ class GenericModule:
 
         ``fn`` takes module basis elements as (k, n, n) stacks; it may be
         conjugate-linear, as the adjoint is: ``operator_matrix(mx.adjoint)``
-        is J, which :attr:`TowerLevel.star_matrix` builds in A's coordinates.
+        is J, which :attr:`star_matrix` builds in A's coordinates.
         """
         eye = np.eye(self.dim)
         rows = mx.stack_slices(self.dim, 16 * self.algebra.ambient_dim**2)
         return np.concatenate(
             [self.coords(fn(self.from_coords(eye[r]))) for r in rows]
         ).T
+
+    @cached_property
+    def star_matrix(self) -> np.ndarray:
+        """J with coords(x*) = J conj(coords(x)): column j is coords(m_j*).
+
+        Built in A's coordinates: m_j has HS coordinates row j of
+        ``_from_module``, so m_j* has conj(that row) S, with S the star of A's
+        basis (:meth:`MatrixStarAlgebra.star_coordinates`), and
+        J = (conj(_from_module) S _to_module)^T.
+        """
+        star = self.algebra.star_coordinates()
+        return (np.conjugate(self._from_module) @ star @ self._to_module).T
+
+    def left_times(self, coords: np.ndarray):
+        """The map X -> [L_{y_1} X ... L_{y_m} X] for the y_a with A-coordinates ``coords`` (rows).
+
+        X is one (d, c) matrix or an (m, d, c) stack, one matrix per y_a,
+        and the map gives the (m, d, c) stack.  The L_{y_a} are formed here,
+        once.
+        """
+        lmats = self.left_mult(self.algebra.combine(coords))
+        return lambda x: lmats @ x
+
+    def left_star(self, coords: np.ndarray):
+        """The map X -> sum_a L_{y_a} J conj(X[:, :, a]) for the y_a with A-coordinates ``coords``.
+
+        X is a (k, d, m) stack whose column a goes with y_a, and the map
+        gives the (k, d) rows of the sums, about 2 m d^2 work per element.
+        """
+        left, star = self.left_times(coords), self.star_matrix
+        return lambda x: left(star @ np.conjugate(x).T).sum(axis=0).T
+
+    def times_columns(self, q: np.ndarray):
+        """The map t -> [t q_1 ... t q_m] on (k, d, d) stacks, for module coordinates q (rows)."""
+        columns = np.asarray(q).T
+        return lambda ts: ts @ columns
 
 
 @dataclass
@@ -404,137 +433,51 @@ class TowerLevel:
         return self.expectation._quasi_coords @ self.module._to_module
 
     @cached_property
-    def star_matrix(self) -> np.ndarray:
-        """J with coords(x*) = J conj(coords(x)): column j is coords(m_j*).
-
-        Built in A's coordinates: m_j has HS coordinates row j of
-        ``_from_module``, so m_j* has conj(that row) S, with S the star of A's
-        basis (:meth:`MatrixStarAlgebra.star_coordinates`), and
-        J = (conj(_from_module) S _to_module)^T.
-        """
-        mod = self.module
-        star = self.algebra.star_coordinates()
-        return (np.conjugate(mod._from_module) @ star @ mod._to_module).T
-
-    @cached_property
     def _quasi_left(self) -> np.ndarray:
         """The (q, d, d) stack L_{l_i} (on the regular module, the quasi-basis itself)."""
         return self.embed(self.expectation.quasi_stack)
 
-    @cached_property
-    def _index_inverse_left(self) -> np.ndarray:
-        """L_{Ind(E)^-1}."""
-        return self.embed(self.index_inverse)
+    # the module maps of E_1 and of its check, one per operand, built on first use
 
     @cached_property
-    def _index_inverse_star(self) -> np.ndarray:
-        """L_{Ind(E)^-1} J: conj(coords(y*)) to coords(Ind(E)^-1 y)."""
-        return self._index_inverse_left @ self.star_matrix
+    def _quasi_images(self):
+        """t -> [t q_1 ... t q_q], q_i = coords(l_i)."""
+        return self.module.times_columns(self.quasi_coords)
 
     @cached_property
-    def _star_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """J on a module with gathers, as (rows, scale): row k of J is scale[k] e_{rows[k]}.
-
-        Module coordinates are A's HS coordinates there, so J = S^T with
-        S = :meth:`MatrixStarAlgebra.star_coordinates`, and J[k, l] is the
-        coordinate of b_l* on b_k.  Supports are disjoint, and b_l* has b_l's
-        support transposed, so b_k lies in b_l* for one l alone: the owner of
-        any transposed position of b_k.
-        """
-        A = self.algebra
-        sup, n = A._supports, A.ambient_dim
-        r, c = np.divmod(sup.positions[sup.starts], n)
-        rows = sup.owner[c * n + r]
-        return rows, A.star_coordinates()[rows, np.arange(A.dim)]
+    def _quasi_star(self):
+        """X -> sum_i L_{l_i} J conj(X[:, :, i])."""
+        return self.module.left_star(self.expectation._quasi_coords)
 
     @cached_property
-    def _dual_gathers(self) -> tuple:
-        """The row gathers of L_{l_i} J, one per quasi-basis element, and of L_{Ind(E)^-1} J.
+    def _index_star(self):
+        """x -> L_{Ind(E)^-1} J conj(x): conj(coords(y*)) to coords(Ind(E)^-1 y)."""
+        return self.module.left_star(self.algebra.hs_coordinates(self.index_inverse)[None])
 
-        Each is (rows, weights) as :func:`~cstar_angles.algebra._row_gathers`
-        gives it, composed with :attr:`_star_map`: row r of L_x J is
-        sum_u weights[u, r] times row rows[u, r] of J.  Those of the l_i are
-        held as :meth:`_dual_coords` reads them: the rows as positions
-        r q + i in a d x q image stack taken flat, the weights conjugated.
-        """
-        maps = self.module.gathers
-        star_rows, star_scale = self._star_map
-
-        def after_star(coords):
-            rows, weights = _row_gathers(maps.left, maps.left_scale, _row_nonzeros(coords))
-            return star_rows[rows], weights * star_scale[rows]
-
-        rows, weights = after_star(self.expectation._quasi_coords)
-        q = len(rows)
-        flat = rows * q + np.arange(q)[:, None, None]
-        return (flat, np.conjugate(weights)), after_star(
-            self.algebra.hs_coordinates(self.index_inverse)[None]
-        )
-
-    def _left_gathered(self, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """L_y x for each element y with the given A-coordinates (rows), on a module with gathers."""
-        maps = self.module.gathers
-        return _gather_times(*_row_gathers(maps.left, maps.left_scale, _row_nonzeros(coords)), x)
+    @cached_property
+    def _index_left(self):
+        """X -> L_{Ind(E)^-1} X."""
+        return self.module.left_times(self.algebra.hs_coordinates(self.index_inverse)[None])
 
     def dual_value(self, t) -> np.ndarray:
         """E_1(t) as an ambient matrix, via the decomposition-free identity.
 
         ``t`` is one module operator or a (k, d, d) stack of them; a stack
-        gives the (k, n, n) stack of values (see :meth:`_dual_coords`).  On a
-        module with gathers the images t q_i are columns of t gathered at
-        the nonzero coordinates of q_i.
+        gives the (k, n, n) stack of values (see :meth:`_dual_coords`).
         """
         t = np.asarray(t, dtype=np.complex128)
         ts = t[None] if t.ndim == 2 else t
-        if self.module.gathers is None:
-            images = ts @ self.quasi_coords.T
-        else:
-            columns, values = self._quasi_columns
-            images = np.take(ts, columns[:, 0], axis=2)
-            images *= values[:, 0]
-            for u in range(1, columns.shape[1]):
-                images += np.take(ts, columns[:, u], axis=2) * values[:, u]
-        out = self.module.from_coords(self._dual_coords(images))
+        out = self.module.from_coords(self._dual_coords(self._quasi_images(ts)))
         return out[0] if t.ndim == 2 else out
-
-    @cached_property
-    def _quasi_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero entries of each row of ``quasi_coords`` (:func:`~cstar_angles.algebra._row_nonzeros`)."""
-        return _row_nonzeros(self.quasi_coords)
 
     def _dual_coords(self, images: np.ndarray) -> np.ndarray:
         """Module coordinates of E_1(t_k), from the (k, d, q) stack whose column i is t_k q_i.
 
         Computed as in the module docstring: v = sum_i L_{l_i} J conj(t q_i)
         holds the coordinates of (sum_i t(l_i) l_i*)*, and E_1(t) is the
-        element with coordinates L_{Ind(E)^-1} J conj(v).  On a module with
-        gathers both operators are the row gathers of :attr:`_dual_gathers`,
-        k q w d work for q_i with w nonzero coordinates, and no d x d matrix
-        is read.
+        element with coordinates L_{Ind(E)^-1} J conj(v).
         """
-        k, d, q = images.shape
-        coords = np.empty((k, d), dtype=np.complex128)
-        if self.module.gathers is not None:
-            (flat, conj_weights), (last_rows, last_weights) = self._dual_gathers
-            # charged per element: the gathered (q, w, d) entries
-            for chunk in mx.stack_slices(k, 16 * flat.size):
-                acted = np.take(images[chunk].reshape(-1, d * q), flat, axis=1)
-                # conj(v), v = sum_i L_{l_i} J conj(t q_i), needs no conjugate of a stack
-                v_bar = np.einsum("iwr,kiwr->kr", conj_weights, acted)
-                del acted
-                coords[chunk] = np.einsum("wr,kwr->kr", last_weights[0], v_bar[:, last_rows[0]])
-            return coords
-        lmats = self._quasi_left
-        # charged per element: two (q, d) intermediates and the (q, d) terms
-        for rows in mx.stack_slices(k, 3 * q * d * 16):
-            # row i of acted[k] is conj(t_k q_i), then J of it, as rows
-            acted = np.conjugate(np.swapaxes(images[rows], 1, 2))
-            acted = (acted.reshape(-1, d) @ self.star_matrix.T).reshape(-1, q, d)
-            # sum_i L_{l_i} J conj(t_k q_i), for every k: one product per i
-            terms = np.swapaxes(acted, 0, 1) @ np.swapaxes(lmats, 1, 2)
-            coords[rows] = np.conjugate(terms.sum(axis=0))
-            del acted, terms
-        return coords @ self._index_inverse_star.T
+        return self._index_star(self._quasi_star(images)[:, :, None])
 
     def module_norm(self, t) -> float:
         """||t||_{A_1} = ||E_1(t* t)||^(1/2) for t in the basic construction."""
@@ -548,20 +491,10 @@ class TowerLevel:
 def _faithfulness_gram(A: MatrixStarAlgebra) -> np.ndarray:
     """The HS Gram matrix Tr(L_{b_i}* L_{b_j}) of the embedded basis, as R_c^T.
 
-    c = sum_k b_k b_k* is the same for every HS-orthonormal basis (module
-    docstring).  With a product table every b_k is a scaled partial
-    permutation, so b_k b_k* is diagonal and c holds the squared moduli of
-    the basis entries summed along each row; otherwise c is one
-    (n x d n)(d n x n) product.
+    c = :meth:`MatrixStarAlgebra.square_sum`, sum_k b_k b_k*, is the same for
+    every HS-orthonormal basis (module docstring).
     """
-    n = A.ambient_dim
-    if A._table is not None:
-        weights = np.abs(A._supports.entries.reshape(n, n)) ** 2
-        c = np.diag(weights.sum(axis=1)).astype(np.complex128)
-    else:
-        wide = np.swapaxes(A.basis_stack, 0, 1).reshape(n, -1)  # [b_1 ... b_d]
-        c = wide @ np.conjugate(wide).T
-    return A.multiplication_matrices(c[None], left=False)[0].T
+    return A.multiplication_matrices(A.square_sum()[None], left=False)[0].T
 
 
 def _left_multiplication_residual(level: TowerLevel) -> float:
@@ -609,31 +542,22 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     # e (L_a V) - L_{E(a)} V costs 3 d^2 rank(e) per element instead of
     # 3 d^3, and e multiplies a whole chunk [L_a V ...] in one GEMM.  L is
     # linear, so L_{E(b_k)} V is sum_m T[k, m] L_{beta_m} V over E's target
-    # basis {beta_m}: one embed of that basis per level (on a module with
-    # gathers, gathers of V's rows), then one contraction per chunk.
-    E, A, maps = level.expectation, level.algebra, level.module.gathers
-    basis, t = E.source.basis_stack, E.coordinates(tol)
+    # basis {beta_m}: one module product per level, then one contraction
+    # per chunk.  The basis elements b_k have A-coordinates e_k.
+    E, A, mod = level.expectation, level.algebra, level.module
+    t, unit = E.coordinates(tol), np.eye(A.dim)
     range_e = level.jones_range
     d, r = range_e.shape
-    if maps is None:
-        target_on_range = level.embed(E.target.basis_stack) @ range_e
-    else:
-        target_on_range = level._left_gathered(A.hs_coordinates(E.target.basis_stack), range_e)
-
-    def left_on_range(rows):
-        # L_{b_k} V for basis elements k; a row gather of V with gathers
-        if maps is None:
-            return level.embed(basis[rows]) @ range_e
-        return range_e[maps.left[rows]] * maps.left_scale[rows][..., None]
+    target_on_range = mod.left_times(A.hs_coordinates(E.target.basis_stack))(range_e)
 
     def exchange_residual(rows):
         # (L_a V) for the chunk, side by side as one d x k r matrix
-        wide = np.swapaxes(left_on_range(rows), 0, 1).reshape(d, -1)
+        wide = np.swapaxes(mod.left_times(unit[rows])(range_e), 0, 1).reshape(d, -1)
         acted = np.swapaxes((e @ wide).reshape(d, -1, r), 0, 1)
         return mx.max_operator_norm(acted - np.tensordot(t[rows], target_on_range, axes=1))
 
     residuals["exchange_law"] = max(
-        exchange_residual(rows) for rows in mx.stack_slices(len(basis), e.nbytes)
+        exchange_residual(rows) for rows in mx.stack_slices(A.dim, e.nbytes)
     )
     del target_on_range
 
@@ -645,24 +569,17 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     # one stacked call on their images t q_k = (L_{b_i} V)(V* (L_{b_j} q_k))
     # (no t is formed), compared in HS coordinates: those of b_i b_j are
     # column j of L_{b_i}
-    basis = A.basis_stack
     rng = mx.default_rng()
-    d = len(basis)
     i, j = np.array(
         [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
     ).T
-    quasi = level.quasi_coords.T
-    if maps is None:
-        left = level.embed(basis[i])
-        images = (left @ range_e) @ (mx.adjoint(range_e) @ level.embed(basis[j]) @ quasi)
-        column = left[np.arange(len(i)), :, j]
-        del left
-    else:
-        on_quasi = quasi[maps.left[j]] * maps.left_scale[j][..., None]
-        images = left_on_range(i) @ (mx.adjoint(range_e) @ on_quasi)
-        column = np.where(maps.left[i] == j[:, None], maps.left_scale[i], 0.0)
-    got = level._dual_coords(images) @ level.module._from_module
-    want = column @ level._index_inverse_left.T
+    left_i = mod.left_times(unit[i])
+    on_quasi = mod.left_times(unit[j])(level.quasi_coords.T)  # L_{b_j} q_k
+    images = left_i(range_e) @ (mx.adjoint(range_e) @ on_quasi)
+    column = left_i(unit[j][:, :, None])[:, :, 0]
+    del left_i, on_quasi  # before E_1's maps are first built
+    got = level._dual_coords(images) @ mod._from_module
+    want = level._index_left(column.T)[0].T
     del images
     residuals["dual_rule"] = float(mx.row_norms(got - want).max())
 
@@ -697,13 +614,17 @@ def build_tower_level(
     if module is not None and module.algebra is not A:
         raise ShapeMismatch("the module must be built on the source of E")
 
-    mod = module if module is not None else GenericModule(E)
-    e_b = mod.expectation_matrix(E)
+    # E's images are read once, at the caller's tol, and a module built here
+    # reads them as read here
+    t = E.coordinates(tol)
+    if module is None:
+        module = GenericModule(ConditionalExpectation.from_coordinates(A, B, t, name=E.name))
+    e_b = module._module_matrix(t @ A.hs_coordinates(B.basis_stack))
 
     ind = E.index_element(tol)
     level = TowerLevel(
         expectation=E,
-        module=mod,
+        module=module,
         jones_projection=e_b,
         index_matrix=ind,
         index_inverse=np.linalg.inv(ind),
@@ -821,13 +742,11 @@ def _member_projection(
     """
     restricted = _restrict_core(level.expectation, member, tol)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
-    # per quasi-basis element; with gathers the mu_j are read over A as
-    # their coordinates over C times C's basis over A, and no L_{mu_j} is formed
-    if level.module.gathers is None:
-        w = level.embed(restricted.quasi_stack) @ level.jones_range
-    else:
-        w = level._left_gathered(restricted._quasi_coords @ member.c_on_a, level.jones_range)
-    w = np.swapaxes(w, 0, 1).reshape(level.module_dim, -1)
+    # per quasi-basis element; the mu_j are read over A as their
+    # coordinates over C times C's basis over A
+    mu_on_a = restricted._quasi_coords @ member.c_on_a
+    w = np.swapaxes(level.module.left_times(mu_on_a)(level.jones_range), 0, 1)
+    w = w.reshape(level.module_dim, -1)
     e_c = w @ mx.adjoint(w)
     del w
     e_f = level.module._module_matrix(member.hs)
@@ -977,7 +896,7 @@ def _dual_expectation_from(
         # charged per element: the q values t(l_i), their L's and the products
         out = np.empty_like(ts)
         for rows in mx.stack_slices(len(ts), 3 * q * d * d * 16):
-            acted = np.swapaxes(ts[rows] @ level.quasi_coords.T, 1, 2).reshape(-1, d)
+            acted = np.swapaxes(level._quasi_images(ts[rows]), 1, 2).reshape(-1, d)
             lefts = level.embed(ind_c_inv @ level.module.from_coords(acted))
             out[rows] = (lefts.reshape(-1, q, d, d) @ right).sum(axis=1)
         return out

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import dataclasses
 import importlib.util
 import math
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cstar_angles import m2
+from cstar_angles import algebra, groups, m2
 from cstar_angles import matrices as mx
 from cstar_angles import tower
 from cstar_angles.algebra import (
@@ -30,6 +32,7 @@ from cstar_angles.errors import (
     NotCompatible,
     NotInAlgebra,
     NotIntermediate,
+    NumericIntegrityError,
     ShapeMismatch,
     TooLarge,
 )
@@ -109,6 +112,20 @@ def test_build_requires_quasi_basis(inclusion):
     bare = ConditionalExpectation.from_rule(inclusion.A, inclusion.B, inclusion.E)
     with pytest.raises(NoQuasiBasis):
         build_tower_level(bare)
+
+
+def test_build_reads_e_at_the_callers_tol(inclusion):
+    # E's images leave B by 1e-8 relative; the module reads E at the
+    # caller's tol, as the level's checks do
+    E = inclusion.E
+    off = ConditionalExpectation.from_rule(
+        E.source, E.target, lambda x: E(x) + 1e-8 * (x - E(x)), E.quasi_basis
+    )
+    level = build_tower_level(off, tol=1e-6)
+    residuals = tower._check_level(level, 1e-6)
+    assert len(residuals) == 6 and max(residuals.values()) <= 1e-14
+    with pytest.raises(NumericIntegrityError, match="off the target span"):
+        build_tower_level(off)
 
 
 def test_build_rejects_non_subalgebra(inclusion):
@@ -529,7 +546,7 @@ def test_star_matrix_conjugates_coordinates(tower_level, c_plus_m2, rng):
         ).tower(),
     )
     for level in levels:
-        mod, star = level.module, level.star_matrix
+        mod, star = level.module, level.module.star_matrix
         xs = np.stack([level.algebra.random_element(rng) for _ in range(4)])
         np.testing.assert_allclose(
             mod.coords(mx.adjoint(xs)),
@@ -995,9 +1012,10 @@ def test_dual_rule_through_the_range_matches_formed_products(range_levels):
         assert abs(got - dual_rule_dense(level)) <= 1e-12, name
     # with a wrong star matrix both forms see the same large residual; the
     # regular module of C[Z3^4] gathers, and reads J as its star map
-    broken = dataclasses.replace(range_levels["C[Z3^4]"])
-    broken.star_matrix = np.eye(broken.module_dim)
-    broken._star_map = (np.arange(broken.module_dim), np.ones(broken.module_dim))
+    level = range_levels["C[Z3^4]"]
+    module = copy.copy(level.module)
+    module._star_map = (np.arange(module.dim), np.ones(module.dim))
+    broken = dataclasses.replace(level, module=module)
     with pytest.raises(ConstructionFailure, match="dual_rule") as failure:
         tower._check_level(broken, mx.DEFAULT_TOL)
     got, want = failure.value.residuals["dual_rule"], dual_rule_dense(broken)
@@ -1077,7 +1095,7 @@ def test_star_matrix_in_algebra_coordinates_matches_operator_matrix(coordinate_l
             rtol=0, atol=1e-13, err_msg=name,
         )
         want = level.module.operator_matrix(mx.adjoint)
-        got = level.star_matrix
+        got = level.module.star_matrix
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
@@ -1116,13 +1134,13 @@ def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
     exchange = mx.stack_slices(len(level.expectation.source.basis), e.nbytes)
     assert len(chunks) == 10
     calls = []
-    embed = level.embed
+    left_mult = level.module.left_mult
 
     def counted(x):
         calls.append(len(x) if np.ndim(x) == 3 else 1)
-        return embed(x)
+        return left_mult(x)
 
-    monkeypatch.setattr(level, "embed", counted)
+    monkeypatch.setattr(level.module, "left_mult", counted)
     tower._left_multiplication_residual(level)
     assert calls == [len(level.algebra.basis_stack[rows]) for rows in chunks]
     calls.clear()
@@ -1139,8 +1157,9 @@ def test_wrong_star_matrix_fails_the_dual_rule():
     S3 = FiniteGroup.symmetric(3)
     level = group_algebra_inclusion(S3, trivial_subgroup(S3)).tower()
     assert tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"] <= 1e-14
-    broken = dataclasses.replace(level)
-    broken.star_matrix = np.eye(level.module_dim)  # coords(x*) = conj(coords(x)): false on S3
+    module = copy.copy(level.module)
+    module.star_matrix = np.eye(level.module_dim)  # coords(x*) = conj(coords(x)): false on S3
+    broken = dataclasses.replace(level, module=module)
     with pytest.raises(ConstructionFailure, match="dual_rule"):
         tower._check_level(broken, mx.DEFAULT_TOL)
 
@@ -1178,6 +1197,19 @@ def gather_cases(rng):
     return cases
 
 
+def _refused(*args):
+    raise AssertionError("a dense module product or a gather was formed")
+
+
+@contextlib.contextmanager
+def _no_gathers():
+    """Refuse every gather along a product table: the dense side of a comparison runs inside."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (algebra, groups, tower):
+            patch.setattr(module, "_gather_times", _refused, raising=False)
+        yield patch
+
+
 def _unitary_of(A, rng):
     """The unitary part of a random element of A."""
     z = A.combine(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
@@ -1188,21 +1220,25 @@ def _unitary_of(A, rng):
 def gathered_levels():
     """(name, inclusion, regular level, GenericModule level on the same E, the F onto each C[K]).
 
-    The last case conjugates the S4 inclusion by a unitary u of C[S4]: E_u
-    still preserves the trace, so the regular module still holds, but its
-    quasi-basis {u l_i u*} has dense coordinates, and F_u on A is not a mask.
+    The GenericModule levels are built with every gather refused
+    (:func:`_no_gathers`), and the tests run them so.  The last case
+    conjugates the S4 inclusion by a unitary u of C[S4]: E_u still preserves
+    the trace, so the regular module still holds, but its quasi-basis
+    {u l_i u*} has dense coordinates, and F_u on A is not a mask.
     """
     rng, out = mx.default_rng(7), []
     for name, inc, inters in gather_cases(rng):
         regular = inc.tower()
-        dense = build_tower_level(inc.E, materialize=False)
-        assert regular.module.gathers is not None and dense.module.gathers is None, name
+        with _no_gathers():
+            dense = build_tower_level(inc.E, materialize=False)
+        assert regular.algebra._gathers is not None and type(dense.module) is GenericModule, name
         out.append((name, inc, regular, dense, [inc.expectation_onto(K) for K in inters]))
     _, inc, _, _, members = out[1]
     u = _unitary_of(inc.A, rng)
     E_u = conjugate_expectation(inc.E, u)
     regular = build_tower_level(E_u, module=RegularModule(E_u), materialize=False)
-    dense = build_tower_level(E_u, materialize=False)
+    with _no_gathers():
+        dense = build_tower_level(E_u, materialize=False)
     conjugated = [conjugate_expectation(F, u) for F in members]
     out.append(("S4 under Ad u", None, regular, dense, conjugated))
     return out
@@ -1212,7 +1248,9 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
     for name, _, regular, dense, _ in gathered_levels:
         d = regular.module_dim
         ts = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
-        got, want = regular.dual_value(ts), dense.dual_value(ts)
+        got = regular.dual_value(ts)
+        with _no_gathers():
+            want = dense.dual_value(ts)
         bound = 1e-13 * (1.0 + np.abs(want).max())
         assert np.abs(got - want).max() <= bound, name
         # one element as a matrix, and an empty stack
@@ -1223,7 +1261,8 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
 def test_gathered_level_checks_match_the_dense_module(gathered_levels):
     for name, _, regular, dense, _ in gathered_levels:
         got = tower._check_level(regular, mx.DEFAULT_TOL)
-        want = tower._check_level(dense, mx.DEFAULT_TOL)
+        with _no_gathers():
+            want = tower._check_level(dense, mx.DEFAULT_TOL)
         assert got.keys() == want.keys(), name
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-13, (name, key)
@@ -1232,7 +1271,12 @@ def test_gathered_level_checks_match_the_dense_module(gathered_levels):
 def test_gathered_intermediate_projections_match_the_dense_module(gathered_levels):
     for name, _, regular, dense, members in gathered_levels:
         got = tower.intermediate_projections(regular, members)
-        want = tower.intermediate_projections(dense, members)
+        with _no_gathers() as patch:
+            # the restrictions' quasi-basis checks take their dense path too
+            # (the table path is compared with it below)
+            for F in members:
+                patch.setitem(vars(F.target), "_gathers", None)
+            want = tower.intermediate_projections(dense, members)
         assert got.shape == want.shape == (len(members),) + regular.jones_projection.shape
         assert np.abs(got - want).max() <= 1e-13, name
 
@@ -1307,21 +1351,26 @@ def _group_quasi_cases(inc, rng):
 def test_wrong_star_map_on_a_table_algebra_fails_the_dual_rule():
     G = FiniteGroup.direct_product([3, 3, 3, 3])
     level = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))])).tower()
-    assert level.algebra._table is not None and level.module.gathers is not None
+    assert level.algebra._table is not None and type(level.module) is RegularModule
     assert tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"] <= 1e-14
-    broken = dataclasses.replace(level)
+    module = copy.copy(level.module)
     d = level.module_dim
-    broken._star_map = (np.arange(d), np.ones(d))  # coords(x*) = conj(coords(x)): false on Z3^4
+    module._star_map = (np.arange(d), np.ones(d))  # coords(x*) = conj(coords(x)): false on Z3^4
+    broken = dataclasses.replace(level, module=module)
     with pytest.raises(ConstructionFailure, match="dual_rule"):
         tower._check_level(broken, mx.DEFAULT_TOL)
 
 
-def test_interior_angle_on_a_regular_level_forms_no_quasi_stack():
+def test_interior_angle_on_a_regular_level_forms_no_quasi_stack(monkeypatch):
     G = FiniteGroup.direct_product([3, 3, 3, 3])
 
     def sub(*gens):
         return generated_subgroup(G, [G.index_of(g) for g in gens])
 
+    # no product of the dense module is formed: neither (q, d, d) stack of
+    # its L_{l_i} J, nor its L_{Ind(E)^-1} J, nor E's own stack
+    for name in ("left_times", "left_star", "times_columns"):
+        monkeypatch.setattr(GenericModule, name, _refused)
     inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
     level = inc.tower()
     K = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
@@ -1329,10 +1378,8 @@ def test_interior_angle_on_a_regular_level_forms_no_quasi_stack():
     F, F_prime = inc.expectation_onto(K), inc.expectation_onto(L)
     cos = interior_angle_definition(level, F, F_prime).cos_value
     assert abs(cos - 0.5) <= 1e-12
-    # neither (q, d, d) stack of the dense path was built, nor E's own stack
     held = vars(level)
-    assert "_quasi_left" not in held and "_index_inverse_star" not in held
-    assert "_dual_gathers" in held
+    assert "_quasi_left" not in held and "_quasi_star" in held
     for expectation in (inc.E, F, F_prime):
         assert "quasi_stack" not in vars(expectation)
 
