@@ -614,8 +614,8 @@ def build_tower_level(
     if module is not None and module.algebra is not A:
         raise ShapeMismatch("the module must be built on the source of E")
 
-    # E's images are read once, at the caller's tol, and a module built here
-    # reads them as read here
+    # E is read once, at the caller's tol: e_B and a module built here both
+    # take that read
     t = E.coordinates(tol)
     if module is None:
         module = GenericModule(ConditionalExpectation.from_coordinates(A, B, t, name=E.name))
