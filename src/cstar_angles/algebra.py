@@ -22,15 +22,18 @@ the other on first read, once: a Y-held expectation builds its matrices
 (``source.combine(Y)``) only when they are read, and a matrix-held one takes
 their HS coordinates only when they are read.  On a source with a product
 table (:attr:`MatrixStarAlgebra._table`) the index of a Y-held quasi-basis
-is summed in coordinates, d^2 q work with no n x n product; every other
-expectation sums l_i l_i* densely.
+is summed in coordinates, one row gather per l_i with no n x n product;
+every other expectation sums l_i l_i* densely.
 
 Both identities and the centrality of the index are checked in source
 coordinates, through the products of coordinate rows with basis elements
-(:meth:`MatrixStarAlgebra.multiplication_matrices`), on every algebra; on
-a source with a product table the identities take those products as
-gathers of rows (:attr:`MatrixStarAlgebra._gathers`), with no d x d
-multiplication matrix formed.
+(:meth:`MatrixStarAlgebra.multiplication_matrices`), on every algebra.  The
+product table is the one switch for the cheaper form of those products: on
+a source with a table, multiplication by an element given by its
+coordinates is a gather of rows
+(:meth:`MatrixStarAlgebra.multiplication_gathers`), and the identities,
+the index and every product of the tower with an L_y take it, with no
+d x d multiplication matrix formed.
 
 Everything here is a pure function over immutable values; arrays are
 write-protected after construction.
@@ -146,11 +149,11 @@ class MatrixStarAlgebra:
         self.basis = tuple(self.basis_stack)
 
     @classmethod
-    def from_spanning(cls, mats: Sequence[np.ndarray], cutoff: float = mx.RANK_CUTOFF):
+    def from_spanning(cls, mats: Sequence[np.ndarray]):
         """Build from an arbitrary (possibly redundant) family or (k, n, n) stack."""
         if len(mats) == 0:
             raise EmptyAlgebra("spanning set is empty")
-        basis = mx.orthonormalize(mats, cutoff=cutoff)
+        basis = mx.orthonormalize(mats)
         basis.setflags(write=False)  # nothing else holds it: enter uncopied
         return cls(basis)
 
@@ -333,7 +336,7 @@ class MatrixStarAlgebra:
         elements have distinct nonzero products with it (see
         :meth:`multiplication_matrices`).  So the multiplication matrix of an
         element with w nonzero coordinates applies as w row gathers
-        (:func:`_row_gathers`), read from the table once per algebra.
+        (:meth:`multiplication_gathers`), read from the table once per algebra.
         """
         table = self._table
         if table is None:
@@ -348,6 +351,28 @@ class MatrixStarAlgebra:
         return SimpleNamespace(
             left=left, left_scale=left_scale, right=right, right_scale=right_scale
         )
+
+    def multiplication_gathers(self, coords: np.ndarray, left: bool):
+        """Multiplication by the elements with the given coordinates (rows), as row gathers.
+
+        Returns (rows, weights), each (m, w, d) for m elements of at most w
+        nonzero coordinates (:func:`_row_nonzeros`), or None without a
+        product table.  Row k of element a's matrix is
+        sum_u weights[a, u, k] e_{rows[a, u, k]}, since the matrix of
+        sum_g c_g b_g is the sum of the c_g-scaled maps of the b_g
+        (:attr:`_gathers`).  With ``left`` the matrix is L_y, whose column j
+        holds coords(y b_j) (the transpose of a slice of
+        :meth:`multiplication_matrices`); otherwise it is R_y, the slice
+        itself, whose row k holds coords(b_k y).  :func:`_gather_times`
+        applies them, w d c work for a d x c operand where the dense product
+        is d^2 c.
+        """
+        maps = self._gathers
+        if maps is None:
+            return None
+        index, scale = (maps.left, maps.left_scale) if left else (maps.right, maps.right_scale)
+        positions, values = _row_nonzeros(coords)
+        return index[positions], values[..., None] * scale[positions]
 
     def hs_coordinates(self, x) -> np.ndarray:
         """Coordinates of the HS-orthogonal projection of ``x`` onto the span.
@@ -501,8 +526,14 @@ class MatrixStarAlgebra:
         """
         ys = np.asarray(ys, dtype=np.complex128)
         d, n = self.dim, self.ambient_dim
-        if self._table is not None:
-            return self._coordinate_multiplication(self.hs_coordinates(ys), left)
+        table = self._table
+        if table is not None:
+            coords = self.hs_coordinates(ys)
+            out = np.zeros((len(coords), d, d), dtype=np.complex128)
+            out[:, table.j if left else table.i, table.k] = (
+                coords[:, table.i if left else table.j] * table.s
+            )
+            return out
         basis = self.basis_stack
         # b_k, or b_k^T for products from the left, stacked as a (d n, n)
         # matrix: one GEMM per element gives the d products b_k y, or their
@@ -518,21 +549,6 @@ class MatrixStarAlgebra:
             else:
                 products = stacked @ ys[rows]
             out[rows] = self.hs_coordinates(products.reshape(-1, n, n)).reshape(-1, d, d)
-        return out
-
-    def _coordinate_multiplication(self, coords: np.ndarray, left: bool) -> np.ndarray:
-        """:meth:`multiplication_matrices` of the elements with the given coordinates (rows).
-
-        With a product table each slice is one scatter of a row, and no
-        element is formed; otherwise the elements are combined and
-        multiplied densely.
-        """
-        table = self._table
-        if table is None:
-            return self.multiplication_matrices(self.combine(coords), left)
-        out = np.zeros((len(coords), self.dim, self.dim), dtype=np.complex128)
-        terms = coords[:, table.i if left else table.j] * table.s
-        out[:, table.j if left else table.i, table.k] = terms
         return out
 
     def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:
@@ -586,21 +602,10 @@ def _row_nonzeros(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return positions, values
 
 
-def _row_gathers(index: np.ndarray, scale: np.ndarray, nonzeros: tuple):
-    """One family of multiplication matrices of :attr:`MatrixStarAlgebra._gathers`, as row gathers.
-
-    ``index`` and ``scale`` are one of its maps, and ``nonzeros`` holds the
-    coordinates of m elements as :func:`_row_nonzeros` gives them.  Returns
-    (rows, weights), each (m, w, d): row k of element a's matrix is
-    sum_u weights[a, u, k] e_{rows[a, u, k]}, since the matrix of
-    sum_g c_g b_g is the sum of the c_g-scaled maps of the b_g.
-    """
-    positions, values = nonzeros
-    return index[positions], values[..., None] * scale[positions]
-
-
 def _gather_times(rows: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (m, d, c) products of the row gathers of :func:`_row_gathers` with x.
+    """The (m, d, c) products of row gathers (rows, weights) with x.
+
+    The gathers are those of :meth:`MatrixStarAlgebra.multiplication_gathers`.
 
     x is one (d, c) matrix or an (m, d, c) stack, one matrix per element,
     real or complex: w d c work per element, where a dense product is d^2 c.
@@ -617,7 +622,7 @@ def _gather_times(rows: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.nd
 
 
 def _gather_sandwich(rows: np.ndarray, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_a G_a p G_a* over the row gathers G_a of :func:`_row_gathers`: G_a (G_a p*)*."""
+    """sum_a G_a p G_a* over row gathers G_a (:func:`_gather_times`): G_a (G_a p*)*."""
     half = _gather_times(rows, weights, mx.adjoint(p))
     return _gather_times(rows, weights, mx.adjoint(half)).sum(axis=0)
 
@@ -1039,9 +1044,10 @@ def _quasi_basis_core(
     (d_i = 0, and ||l_i||_F is the norm of its row).
 
     On a source with a product table every multiplication matrix is a row
-    gather (:attr:`MatrixStarAlgebra._gathers`), so an element with w
-    nonzero coordinates costs four gathers of w d^2 each; otherwise it
-    costs two multiplication matrices and dense products of d^2 dim(target).
+    gather (:meth:`MatrixStarAlgebra.multiplication_gathers`), so an element
+    with w nonzero coordinates costs four gathers of w d^2 each; otherwise
+    it costs two multiplication matrices and dense products of
+    d^2 dim(target).
     """
     src, tgt = E.source, E.target
     if sizes is None:
@@ -1054,27 +1060,25 @@ def _quasi_basis_core(
     charge = np.linalg.norm(t) * (np.sum(offs * (2.0 * sizes + offs)) + off_target * sizes @ sizes)
     d = src.dim
     sums = np.zeros((2, d, d), dtype=np.complex128)  # the two reconstructions
-    gathers = src._gathers
-    if gathers is None:
-        # charged per element: its two multiplication matrices and their adjoints
-        for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
+    p = t @ onto
+    # charged per element: its two multiplication matrices and their
+    # adjoints, or its gathered rows and the half products
+    for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
+        on_right = src.multiplication_gathers(coords[rows], left=False)
+        if on_right is None:
             # on the span with the HS inner product, multiplication by l* is the
             # adjoint of multiplication by l: R_{l*} = R_l* and L_{l*} = L_l*
-            on_right = src._coordinate_multiplication(coords[rows], left=False)
+            elements = src.combine(coords[rows])
+            on_right = src.multiplication_matrices(elements, left=False)
             sums[0] += np.tensordot(on_right @ t, onto @ mx.adjoint(on_right), axes=([0, 2], [0, 1]))
-            on_left = src._coordinate_multiplication(coords[rows], left=True)
+            on_left = src.multiplication_matrices(elements, left=True)
             sums[1] += np.tensordot(mx.adjoint(on_left) @ t, onto @ on_left, axes=([0, 2], [0, 1]))
-    else:
-        # with P = T B the terms are R P R* and L* P L = conj(M) P conj(M)*,
-        # M = L^T the matrix of left multiplication, whose rows ``left`` gathers
-        p = t @ onto
-        positions, values = _row_nonzeros(coords)
-        # charged per element: the gathered rows and the half products
-        for rows in mx.stack_slices(len(coords), 4 * 16 * d * d):
-            nonzeros = positions[rows], values[rows]
-            index, weights = _row_gathers(gathers.right, gathers.right_scale, nonzeros)
-            sums[0] += _gather_sandwich(index, weights, p)
-            index, weights = _row_gathers(gathers.left, gathers.left_scale, nonzeros)
+        else:
+            # with P = T B the terms are R P R* and L* P L = conj(M) P conj(M)*,
+            # M = L^T the matrix of left multiplication, whose rows the left
+            # gathers hold
+            sums[0] += _gather_sandwich(*on_right, p)
+            index, weights = src.multiplication_gathers(coords[rows], left=True)
             sums[1] += _gather_sandwich(index, np.conjugate(weights), p)
     residuals = mx.row_norms((sums - np.eye(d)).reshape(2 * d, d))
     return bool(np.all(residuals <= 2.0 * tol - charge))  # tol (1 + ||x||_F), ||x||_F = 1
@@ -1098,9 +1102,8 @@ def watatani_index(
     if E._index_cache is None:
         if E._quasi is None:
             raise NoQuasiBasis("expectation carries no quasi-basis")
-        if E._quasi.ndim == 2 and E.source._table is not None:
-            ind = _table_index(E.source, E._quasi)
-        else:
+        ind = _table_index(E.source, E._quasi) if E._quasi.ndim == 2 else None
+        if ind is None:
             ind = mx.sum_times_adjoint(E.quasi_stack)
         ind.setflags(write=False)
         E._index_cache = (
@@ -1120,21 +1123,20 @@ def watatani_index(
     return ind
 
 
-def _table_index(alg: MatrixStarAlgebra, y: np.ndarray) -> np.ndarray:
-    """sum_i l_i l_i* from the l_i's coordinates Y over ``alg``, through its product table.
+def _table_index(alg: MatrixStarAlgebra, y: np.ndarray) -> np.ndarray | None:
+    """sum_i l_i l_i* from the l_i's coordinates Y over ``alg``, or None without a product table.
 
     l_i* has coordinates conj(Y) S (S = :meth:`MatrixStarAlgebra.star_coordinates`),
-    so sum_i l_i l_i* = sum_{a,b} P[a, b] b_a b_b with P = Y^T conj(Y) S,
-    and each table entry b_a b_b = s b_k adds P[a, b] s to coordinate k:
-    d^2 q work and one combine, where the dense sum is q n^3.
+    and coords(l_i l_i*) = L_{l_i} coords(l_i*), one row gather of w d work
+    for an l_i of w nonzero coordinates
+    (:meth:`MatrixStarAlgebra.multiplication_gathers`); the sum takes one
+    combine, where the dense sum is q n^3.
     """
-    table = alg._table
-    p = y.T @ (np.conjugate(y) @ alg.star_coordinates())
-    terms = p[table.i, table.j] * table.s
-    coords = np.bincount(table.k, terms.real, alg.dim) + 1j * np.bincount(
-        table.k, terms.imag, alg.dim
-    )
-    return alg.combine(coords)
+    gathers = alg.multiplication_gathers(y, left=True)
+    if gathers is None:
+        return None
+    stars = (np.conjugate(y) @ alg.star_coordinates())[:, :, None]
+    return alg.combine(_gather_times(*gathers, stars).sum(axis=0)[:, 0])
 
 
 def _centrality_residual(alg: MatrixStarAlgebra, x: np.ndarray) -> float:
@@ -1317,7 +1319,12 @@ def is_compatible(
 def conjugate_expectation(
     F: ConditionalExpectation, u, tol: float = mx.DEFAULT_TOL
 ) -> ConditionalExpectation:
-    """Ad_u o F o Ad_u*: maps onto u C u*, quasi-basis {u eta_i u*}."""
+    """Ad_u o F o Ad_u*: maps onto u C u*, quasi-basis {u eta_i u*}.
+
+    u must normalize F's source A: :class:`NotIntermediate` is raised, before
+    anything is built, unless every u* b_k u lies in A within ``tol``
+    (:meth:`MatrixStarAlgebra.contains_all`), since F is only defined on A.
+    """
     u = mx.as_matrix(u)
     n = F.ambient_dim
     if u.shape != (n, n):
@@ -1325,12 +1332,15 @@ def conjugate_expectation(
     if mx.operator_norm(mx.adjoint(u) @ u - np.eye(n)) > tol:
         raise NotUnitary("matrix is not unitary")
     ustar = mx.adjoint(u)
+    moved = F.source._member_coordinates(ustar @ F.source.basis_stack @ u, tol)
+    if moved is None:
+        raise NotIntermediate("u does not normalize the source of F")
     # conjugation preserves HS-orthonormality, so the basis maps over directly
     new_target = MatrixStarAlgebra.from_orthonormal(u @ F.target.basis_stack @ ustar)
     quasi = None if F.quasi_stack is None else u @ F.quasi_stack @ ustar
     # row k: F(u* b_k u) in F's target basis, which is u F(u* b_k u) u* in
     # the conjugated one
-    t = F.source.hs_coordinates(ustar @ F.source.basis_stack @ u) @ F._t
+    t = moved @ F._t
     f_u = ConditionalExpectation.from_coordinates(F.source, new_target, t, quasi, f"{F.name}_u")
     # F's off-target residual, measured on F's images of the source basis: no
     # rule gives F_u's, and F_u leaves u C u* exactly when F leaves C (for u

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -325,24 +325,11 @@ def exterior_angle(
             "exterior angle: closed expressions disagree with the level-two "
             f"definition route ({closed.cos_value} vs {result.cos_value})"
         )
-    extra = dict(result.diagnostics.extra)
-    extra.update(
-        {
-            "closed_cos": closed.cos_value,
-            "closed_numerator": num_x,
-            "closed_denominator_first": den1_x,
-            "closed_denominator_second": den2_x,
-        }
-    )
-    return AngleResult(
-        cos_value=result.cos_value,
-        angle_rad=result.angle_rad,
-        route=result.route,
-        diagnostics=AngleDiagnostics(
-            result.diagnostics.numerator,
-            result.diagnostics.denominator_first,
-            result.diagnostics.denominator_second,
-            result.diagnostics.raw_cos,
-            extra,
-        ),
-    )
+    extra = {
+        **result.diagnostics.extra,
+        "closed_cos": closed.cos_value,
+        "closed_numerator": num_x,
+        "closed_denominator_first": den1_x,
+        "closed_denominator_second": den2_x,
+    }
+    return replace(result, diagnostics=replace(result.diagnostics, extra=extra))

@@ -34,7 +34,6 @@ bottom of this module; grammar in README.md.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -45,13 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matrices as mx
-from .algebra import (
-    ConditionalExpectation,
-    MatrixStarAlgebra,
-    _gather_times,
-    _row_gathers,
-    _row_nonzeros,
-)
+from .algebra import ConditionalExpectation, MatrixStarAlgebra, _row_nonzeros
 from .angles import AngleDiagnostics, AngleResult, Route
 from .errors import (
     DegenerateIntermediate,
@@ -499,19 +492,13 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     )
 
 
-def intermediate_subgroups(
-    G: FiniteGroup, H: Subgroup, strict: bool = True
-) -> list[Subgroup]:
-    """Subgroups K with H <= K <= G; ``strict`` drops K = H and K = G."""
+def intermediate_subgroups(G: FiniteGroup, H: Subgroup) -> list[Subgroup]:
+    """Subgroups K with H < K < G: those containing H, without K = H and K = G."""
     _same_parent(H, group=G)
-    out = []
-    for K in all_subgroups(G):
-        if not H.issubset(K):
-            continue
-        if strict and (K.order == H.order or K.order == G.order):
-            continue
-        out.append(K)
-    return out
+    return [
+        K for K in all_subgroups(G)
+        if H.issubset(K) and K.order not in (H.order, G.order)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +581,16 @@ class RegularModule(GenericModule):
 
     E preserves the trace, so the module basis is A's own basis
     {lambda_g / sqrt(|G|)} and module coordinates are A's coordinates,
-    the scaled group coefficients.  What is special here is left
-    multiplication: L_x is the ambient matrix of x itself.  With a product
-    table (from ``GATHER_MIN_DIM`` elements on) L_{b_i} sends row j to row
-    k with scale s wherever b_i b_j = s b_k (:attr:`MatrixStarAlgebra._gathers`),
-    and J = S^T is a scaled permutation too (:attr:`_star_map`), so there
-    the module forms its products by gathers: w d c work for an L_x X with
-    x of w nonzero coordinates and X of c columns, where a dense product is
-    d^2 c.  Without a table it forms them as
-    :class:`~cstar_angles.tower.GenericModule`, their oracle, does.
+    the scaled group coefficients.  What this class adds is what holds on
+    the regular module alone: L_x is the ambient matrix of x itself
+    (:meth:`left_mult`), J = S^T is a scaled permutation
+    (:attr:`_star_map`), fused into the gathers of L_y J
+    (:meth:`left_star`), and the quasi-basis of a coset-rep E has one
+    nonzero module coordinate per element (:meth:`times_columns`).  The
+    products L_y X are :meth:`GenericModule.left_times`, gathered wherever A
+    has a product table (from ``GATHER_MIN_DIM`` elements on) as on any
+    module.  Without a table every product is formed as
+    :class:`~cstar_angles.tower.GenericModule`, their oracle, forms it.
     """
 
     def left_mult(self, x) -> np.ndarray:
@@ -614,21 +602,8 @@ class RegularModule(GenericModule):
         """J = S^T as a row gather (rows, scale) (:meth:`MatrixStarAlgebra._star_rows`)."""
         return self.algebra._star_rows()
 
-    def _left_gathers(self, coords: np.ndarray):
-        """The row gathers of the L_y, y with A-coordinates ``coords``; None without a table."""
-        maps = self.algebra._gathers
-        if maps is None:
-            return None
-        return _row_gathers(maps.left, maps.left_scale, _row_nonzeros(coords))
-
-    def left_times(self, coords: np.ndarray):
-        gathers = self._left_gathers(coords)
-        if gathers is None:
-            return super().left_times(coords)
-        return functools.partial(_gather_times, *gathers)
-
     def left_star(self, coords: np.ndarray):
-        gathers = self._left_gathers(coords)
+        gathers = self.algebra.multiplication_gathers(coords, left=True)
         if gathers is None:
             return super().left_star(coords)
         # row r of L_{y_a} J is sum_u weights[a, u, r] scale[s] e_s, s = star[rows[a, u, r]],

@@ -139,7 +139,7 @@ def coordinates_in_span(
     return coeffs
 
 
-def orthonormalize(mats, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def orthonormalize(mats) -> np.ndarray:
     """HS-orthonormal basis of span(mats), under <a, b> = Tr(a* b).
 
     ``mats`` is a family or a (k, n, m) stack.  Blocked classical
@@ -148,8 +148,8 @@ def orthonormalize(mats, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     projected against the whole basis so far with two matrix-matrix
     passes, then its candidates are taken one at a time, each pass one
     matrix-vector product against the rows the block has kept so far.
-    Candidates whose residual norm falls below ``cutoff * (1 + original
-    norm)`` are dropped, which is how the rank of a redundant spanning set
+    Candidates whose residual norm falls below ``RANK_CUTOFF * (1 +
+    original norm)`` are dropped, which is how the rank of a redundant spanning set
     is decided.  Inputs that are already orthonormal are returned unchanged
     (so a caller-chosen basis ordering survives).  The result is an
     (r, n, m) stack whose storage holds r matrices, not one per input.
@@ -172,7 +172,7 @@ def orthonormalize(mats, cutoff: float = RANK_CUTOFF) -> np.ndarray:
                 coeffs = np.conjugate(basis[first:rank] @ np.conjugate(v))
                 v -= coeffs @ basis[first:rank]
             nrm = math.sqrt(np.vdot(v, v).real)
-            if nrm > cutoff * (1.0 + scale):
+            if nrm > RANK_CUTOFF * (1.0 + scale):
                 basis[rank] = v / nrm
                 rank += 1
     if rank < len(basis):

@@ -48,20 +48,25 @@ coords(l_i a*) = L_{l_i} J conj(coords(a)),
 where v holds the coordinates of (sum_i t(l_i) l_i*)*.  The module forms
 the products t -> [t q_i] and X -> sum_i L_{l_i} J conj(X_i)
 (:meth:`GenericModule.times_columns`, :meth:`GenericModule.left_star`) as
-maps the level builds once; a :class:`GenericModule` forms them densely,
-about 2 q d^2 per element.  J needs no module operator: with S the star of
-A's basis in HS coordinates (row l holds those of b_l*) and M the module
+maps the level builds once.  J needs no module operator: with S the star
+of A's basis in HS coordinates (row l holds those of b_l*) and M the module
 Gram matrix of :class:`GenericModule`,
 
     J = (M^{-1/2} S conj(M^{1/2}))^T.
 
-On the regular module of a group algebra
-(:class:`~cstar_angles.groups.RegularModule`) module coordinates are A's
-HS coordinates, and from ``GATHER_MIN_DIM`` elements on A has a product
-table.  Then every L_{b_i}, J and every q_i of a coset-rep quasi-basis are
-scaled partial permutations, and that module forms each product by
-gathers, about q w d per element for q_i and l_i of w nonzero coordinates
-(w = 1 on the group route).  The module, not the level, chooses the route.
+M commutes with left multiplication, so on every module L_y is the matrix
+of left multiplication on A's coordinates.  A's product table is the one
+switch for how it is applied: where A has one (a monomial basis from
+``GATHER_MIN_DIM`` elements on: group algebras, and matrix units one rung
+up), every L_y X is a gather of X's rows
+(:meth:`~cstar_angles.algebra.MatrixStarAlgebra.multiplication_gathers`),
+w d c work for y of w nonzero coordinates and X of c columns; elsewhere
+L_y is formed, d^2 c.  On the regular module of a group algebra
+(:class:`~cstar_angles.groups.RegularModule`) module coordinates are A's HS
+coordinates, so there J and every q_i of a coset-rep quasi-basis are
+scaled partial permutations as well, and that module fuses J into the
+gathers of L_y and takes t q_i by columns: about q w d per element in all
+(w = 1 on the group route), where a generic module takes about 2 q d^2.
 
 The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
 A_1, gives the compatible expectation onto C_1 as
@@ -94,13 +99,14 @@ of an intermediate C is
 
 2 p d^2 r work where the sum of products is 2 p d^3.  W, and the L_{b_k} V
 of the exchange law and of the dual-rule sample, are the module's products
-L_y X (:meth:`GenericModule.left_times`), gathers of V's rows on the
-regular module.  The checks of a level keep their dense operands wherever
-a wrong module could hide: e_B's own laws (idempotent, self-adjoint, and
-the e_B of the exchange law), the postconditions of e_C against e_B and the
-expectation matrix, left multiplication (through :meth:`TowerLevel.embed`)
-and the faithfulness of the representation are taken on the matrices
-themselves, never on V or on a product the module forms.
+L_y X (:meth:`GenericModule.left_times`), gathers of V's rows wherever A
+has a product table.  The checks of a level keep their dense operands
+wherever a wrong module could hide: e_B's own laws (idempotent,
+self-adjoint, and the e_B of the exchange law), the postconditions of e_C
+against e_B and the expectation matrix, left multiplication (through
+:meth:`TowerLevel.embed`) and the faithfulness of the representation are
+taken on the matrices themselves, never on V or on a product the module
+forms.
 
 An inclusion is named by its expectation: :func:`build_tower_level`
 takes E alone, with A = E.source and B = E.target, and an intermediate C
@@ -114,7 +120,7 @@ read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -125,6 +131,7 @@ from .algebra import (
     _centrality_residual,
     _compatibility_core,
     _coordinates_on,
+    _gather_times,
     _intermediate,
     _restrict_core,
     verify_quasi_basis,
@@ -204,8 +211,10 @@ class GenericModule:
     The products a tower level takes with an L_y, with L_y J and with the
     coordinates of an element are the module's (:meth:`left_times`,
     :meth:`left_star`, :meth:`times_columns`): maps built once per operand.
-    Here they are dense; :class:`~cstar_angles.groups.RegularModule` gathers
-    along A's product table instead, and this class is its oracle.
+    Since G commutes with left multiplication, L_y X is a gather of X's rows
+    wherever A has a product table, for every E; without a table, and for
+    J and the t q_a, this class forms dense products and is the oracle of
+    :class:`~cstar_angles.groups.RegularModule`, which gathers those too.
     """
 
     def __init__(self, expectation: ConditionalExpectation):
@@ -294,9 +303,14 @@ class GenericModule:
         """The map X -> [L_{y_1} X ... L_{y_m} X] for the y_a with A-coordinates ``coords`` (rows).
 
         X is one (d, c) matrix or an (m, d, c) stack, one matrix per y_a,
-        and the map gives the (m, d, c) stack.  The L_{y_a} are formed here,
-        once.
+        and the map gives the (m, d, c) stack.  With a product table the
+        map gathers X's rows
+        (:meth:`~cstar_angles.algebra.MatrixStarAlgebra.multiplication_gathers`);
+        otherwise the L_{y_a} are formed here, once.
         """
+        gathers = self.algebra.multiplication_gathers(coords, left=True)
+        if gathers is not None:
+            return partial(_gather_times, *gathers)
         lmats = self.left_mult(self.algebra.combine(coords))
         return lambda x: lmats @ x
 
@@ -304,7 +318,8 @@ class GenericModule:
         """The map X -> sum_a L_{y_a} J conj(X[:, :, a]) for the y_a with A-coordinates ``coords``.
 
         X is a (k, d, m) stack whose column a goes with y_a, and the map
-        gives the (k, d) rows of the sums, about 2 m d^2 work per element.
+        gives the (k, d) rows of the sums: m d^2 work per element for J,
+        and as much again for the L_{y_a} unless :meth:`left_times` gathers.
         """
         left, star = self.left_times(coords), self.star_matrix
         return lambda x: left(star @ np.conjugate(x).T).sum(axis=0).T

@@ -332,6 +332,19 @@ def test_conjugate_rejects_non_unitary(inclusion):
         conjugate_expectation(inclusion.F, np.diag([1.0, 2.0]))
 
 
+def test_conjugate_rejects_a_unitary_that_does_not_normalize_the_source(rng):
+    # C[S3] in M_6: a Haar-random u moves the source off itself, where F is
+    # not defined; a group element's matrix normalizes it
+    S3 = FiniteGroup.symmetric(3)
+    E = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))])).E
+    with pytest.raises(NotIntermediate, match="normalize"):
+        conjugate_expectation(E, mx.random_unitary(6, rng))
+    f_u = conjugate_expectation(E, S3.regular_matrix(S3.index_of((1, 2, 0))))
+    report = verify_expectation(f_u)
+    assert report.passed, report.failures()
+    np.testing.assert_allclose(watatani_index(f_u), 3.0 * np.eye(6), atol=1e-12)
+
+
 def test_skewed_expectation_quasi_basis_scaling():
     # the reconstruction identities force the 1/sqrt weights; the sqrt-weighted
     # family is not a quasi-basis for any t, including t = 1/2

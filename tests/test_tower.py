@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cstar_angles import algebra, groups, m2
+from cstar_angles import algebra, m2
 from cstar_angles import matrices as mx
 from cstar_angles import tower
 from cstar_angles.algebra import (
@@ -1125,6 +1125,18 @@ def test_right_multiplication_fails_the_left_multiplication_check(case, inclusio
     assert tower._check_level(level, mx.DEFAULT_TOL)["left_multiplication"] <= 1e-14
 
 
+def _counted_left_mult(module, patch) -> list:
+    """Record the number of elements of each ``left_mult`` call of ``module`` in the list returned."""
+    calls, left_mult = [], module.left_mult
+
+    def counted(x):
+        calls.append(len(x) if np.ndim(x) == 3 else 1)
+        return left_mult(x)
+
+    patch.setattr(module, "left_mult", counted)
+    return calls
+
+
 def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
     level = iterate_tower(m2_plus_m3()[0])
     e, d = level.jones_projection, level.algebra.dim
@@ -1133,24 +1145,44 @@ def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
     chunks = mx.stack_slices(d, e.nbytes // 8)
     exchange = mx.stack_slices(len(level.expectation.source.basis), e.nbytes)
     assert len(chunks) == 10
-    calls = []
-    left_mult = level.module.left_mult
-
-    def counted(x):
-        calls.append(len(x) if np.ndim(x) == 3 else 1)
-        return left_mult(x)
-
-    monkeypatch.setattr(level.module, "left_mult", counted)
+    calls = _counted_left_mult(level.module, monkeypatch)
     tower._left_multiplication_residual(level)
     assert calls == [len(level.algebra.basis_stack[rows]) for rows in chunks]
     calls.clear()
     tower._faithfulness_gram(level.algebra)
     assert calls == []
-    tower._check_level(level, mx.DEFAULT_TOL)
-    # one for E's target basis, one per exchange-law chunk, one per basis
-    # chunk, two for the dual-rule sample
+    with _table_off(level.algebra):
+        tower._check_level(level, mx.DEFAULT_TOL)
+    # with the table off: one for E's target basis, one per exchange-law
+    # chunk, one per basis chunk, two for the dual-rule sample
     assert len(calls) == 1 + len(exchange) + len(chunks) + 2
     assert calls[0] == level.expectation.target.dim
+
+
+def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
+    # level two of M2+M3: a GenericModule on A_1, whose matrix-unit basis
+    # has a product table, against the same level with the table off
+    level5 = m2_plus_m3()[0]
+    on = build_tower_level(level5.dual_expectation, materialize=False, check=False)
+    assert on.algebra.dim == 97 and on.algebra._table is not None
+    assert type(on.module) is GenericModule
+    with _table_off(on.algebra):
+        off = build_tower_level(level5.dual_expectation, materialize=False)
+        want = tower._check_level(off, mx.DEFAULT_TOL)
+    calls = _counted_left_mult(on.module, monkeypatch)
+    got = tower._check_level(on, mx.DEFAULT_TOL)
+    # only the left-multiplication check forms an L_x, one call per chunk
+    chunks = mx.stack_slices(on.algebra.dim, on.jones_projection.nbytes // 8)
+    assert calls == [len(on.algebra.basis_stack[rows]) for rows in chunks]
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-13, key
+    d = on.module_dim
+    ts = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    got = on.dual_value(ts)
+    with _table_off(off.algebra):
+        want = off.dual_value(ts)
+    assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
 
 
 def test_wrong_star_matrix_fails_the_dual_rule():
@@ -1202,11 +1234,18 @@ def _refused(*args):
 
 
 @contextlib.contextmanager
-def _no_gathers():
-    """Refuse every gather along a product table: the dense side of a comparison runs inside."""
+def _table_off(*algebras):
+    """Switch the product table's gathers off on ``algebras`` and refuse every gather.
+
+    The dense side of a comparison runs inside: the table is the one switch
+    of the gathered products, so a module on one of these algebras forms
+    its products densely, whatever its class.
+    """
     with pytest.MonkeyPatch.context() as patch:
-        for module in (algebra, groups, tower):
-            patch.setattr(module, "_gather_times", _refused, raising=False)
+        for alg in algebras:
+            patch.setitem(vars(alg), "_gathers", None)
+        for module in (algebra, tower):
+            patch.setattr(module, "_gather_times", _refused)
         yield patch
 
 
@@ -1220,8 +1259,8 @@ def _unitary_of(A, rng):
 def gathered_levels():
     """(name, inclusion, regular level, GenericModule level on the same E, the F onto each C[K]).
 
-    The GenericModule levels are built with every gather refused
-    (:func:`_no_gathers`), and the tests run them so.  The last case
+    The GenericModule levels are built with A's table off and every gather
+    refused (:func:`_table_off`), and the tests run them so.  The last case
     conjugates the S4 inclusion by a unitary u of C[S4]: E_u still preserves
     the trace, so the regular module still holds, but its quasi-basis
     {u l_i u*} has dense coordinates, and F_u on A is not a mask.
@@ -1229,7 +1268,7 @@ def gathered_levels():
     rng, out = mx.default_rng(7), []
     for name, inc, inters in gather_cases(rng):
         regular = inc.tower()
-        with _no_gathers():
+        with _table_off(inc.A):
             dense = build_tower_level(inc.E, materialize=False)
         assert regular.algebra._gathers is not None and type(dense.module) is GenericModule, name
         out.append((name, inc, regular, dense, [inc.expectation_onto(K) for K in inters]))
@@ -1237,7 +1276,7 @@ def gathered_levels():
     u = _unitary_of(inc.A, rng)
     E_u = conjugate_expectation(inc.E, u)
     regular = build_tower_level(E_u, module=RegularModule(E_u), materialize=False)
-    with _no_gathers():
+    with _table_off(inc.A):
         dense = build_tower_level(E_u, materialize=False)
     conjugated = [conjugate_expectation(F, u) for F in members]
     out.append(("S4 under Ad u", None, regular, dense, conjugated))
@@ -1249,7 +1288,7 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
         d = regular.module_dim
         ts = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
         got = regular.dual_value(ts)
-        with _no_gathers():
+        with _table_off(dense.algebra):
             want = dense.dual_value(ts)
         bound = 1e-13 * (1.0 + np.abs(want).max())
         assert np.abs(got - want).max() <= bound, name
@@ -1261,7 +1300,7 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
 def test_gathered_level_checks_match_the_dense_module(gathered_levels):
     for name, _, regular, dense, _ in gathered_levels:
         got = tower._check_level(regular, mx.DEFAULT_TOL)
-        with _no_gathers():
+        with _table_off(dense.algebra):
             want = tower._check_level(dense, mx.DEFAULT_TOL)
         assert got.keys() == want.keys(), name
         for key in want:
@@ -1271,11 +1310,9 @@ def test_gathered_level_checks_match_the_dense_module(gathered_levels):
 def test_gathered_intermediate_projections_match_the_dense_module(gathered_levels):
     for name, _, regular, dense, members in gathered_levels:
         got = tower.intermediate_projections(regular, members)
-        with _no_gathers() as patch:
-            # the restrictions' quasi-basis checks take their dense path too
-            # (the table path is compared with it below)
-            for F in members:
-                patch.setitem(vars(F.target), "_gathers", None)
+        # the restrictions' quasi-basis checks on C = F.target take their
+        # dense path too (the table path is compared with it below)
+        with _table_off(dense.algebra, *(F.target for F in members)):
             want = tower.intermediate_projections(dense, members)
         assert got.shape == want.shape == (len(members),) + regular.jones_projection.shape
         assert np.abs(got - want).max() <= 1e-13, name
@@ -1368,16 +1405,22 @@ def test_interior_angle_on_a_regular_level_forms_no_quasi_stack(monkeypatch):
         return generated_subgroup(G, [G.index_of(g) for g in gens])
 
     # no product of the dense module is formed: neither (q, d, d) stack of
-    # its L_{l_i} J, nor its L_{Ind(E)^-1} J, nor E's own stack
-    for name in ("left_times", "left_star", "times_columns"):
+    # its L_{l_i} J, nor its L_{Ind(E)^-1} J, nor E's own stack.  The dense
+    # branches are refused: those of left_star and times_columns, and that
+    # of left_times, whose L_y come from left_mult, which only the
+    # left-multiplication check may call
+    for name in ("left_star", "times_columns"):
         monkeypatch.setattr(GenericModule, name, _refused)
     inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
+    calls = _counted_left_mult(inc.module, monkeypatch)
     level = inc.tower()
     K = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1))
     L = sub((0, 1, 0, 0), (0, 0, 0, 1))
     F, F_prime = inc.expectation_onto(K), inc.expectation_onto(L)
     cos = interior_angle_definition(level, F, F_prime).cos_value
     assert abs(cos - 0.5) <= 1e-12
+    chunks = mx.stack_slices(level.algebra.dim, level.jones_projection.nbytes // 8)
+    assert calls == [len(level.algebra.basis_stack[rows]) for rows in chunks]
     held = vars(level)
     assert "_quasi_left" not in held and "_quasi_star" in held
     for expectation in (inc.E, F, F_prime):
