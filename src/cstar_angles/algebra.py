@@ -2,7 +2,11 @@
 
 A :class:`MatrixStarAlgebra` is a unital *-subalgebra of M_n(C) held as a
 Hilbert-Schmidt-orthonormal basis, derived once from any spanning family;
-all membership questions are answered against it.  A
+all membership questions are answered against it.  One algebra's basis in
+the coordinates of another, with or without the test that it lies there,
+is one pass of :meth:`MatrixStarAlgebra.basis_over`; on a monomial basis
+(a group algebra and its subgroup slices) that pass reads the supports
+alone, and a slice holds no dense rows unless one is read.  A
 :class:`ConditionalExpectation` is a linear idempotent map between nested
 algebras, held as one matrix in the two algebras' orthonormal bases, built
 once from a rule on stacks when the expectation is made (E(x), stacks of
@@ -33,7 +37,9 @@ a source with a table, multiplication by an element given by its
 coordinates is a gather of rows
 (:meth:`MatrixStarAlgebra.multiplication_gathers`), and the identities,
 the index and every product of the tower with an L_y take it, with no
-d x d multiplication matrix formed.
+d x d multiplication matrix formed.  The same table, on the algebra a basis
+is read over, lets :meth:`MatrixStarAlgebra.basis_over` work from the
+supports of both bases.
 
 Everything here is a pure function over immutable values; arrays are
 write-protected after construction.
@@ -114,16 +120,24 @@ def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 # (``MatrixStarAlgebra.basis_slice``, C[K] inside C[G]) inherits its supports
 # and product table whatever its dimension, since it needs no scan and its
 # table spares the dense n x n products, which cost far more than a gather.
+# Such a slice holds no dense rows at all: its supports are its basis, and
+# ``MatrixStarAlgebra.basis_over`` reads them, O(n) per element, where a
+# containment test on dense rows rebuilds O(n^2) entries per element.
 GATHER_MIN_DIM = 20
 
 
 class MatrixStarAlgebra:
     """A unital *-subalgebra of M_n(C) given by an HS-orthonormal basis.
 
-    The orthonormal basis is the one family an algebra stores, as the
-    read-only rows of ``_flat`` (shape d x n^2); ``basis`` holds n x n views
-    into those rows.  :meth:`from_spanning` derives it from any spanning
-    family and keeps nothing of that family.
+    The orthonormal basis is the one family an algebra stores: as the
+    read-only rows of ``_flat`` (shape d x n^2), or, on a :meth:`basis_slice`
+    of a basis with disjoint supports, as the inherited supports alone, from
+    which ``_flat`` is built on first read and kept.  ``basis_stack`` and
+    ``basis`` are n x n views into those rows.  :meth:`from_spanning` derives
+    the basis from any spanning family and keeps nothing of that family.
+    One basis over another algebra (:meth:`basis_over`), the containment
+    tests included, never needs the rows of a slice over an algebra with a
+    product table.
 
     Products go through one primitive, :meth:`multiplication_matrices`, the
     coordinates of y b_k or b_k y for every basis element b_k: the
@@ -143,10 +157,9 @@ class MatrixStarAlgebra:
         if len(basis) == 0 and np.ndim(basis) != 3:
             raise EmptyAlgebra("basis is empty")
         n = np.shape(basis[0])[0] if len(basis) else basis.shape[1]
-        self.ambient_dim = n
+        self.ambient_dim, self.dim = n, len(basis)
         self._flat = _stack_of(basis, n).reshape(len(basis), n * n)
         self._flat.setflags(write=False)
-        self.basis = tuple(self.basis_stack)
 
     @classmethod
     def from_spanning(cls, mats: Sequence[np.ndarray]):
@@ -163,10 +176,6 @@ class MatrixStarAlgebra:
         return cls(mats)
 
     @property
-    def dim(self) -> int:
-        return self._flat.shape[0]
-
-    @property
     def unit(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
 
@@ -175,6 +184,26 @@ class MatrixStarAlgebra:
         """The orthonormal basis as one read-only (d, n, n) view of ``_flat``."""
         n = self.ambient_dim
         return self._flat.reshape(self.dim, n, n)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The basis elements, n x n views into ``_flat``."""
+        return tuple(self.basis_stack)
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """The basis as read-only rows, shape d x n^2, built from ``_supports`` on first read.
+
+        An algebra built from its basis holds these rows from the start; a
+        :meth:`basis_slice` of a basis with disjoint supports holds none
+        until one is read here, and keeps them then.  The rows equal the
+        parent's kept rows bit for bit: the entries are the parent's.
+        """
+        sup, n = self._supports, self.ambient_dim
+        flat = np.zeros((self.dim, n * n), dtype=np.complex128)
+        flat[sup.owner[sup.positions], sup.positions] = sup.entries[sup.positions]
+        flat.setflags(write=False)
+        return flat
 
     @cached_property
     def _supports(self):
@@ -211,28 +240,32 @@ class MatrixStarAlgebra:
         )
 
     def basis_slice(self, mask) -> "MatrixStarAlgebra":
-        """The span of the basis elements at a boolean ``mask``, holding one copy of them.
+        """The span of the basis elements at a boolean ``mask``.
 
         The caller vouches that they span a *-subalgebra, as the elements of
         a subgroup do in a group algebra.  On a basis with disjoint supports
-        the slice inherits ``_supports`` and ``_table`` rather than
-        scanning its rows and building its table: the kept runs of the
-        supports and the table's entries at kept pairs (i, j), renumbered
-        and in the same row-major order.  The table is None when the parent
-        has none or a product of kept elements lands on a dropped one (the
-        kept rows are not closed).  So a slice takes the gather and table
-        paths whatever its dimension; ``GATHER_MIN_DIM`` decides only for an
-        algebra built from its basis, as a slice of any other algebra is.
+        the slice holds no rows: it inherits ``_supports`` and ``_table``
+        rather than copying its rows, scanning them and building its table,
+        and builds its dense rows (``_flat``) only if one is read.  It keeps
+        the kept runs of the supports and the table's entries at kept pairs
+        (i, j), renumbered and in the same row-major order.  The table is
+        None when the parent has none or a product of kept elements lands on
+        a dropped one (the kept elements are not closed).  So a slice takes
+        the gather and table paths whatever its dimension; ``GATHER_MIN_DIM``
+        decides only for an algebra built from its basis, as it does for a
+        slice of a basis without disjoint supports, which holds a copy of
+        its rows.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.dim,):
             raise ShapeMismatch(f"expected a mask of {self.dim} basis elements")
-        rows = self.basis_stack[mask]
-        rows.setflags(write=False)  # a fresh copy already: enter uncopied
-        sliced = MatrixStarAlgebra(rows)
         sup = self._supports
         if sup is None or not mask.any():  # an empty slice gathers nothing
-            return sliced
+            rows = self.basis_stack[mask]
+            rows.setflags(write=False)  # a fresh copy already: enter uncopied
+            return MatrixStarAlgebra(rows)
+        sliced = MatrixStarAlgebra.__new__(MatrixStarAlgebra)
+        sliced.ambient_dim, sliced.dim = self.ambient_dim, int(np.count_nonzero(mask))
         renumber = np.cumsum(mask) - 1
         owners = sup.owner[sup.positions]
         kept = mask[owners]
@@ -453,6 +486,13 @@ class MatrixStarAlgebra:
     def membership_residual(self, x) -> float:
         return mx.frobenius_norm(self.project(x) - mx.as_matrix(x))
 
+    def _projected(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(coordinates, ||P x - x||_F, ||x||_F) of a (k, n, n) stack, P the HS projection onto the span."""
+        flat = xs.reshape(len(xs), xs.shape[1] * xs.shape[2])
+        coords = self.hs_coordinates(xs)
+        residuals = mx.row_norms(self.combine(coords).reshape(len(xs), -1) - flat)
+        return coords, residuals, mx.row_norms(flat)
+
     def _member_coordinates(self, xs: np.ndarray, tol: float) -> np.ndarray | None:
         """HS coordinates of a (k, n, n) stack, or None when one of its matrices is no member.
 
@@ -462,17 +502,81 @@ class MatrixStarAlgebra:
         chunk of the stack takes the coordinates, rebuilds P x from them and
         compares; it stops at the first chunk holding a non-member.
         """
-        flat = xs.reshape(len(xs), xs.shape[1] * xs.shape[2])
         coords = np.empty((len(xs), self.dim), dtype=np.complex128)
         # charged per matrix: its projection, the difference and the
         # temporaries of hs_coordinates
-        for rows in mx.stack_slices(len(xs), 3 * 16 * flat.shape[1]):
-            coords[rows] = self.hs_coordinates(xs[rows])
-            recon = self.combine(coords[rows]).reshape(-1, flat.shape[1])
-            residual = mx.row_norms(recon - flat[rows])
-            if np.any(residual > tol * (1.0 + mx.row_norms(flat[rows]))):
+        for rows in mx.stack_slices(len(xs), 3 * 16 * xs.shape[1] * xs.shape[2]):
+            coords[rows], residuals, sizes = self._projected(xs[rows])
+            if _misses(residuals, sizes, tol):
                 return None
         return coords
+
+    def basis_over(self, other: "MatrixStarAlgebra", tol: float | None = None) -> np.ndarray | None:
+        """This algebra's basis over ``other``'s: row a holds the HS coordinates of b_a, d x d_other.
+
+        With ``tol`` the pass also runs the membership test of
+        :meth:`contains_all` on every b_a, ||P b_a - b_a||_F <= tol
+        (1 + ||b_a||_F) with P the HS projection onto ``other``, and returns
+        None when one misses.  Every question "this basis in the coordinates
+        of that algebra" is answered here, by one pass (:meth:`_basis_over`).
+        """
+        coords, residuals, sizes = self._basis_over(other, tol is not None)
+        if tol is not None and _misses(residuals, sizes, tol):
+            return None
+        return coords
+
+    def _basis_over(self, other: "MatrixStarAlgebra", residuals: bool):
+        """The pass of :meth:`basis_over`: (coordinates, ||P b_a - b_a||_F, ||b_a||_F).
+
+        The two norms are taken only with ``residuals`` (None otherwise).
+        When ``other`` has a product table and this basis has disjoint
+        supports, the pass reads the supports alone, O(nnz + d d_other) work
+        with no dense row formed.  The coordinates are one bincount of
+        b_a conj(e) over the cells (a, owner in ``other``) of b_a's support,
+        e the entry of ``other``'s basis there.  ``other``'s elements are
+        v_j times partial permutations (it has a table), so
+        ||P b_a - b_a||^2 is the sum over b_a's support of |c e - b_a|^2,
+        plus sum_j |c_j|^2 |v_j|^2 (n_j - m_j) for the part of P b_a off
+        that support: n_j and m_j are integer counts, the support size of
+        element j and how many of b_a's positions lie on it.  (||b_a||^2 -
+        ||c||^2 would be one subtraction, but its cancellation leaves a
+        floor of about 1e-8, above the membership bounds.)  Otherwise the
+        pass is ``other``'s HS coordinates of this basis stack, with its
+        projections rebuilt a chunk at a time for the norms.
+        """
+        if self.ambient_dim != other.ambient_dim:
+            raise ShapeMismatch("the algebras must share the ambient algebra")
+        sup = self._supports
+        if sup is None or other._table is None:
+            stack = self.basis_stack
+            if not residuals:
+                return other.hs_coordinates(stack), None, None
+            coords = np.empty((self.dim, other.dim), dtype=np.complex128)
+            offs, sizes = np.empty((2, self.dim))
+            # charged per element as in _member_coordinates
+            for rows in mx.stack_slices(self.dim, 3 * 16 * self.ambient_dim**2):
+                coords[rows], offs[rows], sizes[rows] = other._projected(stack[rows])
+            return coords, offs, sizes
+        on = other._supports
+        d, d_other = self.dim, other.dim
+        owners, values = sup.owner[sup.positions], sup.entries[sup.positions]
+        their, entries = on.owner[sup.positions], on.entries[sup.positions]
+        cells = owners * d_other + their
+        products = values * np.conjugate(entries)
+        coords = np.bincount(cells, products.real, d * d_other) + 1j * np.bincount(
+            cells, products.imag, d * d_other
+        )
+        coords = coords.reshape(d, d_other)
+        if not residuals:
+            return coords, None, None
+        misfit = np.abs(coords[owners, their] * entries - values) ** 2
+        squares = np.bincount(owners, misfit, d)
+        hits = np.bincount(cells[entries != 0], minlength=d * d_other).reshape(d, d_other)
+        counts = np.diff(on.starts, append=len(on.positions))
+        weights = np.abs(on.entries[on.positions[on.starts]]) ** 2
+        squares += (np.abs(coords) ** 2 * ((counts - hits) * weights)).sum(axis=1)
+        sizes = np.sqrt(np.bincount(owners, np.abs(values) ** 2, d))
+        return coords, np.sqrt(squares), sizes
 
     def contains(self, x, tol: float = mx.DEFAULT_TOL) -> bool:
         return self._member_coordinates(mx.as_matrix(x)[None], tol) is not None
@@ -557,9 +661,7 @@ class MatrixStarAlgebra:
             return True
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        return self.contains_all(other.basis_stack, tol) and other.contains_all(
-            self.basis_stack, tol
-        )
+        return other.basis_over(self, tol) is not None and self.basis_over(other, tol) is not None
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return mx.random_combination(self.basis, rng)
@@ -579,6 +681,11 @@ class MatrixStarAlgebra:
 
     def __repr__(self):
         return f"MatrixStarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _misses(residuals: np.ndarray, sizes: np.ndarray, tol: float) -> bool:
+    """Whether some x is off the span: ||P x - x||_F > tol (1 + ||x||_F), given both norms."""
+    return bool(np.any(residuals > tol * (1.0 + sizes)))
 
 
 def _row_nonzeros(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1003,7 +1110,9 @@ def verify_quasi_basis(
     The sums run on the HS projections p_i of the nonzero l_i onto the
     source, and B on that of the target basis.  What they leave off, the
     d_i = l_i - p_i and the target basis's part off the source (Frobenius
-    norm e over the whole basis), moves either residual by at most
+    norm e over the whole basis, from the one pass of
+    :meth:`MatrixStarAlgebra.basis_over` that reads B over the source),
+    moves either residual by at most
     ||T||_F (sum_i ||d_i|| (2 ||l_i|| + ||d_i||) + e sum_i ||l_i||^2) in
     Frobenius norms (each x has operator norm at most 1), and that charge
     is taken off the bound: the check passes only where the identities hold
@@ -1022,14 +1131,15 @@ def verify_quasi_basis(
     offs = mx.row_norms((lams - src.combine(coords)).reshape(len(lams), n * n))
     if np.any(offs > tol * (1.0 + sizes)):
         raise NotInAlgebra("quasi-basis element outside the source algebra")
-    onto = src.hs_coordinates(E.target.basis_stack)
-    return _quasi_basis_core(E, coords, onto, tol, sizes, offs)
+    onto, off, _ = E.target._basis_over(src, True)
+    return _quasi_basis_core(E, coords, onto, np.linalg.norm(off), tol, sizes, offs)
 
 
 def _quasi_basis_core(
     E: ConditionalExpectation,
     coords: np.ndarray,
     onto: np.ndarray,
+    off_target: float,
     tol: float,
     sizes: np.ndarray | None = None,
     offs: np.ndarray | float = 0.0,
@@ -1037,8 +1147,9 @@ def _quasi_basis_core(
     """:func:`verify_quasi_basis`, from the quasi-basis and the target basis in source coordinates.
 
     ``coords`` holds the source coordinates of the l_i, one row each (the
-    p_i), and ``onto`` those of E's target basis, as a containment test of
-    the target in the source takes them (:func:`_intermediate`).
+    p_i), and ``onto`` those of E's target basis, with ``off_target`` the
+    Frobenius norm of that basis's part off the source, as one pass of
+    :meth:`MatrixStarAlgebra.basis_over` takes them (:func:`_intermediate`).
     ``sizes`` and ``offs`` hold the ||l_i||_F and ||d_i||_F of a family
     given as matrices; a family given by its coordinates lies on the source
     (d_i = 0, and ||l_i||_F is the norm of its row).
@@ -1049,14 +1160,13 @@ def _quasi_basis_core(
     it costs two multiplication matrices and dense products of
     d^2 dim(target).
     """
-    src, tgt = E.source, E.target
+    src = E.source
     if sizes is None:
         sizes = mx.row_norms(coords)
     try:
         t = E.coordinates(tol)
     except NumericIntegrityError:
         return False
-    off_target = mx.frobenius_norm(src.combine(onto) - tgt.basis_stack)
     charge = np.linalg.norm(t) * (np.sum(offs * (2.0 * sizes + offs)) + off_target * sizes @ sizes)
     d = src.dim
     sums = np.zeros((2, d, d), dtype=np.complex128)  # the two reconstructions
@@ -1183,7 +1293,9 @@ class _Intermediate(NamedTuple):
 
     ``t`` is F's coordinate matrix with its rows over A's basis, ``c_on_a``
     C's basis over A and ``b_on_c`` the basis of B = target(E) over C, each
-    from the pass that tests its containment; ``hs`` is F on A's HS
+    from the pass that tests its containment
+    (:meth:`MatrixStarAlgebra.basis_over`), with ``b_off_c`` the Frobenius
+    norm of B's basis off C from that pass; ``hs`` is F on A's HS
     coordinates, ``t @ c_on_a``.  F itself, and its quasi-basis, are not kept.
     """
 
@@ -1191,6 +1303,7 @@ class _Intermediate(NamedTuple):
     t: np.ndarray
     c_on_a: np.ndarray
     b_on_c: np.ndarray
+    b_off_c: float
     hs: np.ndarray
 
 
@@ -1204,14 +1317,14 @@ def _intermediate(E: ConditionalExpectation, F: ConditionalExpectation, tol: flo
     """
     A = E.source
     read_t = _coordinates_on(A, F, tol)
-    b_on_c = F.target._member_coordinates(E.target.basis_stack, tol)
-    if b_on_c is None:
+    b_on_c, off, sizes = E.target._basis_over(F.target, True)
+    if _misses(off, sizes, tol):
         raise NotIntermediate("target(E) is not contained in target(F)")
-    c_on_a = A._member_coordinates(F.target.basis_stack, tol)
+    c_on_a = F.target.basis_over(A, tol)
     if c_on_a is None:
         raise NotIntermediate("target(F) is not contained in the source")
     t = read_t()
-    return _Intermediate(F.target, t, c_on_a, b_on_c, t @ c_on_a)
+    return _Intermediate(F.target, t, c_on_a, b_on_c, float(np.linalg.norm(off)), t @ c_on_a)
 
 
 def _coordinates_on(
@@ -1228,7 +1341,7 @@ def _coordinates_on(
         return F.coordinates
     if not A.same_span(F.source, tol):
         raise NotIntermediate("E and F must share their source algebra")
-    return lambda: F.source.hs_coordinates(A.basis_stack) @ F.coordinate_matrix
+    return lambda: A.basis_over(F.source) @ F.coordinate_matrix
 
 
 def _restrict_core(E: ConditionalExpectation, member, tol: float) -> ConditionalExpectation:
@@ -1255,7 +1368,9 @@ def _restrict_core(E: ConditionalExpectation, member, tol: float) -> Conditional
         member.target, E.target, member.c_on_a @ E.coordinates(tol), quasi_basis=quasi,
         name=f"{E.name}|C",
     )
-    if quasi is not None and not _quasi_basis_core(restricted, quasi, member.b_on_c, tol):
+    if quasi is not None and not _quasi_basis_core(
+        restricted, quasi, member.b_on_c, member.b_off_c, tol
+    ):
         raise NoQuasiBasis("derived quasi-basis {F(l_i)} failed verification")
     return restricted
 

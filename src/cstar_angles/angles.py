@@ -147,7 +147,7 @@ def interior_angle_formula(
     mus, deltas = np.stack(mus), np.stack(deltas)
     for mats, alg, label in ((mus, C, "C"), (deltas, D, "D")):
         if alg is not None:
-            rows = E.source.hs_coordinates(alg.basis_stack) @ E._t
+            rows = alg.basis_over(E.source) @ E._t
             restricted = ConditionalExpectation.from_coordinates(alg, E.target, rows)
             check_tol = max(tol, 1e-8)
             try:

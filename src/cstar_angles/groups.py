@@ -704,6 +704,13 @@ class GroupInclusion:
     coset_reps: list[int]
 
     def intermediate_algebra(self, K: Subgroup) -> MatrixStarAlgebra:
+        """C[K], the slice of A's basis at K; K must contain H, as for :meth:`expectation_onto`.
+
+        Raises :class:`NotSubgroup` for a K of another group and
+        :class:`NotIntermediate` for a K not containing H, in that order.
+        """
+        if not self.subgroup.issubset(K):
+            raise NotIntermediate("K must contain H")
         return self.A.basis_slice(K.mask())
 
     def expectation_onto(self, K: Subgroup, reps=None) -> ConditionalExpectation:

@@ -246,7 +246,7 @@ class GenericModule:
         (:func:`~cstar_angles.algebra._coordinates_on`).
         """
         A = self.algebra
-        return _coordinates_on(A, F, mx.DEFAULT_TOL)() @ A.hs_coordinates(F.target.basis_stack)
+        return _coordinates_on(A, F, mx.DEFAULT_TOL)() @ F.target.basis_over(A)
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
@@ -563,7 +563,7 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     t, unit = E.coordinates(tol), np.eye(A.dim)
     range_e = level.jones_range
     d, r = range_e.shape
-    target_on_range = mod.left_times(A.hs_coordinates(E.target.basis_stack))(range_e)
+    target_on_range = mod.left_times(E.target.basis_over(A))(range_e)
 
     def exchange_residual(rows):
         # (L_a V) for the chunk, side by side as one d x k r matrix
@@ -624,7 +624,8 @@ def build_tower_level(
     A, B = E.source, E.target
     if E._quasi is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
-    if not A.contains_all(B.basis_stack, tol):
+    b_on_a = B.basis_over(A, tol)  # the containment test and e_B's coordinates
+    if b_on_a is None:
         raise NotIntermediate("B is not contained in A")
     if module is not None and module.algebra is not A:
         raise ShapeMismatch("the module must be built on the source of E")
@@ -634,7 +635,7 @@ def build_tower_level(
     t = E.coordinates(tol)
     if module is None:
         module = GenericModule(ConditionalExpectation.from_coordinates(A, B, t, name=E.name))
-    e_b = module._module_matrix(t @ A.hs_coordinates(B.basis_stack))
+    e_b = module._module_matrix(t @ b_on_a)
 
     ind = E.index_element(tol)
     level = TowerLevel(
@@ -735,11 +736,13 @@ def _compatible_members(level: TowerLevel, expectations, tol: float) -> list:
     """
     E = level.expectation
     check_tol = min(tol, mx.DEFAULT_TOL)
-    members, held = [], 0
+    members, held, n = [], 0, level.algebra.ambient_dim
     for F in expectations:
         members.append(_intermediate(E, F, check_tol))
-        # charged per member: its target basis, its d x d hs and six postcondition matrices
-        held += F.target.basis_stack.nbytes + 7 * level.jones_projection.nbytes
+        # charged per member: its target basis as dense rows (a slice holds
+        # none, but a read builds them), its d x d hs and six postcondition
+        # matrices
+        held += 16 * F.target.dim * n * n + 7 * level.jones_projection.nbytes
         if held >= mx.STACK_BUDGET_BYTES:
             break
     if np.any(_compatibility_core(E, members) > tol):

@@ -910,7 +910,8 @@ def _inherited_slices():
         "C[K]": z81.intermediate_algebra(K),
         "C[L]": z81.expectation_onto(L).target,
         "C[H]": z81.B,
-        "C[1]": z81.intermediate_algebra(trivial_subgroup(G)),
+        # C[1] lies below C[H], so it is no intermediate: a slice of C[G] itself
+        "C[1]": z81.A.basis_slice(trivial_subgroup(G).mask()),
         "C[A4]": s4.intermediate_algebra(A4),
     }
     assert [alg.dim for alg in slices.values()] == [27, 9, 3, 1, 12]
@@ -985,6 +986,87 @@ def test_slice_off_a_subalgebra_gets_no_table(rng):
     assert inc.A.basis_slice(mask)._table is not None
     with pytest.raises(ShapeMismatch):
         inc.A.basis_slice(mask[:-1])
+
+
+# ---------------------------------------------------------------------------
+# basis_over: one basis in the coordinates of another algebra
+
+
+def _basis_over_cases():
+    """(name, Y, X, whether Y lies in X) for Y.basis_over(X).
+
+    Slices of C[S4] and C[Z3^4] over their parent, over a sibling slice and
+    under one; a slice over an algebra of the same rows without a table; the
+    2x2 model, which has neither supports nor a table.
+    """
+    S4 = FiniteGroup.symmetric(4)
+    s4 = S4.regular_algebra
+
+    def sub(*perms):
+        return generated_subgroup(S4, [S4.index_of(p) for p in perms])
+
+    A4 = sub((1, 0, 3, 2), (1, 2, 0, 3))
+    c_a4, c_v4, c_s3 = (
+        s4.basis_slice(S.mask())
+        for S in (A4, sub((1, 0, 3, 2), (2, 3, 0, 1)), sub((1, 0, 2, 3), (1, 2, 0, 3)))
+    )
+    z81, K = _z3_power_inclusion()
+    G = z81.group
+    L = generated_subgroup(G, [G.index_of(g) for g in ((0, 1, 0, 0), (0, 0, 0, 1))])
+    c_k, c_l = (z81.A.basis_slice(S.mask()) for S in (K, L))
+    inc = m2.canonical_inclusion()
+    return [
+        ("C[A4] over C[S4]", c_a4, s4, True),
+        ("C[V4] over C[A4]", c_v4, c_a4, True),
+        ("C[S3] over C[A4]", c_s3, c_a4, False),
+        ("C[S4] over C[A4]", s4, c_a4, False),
+        ("C[K] over C[Z3^4]", c_k, z81.A, True),
+        ("C[L] over C[K]", c_l, c_k, True),
+        ("C[K] over C[L]", c_k, c_l, False),
+        ("C[A4] over its rows", c_a4, MatrixStarAlgebra(s4.basis_stack[A4.mask()]), True),
+        ("m2 Delta over A", inc.delta, inc.A, True),
+        ("m2 A over Delta", inc.A, inc.delta, False),
+    ]
+
+
+def test_basis_over_matches_the_dense_membership_pass():
+    cases = _basis_over_cases()
+    tol = mx.DEFAULT_TOL
+    got, held = [], []
+    for _, Y, X, _ in cases:
+        got.append((Y.basis_over(X), Y.basis_over(X, tol), Y._basis_over(X, True)))
+        held.append("_flat" in vars(Y))
+    # a slice over an algebra with a table reads its supports alone; C[S4]
+    # and m2 hold their rows, and C[A4] over a table-less copy builds them
+    assert held == [False] * 3 + [True] + [False] * 3 + [True] * 3
+    assert [name for name, Y, X, _ in cases if X._table is None] == [
+        "C[A4] over its rows", "m2 Delta over A", "m2 A over Delta"
+    ]
+    for (name, Y, X, member), (coords, checked, (passed, residuals, sizes)) in zip(cases, got):
+        # the dense oracle: X's coordinates of Y's rows, projected back
+        stack = Y.basis_stack
+        want = X.hs_coordinates(stack)
+        oracle = X._member_coordinates(stack, tol)
+        assert (oracle is not None) is (checked is not None) is member, name
+        for a in (coords, passed) + ((checked,) if member else ()):
+            assert a.shape == (Y.dim, X.dim) and np.abs(a - want).max() <= 1e-13, name
+        if member:
+            assert np.abs(checked - oracle).max() <= 1e-13, name
+        off = mx.row_norms((X.combine(want) - stack).reshape(Y.dim, -1))
+        assert np.abs(residuals - off).max() <= 1e-13, name
+        assert np.abs(sizes - 1.0).max() <= 1e-13, name
+        assert (off.max() > 0.5) is not member, name
+    with pytest.raises(ShapeMismatch):
+        cases[0][1].basis_over(cases[-1][1])
+
+
+def test_basis_over_of_a_slice_on_its_parent_passes_at_1e_12():
+    # the residual sums the squared misfit over the support; ||b||^2 - ||c||^2
+    # would cancel to a floor of about 1e-8, above this bound
+    for name, Y, X, member in _basis_over_cases():
+        if name.endswith(("over C[S4]", "over C[Z3^4]", "over C[A4]", "over C[K]")) and member:
+            assert Y.basis_over(X, 1e-12) is not None, name
+            assert Y._basis_over(X, True)[1].max() <= 1e-14, name
 
 
 def _dense_and_table(monkeypatch, build):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstar_angles.angles import AngleDiagnostics, AngleResult, Route
+from cstar_angles.angles import AngleDiagnostics, AngleResult, Route, interior_angle_definition
 from cstar_angles.algebra import (
     ConditionalExpectation,
+    MatrixStarAlgebra,
     verify_expectation,
     verify_quasi_basis,
     watatani_index,
@@ -42,6 +43,7 @@ from cstar_angles.groups import (
     subgroup_index,
     trivial_subgroup,
 )
+from cstar_angles.verify import lattice_route_sweep
 
 
 def example_lattice():
@@ -736,6 +738,58 @@ def test_inclusions_of_one_group_share_its_algebra():
     with pytest.raises(TooLarge):
         big.regular_algebra
     assert "regular_algebra" not in vars(big)
+
+
+def test_intermediate_algebra_checks_k_as_expectation_onto_does():
+    # Z6 over H = <2>: K = <3> misses H, and a K of another group of order 6
+    Z6, S3 = FiniteGroup.cyclic(6), FiniteGroup.symmetric(3)
+    inc = group_algebra_inclusion(Z6, generated_subgroup(Z6, [Z6.index_of((2,))]))
+    cases = [
+        (NotIntermediate, "K must contain H", generated_subgroup(Z6, [Z6.index_of((3,))])),
+        (NotSubgroup, "subgroups of different parents", full_subgroup(S3)),
+    ]
+    for error, message, K in cases:
+        for build in (inc.intermediate_algebra, inc.expectation_onto):
+            with pytest.raises(error, match=message):
+                build(K)
+    # an intermediate K gives the target of its expectation
+    K = full_subgroup(Z6)
+    assert inc.intermediate_algebra(K).same_span(inc.expectation_onto(K).target)
+
+
+def _recorded_slices(monkeypatch) -> list:
+    """(parent, mask, slice) for every MatrixStarAlgebra.basis_slice call from here on."""
+    made, slice_of = [], MatrixStarAlgebra.basis_slice
+
+    def recording(alg, mask):
+        sliced = slice_of(alg, mask)
+        made.append((alg, np.array(mask, dtype=bool), sliced))
+        return sliced
+
+    monkeypatch.setattr(MatrixStarAlgebra, "basis_slice", recording)
+    return made
+
+
+def test_slices_hold_no_dense_rows_through_a_job_and_a_sweep(monkeypatch):
+    # the group-numeric benchmark's job on Z3^4, then the whole S4 lattice:
+    # every C[K] stays its supports and table, and reads back as C[G]'s rows
+    made = _recorded_slices(monkeypatch)
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+
+    def sub(*gens):
+        return generated_subgroup(G, [G.index_of(g) for g in gens])
+
+    inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
+    K, L = sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)), sub((0, 1, 0, 0), (0, 0, 0, 1))
+    res = interior_angle_definition(inc.tower(), inc.expectation_onto(K), inc.expectation_onto(L))
+    assert abs(res.cos_value - 0.5) <= 1e-12
+    job = len(made)
+    assert lattice_route_sweep(FiniteGroup.symmetric(4)) == (1065, pytest.approx(0.0, abs=1e-12))
+    assert 0 < job < len(made)
+    for parent, mask, sliced in made:
+        assert parent._table is not None and "_flat" not in vars(sliced)
+    for parent, mask, sliced in made:
+        assert sliced.basis_stack.tobytes() == parent.basis_stack[mask].tobytes()
 
 
 def test_inclusion_too_large():

@@ -1329,8 +1329,8 @@ def _core_verdict_and_sums(expectation, coords, patch):
         return row_norms(rows)
 
     patch.setattr(mx, "row_norms", recorded)
-    onto = expectation.source.hs_coordinates(expectation.target.basis_stack)
-    verdict = _quasi_basis_core(expectation, coords, onto, mx.DEFAULT_TOL)
+    onto, off, _ = expectation.target._basis_over(expectation.source, True)
+    verdict = _quasi_basis_core(expectation, coords, onto, np.linalg.norm(off), mx.DEFAULT_TOL)
     return verdict, seen[-1]  # the residual rows are its last norms
 
 
@@ -1514,24 +1514,34 @@ def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, m
             assert abs(got[key] - want) <= 1e-13, (name, key)
 
 
+def _basis_over_passes(monkeypatch, basis, over):
+    """A list that records each basis_over pass of ``basis`` over ``over``.
+
+    A pass is one call of MatrixStarAlgebra._basis_over: every answer of
+    :meth:`MatrixStarAlgebra.basis_over` is one, and so is a containment
+    test that keeps its residuals as well.  The list holds whether each
+    pass took the residuals.
+    """
+    passes, over_of = [], MatrixStarAlgebra._basis_over
+
+    def counted(alg, other, residuals):
+        if alg is basis and other is over:
+            passes.append(residuals)
+        return over_of(alg, other, residuals)
+
+    monkeypatch.setattr(MatrixStarAlgebra, "_basis_over", counted)
+    return passes
+
+
 def test_intermediate_data_takes_c_to_a_by_one_coordinate_pass(tower_level, inclusion, monkeypatch):
-    hs_coordinates = MatrixStarAlgebra.hs_coordinates
     for name, level, F in intermediate_cases(tower_level, inclusion):
-        C, passes = F.target, []
-
-        def counted(alg, x):
-            if alg is level.algebra and np.shares_memory(x, C._flat):
-                passes.append(len(x))
-            return hs_coordinates(alg, x)
-
-        monkeypatch.setattr(MatrixStarAlgebra, "hs_coordinates", counted)
-        # a pass may take C's basis in chunks: it projects each element once
+        passes = _basis_over_passes(monkeypatch, F.target, level.algebra)
         intermediate_data(level, F)
-        assert sum(passes) == C.dim, name
+        assert passes == [True], name  # the containment test gives the coordinates
         passes.clear()
         intermediate_data_composed(level, F)
         # the composition: one in each public function, one for F's module matrix
-        assert sum(passes) == 3 * C.dim, name
+        assert len(passes) == 3, name
         monkeypatch.undo()
 
 
@@ -1563,18 +1573,10 @@ def test_intermediate_data_fails_as_the_composed_checks(tower_level, inclusion):
 
 def test_intermediate_data_takes_b_to_c_by_one_coordinate_pass(tower_level, inclusion, monkeypatch):
     # the containment test B <= C and the quasi-basis check share one pass
-    hs_coordinates = MatrixStarAlgebra.hs_coordinates
     for name, level, F in intermediate_cases(tower_level, inclusion):
-        B, C, passes = level.expectation.target, F.target, []
-
-        def counted(alg, x):
-            if alg is C and np.shares_memory(x, B._flat):
-                passes.append(len(x))
-            return hs_coordinates(alg, x)
-
-        monkeypatch.setattr(MatrixStarAlgebra, "hs_coordinates", counted)
+        passes = _basis_over_passes(monkeypatch, level.expectation.target, F.target)
         intermediate_data(level, F)
-        assert sum(passes) == B.dim, name
+        assert passes == [True], name
         monkeypatch.undo()
 
 
