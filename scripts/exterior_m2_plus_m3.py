@@ -20,10 +20,12 @@ A = M3 + M4 in M7 with Ind(E) = 9 + 16, a module of dimension 25 and a
 second level on a module of dimension 337.
 
 Prints one JSON object: for M2+M3, the cosines of both interior routes
-and of both exterior routes (level-two definition and closed
-expressions), their differences, its wall time and the peak resident set
-size before the tensor case runs; the worst deviations of the tensor case
-from the 2x2 model, with its wall time; the same fields as M2+M3 for
+and of both exterior routes (the definition route at level two, and the
+formula route on (A <= A_1, E_1) fed quasi-bases built from level one,
+kept under the key ``exterior_closed_cos``), their differences, its wall
+time and the peak resident set size before the tensor case runs; the
+worst deviations of the tensor case from the 2x2 model, with its wall
+time; the same fields as M2+M3 for
 M3+M4 under ``m3_plus_m4``; and the peak resident set size of the whole
 run, read at its end.  Exits nonzero when the M2+M3 part peaks
 above ``RSS_LIMIT_MIB`` or the whole run above ``RUN_RSS_LIMIT_MIB``,

@@ -677,6 +677,8 @@ class MatrixStarAlgebra:
     def from_json(cls, payload: dict) -> "MatrixStarAlgebra":
         mats = [matrix_from_json(m) for m in payload["spanning_set"]]
         n = int(payload["ambient_dim"])
+        if any(m.shape != (n, n) for m in mats):
+            raise ShapeMismatch(f"spanning_set must hold {n}x{n} matrices")
         return cls.from_spanning(mats) if mats else cls(np.zeros((0, n, n)))
 
     def __repr__(self):
@@ -1007,9 +1009,12 @@ class ConditionalExpectation:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ConditionalExpectation":
+        mat = matrix_from_json(payload["map_matrix"])
+        n2 = int(payload["source"]["ambient_dim"]) ** 2
+        if mat.shape != (n2, n2):
+            raise ShapeMismatch(f"map_matrix must be {n2}x{n2}, got {mat.shape}")
         source = MatrixStarAlgebra.from_json(payload["source"])
         target = MatrixStarAlgebra.from_json(payload["target"])
-        mat = matrix_from_json(payload["map_matrix"])
 
         def rule(xs: np.ndarray) -> np.ndarray:
             return (xs.reshape(len(xs), -1) @ mat.T).reshape(xs.shape)

@@ -22,9 +22,13 @@ intermediates C, D of (B <= A, E):
   Ind(E) is a multiple of the identity.
 
 The exterior angle b(C, D) is the interior angle between C_1 and D_1 one
-tower level up, with respect to the dual expectation; it is evaluated both
-by the level-two definition route and by closed expressions in level-one
-data, and the two must agree.
+tower level up, with respect to the dual expectation E_1 of A <= A_1; it is
+evaluated both by the definition route at level two and by the formula route
+on (A <= A_1, E_1), and the two must agree.  The formula route reads level
+one alone: with {l_i} E's quasi-basis, {L_{l_i} e_C L_c},
+c = Ind(E)^(1/2) Ind(E|_C)^{-1}, is a quasi-basis of E_1 on C_1 when
+Ind(E|_C) is central (Watatani, *Index for C*-subalgebras*, 1990, on the
+basic construction's quasi-basis), and likewise for D_1.
 
 Cosines are clamped to [0, 1] only after a range assertion: values outside
 [-1e-9, 1 + 1e-9] indicate a broken quasi-basis and raise instead of being
@@ -219,75 +223,6 @@ def angle_from_projections(level: TowerLevel, e_c, e_d) -> AngleResult:
     return _result(num, level.module_norm(dc), level.module_norm(dd), Route.DEFINITION)
 
 
-def _exterior_closed_expressions(
-    level: TowerLevel,
-    level2: TowerLevel,
-    e_c: np.ndarray,
-    e_d: np.ndarray,
-    restricted_c: ConditionalExpectation,
-    restricted_d: ConditionalExpectation,
-    F: ConditionalExpectation,
-    F_prime: ConditionalExpectation,
-) -> tuple[float, float, float]:
-    """Closed forms for the exterior-angle inner product and norms.
-
-    All three are norms of elements of A_1, assembled from level-one data:
-    the quasi-basis {l_i} of E, quasi-bases {mu_j}, {delta_k} of the
-    restrictions, the intermediate projections and the index elements.
-    E is evaluated on stacks, one :meth:`ConditionalExpectation.on_source`
-    call per chunk of (i, i') pairs; quasi-basis elements that are exactly
-    zero are dropped first, since each adds only zeros.
-    """
-    E = level.expectation
-    lams, mus, deltas = (
-        exp.quasi_stack[exp.quasi_stack.any(axis=(1, 2))]
-        for exp in (E, restricted_c, restricted_d)
-    )
-    ind_e = level.index_matrix
-    ind_c_inv = np.linalg.inv(restricted_c.index_element())
-    ind_d_inv = np.linalg.inv(restricted_d.index_element())
-    ind_f = ind_e @ ind_c_inv  # Ind(F), by multiplicativity of scalar chains
-    ind_f_prime = ind_e @ ind_d_inv
-
-    d = level.module_dim
-    eye_d = np.eye(d, dtype=np.complex128)
-    ind_e1_inv = level2.index_inverse
-
-    # numerator element: Ind(E_1)^{-1} [ Ind(E|C)^{-2} Ind(E|D)^{-1}
-    #   sum_{i,i'} l_i e_C Ind(F') inner_{ii'} e_D l_i'* - 1 ],
-    # inner_{ii'} = sum_{j,k} mu_j E(mu_j* l_i* l_i' d_k) d_k*
-    q, p, r, n = len(lams), len(mus), len(deltas), ind_e.shape[0]
-    pairs = (mx.adjoint(lams)[:, None] @ lams[None]).reshape(q * q, n, n)
-    mu_star, delta_star = mx.adjoint(mus), mx.adjoint(deltas)
-    inner = np.empty_like(pairs)
-    # charged per pair: the p r arguments, their images and the products
-    for rows in mx.stack_slices(q * q, 3 * p * r * n * n * 16):
-        args = mu_star[None, :, None] @ pairs[rows, None, None] @ deltas[None, None]
-        values = E.on_source(args.reshape(-1, n, n)).reshape(args.shape)
-        inner[rows] = (mus[None, :, None] @ values @ delta_star[None, None]).sum(axis=(1, 2))
-        del args, values
-    middle = level.embed(ind_f_prime @ inner).reshape(q, q, d, d)
-    lmats = level.embed(lams)
-    right = e_d @ mx.adjoint(lmats)  # e_D L_{l_i'}*
-    total = ((lmats @ e_c) @ (middle @ right[None]).sum(axis=1)).sum(axis=0)
-    scalar_pre = level.embed(ind_c_inv @ ind_c_inv @ ind_d_inv)
-    numerator_elem = ind_e1_inv @ (scalar_pre @ total - eye_d)
-
-    def denominator_elem(e_x, ind_x_inv, ind_g, G):
-        f_ind = G(ind_g)  # F(Ind(F)); equals Ind(F) in the central case
-        acc = (level.embed(lams @ f_ind) @ e_x @ mx.adjoint(lmats)).sum(axis=0)
-        return ind_e1_inv @ (level.embed(ind_x_inv) @ acc - eye_d)
-
-    num = mx.operator_norm(numerator_elem)
-    den1 = math.sqrt(
-        mx.operator_norm(denominator_elem(e_c, ind_c_inv, ind_f, F))
-    )
-    den2 = math.sqrt(
-        mx.operator_norm(denominator_elem(e_d, ind_d_inv, ind_f_prime, F_prime))
-    )
-    return num, den1, den2
-
-
 def exterior_angle(
     level: TowerLevel,
     F: ConditionalExpectation,
@@ -298,8 +233,11 @@ def exterior_angle(
 
     Iterates the tower once, forms e_2, e_{C_1}, e_{D_1} from the
     quasi-bases supplied by the compatible dual expectations G, and runs the
-    definition route at level two.  The closed expressions in level-one data
-    are evaluated alongside and must agree within 1e-7.
+    definition route at level two.  The formula route on (A <= A_1, E_1),
+    fed the families {L_{l_i} e_C L_c} and {L_{l_i} e_D L_c'} (c' as c,
+    with Ind(E|_D)) built from level one alone (see the module docstring),
+    runs alongside; the two must agree within ``EXTERIOR_AGREEMENT_TOL``
+    (1e-7), and its cosine is kept as ``diagnostics.extra["closed_cos"]``.
     """
     if F.target.same_span(level.algebra, tol):
         raise DegenerateIntermediate("C equals A; exterior angle undefined")
@@ -316,20 +254,18 @@ def exterior_angle(
     e_d1 = intermediate_data(level2, g_d, tol)[0]
     result = angle_from_projections(level2, e_c1, e_d1)
 
-    num_x, den1_x, den2_x = _exterior_closed_expressions(
-        level, level2, e_c, e_d, restricted_c, restricted_d, F, F_prime
+    def family(e_x, restricted):
+        # L_{l_i} e_X L_c, c = Ind(E)^(1/2) Ind(E|_X)^-1: a quasi-basis of E_1 on X_1
+        c = level.index_sqrt @ np.linalg.inv(restricted.index_element(tol))
+        return level._quasi_left @ (e_x @ level.embed(c))
+
+    formula = interior_angle_formula(
+        level.dual_expectation, family(e_c, restricted_c), family(e_d, restricted_d), tol=tol
     )
-    closed = _result(num_x, den1_x, den2_x, Route.FORMULA)
-    if abs(closed.cos_value - result.cos_value) > EXTERIOR_AGREEMENT_TOL:
+    if abs(formula.cos_value - result.cos_value) > EXTERIOR_AGREEMENT_TOL:
         raise NumericIntegrityError(
-            "exterior angle: closed expressions disagree with the level-two "
-            f"definition route ({closed.cos_value} vs {result.cos_value})"
+            "exterior angle: the formula route one rung up disagrees with the "
+            f"level-two definition route ({formula.cos_value} vs {result.cos_value})"
         )
-    extra = {
-        **result.diagnostics.extra,
-        "closed_cos": closed.cos_value,
-        "closed_numerator": num_x,
-        "closed_denominator_first": den1_x,
-        "closed_denominator_second": den2_x,
-    }
+    extra = {**result.diagnostics.extra, "closed_cos": formula.cos_value}
     return replace(result, diagnostics=replace(result.diagnostics, extra=extra))

@@ -353,7 +353,7 @@ def test_criterion_08_identity_suite(inclusion, tower_level):
 
 
 def test_criterion_09_exterior_angle(inclusion, tower_level):
-    """Exterior angle: level-2 route vs closed expressions at 1e-7; b(C,C) = 0."""
+    """Exterior angle: level-2 definition vs formula route on (A <= A_1, E_1), 1e-7; b(C,C) = 0."""
     started = time.monotonic()
     worst = 0.0
     unitaries = [m2.rotation(t) for t in np.linspace(0.0, math.pi / 4, 5)]

@@ -424,6 +424,27 @@ def test_expectation_json_roundtrip(inclusion):
     assert verify_quasi_basis(rebuilt, rebuilt.quasi_basis)
 
 
+def test_algebra_json_rejects_matrices_off_the_ambient_dim(inclusion):
+    payload = json.loads(json.dumps(inclusion.delta.to_json()))
+    payload["ambient_dim"] = 3
+    with pytest.raises(ShapeMismatch):
+        MatrixStarAlgebra.from_json(payload)
+
+
+def test_algebra_json_rejects_mixed_matrix_shapes(inclusion):
+    payload = json.loads(json.dumps(inclusion.delta.to_json()))
+    payload["spanning_set"].append(matrix_to_json(np.eye(3)))
+    with pytest.raises(ShapeMismatch):
+        MatrixStarAlgebra.from_json(payload)
+
+
+def test_expectation_json_rejects_a_map_matrix_of_the_wrong_size(inclusion):
+    payload = json.loads(json.dumps(inclusion.F.to_json()))
+    payload["map_matrix"] = matrix_to_json(np.eye(9))
+    with pytest.raises(ShapeMismatch):
+        ConditionalExpectation.from_json(payload)
+
+
 def test_expectation_json_keeps_the_name(inclusion):
     assert inclusion.F.name != "E"
     payload = json.loads(json.dumps(inclusion.F.to_json()))

@@ -8,6 +8,8 @@ from cstar_angles import matrices as mx
 from cstar_angles import algebra, angles, tower
 from cstar_angles.algebra import (
     ConditionalExpectation,
+    MatrixStarAlgebra,
+    conjugate_expectation,
     restrict_expectation,
     watatani_index,
 )
@@ -18,12 +20,20 @@ from cstar_angles.angles import (
     interior_angle_definition,
     interior_angle_formula,
 )
-from cstar_angles.errors import DegenerateIntermediate, NoQuasiBasis, NotInAlgebra
+from cstar_angles.errors import (
+    DegenerateIntermediate,
+    NoQuasiBasis,
+    NotInAlgebra,
+    NumericIntegrityError,
+)
 from cstar_angles.groups import (
     FiniteGroup,
+    all_subgroups,
     generated_subgroup,
     group_algebra_inclusion,
     group_angle,
+    intermediate_subgroups,
+    intersection,
     trivial_subgroup,
 )
 from cstar_angles.verify import lattice_route_sweep
@@ -355,7 +365,7 @@ def test_exterior_angle_never_builds_level_two_algebra(inclusion, c_plus_m2):
 
 
 # ---------------------------------------------------------------------------
-# exterior closed forms: the stacked evaluation against the per-element loop
+# exterior angle against BG2's closed expressions, one call of E per term
 
 
 def closed_expressions_loop(
@@ -407,7 +417,7 @@ def closed_expressions_loop(
 
 
 def closed_form_inputs(level, level2, F, F_prime):
-    """The arguments of ``angles._exterior_closed_expressions`` for (F, F')."""
+    """The arguments of :func:`closed_expressions_loop` for (F, F')."""
     e_c, restricted_c = intermediate_data(level, F)
     e_d, restricted_d = intermediate_data(level, F_prime)
     return level, level2, e_c, e_d, restricted_c, restricted_d, F, F_prime
@@ -440,43 +450,114 @@ def closed_form_cases(tower_level, inclusion, c_plus_m2):
     yield closed_form_inputs(fx.level, iterate_tower(fx.level), fx.F, fx.F_prime)
 
 
-def test_stacked_closed_forms_match_the_loop(
-    tower_level, inclusion, c_plus_m2, monkeypatch
-):
-    cases = list(closed_form_cases(tower_level, inclusion, c_plus_m2))
-    expected = [closed_expressions_loop(*args) for args in cases]
-    # the default budget, then one (i, i') pair per chunk
-    for budget in (mx.STACK_BUDGET_BYTES, 1):
-        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
-        for args, want in zip(cases, expected):
-            got = angles._exterior_closed_expressions(*args)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_closed_forms_call_no_single_matrix_expectation(
-    tower_level, inclusion, c_plus_m2, monkeypatch
-):
-    # only the two F(Ind(F)) terms may call an expectation on one matrix
+def test_closed_cos_matches_the_loop(tower_level, inclusion, c_plus_m2):
+    # the formula route one rung up against BG2's closed expressions, term by term
     for args in closed_form_cases(tower_level, inclusion, c_plus_m2):
-        E = args[0].expectation
-        E.coordinate_matrix  # built beforehand, as every level does
-        outer, called = [], []
-        depth = [0]
-        original = ConditionalExpectation.__call__
+        num, den1, den2 = closed_expressions_loop(*args)
+        level, F, F_prime = args[0], args[-2], args[-1]
+        got = exterior_angle(level, F, F_prime).diagnostics.extra["closed_cos"]
+        assert abs(got - num / (den1 * den2)) <= 1e-12
 
-        def counted(self, x):
-            called.append(self)
-            if not depth[0]:
-                outer.append(self)
-            depth[0] += 1
-            try:
-                return original(self, x)
-            finally:
-                depth[0] -= 1
 
-        monkeypatch.setattr(ConditionalExpectation, "__call__", counted)
-        angles._exterior_closed_expressions(*args)
-        monkeypatch.setattr(ConditionalExpectation, "__call__", original)
-        F, F_prime = args[-2:]
-        assert len(outer) == 2 and outer[0] is F and outer[1] is F_prime
-        assert all(exp is not E for exp in called)
+def test_exterior_angle_calls_no_single_matrix_expectation(
+    tower_level, inclusion, c_plus_m2, monkeypatch
+):
+    cases = [(args[0], args[-2], args[-1]) for args in closed_form_cases(
+        tower_level, inclusion, c_plus_m2
+    )]
+    called, original = [], ConditionalExpectation.__call__
+
+    def counted(self, x):
+        called.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(ConditionalExpectation, "__call__", counted)
+    for level, F, F_prime in cases:
+        exterior_angle(level, F, F_prime)
+    assert len(cases) == 24 and called == []
+
+
+def test_exterior_formula_route_reads_nothing_level_two_builds(
+    tower_level, inclusion, monkeypatch
+):
+    # both G's made the G of C: the level-two route then sees C_1 twice, so the
+    # formula route, fed from level one, must disagree with it
+    first, original = [], tower._dual_expectation_from
+
+    def g_of_c(level, e_x, restricted, tol=mx.DEFAULT_TOL):
+        if not first:
+            first.append(original(level, e_x, restricted, tol))
+        return first[0]
+
+    monkeypatch.setattr(angles, "_dual_expectation_from", g_of_c)
+    f_u = m2.fu_expectation(m2.rotation(0.6), inclusion)
+    with pytest.raises(NumericIntegrityError):
+        exterior_angle(tower_level, inclusion.F, f_u)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [FiniteGroup.symmetric(3), FiniteGroup.cyclic(12), FiniteGroup.direct_product([4, 2])],
+    ids=["S3", "Z12", "Z4xZ2"],
+)
+def test_exterior_group_lattice_exact(G):
+    # the Hilbert-Schmidt cosine of P_K - P_G and P_L - P_G on l2(G), from
+    # subgroup orders alone; neither route reads it
+    pairs = 0
+    for H in all_subgroups(G):
+        inters = intermediate_subgroups(G, H)
+        if len(inters) < 2:
+            continue
+        inc = group_algebra_inclusion(G, H)
+        level = inc.tower()
+        for a, K in enumerate(inters):
+            for L in inters[a + 1:]:
+                res = exterior_angle(level, inc.expectation_onto(K), inc.expectation_onto(L))
+                n, k, m = G.order, K.order, L.order
+                exact = (n * intersection(K, L).order / (k * m) - 1) / math.sqrt(
+                    (n // k - 1) * (n // m - 1)
+                )
+                assert abs(res.cos_value - exact) <= 1e-12
+                assert abs(res.diagnostics.extra["closed_cos"] - exact) <= 1e-12
+                pairs += 1
+    assert pairs == {6: 6, 12: 7, 8: 18}[G.order]
+
+
+def test_exterior_indices_outside_the_intermediate():
+    # A = M2+M2 in M4 over B = C1, E the trace with block weights (0.3, 0.7);
+    # C = {x+x}, F = weighted block average, D = wCw*: Ind(E) and Ind(F) are
+    # not in C
+    def unit(i, j):
+        m = np.zeros((4, 4), dtype=np.complex128)
+        m[i, j] = 1.0
+        return m
+
+    blocks, weights = ((0, 1), (2, 3)), (0.3, 0.7)
+    cells = [(w, i, j) for w, b in zip(weights, blocks) for i in b for j in b]
+    A = MatrixStarAlgebra.from_orthonormal([unit(i, j) for _, i, j in cells])
+    B = MatrixStarAlgebra.from_spanning([np.eye(4)])
+    E = ConditionalExpectation.from_rule(
+        A, B,
+        lambda x: sum(w * x[i, i] / 2 for w, i, j in cells if i == j) * np.eye(4),
+        quasi_basis=[math.sqrt(2 / w) * unit(i, j) for w, i, j in cells],
+    )
+
+    def doubled(x):
+        return np.kron(np.eye(2), x)
+
+    C = MatrixStarAlgebra.from_spanning(
+        [doubled(unit(i, j)[:2, :2]) for i in (0, 1) for j in (0, 1)]
+    )
+    F = ConditionalExpectation.from_rule(
+        A, C, lambda x: doubled(0.3 * x[:2, :2] + 0.7 * x[2:, 2:])
+    )
+    rng = mx.default_rng(7)
+    w = np.zeros((4, 4), dtype=np.complex128)
+    w[:2, :2], w[2:, 2:] = mx.random_unitary(2, rng), mx.random_unitary(2, rng)
+    level = tower.build_tower_level(E)
+    np.testing.assert_allclose(
+        level.index_matrix, np.diag([40 / 3, 40 / 3, 40 / 7, 40 / 7]), atol=1e-12
+    )
+    res = exterior_angle(level, F, conjugate_expectation(F, w))
+    assert res.cos_value == pytest.approx(0.71362459175682, abs=1e-12)
+    assert abs(res.cos_value - res.diagnostics.extra["closed_cos"]) <= 1e-12
