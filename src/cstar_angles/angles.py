@@ -119,9 +119,9 @@ def _result(num: float, den1: float, den2: float, route: Route, extra=None) -> A
     )
 
 
-def _check_degenerate(ind_restricted: np.ndarray, which: str, tol: float = 1e-9):
+def _check_degenerate(ind_restricted: np.ndarray, which: str):
     n = ind_restricted.shape[0]
-    if mx.operator_norm(ind_restricted - np.eye(n)) < tol:
+    if mx.operator_norm(ind_restricted - np.eye(n)) < mx.DEFAULT_TOL:
         raise DegenerateIntermediate(f"{which} equals the corner algebra (index 1)")
 
 
@@ -132,17 +132,16 @@ def interior_angle_formula(
     *,
     C: MatrixStarAlgebra | None = None,
     D: MatrixStarAlgebra | None = None,
-    tol: float = mx.DEFAULT_TOL,
 ) -> AngleResult:
     """Interior angle from quasi-bases of the two restricted expectations.
 
     ``mu`` and ``delta`` are quasi-bases of E|_C and E|_D.  When the
     intermediate algebras are supplied the quasi-bases are verified against
-    them first (raising :class:`NoQuasiBasis` on failure, also for a family
-    element outside its algebra).  The restrictions
-    are taken by rows of E's coordinate matrix, so the check also fails for
-    an E whose images leave its target.  An empty family is no quasi-basis
-    and raises :class:`NoQuasiBasis`.
+    them first, at ``QUASI_BASIS_TOL`` (raising :class:`NoQuasiBasis` on
+    failure, also for a family element outside its algebra).  The
+    restrictions are taken by rows of E's coordinate matrix, so the check
+    also fails for an E whose images leave its target by more than that.
+    An empty family is no quasi-basis and raises :class:`NoQuasiBasis`.
     """
     mus, deltas = ([mx.as_matrix(m) for m in mats] for mats in (mu, delta))
     for mats, label in ((mus, "C"), (deltas, "D")):
@@ -153,12 +152,11 @@ def interior_angle_formula(
         if alg is not None:
             rows = alg.basis_over(E.source) @ E._t
             restricted = ConditionalExpectation.from_coordinates(alg, E.target, rows)
-            check_tol = max(tol, 1e-8)
             try:
-                verified = verify_quasi_basis(restricted, mats, check_tol)
+                verified = verify_quasi_basis(restricted, mats, mx.QUASI_BASIS_TOL)
             except NotInAlgebra as exc:
                 raise NoQuasiBasis(f"family has an element outside {label}") from exc
-            if not verified or E._off_target[0] > check_tol:
+            if not verified or E._off_target[0] > mx.QUASI_BASIS_TOL:
                 raise NoQuasiBasis(f"family is not a quasi-basis of E|_{label}")
 
     n = E.ambient_dim
@@ -171,7 +169,7 @@ def interior_angle_formula(
     # sum_{j,k} mu_j E(mu_j* delta_k) delta_k*, with E on stacks of mu_j* delta_k
     # as in E.on_source, but at the pre-check's tolerance; charged per mu_j:
     # its r arguments, their images and the products
-    coords_e = E.coordinates(max(tol, 1e-8))
+    coords_e = E.coordinates(mx.QUASI_BASIS_TOL)
     cross = np.zeros((n, n), dtype=np.complex128)
     for rows in mx.stack_slices(len(mus), 3 * len(deltas) * n * n * 16):
         args = mx.adjoint(mus[rows])[:, None] @ deltas[None]
@@ -185,7 +183,7 @@ def interior_angle_formula(
     extra = {}
 
     scalar = np.trace(ind_e).real / n
-    if mx.operator_norm(ind_e - scalar * eye) <= tol * scalar:
+    if mx.operator_norm(ind_e - scalar * eye) <= mx.DEFAULT_TOL * scalar:
         # scalar-index simplification; must agree with the general form
         num_s = mx.operator_norm(cross - eye)
         den1_s = math.sqrt(mx.operator_norm(ind_c - eye))
@@ -206,13 +204,12 @@ def interior_angle_definition(
     level: TowerLevel,
     F: ConditionalExpectation,
     F_prime: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
 ) -> AngleResult:
     """Interior angle from Jones projections in the basic construction."""
-    e_c, restricted_c = intermediate_data(level, F, tol)
-    e_d, restricted_d = intermediate_data(level, F_prime, tol)
-    _check_degenerate(restricted_c.index_element(tol), "C")
-    _check_degenerate(restricted_d.index_element(tol), "D")
+    e_c, restricted_c = intermediate_data(level, F)
+    e_d, restricted_d = intermediate_data(level, F_prime)
+    _check_degenerate(restricted_c.index_element(), "C")
+    _check_degenerate(restricted_d.index_element(), "D")
     return angle_from_projections(level, e_c, e_d)
 
 
@@ -227,7 +224,6 @@ def exterior_angle(
     level: TowerLevel,
     F: ConditionalExpectation,
     F_prime: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
 ) -> AngleResult:
     """Exterior angle: the interior angle of (C_1, D_1) one tower level up.
 
@@ -239,28 +235,28 @@ def exterior_angle(
     runs alongside; the two must agree within ``EXTERIOR_AGREEMENT_TOL``
     (1e-7), and its cosine is kept as ``diagnostics.extra["closed_cos"]``.
     """
-    if F.target.same_span(level.algebra, tol):
+    if F.target.same_span(level.algebra):
         raise DegenerateIntermediate("C equals A; exterior angle undefined")
-    if F_prime.target.same_span(level.algebra, tol):
+    if F_prime.target.same_span(level.algebra):
         raise DegenerateIntermediate("D equals A; exterior angle undefined")
 
-    e_c, restricted_c = intermediate_data(level, F, tol)
-    e_d, restricted_d = intermediate_data(level, F_prime, tol)
-    g_c = _dual_expectation_from(level, e_c, restricted_c, tol)
-    g_d = _dual_expectation_from(level, e_d, restricted_d, tol)
+    e_c, restricted_c = intermediate_data(level, F)
+    e_d, restricted_d = intermediate_data(level, F_prime)
+    g_c = _dual_expectation_from(level, e_c, restricted_c)
+    g_d = _dual_expectation_from(level, e_d, restricted_d)
 
-    level2 = iterate_tower(level, tol=tol)
-    e_c1 = intermediate_data(level2, g_c, tol)[0]
-    e_d1 = intermediate_data(level2, g_d, tol)[0]
+    level2 = iterate_tower(level)
+    e_c1 = intermediate_data(level2, g_c)[0]
+    e_d1 = intermediate_data(level2, g_d)[0]
     result = angle_from_projections(level2, e_c1, e_d1)
 
     def family(e_x, restricted):
         # L_{l_i} e_X L_c, c = Ind(E)^(1/2) Ind(E|_X)^-1: a quasi-basis of E_1 on X_1
-        c = level.index_sqrt @ np.linalg.inv(restricted.index_element(tol))
+        c = level.index_sqrt @ np.linalg.inv(restricted.index_element())
         return level._quasi_left @ (e_x @ level.embed(c))
 
     formula = interior_angle_formula(
-        level.dual_expectation, family(e_c, restricted_c), family(e_d, restricted_d), tol=tol
+        level.dual_expectation, family(e_c, restricted_c), family(e_d, restricted_d)
     )
     if abs(formula.cos_value - result.cos_value) > EXTERIOR_AGREEMENT_TOL:
         raise NumericIntegrityError(

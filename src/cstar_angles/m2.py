@@ -35,7 +35,7 @@ import numpy as np
 from . import matrices as mx
 from .algebra import ConditionalExpectation, MatrixStarAlgebra, restrict_expectation
 from .angles import AngleResult, interior_angle_definition, interior_angle_formula
-from .errors import ClosedFormMismatch, NotUnitary
+from .errors import ClosedFormMismatch, InvalidMatrix, NotUnitary
 from .tower import TowerLevel, build_tower_level, intermediate_data
 
 __all__ = [
@@ -66,6 +66,11 @@ for _i in range(2):
         _E[_i][_j][_i, _j] = 1.0
 E11, E12, E21, E22 = _E[0][0], _E[0][1], _E[1][0], _E[1][1]
 
+# the unitarity bound for a matrix passed where a Unitary2 is expected
+COERCE_TOL = 1e-9
+# how far is_hadamard lets each |u_ij| sit from 1/sqrt(2)
+HADAMARD_TOL = 1e-9
+
 
 class Unitary2:
     """A 2x2 unitary, validated at construction."""
@@ -95,19 +100,21 @@ class Unitary2:
         return complex(self.matrix[1, 1])
 
 
-def _coerce(u, tol: float = 1e-9) -> Unitary2:
-    return u if isinstance(u, Unitary2) else Unitary2(u, tol=tol)
+def _coerce(u) -> Unitary2:
+    return u if isinstance(u, Unitary2) else Unitary2(u, tol=COERCE_TOL)
 
 
 def rotation(theta: float) -> Unitary2:
+    if not math.isfinite(theta):
+        raise InvalidMatrix(f"rotation angle must be finite, got {theta!r}")
     c, s = math.cos(theta), math.sin(theta)
     return Unitary2(np.array([[c, -s], [s, c]], dtype=np.complex128))
 
 
-def is_hadamard(u, tol: float = 1e-9) -> bool:
-    """All four entries share the modulus 1/sqrt(2)."""
+def is_hadamard(u) -> bool:
+    """All four entries share the modulus 1/sqrt(2), within ``HADAMARD_TOL``."""
     m = _coerce(u).matrix
-    return bool(np.all(np.abs(np.abs(m) - 1.0 / math.sqrt(2.0)) <= tol))
+    return bool(np.all(np.abs(np.abs(m) - 1.0 / math.sqrt(2.0)) <= HADAMARD_TOL))
 
 
 class M2Inclusion(NamedTuple):
@@ -257,14 +264,14 @@ def exact_angle(u) -> float:
     return math.acos(min(1.0, cos))
 
 
-def closed_form_eD(u, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
+def closed_form_eD(u) -> np.ndarray:
     """The Jones projection of u Delta u* in the 4x4 coordinates.
 
     Assembled from the closed-form entry list and its symmetry relations
     (the two entries the list leaves implicit are filled in as
     x_34 = -x_12 and x_43 = conj(x_34)), then validated: the matrix must be
     a self-adjoint idempotent satisfying e_D L_a e_D = L_{F_u(a)} e_D and
-    e_D . vec(a) = vec(F_u(a)).
+    e_D . vec(a) = vec(F_u(a)), within ``DEFAULT_TOL``.
     """
     uu = _coerce(u)
     l11, l12, l21 = uu.lam11, uu.lam12, uu.lam21
@@ -294,7 +301,7 @@ def closed_form_eD(u, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
         la, lfa = embed(a), embed(fu_map(uu, a))
         worst = max(worst, mx.operator_norm(e_d @ la @ e_d - lfa @ e_d))
         worst = max(worst, float(np.linalg.norm(e_d @ a.ravel() - fu_map(uu, a).ravel())))
-    if worst > tol:
+    if worst > mx.DEFAULT_TOL:
         raise ClosedFormMismatch(
             f"assembled e_D violates its defining conditions (residual {worst:.2e})"
         )
@@ -308,11 +315,12 @@ class GapDemo:
     equal: bool
 
 
-def hadamard_gap_demo(u, tol: float = mx.DEFAULT_TOL) -> GapDemo:
+def hadamard_gap_demo(u) -> GapDemo:
     """Contrast u e_Delta u* with the Jones projection of u Delta u*.
 
     The two coincide exactly when u fixes Delta; conjugating the projection
-    is not the same as taking the projection of the conjugate.
+    is not the same as taking the projection of the conjugate.  ``equal``
+    compares them within ``DEFAULT_TOL``.
     """
     uu = _coerce(u)
     inc = canonical_inclusion()
@@ -322,7 +330,7 @@ def hadamard_gap_demo(u, tol: float = mx.DEFAULT_TOL) -> GapDemo:
     conjugated = lu @ e_delta @ mx.adjoint(lu)
     direct = closed_form_eD(uu)
     gap = mx.operator_norm(conjugated - direct)
-    return GapDemo(conjugated, direct, bool(gap <= tol))
+    return GapDemo(conjugated, direct, bool(gap <= mx.DEFAULT_TOL))
 
 
 def angle_sweep(thetas, angle_fn=None) -> list[tuple[float, float]]:

@@ -22,6 +22,10 @@ import numpy as np
 from .errors import InvalidMatrix, NotInSpan, ShapeMismatch
 
 DEFAULT_TOL = 1e-9
+# quasi-basis checks of an expectation built from others (the formula
+# route's restrictions of E, the intermediate dual G), and the off-target
+# read of E that the formula route takes with them
+QUASI_BASIS_TOL = 1e-8
 # relative singular-value cutoff for pseudo-inverses of Gram matrices
 GRAM_CUTOFF = 1e-12
 # relative cutoff deciding the rank of a spanning set

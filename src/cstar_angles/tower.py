@@ -338,15 +338,15 @@ class TowerLevel:
     L_{l_k*} of ``spanning_products``), ``embedded_algebra`` ({L_x}),
     ``dual_quasi_basis`` and ``dual_expectation`` (E_1) are built on first
     read and cached: A_1 after its budget check, then checked to span A_1
-    when the level was built with ``check``, at the level's ``tol``.  So
+    when the level was built with ``check``, at ``DEFAULT_TOL``.  So
     is ``jones_range``, the d x r isometry V with e_B = V V*: the
     eigenvectors of e_B's Hermitian part with eigenvalue above 1/2.  Every
     product the level forms with e_B inside, x e_B y, is taken as
     (x V)(V* y) (:meth:`_through_jones`); the checks read e_B itself.
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
-    the next rung in ``_rungs``, keyed by its ``tol``, so level two is built
-    once per level and freed with it.  A and B are read off the expectation
+    the next rung in ``_rung``, so level two is built once per level and
+    freed with it.  A and B are read off the expectation
     (:attr:`algebra`, :attr:`subalgebra`), and ``module`` is built on A.
     """
 
@@ -357,8 +357,7 @@ class TowerLevel:
     index_inverse: np.ndarray
     index_sqrt: np.ndarray
     _check: bool = field(default=True, repr=False)
-    _tol: float = field(default=mx.DEFAULT_TOL, repr=False)
-    _rungs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rung: TowerLevel | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def algebra(self) -> MatrixStarAlgebra:
@@ -408,11 +407,11 @@ class TowerLevel:
             # a seeded sample of the products x e_B y the family replaces
             lmats, e_b = self.embed(A.basis_stack), self.jones_projection
             i, j = mx.default_rng().integers(A.dim, size=(2, min(20, A.dim**2)))
-            if not a1.contains_all(lmats[i] @ e_b @ lmats[j], self._tol):
+            if not a1.contains_all(lmats[i] @ e_b @ lmats[j]):
                 raise ConstructionFailure(
                     "the family {x e_B l_k*} does not span the products x e_B y"
                 )
-            if not a1.contains_all(lmats, self._tol):
+            if not a1.contains_all(lmats):
                 raise ConstructionFailure(
                     "basic construction does not contain the embedded algebra"
                 )
@@ -534,8 +533,8 @@ def _left_multiplication_residual(level: TowerLevel) -> float:
     return worst / float(np.linalg.norm(v))
 
 
-def _check_level(level: TowerLevel, tol: float) -> dict:
-    """The residual of each level invariant; raises when one exceeds ``tol``.
+def _check_level(level: TowerLevel) -> dict:
+    """The residual of each level invariant; raises when one exceeds ``DEFAULT_TOL``.
 
     This is the fast route, run on every checked level; it works in A's
     coordinates and forms no d x d^2 array.  Its oracles are verify's
@@ -560,7 +559,7 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     # basis {beta_m}: one module product per level, then one contraction
     # per chunk.  The basis elements b_k have A-coordinates e_k.
     E, A, mod = level.expectation, level.algebra, level.module
-    t, unit = E.coordinates(tol), np.eye(A.dim)
+    t, unit = E.coordinates(), np.eye(A.dim)
     range_e = level.jones_range
     d, r = range_e.shape
     target_on_range = mod.left_times(E.target.basis_over(A))(range_e)
@@ -598,7 +597,7 @@ def _check_level(level: TowerLevel, tol: float) -> dict:
     del images
     residuals["dual_rule"] = float(mx.row_norms(got - want).max())
 
-    bad = {k: v for k, v in residuals.items() if v > tol}
+    bad = {k: v for k, v in residuals.items() if v > mx.DEFAULT_TOL}
     if bad:
         raise ConstructionFailure(f"tower invariants failed: {bad}", residuals)
     return residuals
@@ -610,7 +609,6 @@ def build_tower_level(
     module=None,
     materialize: bool = True,
     check: bool = True,
-    tol: float = mx.DEFAULT_TOL,
 ) -> TowerLevel:
     """Construct the basic-construction level for (B <= A, E), with A = E.source and B = E.target.
 
@@ -619,25 +617,25 @@ def build_tower_level(
     and ``dual_expectation`` at once instead of on first use.  Raises
     :class:`NoQuasiBasis` when E has none, :class:`NotIntermediate` when B
     is not inside A, and :class:`ConstructionFailure` with a residual
-    report when an invariant check fails.
+    report when an invariant check fails.  Every read and check runs at
+    ``DEFAULT_TOL``.
     """
     A, B = E.source, E.target
     if E._quasi is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
-    b_on_a = B.basis_over(A, tol)  # the containment test and e_B's coordinates
+    b_on_a = B.basis_over(A, mx.DEFAULT_TOL)  # the containment test and e_B's coordinates
     if b_on_a is None:
         raise NotIntermediate("B is not contained in A")
     if module is not None and module.algebra is not A:
         raise ShapeMismatch("the module must be built on the source of E")
 
-    # E is read once, at the caller's tol: e_B and a module built here both
-    # take that read
-    t = E.coordinates(tol)
+    # E is read once: e_B and a module built here both take that read
+    t = E.coordinates()
     if module is None:
         module = GenericModule(ConditionalExpectation.from_coordinates(A, B, t, name=E.name))
     e_b = module._module_matrix(t @ b_on_a)
 
-    ind = E.index_element(tol)
+    ind = E.index_element()
     level = TowerLevel(
         expectation=E,
         module=module,
@@ -646,11 +644,10 @@ def build_tower_level(
         index_inverse=np.linalg.inv(ind),
         index_sqrt=mx.psd_sqrt(ind),
         _check=check,
-        _tol=tol,
     )
 
     if check:
-        _check_level(level, tol)
+        _check_level(level)
 
     if materialize:
         level.dual_expectation  # reads A_1 and the embedded algebra too
@@ -660,7 +657,6 @@ def build_tower_level(
 def intermediate_data(
     level: TowerLevel,
     F: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
 ) -> tuple[np.ndarray, ConditionalExpectation]:
     """Jones projection of the compatible intermediate C = target(F), plus the restricted E.
 
@@ -672,22 +668,22 @@ def intermediate_data(
     a -> F(a), is a projection, and absorbs e_B.
 
     This is :func:`~cstar_angles.algebra.compatibility_residual` (above
-    ``tol``: :class:`NotCompatible`), then
+    ``DEFAULT_TOL``: :class:`NotCompatible`), then
     :func:`~cstar_angles.algebra.restrict_expectation`, with each of their
-    checks run once, at ``min(tol, DEFAULT_TOL)``, and F read once, into
+    checks run once, at ``DEFAULT_TOL``, and F read once, into
     the record of :func:`~cstar_angles.algebra._intermediate`: its F on
     A's HS coordinates feeds the compatibility residual and F's module
     matrix, C's basis over A the restricted coordinate matrix, and B's
     basis over C the quasi-basis check.  It is the one-member case of
     :func:`intermediate_projections`, through the same steps.
     """
-    (member,) = _compatible_members(level, iter([F]), tol)
-    e_c, e_f, restricted = _member_projection(level, member, tol)
-    _check_projections(e_c[None], level.jones_projection, e_f[None], tol)
+    (member,) = _compatible_members(level, iter([F]))
+    e_c, e_f, restricted = _member_projection(level, member)
+    _check_projections(e_c[None], level.jones_projection, e_f[None])
     return e_c, restricted
 
 
-def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
+def intermediate_projections(level: TowerLevel, members) -> np.ndarray:
     """The e_C of :func:`intermediate_data` for every expectation F of an iterable.
 
     Returns them as one (k, d, d) stack in the order of ``members``, which
@@ -705,13 +701,13 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     """
     d = level.module_dim
     members, stacks = iter(members), []
-    while chunk := _compatible_members(level, members, tol):
+    while chunk := _compatible_members(level, members):
         e_cs = np.empty((len(chunk), d, d), dtype=np.complex128)
         e_fs = np.empty_like(e_cs)
         chunk.reverse()  # taken from the end, so that each record is freed once used
         for k in range(len(e_cs)):
-            e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop(), tol)
-        _check_projections(e_cs, level.jones_projection, e_fs, tol)
+            e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop())
+        _check_projections(e_cs, level.jones_projection, e_fs)
         stacks.append(e_cs)
         del e_fs  # freed before the next chunk is read
     if len(stacks) == 1:
@@ -719,7 +715,7 @@ def intermediate_projections(level: TowerLevel, members, tol: float = mx.DEFAULT
     return np.concatenate(stacks) if stacks else np.empty((0, d, d), dtype=np.complex128)
 
 
-def _compatible_members(level: TowerLevel, expectations, tol: float) -> list:
+def _compatible_members(level: TowerLevel, expectations) -> list:
     """The containment tests and compatibility residuals of the next chunk of expectations.
 
     Reads expectations F from the iterator ``expectations`` until their
@@ -727,38 +723,37 @@ def _compatible_members(level: TowerLevel, expectations, tol: float) -> list:
     :func:`_check_projections` fill ``STACK_BUDGET_BYTES``, or it runs out
     (an empty list then).  Returns one
     :func:`~cstar_angles.algebra._intermediate` record per F, its checks
-    run at ``min(tol, DEFAULT_TOL)``: F's coordinate matrix over A, C's
+    run at ``DEFAULT_TOL``: F's coordinate matrix over A, C's
     basis over A, B's basis over C and F on A's HS coordinates.  No later
     step reads F's quasi-basis, which is freed with the caller's F.  The
     residuals of the chunk come from one
     :func:`~cstar_angles.algebra._compatibility_core` call; one above
-    ``tol`` raises :class:`NotCompatible`.
+    ``DEFAULT_TOL`` raises :class:`NotCompatible`.
     """
     E = level.expectation
-    check_tol = min(tol, mx.DEFAULT_TOL)
     members, held, n = [], 0, level.algebra.ambient_dim
     for F in expectations:
-        members.append(_intermediate(E, F, check_tol))
+        members.append(_intermediate(E, F, mx.DEFAULT_TOL))
         # charged per member: its target basis as dense rows (a slice holds
         # none, but a read builds them), its d x d hs and six postcondition
         # matrices
         held += 16 * F.target.dim * n * n + 7 * level.jones_projection.nbytes
         if held >= mx.STACK_BUDGET_BYTES:
             break
-    if np.any(_compatibility_core(E, members) > tol):
+    if np.any(_compatibility_core(E, members) > mx.DEFAULT_TOL):
         raise NotCompatible("E does not factor through F (not a compatible pair)")
     return members
 
 
 def _member_projection(
-    level: TowerLevel, member, tol: float
+    level: TowerLevel, member
 ) -> tuple[np.ndarray, np.ndarray, ConditionalExpectation]:
     """e_C, F's module matrix and the restricted E, for one record of :func:`_compatible_members`.
 
     F's module matrix is that of the record's ``hs``.  The checks of the
     restriction are those :func:`_compatible_members` has run.
     """
-    restricted = _restrict_core(level.expectation, member, tol)
+    restricted = _restrict_core(level.expectation, member, mx.DEFAULT_TOL)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
     # per quasi-basis element; the mu_j are read over A as their
     # coordinates over C times C's basis over A
@@ -771,18 +766,18 @@ def _member_projection(
     return e_c, e_f, restricted
 
 
-def _check_projections(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray, tol: float):
+def _check_projections(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray):
     """The postconditions of :func:`intermediate_data` on (k, d, d) stacks of e_C and e_F.
 
     One :func:`_projection_norms` call per chunk of members under
     ``STACK_BUDGET_BYTES``; a member whose residual exceeds
-    ``tol (1 + ||e_C||)`` raises :class:`ConstructionFailure`.
+    ``DEFAULT_TOL (1 + ||e_C||)`` raises :class:`ConstructionFailure`.
     """
     # charged per member: its six residual matrices
     for rows in mx.stack_slices(len(e_cs), 6 * e_b.nbytes):
         for norms in _projection_norms(e_cs[rows], e_b, e_fs[rows]):
             residuals, size = _projection_residuals(norms)
-            bound = tol * (1.0 + size)
+            bound = mx.DEFAULT_TOL * (1.0 + size)
             bad = {k: v for k, v in residuals.items() if v > bound}
             if bad:
                 raise ConstructionFailure(f"intermediate projection failed: {bad}", residuals)
@@ -823,9 +818,7 @@ def _projection_residuals(norms: np.ndarray) -> tuple[dict, float]:
     return residuals, norms[5]
 
 
-def dual_expectation_value(
-    level: TowerLevel, t, tol: float = mx.DEFAULT_TOL
-) -> np.ndarray:
+def dual_expectation_value(level: TowerLevel, t) -> np.ndarray:
     """E_1(t) for t in the basic construction, the oracle of :meth:`TowerLevel.dual_value`.
 
     t is decomposed over the spanning family {L_{b_i} e_B L_{l_k*}} of A_1
@@ -837,7 +830,7 @@ def dual_expectation_value(
     d, q = level.module_dim, len(level.expectation.quasi_stack)
     _check_family_budget(d * q, d, "A_1")
     try:
-        coeffs = mx.coordinates_in_span(level.spanning_products(level.jones_projection), t, tol)
+        coeffs = mx.coordinates_in_span(level.spanning_products(level.jones_projection), t)
     except NotInSpan:
         raise NotInAlgebra("element is not in the basic construction") from None
     basis, lam_star = level.algebra.basis_stack, mx.adjoint(level.expectation.quasi_stack)
@@ -845,12 +838,10 @@ def dual_expectation_value(
     return level.index_inverse @ np.tensordot(coeffs, products, axes=1)
 
 
-def iterate_tower(
-    level: TowerLevel, *, tol: float = mx.DEFAULT_TOL
-) -> TowerLevel:
-    """Next rung: the basic construction of (A <= A_1, E_1), checked.
+def iterate_tower(level: TowerLevel) -> TowerLevel:
+    """Next rung: the basic construction of (A <= A_1, E_1), checked at ``DEFAULT_TOL``.
 
-    Built once per ``tol`` and kept on ``level``; later calls
+    Built once and kept on ``level``; later calls
     return the same rung, a level like any other, whose A_2 is built only
     if it is read.  The budget is checked on every call, so an over-budget
     level raises :class:`TooLarge` even with a rung kept.
@@ -865,19 +856,14 @@ def iterate_tower(
         16 * (d1 * n1 * n1 + 6 * d1 * d1 + 2 * q * d1 * d1),
         f"the next rung (module dimension {d1}, {q} dual quasi-basis elements)",
     )
-    if tol not in level._rungs:
-        level._rungs[tol] = build_tower_level(
-            level.dual_expectation,
-            materialize=False,
-            tol=tol,
-        )
-    return level._rungs[tol]
+    if level._rung is None:
+        level._rung = build_tower_level(level.dual_expectation, materialize=False)
+    return level._rung
 
 
 def intermediate_dual_expectation(
     level: TowerLevel,
     F: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
 ) -> ConditionalExpectation:
     """The compatible expectation G : A_1 -> C_1, x e_B y -> Ind(E|_C)^{-1} x e_C y, C = target(F).
 
@@ -886,22 +872,21 @@ def intermediate_dual_expectation(
     satisfies E_1 = E_1|_{C_1} o G.  Requires the restricted index to be
     central.  G(t) is G of t's HS projection onto A_1.
     """
-    e_c, restricted = intermediate_data(level, F, tol)
-    return _dual_expectation_from(level, e_c, restricted, tol)
+    e_c, restricted = intermediate_data(level, F)
+    return _dual_expectation_from(level, e_c, restricted)
 
 
 def _dual_expectation_from(
     level: TowerLevel,
     e_c: np.ndarray,
     restricted: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
 ) -> ConditionalExpectation:
     """:func:`intermediate_dual_expectation` from the output of :func:`intermediate_data`."""
     q, d = len(level.expectation.quasi_stack), level.module_dim
     _check_family_budget(d * q, d, "the intermediate dual expectation")
-    ind_c = restricted.index_element(tol)
+    ind_c = restricted.index_element()
     worst = _centrality_residual(level.algebra, ind_c)
-    if worst > tol * (1.0 + mx.operator_norm(ind_c)):
+    if worst > mx.DEFAULT_TOL * (1.0 + mx.operator_norm(ind_c)):
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1
@@ -923,6 +908,6 @@ def _dual_expectation_from(
     g = ConditionalExpectation(
         level.basic_construction, c1, g_rule, quasi_basis=quasi, name="G"
     )
-    if not verify_quasi_basis(g, quasi, max(tol, 1e-8)):
+    if not verify_quasi_basis(g, quasi, mx.QUASI_BASIS_TOL):
         raise ConstructionFailure("quasi-basis of G failed verification")
     return g

@@ -202,7 +202,7 @@ def test_definition_degenerate_corner(tower_level, inclusion):
         interior_angle_definition(tower_level, inclusion.E, inclusion.F)
 
 
-def test_definition_index_check_uses_the_callers_tolerance(
+def test_definition_index_check_reads_both_indices_at_the_default_tol(
     tower_level, inclusion, rng, monkeypatch
 ):
     seen = []
@@ -214,8 +214,8 @@ def test_definition_index_check_uses_the_callers_tolerance(
 
     monkeypatch.setattr(algebra, "watatani_index", recorded)
     f_u = m2.fu_expectation(m2.Unitary2(mx.random_unitary(2, rng)), inclusion)
-    interior_angle_definition(tower_level, inclusion.F, f_u, tol=1e-8)
-    assert seen == [1e-8, 1e-8]
+    interior_angle_definition(tower_level, inclusion.F, f_u)
+    assert seen == [mx.DEFAULT_TOL, mx.DEFAULT_TOL]
 
 
 def test_routes_agree_on_random_unitaries(tower_level, inclusion, rng):
@@ -357,9 +357,8 @@ def test_exterior_angle_never_builds_level_two_algebra(inclusion, c_plus_m2):
     )
     for level, F, F_prime in cases:
         exterior_angle(level, F, F_prime)
-        assert len(level._rungs) == 1
-        level2 = iterate_tower(level)
-        assert level2 is next(iter(level._rungs.values()))
+        level2 = level._rung
+        assert iterate_tower(level) is level2 is not None
         built = {"basic_construction", "embedded_algebra", "dual_expectation"}
         assert not built & set(vars(level2))
 
@@ -484,9 +483,9 @@ def test_exterior_formula_route_reads_nothing_level_two_builds(
     # formula route, fed from level one, must disagree with it
     first, original = [], tower._dual_expectation_from
 
-    def g_of_c(level, e_x, restricted, tol=mx.DEFAULT_TOL):
+    def g_of_c(level, e_x, restricted):
         if not first:
-            first.append(original(level, e_x, restricted, tol))
+            first.append(original(level, e_x, restricted))
         return first[0]
 
     monkeypatch.setattr(angles, "_dual_expectation_from", g_of_c)

@@ -59,6 +59,14 @@ def test_m2_angle_rejects_non_unitary(capsys):
     assert "NotUnitary" in err
 
 
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+def test_m2_angle_rejects_a_non_finite_rotation(capsys, theta):
+    code, out, err = run_cli(capsys, "m2-angle", f"--rotation={theta}")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: InvalidMatrix: ") and "Traceback" not in err
+
+
 def test_m2_angle_usage_error(capsys):
     code, _, _ = run_cli(capsys, "m2-angle")
     assert code == 64

@@ -6,7 +6,7 @@ import pytest
 from cstar_angles import m2
 from cstar_angles import matrices as mx
 from cstar_angles.algebra import verify_expectation, verify_quasi_basis, watatani_index
-from cstar_angles.errors import NotUnitary
+from cstar_angles.errors import InvalidMatrix, NotUnitary
 from cstar_angles.tower import intermediate_data
 
 SQ2 = math.sqrt(2.0)
@@ -38,6 +38,12 @@ def test_rotation_entries():
     u = m2.rotation(0.3)
     assert u.lam11 == pytest.approx(math.cos(0.3))
     assert u.lam12 == pytest.approx(-math.sin(0.3))
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_rotation_rejects_a_non_finite_angle(theta):
+    with pytest.raises(InvalidMatrix, match="finite"):
+        m2.rotation(theta)
 
 
 def test_is_hadamard():

@@ -23,6 +23,7 @@ from cstar_angles.algebra import (
 )
 from cstar_angles.angles import (
     ROUTE_AGREEMENT_TOL,
+    exterior_angle,
     interior_angle_definition,
     interior_angle_formula,
 )
@@ -114,16 +115,12 @@ def test_build_requires_quasi_basis(inclusion):
         build_tower_level(bare)
 
 
-def test_build_reads_e_at_the_callers_tol(inclusion):
-    # E's images leave B by 1e-8 relative; the module reads E at the
-    # caller's tol, as the level's checks do
+def test_build_reads_e_at_the_default_tol(inclusion):
+    # E's images leave B by 1e-8 relative, above DEFAULT_TOL
     E = inclusion.E
     off = ConditionalExpectation.from_rule(
         E.source, E.target, lambda x: E(x) + 1e-8 * (x - E(x)), E.quasi_basis
     )
-    level = build_tower_level(off, tol=1e-6)
-    residuals = tower._check_level(level, 1e-6)
-    assert len(residuals) == 6 and max(residuals.values()) <= 1e-14
     with pytest.raises(NumericIntegrityError, match="off the target span"):
         build_tower_level(off)
 
@@ -294,24 +291,27 @@ def test_iterated_tower_m2(tower_level):
     )
 
 
-def test_iterate_tower_keeps_one_rung_per_tol(inclusion, monkeypatch):
+def test_iterate_tower_keeps_one_rung_per_level(inclusion, monkeypatch):
     level = m2.canonical_tower(inclusion)
     builds = []
     build = tower.build_tower_level
 
-    def counted(*args, **kwargs):
-        builds.append(kwargs["tol"])
-        return build(*args, **kwargs)
+    def counted(E, **kwargs):
+        builds.append(E)
+        return build(E, **kwargs)
 
     monkeypatch.setattr(tower, "build_tower_level", counted)
     level2 = iterate_tower(level)
+    assert iterate_tower(level) is level2 is level._rung
+    exterior_angle(level, inclusion.F, m2.fu_expectation(m2.rotation(0.5), inclusion))
     assert iterate_tower(level) is level2
-    looser = iterate_tower(level, tol=1e-8)
-    assert looser is not level2
-    assert iterate_tower(level, tol=1e-8) is looser
-    assert builds == [mx.DEFAULT_TOL, 1e-8]
-    # a rung belongs to its level, not to an equal-looking copy of it
+    assert builds == [level.dual_expectation]
+    # a rung belongs to its level, not to a copy of it nor to an equal-looking level
+    twin = dataclasses.replace(level)
+    assert twin._rung is None
+    assert iterate_tower(twin) is not level2
     assert iterate_tower(m2.canonical_tower(inclusion)) is not level2
+    assert len(builds) == 3
 
 
 def test_kept_rung_does_not_bypass_the_budget(inclusion, monkeypatch):
@@ -893,7 +893,7 @@ def test_over_budget_rung_leaves_the_dual_quasi_basis_unbuilt(inclusion, monkeyp
     with pytest.raises(TooLarge):
         iterate_tower(level)
     assert "dual_quasi_basis" not in vars(level)
-    assert not level._rungs
+    assert level._rung is None
 
 
 def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch):
@@ -938,7 +938,7 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
     group_level = group_algebra_inclusion(G, trivial_subgroup(G)).tower(materialize=False)
     levels = [tower_level, iterate_tower(tower_level), c_plus_m2.level, group_level]
     for level in levels:
-        got = tower._check_level(level, mx.DEFAULT_TOL)["exchange_law"]
+        got = tower._check_level(level)["exchange_law"]
         want = exchange_law_dense(level)
         assert abs(got - want) <= 1e-12 * (1.0 + want)
 
@@ -950,7 +950,7 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
     for level, e_c in swaps:
         swapped = dataclasses.replace(level, jones_projection=e_c)
         with pytest.raises(ConstructionFailure) as failure:
-            tower._check_level(swapped, mx.DEFAULT_TOL)
+            tower._check_level(swapped)
         got = failure.value.residuals["exchange_law"]
         want = exchange_law_dense(swapped)
         assert want > 0.1
@@ -1008,7 +1008,7 @@ def dual_rule_dense(level):
 
 def test_dual_rule_through_the_range_matches_formed_products(range_levels):
     for name, level in range_levels.items():
-        got = tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"]
+        got = tower._check_level(level)["dual_rule"]
         assert abs(got - dual_rule_dense(level)) <= 1e-12, name
     # with a wrong star matrix both forms see the same large residual; the
     # regular module of C[Z3^4] gathers, and reads J as its star map
@@ -1017,7 +1017,7 @@ def test_dual_rule_through_the_range_matches_formed_products(range_levels):
     module._star_map = (np.arange(module.dim), np.ones(module.dim))
     broken = dataclasses.replace(level, module=module)
     with pytest.raises(ConstructionFailure, match="dual_rule") as failure:
-        tower._check_level(broken, mx.DEFAULT_TOL)
+        tower._check_level(broken)
     got, want = failure.value.residuals["dual_rule"], dual_rule_dense(broken)
     assert want > 1e6 * mx.DEFAULT_TOL
     assert abs(got - want) <= 1e-12 * want
@@ -1122,7 +1122,7 @@ def test_right_multiplication_fails_the_left_multiplication_check(case, inclusio
     assert failure.value.residuals["left_multiplication"] > 0.1
     # the true module passes, with a residual at rounding level
     level = build_tower_level(E, materialize=False)
-    assert tower._check_level(level, mx.DEFAULT_TOL)["left_multiplication"] <= 1e-14
+    assert tower._check_level(level)["left_multiplication"] <= 1e-14
 
 
 def _counted_left_mult(module, patch) -> list:
@@ -1152,7 +1152,7 @@ def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
     tower._faithfulness_gram(level.algebra)
     assert calls == []
     with _table_off(level.algebra):
-        tower._check_level(level, mx.DEFAULT_TOL)
+        tower._check_level(level)
     # with the table off: one for E's target basis, one per exchange-law
     # chunk, one per basis chunk, two for the dual-rule sample
     assert len(calls) == 1 + len(exchange) + len(chunks) + 2
@@ -1168,9 +1168,9 @@ def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
     assert type(on.module) is GenericModule
     with _table_off(on.algebra):
         off = build_tower_level(level5.dual_expectation, materialize=False)
-        want = tower._check_level(off, mx.DEFAULT_TOL)
+        want = tower._check_level(off)
     calls = _counted_left_mult(on.module, monkeypatch)
-    got = tower._check_level(on, mx.DEFAULT_TOL)
+    got = tower._check_level(on)
     # only the left-multiplication check forms an L_x, one call per chunk
     chunks = mx.stack_slices(on.algebra.dim, on.jones_projection.nbytes // 8)
     assert calls == [len(on.algebra.basis_stack[rows]) for rows in chunks]
@@ -1188,12 +1188,12 @@ def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
 def test_wrong_star_matrix_fails_the_dual_rule():
     S3 = FiniteGroup.symmetric(3)
     level = group_algebra_inclusion(S3, trivial_subgroup(S3)).tower()
-    assert tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"] <= 1e-14
+    assert tower._check_level(level)["dual_rule"] <= 1e-14
     module = copy.copy(level.module)
     module.star_matrix = np.eye(level.module_dim)  # coords(x*) = conj(coords(x)): false on S3
     broken = dataclasses.replace(level, module=module)
     with pytest.raises(ConstructionFailure, match="dual_rule"):
-        tower._check_level(broken, mx.DEFAULT_TOL)
+        tower._check_level(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -1299,9 +1299,9 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
 
 def test_gathered_level_checks_match_the_dense_module(gathered_levels):
     for name, _, regular, dense, _ in gathered_levels:
-        got = tower._check_level(regular, mx.DEFAULT_TOL)
+        got = tower._check_level(regular)
         with _table_off(dense.algebra):
-            want = tower._check_level(dense, mx.DEFAULT_TOL)
+            want = tower._check_level(dense)
         assert got.keys() == want.keys(), name
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-13, (name, key)
@@ -1389,13 +1389,13 @@ def test_wrong_star_map_on_a_table_algebra_fails_the_dual_rule():
     G = FiniteGroup.direct_product([3, 3, 3, 3])
     level = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))])).tower()
     assert level.algebra._table is not None and type(level.module) is RegularModule
-    assert tower._check_level(level, mx.DEFAULT_TOL)["dual_rule"] <= 1e-14
+    assert tower._check_level(level)["dual_rule"] <= 1e-14
     module = copy.copy(level.module)
     d = level.module_dim
     module._star_map = (np.arange(d), np.ones(d))  # coords(x*) = conj(coords(x)): false on Z3^4
     broken = dataclasses.replace(level, module=module)
     with pytest.raises(ConstructionFailure, match="dual_rule"):
-        tower._check_level(broken, mx.DEFAULT_TOL)
+        tower._check_level(broken)
 
 
 def test_interior_angle_on_a_regular_level_forms_no_quasi_stack(monkeypatch):
