@@ -1,4 +1,4 @@
-"""Exterior angles beyond the 2x2 model: M2+M3 >= C+C, M2(x)M2 >= C(x)M2 and M3+M4 >= C+C.
+"""Exterior angles beyond the 2x2 model: M2+M3 >= C+C, M2(x)M_{2^k} >= C(x)M_{2^k} and M3+M4 >= C+C.
 
 A = M2 + M3 block-diagonal in M5, B = C + C (the two block units), E the
 blockwise normalized trace with quasi-basis {sqrt2 e_ij} + {sqrt3 e_ij}, so
@@ -8,12 +8,13 @@ The module of A has dimension 13 and A_1 = M4 + M9 dimension 97, so the
 second tower level acts on a module of dimension 97; the exterior angle
 reads its e_2, its module and E_2, and never builds A_2.
 
-The second case tensors the 2x2 model with M2, a finite-dimensional
-shadow of the tensor stability of angles: A = M2(x)M2 over B = C(x)M2
-with E = tr (x) id, C = Delta(x)M2 and D = u Delta u*(x)M2 for three
-seeded unitaries u.  Its interior angle must be ``m2.exact_angle(u)``,
-and both of its exterior routes must give the 2x2 model's exterior angle
-for u.
+The second case tensors the 2x2 model with M_m, m = 2^k for k = 1, 2, a
+finite-dimensional shadow of the tensor stability of angles: A =
+M2(x)M_m over B = C(x)M_m with E = tr (x) id, C = Delta(x)M_m and D =
+u Delta u*(x)M_m for three seeded unitaries u.  Its interior angle must
+be ``m2.exact_angle(u)``, and both of its exterior routes must give the
+2x2 model's exterior angle for u.  At k = 2 the module has dimension 64
+and the second level one of dimension 256.
 
 The third case, run last, is the first case on blocks of sizes 3 and 4:
 A = M3 + M4 in M7 with Ind(E) = 9 + 16, a module of dimension 25 and a
@@ -23,14 +24,16 @@ Prints one JSON object: for M2+M3, the cosines of both interior routes
 and of both exterior routes (the definition route at level two, and the
 formula route on (A <= A_1, E_1) fed quasi-bases built from level one,
 kept under the key ``exterior_closed_cos``), their differences, its wall
-time and the peak resident set size before the tensor case runs; the
-worst deviations of the tensor case from the 2x2 model, with its wall
-time; the same fields as M2+M3 for
+time and the peak resident set size before the tensor cases run; the
+worst deviations of each tensor case from the 2x2 model, with its wall
+time, under ``m2_tensor_m2`` (k = 1) and ``m2_tensor_m4`` (k = 2); the
+same fields as M2+M3 for
 M3+M4 under ``m3_plus_m4``; and the peak resident set size of the whole
 run, read at its end.  Exits nonzero when the M2+M3 part peaks
 above ``RSS_LIMIT_MIB`` or the whole run above ``RUN_RSS_LIMIT_MIB``,
 when the interior routes of M2+M3 or of M3+M4 differ by more than
-``angles.ROUTE_AGREEMENT_TOL``, when a tensor interior cosine is off
+``angles.ROUTE_AGREEMENT_TOL``, when a tensor interior cosine of either
+stage is off
 ``cos(m2.exact_angle(u))`` by more than that, or when a tensor exterior
 cosine of either route is off the 2x2 model's by more than
 ``EXTERIOR_AGREEMENT_TOL``; ``exterior_angle`` itself raises when its two
@@ -66,7 +69,8 @@ from cstar_angles.angles import (
 )
 from cstar_angles.tower import build_tower_level
 
-TENSOR_UNITARIES = 3  # seeded unitaries u of the M2(x)M2 case
+TENSOR_UNITARIES = 3  # seeded unitaries u of each tensor case
+TENSOR_STAGES = (1, 2)  # the k of M2(x)M_{2^k}
 RSS_LIMIT_MIB = 256  # peak resident set size allowed to the M2+M3 part
 RUN_RSS_LIMIT_MIB = 300  # peak resident set size allowed to the whole run
 
@@ -108,23 +112,25 @@ def fixture(seed: int, sizes=(2, 3)):
     return A, B, C, E, F, conjugate_expectation(F, w)
 
 
-def tensor_fixture():
-    """M2(x)M2 >= C(x)M2 with E = tr (x) id, and F = (diagonal projection) (x) id."""
+def tensor_fixture(k: int = 1):
+    """M2(x)M_m >= C(x)M_m, m = 2^k, with E = tr (x) id, and F = (diagonal projection) (x) id."""
+    m = 2**k
     units = (m2.E11, m2.E12, m2.E21, m2.E22)
-    eye = np.eye(2, dtype=np.complex128)
-    A = MatrixStarAlgebra.from_orthonormal([np.kron(a, b) for a in units for b in units])
-    B = MatrixStarAlgebra.from_spanning([np.kron(eye, b) for b in units])
+    small = [np.outer(a, b).astype(np.complex128) for a in np.eye(m) for b in np.eye(m)]
+    eye2, eye_m = np.eye(2, dtype=np.complex128), np.eye(m, dtype=np.complex128)
+    A = MatrixStarAlgebra.from_orthonormal([np.kron(a, b) for a in units for b in small])
+    B = MatrixStarAlgebra.from_spanning([np.kron(eye2, b) for b in small])
     C = MatrixStarAlgebra.from_orthonormal(
-        [np.kron(a, b) for a in (m2.E11, m2.E22) for b in units]
+        [np.kron(a, b) for a in (m2.E11, m2.E22) for b in small]
     )
-    corners = [np.kron(p, eye) for p in (m2.E11, m2.E22)]
+    corners = [np.kron(p, eye_m) for p in (m2.E11, m2.E22)]
 
     def trace_first(x):  # 1 (x) sum_i x[(i, .), (i, .)] / 2
-        return np.kron(eye, np.einsum("iaib->ab", x.reshape(2, 2, 2, 2)) / 2.0)
+        return np.kron(eye2, np.einsum("iaib->ab", x.reshape(2, m, 2, m)) / 2.0)
 
-    quasi = [np.kron(m, eye) for m in units]
+    quasi = [np.kron(u, eye_m) for u in units]
     E = ConditionalExpectation.from_rule(
-        A, B, trace_first, quasi_basis=[math.sqrt(2.0) * m for m in quasi]
+        A, B, trace_first, quasi_basis=[math.sqrt(2.0) * q for q in quasi]
     )
     F = ConditionalExpectation.from_rule(
         A, C, lambda x: sum(p @ x @ p for p in corners), quasi_basis=quasi, name="F"
@@ -132,16 +138,17 @@ def tensor_fixture():
     return build_tower_level(E), F
 
 
-def tensor_deviations(seed: int) -> dict:
-    """Worst deviations of the M2(x)M2 angles from the 2x2 model's over seeded unitaries."""
-    level, F = tensor_fixture()
+def tensor_deviations(seed: int, k: int) -> dict:
+    """Worst deviations of the M2(x)M_{2^k} angles from the 2x2 model's over seeded unitaries, with the wall time."""
+    start = time.perf_counter()
+    level, F = tensor_fixture(k)
     inc = m2.canonical_inclusion()
     model = m2.canonical_tower(inc)
     rng = mx.default_rng(seed)
     interior, exterior = 0.0, 0.0
     for _ in range(TENSOR_UNITARIES):
         u = m2.Unitary2(mx.random_unitary(2, rng))
-        F_prime = conjugate_expectation(F, np.kron(u.matrix, np.eye(2)))
+        F_prime = conjugate_expectation(F, np.kron(u.matrix, np.eye(2**k)))
         cos = interior_angle_definition(level, F, F_prime).cos_value
         interior = max(interior, abs(cos - math.cos(m2.exact_angle(u))))
         ext = exterior_angle(level, F, F_prime)
@@ -152,6 +159,7 @@ def tensor_deviations(seed: int) -> dict:
         "unitaries": TENSOR_UNITARIES,
         "interior_deviation": interior,
         "exterior_deviation": exterior,
+        "wall_s": round(time.perf_counter() - start, 2),
     }
 
 
@@ -189,10 +197,8 @@ def main(argv=None) -> dict:
 
     report = {"seed": args.seed, **block_sum_case(args.seed, (2, 3))}
     report["ru_maxrss_mib"] = max_rss_mib()
-    start = time.perf_counter()
-    tensor = tensor_deviations(args.seed)
-    tensor["wall_s"] = round(time.perf_counter() - start, 2)
-    report["m2_tensor_m2"] = tensor
+    tensors = {f"M2(x)M{2**k}": tensor_deviations(args.seed, k) for k in TENSOR_STAGES}
+    report["m2_tensor_m2"], report["m2_tensor_m4"] = tensors.values()
     large = block_sum_case(args.seed, (3, 4))
     report["m3_plus_m4"] = large
     report["ru_maxrss_mib_at_end"] = max_rss_mib()
@@ -214,16 +220,17 @@ def main(argv=None) -> dict:
                 f"{name} interior routes differ by {case['interior_route_gap']:.2e} "
                 f"> {ROUTE_AGREEMENT_TOL:.0e}"
             )
-    if tensor["interior_deviation"] > ROUTE_AGREEMENT_TOL:
-        failures.append(
-            f"M2(x)M2 interior cosine is off m2.exact_angle by "
-            f"{tensor['interior_deviation']:.2e} > {ROUTE_AGREEMENT_TOL:.0e}"
-        )
-    if tensor["exterior_deviation"] > EXTERIOR_AGREEMENT_TOL:
-        failures.append(
-            f"M2(x)M2 exterior cosine is off the 2x2 model's by "
-            f"{tensor['exterior_deviation']:.2e} > {EXTERIOR_AGREEMENT_TOL:.0e}"
-        )
+    for name, tensor in tensors.items():
+        if tensor["interior_deviation"] > ROUTE_AGREEMENT_TOL:
+            failures.append(
+                f"{name} interior cosine is off m2.exact_angle by "
+                f"{tensor['interior_deviation']:.2e} > {ROUTE_AGREEMENT_TOL:.0e}"
+            )
+        if tensor["exterior_deviation"] > EXTERIOR_AGREEMENT_TOL:
+            failures.append(
+                f"{name} exterior cosine is off the 2x2 model's by "
+                f"{tensor['exterior_deviation']:.2e} > {EXTERIOR_AGREEMENT_TOL:.0e}"
+            )
     if failures:
         raise SystemExit("; ".join(failures))
     return report

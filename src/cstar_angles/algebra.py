@@ -47,6 +47,7 @@ write-protected after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Callable, Sequence
@@ -871,7 +872,7 @@ class ConditionalExpectation:
         if self._quasi is not None:
             self._quasi.setflags(write=False)
         self.name = name
-        self._index_cache: tuple | None = None  # Ind(E) and residuals: watatani_index
+        self._index_cache: _IndexChecks | None = None  # Ind(E) and its checks: watatani_index
 
     @cached_property
     def quasi_stack(self) -> np.ndarray | None:
@@ -1211,8 +1212,11 @@ def watatani_index(
     violations raise :class:`NumericIntegrityError` since they indicate a
     broken quasi-basis.  Centrality is tested in coordinates, against an
     upper bound of the largest commutator norm (:func:`_centrality_residual`).
-    The element and its residuals are computed once per expectation and kept
-    on it; every call tests them against its own ``tol``.
+    The element and the bounds of :class:`_IndexChecks` are computed once
+    per expectation and kept on it.  Every call tests against its own
+    ``tol``, each test by its bound first: an exact operator norm or
+    eigenvalue is taken, and kept, only for a test the bound does not
+    settle, and every error reports the exact value.
     """
     if E._index_cache is None:
         if E._quasi is None:
@@ -1221,21 +1225,56 @@ def watatani_index(
         if ind is None:
             ind = mx.sum_times_adjoint(E.quasi_stack)
         ind.setflags(write=False)
-        E._index_cache = (
-            ind,
-            mx.operator_norm(ind - mx.adjoint(ind)),
-            _centrality_residual(E.source, ind),
-            1.0 + mx.operator_norm(ind),
-            float(np.linalg.eigvalsh((ind + mx.adjoint(ind)) / 2.0)[0]),
-        )
-    ind, selfadjoint, central, scale, smallest = E._index_cache
-    if selfadjoint > tol:
+        E._index_cache = _IndexChecks(ind, E.source)
+    checks = E._index_cache
+    if checks.skew_bound > tol and checks.skew > tol:
         raise NumericIntegrityError("index element is not self-adjoint")
-    if central > tol * scale:
-        raise NumericIntegrityError(f"index element not central (residual {central:.2e})")
-    if smallest < 1.0 - tol:
-        raise NumericIntegrityError(f"index has eigenvalue {smallest:.6f} below 1")
-    return ind
+    if checks.exceeds(checks.central, tol):
+        raise NumericIntegrityError(f"index element not central (residual {checks.central:.2e})")
+    if checks.smallest_bound < 1.0 - tol and checks.smallest < 1.0 - tol:
+        raise NumericIntegrityError(f"index has eigenvalue {checks.smallest:.6f} below 1")
+    return checks.ind
+
+
+class _IndexChecks:
+    """Ind(E), the residual of its centrality, and the bounds that settle its other checks.
+
+    Each bound lies on the passing side of the value it stands for:
+    ``skew_bound`` = ||ind - ind*||_F >= ||ind - ind*||, ``scale_bound`` =
+    1 + ||ind||_F / sqrt(n) <= 1 + ||ind||, and ``smallest_bound``, the
+    Gershgorin bound of the Hermitian part h = (ind + ind*) / 2
+    (:func:`~cstar_angles.matrices.gershgorin_lower`), <= its smallest
+    eigenvalue.  The exact values ``skew``, ``scale`` and ``smallest`` are
+    computed on first read and kept; h is formed again for the eigensolve,
+    not held.
+    """
+
+    def __init__(self, ind: np.ndarray, source: MatrixStarAlgebra):
+        self.ind = ind
+        self.central = _centrality_residual(source, ind)
+        self.skew_bound = mx.frobenius_norm(ind - mx.adjoint(ind))
+        self.scale_bound = 1.0 + mx.frobenius_norm(ind) / math.sqrt(len(ind))
+        self.smallest_bound = mx.gershgorin_lower(self.hermitian)
+
+    @cached_property
+    def skew(self) -> float:
+        return mx.operator_norm(self.ind - mx.adjoint(self.ind))
+
+    @cached_property
+    def scale(self) -> float:
+        return 1.0 + mx.operator_norm(self.ind)
+
+    @property
+    def hermitian(self) -> np.ndarray:
+        return (self.ind + mx.adjoint(self.ind)) / 2.0
+
+    @cached_property
+    def smallest(self) -> float:
+        return float(np.linalg.eigvalsh(self.hermitian)[0])
+
+    def exceeds(self, residual: float, tol: float) -> bool:
+        """Whether ``residual`` > tol (1 + ||ind||), settled by ``scale_bound`` where it can be."""
+        return residual > tol * self.scale_bound and residual > tol * self.scale
 
 
 def _table_index(alg: MatrixStarAlgebra, y: np.ndarray) -> np.ndarray | None:
@@ -1449,7 +1488,7 @@ def conjugate_expectation(
     n = F.ambient_dim
     if u.shape != (n, n):
         raise ShapeMismatch("unitary must live in the ambient algebra")
-    if mx.operator_norm(mx.adjoint(u) @ u - np.eye(n)) > tol:
+    if mx.screened_norms((mx.adjoint(u) @ u - np.eye(n))[None], tol)[0] > tol:
         raise NotUnitary("matrix is not unitary")
     ustar = mx.adjoint(u)
     moved = F.source._member_coordinates(ustar @ F.source.basis_stack @ u, tol)

@@ -119,9 +119,17 @@ def _result(num: float, den1: float, den2: float, route: Route, extra=None) -> A
     )
 
 
+def _screened_norm(m: np.ndarray, bound: float) -> float:
+    """||m||, or a Frobenius bound of it on the same side of ``bound`` (either side), for a two-sided test.
+
+    See :func:`~cstar_angles.matrices.screened_norms`.
+    """
+    return float(mx.screened_norms(m[None], bound, settle_above=True)[0])
+
+
 def _check_degenerate(ind_restricted: np.ndarray, which: str):
     n = ind_restricted.shape[0]
-    if mx.operator_norm(ind_restricted - np.eye(n)) < mx.DEFAULT_TOL:
+    if _screened_norm(ind_restricted - np.eye(n), mx.DEFAULT_TOL) < mx.DEFAULT_TOL:
         raise DegenerateIntermediate(f"{which} equals the corner algebra (index 1)")
 
 
@@ -183,7 +191,8 @@ def interior_angle_formula(
     extra = {}
 
     scalar = np.trace(ind_e).real / n
-    if mx.operator_norm(ind_e - scalar * eye) <= mx.DEFAULT_TOL * scalar:
+    bound = mx.DEFAULT_TOL * scalar
+    if _screened_norm(ind_e - scalar * eye, bound) <= bound:
         # scalar-index simplification; must agree with the general form
         num_s = mx.operator_norm(cross - eye)
         den1_s = math.sqrt(mx.operator_norm(ind_c - eye))

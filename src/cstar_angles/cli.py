@@ -37,6 +37,7 @@ from .groups import (
     parse_group_spec,
     parse_subgroup,
 )
+from .tower import _check_budget
 from .verify import SUITE_NAMES, run_suite
 
 EX_OK = 0
@@ -44,6 +45,10 @@ EX_VERIFY_FAILED = 1
 EX_DOMAIN = 2
 EX_USAGE = 64
 EX_IO = 73
+# bytes charged per m2-sweep point against the tower's materialize budget:
+# its theta, and the Python tuples and floats of its (theta, angle) pair
+# and its CSV row (about 340 measured by tracemalloc, CSV text included)
+SWEEP_POINT_BYTES = 512
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,6 +181,7 @@ def cmd_m2_sweep(args, started: float) -> int:
     if args.points < 2:
         print("m2-sweep: --points must be at least 2", file=sys.stderr)
         return EX_USAGE
+    _check_budget(SWEEP_POINT_BYTES * args.points, f"m2-sweep: {args.points} points")
     thetas = np.linspace(0.0, math.pi / 4.0, args.points)
     pairs = m2.angle_sweep(thetas)
     rows = [(theta, math.cos(angle), angle) for theta, angle in pairs]

@@ -8,7 +8,11 @@ matrix span, batched norm screening over stacks of matrices, and
 Hilbert-Schmidt orthonormalization of (possibly redundant) spanning sets.
 
 All tolerances are absolute, scaled by ``1 + norm`` wherever a residual is
-compared, and every routine is pure.
+compared, and every routine is pure.  A check compares a sound bound of
+its quantity first, and takes the exact operator norm or eigenvalue only
+where the bound does not settle it (:func:`screened_norms`,
+:func:`smallest_eigenvalue`); the residual it reports is the quantity it
+compared.
 """
 
 from __future__ import annotations
@@ -99,15 +103,77 @@ def frobenius_norm(m) -> float:
 
 
 def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``m`` is self-adjoint within ``tol`` and min eigenvalue >= -tol."""
+    """True iff ``m`` is self-adjoint within ``tol`` and min eigenvalue >= -tol.
+
+    Both tests are settled by a bound where one does
+    (:func:`screened_norms`, :func:`smallest_eigenvalue`).
+    """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"positivity needs a square matrix, got {a.shape}")
-    if operator_norm(a - adjoint(a)) > tol:
+    if screened_norms((a - adjoint(a))[None], tol)[0] > tol:
         return False
-    hermitized = (a + adjoint(a)) / 2.0
-    smallest = float(np.linalg.eigvalsh(hermitized)[0])
-    return smallest >= -tol
+    return smallest_eigenvalue((a + adjoint(a)) / 2.0, -tol) >= -tol
+
+
+def screened_norms(mats, bound, *, settle_above: bool = False) -> np.ndarray:
+    """The operator norm of each matrix of a (k, n, m) stack, or a bound of it that settles a check.
+
+    A check compares each norm with ``bound`` (a scalar, or one per
+    matrix).  Since ||x|| <= ||x||_F <= sqrt(r) ||x||, r = min(n, m), a
+    matrix whose Frobenius norm is below ``bound`` has its operator norm
+    below it too, and its Frobenius norm is returned.  With
+    ``settle_above``, for a check that a matrix is not small, one whose
+    ||x||_F / sqrt(r) exceeds ``bound`` has its operator norm above it,
+    and that lower bound is returned.  Every other matrix gets its exact
+    operator norm, from stacked SVDs of those matrices alone
+    (:func:`operator_norms`).  Each value lies strictly on the side of
+    ``bound`` the operator norm lies on, or is the operator norm, so a
+    check comparing it with ``bound`` gives the verdict an SVD would, and
+    the value it reports is the quantity it compared.
+    """
+    stack = np.asarray(mats)
+    if stack.ndim != 3:
+        raise ShapeMismatch(f"expected a (k, n, m) stack, got ndim={stack.ndim}")
+    out = row_norms(stack.reshape(len(stack), math.prod(stack.shape[1:])))
+    settled = out < bound
+    if settle_above:
+        lower = out / math.sqrt(min(stack.shape[1:]))
+        above = lower > bound
+        out, settled = np.where(above, lower, out), settled | above
+    if not settled.all():  # NaN included: the SVD's input check refuses it
+        rest = np.flatnonzero(~settled)
+        out[rest] = operator_norms(stack[rest])
+    return out
+
+
+def gershgorin_lower(h) -> float:
+    """min_i (h_ii - sum_{j != i} |h_ij|), a lower bound of the smallest eigenvalue of Hermitian h.
+
+    Every eigenvalue lies in a disc centred at some h_ii with that radius
+    (Gershgorin; Golub and Van Loan, *Matrix Computations*, 7.2).  Each
+    off-diagonal pair is charged max(|h_ij|, |h_ji|), so the bound also
+    holds for the Hermitian matrix ``np.linalg.eigvalsh`` reads from either
+    triangle of an h that is Hermitian only up to rounding.
+    """
+    off = np.abs(h)
+    off = np.maximum(off, off.T)
+    off.flat[:: len(off) + 1] = 0.0
+    return float((h.diagonal().real - off.sum(axis=1)).min(initial=np.inf))
+
+
+def smallest_eigenvalue(h, floor: float) -> float:
+    """The smallest eigenvalue of Hermitian h, or a lower bound of it that exceeds ``floor``.
+
+    Gershgorin's bound (:func:`gershgorin_lower`) is returned where it
+    exceeds ``floor``: the eigenvalue does as well.  Otherwise
+    ``np.linalg.eigvalsh`` gives the eigenvalue itself.  So a check
+    comparing the value with ``floor`` gives the eigensolve's verdict.
+    """
+    lower = gershgorin_lower(h)
+    if lower > floor:
+        return lower
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def coordinates_in_span(

@@ -103,10 +103,14 @@ L_y X (:meth:`GenericModule.left_times`), gathers of V's rows wherever A
 has a product table.  The checks of a level keep their dense operands
 wherever a wrong module could hide: e_B's own laws (idempotent,
 self-adjoint, and the e_B of the exchange law), the postconditions of e_C
-against e_B and the expectation matrix, left multiplication (through
-:meth:`TowerLevel.embed`) and the faithfulness of the representation are
-taken on the matrices themselves, never on V or on a product the module
-forms.
+against e_B and the expectation matrix, and the faithfulness of the
+representation are taken on the matrices themselves, never on V or on a
+product the module forms.  Left multiplication is checked on both routes
+a level takes it by: the module's products for every basis element, and
+:meth:`TowerLevel.embed` for one random element.  Each check compares a
+sound bound of its quantity first, a Frobenius norm or Gershgorin's
+bound, and takes the SVD or eigensolve only where the bound does not
+settle it (:func:`_check_level`, :func:`_check_projections`).
 
 An inclusion is named by its expectation: :func:`build_tower_level`
 takes E alone, with A = E.source and B = E.target, and an intermediate C
@@ -511,25 +515,59 @@ def _faithfulness_gram(A: MatrixStarAlgebra) -> np.ndarray:
     return A.multiplication_matrices(A.square_sum()[None], left=False)[0].T
 
 
+def _left_times_bytes(A: MatrixStarAlgebra, coords: np.ndarray) -> int:
+    """Bytes :meth:`GenericModule.left_times` holds per element beyond its output, for these A-coordinates (rows).
+
+    Where A has a product table, its row gathers: indices, weights and
+    scales, 40 d bytes per nonzero coordinate of the fullest row; otherwise
+    the element and its dense L_y, which the module forms.
+    """
+    if A._gathers is not None:
+        return 40 * A.dim * max(1, int(np.count_nonzero(coords, axis=1).max(initial=0)))
+    return 16 * (A.dim**2 + A.ambient_dim**2)
+
+
+def _left_products(module: GenericModule, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (m, d, c) stack [L_{y_1} x ... L_{y_m} x] for the y_a with A-coordinates ``coords`` (rows).
+
+    The module's products (:meth:`GenericModule.left_times`), taken a chunk
+    of elements under ``STACK_BUDGET_BYTES`` at a time, each element charged
+    :func:`_left_times_bytes` and three arrays of its image's size (the
+    image, and the two a gather of a second nonzero coordinate forms): the
+    same values as one call, without all the elements' gathers or L_y at
+    once.
+    """
+    out = np.empty((len(coords),) + x.shape, dtype=np.complex128)
+    per = _left_times_bytes(module.algebra, coords) + 3 * 16 * x.size
+    for rows in mx.stack_slices(len(coords), per):
+        out[rows] = module.left_times(coords[rows])(x)
+    return out
+
+
 def _left_multiplication_residual(level: TowerLevel) -> float:
-    """max_k ||L_{b_k} coords(z) - coords(b_k z)|| / ||coords(z)|| for a seeded random z in A.
+    """max ||L_x coords(z) - coords(x z)|| / ||coords(z)|| over A's basis and one more x, for a seeded random z in A.
 
     coords(b_k z) are the rows of the right multiplication matrix R_z in
-    module coordinates.  A random z is not central unless A is commutative,
-    so a right multiplication in place of L fails here, where z = 1 would
-    not tell the two apart.  One ``embed`` per chunk of the basis, d^2 work
-    per element.
+    module coordinates, and coords(y z) = c R_z for y = sum_k c_k b_k.  A
+    random z is not central unless A is commutative, so a right
+    multiplication in place of L fails here, where z = 1 would not tell the
+    two apart.  The L_{b_k} coords(z) are the module's products
+    (:meth:`GenericModule.left_times`): on an algebra with a product table
+    they are row gathers, d work per element, and otherwise each L_{b_k} is
+    formed, d^2.  One more x, a seeded random y of unit HS coordinates,
+    takes L_y from :meth:`TowerLevel.embed`, the matrix the level's other
+    products read, so that a wrong ``left_mult`` fails on any algebra.
     """
     A, mod = level.algebra, level.module
     rng = mx.default_rng()
     z = A.combine(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
     v = mod.coords(z)
     want = A.multiplication_matrices(z[None], left=False)[0] @ mod._to_module
-    basis = A.basis_stack
-    worst = max(
-        float(mx.row_norms(level.embed(basis[rows]) @ v - want[rows]).max())
-        for rows in mx.stack_slices(A.dim, level.jones_projection.nbytes // 8)
-    )
+    c = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+    c /= np.linalg.norm(c)
+    worst = float(np.linalg.norm(level.embed(A.combine(c)) @ v - c @ want))
+    got = _left_products(mod, np.eye(A.dim), v[:, None])[:, :, 0]
+    worst = max(worst, float(mx.row_norms(got - want).max()))
     return worst / float(np.linalg.norm(v))
 
 
@@ -544,11 +582,20 @@ def _check_level(level: TowerLevel) -> dict:
     L_{b_i} from the identity Tr(L_{b_i}* L_{b_j}) = Tr(b_i* b_j c) (module
     docstring), which holds when L is left multiplication;
     ``left_multiplication`` checks that on every basis element.
+
+    Each check compares a sound bound first and takes the exact value only
+    where the bound does not settle it, so no verdict differs from the
+    exact one: the operator-norm residuals are Frobenius norms where those
+    are below ``DEFAULT_TOL`` (:func:`~cstar_angles.matrices.screened_norms`),
+    and the Gram matrix's smallest eigenvalue is Gershgorin's lower bound
+    where that exceeds 1e-12
+    (:func:`~cstar_angles.matrices.smallest_eigenvalue`).  A reported
+    residual is the quantity compared, so a failing one is exact.
     """
-    e = level.jones_projection
+    e, tol = level.jones_projection, mx.DEFAULT_TOL
     residuals = {}
-    residuals["jones_idempotent"] = mx.operator_norm(e @ e - e)
-    residuals["jones_selfadjoint"] = mx.operator_norm(e - mx.adjoint(e))
+    laws = mx.screened_norms(np.stack([e @ e - e, e - mx.adjoint(e)]), tol)
+    residuals["jones_idempotent"], residuals["jones_selfadjoint"] = laws.tolist()
 
     # e L_a e = L_{E(a)} e over the source basis of E, whose images E(b_k)
     # are the rows of its coordinate matrix.  R = e L_a e - L_{E(a)} e
@@ -562,21 +609,25 @@ def _check_level(level: TowerLevel) -> dict:
     t, unit = E.coordinates(), np.eye(A.dim)
     range_e = level.jones_range
     d, r = range_e.shape
-    target_on_range = mod.left_times(E.target.basis_over(A))(range_e)
+    target_on_range = _left_products(mod, E.target.basis_over(A), range_e)
 
     def exchange_residual(rows):
         # (L_a V) for the chunk, side by side as one d x k r matrix
         wide = np.swapaxes(mod.left_times(unit[rows])(range_e), 0, 1).reshape(d, -1)
         acted = np.swapaxes((e @ wide).reshape(d, -1, r), 0, 1)
-        return mx.max_operator_norm(acted - np.tensordot(t[rows], target_on_range, axes=1))
+        diff = acted - np.tensordot(t[rows], target_on_range, axes=1)
+        return float(mx.screened_norms(diff, tol).max(initial=0.0))
 
+    # charged per element: its module product and the four d x r matrices
+    # L_a V, e L_a V, L_{E(a)} V and their difference
     residuals["exchange_law"] = max(
-        exchange_residual(rows) for rows in mx.stack_slices(A.dim, e.nbytes)
+        exchange_residual(rows)
+        for rows in mx.stack_slices(A.dim, _left_times_bytes(A, unit) + 4 * 16 * d * r)
     )
     del target_on_range
 
     residuals["left_multiplication"] = _left_multiplication_residual(level)
-    smallest = float(np.linalg.eigvalsh(_faithfulness_gram(A))[0])
+    smallest = mx.smallest_eigenvalue(_faithfulness_gram(A), 1e-12)
     residuals["representation_faithful"] = 0.0 if smallest > 1e-12 else 1.0
 
     # dual rule on a seeded sample of spanning elements t = L_{b_i} e L_{b_j},
@@ -597,7 +648,7 @@ def _check_level(level: TowerLevel) -> dict:
     del images
     residuals["dual_rule"] = float(mx.row_norms(got - want).max())
 
-    bad = {k: v for k, v in residuals.items() if v > mx.DEFAULT_TOL}
+    bad = {k: v for k, v in residuals.items() if v > tol}
     if bad:
         raise ConstructionFailure(f"tower invariants failed: {bad}", residuals)
     return residuals
@@ -758,7 +809,7 @@ def _member_projection(
     # per quasi-basis element; the mu_j are read over A as their
     # coordinates over C times C's basis over A
     mu_on_a = restricted._quasi_coords @ member.c_on_a
-    w = np.swapaxes(level.module.left_times(mu_on_a)(level.jones_range), 0, 1)
+    w = np.swapaxes(_left_products(level.module, mu_on_a, level.jones_range), 0, 1)
     w = w.reshape(level.module_dim, -1)
     e_c = w @ mx.adjoint(w)
     del w
@@ -772,6 +823,10 @@ def _check_projections(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray):
     One :func:`_projection_norms` call per chunk of members under
     ``STACK_BUDGET_BYTES``; a member whose residual exceeds
     ``DEFAULT_TOL (1 + ||e_C||)`` raises :class:`ConstructionFailure`.
+    The bound compared is the one :func:`_projection_norms` reports: a
+    member its Frobenius screen settles is compared with ``DEFAULT_TOL``,
+    at most that bound, and any other with the bound itself, on exact
+    operator norms.
     """
     # charged per member: its six residual matrices
     for rows in mx.stack_slices(len(e_cs), 6 * e_b.nbytes):
@@ -784,12 +839,17 @@ def _check_projections(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray):
 
 
 def _projection_norms(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray) -> np.ndarray:
-    """Row k: the postcondition norms of member k and ||e_C||, from one stacked SVD call.
+    """Row k: the postcondition norms of member k and the ||e_C|| its bound is taken with.
 
-    The operator norms of e_C - e_F (e_F the module matrix of F), e_C^2 -
-    e_C, e_C - e_C*, e_C e_B - e_B, e_B e_C - e_B and e_C, for the (k, d, d)
-    stacks ``e_cs`` and ``e_fs``.  Each product is written into the stack,
-    so no other array of its size is formed.
+    The norms of e_C - e_F (e_F the module matrix of F), e_C^2 - e_C,
+    e_C - e_C*, e_C e_B - e_B, e_B e_C - e_B and e_C, for the (k, d, d)
+    stacks ``e_cs`` and ``e_fs``.  Each product is written into one stack,
+    so no other array of its size is formed.  The five residuals of a
+    member are screened first: where each has a Frobenius norm below
+    ``DEFAULT_TOL``, their operator norms are too, within the member's
+    bound ``DEFAULT_TOL (1 + ||e_C||)`` since ||e_C|| >= 0, so the row holds
+    those Frobenius norms and 0 for ||e_C||.  Any other member gets all six
+    operator norms, from stacked SVDs of its own matrices.
     """
     k, d = len(e_cs), len(e_b)
     stack = np.empty((k, 6, d, d), dtype=np.complex128)
@@ -803,7 +863,12 @@ def _projection_norms(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray) -> np
     np.matmul(e_b, e_cs, out=stack[:, 4])
     stack[:, 4] -= e_b
     stack[:, 5] = e_cs
-    return mx.operator_norms(stack.reshape(-1, d, d)).reshape(k, 6)
+    norms = mx.row_norms(stack.reshape(6 * k, d * d)).reshape(k, 6)
+    settled = (norms[:, :5] < mx.DEFAULT_TOL).all(axis=1)
+    norms[settled, 5] = 0.0
+    for member in np.flatnonzero(~settled):
+        norms[member] = mx.operator_norms(stack[member])
+    return norms
 
 
 def _projection_residuals(norms: np.ndarray) -> tuple[dict, float]:
@@ -886,7 +951,7 @@ def _dual_expectation_from(
     _check_family_budget(d * q, d, "the intermediate dual expectation")
     ind_c = restricted.index_element()
     worst = _centrality_residual(level.algebra, ind_c)
-    if worst > mx.DEFAULT_TOL * (1.0 + mx.operator_norm(ind_c)):
+    if restricted._index_cache.exceeds(worst, mx.DEFAULT_TOL):
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1

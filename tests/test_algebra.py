@@ -180,6 +180,46 @@ def test_index_element_tests_each_calls_tolerance(inclusion):
     assert skewed.index_element(1e-3) is ind
 
 
+def test_index_checks_take_the_exact_value_where_no_bound_settles_them(rng, monkeypatch):
+    # E onto the scalars of M3 with a quasi-basis {sqrt(v_i) p_i}, p_i = w e_ii w*
+    # for a seeded unitary w, so Ind(E) = w diag(v) w*: central in the span of
+    # the p_i (commutative), not in M3
+    w = mx.random_unitary(3, rng)
+    projections = [w @ np.diag(np.eye(3)[i]) @ mx.adjoint(w) for i in range(3)]
+    units = [np.outer(a, b) for a in np.eye(3) for b in np.eye(3)]
+    diagonal = MatrixStarAlgebra.from_orthonormal(projections)
+    scalars = MatrixStarAlgebra.from_spanning([np.eye(3)])
+
+    def expectation(source, values):
+        quasi = [math.sqrt(v) * p for v, p in zip(values, projections)]
+        return ConditionalExpectation.from_rule(
+            source, scalars, lambda x: np.trace(x) / 3.0 * np.eye(3), quasi_basis=quasi
+        )
+
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    # spectrum {1, 2, 4}: Gershgorin does not settle it, the eigensolve passes it
+    E = expectation(diagonal, [1.0, 2.0, 4.0])
+    ind = watatani_index(E)
+    assert mx.gershgorin_lower(E._index_cache.hermitian) < 1.0 - mx.DEFAULT_TOL
+    assert calls == [1]
+    assert watatani_index(E) is ind and calls == [1]  # the eigenvalue is kept
+    # an eigenvalue at 1 - 1e-6 raises, with that eigenvalue, and passes at 1e-5
+    low = expectation(diagonal, [1.0 - 1e-6, 2.0, 4.0])
+    with pytest.raises(NumericIntegrityError, match=r"eigenvalue 0\.999999 below 1"):
+        watatani_index(low)
+    watatani_index(low, 1e-5)
+    # a non-central index still raises, with its residual
+    with pytest.raises(NumericIntegrityError, match=r"index element not central \(residual"):
+        watatani_index(expectation(MatrixStarAlgebra.from_orthonormal(units), [1.0, 2.0, 4.0]))
+    # [G:H] times the unit is settled by all three bounds: no exact value is taken
+    calls.clear()
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+    group = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))])).E
+    np.testing.assert_allclose(watatani_index(group), 27.0 * np.eye(81), atol=1e-12)
+    assert calls == [] and not {"skew", "scale", "smallest"} & set(vars(group._index_cache))
+
+
 def test_index_independent_of_quasi_basis(inclusion, rng):
     # mix by any unitary coefficient matrix: still a quasi-basis, same index
     w = mx.random_unitary(4, rng)

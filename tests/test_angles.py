@@ -560,3 +560,25 @@ def test_exterior_indices_outside_the_intermediate():
     res = exterior_angle(level, F, conjugate_expectation(F, w))
     assert res.cos_value == pytest.approx(0.71362459175682, abs=1e-12)
     assert abs(res.cos_value - res.diagnostics.extra["closed_cos"]) <= 1e-12
+
+
+def test_degenerate_check_keeps_its_verdict_on_both_sides_of_the_screen(monkeypatch):
+    tol, n = mx.DEFAULT_TOL, 4
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    cases = [
+        (np.eye(n), True, 0),  # index 1: ||ind - 1||_F = 0 < tol
+        (3.0 * np.eye(n), False, 0),  # [K:H] 1: ||ind - 1||_F / 2 = 2 > tol
+        (np.eye(n) + 0.9 * tol * np.diag([1.0, 0, 0, 0]), True, 0),
+        # neither bound settles these: the SVD decides, 0.5 tol and 2 tol
+        (np.eye(n) + 0.5 * tol * np.eye(n), True, 1),
+        (np.eye(n) + 2.0 * tol * np.diag([1.0, 0, 0, 0]), False, 1),
+    ]
+    for ind, degenerate, svds in cases:
+        calls.clear()
+        if degenerate:
+            with pytest.raises(DegenerateIntermediate, match="C equals the corner algebra"):
+                angles._check_degenerate(ind.astype(complex), "C")
+        else:
+            angles._check_degenerate(ind.astype(complex), "C")
+        assert len(calls) == svds

@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from cstar_angles import cli, tower
 from cstar_angles.cli import main
 
 
@@ -128,6 +131,28 @@ def test_sweep_unwritable_path(capsys):
 def test_sweep_too_few_points(capsys):
     code, _, _ = run_cli(capsys, "m2-sweep", "--points", "1")
     assert code == 64
+
+
+def test_sweep_over_the_memory_budget_is_too_large(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the sweep allocated its points")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "linspace", refused)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "m2-sweep", "--points", "100000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 2 and out == "" and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: TooLarge: m2-sweep: 100000000000 points need about ")
+    assert peak < 1 << 20
+    # the bound is the tower's budget: three points fit in three points' charge
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", 3 * cli.SWEEP_POINT_BYTES)
+    assert run_cli(capsys, "m2-sweep", "--points", "3")[0] == 0
+    assert run_cli(capsys, "m2-sweep", "--points", "4")[0] == 2
 
 
 # ---------------------------------------------------------------------------

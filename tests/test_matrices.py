@@ -255,3 +255,92 @@ def test_sum_times_adjoint_skips_zero_matrices(rng):
     want = sum(m @ mx.adjoint(m) for m in mats)
     np.testing.assert_allclose(mx.sum_times_adjoint(mats), want, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(mx.sum_times_adjoint(np.zeros((2, 3, 3))), np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# checks settled by a bound first: the verdict is always the exact one
+
+
+def _svd_calls(monkeypatch) -> list:
+    """Record the number of matrices of each ``np.linalg.svd`` call in the list returned."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a) if np.ndim(a) == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_screened_norms_agree_with_the_svd_on_every_verdict(rng, monkeypatch):
+    tol, d = mx.DEFAULT_TOL, 4
+    cases = np.stack([
+        np.zeros((d, d)),
+        0.5 * tol * np.eye(d),  # Frobenius tol: settled only by the SVD
+        0.9 * tol * np.eye(d),  # Frobenius 1.8 tol, operator norm 0.9 tol: passes
+        0.9 * tol * np.diag([1.0, 0, 0, 0]),  # Frobenius 0.9 tol: settled, passes
+        1.1 * tol * np.eye(d),  # fails, with its exact norm
+        mx.random_matrix(d, rng, scale=tol),
+        mx.random_matrix(d, rng),
+    ]).astype(np.complex128)
+    exact = np.array([mx.operator_norm(m) for m in cases])
+    calls = _svd_calls(monkeypatch)
+    for settle_above in (False, True):
+        got = mx.screened_norms(cases, tol, settle_above=settle_above)
+        for value, want in zip(got, exact):
+            for test in (np.less, np.less_equal, np.greater, np.greater_equal):
+                assert test(value, tol) == test(want, tol)
+        # every value the SVD was asked for is the exact norm
+        unsettled = np.flatnonzero(
+            ~((np.linalg.norm(cases, axis=(1, 2)) < tol)
+              | (settle_above & (np.linalg.norm(cases, axis=(1, 2)) / 2 > tol)))
+        )
+        assert calls.pop() == len(unsettled)
+        np.testing.assert_array_equal(got[unsettled], exact[unsettled])
+    with pytest.raises(ShapeMismatch):
+        mx.screened_norms(cases[2], tol)  # one matrix is no stack
+    assert mx.screened_norms(np.zeros((0, 3, 3)), tol).shape == (0,)
+    # a per-matrix bound, and a non-finite matrix refused by the SVD's input check
+    bounds = np.array([0.0, 1.0])
+    np.testing.assert_array_equal(
+        mx.screened_norms(cases[[4, 4]], bounds), [exact[4], np.linalg.norm(cases[4])]
+    )
+    with pytest.raises(InvalidMatrix):
+        mx.screened_norms(np.full((1, 2, 2), np.nan), tol)
+
+
+def test_smallest_eigenvalue_is_the_eigensolve_verdict(rng, monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    w = mx.random_unitary(3, rng)
+    dominant = np.diag([2.0, 3.0, 4.0]) + 0.1
+    rotated = w @ np.diag([1.0, 2.0, 4.0]) @ mx.adjoint(w)
+    assert mx.gershgorin_lower(dominant) == pytest.approx(1.9)
+    assert mx.gershgorin_lower(rotated) < 1.0
+    # settled by Gershgorin: no eigensolve
+    assert mx.smallest_eigenvalue(dominant, 1.0) == pytest.approx(1.9)
+    assert calls == []
+    # not settled: the eigenvalue itself
+    assert mx.smallest_eigenvalue(rotated, 1.0 - 1e-9) == pytest.approx(1.0, abs=1e-12)
+    assert calls == [1]
+    # an h Hermitian only up to rounding: the bound holds for the matrix
+    # eigvalsh reads from either triangle
+    skewed = dominant + np.triu(np.full((3, 3), 0.05), 1)
+    for uplo in ("L", "U"):
+        assert mx.gershgorin_lower(skewed) <= eigvalsh(skewed, UPLO=uplo)[0]
+    assert mx.gershgorin_lower(skewed) == pytest.approx(1.8)
+
+
+def test_psd_test_settles_by_bounds_and_keeps_its_verdicts(rng, monkeypatch):
+    w = mx.random_unitary(3, rng)
+    on_the_edge = w @ np.diag([-0.5e-9, 1.0, 2.0]) @ mx.adjoint(w)
+    below = w @ np.diag([-2e-9, 1.0, 2.0]) @ mx.adjoint(w)
+    skew = np.diag([1.0, 2.0, 3.0]) + 0.3e-9 * (np.eye(3, k=1) - np.eye(3, k=-1))
+    assert mx.is_positive_semidefinite(on_the_edge)
+    assert not mx.is_positive_semidefinite(below)
+    assert mx.is_positive_semidefinite(skew)  # ||a - a*||: 0.85e-9, and 1.2e-9 in Frobenius norm
+    assert not mx.is_positive_semidefinite(skew, tol=0.5e-9)
+    calls = _svd_calls(monkeypatch)
+    assert mx.is_positive_semidefinite(np.diag([1.0, 2.0]))  # settled by both bounds
+    assert calls == []

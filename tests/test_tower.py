@@ -1109,13 +1109,18 @@ class _RightMultiplicationModule(GenericModule):
         return np.swapaxes(on_hs, 1, 2).reshape(x.shape[:-2] + (self.dim, self.dim))
 
 
-@pytest.mark.parametrize("case", ["m2", "C[S3]"])
+@pytest.mark.parametrize("case", ["m2", "C[S3]", "C[S4]"])
 def test_right_multiplication_fails_the_left_multiplication_check(case, inclusion):
     if case == "m2":
         E = inclusion.E
     else:
-        S3 = FiniteGroup.symmetric(3)
-        E = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))])).E
+        # C[S4] has a product table: its basis products are gathered, and
+        # only the check's one embedded y reads the wrong left_mult
+        n = int(case[-2])
+        S = FiniteGroup.symmetric(n)
+        swap = (1, 0) + tuple(range(2, n))
+        E = group_algebra_inclusion(S, generated_subgroup(S, [S.index_of(swap)])).E
+        assert (E.source._gathers is not None) == (n == 4)
     module = _RightMultiplicationModule(E)
     with pytest.raises(ConstructionFailure, match="left_multiplication") as failure:
         build_tower_level(E, module=module, materialize=False)
@@ -1137,26 +1142,56 @@ def _counted_left_mult(module, patch) -> list:
     return calls
 
 
+def _counted_left_times(module, patch) -> list:
+    """Record the number of elements of each ``left_times`` call of ``module`` in the list returned."""
+    calls, left_times = [], module.left_times
+
+    def counted(coords):
+        calls.append(len(coords))
+        return left_times(coords)
+
+    patch.setattr(module, "left_times", counted)
+    return calls
+
+
 def test_check_level_embeds_each_basis_chunk_once(monkeypatch):
     level = iterate_tower(m2_plus_m3()[0])
-    e, d = level.jones_projection, level.algebra.dim
-    # ten basis elements per chunk: the former nested Gram loop made 10 + 55 calls
-    monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", 10 * (e.nbytes // 8))
-    chunks = mx.stack_slices(d, e.nbytes // 8)
-    exchange = mx.stack_slices(len(level.expectation.source.basis), e.nbytes)
+    A, unit = level.algebra, np.eye(level.algebra.dim)
+    d, r = level.jones_range.shape
+    assert A._gathers is not None
+    # ten basis elements per chunk of the left-multiplication check, each
+    # charged its row gathers and three arrays of its (d, 1) image's size
+    per = tower._left_times_bytes(A, unit) + 3 * 16 * d
+    assert per == 88 * d
+    monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", 10 * per)
+    chunks = mx.stack_slices(d, per)
     assert len(chunks) == 10
+    products = _counted_left_times(level.module, monkeypatch)
     calls = _counted_left_mult(level.module, monkeypatch)
     tower._left_multiplication_residual(level)
-    assert calls == [len(level.algebra.basis_stack[rows]) for rows in chunks]
+    # on a product table the basis goes through one gathered module product
+    # per chunk, and only the one random y is embedded
+    assert products == [len(range(d)[rows]) for rows in chunks]
+    assert calls == [1]
     calls.clear()
-    tower._faithfulness_gram(level.algebra)
+    tower._faithfulness_gram(A)
     assert calls == []
-    with _table_off(level.algebra):
+    with _table_off(A):
+        # without gathers each element is charged its dense L_a as well
+        dense = tower._left_times_bytes(A, unit)
+        assert dense == 16 * (d * d + A.ambient_dim**2)
+        target = mx.stack_slices(level.expectation.target.dim, dense + 3 * 16 * d * r)
+        exchange = mx.stack_slices(d, dense + 4 * 16 * d * r)
+        basis = mx.stack_slices(d, dense + 3 * 16 * d)
         tower._check_level(level)
-    # with the table off: one for E's target basis, one per exchange-law
-    # chunk, one per basis chunk, two for the dual-rule sample
-    assert len(calls) == 1 + len(exchange) + len(chunks) + 2
-    assert calls[0] == level.expectation.target.dim
+    # with the table off: one per chunk of E's target basis and of the
+    # exchange law, one for y and one per basis chunk, two for the
+    # dual-rule sample
+    assert calls == (
+        [len(range(level.expectation.target.dim)[rows]) for rows in target]
+        + [len(range(d)[rows]) for rows in exchange]
+        + [1] + [len(range(d)[rows]) for rows in basis] + [20, 20]
+    )
 
 
 def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
@@ -1170,10 +1205,18 @@ def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
         off = build_tower_level(level5.dual_expectation, materialize=False)
         want = tower._check_level(off)
     calls = _counted_left_mult(on.module, monkeypatch)
+    products = _counted_left_times(on.module, monkeypatch)
     got = tower._check_level(on)
-    # only the left-multiplication check forms an L_x, one call per chunk
-    chunks = mx.stack_slices(on.algebra.dim, on.jones_projection.nbytes // 8)
-    assert calls == [len(on.algebra.basis_stack[rows]) for rows in chunks]
+    # only the left-multiplication check forms an L_x, that of its one
+    # random y.  Every other product is gathered: E's target basis, every
+    # basis element in the exchange law and again in the left-multiplication
+    # check, the dual-rule sample's 20 + 20, and E_1's maps, built on first
+    # use (L_{Ind(E)^-1} J, the q products L_{l_i} J, and L_{Ind(E)^-1})
+    assert calls == [1]
+    d, target = on.algebra.dim, on.expectation.target.dim
+    q = len(on.expectation.quasi_stack)
+    assert products[0] == target and products[-5:] == [20, 20, 1, q, 1]
+    assert sum(products[1:-5]) == 2 * d
     assert got.keys() == want.keys()
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-13, key
@@ -1419,8 +1462,9 @@ def test_interior_angle_on_a_regular_level_forms_no_quasi_stack(monkeypatch):
     F, F_prime = inc.expectation_onto(K), inc.expectation_onto(L)
     cos = interior_angle_definition(level, F, F_prime).cos_value
     assert abs(cos - 0.5) <= 1e-12
-    chunks = mx.stack_slices(level.algebra.dim, level.jones_projection.nbytes // 8)
-    assert calls == [len(level.algebra.basis_stack[rows]) for rows in chunks]
+    # the left-multiplication check gathers the basis's products and embeds
+    # its one random y
+    assert calls == [1]
     held = vars(level)
     assert "_quasi_left" not in held and "_quasi_star" in held
     for expectation in (inc.E, F, F_prime):
@@ -1501,8 +1545,12 @@ def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, m
         return residuals, size
 
     monkeypatch.setattr(tower, "_projection_residuals", recording)
+    svds = _svd_inputs(monkeypatch)
     for name, level, F in intermediate_cases(tower_level, inclusion):
+        svds.clear()
         e_c, restricted = intermediate_data(level, F)
+        # the Frobenius screen settles every member: no residual takes an SVD
+        assert all(shape[-2:] != e_c.shape for shape in svds), name
         want_e, want_restricted, want_residuals = intermediate_data_composed(level, F)
         # W W* through range(e_B) against the dense sum of products
         assert np.abs(e_c - want_e).max() <= 1e-13, name
@@ -1512,6 +1560,83 @@ def test_intermediate_data_matches_the_composed_checks(tower_level, inclusion, m
         assert got.keys() == want_residuals.keys()
         for key, want in want_residuals.items():
             assert abs(got[key] - want) <= 1e-13, (name, key)
+
+
+def _svd_inputs(monkeypatch) -> list:
+    """Record the shape of each ``np.linalg.svd`` input in the list returned."""
+    shapes, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def test_projection_checks_take_exact_norms_where_the_screen_does_not_settle(
+    tower_level, inclusion, monkeypatch, rng
+):
+    level, F = tower_level, inclusion.F
+    e_c, _ = intermediate_data(level, F)
+    e_b, e_f = level.jones_projection, level.module.expectation_matrix(F)
+    d, tol = len(e_b), mx.DEFAULT_TOL
+    recorded, residuals_of = [], tower._projection_residuals
+    monkeypatch.setattr(
+        tower, "_projection_residuals", lambda norms: recorded.append(residuals_of(norms)) or recorded[-1]
+    )
+
+    def exact(e):
+        return {
+            "matches_expectation_matrix": mx.operator_norm(e - e_f),
+            "idempotent": mx.operator_norm(e @ e - e),
+            "selfadjoint": mx.operator_norm(e - mx.adjoint(e)),
+            "absorbs_jones": max(mx.operator_norm(e @ e_b - e_b), mx.operator_norm(e_b @ e - e_b)),
+        }
+
+    # settled by the screen: compared with DEFAULT_TOL, ||e_C|| read as 0
+    tower._check_projections(e_c[None], e_b, e_f[None])
+    assert recorded.pop()[1] == 0.0
+    # 0.9 tol I added: Frobenius norms up to 1.8 tol, operator norms about
+    # 0.9 tol, so the screen does not settle it and the SVDs pass it
+    shifted = e_c + 0.9 * tol * np.eye(d)
+    tower._check_projections(shifted[None], e_b, e_f[None])
+    residuals, size = recorded.pop()
+    assert np.linalg.norm(shifted - e_f) > tol
+    assert size == pytest.approx(mx.operator_norm(shifted), abs=1e-15)
+    for key, want in exact(shifted).items():
+        assert residuals[key] == pytest.approx(want, abs=1e-22), key
+        assert want <= tol * (1.0 + size)
+    # perturbed by 1e-6: raises, reporting the exact operator norms
+    bent = e_c + 1e-6 * mx.random_matrix(d, rng)
+    with pytest.raises(ConstructionFailure, match="intermediate projection failed") as failure:
+        tower._check_projections(bent[None], e_b, e_f[None])
+    assert failure.value.residuals.keys() == exact(bent).keys()
+    for key, want in exact(bent).items():
+        assert failure.value.residuals[key] == pytest.approx(want, abs=1e-20), key
+
+
+def test_a_checked_regular_level_and_its_angle_take_three_svds_and_no_eigvalsh(monkeypatch):
+    # the group-numeric benchmark's inclusion: every check of the level and
+    # of intermediate_data is settled by its bound, so the only SVDs are the
+    # angle's three values (its numerator and two module norms), and no
+    # eigenvalue is computed for a check
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+
+    def sub(*gens):
+        return generated_subgroup(G, [G.index_of(g) for g in gens])
+
+    inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
+    F = inc.expectation_onto(sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+    F_prime = inc.expectation_onto(sub((0, 1, 0, 0), (0, 0, 0, 1)))
+    svds, eigvalsh_calls, eigvalsh = _svd_inputs(monkeypatch), [], np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda h: eigvalsh_calls.append(1) or eigvalsh(h)
+    )
+    level = inc.tower()
+    assert abs(interior_angle_definition(level, F, F_prime).cos_value - 0.5) <= 1e-12
+    assert eigvalsh_calls == []
+    assert svds == [(81, 81)] * 3
 
 
 def _basis_over_passes(monkeypatch, basis, over):
