@@ -6,7 +6,9 @@ all membership questions are answered against it.  One algebra's basis in
 the coordinates of another, with or without the test that it lies there,
 is one pass of :meth:`MatrixStarAlgebra.basis_over`; on a monomial basis
 (a group algebra and its subgroup slices) that pass reads the supports
-alone, and a slice holds no dense rows unless one is read.  A
+alone.  A group algebra built from its column -> row maps
+(:meth:`MatrixStarAlgebra.from_monomial`) and its slices hold no dense rows
+unless one is read.  A
 :class:`ConditionalExpectation` is a linear idempotent map between nested
 algebras, held as one matrix in the two algebras' orthonormal bases, built
 once from a rule on stacks when the expectation is made (E(x), stacks of
@@ -59,6 +61,7 @@ import numpy as np
 from . import matrices as mx
 from .errors import (
     EmptyAlgebra,
+    InvalidMatrix,
     NoQuasiBasis,
     NotInAlgebra,
     NotIntermediate,
@@ -124,6 +127,10 @@ def _stack_of(mats: Sequence[np.ndarray], n: int) -> np.ndarray:
 # Such a slice holds no dense rows at all: its supports are its basis, and
 # ``MatrixStarAlgebra.basis_over`` reads them, O(n) per element, where a
 # containment test on dense rows rebuilds O(n^2) entries per element.
+# An algebra built from its column -> row maps
+# (``MatrixStarAlgebra.from_monomial``) is decided by this bound as one built
+# from its basis: from it on it holds the supports its maps give and no
+# dense rows, below it the dense rows.
 GATHER_MIN_DIM = 20
 
 
@@ -131,11 +138,14 @@ class MatrixStarAlgebra:
     """A unital *-subalgebra of M_n(C) given by an HS-orthonormal basis.
 
     The orthonormal basis is the one family an algebra stores: as the
-    read-only rows of ``_flat`` (shape d x n^2), or, on a :meth:`basis_slice`
-    of a basis with disjoint supports, as the inherited supports alone, from
-    which ``_flat`` is built on first read and kept.  ``basis_stack`` and
-    ``basis`` are n x n views into those rows.  :meth:`from_spanning` derives
-    the basis from any spanning family and keeps nothing of that family.
+    read-only rows of ``_flat`` (shape d x n^2), or as supports alone, from
+    which ``_flat`` is built on first read and kept.  Supports alone are
+    held by a :meth:`basis_slice` of a basis with disjoint supports, which
+    inherits them, and by a monomial basis of at least ``GATHER_MIN_DIM``
+    elements given by its column -> row maps (:meth:`from_monomial`, a group
+    algebra), which reads them off its maps.  ``basis_stack`` and ``basis``
+    are n x n views into the rows.  :meth:`from_spanning` derives the basis
+    from any spanning family and keeps nothing of that family.
     One basis over another algebra (:meth:`basis_over`), the containment
     tests included, never needs the rows of a slice over an algebra with a
     product table.
@@ -176,6 +186,57 @@ class MatrixStarAlgebra:
         """Build from a family known to be HS-orthonormal (kept verbatim)."""
         return cls(mats)
 
+    @classmethod
+    def from_monomial(cls, maps, values) -> "MatrixStarAlgebra":
+        """Build from scaled partial permutation matrices, each given by its column -> row map.
+
+        ``maps`` is a (d, n) integer array and ``values`` one scale per
+        element (or one for all): b_k holds ``values[k]`` at
+        (maps[k, c], c) for every column c with maps[k, c] >= 0, and zeros
+        elsewhere, so the basis takes d n entries where its dense rows take
+        d n^2.  The caller vouches that the family is HS-orthonormal, as for
+        :meth:`from_orthonormal`.  Raises :class:`InvalidMatrix` when a
+        scale is zero or not finite, an element is empty, a map sends two
+        columns to one row (no partial permutation) or two elements share a
+        position; a map entry of n or more raises :class:`ShapeMismatch`.
+
+        From ``GATHER_MIN_DIM`` elements on the algebra holds ``_supports``,
+        the arrays a scan of the dense rows gives, and no rows: ``_flat`` is
+        built on first read, as on a :meth:`basis_slice`.  Below it the
+        dense rows are written, as for an algebra built from its basis.
+        """
+        maps = np.asarray(maps)
+        if maps.ndim != 2 or not np.issubdtype(maps.dtype, np.integer):
+            raise ShapeMismatch(f"maps must be a 2-D integer array, not {maps.dtype} {maps.shape}")
+        d, n = maps.shape
+        if d == 0:
+            raise EmptyAlgebra("basis is empty")
+        if np.any(maps >= n):
+            raise ShapeMismatch(f"a map sends a column past row {n - 1}")
+        values = np.broadcast_to(np.asarray(values, dtype=np.complex128), (d,))
+        if not np.all(np.isfinite(values) & (values != 0)):
+            raise InvalidMatrix("every basis element needs one finite nonzero scale")
+        owners, cols = np.nonzero(maps >= 0)  # owners ascending
+        rows = maps[owners, cols].astype(np.intp)
+        positions = rows * n + cols
+        if np.bincount(owners, minlength=d).min() == 0:
+            raise InvalidMatrix("a basis element has no entry")
+        if np.bincount(owners * n + rows).max() > 1:
+            raise InvalidMatrix("a map sends two columns to one row")
+        if np.bincount(positions).max() > 1:
+            raise InvalidMatrix("two basis elements share a position")
+        if d < GATHER_MIN_DIM:
+            flat = np.zeros((d, n * n), dtype=np.complex128)
+            flat[owners, positions] = values[owners]
+            flat.setflags(write=False)  # nothing else holds it: enter uncopied
+            return cls(flat.reshape(d, n, n))
+        order = np.lexsort((positions, owners))  # row-major within each owner, as a scan lists them
+        owners, positions = owners[order], positions[order]
+        alg = cls.__new__(cls)
+        alg.ambient_dim, alg.dim = n, d
+        alg.__dict__["_supports"] = alg._support_arrays(owners, positions, values[owners])
+        return alg
+
     @property
     def unit(self) -> np.ndarray:
         return np.eye(self.ambient_dim, dtype=np.complex128)
@@ -196,9 +257,11 @@ class MatrixStarAlgebra:
         """The basis as read-only rows, shape d x n^2, built from ``_supports`` on first read.
 
         An algebra built from its basis holds these rows from the start; a
-        :meth:`basis_slice` of a basis with disjoint supports holds none
-        until one is read here, and keeps them then.  The rows equal the
-        parent's kept rows bit for bit: the entries are the parent's.
+        :meth:`basis_slice` of a basis with disjoint supports, and an
+        algebra built by :meth:`from_monomial` from ``GATHER_MIN_DIM``
+        elements on, hold none until one is read here, and keep them then.
+        A slice's rows equal the parent's bit for bit: the entries are the
+        parent's.
         """
         sup, n = self._supports, self.ambient_dim
         flat = np.zeros((self.dim, n * n), dtype=np.complex128)
@@ -213,7 +276,8 @@ class MatrixStarAlgebra:
         Set when the basis has at least ``GATHER_MIN_DIM`` elements and no two
         of them share a nonzero entry (exact zeros decide), and on every
         :meth:`basis_slice` of such a basis, whatever its dimension, which
-        inherits the arrays instead of scanning.  ``positions`` lists the
+        inherits the arrays instead of scanning; :meth:`from_monomial` reads
+        the same arrays off its maps.  ``positions`` lists the
         flat positions of the nonzero entries ordered by owning basis
         element, ``starts`` cuts that list into one run per element, and
         ``conj_values`` holds the conjugated entries.  ``owner`` maps every
@@ -240,6 +304,22 @@ class MatrixStarAlgebra:
             conj_values=np.conjugate(values), owner=owner, entries=entries,
         )
 
+    def traces(self) -> np.ndarray:
+        """Tr(b_k) for every basis element b_k, one complex entry each.
+
+        On a basis with disjoint supports, the entries at the diagonal
+        positions summed per owner, with no dense row read; otherwise the
+        traces of the rows.
+        """
+        sup = self._supports
+        if sup is None:
+            return np.trace(self.basis_stack, axis1=1, axis2=2)
+        diagonal = np.arange(self.ambient_dim) * (self.ambient_dim + 1)
+        owners, values = sup.owner[diagonal], sup.entries[diagonal]
+        return np.bincount(owners, values.real, self.dim) + 1j * np.bincount(
+            owners, values.imag, self.dim
+        )
+
     def basis_slice(self, mask) -> "MatrixStarAlgebra":
         """The span of the basis elements at a boolean ``mask``.
 
@@ -260,13 +340,16 @@ class MatrixStarAlgebra:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.dim,):
             raise ShapeMismatch(f"expected a mask of {self.dim} basis elements")
+        n = self.ambient_dim
+        if not mask.any():  # an empty slice gathers nothing, and reads no row
+            return MatrixStarAlgebra(np.zeros((0, n, n), dtype=np.complex128))
         sup = self._supports
-        if sup is None or not mask.any():  # an empty slice gathers nothing
+        if sup is None:
             rows = self.basis_stack[mask]
             rows.setflags(write=False)  # a fresh copy already: enter uncopied
             return MatrixStarAlgebra(rows)
         sliced = MatrixStarAlgebra.__new__(MatrixStarAlgebra)
-        sliced.ambient_dim, sliced.dim = self.ambient_dim, int(np.count_nonzero(mask))
+        sliced.ambient_dim, sliced.dim = n, int(np.count_nonzero(mask))
         renumber = np.cumsum(mask) - 1
         owners = sup.owner[sup.positions]
         kept = mask[owners]

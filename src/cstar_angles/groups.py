@@ -187,14 +187,18 @@ class FiniteGroup:
         Built on first read and kept on the group for its lifetime, so every
         inclusion of one group shares it and it is freed with the group;
         ``TooLarge`` above ``MAX_ALGEBRA_ORDER``, before anything is allocated.
+        Built from the column -> row maps of the lambda_g, the Cayley table's
+        rows (:meth:`MatrixStarAlgebra.from_monomial`): from
+        ``GATHER_MIN_DIM`` elements on it holds their supports, |G|^2
+        entries, and no dense basis, which is |G|^3 entries and is built only
+        if something reads it (``_regular_stack`` gives the same rows).
         """
         if self.order > MAX_ALGEBRA_ORDER:
             raise TooLarge(
                 f"group algebra route supports order <= {MAX_ALGEBRA_ORDER}"
             )
-        basis = _regular_stack(self, range(self.order), 1.0 / math.sqrt(self.order))
-        basis.setflags(write=False)  # so the algebra takes it without a copy
-        return MatrixStarAlgebra.from_orthonormal(basis)
+        # lambda_g's column b has its entry at row g b
+        return MatrixStarAlgebra.from_monomial(self.cayley, 1.0 / math.sqrt(self.order))
 
     # -- constructors ------------------------------------------------------
 

@@ -163,8 +163,8 @@ __all__ = [
     "intermediate_dual_expectation",
 ]
 
-# largest estimated size (16 bytes per entry) of a spanning family, or of
-# a next rung, that a tower level may build
+# largest estimated size (16 bytes per entry) of a spanning family, of a
+# next rung, or of the checks of a level, that a tower level may build
 MATERIALIZE_BUDGET_BYTES = 1 << 30
 
 
@@ -224,7 +224,7 @@ class GenericModule:
     def __init__(self, expectation: ConditionalExpectation):
         self.algebra = algebra = expectation.source
         self.dim = algebra.dim
-        traces = np.trace(algebra.basis_stack, axis1=1, axis2=2)
+        traces = algebra.traces()
         tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
         rho = mx.adjoint(algebra.combine(np.conjugate(tau)))
         gram = algebra.multiplication_matrices(rho[None], left=False)[0].T
@@ -634,10 +634,7 @@ def _check_level(level: TowerLevel) -> dict:
     # one stacked call on their images t q_k = (L_{b_i} V)(V* (L_{b_j} q_k))
     # (no t is formed), compared in HS coordinates: those of b_i b_j are
     # column j of L_{b_i}
-    rng = mx.default_rng()
-    i, j = np.array(
-        [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
-    ).T
+    i, j = mx.default_rng().integers(d, size=(min(20, d * d), 2)).T
     left_i = mod.left_times(unit[i])
     on_quasi = mod.left_times(unit[j])(level.quasi_coords.T)  # L_{b_j} q_k
     images = left_i(range_e) @ (mx.adjoint(range_e) @ on_quasi)
@@ -669,7 +666,9 @@ def build_tower_level(
     :class:`NoQuasiBasis` when E has none, :class:`NotIntermediate` when B
     is not inside A, and :class:`ConstructionFailure` with a residual
     report when an invariant check fails.  Every read and check runs at
-    ``DEFAULT_TOL``.
+    ``DEFAULT_TOL``.  With ``check``, :class:`TooLarge` is raised before
+    the module is built when the checks' estimated size exceeds
+    ``MATERIALIZE_BUDGET_BYTES``.
     """
     A, B = E.source, E.target
     if E._quasi is None:
@@ -679,6 +678,17 @@ def build_tower_level(
         raise NotIntermediate("B is not contained in A")
     if module is not None and module.algebra is not A:
         raise ShapeMismatch("the module must be built on the source of E")
+    if check:
+        # _check_level holds the L_beta V over B's basis {beta} whole, dim B x d
+        # x rank(e_B) entries with rank(e_B) = dim B, beside the level's d x d
+        # matrices: the module's two, its Gram matrix and eigenvectors while
+        # it is built, e_B and the eigenvectors of its Hermitian part
+        d, b = A.dim, B.dim
+        _check_budget(
+            16 * (b * d * b + 6 * d * d),
+            f"the checks of a level of dimension {d} over {b}, {b} x {d} x {b} "
+            f"entries and six {d}x{d} matrices,",
+        )
 
     # E is read once: e_B and a module built here both take that read
     t = E.coordinates()

@@ -1027,6 +1027,81 @@ def test_inherited_supports_and_table_equal_a_fresh_build(monkeypatch):
         assert all(not a.flags.writeable for a in vars(alg._table).values()), name
 
 
+def _relabelled(G, seed):
+    """The same group with its element indices permuted at random."""
+    perm = np.random.default_rng(seed).permutation(G.order)
+    return FiniteGroup(np.argsort(perm)[G.cayley[np.ix_(perm, perm)]], name=G.name)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FiniteGroup.symmetric(4),
+        lambda: FiniteGroup.direct_product([3, 3, 3, 3]),
+        lambda: _relabelled(FiniteGroup.symmetric(4), 11),
+    ],
+)
+def test_map_built_group_algebra_equals_the_dense_build(make):
+    G = make()
+    alg, dense = G.regular_algebra, groups._regular_stack(G, range(G.order), 1 / math.sqrt(G.order))
+    fresh = MatrixStarAlgebra(dense)  # its supports from a scan of the dense rows
+    assert "_supports" in vars(alg) and "_flat" not in vars(alg)
+    for key in ("_supports", "_table", "_gathers"):
+        _assert_same_arrays(getattr(alg, key), getattr(fresh, key), (G.name, key))
+    empty = alg.basis_slice(np.zeros(G.order, dtype=bool))
+    assert empty.dim == 0 and empty.basis_stack.shape == (0, G.order, G.order)
+    assert "_flat" not in vars(alg)  # nor did the table, the gathers or a slice read a row
+    assert alg._flat.tobytes() == dense.tobytes() and not alg._flat.flags.writeable
+    assert alg.basis_stack.shape == dense.shape
+
+
+def test_small_map_built_algebra_holds_dense_rows():
+    G = FiniteGroup.symmetric(3)  # order 6, below GATHER_MIN_DIM
+    alg = G.regular_algebra
+    assert "_flat" in vars(alg) and alg._supports is None and alg._table is None
+    dense = groups._regular_stack(G, range(G.order), 1 / math.sqrt(G.order))
+    assert alg._flat.tobytes() == dense.tobytes() and not alg._flat.flags.writeable
+
+
+@pytest.mark.parametrize("d", [4, algebra.GATHER_MIN_DIM])
+def test_monomial_maps_must_be_disjoint_partial_permutations(d):
+    maps = np.arange(d)[:, None] * np.ones(d, dtype=np.int64)  # column c of b_k to row k
+    maps = (maps + np.arange(d)) % d  # b_k: column c to row c + k, Z_d's regular maps
+    assert MatrixStarAlgebra.from_monomial(maps, 1 / math.sqrt(d)).dim == d
+    cases = [
+        (maps[[0, 0] + list(range(2, d))], InvalidMatrix, "share a position"),
+        (np.where(np.arange(d) == 1, maps[:, :1], maps), InvalidMatrix, "two columns to one row"),
+        (np.where(np.arange(d)[:, None] == 0, -1, maps), InvalidMatrix, "no entry"),
+        (maps + 1, ShapeMismatch, "past row"),
+        (maps.astype(float), ShapeMismatch, "integer"),
+    ]
+    for bad, error, message in cases:
+        with pytest.raises(error, match=message):
+            MatrixStarAlgebra.from_monomial(bad, 1.0)
+    for scale in (0.0, np.inf):
+        with pytest.raises(InvalidMatrix, match="scale"):
+            MatrixStarAlgebra.from_monomial(maps, np.full(d, scale))
+
+
+def test_traces_match_the_dense_trace(inclusion):
+    z81, K = _z3_power_inclusion()
+    cases = {
+        "C[G]": z81.A,
+        "C[K]": z81.intermediate_algebra(K),
+        "C[S4]": FiniteGroup.symmetric(4).regular_algebra,
+        "2x2 model": inclusion.A,
+        "its subalgebra": inclusion.B,
+    }
+    for name, alg in cases.items():
+        held = "_flat" in vars(alg)
+        got = alg.traces()
+        assert ("_flat" in vars(alg)) == held, name  # read from the supports where held
+        want = np.trace(alg.basis_stack, axis1=1, axis2=2)
+        # sums of n entries each, taken in another order
+        bound = alg.ambient_dim * np.finfo(float).eps * (1.0 + np.abs(want).max())
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= bound, name
+
+
 def test_slice_off_a_subalgebra_gets_no_table(rng):
     inc, _ = _z3_power_inclusion()
     G = inc.group

@@ -772,7 +772,8 @@ def _recorded_slices(monkeypatch) -> list:
 
 def test_slices_hold_no_dense_rows_through_a_job_and_a_sweep(monkeypatch):
     # the group-numeric benchmark's job on Z3^4, then the whole S4 lattice:
-    # every C[K] stays its supports and table, and reads back as C[G]'s rows
+    # C[G] and every C[K] stay their supports and table, and each C[K]
+    # reads back as C[G]'s rows
     made = _recorded_slices(monkeypatch)
     G = FiniteGroup.direct_product([3, 3, 3, 3])
 
@@ -788,6 +789,10 @@ def test_slices_hold_no_dense_rows_through_a_job_and_a_sweep(monkeypatch):
     assert 0 < job < len(made)
     for parent, mask, sliced in made:
         assert parent._table is not None and "_flat" not in vars(sliced)
+        assert "_flat" not in vars(parent)  # C[G], built from its maps
+    assert {id(parent) for parent, _, _ in made} == {
+        id(G.regular_algebra), id(made[-1][0])
+    }
     for parent, mask, sliced in made:
         assert sliced.basis_stack.tobytes() == parent.basis_stack[mask].tobytes()
 

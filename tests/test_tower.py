@@ -917,6 +917,56 @@ def test_over_budget_raises_before_building(tower_level, inclusion, monkeypatch)
         intermediate_dual_expectation(tower_level, inclusion.F)
 
 
+def test_checked_level_over_budget_raises_before_its_checks(monkeypatch):
+    # the checks hold dim B x d x rank(e_B) entries, rank(e_B) = dim B, and
+    # six d x d matrices: M2(x)M3 over C(x)M3 has d = 36 and dim B = 9
+    E, _ = m2_tensor_m3()
+    d, b = E.source.dim, E.target.dim
+    need = 16 * (b * d * b + 6 * d * d)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
+        patch.setattr(tower, "GenericModule", unreached)
+        patch.setattr(tower, "_left_products", unreached)
+        with pytest.raises(TooLarge, match=f"level of dimension {d} over {b}"):
+            build_tower_level(E, materialize=False)
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
+    build_tower_level(E, materialize=False, check=False)  # nothing to charge
+    monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need)
+    build_tower_level(E, materialize=False)
+
+
+def test_dual_rule_sample_is_the_per_pair_draw(inclusion, monkeypatch):
+    # one draw of shape (k, 2) gives the pairs k scalar draws gave, in order
+    G = FiniteGroup.direct_product([3, 3, 3, 3])
+    group = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))]))
+    drawn, make = [], mx.default_rng
+
+    class Recording:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def integers(self, *args, **kwargs):
+            drawn.append(self._rng.integers(*args, **kwargs))
+            return drawn[-1]
+
+    monkeypatch.setattr(mx, "default_rng", lambda seed=None: Recording(make(seed)))
+    for build, d in ((lambda: build_tower_level(inclusion.E, materialize=False), 4),
+                     (group.tower, G.order)):
+        drawn.clear()
+        build()
+        (pairs,) = drawn
+        rng = make()
+        loop = [(rng.integers(d), rng.integers(d)) for _ in range(min(20, d * d))]
+        assert pairs.tolist() == [[int(i), int(j)] for i, j in loop]
+
+
 # ---------------------------------------------------------------------------
 # the exchange law on range(e)
 
