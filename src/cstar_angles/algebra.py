@@ -537,17 +537,27 @@ class MatrixStarAlgebra:
         )
         return star.reshape(d, d)
 
+    @cached_property
     def _star_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """S^T as a row gather on a basis with disjoint supports: row k is scale[k] e_{rows[k]}.
+        """S^T as a row gather (rows, scale): row k is scale[k] e_{rows[k]}.
 
-        Returns (rows, scale).  S^T[k, l] is the coordinate of b_l* on b_k,
-        and b_l* has b_l's support transposed, so b_k lies in b_l* for one l
-        alone: the owner of any transposed position of b_k.
+        For a *-closed basis with disjoint supports; two length-d arrays,
+        read off the supports with no d x d matrix formed.  S^T[k, l] is the
+        coordinate of b_l* on b_k, and b_l* has b_l's support transposed, so
+        b_k lies in b_l* for one l alone: the owner of any transposed
+        position of b_k.  The coordinate is the sum of conj(b_k[r, c]
+        b_l[c, r]) over b_k's support, the entries
+        :meth:`star_coordinates` sums into S[l, k].
         """
         sup, n = self._supports, self.ambient_dim
-        r, c = np.divmod(sup.positions[sup.starts], n)
-        rows = sup.owner[c * n + r]
-        return rows, self.star_coordinates()[rows, np.arange(self.dim)]
+        r, c = np.divmod(sup.positions, n)
+        moved = c * n + r
+        values = np.conjugate(sup.entries[moved]) * sup.conj_values
+        owners = sup.owner[sup.positions]
+        scale = np.bincount(owners, values.real, self.dim) + 1j * np.bincount(
+            owners, values.imag, self.dim
+        )
+        return sup.owner[moved[sup.starts]], scale
 
     def square_sum(self) -> np.ndarray:
         """c = sum_k b_k b_k*, the same for every HS-orthonormal basis of the span.
@@ -748,7 +758,8 @@ class MatrixStarAlgebra:
         return other.basis_over(self, tol) is not None and self.basis_over(other, tol) is not None
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        return mx.random_combination(self.basis, rng)
+        """sum_k c_k b_k with standard complex normal c_k, formed by :meth:`combine`."""
+        return self.combine(rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim))
 
     def to_json(self) -> dict:
         return {
@@ -1364,15 +1375,17 @@ def _table_index(alg: MatrixStarAlgebra, y: np.ndarray) -> np.ndarray | None:
     """sum_i l_i l_i* from the l_i's coordinates Y over ``alg``, or None without a product table.
 
     l_i* has coordinates conj(Y) S (S = :meth:`MatrixStarAlgebra.star_coordinates`),
-    and coords(l_i l_i*) = L_{l_i} coords(l_i*), one row gather of w d work
-    for an l_i of w nonzero coordinates
-    (:meth:`MatrixStarAlgebra.multiplication_gathers`); the sum takes one
-    combine, where the dense sum is q n^3.
+    a gather of conj(Y)'s columns by S^T's rows
+    (:attr:`MatrixStarAlgebra._star_rows`), and coords(l_i l_i*) =
+    L_{l_i} coords(l_i*), one row gather of w d work for an l_i of w nonzero
+    coordinates (:meth:`MatrixStarAlgebra.multiplication_gathers`); the sum
+    takes one combine, where the dense sum is q n^3.
     """
     gathers = alg.multiplication_gathers(y, left=True)
     if gathers is None:
         return None
-    stars = (np.conjugate(y) @ alg.star_coordinates())[:, :, None]
+    rows, scale = alg._star_rows
+    stars = (np.conjugate(y)[:, rows] * scale)[:, :, None]
     return alg.combine(_gather_times(*gathers, stars).sum(axis=0)[:, 0])
 
 

@@ -603,8 +603,8 @@ class RegularModule(GenericModule):
 
     @cached_property
     def _star_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """J = S^T as a row gather (rows, scale) (:meth:`MatrixStarAlgebra._star_rows`)."""
-        return self.algebra._star_rows()
+        """J = S^T as a row gather (rows, scale) (:attr:`MatrixStarAlgebra._star_rows`)."""
+        return self.algebra._star_rows
 
     def left_star(self, coords: np.ndarray):
         gathers = self.algebra.multiplication_gathers(coords, left=True)

@@ -4,8 +4,11 @@ Everything downstream works with plain ``numpy`` arrays of dtype
 ``complex128``.  This module provides the few primitives the rest of the
 package relies on: adjoints, operator norms (largest singular value),
 positivity tests, Hilbert-Schmidt geometry, least-squares membership in a
-matrix span, batched norm screening over stacks of matrices, and
-Hilbert-Schmidt orthonormalization of (possibly redundant) spanning sets.
+matrix span, batched norm screening over stacks of matrices,
+Hilbert-Schmidt orthonormalization of (possibly redundant) spanning sets,
+and functions of Hermitian matrices taken through one spectral primitive
+(:func:`hermitian_eigh`), which reads a diagonal matrix's spectrum off its
+diagonal.
 
 All tolerances are absolute, scaled by ``1 + norm`` wherever a residual is
 compared, and every routine is pure.  A check compares a sound bound of
@@ -316,11 +319,42 @@ def max_operator_norm(mats) -> float:
     return float(np.linalg.svd(stack[keep], compute_uv=False)[:, 0].max())
 
 
+def hermitian_eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and unit eigenvectors (columns) of Hermitian h.
+
+    Where every off-diagonal entry of h is exactly zero (no tolerance), the
+    spectrum is read off the diagonal's real part and the eigenvectors are
+    the unit vectors, in the order of their values; otherwise
+    ``np.linalg.eigh`` decomposes h.  The module Gram matrix and the index
+    of a trace-preserving expectation (group algebras, crossed products)
+    are diagonal, and there the eigensolve would only find the unit
+    vectors again.
+    """
+    h = np.asarray(h)
+    diagonal = h.diagonal()
+    if np.count_nonzero(h) != np.count_nonzero(diagonal):
+        return np.linalg.eigh(h)
+    values = diagonal.real
+    order = np.argsort(values, kind="stable")
+    unit = np.eye(len(h), dtype=np.result_type(h.dtype, np.float64))
+    return values[order], unit[:, order]
+
+
+def _hermitian_function(m, fn) -> np.ndarray:
+    """fn applied to the spectrum of the Hermitian part of m (:func:`hermitian_eigh`)."""
+    a = as_matrix(m)
+    w, v = hermitian_eigh((a + adjoint(a)) / 2.0)
+    return (v * fn(w)) @ adjoint(v)
+
+
 def psd_sqrt(m) -> np.ndarray:
     """Square root of a positive-semidefinite self-adjoint matrix."""
-    a = as_matrix(m)
-    w, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ adjoint(v)
+    return _hermitian_function(m, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+
+
+def hermitian_inverse(m) -> np.ndarray:
+    """Inverse of an invertible self-adjoint matrix, from its spectrum."""
+    return _hermitian_function(m, np.reciprocal)
 
 
 def random_matrix(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

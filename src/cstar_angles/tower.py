@@ -90,9 +90,12 @@ by one matrix-vector product each.
 
 e_B has rank r = dim B, usually far below d, so every product the level
 builds with e_B as a factor goes through its range.  The level keeps V
-(:attr:`TowerLevel.jones_range`), the d x r isometry whose columns are the
-eigenvectors of e_B's Hermitian part with eigenvalue above 1/2, so that
-e_B = V V* and x e_B y = (x V)(V* y).  In particular the Jones projection
+(:attr:`TowerLevel.jones_range`), the d x r matrix whose column a holds the
+module coordinates of B's basis element beta_a.  E is the identity on B,
+so <beta_a, beta_b> = Tr(E(beta_a* beta_b)) = Tr(beta_a* beta_b) = delta_ab
+and V is an isometry onto B's coordinates, the range of e_B: e_B = V V* and
+x e_B y = (x V)(V* y), with no eigensolve of e_B.  A checked level
+compares V V* with e_B itself.  In particular the Jones projection
 of an intermediate C is
 
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* = W W*,   W = [L_{mu_1} V ... L_{mu_p} V],
@@ -105,12 +108,14 @@ wherever a wrong module could hide: e_B's own laws (idempotent,
 self-adjoint, and the e_B of the exchange law), the postconditions of e_C
 against e_B and the expectation matrix, and the faithfulness of the
 representation are taken on the matrices themselves, never on V or on a
-product the module forms.  Left multiplication is checked on both routes
-a level takes it by: the module's products for every basis element, and
-:meth:`TowerLevel.embed` for one random element.  Each check compares a
-sound bound of its quantity first, a Frobenius norm or Gershgorin's
-bound, and takes the SVD or eigensolve only where the bound does not
-settle it (:func:`_check_level`, :func:`_check_projections`).
+product the module forms, and V itself is checked against the dense e_B
+(e_B = V V*), which licenses every product through V.  Left
+multiplication is checked on both routes a level takes it by: the
+module's products for every basis element, and :meth:`TowerLevel.embed`
+for one random element.  Each check compares a sound bound of its
+quantity first, a Frobenius norm or Gershgorin's bound, and takes the SVD
+or eigensolve only where the bound does not settle it
+(:func:`_check_level`, :func:`_check_projections`).
 
 An inclusion is named by its expectation: :func:`build_tower_level`
 takes E alone, with A = E.source and B = E.target, and an intermediate C
@@ -202,7 +207,10 @@ class GenericModule:
     The density is rho = sum_k tau_k b_k*, tau_k = Tr(E(b_k)), since
     Tr(E(y)) = sum_k tau_k <b_k, y>_HS = Tr(y rho) on A; so G is the
     transpose of R_rho, the right multiplication matrix of
-    :meth:`MatrixStarAlgebra.multiplication_matrices`.
+    :meth:`MatrixStarAlgebra.multiplication_matrices`.  Where Tr o E = c Tr
+    (group algebras, crossed products), G = c 1 is diagonal and is
+    decomposed off its diagonal, with no eigensolve
+    (:func:`~cstar_angles.matrices.hermitian_eigh`).
 
     Two more module quantities follow in A's coordinates.  The star matrix
     J (coords(x*) = J conj(coords(x))) is (G^{-1/2} S conj(G^{1/2}))^T, with
@@ -228,7 +236,7 @@ class GenericModule:
         tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
         rho = mx.adjoint(algebra.combine(np.conjugate(tau)))
         gram = algebra.multiplication_matrices(rho[None], left=False)[0].T
-        values, vectors = np.linalg.eigh(gram)
+        values, vectors = mx.hermitian_eigh(gram)  # diagonal where Tr o E = c Tr
         del gram
         # no Gram-Schmidt pivot is below sqrt(values[0]), so this fires
         # whenever the pivot rule cutoff (1 + ||b_j||_E) would
@@ -342,11 +350,12 @@ class TowerLevel:
     L_{l_k*} of ``spanning_products``), ``embedded_algebra`` ({L_x}),
     ``dual_quasi_basis`` and ``dual_expectation`` (E_1) are built on first
     read and cached: A_1 after its budget check, then checked to span A_1
-    when the level was built with ``check``, at ``DEFAULT_TOL``.  So
-    is ``jones_range``, the d x r isometry V with e_B = V V*: the
-    eigenvectors of e_B's Hermitian part with eigenvalue above 1/2.  Every
-    product the level forms with e_B inside, x e_B y, is taken as
-    (x V)(V* y) (:meth:`_through_jones`); the checks read e_B itself.
+    when the level was built with ``check``, at ``DEFAULT_TOL``; so is
+    ``index_sqrt``.  ``jones_range`` is the d x r isometry V with
+    e_B = V V*: B's basis in module coordinates, one column per element,
+    which a checked level compares with e_B.  Every product the level forms
+    with e_B inside, x e_B y, is taken as (x V)(V* y)
+    (:meth:`_through_jones`); the checks read e_B itself.
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
     the next rung in ``_rung``, so level two is built once per level and
@@ -357,9 +366,9 @@ class TowerLevel:
     expectation: ConditionalExpectation
     module: GenericModule
     jones_projection: np.ndarray
+    jones_range: np.ndarray
     index_matrix: np.ndarray
     index_inverse: np.ndarray
-    index_sqrt: np.ndarray
     _check: bool = field(default=True, repr=False)
     _rung: TowerLevel | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -382,14 +391,9 @@ class TowerLevel:
         return self.module.left_mult(x)
 
     @cached_property
-    def jones_range(self) -> np.ndarray:
-        """V, d x rank(e_B), orthonormal columns spanning range(e_B): e_B = V V*.
-
-        The eigenvectors of (e_B + e_B*) / 2 with eigenvalue above 1/2.
-        """
-        e = self.jones_projection
-        values, vectors = np.linalg.eigh((e + mx.adjoint(e)) / 2.0)
-        return vectors[:, values > 0.5]
+    def index_sqrt(self) -> np.ndarray:
+        """Ind(E)^(1/2), read by ``dual_quasi_basis`` and the exterior angle alone."""
+        return mx.psd_sqrt(self.index_matrix)
 
     def _through_jones(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """left e_B right as (left V)(V* right), for a matrix or a stack ``left``."""
@@ -582,6 +586,9 @@ def _check_level(level: TowerLevel) -> dict:
     L_{b_i} from the identity Tr(L_{b_i}* L_{b_j}) = Tr(b_i* b_j c) (module
     docstring), which holds when L is left multiplication;
     ``left_multiplication`` checks that on every basis element.
+    ``jones_range`` is ||e_B - V V*|| for V = :attr:`TowerLevel.jones_range`,
+    read off B's basis rather than e_B: it licenses every product the
+    level takes through V, the exchange law's among them.
 
     Each check compares a sound bound first and takes the exact value only
     where the bound does not settle it, so no verdict differs from the
@@ -592,34 +599,41 @@ def _check_level(level: TowerLevel) -> dict:
     (:func:`~cstar_angles.matrices.smallest_eigenvalue`).  A reported
     residual is the quantity compared, so a failing one is exact.
     """
-    e, tol = level.jones_projection, mx.DEFAULT_TOL
-    residuals = {}
-    laws = mx.screened_norms(np.stack([e @ e - e, e - mx.adjoint(e)]), tol)
-    residuals["jones_idempotent"], residuals["jones_selfadjoint"] = laws.tolist()
+    e, v, tol = level.jones_projection, level.jones_range, mx.DEFAULT_TOL
+    laws = np.stack([e @ e - e, e - mx.adjoint(e), e - v @ mx.adjoint(v)])
+    names = ("jones_idempotent", "jones_selfadjoint", "jones_range")
+    residuals = dict(zip(names, mx.screened_norms(laws, tol).tolist()))
+    del laws
 
     # e L_a e = L_{E(a)} e over the source basis of E, whose images E(b_k)
     # are the rows of its coordinate matrix.  R = e L_a e - L_{E(a)} e
-    # satisfies R = R e, so ||R|| = ||R V|| with V = jones_range:
-    # e (L_a V) - L_{E(a)} V costs 3 d^2 rank(e) per element instead of
-    # 3 d^3, and e multiplies a whole chunk [L_a V ...] in one GEMM.  L is
-    # linear, so L_{E(b_k)} V is sum_m T[k, m] L_{beta_m} V over E's target
-    # basis {beta_m}: one module product per level, then one contraction
-    # per chunk.  The basis elements b_k have A-coordinates e_k.
+    # satisfies R = R e, so ||R|| = ||R U|| for any U with e = U U*: V where
+    # the jones_range residual licenses it, and on a level where it fails
+    # the eigenvectors of e's Hermitian part above 1/2, so that the residual
+    # reported is still ||R||.  e (L_a U) - L_{E(a)} U costs 3 d^2 rank(e)
+    # per element instead of 3 d^3, and e multiplies a whole chunk
+    # [L_a U ...] in one GEMM.  L is linear, so L_{E(b_k)} U is
+    # sum_m T[k, m] L_{beta_m} U over E's target basis {beta_m}: one module
+    # product per level, then one contraction per chunk.  The basis
+    # elements b_k have A-coordinates e_k.
     E, A, mod = level.expectation, level.algebra, level.module
     t, unit = E.coordinates(), np.eye(A.dim)
-    range_e = level.jones_range
+    range_e = v
+    if residuals["jones_range"] > tol:
+        values, vectors = mx.hermitian_eigh((e + mx.adjoint(e)) / 2.0)
+        range_e = vectors[:, values > 0.5]
     d, r = range_e.shape
     target_on_range = _left_products(mod, E.target.basis_over(A), range_e)
 
     def exchange_residual(rows):
-        # (L_a V) for the chunk, side by side as one d x k r matrix
+        # (L_a U) for the chunk, side by side as one d x k r matrix
         wide = np.swapaxes(mod.left_times(unit[rows])(range_e), 0, 1).reshape(d, -1)
         acted = np.swapaxes((e @ wide).reshape(d, -1, r), 0, 1)
         diff = acted - np.tensordot(t[rows], target_on_range, axes=1)
         return float(mx.screened_norms(diff, tol).max(initial=0.0))
 
     # charged per element: its module product and the four d x r matrices
-    # L_a V, e L_a V, L_{E(a)} V and their difference
+    # L_a U, e L_a U, L_{E(a)} U and their difference
     residuals["exchange_law"] = max(
         exchange_residual(rows)
         for rows in mx.stack_slices(A.dim, _left_times_bytes(A, unit) + 4 * 16 * d * r)
@@ -682,7 +696,7 @@ def build_tower_level(
         # _check_level holds the L_beta V over B's basis {beta} whole, dim B x d
         # x rank(e_B) entries with rank(e_B) = dim B, beside the level's d x d
         # matrices: the module's two, its Gram matrix and eigenvectors while
-        # it is built, e_B and the eigenvectors of its Hermitian part
+        # it is built, e_B and the three residuals of e_B's own laws
         d, b = A.dim, B.dim
         _check_budget(
             16 * (b * d * b + 6 * d * d),
@@ -701,9 +715,10 @@ def build_tower_level(
         expectation=E,
         module=module,
         jones_projection=e_b,
+        # column a: the module coordinates of B's basis element beta_a
+        jones_range=(b_on_a @ module._to_module).T,
         index_matrix=ind,
-        index_inverse=np.linalg.inv(ind),
-        index_sqrt=mx.psd_sqrt(ind),
+        index_inverse=mx.hermitian_inverse(ind),
         _check=check,
     )
 
@@ -966,7 +981,7 @@ def _dual_expectation_from(
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1
     c1 = MatrixStarAlgebra.from_spanning(level.spanning_products(e_c))
-    ind_c_inv = np.linalg.inv(ind_c)
+    ind_c_inv = mx.hermitian_inverse(ind_c)
     right = e_c @ mx.adjoint(level._quasi_left)  # e_C L_{l_i*}
 
     def g_rule(ts: np.ndarray) -> np.ndarray:

@@ -1001,6 +1001,10 @@ def test_slices_match_dense_products(rng):
             assert np.max(np.abs(rm - _dense_coordinates(alg, basis @ y))) <= 1e-13, name
         star = alg.hs_coordinates(mx.adjoint(basis))
         assert np.max(np.abs(alg.star_coordinates() - star)) <= 1e-13, name
+        rows, scale = alg._star_rows  # S^T as a row gather
+        gathered = np.zeros((d, d), dtype=np.complex128)
+        gathered[np.arange(d), rows] = scale
+        assert np.max(np.abs(gathered - star.T)) <= 1e-13, name
         assert np.max(np.abs(star - _dense_coordinates(alg, mx.adjoint(basis)))) <= 1e-13, name
 
 
@@ -1311,9 +1315,18 @@ def test_table_index_matches_the_dense_sum(case, monkeypatch, rng):
         want = mx.sum_times_adjoint(E.quasi_stack)
         with monkeypatch.context() as patch:
             patch.setattr(mx, "sum_times_adjoint", None)  # the table path calls no dense sum
+            patch.setattr(MatrixStarAlgebra, "star_coordinates", None)  # nor forms S
             got = watatani_index(E)
         assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + mx.operator_norm(want))
         assert not got.flags.writeable
+
+
+def test_random_element_combines_without_dense_rows():
+    A = _z3_power_inclusion()[0].A  # the order-81 C[G], built from its maps
+    got = A.random_element(np.random.default_rng(5))
+    assert "_flat" not in vars(A)
+    want = mx.random_combination(A.basis, np.random.default_rng(5))  # the loop it replaces
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_matrix_held_quasi_basis_keeps_the_dense_index_and_takes_coordinates_once(monkeypatch):

@@ -98,7 +98,7 @@ def test_sweep_three_points(tmp_path, capsys):
     assert angles[1] == pytest.approx(math.pi / 4)
     assert angles[2] == pytest.approx(math.pi / 2)
     # RFC 4180 line endings
-    assert open(out_file, "rb").read().count(b"\r\n") == 4
+    assert out_file.read_bytes().count(b"\r\n") == 4
 
 
 def test_sweep_two_points_endpoints(tmp_path, capsys):

@@ -202,6 +202,58 @@ def test_psd_sqrt(rng):
     np.testing.assert_allclose(r @ r, p, atol=1e-10)
 
 
+def _eigh_calls(monkeypatch) -> list:
+    """Record each ``np.linalg.eigh`` call in the list returned."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(np.shape(h)) or eigh(h))
+    return calls
+
+
+def test_hermitian_eigh_reads_a_diagonal_off_its_diagonal(monkeypatch):
+    eigh = np.linalg.eigh
+    calls = _eigh_calls(monkeypatch)
+    diagonals = {
+        "scalar": np.full(5, 27.0),
+        "repeated and zero": np.array([3.0, 0.0, -1.5, 3.0, 0.0, 2.0]),
+        "complex dtype": np.array([2.0, 0.5, 2.0, 1.0]) + 0j,
+        "empty": np.zeros(0),
+    }
+    for name, diagonal in diagonals.items():
+        h = np.diag(diagonal)
+        values, vectors = mx.hermitian_eigh(h)
+        want_values, want_vectors = eigh(h)
+        assert values.tolist() == want_values.tolist(), name
+        assert vectors.dtype == want_vectors.dtype, name
+        # the unit vectors, each one of an eigenvalue's eigenspace
+        assert np.array_equal(np.abs(vectors), np.abs(vectors) ** 2), name
+        assert np.array_equal(np.abs(vectors).sum(axis=0), np.ones(len(h))), name
+        np.testing.assert_array_equal((vectors * values) @ mx.adjoint(vectors), h)
+        for value in np.unique(diagonal):  # eigenspace projections agree
+            mine, theirs = vectors[:, values == value], want_vectors[:, want_values == value]
+            np.testing.assert_allclose(
+                mine @ mx.adjoint(mine), theirs @ mx.adjoint(theirs), rtol=0, atol=1e-15
+            )
+    assert calls == []
+    # one off-diagonal entry, however small, sends h to the eigensolve
+    h = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
+    h[0, 2] = h[2, 0] = 1e-300
+    values, _ = mx.hermitian_eigh(h)
+    assert calls == [(3, 3)]
+    assert values.tolist() == eigh(h)[0].tolist()
+
+
+def test_index_functions_of_a_scalar_take_no_eigensolve(monkeypatch, rng):
+    calls = _eigh_calls(monkeypatch)
+    ind = 27.0 * np.eye(81, dtype=np.complex128)
+    np.testing.assert_array_equal(mx.hermitian_inverse(ind), np.eye(81) / 27.0)
+    np.testing.assert_array_equal(mx.psd_sqrt(ind), math.sqrt(27.0) * np.eye(81))
+    assert calls == []
+    a = mx.random_matrix(4, rng)
+    p = mx.adjoint(a) @ a + np.eye(4)
+    np.testing.assert_allclose(mx.hermitian_inverse(p), np.linalg.inv(p), atol=1e-12)
+    assert calls == [(4, 4)]
+
+
 def test_max_operator_norm_matches_direct(rng):
     mats = [mx.random_matrix(3, rng, scale=s) for s in (1e-3, 1.0, 2.0, 0.5)]
     direct = max(mx.operator_norm(m) for m in mats)

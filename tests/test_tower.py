@@ -992,7 +992,9 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
         want = exchange_law_dense(level)
         assert abs(got - want) <= 1e-12 * (1.0 + want)
 
-    # with an intermediate projection e_C in place of e_B the law fails
+    # with an intermediate projection e_C in place of e_B the law fails, and
+    # so does e_B = V V*, V being B's range still: the law is then taken on
+    # e_C's own range, so the residual reported is the dense one
     swaps = [
         (tower_level, intermediate_data(tower_level, inclusion.F)[0]),
         (c_plus_m2.level, intermediate_data(c_plus_m2.level, c_plus_m2.F)[0]),
@@ -1001,6 +1003,7 @@ def test_exchange_law_on_range_matches_dense_form(tower_level, inclusion, c_plus
         swapped = dataclasses.replace(level, jones_projection=e_c)
         with pytest.raises(ConstructionFailure) as failure:
             tower._check_level(swapped)
+        assert failure.value.residuals["jones_range"] > 0.1
         got = failure.value.residuals["exchange_law"]
         want = exchange_law_dense(swapped)
         assert want > 0.1
@@ -1027,18 +1030,16 @@ def range_levels(tower_level):
     }
 
 
-def test_jones_range_is_an_isometry_onto_range_e(range_levels, tower_level, inclusion):
-    e_c = intermediate_data(tower_level, inclusion.F)[0]
-    swapped = dataclasses.replace(tower_level, jones_projection=e_c)
-    cases = [(name, level, level.subalgebra.dim) for name, level in range_levels.items()]
-    cases.append(("m2 with e_Delta", swapped, inclusion.delta.dim))
-    for name, level, rank in cases:
-        v = level.jones_range
+def test_jones_range_is_an_isometry_onto_range_e(range_levels, c_plus_m2):
+    # V is B's basis in module coordinates, read with no eigensolve of e_B;
+    # a level whose e_B is swapped keeps B's V and fails its jones_range
+    # check (test_exchange_law_on_range_matches_dense_form)
+    levels = {**range_levels, "c_plus_m2": c_plus_m2.level}
+    for name, level in levels.items():
+        v, rank = level.jones_range, level.subalgebra.dim
         assert v.shape == (level.module_dim, rank), name
         assert np.abs(mx.adjoint(v) @ v - np.eye(rank)).max() <= 1e-13, name
         assert np.abs(v @ mx.adjoint(v) - level.jones_projection).max() <= 1e-13, name
-    # the swapped level has its own range: that of e_Delta, not of e_B
-    assert swapped.jones_range.shape[1] != tower_level.jones_range.shape[1]
 
 
 def dual_rule_dense(level):
@@ -1679,14 +1680,29 @@ def test_a_checked_regular_level_and_its_angle_take_three_svds_and_no_eigvalsh(m
     inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
     F = inc.expectation_onto(sub((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
     F_prime = inc.expectation_onto(sub((0, 1, 0, 0), (0, 0, 0, 1)))
-    svds, eigvalsh_calls, eigvalsh = _svd_inputs(monkeypatch), [], np.linalg.eigvalsh
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda h: eigvalsh_calls.append(1) or eigvalsh(h)
-    )
+    svds, spectral = _svd_inputs(monkeypatch), []
+    # nor does it take an eigensolve or an inverse its inputs answer: the
+    # module Gram matrix and Ind(E) are diagonal, and V is B's coordinates
+    for name in ("eigvalsh", "eigh", "inv"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda h, _f=f, _name=name: spectral.append(_name) or _f(h)
+        )
     level = inc.tower()
     assert abs(interior_angle_definition(level, F, F_prime).cos_value - 0.5) <= 1e-12
-    assert eigvalsh_calls == []
+    assert spectral == []
     assert svds == [(81, 81)] * 3
+
+
+def test_a_module_whose_gram_matrix_is_not_diagonal_takes_the_eigensolve(range_levels, monkeypatch):
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(np.shape(h)) or eigh(h))
+    # matrix units give a diagonal Gram matrix, even one rung up (d = 97)
+    GenericModule(range_levels["M2+M3 level 2"].expectation)
+    assert shapes == []
+    # a basis mixed by a unitary does not (d = 36)
+    GenericModule(m2_tensor_m3()[0])
+    assert shapes == [(36, 36)]
 
 
 def _basis_over_passes(monkeypatch, basis, over):
