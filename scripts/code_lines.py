@@ -1,13 +1,20 @@
-"""Code lines per module of ``src/cstar_angles``, and their total.
+"""Code lines and defaulted parameters per module of ``src/cstar_angles``, and their totals.
 
 A code line holds at least one token that is not a comment and not part of
 a docstring (the first statement of a module, class or function body when
 it is a string); blank lines hold none.  Docstrings are found with ``ast``
-and the other tokens with ``tokenize``.  Run from anywhere:
+and the other tokens with ``tokenize``.
+
+The second count is of the parameters that have a default value on public
+functions and methods: module-level functions whose names do not start with
+an underscore, and the methods of module-level classes whose names do not
+start with one, the methods' own names likewise, plus ``__init__``.  Run
+from anywhere:
 
     python scripts/code_lines.py
 
-It prints one line per module and the total, and exits 0.
+It prints one line per module (code lines, then defaulted parameters) and
+the totals, and exits 0.
 """
 
 from __future__ import annotations
@@ -47,12 +54,33 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+def defaulted_parameters(source: str) -> int:
+    """The number of parameters with a default value on one module's public functions and methods."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions.extend(
+                method for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return sum(
+        len(f.args.defaults) + sum(d is not None for d in f.args.kw_defaults)
+        for f in functions
+        if f.name == "__init__" or not f.name.startswith("_")
+    )
+
+
 def main() -> int:
-    counts = {path.name: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    counts = {name: (code_lines(s), defaulted_parameters(s)) for name, s in sources.items()}
     width = max(map(len, counts))
-    for name, count in counts.items():
-        print(f"{name:<{width}} {count:>6,}")
-    print(f"{'total':<{width}} {sum(counts.values()):>6,}")
+    print(f"{'module':<{width}} {'lines':>6} {'defaulted':>9}")
+    for name, (lines, params) in counts.items():
+        print(f"{name:<{width}} {lines:>6,} {params:>9}")
+    lines, params = (sum(column) for column in zip(*counts.values()))
+    print(f"{'total':<{width}} {lines:>6,} {params:>9}")
     return 0
 
 

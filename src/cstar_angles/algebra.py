@@ -50,6 +50,7 @@ write-protected after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections.abc import Callable, Sequence
@@ -587,11 +588,11 @@ class MatrixStarAlgebra:
         residuals = mx.row_norms(self.combine(coords).reshape(len(xs), -1) - flat)
         return coords, residuals, mx.row_norms(flat)
 
-    def _member_coordinates(self, xs: np.ndarray, tol: float) -> np.ndarray | None:
+    def _member_coordinates(self, xs: np.ndarray) -> np.ndarray | None:
         """HS coordinates of a (k, n, n) stack, or None when one of its matrices is no member.
 
         The membership core of :meth:`contains`, :meth:`contains_all` and
-        :meth:`coordinates`: x is a member when ||P x - x||_F <= tol
+        :meth:`coordinates`: x is a member when ||P x - x||_F <= DEFAULT_TOL
         (1 + ||x||_F), with P the HS projection onto the span.  One pass per
         chunk of the stack takes the coordinates, rebuilds P x from them and
         compares; it stops at the first chunk holding a non-member.
@@ -601,21 +602,21 @@ class MatrixStarAlgebra:
         # temporaries of hs_coordinates
         for rows in mx.stack_slices(len(xs), 3 * 16 * xs.shape[1] * xs.shape[2]):
             coords[rows], residuals, sizes = self._projected(xs[rows])
-            if _misses(residuals, sizes, tol):
+            if _misses(residuals, sizes):
                 return None
         return coords
 
-    def basis_over(self, other: "MatrixStarAlgebra", tol: float | None = None) -> np.ndarray | None:
+    def basis_over(self, other: "MatrixStarAlgebra", *, checked: bool = False) -> np.ndarray | None:
         """This algebra's basis over ``other``'s: row a holds the HS coordinates of b_a, d x d_other.
 
-        With ``tol`` the pass also runs the membership test of
-        :meth:`contains_all` on every b_a, ||P b_a - b_a||_F <= tol
+        When ``checked`` the pass also runs the membership test of
+        :meth:`contains_all` on every b_a, ||P b_a - b_a||_F <= DEFAULT_TOL
         (1 + ||b_a||_F) with P the HS projection onto ``other``, and returns
         None when one misses.  Every question "this basis in the coordinates
         of that algebra" is answered here, by one pass (:meth:`_basis_over`).
         """
-        coords, residuals, sizes = self._basis_over(other, tol is not None)
-        if tol is not None and _misses(residuals, sizes, tol):
+        coords, residuals, sizes = self._basis_over(other, checked)
+        if checked and _misses(residuals, sizes):
             return None
         return coords
 
@@ -672,26 +673,26 @@ class MatrixStarAlgebra:
         sizes = np.sqrt(np.bincount(owners, np.abs(values) ** 2, d))
         return coords, np.sqrt(squares), sizes
 
-    def contains(self, x, tol: float = mx.DEFAULT_TOL) -> bool:
-        return self._member_coordinates(mx.as_matrix(x)[None], tol) is not None
+    def contains(self, x) -> bool:
+        return self._member_coordinates(mx.as_matrix(x)[None]) is not None
 
-    def contains_all(self, xs, tol: float = mx.DEFAULT_TOL) -> bool:
+    def contains_all(self, xs) -> bool:
         """:meth:`contains` for every matrix of a (k, n, n) stack at once."""
-        return self._member_coordinates(mx.as_stack(xs), tol) is not None
+        return self._member_coordinates(mx.as_stack(xs)) is not None
 
-    def coordinates(self, x, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
+    def coordinates(self, x) -> np.ndarray:
         """Orthonormal-basis coordinates of members; raises NotInAlgebra off the span.
 
         ``x`` is one n x n matrix or a (k, n, n) stack (rows of coordinates).
         A matrix is off the span when its projection misses it by more than
-        ``tol (1 + ||x||_F)`` in Frobenius norm.  The coordinates and that
+        ``DEFAULT_TOL (1 + ||x||_F)`` in Frobenius norm.  The coordinates and that
         test come from one pass over the stack, a chunk of at most
         ``STACK_BUDGET_BYTES`` at a time; the coordinates are those of
         :meth:`hs_coordinates`.
         """
         x = np.asarray(x, dtype=np.complex128)
         stack = mx.as_stack(x) if x.ndim == 3 else mx.as_matrix(x)[None]
-        coords = self._member_coordinates(stack, tol)
+        coords = self._member_coordinates(stack)
         if coords is None:
             raise NotInAlgebra("element is not in the algebra span")
         return coords if x.ndim == 3 else coords[0]
@@ -749,13 +750,16 @@ class MatrixStarAlgebra:
             out[rows] = self.hs_coordinates(products.reshape(-1, n, n)).reshape(-1, d, d)
         return out
 
-    def same_span(self, other: "MatrixStarAlgebra", tol: float = mx.DEFAULT_TOL) -> bool:
-        """Equality as subspaces (bases are never canonical)."""
+    def same_span(self, other: "MatrixStarAlgebra") -> bool:
+        """Equality as subspaces (bases are never canonical), each basis checked inside the other."""
         if other is self:
             return True
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        return other.basis_over(self, tol) is not None and self.basis_over(other, tol) is not None
+        return (
+            other.basis_over(self, checked=True) is not None
+            and self.basis_over(other, checked=True) is not None
+        )
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """sum_k c_k b_k with standard complex normal c_k, formed by :meth:`combine`."""
@@ -771,7 +775,7 @@ class MatrixStarAlgebra:
     @classmethod
     def from_json(cls, payload: dict) -> "MatrixStarAlgebra":
         mats = [matrix_from_json(m) for m in payload["spanning_set"]]
-        n = int(payload["ambient_dim"])
+        n = _json_dimension(payload, "ambient_dim")
         if any(m.shape != (n, n) for m in mats):
             raise ShapeMismatch(f"spanning_set must hold {n}x{n} matrices")
         return cls.from_spanning(mats) if mats else cls(np.zeros((0, n, n)))
@@ -780,9 +784,9 @@ class MatrixStarAlgebra:
         return f"MatrixStarAlgebra(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _misses(residuals: np.ndarray, sizes: np.ndarray, tol: float) -> bool:
-    """Whether some x is off the span: ||P x - x||_F > tol (1 + ||x||_F), given both norms."""
-    return bool(np.any(residuals > tol * (1.0 + sizes)))
+def _misses(residuals: np.ndarray, sizes: np.ndarray) -> bool:
+    """Whether some x is off the span: ||P x - x||_F > DEFAULT_TOL (1 + ||x||_F), given both norms."""
+    return bool(np.any(residuals > mx.DEFAULT_TOL * (1.0 + sizes)))
 
 
 def _row_nonzeros(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -848,8 +852,8 @@ class VerificationReport:
     subject: str
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, name: str, residual: float, tol: float, detail: str = ""):
-        self.checks.append(CheckResult(name, residual <= tol, float(residual), detail))
+    def add(self, name: str, residual: float, bound: float, detail: str = ""):
+        self.checks.append(CheckResult(name, residual <= bound, float(residual), detail))
 
     @property
     def passed(self) -> bool:
@@ -863,16 +867,13 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def verify_star_algebra(
-    alg: MatrixStarAlgebra, tol: float = mx.DEFAULT_TOL, max_pairs: int | None = None
-) -> VerificationReport:
-    """Check unit membership and closure under adjoints and products.
+def verify_star_algebra(alg: MatrixStarAlgebra) -> VerificationReport:
+    """Check unit membership and closure under adjoints and products, within ``DEFAULT_TOL``.
 
-    ``max_pairs`` caps the number of product pairs tested (seeded sample);
-    by default every pair of basis elements is checked.
+    Every pair of basis elements is multiplied, a chunk of pairs at a time.
     """
     report = VerificationReport(subject=repr(alg))
-    basis, d, n = alg.basis_stack, alg.dim, alg.ambient_dim
+    basis, d, n, tol = alg.basis_stack, alg.dim, alg.ambient_dim, mx.DEFAULT_TOL
 
     def worst_residual(mats: np.ndarray) -> float:
         off = (alg.project(mats) - mats).reshape(len(mats), n * n)
@@ -881,12 +882,9 @@ def verify_star_algebra(
     report.add("unit_in_span", alg.membership_residual(alg.unit), tol)
     report.add("adjoint_closed", worst_residual(mx.adjoint(basis)), tol)
 
-    pairs = np.arange(d * d)  # pair (i, j) is number i d + j
-    if max_pairs is not None and len(pairs) > max_pairs:
-        pairs = mx.default_rng().choice(len(pairs), size=max_pairs, replace=False)
-    i, j = np.divmod(pairs, d)
+    i, j = np.divmod(np.arange(d * d), d)  # pair (i, j) is number i d + j
     # charged per pair: its product, the projection and their difference
-    chunks = mx.stack_slices(len(pairs), 3 * 16 * n * n)
+    chunks = mx.stack_slices(d * d, 3 * 16 * n * n)
     worst = max((worst_residual(basis[i[r]] @ basis[j[r]]) for r in chunks), default=0.0)
     report.add("product_closed", worst, tol)
     return report
@@ -966,7 +964,7 @@ class ConditionalExpectation:
         if self._quasi is not None:
             self._quasi.setflags(write=False)
         self.name = name
-        self._index_cache: _IndexChecks | None = None  # Ind(E) and its checks: watatani_index
+        self._index: np.ndarray | None = None  # Ind(E), once its checks pass: watatani_index
 
     @cached_property
     def quasi_stack(self) -> np.ndarray | None:
@@ -1086,9 +1084,9 @@ class ConditionalExpectation:
         s, b = self.source._flat, self.target._flat
         return b.T @ (self.coordinate_matrix.T @ np.conjugate(s))
 
-    def index_element(self, tol: float = mx.DEFAULT_TOL) -> np.ndarray:
+    def index_element(self) -> np.ndarray:
         """The Watatani index; see :func:`watatani_index`."""
-        return watatani_index(self, tol)
+        return watatani_index(self)
 
     def to_json(self) -> dict:
         return {
@@ -1105,7 +1103,7 @@ class ConditionalExpectation:
     @classmethod
     def from_json(cls, payload: dict) -> "ConditionalExpectation":
         mat = matrix_from_json(payload["map_matrix"])
-        n2 = int(payload["source"]["ambient_dim"]) ** 2
+        n2 = _json_dimension(payload["source"], "ambient_dim") ** 2
         if mat.shape != (n2, n2):
             raise ShapeMismatch(f"map_matrix must be {n2}x{n2}, got {mat.shape}")
         source = MatrixStarAlgebra.from_json(payload["source"])
@@ -1132,26 +1130,30 @@ def identity_expectation(alg: MatrixStarAlgebra) -> ConditionalExpectation:
     )
 
 
+# verify_expectation draws this many random elements x and compares the
+# positivity residual of E(x*x) with POSITIVITY_TOL
+POSITIVITY_SAMPLES = 100
+POSITIVITY_TOL = 10 * mx.DEFAULT_TOL
+
+
 def verify_expectation(
-    E: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
-    positivity_samples: int = 100,
-    bimodular_samples: int | None = None,
+    E: ConditionalExpectation, rng: np.random.Generator | None = None
 ) -> VerificationReport:
     """Check the defining properties of a conditional expectation.
 
     Covers: E fixes the target, E maps into the target span, bimodularity
-    E(b x b') = b E(x) b' over target pairs and source elements, E(1) = 1,
-    and positivity of E(x*x) on random samples (sampled, not certified).
-    Each runs on stacks through the coordinate matrix, unchecked.  T holds
-    only the projections of E's images onto the target, so
-    ``range_in_target`` is the images' own relative residual, the one
-    :meth:`ConditionalExpectation.coordinates` checks.
+    E(b x b') = b E(x) b' over every triple of target pairs and source basis
+    elements, E(1) = 1, each within ``DEFAULT_TOL``, and positivity of
+    E(x*x) on ``POSITIVITY_SAMPLES`` random elements within
+    ``POSITIVITY_TOL`` (sampled, not certified).  Each runs on stacks
+    through the coordinate matrix, unchecked.  T holds only the projections
+    of E's images onto the target, so ``range_in_target`` is the images' own
+    relative residual, the one :meth:`ConditionalExpectation.coordinates`
+    checks.
     """
     rng = rng or mx.default_rng()
     report = VerificationReport(subject=repr(E))
-    src, tgt, n = E.source, E.target, E.ambient_dim
+    src, tgt, n, tol = E.source, E.target, E.ambient_dim, mx.DEFAULT_TOL
     betas = tgt.basis_stack
 
     def worst(diffs: np.ndarray) -> float:
@@ -1164,14 +1166,11 @@ def verify_expectation(
     report.add("range_in_target", E._off_target[0], tol)
 
     shape = (tgt.dim, tgt.dim, src.dim)  # the triples (b, b', x), numbered in this order
-    triples = np.arange(np.prod(shape))
-    if bimodular_samples is not None and len(triples) > bimodular_samples:
-        triples = rng.choice(len(triples), size=bimodular_samples, replace=False)
-    left, right, x = np.unravel_index(triples, shape)
+    left, right, x = np.unravel_index(np.arange(math.prod(shape)), shape)
     res = 0.0
     # charged per triple: its two target factors, its product, E of it, E(x)
     # and the difference
-    for r in mx.stack_slices(len(triples), 6 * 16 * n * n):
+    for r in mx.stack_slices(len(x), 6 * 16 * n * n):
         b, b2 = betas[left[r]], betas[right[r]]
         images = tgt.combine(E._t[x[r]])  # E(x), from its row of T
         res = max(res, worst(apply(b @ src.basis_stack[x[r]] @ b2) - b @ images @ b2))
@@ -1180,12 +1179,12 @@ def verify_expectation(
     report.add("unital", worst(apply(src.unit[None]) - tgt.unit), tol)
 
     # the samples, one random_element call each
-    xs = np.reshape([src.random_element(rng) for _ in range(positivity_samples)], (-1, n, n))
+    xs = np.reshape([src.random_element(rng) for _ in range(POSITIVITY_SAMPLES)], (-1, n, n))
     values = apply(mx.adjoint(xs) @ xs)
     smallest = np.linalg.eigvalsh((values + mx.adjoint(values)) / 2.0)[:, :1]
     skew = mx.operator_norms(values - mx.adjoint(values))
     res = float(max(0.0, -smallest.min(initial=0.0), skew.max(initial=0.0)))
-    report.add("positive_on_samples", res, tol * 10)
+    report.add("positive_on_samples", res, POSITIVITY_TOL)
     return report
 
 
@@ -1294,81 +1293,57 @@ def _quasi_basis_core(
     return bool(np.all(residuals <= 2.0 * tol - charge))  # tol (1 + ||x||_F), ||x||_F = 1
 
 
-def watatani_index(
-    E: ConditionalExpectation, tol: float = mx.DEFAULT_TOL
-) -> np.ndarray:
+def watatani_index(E: ConditionalExpectation) -> np.ndarray:
     """sum_i l_i l_i* for the stored quasi-basis, with its guarantees checked.
 
     A quasi-basis held as its source coordinates Y on a source with a
     product table is summed in coordinates (:func:`_table_index`); any other
-    is summed as dense products.  The result must be self-adjoint, commute
-    with every source basis element (centrality) and have spectrum >= 1;
+    is summed as dense products.  The result must be self-adjoint and
+    commute with every source basis element (centrality), and its Hermitian
+    part must have spectrum >= 1, each within ``DEFAULT_TOL`` (centrality
+    against ``DEFAULT_TOL (1 + ||ind||)``, :func:`_exceeds_scaled_tol`);
     violations raise :class:`NumericIntegrityError` since they indicate a
     broken quasi-basis.  Centrality is tested in coordinates, against an
     upper bound of the largest commutator norm (:func:`_centrality_residual`).
-    The element and the bounds of :class:`_IndexChecks` are computed once
-    per expectation and kept on it.  Every call tests against its own
-    ``tol``, each test by its bound first: an exact operator norm or
-    eigenvalue is taken, and kept, only for a test the bound does not
-    settle, and every error reports the exact value.
+    The three tests run once, when the element is first built, and E keeps
+    the element only when all three pass.  Each test compares a sound bound
+    first (||ind - ind*||_F, 1 + ||ind||_F / sqrt(n) and Gershgorin's bound
+    of the Hermitian part): an exact operator norm or eigenvalue is taken
+    only for a test the bound does not settle, and every error reports the
+    exact value.  The Hermitian part is formed for its test and not kept.
     """
-    if E._index_cache is None:
+    if E._index is None:
         if E._quasi is None:
             raise NoQuasiBasis("expectation carries no quasi-basis")
         ind = _table_index(E.source, E._quasi) if E._quasi.ndim == 2 else None
         if ind is None:
             ind = mx.sum_times_adjoint(E.quasi_stack)
         ind.setflags(write=False)
-        E._index_cache = _IndexChecks(ind, E.source)
-    checks = E._index_cache
-    if checks.skew_bound > tol and checks.skew > tol:
-        raise NumericIntegrityError("index element is not self-adjoint")
-    if checks.exceeds(checks.central, tol):
-        raise NumericIntegrityError(f"index element not central (residual {checks.central:.2e})")
-    if checks.smallest_bound < 1.0 - tol and checks.smallest < 1.0 - tol:
-        raise NumericIntegrityError(f"index has eigenvalue {checks.smallest:.6f} below 1")
-    return checks.ind
+        tol = mx.DEFAULT_TOL
+        skew = ind - mx.adjoint(ind)
+        if mx.frobenius_norm(skew) > tol and (exact := mx.operator_norm(skew)) > tol:
+            raise NumericIntegrityError(f"index element is not self-adjoint (residual {exact:.2e})")
+        central = _centrality_residual(E.source, ind)
+        if _exceeds_scaled_tol(central, ind):
+            raise NumericIntegrityError(f"index element not central (residual {central:.2e})")
+        smallest = mx.smallest_eigenvalue((ind + mx.adjoint(ind)) / 2.0, 1.0 - tol)
+        if smallest < 1.0 - tol:
+            raise NumericIntegrityError(f"index has eigenvalue {smallest:.6f} below 1")
+        E._index = ind
+    return E._index
 
 
-class _IndexChecks:
-    """Ind(E), the residual of its centrality, and the bounds that settle its other checks.
+def _exceeds_scaled_tol(residual: float, ind: np.ndarray) -> bool:
+    """Whether ``residual`` > DEFAULT_TOL (1 + ||ind||), for an n x n ``ind``.
 
-    Each bound lies on the passing side of the value it stands for:
-    ``skew_bound`` = ||ind - ind*||_F >= ||ind - ind*||, ``scale_bound`` =
-    1 + ||ind||_F / sqrt(n) <= 1 + ||ind||, and ``smallest_bound``, the
-    Gershgorin bound of the Hermitian part h = (ind + ind*) / 2
-    (:func:`~cstar_angles.matrices.gershgorin_lower`), <= its smallest
-    eigenvalue.  The exact values ``skew``, ``scale`` and ``smallest`` are
-    computed on first read and kept; h is formed again for the eigensolve,
-    not held.
+    1 + ||ind||_F / sqrt(n) <= 1 + ||ind|| settles the test where the
+    residual is at most ``DEFAULT_TOL`` times it; only otherwise is the
+    operator norm taken.
     """
-
-    def __init__(self, ind: np.ndarray, source: MatrixStarAlgebra):
-        self.ind = ind
-        self.central = _centrality_residual(source, ind)
-        self.skew_bound = mx.frobenius_norm(ind - mx.adjoint(ind))
-        self.scale_bound = 1.0 + mx.frobenius_norm(ind) / math.sqrt(len(ind))
-        self.smallest_bound = mx.gershgorin_lower(self.hermitian)
-
-    @cached_property
-    def skew(self) -> float:
-        return mx.operator_norm(self.ind - mx.adjoint(self.ind))
-
-    @cached_property
-    def scale(self) -> float:
-        return 1.0 + mx.operator_norm(self.ind)
-
-    @property
-    def hermitian(self) -> np.ndarray:
-        return (self.ind + mx.adjoint(self.ind)) / 2.0
-
-    @cached_property
-    def smallest(self) -> float:
-        return float(np.linalg.eigvalsh(self.hermitian)[0])
-
-    def exceeds(self, residual: float, tol: float) -> bool:
-        """Whether ``residual`` > tol (1 + ||ind||), settled by ``scale_bound`` where it can be."""
-        return residual > tol * self.scale_bound and residual > tol * self.scale
+    tol = mx.DEFAULT_TOL
+    return residual > tol * (1.0 + mx.frobenius_norm(ind) / math.sqrt(len(ind))) and (
+        residual > tol * (1.0 + mx.operator_norm(ind))
+    )
 
 
 def _table_index(alg: MatrixStarAlgebra, y: np.ndarray) -> np.ndarray | None:
@@ -1408,24 +1383,22 @@ def _centrality_residual(alg: MatrixStarAlgebra, x: np.ndarray) -> float:
 
 
 def restrict_expectation(
-    E: ConditionalExpectation,
-    C: MatrixStarAlgebra,
-    F: ConditionalExpectation,
-    tol: float = mx.DEFAULT_TOL,
+    E: ConditionalExpectation, C: MatrixStarAlgebra, F: ConditionalExpectation
 ) -> ConditionalExpectation:
     """E restricted to the intermediate target(F) = C, with derived quasi-basis {F(l_i)}.
 
     Raises :class:`NotIntermediate` unless F's target spans C, and then
     unless F's source spans E's and target(E) <= target(F) <= source(E),
-    each within ``tol`` (:func:`_intermediate`).  The restriction
+    each within ``DEFAULT_TOL`` (:func:`_intermediate`).  The restriction
     (:func:`_restrict_core`) reads F only as the record those checks
     return, so neither basis is projected twice.  The restriction's source
-    is F's target.  The F(l_i) whose norm is at most ``tol`` times the
-    largest are left out of the derived quasi-basis (:func:`_restrict_core`).
+    is F's target.  The F(l_i) whose norm is at most ``DEFAULT_TOL`` times
+    the largest are left out of the derived quasi-basis
+    (:func:`_restrict_core`).
     """
-    if not F.target.same_span(C, tol):
+    if not F.target.same_span(C):
         raise NotIntermediate("F does not map onto C")
-    return _restrict_core(E, _intermediate(E, F, tol), tol)
+    return _restrict_core(E, _intermediate(E, F))
 
 
 class _Intermediate(NamedTuple):
@@ -1447,8 +1420,8 @@ class _Intermediate(NamedTuple):
     hs: np.ndarray
 
 
-def _intermediate(E: ConditionalExpectation, F: ConditionalExpectation, tol: float):
-    """The checks of :func:`compatibility_residual`, at ``tol``; returns F as a record.
+def _intermediate(E: ConditionalExpectation, F: ConditionalExpectation):
+    """The checks of :func:`compatibility_residual`, at ``DEFAULT_TOL``; returns F as a record.
 
     Raises :class:`NotIntermediate` unless F's source spans A = source(E),
     then unless target(E) <= target(F), then unless target(F) <= A.  Only
@@ -1456,48 +1429,47 @@ def _intermediate(E: ConditionalExpectation, F: ConditionalExpectation, tol: flo
     the :class:`_Intermediate` returned.
     """
     A = E.source
-    read_t = _coordinates_on(A, F, tol)
+    read_t = _coordinates_on(A, F)
     b_on_c, off, sizes = E.target._basis_over(F.target, True)
-    if _misses(off, sizes, tol):
+    if _misses(off, sizes):
         raise NotIntermediate("target(E) is not contained in target(F)")
-    c_on_a = F.target.basis_over(A, tol)
+    c_on_a = F.target.basis_over(A, checked=True)
     if c_on_a is None:
         raise NotIntermediate("target(F) is not contained in the source")
     t = read_t()
     return _Intermediate(F.target, t, c_on_a, b_on_c, float(np.linalg.norm(off)), t @ c_on_a)
 
 
-def _coordinates_on(
-    A: MatrixStarAlgebra, F: ConditionalExpectation, tol: float
-) -> Callable[[], np.ndarray]:
+def _coordinates_on(A: MatrixStarAlgebra, F: ConditionalExpectation) -> Callable[[], np.ndarray]:
     """A reader of F's coordinate matrix T with its rows over A's basis {a_j}.
 
     The one place an F is read on an algebra object other than its source:
-    raises :class:`NotIntermediate` at once unless F's source spans A, at
-    ``tol``, and the reader gives Q T, Q[j] = a_j over F's source basis.
-    T is read, at the default tolerance, only when the reader is called.
+    raises :class:`NotIntermediate` at once unless F's source spans A, and
+    the reader gives Q T, Q[j] = a_j over F's source basis.  T is read, at
+    the default tolerance, only when the reader is called.
     """
     if F.source is A:
         return F.coordinates
-    if not A.same_span(F.source, tol):
+    if not A.same_span(F.source):
         raise NotIntermediate("E and F must share their source algebra")
     return lambda: A.basis_over(F.source) @ F.coordinate_matrix
 
 
-def _restrict_core(E: ConditionalExpectation, member, tol: float) -> ConditionalExpectation:
+def _restrict_core(E: ConditionalExpectation, member) -> ConditionalExpectation:
     """:func:`restrict_expectation` after its checks, from the record :func:`_intermediate` returns.
 
     E(c_j) = sum_k <b_k, c_j> E(b_k), so the coordinate matrix restricts by
     rows: ``member.c_on_a`` (row j holds the <b_k, c_j> for C's basis
     {c_j}) times E's.  The derived quasi-basis is held as its coordinates
     over C, Y = E's Y, read as E holds it, times ``member.t``, with the rows
-    whose norm is at most ``tol`` times the largest row norm left out: exact
+    whose norm is at most ``DEFAULT_TOL`` times the largest row norm left out: exact
     zeros add nothing to either identity, and an F read on another algebra
     object of A's span (:func:`_coordinates_on`) leaves rounding noise where
     F on A gives zeros.  It is checked from Y by the core of
     :func:`verify_quasi_basis` on ``member.b_on_c``, and
     :class:`NoQuasiBasis` is raised when it fails.
     """
+    tol = mx.DEFAULT_TOL
     quasi = E._quasi_coords
     if quasi is not None:
         quasi = quasi @ member.t  # the F(l_i), zeros and noise left out
@@ -1505,7 +1477,7 @@ def _restrict_core(E: ConditionalExpectation, member, tol: float) -> Conditional
         quasi = quasi[norms > tol * norms.max(initial=0.0)]
         quasi.setflags(write=False)  # shared by the expectation and the check
     restricted = ConditionalExpectation.from_coordinates(
-        member.target, E.target, member.c_on_a @ E.coordinates(tol), quasi_basis=quasi,
+        member.target, E.target, member.c_on_a @ E.coordinate_matrix, quasi_basis=quasi,
         name=f"{E.name}|C",
     )
     if quasi is not None and not _quasi_basis_core(
@@ -1526,7 +1498,7 @@ def compatibility_residual(
     (:func:`_compatibility_core`) reads F on A's HS coordinates from the
     record those checks return.
     """
-    return float(_compatibility_core(E, [_intermediate(E, F, mx.DEFAULT_TOL)])[0])
+    return float(_compatibility_core(E, [_intermediate(E, F)])[0])
 
 
 def _compatibility_core(E: ConditionalExpectation, members) -> np.ndarray:
@@ -1564,30 +1536,28 @@ def _compatibility_core(E: ConditionalExpectation, members) -> np.ndarray:
     return residuals
 
 
-def is_compatible(
-    E: ConditionalExpectation, F: ConditionalExpectation, tol: float = mx.DEFAULT_TOL
-) -> bool:
-    """Membership test for the compatible-intermediate condition E = E|_C o F."""
-    return compatibility_residual(E, F) <= tol
+def is_compatible(E: ConditionalExpectation, F: ConditionalExpectation) -> bool:
+    """Membership test for the compatible-intermediate condition E = E|_C o F, within ``DEFAULT_TOL``."""
+    return compatibility_residual(E, F) <= mx.DEFAULT_TOL
 
 
-def conjugate_expectation(
-    F: ConditionalExpectation, u, tol: float = mx.DEFAULT_TOL
-) -> ConditionalExpectation:
+def conjugate_expectation(F: ConditionalExpectation, u) -> ConditionalExpectation:
     """Ad_u o F o Ad_u*: maps onto u C u*, quasi-basis {u eta_i u*}.
 
-    u must normalize F's source A: :class:`NotIntermediate` is raised, before
-    anything is built, unless every u* b_k u lies in A within ``tol``
-    (:meth:`MatrixStarAlgebra.contains_all`), since F is only defined on A.
+    u must be unitary within ``DEFAULT_TOL`` (:class:`NotUnitary`) and
+    normalize F's source A: :class:`NotIntermediate` is raised, before
+    anything is built, unless every u* b_k u lies in A within
+    ``DEFAULT_TOL`` (:meth:`MatrixStarAlgebra.contains_all`), since F is
+    only defined on A.
     """
     u = mx.as_matrix(u)
-    n = F.ambient_dim
+    n, tol = F.ambient_dim, mx.DEFAULT_TOL
     if u.shape != (n, n):
         raise ShapeMismatch("unitary must live in the ambient algebra")
     if mx.screened_norms((mx.adjoint(u) @ u - np.eye(n))[None], tol)[0] > tol:
         raise NotUnitary("matrix is not unitary")
     ustar = mx.adjoint(u)
-    moved = F.source._member_coordinates(ustar @ F.source.basis_stack @ u, tol)
+    moved = F.source._member_coordinates(ustar @ F.source.basis_stack @ u)
     if moved is None:
         raise NotIntermediate("u does not normalize the source of F")
     # conjugation preserves HS-orthonormality, so the basis maps over directly
@@ -1612,10 +1582,8 @@ class CauchySchwarzResult:
     holds: bool
 
 
-def cauchy_schwarz_check(
-    E: ConditionalExpectation, x, y, tol: float = mx.DEFAULT_TOL
-) -> CauchySchwarzResult:
-    """||E(x*y)|| <= ||E(x*x)||^(1/2) ||E(y*y)||^(1/2), the module inequality.
+def cauchy_schwarz_check(E: ConditionalExpectation, x, y) -> CauchySchwarzResult:
+    """||E(x*y)|| <= ||E(x*x)||^(1/2) ||E(y*y)||^(1/2), the module inequality, within ``DEFAULT_TOL``.
 
     Equality does not imply linear dependence of {x, y}; see the tests for
     the diagonal witness.
@@ -1625,7 +1593,7 @@ def cauchy_schwarz_check(
     products = mx.adjoint(np.stack([x, x, y])) @ np.stack([y, x, y])
     lhs, xx, yy = mx.operator_norms(E.on_source(products))
     rhs = np.sqrt(xx) * np.sqrt(yy)
-    return CauchySchwarzResult(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs + tol)
+    return CauchySchwarzResult(lhs=float(lhs), rhs=float(rhs), holds=lhs <= rhs + mx.DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -1642,9 +1610,34 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(payload: dict) -> np.ndarray:
-    rows, cols = int(payload["rows"]), int(payload["cols"])
+    """The matrix of a :func:`matrix_to_json` payload.
+
+    Raises :class:`ShapeMismatch` unless ``rows`` and ``cols`` are
+    non-negative integers and ``entries`` is a list of rows * cols
+    [re, im] pairs, and :class:`InvalidMatrix` unless every part of every
+    pair is a finite real number (a JSON boolean is none).
+    """
+    rows, cols = _json_dimension(payload, "rows"), _json_dimension(payload, "cols")
     entries = payload["entries"]
-    if len(entries) != rows * cols:
+    if not isinstance(entries, (list, tuple)) or len(entries) != rows * cols:
         raise ShapeMismatch("entry count does not match rows*cols")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in entries):
+        raise ShapeMismatch("every entry must be an [re, im] pair")
+    parts = [v for pair in entries for v in pair]
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in parts):
+        raise InvalidMatrix("matrix entries must be numbers")
+    try:
+        flat = np.array(parts, dtype=np.float64).view(np.complex128)
+    except OverflowError:
+        raise InvalidMatrix("matrix has non-finite entries") from None
+    if not np.all(np.isfinite(flat)):
+        raise InvalidMatrix("matrix has non-finite entries")
     return flat.reshape(rows, cols)
+
+
+def _json_dimension(payload: dict, key: str) -> int:
+    """``payload[key]``, checked to be a non-negative integer (a boolean is none), or :class:`ShapeMismatch`."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ShapeMismatch(f"{key} must be a non-negative integer, not {value!r}")
+    return int(value)

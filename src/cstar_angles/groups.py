@@ -331,9 +331,22 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
+def _element_indices(indices, what: str) -> list[int]:
+    """``indices`` as Python ints; :class:`NotSubgroup` for a value that is no integer.
+
+    Integers of any kind pass (``operator.index``, as
+    :meth:`Subgroup.__contains__` reads them), NumPy integers included; a
+    float or a string is refused rather than truncated or parsed.
+    """
+    try:
+        return [operator.index(e) for e in indices]
+    except TypeError:
+        raise NotSubgroup(f"{what} indices must be integers") from None
+
+
 def _index_mask(G: FiniteGroup, indices, what: str) -> np.ndarray:
     """Mask of element indices; numpy would wrap negative ones, so check the range."""
-    idx = np.array([int(e) for e in indices], dtype=np.int64)
+    idx = np.array(_element_indices(indices, what), dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= G.order):
         raise NotSubgroup(f"{what} index out of range 0..{G.order - 1}")
     mask = np.zeros(G.order, dtype=bool)
@@ -676,14 +689,15 @@ def _transversal(G: FiniteGroup, S: Subgroup, reps) -> list[int]:
     """``reps`` as a list of element indices checked to be a left transversal of S.
 
     None gives :func:`left_coset_reps`.  Raises :class:`NotSubgroup` for an
-    index out of range (numpy would wrap a negative one) and
+    index that is no integer or out of range (numpy would wrap a negative
+    one) and
     :class:`NoQuasiBasis` unless the reps meet each left coset g S exactly
     once: there must be [G:S] of them, and their cosets, one row of the
     Cayley table each, must cover G, O(|G|) integer work.
     """
     if reps is None:
         return left_coset_reps(G, S)
-    reps = [int(g) for g in reps]
+    reps = _element_indices(reps, "coset representative")
     _index_mask(G, reps, "coset representative")  # NotSubgroup unless 0 <= g < |G|
     if len(reps) != G.order // S.order:
         raise NoQuasiBasis(

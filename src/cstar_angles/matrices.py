@@ -105,8 +105,8 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``m`` is self-adjoint within ``tol`` and min eigenvalue >= -tol.
+def is_positive_semidefinite(m) -> bool:
+    """True iff ``m`` is self-adjoint within ``DEFAULT_TOL`` and min eigenvalue >= -DEFAULT_TOL.
 
     Both tests are settled by a bound where one does
     (:func:`screened_norms`, :func:`smallest_eigenvalue`).
@@ -114,6 +114,7 @@ def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"positivity needs a square matrix, got {a.shape}")
+    tol = DEFAULT_TOL
     if screened_norms((a - adjoint(a))[None], tol)[0] > tol:
         return False
     return smallest_eigenvalue((a + adjoint(a)) / 2.0, -tol) >= -tol
@@ -179,15 +180,13 @@ def smallest_eigenvalue(h, floor: float) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def coordinates_in_span(
-    basis: Sequence[np.ndarray], target, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def coordinates_in_span(basis: Sequence[np.ndarray], target) -> np.ndarray:
     """Least-squares coordinates of ``target`` over ``basis``.
 
     Solves the normal equations against the Hilbert-Schmidt Gram matrix,
     regularized by pseudo-inversion with a relative singular-value cutoff
     (the basis may be linearly dependent).  Raises :class:`NotInSpan` when
-    the reconstruction residual exceeds ``tol * (1 + ||target||_F)``.
+    the reconstruction residual exceeds ``DEFAULT_TOL * (1 + ||target||_F)``.
     """
     if len(basis) == 0:
         raise ShapeMismatch("empty basis")
@@ -206,7 +205,7 @@ def coordinates_in_span(
     coeffs = np.linalg.pinv(gram, rcond=GRAM_CUTOFF, hermitian=True) @ rhs
 
     residual = float(np.linalg.norm(coeffs @ flat - np.ravel(t)))
-    bound = tol * (1.0 + float(np.linalg.norm(t)))
+    bound = DEFAULT_TOL * (1.0 + float(np.linalg.norm(t)))
     if residual > bound:
         raise NotInSpan(residual, bound)
     return coeffs

@@ -140,6 +140,7 @@ from .algebra import (
     _centrality_residual,
     _compatibility_core,
     _coordinates_on,
+    _exceeds_scaled_tol,
     _gather_times,
     _intermediate,
     _restrict_core,
@@ -258,7 +259,7 @@ class GenericModule:
         (:func:`~cstar_angles.algebra._coordinates_on`).
         """
         A = self.algebra
-        return _coordinates_on(A, F, mx.DEFAULT_TOL)() @ F.target.basis_over(A)
+        return _coordinates_on(A, F)() @ F.target.basis_over(A)
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
@@ -687,7 +688,7 @@ def build_tower_level(
     A, B = E.source, E.target
     if E._quasi is None:
         raise NoQuasiBasis("tower needs an expectation with a quasi-basis")
-    b_on_a = B.basis_over(A, mx.DEFAULT_TOL)  # the containment test and e_B's coordinates
+    b_on_a = B.basis_over(A, checked=True)  # the containment test and e_B's coordinates
     if b_on_a is None:
         raise NotIntermediate("B is not contained in A")
     if module is not None and module.algebra is not A:
@@ -809,7 +810,7 @@ def _compatible_members(level: TowerLevel, expectations) -> list:
     E = level.expectation
     members, held, n = [], 0, level.algebra.ambient_dim
     for F in expectations:
-        members.append(_intermediate(E, F, mx.DEFAULT_TOL))
+        members.append(_intermediate(E, F))
         # charged per member: its target basis as dense rows (a slice holds
         # none, but a read builds them), its d x d hs and six postcondition
         # matrices
@@ -829,7 +830,7 @@ def _member_projection(
     F's module matrix is that of the record's ``hs``.  The checks of the
     restriction are those :func:`_compatible_members` has run.
     """
-    restricted = _restrict_core(level.expectation, member, mx.DEFAULT_TOL)
+    restricted = _restrict_core(level.expectation, member)
     # W[a, (j, k)] = (L_{mu_j} V)[a, k]: d x p r, no larger than one L_{mu_j}
     # per quasi-basis element; the mu_j are read over A as their
     # coordinates over C times C's basis over A
@@ -976,7 +977,7 @@ def _dual_expectation_from(
     _check_family_budget(d * q, d, "the intermediate dual expectation")
     ind_c = restricted.index_element()
     worst = _centrality_residual(level.algebra, ind_c)
-    if restricted._index_cache.exceeds(worst, mx.DEFAULT_TOL):
+    if _exceeds_scaled_tol(worst, ind_c):
         raise NonCentralIndex(f"Ind(E|_C) is not central (residual {worst:.2e})")
 
     # the images x e_C l_k* of the spanning family x e_B l_k* span C_1

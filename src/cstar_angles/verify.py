@@ -413,7 +413,7 @@ def _suite_tower(rng) -> list[CheckResult]:
         # G's own images lie in C_1 (coordinates raises otherwise), G is
         # idempotent and E_1 o G = E_1, on the basis of A_1 as one stack
         g = intermediate_dual_expectation(level, inc.F)
-        t = g.coordinates(1e-8)
+        t = g.coordinates(mx.QUASI_BASIS_TOL)
         basis = level.basic_construction.basis_stack
         gb = g._through(t, basis)
         idempotent = g._through(t, gb) - gb

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 
@@ -61,21 +62,21 @@ def test_unitless_span_fails():
     assert any(c.name == "unit_in_span" and not c.passed for c in report.checks)
 
 
-def test_star_algebra_sample_draws_the_seeded_pairs(rng):
+def test_star_algebra_product_check_reads_every_pair(rng, monkeypatch):
     # a subspace not closed under products: each pair has its own residual
     family = [np.eye(3)] + [mx.random_matrix(3, rng) for _ in range(3)]
     alg = MatrixStarAlgebra.from_spanning(family)
     flat = alg._flat
     residuals = []
-    for k in mx.default_rng().choice(16, size=5, replace=False):  # pair (k // 4, k % 4)
+    for k in range(16):  # pair (k // 4, k % 4)
         product = np.ravel(alg.basis[k // 4] @ alg.basis[k % 4])
         residuals.append(np.linalg.norm((np.conjugate(flat) @ product) @ flat - product))
-    sampled, everything = (
-        next(c for c in verify_star_algebra(alg, **cap).checks if c.name == "product_closed")
-        for cap in ({"max_pairs": 5}, {})
-    )
-    assert sampled.residual == pytest.approx(max(residuals), rel=1e-12)
-    assert everything.residual >= sampled.residual > 0.1
+    # one chunk of all 16 pairs, then chunks of 5 pairs with one left over
+    for budget in (mx.STACK_BUDGET_BYTES, 3 * 16 * 9 * 5):
+        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", budget)
+        check = next(c for c in verify_star_algebra(alg).checks if c.name == "product_closed")
+        assert check.residual == pytest.approx(max(residuals), rel=1e-12)
+        assert check.residual > 0.1 and not check.passed
 
 
 def test_conjugated_algebra_verifies(rng):
@@ -164,7 +165,7 @@ def test_watatani_requires_quasi_basis(inclusion):
         watatani_index(bare)
 
 
-def test_index_element_tests_each_calls_tolerance(inclusion):
+def test_a_failing_index_raises_on_every_call_and_only_a_passing_one_is_kept(inclusion):
     # one quasi-basis element scaled by 1 + 1e-6: central only to about 4e-6
     E = inclusion.E
     quasi = np.array(E.quasi_stack)
@@ -172,12 +173,16 @@ def test_index_element_tests_each_calls_tolerance(inclusion):
     skewed = ConditionalExpectation.from_coordinates(
         E.source, E.target, E.coordinate_matrix, quasi_basis=quasi
     )
-    ind = skewed.index_element(1e-3)
-    np.testing.assert_allclose(ind, 4.0 * np.eye(2), atol=1e-5)
-    for check in (skewed.index_element, lambda tol: watatani_index(skewed, tol)):
+    for check in (skewed.index_element, lambda: watatani_index(skewed)) * 2:
         with pytest.raises(NumericIntegrityError, match="not central"):
-            check(1e-9)
-    assert skewed.index_element(1e-3) is ind
+            check()
+        assert skewed._index is None
+    fresh = ConditionalExpectation.from_coordinates(
+        E.source, E.target, E.coordinate_matrix, quasi_basis=E.quasi_stack
+    )
+    ind = fresh.index_element()
+    np.testing.assert_allclose(ind, 4.0 * np.eye(2), atol=1e-12)
+    assert watatani_index(fresh) is ind and fresh._index is ind and not ind.flags.writeable
 
 
 def test_index_checks_take_the_exact_value_where_no_bound_settles_them(rng, monkeypatch):
@@ -196,28 +201,34 @@ def test_index_checks_take_the_exact_value_where_no_bound_settles_them(rng, monk
             source, scalars, lambda x: np.trace(x) / 3.0 * np.eye(3), quasi_basis=quasi
         )
 
-    calls, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    calls, eigvalsh, svd = [], np.linalg.eigvalsh, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append("eigvalsh") or eigvalsh(h))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
     # spectrum {1, 2, 4}: Gershgorin does not settle it, the eigensolve passes it
     E = expectation(diagonal, [1.0, 2.0, 4.0])
     ind = watatani_index(E)
-    assert mx.gershgorin_lower(E._index_cache.hermitian) < 1.0 - mx.DEFAULT_TOL
-    assert calls == [1]
-    assert watatani_index(E) is ind and calls == [1]  # the eigenvalue is kept
-    # an eigenvalue at 1 - 1e-6 raises, with that eigenvalue, and passes at 1e-5
+    assert mx.gershgorin_lower((ind + mx.adjoint(ind)) / 2.0) < 1.0 - mx.DEFAULT_TOL
+    assert calls == ["eigvalsh"]
+    assert watatani_index(E) is ind and calls == ["eigvalsh"]  # checked once, then kept
+    # an eigenvalue at 1 - 1e-6 raises, with that eigenvalue
     low = expectation(diagonal, [1.0 - 1e-6, 2.0, 4.0])
     with pytest.raises(NumericIntegrityError, match=r"eigenvalue 0\.999999 below 1"):
         watatani_index(low)
-    watatani_index(low, 1e-5)
     # a non-central index still raises, with its residual
     with pytest.raises(NumericIntegrityError, match=r"index element not central \(residual"):
         watatani_index(expectation(MatrixStarAlgebra.from_orthonormal(units), [1.0, 2.0, 4.0]))
-    # [G:H] times the unit is settled by all three bounds: no exact value is taken
-    calls.clear()
+    # [G:H] times the unit is settled by all three bounds: no exact value is
+    # taken, and of the n x n arrays E holds, the index alone is new
     G = FiniteGroup.direct_product([3, 3, 3, 3])
     group = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))])).E
+
+    def square_arrays():
+        return {k for k, v in vars(group).items() if np.shape(v) == (81, 81)}
+
+    held = square_arrays()
+    calls.clear()
     np.testing.assert_allclose(watatani_index(group), 27.0 * np.eye(81), atol=1e-12)
-    assert calls == [] and not {"skew", "scale", "smallest"} & set(vars(group._index_cache))
+    assert calls == [] and square_arrays() - held == {"_index"}
 
 
 def test_index_independent_of_quasi_basis(inclusion, rng):
@@ -450,6 +461,49 @@ def test_matrix_json_roundtrip(rng):
     np.testing.assert_allclose(matrix_from_json(payload), a, atol=0)
 
 
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        ({"rows": -1, "cols": -1, "entries": [[1.0, 0.0]]}, ShapeMismatch),
+        ({"rows": 1.5, "cols": 2, "entries": [[1.0, 0.0]] * 3}, ShapeMismatch),
+        ({"rows": "1", "cols": 1, "entries": [[1.0, 0.0]]}, ShapeMismatch),
+        ({"rows": True, "cols": 1, "entries": [[1.0, 0.0]]}, ShapeMismatch),
+        ({"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 2.0]]}, ShapeMismatch),
+        ({"rows": 1, "cols": 1, "entries": [1.0]}, ShapeMismatch),
+        ({"rows": 1, "cols": 2, "entries": ["ab", "cd"]}, ShapeMismatch),
+        ({"rows": 2, "cols": 1, "entries": "ab"}, ShapeMismatch),
+        ({"rows": 1, "cols": 1, "entries": [["1", "2"]]}, InvalidMatrix),
+        ({"rows": 1, "cols": 1, "entries": [[None, 0.0]]}, InvalidMatrix),
+        ({"rows": 1, "cols": 1, "entries": [[True, 0.0]]}, InvalidMatrix),
+        ({"rows": 1, "cols": 1, "entries": [[float("nan"), 0.0]]}, InvalidMatrix),
+        ({"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, float("-inf")]]}, InvalidMatrix),
+        ({"rows": 1, "cols": 1, "entries": [[10**400, 0.0]]}, InvalidMatrix),
+    ],
+)
+def test_matrix_json_rejects_malformed_payloads(payload, error):
+    with pytest.raises(error):
+        matrix_from_json(json.loads(json.dumps(payload)))
+
+
+def test_json_loaders_reject_an_ambient_dim_that_is_not_an_integer(inclusion):
+    # int() read 2.7 and "2" as 2
+    for bad in (2.7, "2", -2, True):
+        payload = json.loads(json.dumps(inclusion.delta.to_json()))
+        payload["ambient_dim"] = bad
+        with pytest.raises(ShapeMismatch, match="ambient_dim"):
+            MatrixStarAlgebra.from_json(payload)
+        payload = json.loads(json.dumps(inclusion.F.to_json()))
+        payload["source"]["ambient_dim"] = bad
+        with pytest.raises(ShapeMismatch, match="ambient_dim"):
+            ConditionalExpectation.from_json(payload)
+
+
+def test_matrix_json_reads_integers_and_empty_matrices():
+    payload = {"rows": 1, "cols": 2, "entries": [[1, -2], [0.5, 0]]}
+    np.testing.assert_array_equal(matrix_from_json(payload), [[1 - 2j, 0.5]])
+    assert matrix_from_json({"rows": 0, "cols": 3, "entries": []}).shape == (0, 3)
+
+
 def test_algebra_json_roundtrip(inclusion):
     payload = json.loads(json.dumps(inclusion.delta.to_json()))
     rebuilt = MatrixStarAlgebra.from_json(payload)
@@ -506,7 +560,7 @@ def _reference_verify_quasi_basis(rule, E, lambdas, tol=mx.DEFAULT_TOL):
     """
     lams = [mx.as_matrix(m) for m in lambdas]
     for lam in lams:
-        if not E.source.contains(lam, tol):
+        if E.source.membership_residual(lam) > tol * (1.0 + mx.frobenius_norm(lam)):
             raise NotInAlgebra("quasi-basis element outside the source algebra")
     for x in E.source.basis:
         left = sum(rule(x @ lam) @ mx.adjoint(lam) for lam in lams)
@@ -696,7 +750,7 @@ def test_every_reading_of_an_off_target_expectation_refuses_it(inclusion):
         with pytest.raises(NumericIntegrityError):
             read()
     # verify_expectation reports the residual instead of raising
-    report = verify_expectation(off, tol=1e-8)
+    report = verify_expectation(off)
     assert not report.passed
     assert [c.name for c in report.checks if not c.passed] == ["range_in_target"]
 
@@ -1171,10 +1225,9 @@ def _basis_over_cases():
 
 def test_basis_over_matches_the_dense_membership_pass():
     cases = _basis_over_cases()
-    tol = mx.DEFAULT_TOL
     got, held = [], []
     for _, Y, X, _ in cases:
-        got.append((Y.basis_over(X), Y.basis_over(X, tol), Y._basis_over(X, True)))
+        got.append((Y.basis_over(X), Y.basis_over(X, checked=True), Y._basis_over(X, True)))
         held.append("_flat" in vars(Y))
     # a slice over an algebra with a table reads its supports alone; C[S4]
     # and m2 hold their rows, and C[A4] over a table-less copy builds them
@@ -1186,7 +1239,7 @@ def test_basis_over_matches_the_dense_membership_pass():
         # the dense oracle: X's coordinates of Y's rows, projected back
         stack = Y.basis_stack
         want = X.hs_coordinates(stack)
-        oracle = X._member_coordinates(stack, tol)
+        oracle = X._member_coordinates(stack)
         assert (oracle is not None) is (checked is not None) is member, name
         for a in (coords, passed) + ((checked,) if member else ()):
             assert a.shape == (Y.dim, X.dim) and np.abs(a - want).max() <= 1e-13, name
@@ -1205,8 +1258,9 @@ def test_basis_over_of_a_slice_on_its_parent_passes_at_1e_12():
     # would cancel to a floor of about 1e-8, above this bound
     for name, Y, X, member in _basis_over_cases():
         if name.endswith(("over C[S4]", "over C[Z3^4]", "over C[A4]", "over C[K]")) and member:
-            assert Y.basis_over(X, 1e-12) is not None, name
-            assert Y._basis_over(X, True)[1].max() <= 1e-14, name
+            assert Y.basis_over(X, checked=True) is not None, name
+            _, residuals, sizes = Y._basis_over(X, True)
+            assert np.all(residuals <= 1e-12 * (1.0 + sizes)) and residuals.max() <= 1e-14, name
 
 
 def _dense_and_table(monkeypatch, build):
@@ -1555,7 +1609,7 @@ def test_coordinates_call_the_rule_once_per_chunk(c_plus_m2, monkeypatch):
         spy.map_matrix
         assert verify_quasi_basis(spy, spy.quasi_basis, 1e-8)
         watatani_index(spy)
-        verify_expectation(spy, positivity_samples=3, bimodular_samples=5)
+        verify_expectation(spy)
         assert len(shapes) == len(chunks)
         shapes.clear()
 
@@ -1630,7 +1684,7 @@ def test_stacked_coordinates_are_the_hs_coordinates_of_members(path, c_plus_m2, 
 
 @pytest.mark.parametrize("path", ["gather", "dense"])
 def test_stacked_coordinates_raise_on_one_element_off_the_span(path, c_plus_m2, rng, monkeypatch):
-    alg, tol = _membership_algebras(c_plus_m2)[path], 1e-6
+    alg, tol = _membership_algebras(c_plus_m2)[path], mx.DEFAULT_TOL
     members = _members(alg, 5, rng)
     x = mx.random_matrix(alg.ambient_dim, rng)
     off = x - alg.project(x)
@@ -1643,16 +1697,53 @@ def test_stacked_coordinates_raise_on_one_element_off_the_span(path, c_plus_m2, 
             for factor, member in ((2.0, False), (0.5, True)):
                 xs = members.copy()
                 xs[k] += factor * tol * (1.0 + mx.frobenius_norm(xs[k])) * off
-                assert alg.contains_all(xs, tol) is member
-                singles = [alg.contains(x, tol) for x in xs]
+                assert alg.contains_all(xs) is member
+                singles = [alg.contains(x) for x in xs]
                 assert singles == [i != k or member for i in range(len(xs))]
                 if member:
                     np.testing.assert_allclose(
-                        alg.coordinates(xs, tol), alg.hs_coordinates(xs), rtol=0, atol=1e-13
+                        alg.coordinates(xs), alg.hs_coordinates(xs), rtol=0, atol=1e-13
                     )
                     continue
                 with pytest.raises(NotInAlgebra):
-                    alg.coordinates(xs, tol)
+                    alg.coordinates(xs)
                 with pytest.raises(NotInAlgebra):
-                    alg.coordinates(xs[k], tol)
-                alg.coordinates(np.delete(xs, k, axis=0), tol)  # the others are members
+                    alg.coordinates(xs[k])
+                alg.coordinates(np.delete(xs, k, axis=0))  # the others are members
+
+
+# ---------------------------------------------------------------------------
+# the tolerance inventory: one bound per check
+
+
+def _public_signatures():
+    """(qualified name, signature) of every public function and method of the numeric layers.
+
+    Public: a name without a leading underscore, in a class without one,
+    plus ``__init__``; only what each module defines itself.
+    """
+    from cstar_angles import angles, tower
+
+    for module in (mx, algebra, tower, angles):
+        short = module.__name__.rsplit(".", 1)[-1]
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                yield f"{short}.{name}", inspect.signature(value)
+            elif inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    fn = member.__func__ if isinstance(member, (classmethod, staticmethod)) else member
+                    if inspect.isfunction(fn) and (attr == "__init__" or not attr.startswith("_")):
+                        yield f"{short}.{name}.{attr}", inspect.signature(fn)
+
+
+def test_only_two_public_functions_take_a_tolerance():
+    signatures = dict(_public_signatures())
+    assert {"algebra.watatani_index", "tower.build_tower_level", "matrices.screened_norms"} <= set(
+        signatures
+    )
+    takes_tol = sorted(name for name, sig in signatures.items() if "tol" in sig.parameters)
+    assert takes_tol == ["algebra.ConditionalExpectation.coordinates", "algebra.verify_quasi_basis"]
+    removed = {"max_pairs", "positivity_samples", "bimodular_samples"}
+    assert [name for name, sig in signatures.items() if removed & set(sig.parameters)] == []

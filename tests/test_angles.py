@@ -205,17 +205,18 @@ def test_definition_degenerate_corner(tower_level, inclusion):
 def test_definition_index_check_reads_both_indices_at_the_default_tol(
     tower_level, inclusion, rng, monkeypatch
 ):
+    # watatani_index takes no tolerance: its one bound is DEFAULT_TOL
     seen = []
     index = algebra.watatani_index
 
-    def recorded(E, tol=mx.DEFAULT_TOL):
-        seen.append(tol)
-        return index(E, tol)
+    def recorded(E):
+        seen.append(E.source.dim)
+        return index(E)
 
     monkeypatch.setattr(algebra, "watatani_index", recorded)
     f_u = m2.fu_expectation(m2.Unitary2(mx.random_unitary(2, rng)), inclusion)
     interior_angle_definition(tower_level, inclusion.F, f_u)
-    assert seen == [mx.DEFAULT_TOL, mx.DEFAULT_TOL]
+    assert seen == [inclusion.F.target.dim, f_u.target.dim]
 
 
 def test_routes_agree_on_random_unitaries(tower_level, inclusion, rng):

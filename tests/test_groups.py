@@ -430,6 +430,29 @@ def test_out_of_range_indices_are_rejected():
         generated_subgroup(G, [-1])
 
 
+def test_indices_that_are_not_integers_are_rejected_not_truncated():
+    # int() made 1.5 element 1 and "2" element 2, though 1.5 in K is False
+    S3, Z4 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(4)
+    K = generated_subgroup(Z4, [2])
+    for build in (
+        lambda: generated_subgroup(S3, [1.5]),
+        lambda: generated_subgroup(S3, ["2"]),
+        lambda: Subgroup(S3, (0, 1.9)),
+        lambda: group_algebra_inclusion(Z4, K, reps=[0.2, 1.7]),
+        lambda: group_algebra_inclusion(Z4, trivial_subgroup(Z4)).expectation_onto(K, reps=[0.0, 1.0]),
+        lambda: conjugate_subgroup(K, 1.0),
+    ):
+        with pytest.raises(NotSubgroup, match="must be integers"):
+            build()
+    # NumPy integers are integers
+    assert generated_subgroup(S3, [np.int64(1)]).elements == generated_subgroup(S3, [1]).elements
+    assert Subgroup(S3, (np.int32(0), np.uint8(1))).elements == (0, 1)
+    for reps in (np.array([0, 1]), [np.int64(1), np.int16(2)]):
+        E = group_algebra_inclusion(Z4, K, reps=reps).E
+        np.testing.assert_allclose(watatani_index(E), 2.0 * np.eye(4), rtol=0, atol=1e-12)
+    assert conjugate_subgroup(K, np.int64(1)).elements == K.elements
+
+
 def test_subgroups_of_another_group_are_rejected():
     S3, Z6 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(6)
     H = trivial_subgroup(S3)

@@ -392,7 +392,8 @@ def test_psd_test_settles_by_bounds_and_keeps_its_verdicts(rng, monkeypatch):
     assert mx.is_positive_semidefinite(on_the_edge)
     assert not mx.is_positive_semidefinite(below)
     assert mx.is_positive_semidefinite(skew)  # ||a - a*||: 0.85e-9, and 1.2e-9 in Frobenius norm
-    assert not mx.is_positive_semidefinite(skew, tol=0.5e-9)
+    wider = np.diag([1.0, 2.0, 3.0]) + 0.4e-9 * (np.eye(3, k=1) - np.eye(3, k=-1))
+    assert not mx.is_positive_semidefinite(wider)  # 1.13e-9, and 1.6e-9: the SVD decides
     calls = _svd_calls(monkeypatch)
     assert mx.is_positive_semidefinite(np.diag([1.0, 2.0]))  # settled by both bounds
     assert calls == []

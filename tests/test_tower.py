@@ -1526,7 +1526,7 @@ def test_interior_angle_on_a_regular_level_forms_no_quasi_stack(monkeypatch):
 # intermediate_data against the composition of the public checks
 
 
-def intermediate_data_composed(level, F, tol=mx.DEFAULT_TOL):
+def intermediate_data_composed(level, F):
     """intermediate_data as the composition it replaces: the oracle of its one-pass form.
 
     compatibility_residual, then restrict_expectation, then
@@ -1534,9 +1534,9 @@ def intermediate_data_composed(level, F, tol=mx.DEFAULT_TOL):
     expectation and the residuals.
     """
     E = level.expectation
-    if compatibility_residual(E, F) > tol:
+    if compatibility_residual(E, F) > mx.DEFAULT_TOL:
         raise NotCompatible("E does not factor through F")
-    restricted = restrict_expectation(E, F.target, F, tol)
+    restricted = restrict_expectation(E, F.target, F)
     e_b = level.jones_projection
     lm = level.embed(restricted.quasi_stack)
     e_c = sum(
