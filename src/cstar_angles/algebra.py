@@ -774,7 +774,10 @@ class MatrixStarAlgebra:
 
     @classmethod
     def from_json(cls, payload: dict) -> "MatrixStarAlgebra":
-        mats = [matrix_from_json(m) for m in payload["spanning_set"]]
+        spanning = _json_field(payload, "spanning_set")
+        if not isinstance(spanning, (list, tuple)):
+            raise ShapeMismatch("spanning_set must be a list of matrices")
+        mats = [matrix_from_json(m) for m in spanning]
         n = _json_dimension(payload, "ambient_dim")
         if any(m.shape != (n, n) for m in mats):
             raise ShapeMismatch(f"spanning_set must hold {n}x{n} matrices")
@@ -821,7 +824,10 @@ def _gather_times(rows: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.nd
     m, w, d = rows.shape
     if x.ndim == 3:  # element a gathers from rows a d ... a d + d - 1 of the stacked x
         rows = rows + (np.arange(m) * d)[:, None, None]
-    flat = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1, x.shape[-1])
+    # the leading size written out: -1 is ambiguous for an x with no columns
+    flat = np.ascontiguousarray(x, dtype=np.complex128).reshape(
+        math.prod(x.shape[:-1]), x.shape[-1]
+    )
     out = np.take(flat, rows[:, 0], axis=0)
     out *= weights[:, 0, :, None]
     for u in range(1, w):
@@ -1102,12 +1108,13 @@ class ConditionalExpectation:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ConditionalExpectation":
-        mat = matrix_from_json(payload["map_matrix"])
-        n2 = _json_dimension(payload["source"], "ambient_dim") ** 2
+        mat = matrix_from_json(_json_field(payload, "map_matrix"))
+        source = _json_field(payload, "source")
+        n2 = _json_dimension(source, "ambient_dim") ** 2
         if mat.shape != (n2, n2):
             raise ShapeMismatch(f"map_matrix must be {n2}x{n2}, got {mat.shape}")
-        source = MatrixStarAlgebra.from_json(payload["source"])
-        target = MatrixStarAlgebra.from_json(payload["target"])
+        source = MatrixStarAlgebra.from_json(source)
+        target = MatrixStarAlgebra.from_json(_json_field(payload, "target"))
 
         def rule(xs: np.ndarray) -> np.ndarray:
             return (xs.reshape(len(xs), -1) @ mat.T).reshape(xs.shape)
@@ -1618,7 +1625,7 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     pair is a finite real number (a JSON boolean is none).
     """
     rows, cols = _json_dimension(payload, "rows"), _json_dimension(payload, "cols")
-    entries = payload["entries"]
+    entries = _json_field(payload, "entries")
     if not isinstance(entries, (list, tuple)) or len(entries) != rows * cols:
         raise ShapeMismatch("entry count does not match rows*cols")
     if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in entries):
@@ -1635,9 +1642,16 @@ def matrix_from_json(payload: dict) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def _json_field(payload, key: str):
+    """``payload[key]``, or :class:`ShapeMismatch` when ``payload`` is no dict or lacks ``key``."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ShapeMismatch(f"payload must be an object with the field {key!r}")
+    return payload[key]
+
+
 def _json_dimension(payload: dict, key: str) -> int:
     """``payload[key]``, checked to be a non-negative integer (a boolean is none), or :class:`ShapeMismatch`."""
-    value = payload[key]
+    value = _json_field(payload, key)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ShapeMismatch(f"{key} must be a non-negative integer, not {value!r}")
     return int(value)

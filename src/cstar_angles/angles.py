@@ -53,6 +53,7 @@ from .errors import DegenerateIntermediate, NoQuasiBasis, NotInAlgebra, NumericI
 from .tower import (
     TowerLevel,
     _dual_expectation_from,
+    _intermediate_factors,
     intermediate_data,
     iterate_tower,
 )
@@ -214,16 +215,75 @@ def interior_angle_definition(
     F: ConditionalExpectation,
     F_prime: ConditionalExpectation,
 ) -> AngleResult:
-    """Interior angle from Jones projections in the basic construction."""
-    e_c, restricted_c = intermediate_data(level, F)
-    e_d, restricted_d = intermediate_data(level, F_prime)
+    """Interior angle from Jones projections in the basic construction.
+
+    e_C and e_D are held as their range factors, checked as
+    :func:`~cstar_angles.tower.intermediate_data` checks them, and the
+    angle is read from them (:func:`_difference_norms`);
+    :func:`angle_from_projections` is the dense form of the same angle.
+    """
+    (w_c, restricted_c), (w_d, restricted_d) = _intermediate_factors(level, [F, F_prime])
     _check_degenerate(restricted_c.index_element(), "C")
     _check_degenerate(restricted_d.index_element(), "D")
-    return angle_from_projections(level, e_c, e_d)
+    return _angle_from_factors(level, w_c, w_d)
+
+
+def _angle_from_factors(level: TowerLevel, w_c: np.ndarray, w_d: np.ndarray) -> AngleResult:
+    """Definition-route angle from factors with e_C = W_C W_C*, e_D = W_D W_D*."""
+    norms = _difference_norms(level, [w_c, w_d])
+    den1, den2 = np.sqrt(np.diagonal(norms)).tolist()
+    return _result(float(norms[0, 1]), den1, den2, Route.DEFINITION)
+
+
+def _difference_norms(level: TowerLevel, ws) -> np.ndarray:
+    """N[k, l] = ||E_1(D_k D_l)|| for D_k = W_k W_k* - e_B, over factors W_k of intermediate projections.
+
+    e_B = V V* (V = ``level.jones_range``) lies below each e_k = W_k W_k*,
+    so D_k is a projection and D_k* D_l = D_k D_l: N[k, l] is the numerator
+    of the angle of (k, l) and N[k, k] the square of the module norm of
+    D_k.  E_1 reads t only through its images t q_i, q_i the module
+    coordinates of E's quasi-basis (:meth:`TowerLevel._dual_coords`), and
+    D_k D_l q_i = D_k y_i, y_i = D_l q_i, with each D x = W (W* x) - V (V* x):
+    about 4 d (p r + r) work per image column, where the dense D_k D_l takes
+    d^3.  E_1 is *-preserving, so N is symmetric and only k <= l is taken.
+
+    The pairs go in square tiles of the (k, l) plane: the y of a block of
+    l are formed once, and a tile's images go through one stacked dual
+    value and one :func:`~cstar_angles.matrices.operator_norms` call, each
+    image charged against ``STACK_BUDGET_BYTES`` with its y, the gather of
+    the dual value and the ambient value, so a tile holds about that much.
+    Two factors make one tile: the numerator and both denominators of an
+    angle come from one call.
+    """
+    m, d, n = len(ws), level.module_dim, level.algebra.ambient_dim
+    v, quasi = level.jones_range, level.quasi_coords.T
+
+    def difference_times(w, x):
+        return w @ (mx.adjoint(w) @ x) - v @ (mx.adjoint(v) @ x)
+
+    per_image = 16 * (3 * d * quasi.shape[1] + n * n)
+    side = max(1, math.isqrt(mx.STACK_BUDGET_BYTES // per_image))
+    norms = np.empty((m, m))
+    for first in range(0, m, side):
+        block = range(first, min(m, first + side))
+        ys = np.stack([difference_times(ws[l], quasi) for l in block])
+        for start in range(0, block.stop, side):
+            # row k takes the l of the block from k on
+            rows = [(k, max(k, first)) for k in range(start, min(start + side, block.stop))]
+            images = np.concatenate([difference_times(ws[k], ys[lo - first:]) for k, lo in rows])
+            values = mx.operator_norms(level.module.from_coords(level._dual_coords(images)))
+            for k, lo in rows:
+                norms[k, lo:block.stop] = norms[lo:block.stop, k] = values[: block.stop - lo]
+                values = values[block.stop - lo:]
+    return norms
 
 
 def angle_from_projections(level: TowerLevel, e_c, e_d) -> AngleResult:
-    """Definition-route angle from the intermediate projections e_C, e_D of ``level``."""
+    """Definition-route angle from the intermediate projections e_C, e_D of ``level``.
+
+    The dense form of :func:`interior_angle_definition`'s angle, kept as
+    its oracle: D = e - e_B and the values E_1(D_C* D_D) as d x d products.
+    """
     dc, dd = e_c - level.jones_projection, e_d - level.jones_projection
     num = mx.operator_norm(level.dual_inner(dc, dd))
     return _result(num, level.module_norm(dc), level.module_norm(dd), Route.DEFINITION)
@@ -255,9 +315,8 @@ def exterior_angle(
     g_d = _dual_expectation_from(level, e_d, restricted_d)
 
     level2 = iterate_tower(level)
-    e_c1 = intermediate_data(level2, g_c)[0]
-    e_d1 = intermediate_data(level2, g_d)[0]
-    result = angle_from_projections(level2, e_c1, e_d1)
+    (w_c1, _), (w_d1, _) = _intermediate_factors(level2, [g_c, g_d])
+    result = _angle_from_factors(level2, w_c1, w_d1)
 
     def family(e_x, restricted):
         # L_{l_i} e_X L_c, c = Ind(E)^(1/2) Ind(E|_X)^-1: a quasi-basis of E_1 on X_1

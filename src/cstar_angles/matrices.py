@@ -330,19 +330,30 @@ def hermitian_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     vectors again.
     """
     h = np.asarray(h)
-    diagonal = h.diagonal()
-    if np.count_nonzero(h) != np.count_nonzero(diagonal):
+    if not is_diagonal(h):
         return np.linalg.eigh(h)
-    values = diagonal.real
+    values = h.diagonal().real
     order = np.argsort(values, kind="stable")
     unit = np.eye(len(h), dtype=np.result_type(h.dtype, np.float64))
     return values[order], unit[:, order]
 
 
+def is_diagonal(h: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the square matrix h is exactly zero (no tolerance)."""
+    return np.count_nonzero(h) == np.count_nonzero(h.diagonal())
+
+
 def _hermitian_function(m, fn) -> np.ndarray:
-    """fn applied to the spectrum of the Hermitian part of m (:func:`hermitian_eigh`)."""
+    """fn applied to the spectrum of the Hermitian part of m (:func:`hermitian_eigh`).
+
+    A diagonal Hermitian part gives diag(fn(its diagonal)), with no
+    eigenvector product.
+    """
     a = as_matrix(m)
-    w, v = hermitian_eigh((a + adjoint(a)) / 2.0)
+    h = (a + adjoint(a)) / 2.0
+    if is_diagonal(h):
+        return np.diag(fn(h.diagonal().real).astype(h.dtype))
+    w, v = hermitian_eigh(h)
     return (v * fn(w)) @ adjoint(v)
 
 

@@ -103,13 +103,19 @@ of an intermediate C is
 2 p d^2 r work where the sum of products is 2 p d^3.  W, and the L_{b_k} V
 of the exchange law and of the dual-rule sample, are the module's products
 L_y X (:meth:`GenericModule.left_times`), gathers of V's rows wherever A
-has a product table.  The checks of a level keep their dense operands
-wherever a wrong module could hide: e_B's own laws (idempotent,
-self-adjoint, and the e_B of the exchange law), the postconditions of e_C
-against e_B and the expectation matrix, and the faithfulness of the
-representation are taken on the matrices themselves, never on V or on a
-product the module forms, and V itself is checked against the dense e_B
-(e_B = V V*), which licenses every product through V.  Left
+has a product table.  e_C is carried as W from there on
+(:func:`_intermediate_factors`): its postconditions are taken on W, at
+(p r)^2 and d r size where they stand for d x d quantities, and the
+definition route reads e_C - e_B only through its images W (W* x) -
+V (V* x) (:func:`~cstar_angles.angles.interior_angle_definition`), so
+neither forms a d x d x d product.  The checks of a level keep their
+dense operands wherever a wrong module could hide: e_B's own laws
+(idempotent, self-adjoint, and the e_B of the exchange law) and the
+faithfulness of the representation are taken on the matrices
+themselves, never on V or on a product the module forms, and V itself is
+checked against the dense e_B (e_B = V V*), which licenses every product
+through V, the postconditions of e_C among them; e_C is checked against
+F's module matrix, the map a -> F(a) read off F alone.  Left
 multiplication is checked on both routes a level takes it by: the
 module's products for every basis element, and :meth:`TowerLevel.embed`
 for one random element.  Each check compares a sound bound of its
@@ -192,6 +198,18 @@ def _check_family_budget(count: int, n: int, what: str):
     )
 
 
+def _scaled(x: np.ndarray, factor: np.ndarray, *, left: bool = False) -> np.ndarray:
+    """x factor, or factor x with ``left``, for a module factor G^(+-1/2) of :class:`GenericModule`.
+
+    A factor is a matrix, or the vector of its diagonal where the module
+    Gram matrix is diagonal: then the product is a broadcast, the same
+    values as the product with the diagonal matrix.
+    """
+    if factor.ndim == 2:
+        return factor @ x if left else x @ factor
+    return factor[:, None] * x if left else x * factor
+
+
 class GenericModule:
     """The module of (A, E): A's coordinates scaled by the square root of its Gram matrix.
 
@@ -208,10 +226,15 @@ class GenericModule:
     The density is rho = sum_k tau_k b_k*, tau_k = Tr(E(b_k)), since
     Tr(E(y)) = sum_k tau_k <b_k, y>_HS = Tr(y rho) on A; so G is the
     transpose of R_rho, the right multiplication matrix of
-    :meth:`MatrixStarAlgebra.multiplication_matrices`.  Where Tr o E = c Tr
-    (group algebras, crossed products), G = c 1 is diagonal and is
-    decomposed off its diagonal, with no eigensolve
-    (:func:`~cstar_angles.matrices.hermitian_eigh`).
+    :meth:`MatrixStarAlgebra.multiplication_matrices`.  Where G is exactly
+    diagonal (every off-diagonal entry zero, the test of
+    :func:`~cstar_angles.matrices.hermitian_eigh`), as G = c 1 is where
+    Tr o E = c Tr (group algebras, crossed products), no eigensolve is
+    taken, and G^(+-1/2) are kept as the vectors of their diagonals: then
+    :meth:`coords`, :meth:`from_coords`, module matrices, J and the
+    coordinates a level reads through them (E's quasi-basis, e_B's range V)
+    are broadcasts where they would be d x d products, the same values
+    (:func:`_scaled`).
 
     Two more module quantities follow in A's coordinates.  The star matrix
     J (coords(x*) = J conj(coords(x))) is (G^{-1/2} S conj(G^{1/2}))^T, with
@@ -237,15 +260,21 @@ class GenericModule:
         tau = self._hs_matrix(expectation) @ traces  # Tr(E(b_j))
         rho = mx.adjoint(algebra.combine(np.conjugate(tau)))
         gram = algebra.multiplication_matrices(rho[None], left=False)[0].T
-        values, vectors = mx.hermitian_eigh(gram)  # diagonal where Tr o E = c Tr
+        diagonal = mx.is_diagonal(gram)  # where Tr o E = c Tr
+        values, vectors = (gram.diagonal().real, None) if diagonal else mx.hermitian_eigh(gram)
         del gram
-        # no Gram-Schmidt pivot is below sqrt(values[0]), so this fires
+        # no Gram-Schmidt pivot is below sqrt(min(values)), so this fires
         # whenever the pivot rule cutoff (1 + ||b_j||_E) would
-        low, high = np.sqrt(np.maximum(values[[0, -1]], 0.0))
+        low, high = np.sqrt(np.maximum([values.min(), values.max()], 0.0))
         if not low > mx.RANK_CUTOFF * (1.0 + high):
             raise ConstructionFailure(
                 "module inner product is degenerate (expectation not faithful?)"
             )
+        if diagonal:
+            # G^(+-1/2) as the vectors of their diagonals (_scaled)
+            self._to_module = np.sqrt(values)
+            self._from_module = self._to_module / values
+            return
         # conj(V diag(s) V*) = conj(V) diag(s) V^T for s = values^(+-1/2)
         scaled = np.conjugate(vectors) * np.sqrt(values)
         self._to_module = scaled @ vectors.T
@@ -263,11 +292,11 @@ class GenericModule:
 
     def coords(self, y) -> np.ndarray:
         """Coordinates of one element, or rows of coordinates of a (k, n, n) stack."""
-        return self.algebra.hs_coordinates(y) @ self._to_module
+        return _scaled(self.algebra.hs_coordinates(y), self._to_module)
 
     def from_coords(self, v) -> np.ndarray:
         """Inverse of :meth:`coords`; rows of coordinates give a stack."""
-        return self.algebra.combine(np.asarray(v) @ self._from_module)
+        return self.algebra.combine(_scaled(np.asarray(v), self._from_module))
 
     def left_mult(self, x) -> np.ndarray:
         """L_x, or the stack of them: column j holds the HS coordinates of x b_j."""
@@ -285,7 +314,7 @@ class GenericModule:
 
     def _module_matrix(self, hs: np.ndarray) -> np.ndarray:
         """Module matrix of a map on A's HS coordinates, given as :meth:`_hs_matrix` gives it."""
-        return (self._from_module @ hs @ self._to_module).T
+        return _scaled(_scaled(hs, self._from_module, left=True), self._to_module).T
 
     def operator_matrix(self, fn) -> np.ndarray:
         """Matrix of a map on A (columns are images in coordinates).
@@ -310,7 +339,8 @@ class GenericModule:
         J = (conj(_from_module) S _to_module)^T.
         """
         star = self.algebra.star_coordinates()
-        return (np.conjugate(self._from_module) @ star @ self._to_module).T
+        conj_from = np.conjugate(self._from_module)
+        return _scaled(_scaled(star, conj_from, left=True), self._to_module).T
 
     def left_times(self, coords: np.ndarray):
         """The map X -> [L_{y_1} X ... L_{y_m} X] for the y_a with A-coordinates ``coords`` (rows).
@@ -356,7 +386,11 @@ class TowerLevel:
     e_B = V V*: B's basis in module coordinates, one column per element,
     which a checked level compares with e_B.  Every product the level forms
     with e_B inside, x e_B y, is taken as (x V)(V* y)
-    (:meth:`_through_jones`); the checks read e_B itself.
+    (:meth:`_through_jones`); the level's own checks read e_B itself.  An
+    intermediate's e_C is held as its range factor W (e_C = W W*), and
+    E_1 of a product of differences D = e_C - e_B is read from the images
+    D x of the quasi-basis coordinates alone (:meth:`_dual_coords`), so
+    the definition route forms no d x d operator.
 
     A level is treated as immutable once built: :func:`iterate_tower` keeps
     the next rung in ``_rung``, so level two is built once per level and
@@ -453,7 +487,7 @@ class TowerLevel:
     @cached_property
     def quasi_coords(self) -> np.ndarray:
         """Module coordinates of the quasi-basis {l_i} of E, one row each, from E's Y."""
-        return self.expectation._quasi_coords @ self.module._to_module
+        return _scaled(self.expectation._quasi_coords, self.module._to_module)
 
     @cached_property
     def _quasi_left(self) -> np.ndarray:
@@ -567,7 +601,7 @@ def _left_multiplication_residual(level: TowerLevel) -> float:
     rng = mx.default_rng()
     z = A.combine(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
     v = mod.coords(z)
-    want = A.multiplication_matrices(z[None], left=False)[0] @ mod._to_module
+    want = _scaled(A.multiplication_matrices(z[None], left=False)[0], mod._to_module)
     c = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
     c /= np.linalg.norm(c)
     worst = float(np.linalg.norm(level.embed(A.combine(c)) @ v - c @ want))
@@ -655,7 +689,7 @@ def _check_level(level: TowerLevel) -> dict:
     images = left_i(range_e) @ (mx.adjoint(range_e) @ on_quasi)
     column = left_i(unit[j][:, :, None])[:, :, 0]
     del left_i, on_quasi  # before E_1's maps are first built
-    got = level._dual_coords(images) @ mod._from_module
+    got = _scaled(level._dual_coords(images), mod._from_module)
     want = level._index_left(column.T)[0].T
     del images
     residuals["dual_rule"] = float(mx.row_norms(got - want).max())
@@ -717,7 +751,7 @@ def build_tower_level(
         module=module,
         jones_projection=e_b,
         # column a: the module coordinates of B's basis element beta_a
-        jones_range=(b_on_a @ module._to_module).T,
+        jones_range=_scaled(b_on_a, module._to_module).T,
         index_matrix=ind,
         index_inverse=mx.hermitian_inverse(ind),
         _check=check,
@@ -740,9 +774,9 @@ def intermediate_data(
     e_C = sum_j L_{mu_j} e_B L_{mu_j}* over any quasi-basis {mu_j} of the
     restriction of E to C, formed as W W* with W = [L_{mu_1} V ... L_{mu_p} V]
     the p blocks side by side and V = ``level.jones_range`` (e_B = V V*):
-    2 p d^2 r work for e_B of rank r.  Postconditions checked, against the
-    dense e_B and F's module matrix: e_C agrees with the matrix of the map
-    a -> F(a), is a projection, and absorbs e_B.
+    2 p d^2 r work for e_B of rank r.  Postconditions checked on W
+    (:func:`_projection_norms`): e_C agrees with F's module matrix, the
+    matrix of the map a -> F(a), is a projection, and absorbs e_B.
 
     This is :func:`~cstar_angles.algebra.compatibility_residual` (above
     ``DEFAULT_TOL``: :class:`NotCompatible`), then
@@ -752,53 +786,62 @@ def intermediate_data(
     A's HS coordinates feeds the compatibility residual and F's module
     matrix, C's basis over A the restricted coordinate matrix, and B's
     basis over C the quasi-basis check.  It is the one-member case of
-    :func:`intermediate_projections`, through the same steps.
+    :func:`intermediate_projections`, through the same steps
+    (:func:`_intermediate_factors`).  The definition route reads W itself,
+    never the d x d e_C returned here.
     """
-    (member,) = _compatible_members(level, iter([F]))
-    e_c, e_f, restricted = _member_projection(level, member)
-    _check_projections(e_c[None], level.jones_projection, e_f[None])
-    return e_c, restricted
+    ((w, restricted),) = _intermediate_factors(level, [F])
+    return w @ mx.adjoint(w), restricted
 
 
 def intermediate_projections(level: TowerLevel, members) -> np.ndarray:
     """The e_C of :func:`intermediate_data` for every expectation F of an iterable.
 
-    Returns them as one (k, d, d) stack in the order of ``members``, which
-    is read once, a chunk of members at a time
+    Returns them as one (k, d, d) stack in the order of ``members``, each
+    W W* of its factor from :func:`_intermediate_factors`.
+    """
+    ws = [w for w, _ in _intermediate_factors(level, members)]
+    d = level.module_dim
+    out = np.empty((len(ws), d, d), dtype=np.complex128)
+    for k, w in enumerate(ws):
+        np.matmul(w, mx.adjoint(w), out=out[k])
+    return out
+
+
+def _intermediate_factors(level: TowerLevel, members) -> list:
+    """(W, restricted E) for every expectation F of an iterable, with e_C = W W* checked.
+
+    ``members`` is read once, a chunk at a time
     (:func:`_compatible_members`).  Each member's containment tests,
-    restriction, quasi-basis check and W W* run on it alone
+    restriction, quasi-basis check and W run on it alone
     (:func:`_member_projection`), reading E's quasi-basis in A's
     coordinates as E holds it, and each member's record is freed once its
-    e_C is formed.  The compatibility residuals of a chunk come
-    from one stacked SVD call, and its postconditions and ||e_C|| from
-    another (:func:`_check_projections`).  Every check runs over the whole
-    chunk before the next, in the order of :func:`intermediate_data`, so a
-    family whose other members pass raises for a failing member what
-    :func:`intermediate_data` raises for it alone.
+    W is formed.  The compatibility residuals of a chunk come from one
+    stacked SVD call, and then its postconditions are checked
+    (:func:`_check_projections`).  Every check runs over the whole chunk
+    before the next, in the order of :func:`intermediate_data`, so a family
+    whose other members pass raises for a failing member what
+    :func:`intermediate_data` raises for it alone.  W is d x p r, p the
+    size of the restriction's quasi-basis and r = dim B.
     """
-    d = level.module_dim
-    members, stacks = iter(members), []
+    members, out = iter(members), []
     while chunk := _compatible_members(level, members):
-        e_cs = np.empty((len(chunk), d, d), dtype=np.complex128)
-        e_fs = np.empty_like(e_cs)
         chunk.reverse()  # taken from the end, so that each record is freed once used
-        for k in range(len(e_cs)):
-            e_cs[k], e_fs[k], _ = _member_projection(level, chunk.pop())
-        _check_projections(e_cs, level.jones_projection, e_fs)
-        stacks.append(e_cs)
+        factors = [_member_projection(level, chunk.pop()) for _ in range(len(chunk))]
+        ws, e_fs, restricted = zip(*factors)
+        del factors
+        _check_projections(ws, level.jones_range, e_fs)
         del e_fs  # freed before the next chunk is read
-    if len(stacks) == 1:
-        return stacks[0]
-    return np.concatenate(stacks) if stacks else np.empty((0, d, d), dtype=np.complex128)
+        out += zip(ws, restricted)
+    return out
 
 
 def _compatible_members(level: TowerLevel, expectations) -> list:
     """The containment tests and compatibility residuals of the next chunk of expectations.
 
     Reads expectations F from the iterator ``expectations`` until their
-    targets' bases and the postcondition stacks of
-    :func:`_check_projections` fill ``STACK_BUDGET_BYTES``, or it runs out
-    (an empty list then).  Returns one
+    targets' bases and the matrices :func:`_member_projection` keeps fill
+    ``STACK_BUDGET_BYTES``, or it runs out (an empty list then).  Returns one
     :func:`~cstar_angles.algebra._intermediate` record per F, its checks
     run at ``DEFAULT_TOL``: F's coordinate matrix over A, C's
     basis over A, B's basis over C and F on A's HS coordinates.  No later
@@ -812,9 +855,9 @@ def _compatible_members(level: TowerLevel, expectations) -> list:
     for F in expectations:
         members.append(_intermediate(E, F))
         # charged per member: its target basis as dense rows (a slice holds
-        # none, but a read builds them), its d x d hs and six postcondition
-        # matrices
-        held += 16 * F.target.dim * n * n + 7 * level.jones_projection.nbytes
+        # none, but a read builds them), and three d x d matrices: its hs,
+        # e_F and W (d x dim C at most, on a group level)
+        held += 16 * F.target.dim * n * n + 3 * level.jones_projection.nbytes
         if held >= mx.STACK_BUDGET_BYTES:
             break
     if np.any(_compatibility_core(E, members) > mx.DEFAULT_TOL):
@@ -825,7 +868,7 @@ def _compatible_members(level: TowerLevel, expectations) -> list:
 def _member_projection(
     level: TowerLevel, member
 ) -> tuple[np.ndarray, np.ndarray, ConditionalExpectation]:
-    """e_C, F's module matrix and the restricted E, for one record of :func:`_compatible_members`.
+    """W with e_C = W W*, F's module matrix and the restricted E, for one record of :func:`_compatible_members`.
 
     F's module matrix is that of the record's ``hs``.  The checks of the
     restriction are those :func:`_compatible_members` has run.
@@ -836,77 +879,74 @@ def _member_projection(
     # coordinates over C times C's basis over A
     mu_on_a = restricted._quasi_coords @ member.c_on_a
     w = np.swapaxes(_left_products(level.module, mu_on_a, level.jones_range), 0, 1)
-    w = w.reshape(level.module_dim, -1)
-    e_c = w @ mx.adjoint(w)
-    del w
     e_f = level.module._module_matrix(member.hs)
-    return e_c, e_f, restricted
+    return w.reshape(level.module_dim, -1), e_f, restricted
 
 
-def _check_projections(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray):
-    """The postconditions of :func:`intermediate_data` on (k, d, d) stacks of e_C and e_F.
+def _check_projections(ws, v: np.ndarray, e_fs):
+    """The postconditions of :func:`intermediate_data` for the factors W of e_C = W W*.
 
-    One :func:`_projection_norms` call per chunk of members under
-    ``STACK_BUDGET_BYTES``; a member whose residual exceeds
-    ``DEFAULT_TOL (1 + ||e_C||)`` raises :class:`ConstructionFailure`.
-    The bound compared is the one :func:`_projection_norms` reports: a
-    member its Frobenius screen settles is compared with ``DEFAULT_TOL``,
-    at most that bound, and any other with the bound itself, on exact
-    operator norms.
+    ``ws`` and ``e_fs`` hold one W and one module matrix of F per member, V
+    is ``level.jones_range``.  A member whose residual exceeds
+    ``DEFAULT_TOL (1 + ||e_C||)`` raises :class:`ConstructionFailure`.  The
+    bound compared is the one :func:`_projection_norms` reports: a member
+    its Frobenius screen settles is compared with ``DEFAULT_TOL``, at most
+    that bound, and any other with the bound itself, on exact operator
+    norms.
     """
-    # charged per member: its six residual matrices
-    for rows in mx.stack_slices(len(e_cs), 6 * e_b.nbytes):
-        for norms in _projection_norms(e_cs[rows], e_b, e_fs[rows]):
-            residuals, size = _projection_residuals(norms)
-            bound = mx.DEFAULT_TOL * (1.0 + size)
-            bad = {k: v for k, v in residuals.items() if v > bound}
-            if bad:
-                raise ConstructionFailure(f"intermediate projection failed: {bad}", residuals)
+    for w, e_f in zip(ws, e_fs):
+        residuals, size = _projection_residuals(_projection_norms(w, v, e_f))
+        bound = mx.DEFAULT_TOL * (1.0 + size)
+        bad = {name: r for name, r in residuals.items() if r > bound}
+        if bad:
+            raise ConstructionFailure(f"intermediate projection failed: {bad}", residuals)
 
 
-def _projection_norms(e_cs: np.ndarray, e_b: np.ndarray, e_fs: np.ndarray) -> np.ndarray:
-    """Row k: the postcondition norms of member k and the ||e_C|| its bound is taken with.
+def _projection_norms(w: np.ndarray, v: np.ndarray, e_f: np.ndarray) -> np.ndarray:
+    """The postcondition norms of one member and the ||e_C|| its bound is taken with, from e_C = W W*.
 
-    The norms of e_C - e_F (e_F the module matrix of F), e_C^2 - e_C,
-    e_C - e_C*, e_C e_B - e_B, e_B e_C - e_B and e_C, for the (k, d, d)
-    stacks ``e_cs`` and ``e_fs``.  Each product is written into one stack,
-    so no other array of its size is formed.  The five residuals of a
-    member are screened first: where each has a Frobenius norm below
-    ``DEFAULT_TOL``, their operator norms are too, within the member's
-    bound ``DEFAULT_TOL (1 + ||e_C||)`` since ||e_C|| >= 0, so the row holds
-    those Frobenius norms and 0 for ||e_C||.  Any other member gets all six
-    operator norms, from stacked SVDs of its own matrices.
+    The norms of e_C - e_F (e_F the module matrix of F), M^2 - M and
+    W (W* V) - V, with M = W* W (p r x p r) and e_B = V V*, and the norm of
+    M.  Each equals the quantity it stands for on the dense e_C:
+
+    * e_C^2 - e_C = W (M - 1) W* and M^2 - M = W* W (M - 1) are Hermitian
+      with the same nonzero eigenvalues, s^4 - s^2 over the singular values
+      s of W, so they have the same operator and Frobenius norms; and
+      ||M|| = ||W||^2 = ||e_C||;
+    * V is an isometry (V* V = 1), so e_C e_B - e_B = (e_C V - V) V* has the
+      operator and Frobenius norms of e_C V - V = W (W* V) - V, and
+      e_B e_C - e_B is its adjoint.  e_B here is V V*, the e_B every product
+      of the level and the angle reads; a checked level compares it with
+      the dense e_B (:func:`_check_level`);
+    * e_C - e_F is formed, W W* in d^2 p r work;
+    * e_C - e_C* vanishes for e_C = W W*, and the definition route reads
+      e_C through W alone, so there is no residual to take.
+
+    No d x d x d product is formed.  The three residuals are screened
+    first: where each has a Frobenius norm below ``DEFAULT_TOL``, their
+    operator norms are too, within the member's bound
+    ``DEFAULT_TOL (1 + ||e_C||)`` since ||e_C|| >= 0, so the row holds those
+    Frobenius norms and 0 for ||e_C||.  Otherwise it holds all four
+    operator norms, by SVDs.
     """
-    k, d = len(e_cs), len(e_b)
-    stack = np.empty((k, 6, d, d), dtype=np.complex128)
-    np.subtract(e_cs, e_fs, out=stack[:, 0])
-    np.matmul(e_cs, e_cs, out=stack[:, 1])
-    stack[:, 1] -= e_cs
-    np.conjugate(np.swapaxes(e_cs, 1, 2), out=stack[:, 2])
-    np.subtract(e_cs, stack[:, 2], out=stack[:, 2])
-    np.matmul(e_cs, e_b, out=stack[:, 3])
-    stack[:, 3] -= e_b
-    np.matmul(e_b, e_cs, out=stack[:, 4])
-    stack[:, 4] -= e_b
-    stack[:, 5] = e_cs
-    norms = mx.row_norms(stack.reshape(6 * k, d * d)).reshape(k, 6)
-    settled = (norms[:, :5] < mx.DEFAULT_TOL).all(axis=1)
-    norms[settled, 5] = 0.0
-    for member in np.flatnonzero(~settled):
-        norms[member] = mx.operator_norms(stack[member])
-    return norms
+    wh = mx.adjoint(w)
+    m = wh @ w
+    residuals = [w @ wh - e_f, m @ m - m, w @ (wh @ v) - v]
+    norms = [mx.frobenius_norm(r) for r in residuals]
+    if max(norms) < mx.DEFAULT_TOL:
+        return np.array(norms + [0.0])
+    return np.array([mx.operator_norm(r) for r in (*residuals, m)])
 
 
 def _projection_residuals(norms: np.ndarray) -> tuple[dict, float]:
-    """The postconditions of :func:`intermediate_data` and ||e_C||, from a row of :func:`_projection_norms`."""
+    """The postconditions of :func:`intermediate_data` and ||e_C||, from :func:`_projection_norms`."""
     norms = norms.tolist()
     residuals = {
         "matches_expectation_matrix": norms[0],
         "idempotent": norms[1],
-        "selfadjoint": norms[2],
-        "absorbs_jones": max(norms[3], norms[4]),
+        "absorbs_jones": norms[2],
     }
-    return residuals, norms[5]
+    return residuals, norms[3]
 
 
 def dual_expectation_value(level: TowerLevel, t) -> np.ndarray:

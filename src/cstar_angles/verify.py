@@ -34,6 +34,7 @@ from .algebra import (
     watatani_index,
 )
 from .angles import (
+    _difference_norms,
     angle_from_projections,
     exterior_angle,
     interior_angle_definition,
@@ -56,9 +57,9 @@ from .groups import (
     generated_subgroup,
 )
 from .tower import (
+    _intermediate_factors,
     dual_expectation_value,
     intermediate_data,
-    intermediate_projections,
     intermediate_dual_expectation,
     iterate_tower,
 )
@@ -98,14 +99,15 @@ def lattice_route_cosines(G: FiniteGroup):
     """Yield (H, K, L, exact, numeric) over every (H, K, L) chain in G.
 
     For each base H the definition route runs on stacks.  One
-    :func:`~cstar_angles.tower.intermediate_projections` call gives the
-    e_K of all m intermediates K, taking their masking expectations from a
-    generator, so they are held only while H is processed; D_K = e_K - e_B.
-    E_1 is *-preserving, so ||E_1(D_K* D_L)|| = ||E_1(D_L* D_K)||: row K
-    takes the numerators of the L from K on, from one stacked dual value and
-    one stacked SVD, so m dual-value calls per H, and the denominators
-    ||E_1(D_K* D_K)||^(1/2) are read off the diagonal.  ``group_angle`` is
-    called per triple and never read by the numeric route.
+    :func:`~cstar_angles.tower._intermediate_factors` call gives the range
+    factors W_K (e_K = W_K W_K*) of all m intermediates K, taking their
+    masking expectations from a generator, so they are held only while H
+    is processed.  The numerators ||E_1(D_K D_L)||, D_K = e_K - e_B, come
+    from :func:`~cstar_angles.angles._difference_norms`, the path of
+    :func:`~cstar_angles.angles.interior_angle_definition`, in tiles under
+    ``STACK_BUDGET_BYTES``, and the denominators ||E_1(D_K* D_K)||^(1/2) are
+    read off its diagonal.  ``group_angle`` is called per triple and never
+    read by the numeric route.
     """
     subs = all_subgroups(G)
     for H in subs:
@@ -117,13 +119,9 @@ def lattice_route_cosines(G: FiniteGroup):
             continue
         inc = group_algebra_inclusion(G, H)
         level = inc.tower(materialize=False, check=False)
-        diffs = intermediate_projections(level, (inc.expectation_onto(K) for K in inters))
-        diffs -= level.jones_projection
-        nums = np.empty((len(inters), len(inters)))
-        for i, d_k in enumerate(diffs):
-            nums[i, i:] = mx.operator_norms(level.dual_value(mx.adjoint(d_k) @ diffs[i:]))
-            nums[i:, i] = nums[i, i:]
-        del inc, level, diffs
+        members = (inc.expectation_onto(K) for K in inters)
+        nums = _difference_norms(level, [w for w, _ in _intermediate_factors(level, members)])
+        del inc, level
         dens = np.sqrt(np.diagonal(nums))
         for K, row, den_k in zip(inters, nums, dens):
             for L, num, den_l in zip(inters, row, dens):

@@ -485,6 +485,26 @@ def test_matrix_json_rejects_malformed_payloads(payload, error):
         matrix_from_json(json.loads(json.dumps(payload)))
 
 
+@pytest.mark.parametrize(
+    "payload", [{}, 5, {"rows": 1}], ids=["empty object", "a number", "rows alone"]
+)
+def test_matrix_json_rejects_a_payload_of_the_wrong_type_or_missing_fields(payload):
+    # these raised KeyError and TypeError
+    with pytest.raises(ShapeMismatch):
+        matrix_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "spanning_set", [{"a": 1}, "xy", None], ids=["an object", "a string", "null"]
+)
+def test_algebra_json_rejects_a_spanning_set_that_is_no_list(inclusion, spanning_set):
+    # each raised TypeError
+    payload = json.loads(json.dumps(inclusion.delta.to_json()))
+    payload["spanning_set"] = spanning_set
+    with pytest.raises(ShapeMismatch, match="spanning_set"):
+        MatrixStarAlgebra.from_json(payload)
+
+
 def test_json_loaders_reject_an_ambient_dim_that_is_not_an_integer(inclusion):
     # int() read 2.7 and "2" as 2
     for bad in (2.7, "2", -2, True):

@@ -301,18 +301,21 @@ def test_exterior_group_tower():
 
 
 def test_exterior_runs_each_intermediate_once(tower_level, inclusion, monkeypatch):
-    # C and D at level one, C_1 and D_1 at level two; G reuses level one's
-    calls, original = [], tower.intermediate_data
+    # C and D at level one (intermediate_data, whose e_C G reuses), C_1 and
+    # D_1 at level two as one family of factors
+    calls, original = [], tower._intermediate_factors
 
-    def counted(level, F, *args):
-        calls.append(F)
-        return original(level, F, *args)
+    def counted(level, members):
+        members = list(members)
+        calls.append(members)
+        return original(level, members)
 
     for module in (angles, tower):
-        monkeypatch.setattr(module, "intermediate_data", counted)
+        monkeypatch.setattr(module, "_intermediate_factors", counted)
     f_u = m2.fu_expectation(m2.rotation(0.4), inclusion)
     exterior_angle(tower_level, inclusion.F, f_u)
-    assert len(calls) == 4 and calls[:2] == [inclusion.F, f_u]
+    assert [len(members) for members in calls] == [1, 1, 2]
+    assert calls[0] + calls[1] == [inclusion.F, f_u]
 
 
 def test_exterior_rejects_full_algebra(tower_level, inclusion):

@@ -242,6 +242,22 @@ def test_hermitian_eigh_reads_a_diagonal_off_its_diagonal(monkeypatch):
     assert values.tolist() == eigh(h)[0].tolist()
 
 
+def test_functions_of_a_diagonal_read_its_diagonal(monkeypatch):
+    # diag(fn(diagonal)) in the diagonal's own order: no spectral
+    # decomposition, so no product with its permuted unit vectors
+    def refused(h):
+        raise AssertionError("a diagonal input took the spectral route")
+
+    monkeypatch.setattr(mx, "hermitian_eigh", refused)
+    diagonal = np.array([4.0, 1.0, 9.0, 0.25])
+    for got, want in (
+        (mx.psd_sqrt(np.diag(diagonal)), np.sqrt(diagonal)),
+        (mx.hermitian_inverse(np.diag(diagonal)), 1.0 / diagonal),
+    ):
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got, np.diag(want))
+
+
 def test_index_functions_of_a_scalar_take_no_eigensolve(monkeypatch, rng):
     calls = _eigh_calls(monkeypatch)
     ind = 27.0 * np.eye(81, dtype=np.complex128)

@@ -1150,6 +1150,53 @@ def test_star_matrix_in_algebra_coordinates_matches_operator_matrix(coordinate_l
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
+def _loewdin_factors(level):
+    """conj(G^(1/2)) and conj(G^(-1/2)) of the module Gram matrix, by eigh of G[j, l] = Tr(E(b_j* b_l))."""
+    E, basis = level.expectation, level.algebra.basis_stack
+    gram = np.stack([
+        np.trace(E.on_source(mx.adjoint(b) @ basis), axis1=1, axis2=2) for b in basis
+    ])
+    values, vectors = np.linalg.eigh(gram)
+    return tuple(
+        np.conjugate((vectors * values**power) @ mx.adjoint(vectors)) for power in (0.5, -0.5)
+    )
+
+
+def test_diagonal_module_factors_match_the_dense_loewdin_forms(coordinate_levels, rng):
+    # where the Gram matrix is diagonal the module keeps G^(+-1/2) as scale
+    # vectors, and every form it builds from them matches the dense product;
+    # the skewed state on M2's matrix units gives the diagonal 2 rho_bb, not c 1
+    levels = {**coordinate_levels, "skewed m2, unconjugated": build_tower_level(
+        m2.skewed_scalar_expectation(0.3)
+    )}
+    diagonal = {name for name, level in levels.items() if level.module._to_module.ndim == 1}
+    assert {"C[S4]", "C[Z2xZ3]", "M2+M3 level 2", "skewed m2, unconjugated"} <= diagonal
+    assert "skewed m2" not in diagonal
+    assert np.ptp(levels["skewed m2, unconjugated"].module._to_module) > 0.1
+    for name, level in levels.items():
+        mod, A, E = level.module, level.algebra, level.expectation
+        to, back = _loewdin_factors(level)
+        scale = np.abs(to).max()
+        for got, want in ((mod._to_module, to), (mod._from_module, back)):
+            dense = np.diag(got) if got.ndim == 1 else got
+            assert np.abs(dense - want).max() <= 1e-12 * np.abs(want).max(), name
+        to, back = (np.diag(f) if f.ndim == 1 else f for f in (mod._to_module, mod._from_module))
+        x = A.combine(rng.standard_normal((3, A.dim)) + 1j * rng.standard_normal((3, A.dim)))
+        v = rng.standard_normal((3, A.dim)) + 1j * rng.standard_normal((3, A.dim))
+        hs = E.coordinate_matrix @ E.target.basis_over(A)
+        forms = [
+            (mod.coords(x), A.hs_coordinates(x) @ to),
+            (mod.from_coords(v), A.combine(v @ back)),
+            (mod._module_matrix(hs), (back @ hs @ to).T),
+            (mod.star_matrix, (np.conjugate(back) @ A.star_coordinates() @ to).T),
+            (level.quasi_coords, E._quasi_coords @ to),
+            (level.jones_range, (E.target.basis_over(A) @ to).T),
+        ]
+        for k, (got, want) in enumerate(forms):
+            assert got.shape == want.shape, (name, k)
+            assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max()) * scale, (name, k)
+
+
 class _RightMultiplicationModule(GenericModule):
     """A module whose ``left_mult`` returns right multiplication: column j is hs(b_j x)."""
 
@@ -1391,6 +1438,24 @@ def test_gathered_dual_value_matches_the_dense_module(gathered_levels, rng):
         assert regular.dual_value(ts[:0]).shape == (0, d, d)
 
 
+def test_dual_value_of_an_empty_stack_on_a_generic_module_over_a_table_algebra(rng):
+    # the gathers of L_y J met an (m, d, 0) operand, which reshape(-1, 0)
+    # could not size: level one of C[S4] on a GenericModule, and level two
+    # of C[S3] over the trivial subgroup, on the matrix units of M6 (d = 36)
+    S4, S3 = FiniteGroup.symmetric(4), FiniteGroup.symmetric(3)
+    inc = group_algebra_inclusion(S4, trivial_subgroup(S4))
+    generic = build_tower_level(inc.E, module=GenericModule(inc.E), materialize=False)
+    level_two = iterate_tower(
+        group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(materialize=False)
+    )
+    for level in (generic, level_two):
+        assert type(level.module) is GenericModule and level.algebra._gathers is not None
+        d, n = level.module_dim, level.algebra.ambient_dim
+        ts = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        assert level.dual_value(ts[:0]).shape == (0, n, n)
+        np.testing.assert_array_equal(level.dual_value(ts)[1], level.dual_value(ts[1:])[0])
+
+
 def test_gathered_level_checks_match_the_dense_module(gathered_levels):
     for name, _, regular, dense, _ in gathered_levels:
         got = tower._check_level(regular)
@@ -1543,15 +1608,43 @@ def intermediate_data_composed(level, F):
         np.tensordot(lm[rows] @ e_b, np.conjugate(lm[rows]), axes=([0, 2], [0, 2]))
         for rows in mx.stack_slices(len(lm), 4 * e_b.nbytes)
     )
-    residuals = {
-        "matches_expectation_matrix": mx.operator_norm(e_c - level.module.expectation_matrix(F)),
-        "idempotent": mx.operator_norm(e_c @ e_c - e_c),
-        "selfadjoint": mx.operator_norm(e_c - mx.adjoint(e_c)),
-        "absorbs_jones": max(
-            mx.operator_norm(e_c @ e_b - e_b), mx.operator_norm(e_b @ e_c - e_b)
-        ),
+    norms = _dense_projection_norms(e_c[None], e_b, level.module.expectation_matrix(F)[None])[0]
+    return e_c, restricted, _dense_residuals(norms)
+
+
+def _dense_projection_norms(e_cs, e_b, e_fs):
+    """Row k: the dense postcondition norms of member k and ||e_C||, the oracle of the factor form.
+
+    The norms of e_C - e_F, e_C^2 - e_C, e_C - e_C*, e_C e_B - e_B,
+    e_B e_C - e_B and e_C for (k, d, d) stacks of e_C and e_F, each an
+    operator norm.
+    """
+    k, d = len(e_cs), len(e_b)
+    stack = np.empty((k, 6, d, d), dtype=np.complex128)
+    np.subtract(e_cs, e_fs, out=stack[:, 0])
+    np.matmul(e_cs, e_cs, out=stack[:, 1])
+    stack[:, 1] -= e_cs
+    np.subtract(e_cs, mx.adjoint(e_cs), out=stack[:, 2])
+    np.matmul(e_cs, e_b, out=stack[:, 3])
+    stack[:, 3] -= e_b
+    np.matmul(e_b, e_cs, out=stack[:, 4])
+    stack[:, 4] -= e_b
+    stack[:, 5] = e_cs
+    return np.stack([mx.operator_norms(member) for member in stack])
+
+
+def _dense_residuals(norms):
+    """The residuals the factor form reports, from a row of :func:`_dense_projection_norms`.
+
+    The factor form has no self-adjointness residual: W W* is self-adjoint
+    by its form, and the dense one is checked to be so within rounding.
+    """
+    assert norms[2] <= 1e-13
+    return {
+        "matches_expectation_matrix": norms[0],
+        "idempotent": norms[1],
+        "absorbs_jones": max(norms[3], norms[4]),
     }
-    return e_c, restricted, residuals
 
 
 def intermediate_cases(tower_level, inclusion):
@@ -1625,53 +1718,100 @@ def _svd_inputs(monkeypatch) -> list:
     return shapes
 
 
+def _member_factor(level, F):
+    """(W, e_F) of one member: the factor with e_C = W W* and F's module matrix."""
+    (member,) = tower._compatible_members(level, iter([F]))
+    w, e_f, _ = tower._member_projection(level, member)
+    return w, e_f
+
+
+def test_factor_postconditions_match_the_dense_norms(tower_level, inclusion):
+    # each residual of the factor form is the dense quantity it stands for,
+    # on the exact operator norms a member the screen does not settle takes:
+    # W scaled by 1 + 0.45 tol moves every residual to about 0.9 tol
+    tol = mx.DEFAULT_TOL
+    for name, level, F in intermediate_cases(tower_level, inclusion):
+        w, e_f = _member_factor(level, F)
+        v, e_b = level.jones_range, level.jones_projection
+        for scale in (1.0, 1.0 + 0.45 * tol, 1.0 + 1e-6):
+            ws = scale * w
+            e_c = ws @ mx.adjoint(ws)
+            got = tower._projection_norms(ws, v, e_f)
+            dense = _dense_projection_norms(e_c[None], e_b, e_f[None])[0]
+            want = _dense_residuals(dense)
+            if scale == 1.0:
+                # settled by the screen: Frobenius norms below tol, ||e_C|| read as 0
+                assert got[3] == 0.0 and max(got[:3]) < tol, name
+                assert all(g <= 1e-13 for g in got[:3]), name
+                continue
+            assert got[3] == pytest.approx(dense[5], abs=1e-13), name
+            for g, key in zip(got, want):
+                assert abs(g - want[key]) <= 1e-15 + 1e-12 * want[key], (name, key)
+
+
 def test_projection_checks_take_exact_norms_where_the_screen_does_not_settle(
-    tower_level, inclusion, monkeypatch, rng
+    tower_level, inclusion, monkeypatch
 ):
     level, F = tower_level, inclusion.F
-    e_c, _ = intermediate_data(level, F)
-    e_b, e_f = level.jones_projection, level.module.expectation_matrix(F)
-    d, tol = len(e_b), mx.DEFAULT_TOL
+    w, e_f = _member_factor(level, F)
+    v, tol = level.jones_range, mx.DEFAULT_TOL
     recorded, residuals_of = [], tower._projection_residuals
     monkeypatch.setattr(
         tower, "_projection_residuals", lambda norms: recorded.append(residuals_of(norms)) or recorded[-1]
     )
 
-    def exact(e):
-        return {
-            "matches_expectation_matrix": mx.operator_norm(e - e_f),
-            "idempotent": mx.operator_norm(e @ e - e),
-            "selfadjoint": mx.operator_norm(e - mx.adjoint(e)),
-            "absorbs_jones": max(mx.operator_norm(e @ e_b - e_b), mx.operator_norm(e_b @ e - e_b)),
-        }
+    def exact(ws):
+        e_c = ws @ mx.adjoint(ws)
+        norms = _dense_projection_norms(e_c[None], level.jones_projection, e_f[None])[0]
+        return _dense_residuals(norms), norms[5]
 
     # settled by the screen: compared with DEFAULT_TOL, ||e_C|| read as 0
-    tower._check_projections(e_c[None], e_b, e_f[None])
+    tower._check_projections([w], v, [e_f])
     assert recorded.pop()[1] == 0.0
-    # 0.9 tol I added: Frobenius norms up to 1.8 tol, operator norms about
-    # 0.9 tol, so the screen does not settle it and the SVDs pass it
-    shifted = e_c + 0.9 * tol * np.eye(d)
-    tower._check_projections(shifted[None], e_b, e_f[None])
+    # W scaled by 1 + 0.45 tol: e_C by about 1 + 0.9 tol, Frobenius norms
+    # about 1.3 tol on e_C of rank 2, operator norms about 0.9 tol, so the
+    # screen does not settle it and the SVDs pass it
+    scaled = (1.0 + 0.45 * tol) * w
+    tower._check_projections([scaled], v, [e_f])
     residuals, size = recorded.pop()
-    assert np.linalg.norm(shifted - e_f) > tol
-    assert size == pytest.approx(mx.operator_norm(shifted), abs=1e-15)
-    for key, want in exact(shifted).items():
-        assert residuals[key] == pytest.approx(want, abs=1e-22), key
-        assert want <= tol * (1.0 + size)
-    # perturbed by 1e-6: raises, reporting the exact operator norms
-    bent = e_c + 1e-6 * mx.random_matrix(d, rng)
-    with pytest.raises(ConstructionFailure, match="intermediate projection failed") as failure:
-        tower._check_projections(bent[None], e_b, e_f[None])
-    assert failure.value.residuals.keys() == exact(bent).keys()
-    for key, want in exact(bent).items():
-        assert failure.value.residuals[key] == pytest.approx(want, abs=1e-20), key
+    want, want_size = exact(scaled)
+    assert np.linalg.norm(scaled @ mx.adjoint(scaled) - e_f) > tol
+    assert size == pytest.approx(want_size, abs=1e-15)
+    for key, value in want.items():
+        assert residuals[key] == pytest.approx(value, abs=1e-15), key
+        assert value <= tol * (1.0 + size)
+
+
+@pytest.mark.parametrize("corruption", ["scaled by 1 + 1e-6", "one block dropped"])
+def test_corrupted_factors_fail_the_postconditions(tower_level, inclusion, corruption):
+    # W = [L_{mu_1} V ... L_{mu_p} V], r columns a block
+    for name, level, F in intermediate_cases(tower_level, inclusion):
+        w, e_f = _member_factor(level, F)
+        v = level.jones_range
+        if corruption == "one block dropped":
+            bad, keys = w[:, v.shape[1]:], {"matches_expectation_matrix"}
+        else:
+            bad = (1.0 + 1e-6) * w
+            keys = {"matches_expectation_matrix", "idempotent", "absorbs_jones"}
+        with pytest.raises(ConstructionFailure, match="intermediate projection failed") as failure:
+            tower._check_projections([bad], v, [e_f])
+        residuals = failure.value.residuals
+        size = mx.operator_norm(bad @ mx.adjoint(bad))
+        failed = {key for key, r in residuals.items() if r > mx.DEFAULT_TOL * (1.0 + size)}
+        assert keys <= failed, (name, residuals)
+        # the reported residuals are exact operator norms, as the dense ones
+        want = _dense_residuals(_dense_projection_norms(
+            (bad @ mx.adjoint(bad))[None], level.jones_projection, e_f[None]
+        )[0])
+        for key, value in want.items():
+            assert residuals[key] == pytest.approx(value, abs=1e-13), (name, key)
 
 
 def test_a_checked_regular_level_and_its_angle_take_three_svds_and_no_eigvalsh(monkeypatch):
     # the group-numeric benchmark's inclusion: every check of the level and
-    # of intermediate_data is settled by its bound, so the only SVDs are the
-    # angle's three values (its numerator and two module norms), and no
-    # eigenvalue is computed for a check
+    # of the intermediate factors is settled by its bound, so the only SVDs
+    # are the angle's three values (its numerator and two module norms), in
+    # one stacked call, and no eigenvalue is computed for a check
     G = FiniteGroup.direct_product([3, 3, 3, 3])
 
     def sub(*gens):
@@ -1691,7 +1831,7 @@ def test_a_checked_regular_level_and_its_angle_take_three_svds_and_no_eigvalsh(m
     level = inc.tower()
     assert abs(interior_angle_definition(level, F, F_prime).cos_value - 0.5) <= 1e-12
     assert spectral == []
-    assert svds == [(81, 81)] * 3
+    assert svds == [(3, 81, 81)]
 
 
 def test_a_module_whose_gram_matrix_is_not_diagonal_takes_the_eigensolve(range_levels, monkeypatch):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cstar_angles import matrices as mx
 from cstar_angles.angles import interior_angle_definition
 from cstar_angles.groups import FiniteGroup, group_algebra_inclusion
 from cstar_angles.tower import intermediate_data
@@ -119,6 +120,19 @@ def test_lattice_sweep_matches_the_definition_route_per_triple(G, triples):
         assert abs(numeric.cos_value - want.cos_value) <= 1e-12, (H, K, L)
         count += 1
     assert count == triples
+
+
+@pytest.mark.parametrize(
+    "G", [FiniteGroup.direct_product([2, 2, 2]), FiniteGroup.symmetric(4)], ids=["Z2xZ2xZ2", "S4"]
+)
+def test_lattice_sweep_cosines_stay_at_rounding_of_group_angle(G, monkeypatch):
+    rows = [(exact.cos_value, numeric.cos_value) for *_, exact, numeric in lattice_route_cosines(G)]
+    assert max(abs(exact - numeric) for exact, numeric in rows) <= 2.3e-16
+    if G.order == 8:
+        # tiles of one image and chunks of one member give the same cosines
+        monkeypatch.setattr(mx, "STACK_BUDGET_BYTES", 1)
+        tiled = [numeric.cos_value for *_, numeric in lattice_route_cosines(G)]
+        assert max(abs(a - b) for (_, a), b in zip(rows, tiled)) <= 1e-15
 
 
 def test_package_has_no_assert_statements():
