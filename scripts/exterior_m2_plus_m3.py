@@ -138,7 +138,7 @@ def tensor_fixture(k: int = 1):
     F = ConditionalExpectation.from_rule(
         A, C, lambda x: sum(p @ x @ p for p in corners), quasi_basis=quasi, name="F"
     )
-    return build_tower_level(E, materialize=False), F
+    return build_tower_level(E), F
 
 
 def tensor_deviations(seed: int, k: int, *, exterior: bool = True) -> dict:

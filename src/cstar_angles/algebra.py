@@ -542,12 +542,21 @@ class MatrixStarAlgebra:
     def _star_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """S^T as a row gather (rows, scale): row k is scale[k] e_{rows[k]}.
 
-        For a *-closed basis with disjoint supports; two length-d arrays,
-        read off the supports with no d x d matrix formed.  S^T[k, l] is the
-        coordinate of b_l* on b_k, and b_l* has b_l's support transposed, so
-        b_k lies in b_l* for one l alone: the owner of any transposed
-        position of b_k.  The coordinate is the sum of conj(b_k[r, c]
-        b_l[c, r]) over b_k's support, the entries
+        For an algebra with a product table (:attr:`_table`), read only
+        where it has one; two length-d arrays, read off the supports with no
+        d x d matrix formed.  S^T[k, l] is the coordinate of b_l* on b_k, and
+        b_l* has b_l's support transposed.  On a table algebra each b_k* is
+        one scaled basis element b_j, so b_k lies in b_l* for one l alone:
+        the owner of any transposed position of b_k.  Why: A is *-closed,
+        so b_k*'s support, b_k's transposed, is covered by basis supports;
+        take a b_j holding some of it.  The product b_k b_j b_k is one
+        scaled basis element (the table), and as a partial permutation it
+        agrees with b_k on the columns where b_j holds b_k*'s entries and
+        differs from b_k on every other column of b_k.  Were b_k* split
+        over several elements, it would be a proper piece of b_k inside A,
+        sharing positions with b_k, which disjoint supports forbid; so no
+        guard beyond the table is needed.  The coordinate is the sum of
+        conj(b_k[r, c] b_l[c, r]) over b_k's support, the entries
         :meth:`star_coordinates` sums into S[l, k].
         """
         sup, n = self._supports, self.ambient_dim

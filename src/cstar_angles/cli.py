@@ -181,6 +181,10 @@ def cmd_m2_sweep(args, started: float) -> int:
     if args.points < 2:
         print("m2-sweep: --points must be at least 2", file=sys.stderr)
         return EX_USAGE
+    if args.json and not args.out:
+        # stdout holds the one JSON report, so the CSV rows need a file
+        print("m2-sweep: --json needs --out for the CSV rows", file=sys.stderr)
+        return EX_USAGE
     _check_budget(SWEEP_POINT_BYTES * args.points, f"m2-sweep: {args.points} points")
     thetas = np.linspace(0.0, math.pi / 4.0, args.points)
     pairs = m2.angle_sweep(thetas)
@@ -255,7 +259,7 @@ def cmd_group_angle(args, started: float) -> int:
 
     if args.numeric:
         inc = group_algebra_inclusion(G, H)
-        level = inc.tower(materialize=False, check=True)
+        level = inc.tower()
         numeric = interior_angle_definition(
             level, inc.expectation_onto(K), inc.expectation_onto(L)
         )
@@ -298,7 +302,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("m2-sweep", help="rotation-family sweep as CSV")
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
+    p.add_argument(
+        "--out", type=str, default=None,
+        help="CSV path (default stdout; required with --json)",
+    )
     p.set_defaults(handler=cmd_m2_sweep)
 
     p = sub.add_parser("group-angle", help="angle between intermediate group algebras")

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matrices as mx
-from .algebra import ConditionalExpectation, MatrixStarAlgebra, _row_nonzeros
+from .algebra import ConditionalExpectation, MatrixStarAlgebra
 from .angles import AngleDiagnostics, AngleResult, Route
 from .errors import (
     DegenerateIntermediate,
@@ -598,55 +598,20 @@ class RegularModule(GenericModule):
 
     E preserves the trace, so the module basis is A's own basis
     {lambda_g / sqrt(|G|)} and module coordinates are A's coordinates,
-    the scaled group coefficients.  What this class adds is what holds on
-    the regular module alone: L_x is the ambient matrix of x itself
-    (:meth:`left_mult`), J = S^T is a scaled permutation
-    (:attr:`_star_map`), fused into the gathers of L_y J
-    (:meth:`left_star`), and the quasi-basis of a coset-rep E has one
-    nonzero module coordinate per element (:meth:`times_columns`).  The
-    products L_y X are :meth:`GenericModule.left_times`, gathered wherever A
-    has a product table (from ``GATHER_MIN_DIM`` elements on) as on any
-    module.  Without a table every product is formed as
-    :class:`~cstar_angles.tower.GenericModule`, their oracle, forms it.
+    the scaled group coefficients.  What this class adds is the definition
+    of the regular representation: L_x is the ambient matrix of x itself
+    (:meth:`left_mult`), where :class:`~cstar_angles.tower.GenericModule`
+    forms it from A's multiplication matrices.  Every other rule is the
+    generic module's, keyed on properties of A and E, not on this class:
+    L_y X is a row gather wherever A has a product table (from
+    ``GATHER_MIN_DIM`` elements on), and so is L_y J where the Gram matrix
+    is also diagonal, as it is here; below that size both are dense
+    products.
     """
 
     def left_mult(self, x) -> np.ndarray:
         """L_x is x itself: a complex128 input comes back as it is, not copied."""
         return np.asarray(x, dtype=np.complex128)
-
-    @cached_property
-    def _star_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """J = S^T as a row gather (rows, scale) (:attr:`MatrixStarAlgebra._star_rows`)."""
-        return self.algebra._star_rows
-
-    def left_star(self, coords: np.ndarray):
-        gathers = self.algebra.multiplication_gathers(coords, left=True)
-        if gathers is None:
-            return super().left_star(coords)
-        # row r of L_{y_a} J is sum_u weights[a, u, r] scale[s] e_s, s = star[rows[a, u, r]],
-        # read off the (d, m) image of an element taken flat at s m + a
-        star, scale = self._star_map
-        rows, weights = gathers
-        m, d = len(rows), self.dim
-        flat = star[rows] * m + np.arange(m)[:, None, None]
-        conj_weights = np.conjugate(weights * scale[rows])
-        return lambda x: np.conjugate(np.einsum(
-            "awr,kawr->kr", conj_weights, np.take(x.reshape(len(x), d * m), flat, axis=1)
-        ))
-
-    def times_columns(self, q: np.ndarray):
-        if self.algebra._gathers is None:
-            return super().times_columns(q)
-        columns, values = _row_nonzeros(q)
-
-        def images(ts):
-            out = np.take(ts, columns[:, 0], axis=2)
-            out *= values[:, 0]
-            for u in range(1, columns.shape[1]):
-                out += np.take(ts, columns[:, u], axis=2) * values[:, u]
-            return out
-
-        return images
 
     # named on this class too: the benchmark traces methods by class attribute
     coords = GenericModule.coords
@@ -742,10 +707,15 @@ class GroupInclusion:
         return _masking_expectation(self.A, K, _transversal(self.group, K, reps), "F")
 
     def tower(self, *, materialize: bool = False, check: bool = True) -> TowerLevel:
-        return build_tower_level(
-            self.E, module=self.module,
-            materialize=materialize, check=check,
-        )
+        """The level of (C[H] <= C[G], E) on the regular module.
+
+        ``materialize`` reads E_1, and with it A_1 and the embedded algebra,
+        before returning; otherwise they are built on first read.
+        """
+        level = build_tower_level(self.E, module=self.module, check=check)
+        if materialize:
+            level.dual_expectation
+        return level
 
 
 def group_algebra_inclusion(

@@ -159,11 +159,12 @@ def canonical_inclusion() -> M2Inclusion:
     return M2Inclusion(A, B, E, F, delta)
 
 
-def canonical_tower(
-    inclusion: M2Inclusion | None = None, *, materialize: bool = True
-) -> TowerLevel:
+def canonical_tower(inclusion: M2Inclusion | None = None) -> TowerLevel:
+    """The level of the canonical inclusion, with E_1 (and A_1) read before returning."""
     inc = inclusion or canonical_inclusion()
-    return build_tower_level(inc.E, materialize=materialize)
+    level = build_tower_level(inc.E)
+    level.dual_expectation
+    return level
 
 
 def embed(x) -> np.ndarray:
@@ -324,7 +325,7 @@ def hadamard_gap_demo(u) -> GapDemo:
     """
     uu = _coerce(u)
     inc = canonical_inclusion()
-    level = canonical_tower(inc, materialize=False)
+    level = build_tower_level(inc.E)
     e_delta = intermediate_data(level, inc.F)[0]
     lu = embed(uu.matrix)
     conjugated = lu @ e_delta @ mx.adjoint(lu)

@@ -45,12 +45,12 @@ coords(l_i a*) = L_{l_i} J conj(coords(a)),
 
     coords(E_1(t)) = L_{Ind(E)^-1} J conj(v),   v = sum_i L_{l_i} J conj(t q_i),
 
-where v holds the coordinates of (sum_i t(l_i) l_i*)*.  The module forms
-the products t -> [t q_i] and X -> sum_i L_{l_i} J conj(X_i)
-(:meth:`GenericModule.times_columns`, :meth:`GenericModule.left_star`) as
-maps the level builds once.  J needs no module operator: with S the star
-of A's basis in HS coordinates (row l holds those of b_l*) and M the module
-Gram matrix of :class:`GenericModule`,
+where v holds the coordinates of (sum_i t(l_i) l_i*)*.  The level takes
+t -> [t q_i] as one product with the q_i, and the module forms
+X -> sum_i L_{l_i} J conj(X_i) (:meth:`GenericModule.left_star`) as a map
+the level builds once.  J needs no module operator: with S the star of A's
+basis in HS coordinates (row l holds those of b_l*) and M the module Gram
+matrix of :class:`GenericModule`,
 
     J = (M^{-1/2} S conj(M^{1/2}))^T.
 
@@ -61,12 +61,11 @@ switch for how it is applied: where A has one (a monomial basis from
 up), every L_y X is a gather of X's rows
 (:meth:`~cstar_angles.algebra.MatrixStarAlgebra.multiplication_gathers`),
 w d c work for y of w nonzero coordinates and X of c columns; elsewhere
-L_y is formed, d^2 c.  On the regular module of a group algebra
-(:class:`~cstar_angles.groups.RegularModule`) module coordinates are A's HS
-coordinates, so there J and every q_i of a coset-rep quasi-basis are
-scaled partial permutations as well, and that module fuses J into the
-gathers of L_y and takes t q_i by columns: about q w d per element in all
-(w = 1 on the group route), where a generic module takes about 2 q d^2.
+L_y is formed, d^2 c.  Where A has a table and M is diagonal as well, S^T
+and so J are scaled partial permutations, and the module fuses J into the
+gathers of L_y: about q w d per element for sum_i L_{l_i} J conj(X_i)
+(w = 1 on the group route), where the dense J takes q d^2 more.  The rule
+rests on the table and the diagonal M alone, never on the module's class.
 
 The same identity, t = sum_i L_{t(l_i)} e_B L_{l_i*} on
 A_1, gives the compatible expectation onto C_1 as
@@ -244,13 +243,13 @@ class GenericModule:
     with c = sum_k m_k rho m_k* = sum_k b_k b_k*, so the HS Gram matrix of
     the L_{b_i} is R_c^T.
 
-    The products a tower level takes with an L_y, with L_y J and with the
-    coordinates of an element are the module's (:meth:`left_times`,
-    :meth:`left_star`, :meth:`times_columns`): maps built once per operand.
-    Since G commutes with left multiplication, L_y X is a gather of X's rows
-    wherever A has a product table, for every E; without a table, and for
-    J and the t q_a, this class forms dense products and is the oracle of
-    :class:`~cstar_angles.groups.RegularModule`, which gathers those too.
+    The products a tower level takes with an L_y and with L_y J are the
+    module's (:meth:`left_times`, :meth:`left_star`): maps built once per
+    operand.  Since G commutes with left multiplication, L_y X is a gather of
+    X's rows wherever A has a product table, for every E, and L_y J is one
+    too where G is also diagonal, as on every group algebra and on the
+    matrix units of the M2+M3 level two; otherwise J is the dense
+    :attr:`star_matrix`, which stays the oracle of the gathered J.
     """
 
     def __init__(self, expectation: ConditionalExpectation):
@@ -361,16 +360,32 @@ class GenericModule:
         """The map X -> sum_a L_{y_a} J conj(X[:, :, a]) for the y_a with A-coordinates ``coords``.
 
         X is a (k, d, m) stack whose column a goes with y_a, and the map
-        gives the (k, d) rows of the sums: m d^2 work per element for J,
-        and as much again for the L_{y_a} unless :meth:`left_times` gathers.
+        gives the (k, d) rows of the sums.  Where A has a product table and
+        G is diagonal, J is a row gather too: S^T's
+        (:attr:`~cstar_angles.algebra.MatrixStarAlgebra._star_rows`) with
+        row k scaled by G^(1/2)[k] conj(G^(-1/2)[s]), s the row it reads
+        (exactly 1 where G = 1, as on a group algebra), and it is fused
+        into the gathers of L_{y_a}: w d work per element for y_a of w
+        nonzero coordinates.  Otherwise J is the dense :attr:`star_matrix`,
+        m d^2 work per element, and as much again for the L_{y_a} unless
+        :meth:`left_times` gathers.
         """
-        left, star = self.left_times(coords), self.star_matrix
-        return lambda x: left(star @ np.conjugate(x).T).sum(axis=0).T
-
-    def times_columns(self, q: np.ndarray):
-        """The map t -> [t q_1 ... t q_m] on (k, d, d) stacks, for module coordinates q (rows)."""
-        columns = np.asarray(q).T
-        return lambda ts: ts @ columns
+        diagonal = self._to_module.ndim == 1
+        gathers = self.algebra.multiplication_gathers(coords, left=True) if diagonal else None
+        if gathers is None:
+            left, star = self.left_times(coords), self.star_matrix
+            return lambda x: left(star @ np.conjugate(x).T).sum(axis=0).T
+        # row r of L_{y_a} J is sum_u weights[a, u, r] scale[s] e_s, s = star[rows[a, u, r]],
+        # read off the (d, m) image of an element taken flat at s m + a
+        star, scale = self.algebra._star_rows
+        scale = scale * (np.conjugate(self._from_module[star]) * self._to_module)
+        rows, weights = gathers
+        m, d = len(rows), self.dim
+        flat = star[rows] * m + np.arange(m)[:, None, None]
+        conj_weights = np.conjugate(weights * scale[rows])
+        return lambda x: np.conjugate(np.einsum(
+            "awr,kawr->kr", conj_weights, np.take(x.reshape(len(x), d * m), flat, axis=1)
+        ))
 
 
 @dataclass
@@ -494,12 +509,11 @@ class TowerLevel:
         """The (q, d, d) stack L_{l_i} (on the regular module, the quasi-basis itself)."""
         return self.embed(self.expectation.quasi_stack)
 
-    # the module maps of E_1 and of its check, one per operand, built on first use
+    def _quasi_images(self, ts: np.ndarray) -> np.ndarray:
+        """[t q_1 ... t q_q] for each t of a (k, d, d) stack, q_i = coords(l_i)."""
+        return ts @ self.quasi_coords.T
 
-    @cached_property
-    def _quasi_images(self):
-        """t -> [t q_1 ... t q_q], q_i = coords(l_i)."""
-        return self.module.times_columns(self.quasi_coords)
+    # the module maps of E_1 and of its check, one per operand, built on first use
 
     @cached_property
     def _quasi_star(self):
@@ -704,14 +718,14 @@ def build_tower_level(
     E: ConditionalExpectation,
     *,
     module=None,
-    materialize: bool = True,
     check: bool = True,
 ) -> TowerLevel:
     """Construct the basic-construction level for (B <= A, E), with A = E.source and B = E.target.
 
     ``module``, when given, must be built on A itself (``module.algebra is
-    A``).  ``materialize`` reads ``basic_construction``, ``embedded_algebra``
-    and ``dual_expectation`` at once instead of on first use.  Raises
+    A``).  A_1, the embedded algebra and E_1 are built when first read
+    (:class:`TowerLevel`), so a level whose A_1 is over budget still
+    builds, and raises :class:`TooLarge` only when A_1 is read.  Raises
     :class:`NoQuasiBasis` when E has none, :class:`NotIntermediate` when B
     is not inside A, and :class:`ConstructionFailure` with a residual
     report when an invariant check fails.  Every read and check runs at
@@ -759,9 +773,6 @@ def build_tower_level(
 
     if check:
         _check_level(level)
-
-    if materialize:
-        level.dual_expectation  # reads A_1 and the embedded algebra too
     return level
 
 
@@ -988,7 +999,7 @@ def iterate_tower(level: TowerLevel) -> TowerLevel:
         f"the next rung (module dimension {d1}, {q} dual quasi-basis elements)",
     )
     if level._rung is None:
-        level._rung = build_tower_level(level.dual_expectation, materialize=False)
+        level._rung = build_tower_level(level.dual_expectation)
     return level._rung
 
 

@@ -118,7 +118,7 @@ def lattice_route_cosines(G: FiniteGroup):
         if not inters:
             continue
         inc = group_algebra_inclusion(G, H)
-        level = inc.tower(materialize=False, check=False)
+        level = inc.tower(check=False)
         members = (inc.expectation_onto(K) for K in inters)
         nums = _difference_norms(level, [w for w, _ in _intermediate_factors(level, members)])
         del inc, level
@@ -733,7 +733,7 @@ def _suite_groups(rng) -> list[CheckResult]:
         for trial in range(4):
             reps = None if trial == 0 else _shuffled_reps(G, H, rng)
             inc = group_algebra_inclusion(G, H, reps=reps)
-            level = inc.tower(materialize=False, check=False)
+            level = inc.tower(check=False)
             res = interior_angle_definition(
                 level, inc.expectation_onto(K), inc.expectation_onto(L)
             )

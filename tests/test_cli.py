@@ -121,6 +121,22 @@ def test_sweep_dense_gap(tmp_path, capsys):
     assert values["max_gap_rad"] < 0.01
 
 
+def test_sweep_json_stdout_is_one_document(tmp_path, capsys):
+    # with --out the whole of stdout parses as the report; without it the
+    # CSV rows would share stdout with the report, so the sweep is refused
+    out_file = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(
+        capsys, "--json", "m2-sweep", "--points", "3", "--out", str(out_file)
+    )
+    assert code == 0 and json.loads(out)["command"] == "m2-sweep"
+    code, out, err = run_cli(capsys, "--json", "m2-sweep", "--points", "3")
+    assert code == 64 and out == ""
+    assert "--json needs --out" in err
+    # without --json the rows still go to stdout
+    code, out, _ = run_cli(capsys, "m2-sweep", "--points", "3")
+    assert code == 0 and out.splitlines()[0] == "theta,cos,angle_rad"
+
+
 def test_sweep_unwritable_path(capsys):
     code, _, err = run_cli(
         capsys, "m2-sweep", "--points", "3", "--out", "/nonexistent-dir/x.csv"

@@ -259,7 +259,7 @@ def test_dual_quasi_basis_matches_the_per_element_loop(inclusion, c_plus_m2):
     s3 = group_algebra_inclusion(S3, generated_subgroup(S3, [S3.index_of((1, 0, 2))]))
     z3 = group_numeric_inclusion()
     lazy = [
-        build_tower_level(inclusion.E, materialize=False),
+        build_tower_level(inclusion.E),
         s3.tower(materialize=False),
         z3.tower(materialize=False),
     ]
@@ -404,13 +404,18 @@ def least_squares_g(level, F):
     return g
 
 
-def m2_plus_m3():
-    """The M2+M3 >= C+C level of ``scripts/exterior_m2_plus_m3.py``, with its F and F'."""
+def _exterior_script():
+    """``scripts/exterior_m2_plus_m3.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "exterior_m2_plus_m3.py"
     spec = importlib.util.spec_from_file_location("exterior_m2_plus_m3", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    _, _, _, E, F, F_prime = script.fixture(mx.DEFAULT_SEED)
+    return script
+
+
+def m2_plus_m3():
+    """The M2+M3 >= C+C level of ``scripts/exterior_m2_plus_m3.py``, with its F and F'."""
+    _, _, _, E, F, F_prime = _exterior_script().fixture(mx.DEFAULT_SEED)
     return build_tower_level(E), F, F_prime
 
 
@@ -434,11 +439,11 @@ def test_g_by_the_identity_matches_least_squares(tower_level, inclusion, c_plus_
 
 @pytest.mark.parametrize("case", ["m2", "z4_over_z2"])
 def test_lazy_level_iterates_and_gives_g(case, inclusion, rng):
-    # a level built with materialize=False builds A_1 when it is first read
+    # a level that has not read E_1 builds A_1 when it is first read
     if case == "m2":
         F = inclusion.F
-        lazy = m2.canonical_tower(inclusion, materialize=False)
-        eager = m2.canonical_tower(inclusion, materialize=True)
+        lazy = build_tower_level(inclusion.E)
+        eager = m2.canonical_tower(inclusion)
     else:
         inc = z4_over_z2()
         F = identity_expectation(inc.A)
@@ -539,7 +544,7 @@ def test_star_matrix_conjugates_coordinates(tower_level, c_plus_m2, rng):
     levels = (
         tower_level,
         c_plus_m2.level,
-        build_tower_level(skewed, materialize=False),
+        build_tower_level(skewed),
         group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(),
         group_algebra_inclusion(
             Z4xZ2, generated_subgroup(Z4xZ2, [Z4xZ2.index_of((2, 0))])
@@ -675,7 +680,7 @@ def test_generic_module_beyond_d17_m2_tensor_m3(rng):
         np.testing.assert_allclose(lm, want_left, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rm, want_right, rtol=0, atol=1e-12)
     # both interior routes against the 2x2 model's exact angle
-    level = build_tower_level(E, materialize=False)
+    level = build_tower_level(E)
     assert type(level.module) is GenericModule and level.module_dim == 36
     u = m2.Unitary2(mx.random_unitary(2, rng))
     F_prime = conjugate_expectation(F, np.kron(u.matrix, np.eye(3)))
@@ -700,7 +705,7 @@ def test_level_and_module_read_a_and_b_off_the_expectation(tower_level, inclusio
     same_span = MatrixStarAlgebra.from_spanning(E.source.basis_stack[::-1])
     other = ConditionalExpectation.from_rule(same_span, E.target, E, quasi_basis=E.quasi_basis)
     with pytest.raises(ShapeMismatch, match="source of E"):
-        build_tower_level(E, module=GenericModule(other), materialize=False)
+        build_tower_level(E, module=GenericModule(other))
 
 
 def test_expectation_matrix_refuses_a_foreign_source(tower_level, inclusion):
@@ -767,7 +772,7 @@ def test_expectation_matrix_matches_operator_matrix(tower_level, c_plus_m2, incl
         (tower_level, F_other),
         (c_plus_m2.level, c_plus_m2.E),
         (c_plus_m2.level, c_plus_m2.F_prime),
-        (build_tower_level(skewed, materialize=False), skewed),
+        (build_tower_level(skewed), skewed),
         (level2, level2.expectation),
         (group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(), None),
         (z_inc.tower(), z_inc.expectation_onto(K)),
@@ -879,14 +884,15 @@ def test_family_without_the_quasi_basis_fails_the_check(inclusion, monkeypatch):
         return np.concatenate([lmats, lmats @ p])
 
     monkeypatch.setattr(TowerLevel, "spanning_products", short_family)
+    level = build_tower_level(inclusion.E)  # A_1 is built, and checked, when read
     with pytest.raises(ConstructionFailure, match="does not span"):
-        build_tower_level(inclusion.E)
+        level.basic_construction
 
 
 def test_over_budget_rung_leaves_the_dual_quasi_basis_unbuilt(inclusion, monkeypatch):
     # the budget check reads q off E's quasi-basis, not off the lazy dual
     # quasi-basis, so an over-budget rung forms none of it
-    level = build_tower_level(inclusion.E, materialize=False)
+    level = build_tower_level(inclusion.E)
     level.basic_construction  # A_1 (16 matrices of 4 x 4) within the default budget
     need = 16 * (16 * 4 * 4 + 6 * 16 * 16 + 2 * 4 * 16 * 16)
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
@@ -932,11 +938,11 @@ def test_checked_level_over_budget_raises_before_its_checks(monkeypatch):
         patch.setattr(tower, "GenericModule", unreached)
         patch.setattr(tower, "_left_products", unreached)
         with pytest.raises(TooLarge, match=f"level of dimension {d} over {b}"):
-            build_tower_level(E, materialize=False)
+            build_tower_level(E)
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need - 1)
-    build_tower_level(E, materialize=False, check=False)  # nothing to charge
+    build_tower_level(E, check=False)  # nothing to charge
     monkeypatch.setattr(tower, "MATERIALIZE_BUDGET_BYTES", need)
-    build_tower_level(E, materialize=False)
+    build_tower_level(E)
 
 
 def test_dual_rule_sample_is_the_per_pair_draw(inclusion, monkeypatch):
@@ -957,7 +963,7 @@ def test_dual_rule_sample_is_the_per_pair_draw(inclusion, monkeypatch):
             return drawn[-1]
 
     monkeypatch.setattr(mx, "default_rng", lambda seed=None: Recording(make(seed)))
-    for build, d in ((lambda: build_tower_level(inclusion.E, materialize=False), 4),
+    for build, d in ((lambda: build_tower_level(inclusion.E), 4),
                      (group.tower, G.order)):
         drawn.clear()
         build()
@@ -1061,15 +1067,17 @@ def test_dual_rule_through_the_range_matches_formed_products(range_levels):
     for name, level in range_levels.items():
         got = tower._check_level(level)["dual_rule"]
         assert abs(got - dual_rule_dense(level)) <= 1e-12, name
-    # with a wrong star matrix both forms see the same large residual; the
-    # regular module of C[Z3^4] gathers, and reads J as its star map
+    # with a wrong star map both forms see the same large residual: C[Z3^4]
+    # has a product table and a diagonal module Gram matrix, so its module
+    # reads J off A's star rows.  A fresh level builds E_1's maps from them
     level = range_levels["C[Z3^4]"]
-    module = copy.copy(level.module)
-    module._star_map = (np.arange(module.dim), np.ones(module.dim))
-    broken = dataclasses.replace(level, module=module)
-    with pytest.raises(ConstructionFailure, match="dual_rule") as failure:
-        tower._check_level(broken)
-    got, want = failure.value.residuals["dual_rule"], dual_rule_dense(broken)
+    A, d = level.algebra, level.module_dim
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(vars(A), "_star_rows", (np.arange(d), np.ones(d)))
+        broken = dataclasses.replace(level)
+        with pytest.raises(ConstructionFailure, match="dual_rule") as failure:
+            tower._check_level(broken)
+        got, want = failure.value.residuals["dual_rule"], dual_rule_dense(broken)
     assert want > 1e6 * mx.DEFAULT_TOL
     assert abs(got - want) <= 1e-12 * want
 
@@ -1221,10 +1229,10 @@ def test_right_multiplication_fails_the_left_multiplication_check(case, inclusio
         assert (E.source._gathers is not None) == (n == 4)
     module = _RightMultiplicationModule(E)
     with pytest.raises(ConstructionFailure, match="left_multiplication") as failure:
-        build_tower_level(E, module=module, materialize=False)
+        build_tower_level(E, module=module)
     assert failure.value.residuals["left_multiplication"] > 0.1
     # the true module passes, with a residual at rounding level
-    level = build_tower_level(E, materialize=False)
+    level = build_tower_level(E)
     assert tower._check_level(level)["left_multiplication"] <= 1e-14
 
 
@@ -1296,11 +1304,11 @@ def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
     # level two of M2+M3: a GenericModule on A_1, whose matrix-unit basis
     # has a product table, against the same level with the table off
     level5 = m2_plus_m3()[0]
-    on = build_tower_level(level5.dual_expectation, materialize=False, check=False)
+    on = build_tower_level(level5.dual_expectation, check=False)
     assert on.algebra.dim == 97 and on.algebra._table is not None
     assert type(on.module) is GenericModule
     with _table_off(on.algebra):
-        off = build_tower_level(level5.dual_expectation, materialize=False)
+        off = build_tower_level(level5.dual_expectation)
         want = tower._check_level(off)
     calls = _counted_left_mult(on.module, monkeypatch)
     products = _counted_left_times(on.module, monkeypatch)
@@ -1309,12 +1317,14 @@ def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
     # random y.  Every other product is gathered: E's target basis, every
     # basis element in the exchange law and again in the left-multiplication
     # check, the dual-rule sample's 20 + 20, and E_1's maps, built on first
-    # use (L_{Ind(E)^-1} J, the q products L_{l_i} J, and L_{Ind(E)^-1})
+    # use: L_{Ind(E)^-1}.  The Gram matrix is diagonal, so E_1's star maps
+    # L_{Ind(E)^-1} J and L_{l_i} J gather J with the products and take no
+    # left_times
     assert calls == [1]
     d, target = on.algebra.dim, on.expectation.target.dim
-    q = len(on.expectation.quasi_stack)
-    assert products[0] == target and products[-5:] == [20, 20, 1, q, 1]
-    assert sum(products[1:-5]) == 2 * d
+    assert on.module._to_module.ndim == 1
+    assert products[0] == target and products[-3:] == [20, 20, 1]
+    assert sum(products[1:-3]) == 2 * d
     assert got.keys() == want.keys()
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-13, key
@@ -1324,6 +1334,8 @@ def test_generic_module_on_a_table_gathers_its_products(monkeypatch, rng):
     with _table_off(off.algebra):
         want = off.dual_value(ts)
     assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+    # the gathered rung never reads the dense J
+    assert "star_matrix" not in vars(on.module)
 
 
 def test_wrong_star_matrix_fails_the_dual_rule():
@@ -1410,15 +1422,15 @@ def gathered_levels():
     for name, inc, inters in gather_cases(rng):
         regular = inc.tower()
         with _table_off(inc.A):
-            dense = build_tower_level(inc.E, materialize=False)
+            dense = build_tower_level(inc.E)
         assert regular.algebra._gathers is not None and type(dense.module) is GenericModule, name
         out.append((name, inc, regular, dense, [inc.expectation_onto(K) for K in inters]))
     _, inc, _, _, members = out[1]
     u = _unitary_of(inc.A, rng)
     E_u = conjugate_expectation(inc.E, u)
-    regular = build_tower_level(E_u, module=RegularModule(E_u), materialize=False)
+    regular = build_tower_level(E_u, module=RegularModule(E_u))
     with _table_off(inc.A):
-        dense = build_tower_level(E_u, materialize=False)
+        dense = build_tower_level(E_u)
     conjugated = [conjugate_expectation(F, u) for F in members]
     out.append(("S4 under Ad u", None, regular, dense, conjugated))
     return out
@@ -1444,7 +1456,7 @@ def test_dual_value_of_an_empty_stack_on_a_generic_module_over_a_table_algebra(r
     # of C[S3] over the trivial subgroup, on the matrix units of M6 (d = 36)
     S4, S3 = FiniteGroup.symmetric(4), FiniteGroup.symmetric(3)
     inc = group_algebra_inclusion(S4, trivial_subgroup(S4))
-    generic = build_tower_level(inc.E, module=GenericModule(inc.E), materialize=False)
+    generic = build_tower_level(inc.E, module=GenericModule(inc.E))
     level_two = iterate_tower(
         group_algebra_inclusion(S3, trivial_subgroup(S3)).tower(materialize=False)
     )
@@ -1454,6 +1466,88 @@ def test_dual_value_of_an_empty_stack_on_a_generic_module_over_a_table_algebra(r
         ts = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
         assert level.dual_value(ts[:0]).shape == (0, n, n)
         np.testing.assert_array_equal(level.dual_value(ts)[1], level.dual_value(ts[1:])[0])
+
+
+def _state_on_m5(rng, diagonal: bool) -> ConditionalExpectation:
+    """E(x) = Tr(rho x) 1 on M_5's 25 matrix units (a product table), rho a random full-rank density.
+
+    The module Gram matrix is R_rho^T on the units: diagonal, and not scalar,
+    for a diagonal rho, and not diagonal otherwise.  The quasi-basis is
+    {f rho^(-1/2)} over the units f, orthonormal for Tr(rho a* b).
+    """
+    units = np.eye(25, dtype=np.complex128).reshape(25, 5, 5)
+    A = MatrixStarAlgebra.from_orthonormal(units)
+    scalars = MatrixStarAlgebra.from_orthonormal([np.eye(5) / math.sqrt(5.0)])
+    if diagonal:
+        rho = np.diag(rng.uniform(0.5, 2.0, 5)).astype(np.complex128)
+    else:
+        g = mx.random_matrix(5, rng)
+        rho = mx.adjoint(g) @ g + 0.1 * np.eye(5)
+    rho /= np.trace(rho)
+    root = np.linalg.inv(mx.psd_sqrt(rho))
+    return ConditionalExpectation.from_rule(
+        A, scalars, lambda x: np.trace(rho @ x) * np.eye(5), quasi_basis=units @ root
+    )
+
+
+def test_gathered_star_map_matches_the_dense_star_matrix(range_levels, rng):
+    # J read off A's star rows, scaled by the diagonal G^(+-1/2), against the
+    # dense J, and the fused L_y J conj(X) against its dense products: on
+    # C[S4], C[Z3^4], the M2+M3 level two (G diagonal within an ulp of 1)
+    # and M_5's units under a diagonal state (G diagonal and not scalar)
+    S4 = FiniteGroup.symmetric(4)
+    modules = {
+        "C[S4]": group_algebra_inclusion(S4, trivial_subgroup(S4)).module,
+        "C[Z3^4]": range_levels["C[Z3^4]"].module,
+        "M2+M3 level 2": range_levels["M2+M3 level 2"].module,
+        "M5 diagonal state": GenericModule(_state_on_m5(rng, diagonal=True)),
+    }
+    assert np.ptp(modules["M5 diagonal state"]._to_module) > 0.1
+    for name, module in modules.items():
+        A, d = module.algebra, module.dim
+        assert A._gathers is not None and module._to_module.ndim == 1, name
+        module = copy.copy(module)  # no dense J read yet, whatever the fixture read
+        vars(module).pop("star_matrix", None)
+        unit = A.hs_coordinates(np.eye(A.ambient_dim))[None]
+        gathered = module.left_star(unit)(np.eye(d)[:, :, None]).T  # column k: J e_k
+        y = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        y[0, 3:] = 0.0  # one element of three nonzero coordinates, two dense
+        x = rng.standard_normal((2, d, 3)) + 1j * rng.standard_normal((2, d, 3))
+        fused = module.left_star(y)(x)
+        assert "star_matrix" not in vars(module), name
+        star = module.star_matrix
+        assert np.abs(gathered - star).max() <= 1e-15 * max(1.0, np.abs(star).max()), name
+        lmats = module.left_mult(A.combine(y))
+        want = np.einsum("aij,jl,kla->ki", lmats, star, np.conjugate(x))
+        assert np.abs(fused - want).max() <= 1e-13 * (1.0 + np.abs(want).max()), name
+
+
+def test_non_diagonal_gram_on_a_table_algebra_takes_the_dense_star(rng):
+    # M_5's units have a product table, but under a non-diagonal density the
+    # Gram matrix is not diagonal: E_1's star maps take the dense J, and the
+    # dual values match the level with the table off
+    E = _state_on_m5(rng, diagonal=False)
+    on = build_tower_level(E)
+    assert on.algebra._gathers is not None and on.module._to_module.ndim == 2
+    with _table_off(on.algebra):
+        off = build_tower_level(E)
+    d = on.module_dim
+    ts = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    got = on.dual_value(ts)
+    assert "star_matrix" in vars(on.module)
+    with _table_off(off.algebra):
+        want = off.dual_value(ts)
+    assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+
+
+def test_a_level_over_the_budget_of_its_a1_builds_and_refuses_a1():
+    # M2(x)M8 >= C(x)M8 (d = 256): the level and its checks fit the budget,
+    # A_1 (1,024 matrices of 256 x 256) does not, and is refused when read
+    level, F = _exterior_script().tensor_fixture(3)
+    assert level.module_dim == 256
+    with pytest.raises(TooLarge, match="A_1"):
+        level.basic_construction
+    assert "basic_construction" not in vars(level)
 
 
 def test_gathered_level_checks_match_the_dense_module(gathered_levels):
@@ -1544,15 +1638,16 @@ def _group_quasi_cases(inc, rng):
     ]
 
 
-def test_wrong_star_map_on_a_table_algebra_fails_the_dual_rule():
+def test_wrong_star_map_on_a_table_algebra_fails_the_dual_rule(monkeypatch):
     G = FiniteGroup.direct_product([3, 3, 3, 3])
     level = group_algebra_inclusion(G, generated_subgroup(G, [G.index_of((0, 0, 0, 1))])).tower()
-    assert level.algebra._table is not None and type(level.module) is RegularModule
+    A, d = level.algebra, level.module_dim
+    # the rule's two conditions: a product table and a diagonal Gram matrix
+    assert A._table is not None and level.module._to_module.ndim == 1
     assert tower._check_level(level)["dual_rule"] <= 1e-14
-    module = copy.copy(level.module)
-    d = level.module_dim
-    module._star_map = (np.arange(d), np.ones(d))  # coords(x*) = conj(coords(x)): false on Z3^4
-    broken = dataclasses.replace(level, module=module)
+    # coords(x*) = conj(coords(x)): false on Z3^4; a fresh level reads it
+    monkeypatch.setitem(vars(A), "_star_rows", (np.arange(d), np.ones(d)))
+    broken = dataclasses.replace(level)
     with pytest.raises(ConstructionFailure, match="dual_rule"):
         tower._check_level(broken)
 
@@ -1565,11 +1660,11 @@ def test_interior_angle_on_a_regular_level_forms_no_quasi_stack(monkeypatch):
 
     # no product of the dense module is formed: neither (q, d, d) stack of
     # its L_{l_i} J, nor its L_{Ind(E)^-1} J, nor E's own stack.  The dense
-    # branches are refused: those of left_star and times_columns, and that
-    # of left_times, whose L_y come from left_mult, which only the
+    # J is refused, and so is every t q_i stack, and the dense branch of
+    # left_times, whose L_y come from left_mult, which only the
     # left-multiplication check may call
-    for name in ("left_star", "times_columns"):
-        monkeypatch.setattr(GenericModule, name, _refused)
+    monkeypatch.setattr(GenericModule, "star_matrix", property(_refused))
+    monkeypatch.setattr(TowerLevel, "_quasi_images", _refused)
     inc = group_algebra_inclusion(G, sub((0, 0, 0, 1)))
     calls = _counted_left_mult(inc.module, monkeypatch)
     level = inc.tower()
